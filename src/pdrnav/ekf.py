@@ -21,10 +21,17 @@ acceleration integrate forward unobserved between the stance-phase
 pseudo-measurement updates (see the stance module), which is what makes
 the filter a dead-reckoning engine rather than an aided INS.
 
-Both process and measurement Jacobians are central finite differences
-of the models themselves; the only analytic shortcut is the (exactly
-constant) measurement matrix, which is tested against the finite
-difference path.
+Both Jacobians are closed forms.  The IMU measurement matrix is exactly
+constant.  The process Jacobian (`process_jacobian`) is the identity
+plus the position/velocity/acceleration chain, the derivative of the
+Rodrigues rotation that carries the specific force to the navigation
+frame, and the derivative of the normalised quaternion increment
+``normalize(exp(-ts omega / 2) * q)``; see Sola, "Quaternion kinematics
+for the error-state Kalman filter" (arXiv:1711.02583), sections 4 and 6.
+The quaternion is perturbed additively, as the state stores it, so these
+are the derivatives of `propagate` as written, not tangent-space
+approximations; the tests hold them to Richardson-extrapolated
+differences of `propagate` itself.
 """
 
 from __future__ import annotations
@@ -36,7 +43,18 @@ from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import constants
-from .quat import quat_conj, quat_exp, quat_from_rpy, quat_mul, quat_normalize, quat_rotate
+from .quat import (
+    quat_conj,
+    quat_exp,
+    quat_exp_jacobian,
+    quat_from_rpy,
+    quat_mul,
+    quat_mul_jacobian,
+    quat_normalize,
+    quat_normalize_jacobian,
+    quat_rotate,
+    quat_rotate_jacobian,
+)
 
 __all__ = [
     "DIM",
@@ -57,7 +75,7 @@ __all__ = [
     "propagate",
     "measurement_model",
     "measurement_jacobian",
-    "finite_difference_jacobian",
+    "process_jacobian",
     "predict",
     "update",
     "kalman_update",
@@ -77,6 +95,11 @@ BIAS_A = slice(19, 22)
 BIAS_W = slice(22, 25)
 
 _BIAS_IDX = np.r_[19:25]
+
+# Entries of the process Jacobian set by the kinematic chain, in the
+# order POS/VEL, POS/ACC, VEL/ACC, ACC/ACC (diagonals of 3x3 blocks).
+_CHAIN_ROWS = np.r_[0:3, 0:3, 3:6, 6:9]
+_CHAIN_COLS = np.r_[3:6, 6:9, 6:9, 6:9]
 
 
 class FilterDivergenceError(RuntimeError):
@@ -238,21 +261,18 @@ def propagate(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
     and bias states.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = x[:, None] if single else x
     ts = cfg.ts
-    out = np.empty_like(xs)
-    p, v, a, q, w = xs[POS], xs[VEL], xs[ACC], xs[QUAT], xs[OMEGA]
+    out = np.empty_like(x)
+    p, v, a, q, w = x[POS], x[VEL], x[ACC], x[QUAT], x[OMEGA]
     out[POS] = p + v * ts + 0.5 * a * ts * ts
     out[VEL] = v + a * ts
     # Body specific force rotated to nav, plus gravity.
-    out[ACC] = quat_rotate(quat_conj(q), xs[ACC_B]) + cfg.g_vec[:, None]
+    g_vec = cfg.g_vec.reshape((3,) + (1,) * (x.ndim - 1))
+    out[ACC] = quat_rotate(quat_conj(q), x[ACC_B]) + g_vec
     out[QUAT] = quat_normalize(quat_mul(quat_exp(-0.5 * ts * w), q))
-    out[ACC_B] = xs[ACC_B]
-    out[OMEGA] = w
-    out[BIAS_A] = xs[BIAS_A]
-    out[BIAS_W] = xs[BIAS_W]
-    return out[:, 0] if single else out
+    # IMU and bias states (ACC_B through BIAS_W) are random walks.
+    out[ACC_B.start:] = x[ACC_B.start:]
+    return out
 
 
 def measurement_model(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -276,51 +296,39 @@ def measurement_jacobian() -> NDArray[np.float64]:
 _MEAS_JAC = measurement_jacobian()
 
 
-def finite_difference_jacobian(f, x: NDArray[np.float64], m: int | None = None):
-    """Central-difference Jacobian of a batch-capable state function.
+def process_jacobian(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
+    """Closed-form Jacobian of `propagate` at one state, shape (25, 25).
 
-    Perturbation step per coordinate: ``max(1e-6, 1e-6 |x_i|)``.
-    Quaternion coordinates are perturbed additively like any other; if
-    ``f`` normalizes internally the derivative of the normalized map is
-    what comes out.
-
-    Parameters
-    ----------
-    f : callable
-        Maps ``(n, k)`` batches of states column-wise to ``(m, k)``.
-    x : ndarray, shape (n,)
-    m : int, optional
-        Output dimension, inferred from one evaluation if omitted.
-
-    Returns
-    -------
-    ndarray, shape (m, n)
+    The identity except for the kinematic chain, the acceleration row
+    (which forgets the old acceleration and follows the rotated specific
+    force) and the quaternion row.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.maximum(1e-6, 1e-6 * np.abs(x))
-    perturb = np.diag(h)
-    f_plus = np.asarray(f(x[:, None] + perturb))
-    f_minus = np.asarray(f(x[:, None] - perturb))
-    jac = (f_plus - f_minus) / (2.0 * h)
-    if m is not None and jac.shape[0] != m:
-        raise ValueError(f"f returned {jac.shape[0]} rows, expected {m}")
-    if not np.all(np.isfinite(jac)):
-        bad = int(np.flatnonzero(~np.all(np.isfinite(jac), axis=0))[0])
-        raise ValueError(
-            f"non-finite derivative at state coordinate {bad}"
-        )
+    ts = cfg.ts
+    q = x[QUAT]
+    jac = np.eye(DIM)
+    jac[_CHAIN_ROWS, _CHAIN_COLS] = np.repeat([ts, 0.5 * ts * ts, ts, 0.0], 3)
+    # ACC: quat_rotate(conj(q), a_b) + g; conj flips the vector part.
+    d_conj, jac[ACC, ACC_B] = quat_rotate_jacobian(quat_conj(q), x[ACC_B])
+    d_conj[:, 1:] = -d_conj[:, 1:]
+    jac[ACC, QUAT] = d_conj
+    # QUAT: normalize(inc * q) with inc = exp(delta), delta = -ts omega / 2.
+    delta = -0.5 * ts * x[OMEGA]
+    d_inc, d_prev = quat_mul_jacobian(quat_exp(delta), q)
+    d_norm = quat_normalize_jacobian(d_prev @ q)
+    jac[QUAT, QUAT] = d_norm @ d_prev
+    jac[QUAT, OMEGA] = (d_norm @ d_inc @ quat_exp_jacobian(delta)) * (-0.5 * ts)
     return jac
 
 
 def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
     """Re-symmetrize and apply cheap divergence checks."""
     p_mat = 0.5 * (p_mat + p_mat.T)
-    if not np.all(np.isfinite(p_mat)):
+    if not np.isfinite(p_mat).all():
         raise FilterDivergenceError("covariance is no longer finite")
-    diag = np.diagonal(p_mat)
-    tol = 1e-9 * max(float(np.trace(p_mat)), 1e-30)
-    if np.any(diag < -tol):
+    diag = p_mat.diagonal()
+    tol = 1e-9 * max(float(diag.sum()), 1e-30)
+    if (diag < -tol).any():
         raise FilterDivergenceError(
             f"covariance lost positive semidefiniteness (min diag {diag.min():g})"
         )
@@ -329,9 +337,9 @@ def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def predict(est: StateEstimate, cfg: FilterConfig) -> StateEstimate:
     """Time update: propagate the mean, push the covariance through the
-    finite-difference Jacobian and add the process noise."""
+    closed-form process Jacobian and add the process noise."""
     x1 = propagate(est.x, cfg)
-    jac = finite_difference_jacobian(lambda xs: propagate(xs, cfg), est.x, DIM)
+    jac = process_jacobian(est.x, cfg)
     p1 = jac @ est.P @ jac.T + np.diag(cfg.effective_q_diag())
     return StateEstimate(x=x1, P=_check_covariance(p1))
 

@@ -15,7 +15,10 @@ Conventions, fixed once here and relied on everywhere else:
 
 All operations accept a single quaternion of shape ``(4,)`` or a batch
 of shape ``(4, k)`` with components along the first axis, and vectors of
-shape ``(3,)`` or ``(3, k)``.
+shape ``(3,)`` or ``(3, k)``.  The ``*_jacobian`` functions take single
+arguments and differentiate the operations exactly as written, with
+quaternions perturbed additively (not on the unit sphere), which is what
+a filter that stores the four components in its state needs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ __all__ = [
     "quat_normalize",
     "quat_exp",
     "quat_rotate",
+    "quat_mul_jacobian",
+    "quat_normalize_jacobian",
+    "quat_exp_jacobian",
+    "quat_rotate_jacobian",
     "rot_matrix",
     "quat_from_rpy",
     "rpy_from_quat",
@@ -40,6 +47,9 @@ _EXP_SERIES_NORM = 1e-8
 
 # A quaternion with a norm this small cannot be meaningfully normalized.
 _DEGENERATE_NORM = 1e-12
+
+_EYE3 = np.eye(3)
+_EYE4 = np.eye(4)
 
 
 def quat_mul(p: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -87,7 +97,7 @@ def quat_normalize(q: NDArray[np.float64]) -> NDArray[np.float64]:
     """
     q = np.asarray(q, dtype=float)
     n = np.sqrt(np.sum(q * q, axis=0))
-    if np.any(n < _DEGENERATE_NORM) or not np.all(np.isfinite(n)):
+    if (n < _DEGENERATE_NORM).any() or not np.isfinite(n).all():
         raise ValueError(f"cannot normalize quaternion with norm {np.min(n):g}")
     return q / n
 
@@ -122,20 +132,111 @@ def quat_rotate(q: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.fl
     Equivalent to ``rot_matrix(q) @ u`` but works on batches without
     materializing matrices.
     """
-    q, u = np.asarray(q, dtype=float), np.asarray(u, dtype=float)
-    w, xyz = q[0], q[1:]
-    # Components live on the FIRST axis, so a single vector meeting a
-    # batched quaternion (or vice versa) must grow trailing batch axes;
-    # plain broadcasting would align the wrong ends.
-    if xyz.ndim > u.ndim:
-        u = u.reshape(u.shape + (1,) * (xyz.ndim - u.ndim))
-    elif u.ndim > xyz.ndim:
-        grow = (1,) * (u.ndim - xyz.ndim)
-        xyz = xyz.reshape(xyz.shape + grow)
-        w = w.reshape(w.shape + grow)
-    # Rodrigues form: u + 2 w (xyz x u) + 2 xyz x (xyz x u)
-    t = 2.0 * np.cross(xyz, u, axis=0)
-    return u + w * t + np.cross(xyz, t, axis=0)
+    w, x, y, z = np.asarray(q, dtype=float)
+    ux, uy, uz = np.asarray(u, dtype=float)
+    # Rodrigues form: u + w t + xyz x t with t = 2 xyz x u.  Unpacked
+    # components broadcast single and batch shapes alike; the products
+    # are grouped as in a cross product, term by term.
+    tx = 2.0 * (y * uz - z * uy)
+    ty = 2.0 * (z * ux - x * uz)
+    tz = 2.0 * (x * uy - y * ux)
+    return np.stack([
+        ux + w * tx + (y * tz - z * ty),
+        uy + w * ty + (z * tx - x * tz),
+        uz + w * tz + (x * ty - y * tx),
+    ])
+
+
+def quat_mul_jacobian(p: NDArray[np.float64], q: NDArray[np.float64]):
+    """Derivatives of ``quat_mul(p, q)``; the product is bilinear.
+
+    Returns
+    -------
+    d_p, d_q : ndarray, shape (4, 4)
+        ``quat_mul(p, q) == d_p @ p == d_q @ q``.
+    """
+    pw, px, py, pz = np.asarray(p, dtype=float).tolist()
+    qw, qx, qy, qz = np.asarray(q, dtype=float).tolist()
+    d_p = np.array([
+        [qw, -qx, -qy, -qz],
+        [qx, qw, qz, -qy],
+        [qy, -qz, qw, qx],
+        [qz, qy, -qx, qw],
+    ])
+    d_q = np.array([
+        [pw, -px, -py, -pz],
+        [px, pw, -pz, py],
+        [py, pz, pw, -px],
+        [pz, -py, px, pw],
+    ])
+    return d_p, d_q
+
+
+def quat_normalize_jacobian(q: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Derivative of `quat_normalize`: ``(I - q q^T / |q|^2) / |q|``, (4, 4)."""
+    q = np.asarray(q, dtype=float)
+    n2 = float(q @ q)
+    return (_EYE4 - np.outer(q, q) / n2) / np.sqrt(n2)
+
+
+def quat_exp_jacobian(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Derivative of `quat_exp` at one rotation vector, shape (4, 3).
+
+    Below the series cutoff the derivative of the series itself is
+    returned, matching the branch `quat_exp` evaluates.
+    """
+    v = np.asarray(v, dtype=float)
+    n2 = float(v @ v)
+    n = np.sqrt(n2)
+    if n < _EXP_SERIES_NORM:
+        # d/dv of (1 - n^2/2, (1 - n^2/6) v)
+        s, c = 1.0 - n2 / 6.0, -1.0 / 3.0
+    else:
+        # d/dv of (cos n, s v) with s = sin(n)/n, ds/dn = (cos n - s)/n
+        s = np.sin(n) / n
+        c = (np.cos(n) - s) / n2
+    jac = np.empty((4, 3))
+    jac[0] = -s * v
+    jac[1:] = s * _EYE3 + c * np.outer(v, v)
+    return jac
+
+
+def quat_rotate_jacobian(q: NDArray[np.float64], u: NDArray[np.float64]):
+    """Derivatives of `quat_rotate` at one quaternion and vector.
+
+    The Rodrigues polynomial ``u + 2 w (r x u) + 2 r x (r x u)``, with
+    ``r = (x, y, z)`` the vector part of ``q``, is differentiated as
+    written, so ``q`` need not be unit:
+
+    - d/dw = 2 r x u,
+    - d/dr = 2 ((r.u) I + r u^T - 2 u r^T - w [u]x),
+    - d/du = I + 2 (w [r]x + r r^T - (r.r) I),
+
+    with ``[a]x`` the matrix of ``a x .``.
+
+    Returns
+    -------
+    d_q : ndarray, shape (3, 4)
+    d_u : ndarray, shape (3, 3)
+    """
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    a, b, c = np.asarray(u, dtype=float).tolist()
+    ru = x * a + y * b + z * c
+    rr = x * x + y * y + z * z
+    d_q = 2.0 * np.array([
+        [y * c - z * b, ru - a * x, x * b - 2.0 * a * y + w * c,
+         x * c - 2.0 * a * z - w * b],
+        [z * a - x * c, y * a - 2.0 * b * x - w * c, ru - b * y,
+         y * c - 2.0 * b * z + w * a],
+        [x * b - y * a, z * a - 2.0 * c * x + w * b,
+         z * b - 2.0 * c * y - w * a, ru - c * z],
+    ])
+    d_u = _EYE3 + 2.0 * np.array([
+        [x * x - rr, x * y - w * z, x * z + w * y],
+        [y * x + w * z, y * y - rr, y * z - w * x],
+        [z * x - w * y, z * y + w * x, z * z - rr],
+    ])
+    return d_q, d_u
 
 
 def rot_matrix(q: NDArray[np.float64]) -> NDArray[np.float64]:

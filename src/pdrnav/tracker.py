@@ -363,7 +363,14 @@ def evaluate_trajectory(traj: Trajectory, truth, ttd: float) -> EvalReport:
     Checkpoints are the truth positions at the midpoint of every true
     stance interval that falls inside the trajectory span; the foot is
     planted there, so the reference is unambiguous.
+
+    Raises
+    ------
+    ValueError
+        If the trajectory has no samples.
     """
+    if traj.t.size == 0:
+        raise ValueError("empty trajectory")
     closure = float(np.linalg.norm(traj.p[0] - traj.p[-1]))
     checkpoints = []
     for start, stop in stance_intervals(truth.stance):

@@ -39,15 +39,15 @@ from .ekf import (
     ACC_B,
     BIAS_A,
     BIAS_W,
+    DIM,
     OMEGA,
     POS,
     QUAT,
     VEL,
     StateEstimate,
-    finite_difference_jacobian,
     kalman_update,
 )
-from .quat import quat_conj, quat_normalize, quat_rotate
+from .quat import quat_conj, quat_normalize, quat_rotate, quat_rotate_jacobian
 
 __all__ = [
     "PSEUDO_GROUPS",
@@ -63,6 +63,7 @@ __all__ = [
     "hard_series",
     "stance_intervals",
     "detect_stance",
+    "StanceResidual",
     "build_pseudo_measurements",
     "soft_covariance",
     "zupt_update",
@@ -443,6 +444,72 @@ def detect_stance(scores, threshold: float) -> list[tuple[int, int]]:
     return stance_intervals(np.asarray(scores, dtype=float) >= threshold)
 
 
+def _linear_stance_rows() -> NDArray[np.float64]:
+    """The state-independent part of the full stack's prediction Jacobian."""
+    h = np.zeros((N_PSEUDO, DIM))
+    eye3 = np.eye(3)
+    h[0:3, POS] = eye3
+    h[3:6, VEL] = eye3
+    h[6:9, ACC] = eye3
+    h[13:16, OMEGA] = eye3
+    h[16:19, BIAS_A] = eye3
+    h[19:22, BIAS_W] = eye3
+    return h
+
+
+_LINEAR_STANCE_ROWS = _linear_stance_rows()
+
+
+class StanceResidual:
+    """Residual ``z_p - prediction`` of one stance stack.
+
+    Calling it maps states ``(25,)`` or batches ``(25, k)`` to residuals
+    of the enabled rows; `jacobian` gives its closed-form derivative at
+    one state.
+    """
+
+    def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_],
+                 g_vec: NDArray[np.float64]):
+        self.z_full = z_full
+        self.mask = mask
+        self.g_vec = g_vec
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        q = xs[QUAT]
+        h = np.empty((N_PSEUDO,) + xs.shape[1:])
+        h[0:3] = xs[POS]
+        h[3:6] = xs[VEL]
+        h[6:9] = xs[ACC]
+        h[9:12] = quat_rotate(quat_conj(q), xs[ACC_B])
+        h[12] = np.linalg.norm(xs[ACC_B], axis=0)
+        h[13:16] = xs[OMEGA]
+        h[16:19] = xs[BIAS_A] - quat_rotate(q, self.g_vec)
+        h[19:22] = xs[BIAS_W]
+        z_full = self.z_full.reshape((N_PSEUDO,) + (1,) * (xs.ndim - 1))
+        return (z_full - h)[self.mask]
+
+    def jacobian(self, x) -> NDArray[np.float64]:
+        """Derivative of the residual at one state, shape (m, 25).
+
+        Only the gravity-direction, gravity-norm and accel-bias rows
+        depend on the state.  The gravity-norm gradient ``a_b / |a_b|``
+        is taken as zero where ``|a_b|`` is below the threshold at which
+        `build_pseudo_measurements` defuses that row.
+        """
+        x = np.asarray(x, dtype=float)
+        q, a_b = x[QUAT], x[ACC_B]
+        h = _LINEAR_STANCE_ROWS.copy()
+        d_conj, h[9:12, ACC_B] = quat_rotate_jacobian(quat_conj(q), a_b)
+        d_conj[:, 1:] = -d_conj[:, 1:]  # conj flips the vector part
+        h[9:12, QUAT] = d_conj
+        norm = np.linalg.norm(a_b)
+        if norm >= _NORM_EPS:
+            h[_NORM_ROW, ACC_B] = a_b / norm
+        h[16:19, QUAT] = -quat_rotate_jacobian(q, self.g_vec)[0]
+        return -h[self.mask]
+
+
 def build_pseudo_measurements(
     x,
     event: StanceEvent,
@@ -489,9 +556,10 @@ def build_pseudo_measurements(
     -------
     z_p : ndarray, shape (m,)
         Stacked targets for the enabled groups.
-    residual : callable
+    residual : StanceResidual
         Maps states (25,) or batches (25, k) to residuals
-        ``z_p - prediction``; finite-difference friendly.
+        ``z_p - prediction``; its ``jacobian(x)`` is the closed-form
+        derivative that `zupt_update` uses.
     variance_scale : ndarray, shape (m,)
         Per-row multipliers for the variances, 1 everywhere except the
         gravity-norm row when ``|a_b|`` is too small to define its
@@ -516,27 +584,10 @@ def build_pseudo_measurements(
     ])
     z_p = z_full[mask]
 
-    def residual(xs):
-        xs = np.asarray(xs, dtype=float)
-        single = xs.ndim == 1
-        cols = xs[:, None] if single else xs
-        q = cols[QUAT]
-        h = np.empty((N_PSEUDO, cols.shape[1]))
-        h[0:3] = cols[POS]
-        h[3:6] = cols[VEL]
-        h[6:9] = cols[ACC]
-        h[9:12] = quat_rotate(quat_conj(q), cols[ACC_B])
-        h[12] = np.linalg.norm(cols[ACC_B], axis=0)
-        h[13:16] = cols[OMEGA]
-        h[16:19] = cols[BIAS_A] - quat_rotate(q, g_vec)
-        h[19:22] = cols[BIAS_W]
-        r = (z_full[:, None] - h)[mask]
-        return r[:, 0] if single else r
-
     scale_full = np.ones(N_PSEUDO)
     if np.linalg.norm(x[ACC_B]) < _NORM_EPS:
         scale_full[_NORM_ROW] = _NORM_INFLATION
-    return z_p, residual, scale_full[mask]
+    return z_p, StanceResidual(z_full, mask, g_vec), scale_full[mask]
 
 
 def soft_covariance(cfg: StanceConfig, sfs_k: float) -> NDArray[np.float64]:
@@ -562,13 +613,13 @@ def zupt_update(
 ) -> StateEstimate:
     """Inject one stance pseudo-measurement into the filter.
 
-    ``residual`` is the closure from `build_pseudo_measurements`; its
-    finite-difference Jacobian (negated, since the residual is target
-    minus prediction) feeds the standard update.
+    ``residual`` is the `StanceResidual` from
+    `build_pseudo_measurements`; its closed-form Jacobian (negated, since
+    the residual is target minus prediction) feeds the standard update.
     """
     z_p = np.asarray(z_p, dtype=float)
     nu = residual(est.x)
-    jac = -finite_difference_jacobian(residual, est.x, nu.size)
+    jac = -residual.jacobian(est.x)
     x1, p1 = kalman_update(
         est.x, est.P, nu, np.zeros_like(nu), jac, variances, joseph
     )

@@ -12,6 +12,62 @@ from pdrnav.ekf import ACC_B, DIM, OMEGA, QUAT
 from pdrnav.quat import quat_exp, quat_mul, rot_matrix
 
 
+def finite_difference_jacobian(f, x, m: int | None = None):
+    """Central-difference Jacobian of a batch-capable state function.
+
+    The reference that criterion 2 holds against Richardson, and that
+    the tracker test swaps in for the filter's closed forms.
+
+    Perturbation step per coordinate: ``max(1e-6, 1e-6 |x_i|)``.
+    Quaternion coordinates are perturbed additively like any other; if
+    ``f`` normalizes internally the derivative of the normalized map is
+    what comes out.
+
+    Parameters
+    ----------
+    f : callable
+        Maps ``(n, k)`` batches of states column-wise to ``(m, k)``.
+    x : ndarray, shape (n,)
+    m : int, optional
+        Output dimension, inferred from one evaluation if omitted.
+
+    Returns
+    -------
+    ndarray, shape (m, n)
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    perturb = np.diag(h)
+    f_plus = np.asarray(f(x[:, None] + perturb))
+    f_minus = np.asarray(f(x[:, None] - perturb))
+    jac = (f_plus - f_minus) / (2.0 * h)
+    if m is not None and jac.shape[0] != m:
+        raise ValueError(f"f returned {jac.shape[0]} rows, expected {m}")
+    if not np.all(np.isfinite(jac)):
+        bad = int(np.flatnonzero(~np.all(np.isfinite(jac), axis=0))[0])
+        raise ValueError(
+            f"non-finite derivative at state coordinate {bad}"
+        )
+    return jac
+
+
+def cross_quat_rotate(q, u):
+    """`quat_rotate` written with ``np.cross``: the Rodrigues form
+    ``u + w t + xyz x t``, ``t = 2 xyz x u``, with trailing batch axes
+    grown so single and batch shapes meet component-first."""
+    q, u = np.asarray(q, dtype=float), np.asarray(u, dtype=float)
+    w, xyz = q[0], q[1:]
+    if xyz.ndim > u.ndim:
+        u = u.reshape(u.shape + (1,) * (xyz.ndim - u.ndim))
+    elif u.ndim > xyz.ndim:
+        grow = (1,) * (u.ndim - xyz.ndim)
+        xyz = xyz.reshape(xyz.shape + grow)
+        w = w.reshape(w.shape + grow)
+    t = 2.0 * np.cross(xyz, u, axis=0)
+    return u + w * t + np.cross(xyz, t, axis=0)
+
+
 def richardson_jacobian(f, x, m, h0=1e-4):
     """High-order derivative reference: central differences at two step
     sizes combined by Richardson extrapolation (error O(h0^4)).

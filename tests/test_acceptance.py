@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import richardson_jacobian, random_nav_state
+from oracles import finite_difference_jacobian, richardson_jacobian, random_nav_state
 from pdrnav import constants
 from pdrnav.calibration import (
     OrientationBatch,
@@ -37,7 +37,6 @@ from pdrnav.ekf import (
     QUAT,
     VEL,
     default_filter_config,
-    finite_difference_jacobian,
     init_state,
     measurement_jacobian,
     measurement_model,

@@ -241,6 +241,25 @@ class TestExitCodes:
         traj = read_trajectory(out)  # partial trajectory still lands on disk
         assert traj.t.size == 0
 
+    def test_eval_of_empty_trajectory_exits_two(self, workspace, tmp_path,
+                                                capsys):
+        ws, _ = workspace
+        header = (ws / "walk.csv").read_text().splitlines()[0]
+        empty_log = tmp_path / "empty.csv"
+        empty_log.write_text(header + "\n")
+        traj = tmp_path / "empty_traj.csv"
+        assert main(["track", "--log", str(empty_log),
+                     "--cal", str(ws / "cal.json"),
+                     "--config", str(ws / "config.json"),
+                     "--out", str(traj)]) == 0
+        assert read_trajectory(traj).t.size == 0
+        code = main(["eval", "--traj", str(traj),
+                     "--truth", str(ws / "truth.csv"),
+                     "--ttd", "42", "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "empty trajectory" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_usage_exits_two(self, workspace):
         ws, _ = workspace
         with pytest.raises(SystemExit) as info:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdrnav.tracker as tracker_module
+from pdrnav import constants
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import (
     ACC,
@@ -23,18 +25,25 @@ from pdrnav.ekf import (
     NavState,
     StateEstimate,
     default_filter_config,
-    finite_difference_jacobian,
     init_state,
     kalman_update,
     measurement_jacobian,
     measurement_model,
     predict,
+    process_jacobian,
     propagate,
     update,
 )
-from pdrnav.quat import quat_rotate, rot_matrix, rpy_from_quat
+from pdrnav.gait import GaitParams, generate_gait, inverse_imu, razor_noise, scale_calibration
+from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix, rpy_from_quat
+from pdrnav.tracker import ImuLog, run_tracker
 
-from oracles import random_covariance, random_nav_state, richardson_jacobian
+from oracles import (
+    finite_difference_jacobian,
+    random_covariance,
+    random_nav_state,
+    richardson_jacobian,
+)
 
 
 @pytest.fixture
@@ -161,6 +170,78 @@ class TestJacobians:
 
         with pytest.raises(ValueError, match="coordinate 7"):
             finite_difference_jacobian(broken, base, 3)
+
+
+class TestProcessJacobian:
+    def test_matches_richardson_on_random_states(self, cfg):
+        # Off-unit quaternions too: the state quaternion is perturbed
+        # additively, so the derivative must hold off the unit sphere.
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            x = random_nav_state(rng)
+            x[QUAT] *= rng.uniform(0.8, 1.2)
+            ref = richardson_jacobian(lambda s: propagate(s, cfg), x, DIM)
+            assert np.max(np.abs(process_jacobian(x, cfg) - ref)) <= 1e-5
+
+    def test_matches_richardson_near_still(self, cfg):
+        # |ts omega / 2| ~ 6e-10 sits under the 1e-8 series cutoff of
+        # quat_exp, so the series branch of the derivative runs.
+        rng = np.random.default_rng(32)
+        x = rest_state(rng, cfg)
+        x[OMEGA] = [1e-7, -5e-8, 2e-8]
+        assert np.linalg.norm(0.5 * cfg.ts * x[OMEGA]) < 1e-8
+        ref = richardson_jacobian(lambda s: propagate(s, cfg), x, DIM)
+        assert np.max(np.abs(process_jacobian(x, cfg) - ref)) <= 1e-5
+
+    def test_predict_pushes_covariance_through_it(self, cfg):
+        rng = np.random.default_rng(34)
+        est = StateEstimate(x=random_nav_state(rng), P=random_covariance(rng))
+        jac = process_jacobian(est.x, cfg)
+        want = jac @ est.P @ jac.T + np.diag(cfg.effective_q_diag())
+        out = predict(est, cfg)
+        assert_allclose(out.x, propagate(est.x, cfg), rtol=0, atol=0)
+        assert_allclose(out.P, 0.5 * (want + want.T), rtol=0, atol=0)
+
+
+def fd_predict(est, cfg):
+    """The time update with the finite-difference oracle Jacobian."""
+    jac = finite_difference_jacobian(lambda xs: propagate(xs, cfg), est.x, DIM)
+    p1 = jac @ est.P @ jac.T + np.diag(cfg.effective_q_diag())
+    return StateEstimate(x=propagate(est.x, cfg), P=0.5 * (p1 + p1.T))
+
+
+def fd_zupt_update(est, z_p, residual, variances, *, joseph=True):
+    """The stance update with the finite-difference oracle Jacobian."""
+    nu = residual(est.x)
+    jac = -finite_difference_jacobian(residual, est.x, nu.size)
+    x1, p1 = kalman_update(est.x, est.P, nu, np.zeros_like(nu), jac,
+                           variances, joseph)
+    x1[QUAT] = quat_normalize(x1[QUAT])
+    return StateEstimate(x=x1, P=p1)
+
+
+def test_tracker_matches_finite_difference_oracle(monkeypatch):
+    # A 4 m L-shaped walk, tracked once with the closed-form
+    # Jacobians and once with both swapped for the difference oracle.
+    fs = 100.0
+    lsb_a, lsb_w = constants.DEFAULT_LSB_ACCEL, constants.DEFAULT_LSB_GYRO
+    cal_a, cal_w = scale_calibration(lsb_a), scale_calibration(lsb_w)
+    params = GaitParams(step_length=1.0, cadence=1.5,
+                        path=[[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]], seed=3)
+    truth = generate_gait(params, fs)
+    counts_a, counts_w = inverse_imu(truth, cal_a, cal_w, razor_noise(fs), seed=3)
+    log = ImuLog(t=truth.t, accel=counts_a, gyro=counts_w, fs=fs,
+                 lsb_accel=lsb_a, lsb_gyro=lsb_w)
+
+    closed = run_tracker(log, cal_a, cal_w)
+    monkeypatch.setattr(tracker_module, "predict", fd_predict)
+    monkeypatch.setattr(tracker_module, "zupt_update", fd_zupt_update)
+    oracle = run_tracker(log, cal_a, cal_w)
+
+    assert closed.stance.any()
+    np.testing.assert_array_equal(closed.stance, oracle.stance)
+    err = np.linalg.norm(closed.p - oracle.p, axis=1)
+    assert np.max(err) < 1e-6
 
 
 class TestPredict:

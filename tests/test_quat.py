@@ -10,13 +10,19 @@ from scipy.spatial.transform import Rotation
 from pdrnav.quat import (
     quat_conj,
     quat_exp,
+    quat_exp_jacobian,
     quat_from_rpy,
     quat_mul,
+    quat_mul_jacobian,
     quat_normalize,
+    quat_normalize_jacobian,
     quat_rotate,
+    quat_rotate_jacobian,
     rot_matrix,
     rpy_from_quat,
 )
+
+from oracles import cross_quat_rotate, richardson_jacobian
 
 
 def random_unit_quats(n: int, seed: int) -> np.ndarray:
@@ -152,6 +158,94 @@ class TestRotMatrix:
         # A body yawed +90 deg sees the nav x axis along its -y axis.
         q = quat_from_rpy(0.0, 0.0, np.pi / 2)
         assert_allclose(rot_matrix(q) @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], atol=1e-12)
+
+
+class TestQuatRotate:
+    # The component form must reproduce the cross-product form bit for
+    # bit: simulated logs are rendered through it.
+    def test_single_bit_identical_to_cross_form(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            q, u = rng.standard_normal(4), rng.standard_normal(3) * 10.0
+            assert_allclose(quat_rotate(q, u), cross_quat_rotate(q, u),
+                            rtol=0, atol=0)
+
+    def test_batch_bit_identical_to_cross_form(self):
+        rng = np.random.default_rng(15)
+        q, u = rng.standard_normal((4, 200)), rng.standard_normal((3, 200))
+        assert_allclose(quat_rotate(q, u), cross_quat_rotate(q, u),
+                        rtol=0, atol=0)
+        # A non-contiguous transposed view, as the gait renderer passes.
+        q_rows = rng.standard_normal((200, 4))
+        u_rows = rng.standard_normal((200, 3))
+        assert_allclose(quat_rotate(q_rows.T, u_rows.T),
+                        cross_quat_rotate(q_rows.T, u_rows.T), rtol=0, atol=0)
+
+    def test_mixed_shapes_bit_identical_to_cross_form(self):
+        rng = np.random.default_rng(16)
+        q, u = rng.standard_normal((4, 30)), rng.standard_normal((3, 30))
+        for qs, us in [(q[:, 0], u), (q, u[:, 0]), (q, u[:, :1]),
+                       (q[:, :1], u)]:
+            got = quat_rotate(qs, us)
+            want = cross_quat_rotate(qs, us)
+            assert got.shape == want.shape == (3, 30)
+            assert_allclose(got, want, rtol=0, atol=0)
+
+
+class TestJacobians:
+    """Closed-form derivatives against Richardson-extrapolated
+    differences of the functions as written (additive perturbation,
+    non-unit arguments allowed)."""
+
+    def test_rotate(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            q, u = rng.standard_normal(4), rng.standard_normal(3) * 5.0
+            d_q, d_u = quat_rotate_jacobian(q, u)
+            ref = richardson_jacobian(
+                lambda s: quat_rotate(s[:4], s[4:]), np.concatenate([q, u]), 3)
+            assert np.max(np.abs(np.hstack([d_q, d_u]) - ref)) < 1e-8
+
+    def test_rotate_by_unit_quaternion_is_the_rotation_matrix(self):
+        q = random_unit_quats(1, 18)[:, 0]
+        _, d_u = quat_rotate_jacobian(q, np.array([1.0, -2.0, 0.5]))
+        assert_allclose(d_u, rot_matrix(q), atol=1e-15)
+
+    def test_mul(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            p, q = rng.standard_normal(4), rng.standard_normal(4)
+            d_p, d_q = quat_mul_jacobian(p, q)
+            ref = richardson_jacobian(
+                lambda s: quat_mul(s[:4], s[4:]), np.concatenate([p, q]), 4)
+            assert np.max(np.abs(np.hstack([d_p, d_q]) - ref)) < 1e-9
+            assert_allclose(d_p @ p, quat_mul(p, q), atol=1e-14)
+            assert_allclose(d_q @ q, quat_mul(p, q), atol=1e-14)
+
+    def test_normalize(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            q = rng.standard_normal(4)
+            ref = richardson_jacobian(quat_normalize, q, 4)
+            assert np.max(np.abs(quat_normalize_jacobian(q) - ref)) < 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-6])
+    def test_exp(self, scale):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            v = rng.standard_normal(3) * scale
+            ref = richardson_jacobian(quat_exp, v, 4)
+            assert np.max(np.abs(quat_exp_jacobian(v) - ref)) < 1e-8
+
+    def test_exp_series_branch(self):
+        # Under the 1e-8 cutoff the derivative of the series is used; it
+        # must match the derivative of the smooth map, which the
+        # reference's 1e-4 steps sample on the trigonometric branch.
+        v = np.array([3e-9, -2e-9, 1e-9])
+        jac = quat_exp_jacobian(v)
+        assert np.max(np.abs(jac - richardson_jacobian(quat_exp, v, 4))) < 1e-10
+        assert_allclose(jac[0], -v, rtol=0, atol=0)
+        assert_allclose(jac[1:], np.eye(3), atol=1e-16)
 
 
 class TestEuler:

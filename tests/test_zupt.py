@@ -14,6 +14,8 @@ from pdrnav import ekf, zupt
 from pdrnav.constants import GRAVITY
 from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
+from oracles import richardson_jacobian
+
 G_VEC = np.array([0.0, 0.0, -GRAVITY])
 
 
@@ -395,6 +397,61 @@ class TestBuildPseudoMeasurements:
             x, event, accel_s, gyro_s, zupt.StanceConfig()
         )
         assert np.all(scale == 1.0)
+
+
+class TestStanceJacobian:
+    """The closed-form stance Jacobian against Richardson-extrapolated
+    differences of the residual itself."""
+
+    def build(self, x, rng, cfg=None):
+        cfg = zupt.StanceConfig() if cfg is None else cfg
+        event = zupt.StanceEvent(0, x[ekf.POS][:2] + 0.01)
+        accel_s = x[ekf.ACC_B] + rng.normal(0.0, 0.01, 3)
+        gyro_s = rng.normal(0.0, 0.01, 3)
+        _, residual, _ = zupt.build_pseudo_measurements(
+            x, event, accel_s, gyro_s, cfg)
+        return residual
+
+    def test_full_stack(self):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            x = random_state(rng)
+            x[ekf.QUAT] *= rng.uniform(0.8, 1.2)  # off-unit, as perturbed
+            x[ekf.ACC_B] *= 5.0
+            residual = self.build(x, rng)
+            ref = richardson_jacobian(residual, x, zupt.N_PSEUDO)
+            jac = residual.jacobian(x)
+            assert jac.shape == (zupt.N_PSEUDO, ekf.DIM)
+            assert np.max(np.abs(jac - ref)) <= 1e-5
+
+    @pytest.mark.parametrize("off", [
+        ("gravity_direction",),
+        ("position_xy", "gravity_norm", "gyro_bias"),
+        ("velocity", "acceleration", "angular_rate", "accel_bias"),
+    ])
+    def test_groups_disabled(self, off):
+        groups = {name: name not in off for name, _ in zupt.PSEUDO_GROUPS}
+        cfg = zupt.StanceConfig(pseudo_groups=groups)
+        rng = np.random.default_rng(42)
+        x = random_state(rng)
+        residual = self.build(x, rng, cfg)
+        m = int(cfg.row_mask().sum())
+        ref = richardson_jacobian(residual, x, m)
+        jac = residual.jacobian(x)
+        assert jac.shape == (m, ekf.DIM)
+        assert np.max(np.abs(jac - ref)) <= 1e-5
+
+    def test_zero_specific_force(self):
+        # |a_b| has no gradient direction at a_b = 0; the row is zero,
+        # which is also what the symmetric difference gives there.
+        rng = np.random.default_rng(43)
+        x = random_state(rng)
+        x[ekf.ACC_B] = 0.0
+        residual = self.build(x, rng)
+        jac = residual.jacobian(x)
+        np.testing.assert_array_equal(jac[12], 0.0)
+        ref = richardson_jacobian(residual, x, zupt.N_PSEUDO)
+        assert np.max(np.abs(jac - ref)) <= 1e-5
 
 
 class TestSoftCovariance:
