@@ -21,39 +21,46 @@ acceleration integrate forward unobserved between the stance-phase
 pseudo-measurement updates (see the stance module), which is what makes
 the filter a dead-reckoning engine rather than an aided INS.
 
-Both Jacobians are closed forms.  The IMU measurement matrix is exactly
-constant.  The process Jacobian (`process_jacobian`) is the identity
-plus the position/velocity/acceleration chain, the derivative of the
-Rodrigues rotation that carries the specific force to the navigation
-frame, and the derivative of the normalised quaternion increment
+The per-sample step is a single-state kernel.  `_transition` reads the
+state once and computes the propagated mean and the process Jacobian F
+together in float arithmetic: F is the identity plus the
+position/velocity/acceleration chain, the derivative of the Rodrigues
+rotation that carries the specific force to the navigation frame, and
+the derivative of the normalised quaternion increment
 ``normalize(exp(-ts omega / 2) * q)``; see Sola, "Quaternion kinematics
 for the error-state Kalman filter" (arXiv:1711.02583), sections 4 and 6.
-The quaternion is perturbed additively, as the state stores it, so these
-are the derivatives of `propagate` as written, not tangent-space
+Rows 13 to 24 of F (the IMU and bias states) are the identity.  The
+quaternion is perturbed additively, as the state stores it, so these are
+the derivatives of `propagate` as written, not tangent-space
 approximations; the tests hold them to Richardson-extrapolated
 differences of `propagate` itself.
+
+The IMU measurement matrix is the constant H = [0 | I | I] over the IMU
+states 13:19 and the biases 19:25, so `update` forms H P, H P H^T and
+I - K H from blocks of P and K instead of matrix products.  Both updates
+factor the innovation covariance S with LAPACK's Cholesky routines
+directly (no scipy wrapper checks), so the two ways S can fail are
+checked explicitly: a non-finite S (which ``dpotrf`` factors without
+complaint) and an indefinite one (``dpotrf``'s ``info``).  Either is a
+`FilterDivergenceError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import constants
 from .quat import (
-    quat_conj,
-    quat_exp,
-    quat_exp_jacobian,
+    _DEGENERATE_NORM,
+    _EXP_SERIES_NORM,
+    _conj_rotate_terms,
     quat_from_rpy,
-    quat_mul,
-    quat_mul_jacobian,
     quat_normalize,
-    quat_normalize_jacobian,
-    quat_rotate,
-    quat_rotate_jacobian,
 )
 
 __all__ = [
@@ -94,12 +101,9 @@ OMEGA = slice(16, 19)
 BIAS_A = slice(19, 22)
 BIAS_W = slice(22, 25)
 
-_BIAS_IDX = np.r_[19:25]
-
-# Entries of the process Jacobian set by the kinematic chain, in the
-# order POS/VEL, POS/ACC, VEL/ACC, ACC/ACC (diagonals of 3x3 blocks).
-_CHAIN_ROWS = np.r_[0:3, 0:3, 3:6, 6:9]
-_CHAIN_COLS = np.r_[3:6, 6:9, 6:9, 6:9]
+# The IMU measurement's two column blocks: H = [0 | I | I] over these.
+_IMU_STATES = slice(ACC_B.start, OMEGA.stop)
+_BIASES = slice(BIAS_A.start, BIAS_W.stop)
 
 
 class FilterDivergenceError(RuntimeError):
@@ -183,7 +187,7 @@ class FilterConfig:
     def effective_q_diag(self) -> NDArray[np.float64]:
         q = self.q_diag.copy()
         if not self.estimate_biases:
-            q[_BIAS_IDX] = 0.0
+            q[_BIASES] = 0.0
         return q
 
     def to_dict(self) -> dict:
@@ -252,35 +256,127 @@ def default_filter_config(fs: float = constants.DEFAULT_FS) -> FilterConfig:
     )
 
 
-def propagate(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
-    """Noise-free mean propagation over one time step.
+def _flat_index(rows, cols) -> list[int]:
+    return [r * DIM + c for r in rows for c in cols]
 
-    Accepts one state ``(25,)`` or a batch ``(25, k)``; constant
-    acceleration over the step for the kinematic chain, exact quaternion
-    increment from the rate state, random-walk (identity) for the IMU
-    and bias states.
+
+# Flat positions of the process Jacobian entries that differ from the
+# identity, in the order `_transition` lists their values.
+_F_INDEX = np.array(
+    [i * DIM + i + 3 for i in range(6)]                   # POS/VEL, VEL/ACC
+    + [i * DIM + i for i in range(6, 9)]                  # ACC/ACC
+    + [i * DIM + i + 6 for i in range(3)]                 # POS/ACC
+    + _flat_index(range(6, 9), range(9, 13))              # ACC/QUAT
+    + _flat_index(range(6, 9), range(13, 16))             # ACC/ACC_B
+    + _flat_index(range(9, 13), (9, 10, 11, 12, 16, 17, 18))  # QUAT/QUAT, QUAT/OMEGA
+)
+
+
+def _transition(x: NDArray[np.float64], cfg: FilterConfig):
+    """Propagated mean and process Jacobian of one state, shapes (25,)
+    and (25, 25).
+
+    Scalar arithmetic on one read of the state.  The mean holds the
+    acceleration constant over the step for the kinematic chain, rotates
+    the body specific force to the navigation frame with the Rodrigues
+    form of `quat_rotate` (conjugate quaternion) and advances the
+    quaternion by ``normalize(exp(-ts omega / 2) * q)``, with the
+    exponential's series branch below ``|ts omega / 2| = 1e-8``; the IMU
+    and bias states are random walks.  The Jacobian differentiates
+    exactly these expressions with the quaternion perturbed additively;
+    it is the identity except for the kinematic chain, the acceleration
+    rows and the quaternion rows, so rows 13 to 24 are the identity.
+
+    Raises
+    ------
+    ValueError
+        If the propagated quaternion has a degenerate or non-finite norm.
+    """
+    (px, py, pz, vx, vy, vz, ax, ay, az, qw, qx, qy, qz,
+     fx, fy, fz, wx, wy, wz) = x[:OMEGA.stop].tolist()
+    ts = cfg.ts
+
+    # ACC: specific force rotated by conj(q), plus gravity.
+    acc, d_acc_q, d_acc_f = _conj_rotate_terms(qw, qx, qy, qz, fx, fy, fz)
+
+    # QUAT: m = inc * q with inc = exp(delta), delta = -ts omega / 2;
+    # with n = |delta|, s = sin(n) / n and ds = s'(n) / n.
+    k = -0.5 * ts
+    delta = dx, dy, dz = k * wx, k * wy, k * wz
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if n < _EXP_SERIES_NORM:
+        s, iw, ds = 1.0 - n * n / 6.0, 1.0 - n * n / 2.0, -1.0 / 3.0
+    else:
+        s, iw = math.sin(n) / n, math.cos(n)
+        ds = (iw - s) / (n * n)
+    ix, iy, iz = s * dx, s * dy, s * dz
+    mw = iw * qw - ix * qx - iy * qy - iz * qz
+    mx = iw * qx + ix * qw + iy * qz - iz * qy
+    my = iw * qy - ix * qz + iy * qw + iz * qx
+    mz = iw * qz + ix * qy - iy * qx + iz * qw
+    nm = math.sqrt(mw * mw + mx * mx + my * my + mz * mz)
+    if not _DEGENERATE_NORM <= nm < math.inf:
+        raise ValueError(f"cannot normalize quaternion with norm {nm:g}")
+
+    x1 = x.copy()
+    x1[:QUAT.stop] = [
+        px + vx * ts + 0.5 * ax * ts * ts,
+        py + vy * ts + 0.5 * ay * ts * ts,
+        pz + vz * ts + 0.5 * az * ts * ts,
+        vx + ax * ts, vy + ay * ts, vz + az * ts,
+        acc[0], acc[1], acc[2] - cfg.g,
+        mw / nm, mx / nm, my / nm, mz / nm,
+    ]
+
+    # Kinematic chain; the old acceleration is replaced, not integrated.
+    values = [ts] * 6 + [0.0] * 3 + [0.5 * ts * ts] * 3
+    values += d_acc_q
+    values += d_acc_f
+    # QUAT rows: (I - u u^T) / |m| with u = m / |m|, times dm/dq = L (the
+    # left product matrix of inc) and dm/d omega = k R E (R the right
+    # product matrix of q, E = d inc / d delta = (-s delta^T;
+    # s I + ds delta delta^T), so row i of R E is
+    # s R[i, 1:] + (ds e_i - s q_i) delta^T with e = R[:, 1:] delta).
+    # L^T L = |inc|^2 I and |inc| = 1 make u^T L = q^T / |m| and
+    # u^T R E = (|q|^2 / |m|) inc^T E = 0, so the rate columns only scale.
+    inv = 1.0 / nm
+    kinv = k * inv
+    q = (qw, qx, qy, qz)
+    for left, right, m_i, q_i, e_i in zip(
+        ((iw, -ix, -iy, -iz), (ix, iw, -iz, iy),
+         (iy, iz, iw, -ix), (iz, -iy, ix, iw)),
+        ((-qx, -qy, -qz), (qw, qz, -qy), (-qz, qw, qx), (qy, -qx, qw)),
+        (mw, mx, my, mz),
+        q,
+        (-qx * dx - qy * dy - qz * dz, qw * dx + qz * dy - qy * dz,
+         -qz * dx + qw * dy + qx * dz, qy * dx - qx * dy + qw * dz),
+    ):
+        a_i = m_i * inv * inv
+        values += [(l_j - a_i * q_j) * inv for l_j, q_j in zip(left, q)]
+        h_i = ds * e_i - s * q_i
+        values += [kinv * (s * r_j + h_i * d_j) for r_j, d_j in zip(right, delta)]
+
+    jac = np.eye(DIM)
+    jac.ravel()[_F_INDEX] = values
+    return x1, jac
+
+
+def propagate(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
+    """Noise-free mean propagation over one time step (see `_transition`).
+
+    Accepts one state ``(25,)`` or a batch ``(25, k)``, stepped column
+    by column.
     """
     x = np.asarray(x, dtype=float)
-    ts = cfg.ts
-    out = np.empty_like(x)
-    p, v, a, q, w = x[POS], x[VEL], x[ACC], x[QUAT], x[OMEGA]
-    out[POS] = p + v * ts + 0.5 * a * ts * ts
-    out[VEL] = v + a * ts
-    # Body specific force rotated to nav, plus gravity.
-    g_vec = cfg.g_vec.reshape((3,) + (1,) * (x.ndim - 1))
-    out[ACC] = quat_rotate(quat_conj(q), x[ACC_B]) + g_vec
-    out[QUAT] = quat_normalize(quat_mul(quat_exp(-0.5 * ts * w), q))
-    # IMU and bias states (ACC_B through BIAS_W) are random walks.
-    out[ACC_B.start:] = x[ACC_B.start:]
-    return out
+    if x.ndim == 1:
+        return _transition(x, cfg)[0]
+    return np.column_stack([_transition(col, cfg)[0] for col in x.T])
 
 
 def measurement_model(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Predicted IMU reading: biased specific force and angular rate."""
     x = np.asarray(x, dtype=float)
-    return np.concatenate(
-        [x[ACC_B] + x[BIAS_A], x[OMEGA] + x[BIAS_W]], axis=0
-    )
+    return x[_IMU_STATES] + x[_BIASES]
 
 
 def measurement_jacobian() -> NDArray[np.float64]:
@@ -293,32 +389,10 @@ def measurement_jacobian() -> NDArray[np.float64]:
     return jac
 
 
-_MEAS_JAC = measurement_jacobian()
-
-
 def process_jacobian(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
-    """Closed-form Jacobian of `propagate` at one state, shape (25, 25).
-
-    The identity except for the kinematic chain, the acceleration row
-    (which forgets the old acceleration and follows the rotated specific
-    force) and the quaternion row.
-    """
-    x = np.asarray(x, dtype=float)
-    ts = cfg.ts
-    q = x[QUAT]
-    jac = np.eye(DIM)
-    jac[_CHAIN_ROWS, _CHAIN_COLS] = np.repeat([ts, 0.5 * ts * ts, ts, 0.0], 3)
-    # ACC: quat_rotate(conj(q), a_b) + g; conj flips the vector part.
-    d_conj, jac[ACC, ACC_B] = quat_rotate_jacobian(quat_conj(q), x[ACC_B])
-    d_conj[:, 1:] = -d_conj[:, 1:]
-    jac[ACC, QUAT] = d_conj
-    # QUAT: normalize(inc * q) with inc = exp(delta), delta = -ts omega / 2.
-    delta = -0.5 * ts * x[OMEGA]
-    d_inc, d_prev = quat_mul_jacobian(quat_exp(delta), q)
-    d_norm = quat_normalize_jacobian(d_prev @ q)
-    jac[QUAT, QUAT] = d_norm @ d_prev
-    jac[QUAT, OMEGA] = (d_norm @ d_inc @ quat_exp_jacobian(delta)) * (-0.5 * ts)
-    return jac
+    """Closed-form Jacobian of `propagate` at one state, shape (25, 25)
+    (see `_transition`)."""
+    return _transition(np.asarray(x, dtype=float), cfg)[1]
 
 
 def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -326,11 +400,11 @@ def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
     p_mat = 0.5 * (p_mat + p_mat.T)
     if not np.isfinite(p_mat).all():
         raise FilterDivergenceError("covariance is no longer finite")
-    diag = p_mat.diagonal()
-    tol = 1e-9 * max(float(diag.sum()), 1e-30)
-    if (diag < -tol).any():
+    diag = p_mat.diagonal().tolist()
+    low = min(diag)
+    if low < -1e-9 * max(sum(diag), 1e-30):
         raise FilterDivergenceError(
-            f"covariance lost positive semidefiniteness (min diag {diag.min():g})"
+            f"covariance lost positive semidefiniteness (min diag {low:g})"
         )
     return p_mat
 
@@ -338,10 +412,35 @@ def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
 def predict(est: StateEstimate, cfg: FilterConfig) -> StateEstimate:
     """Time update: propagate the mean, push the covariance through the
     closed-form process Jacobian and add the process noise."""
-    x1 = propagate(est.x, cfg)
-    jac = process_jacobian(est.x, cfg)
-    p1 = jac @ est.P @ jac.T + np.diag(cfg.effective_q_diag())
+    x1, jac = _transition(est.x, cfg)
+    # F is the identity below row 13, but the product stays dense: the
+    # covariance is held bit for bit to ``F @ P @ F.T``, and a product
+    # of F's top rows alone sums in another order.
+    p1 = jac @ est.P @ jac.T
+    p1.ravel()[:: DIM + 1] += cfg.effective_q_diag()
     return StateEstimate(x=x1, P=_check_covariance(p1))
+
+
+def _innovation_gain(s_mat: NDArray[np.float64],
+                     hp: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Kalman gain ``K = (S^-1 H P)^T`` through a Cholesky factor of S.
+
+    LAPACK is called directly, so both failure modes are checked here:
+    ``dpotrf`` factors a matrix holding NaN without complaint, and it
+    reports an indefinite S only through ``info``.
+    """
+    s_mat = 0.5 * (s_mat + s_mat.T)
+    if not np.isfinite(s_mat).all():
+        raise FilterDivergenceError("innovation covariance is not finite")
+    factor, info = dpotrf(s_mat, lower=1, clean=0)
+    if info != 0:
+        raise FilterDivergenceError(
+            f"innovation covariance not positive definite (dpotrf info {info})"
+        )
+    gain_t, info = dpotrs(factor, hp, lower=1)
+    if info != 0:
+        raise FilterDivergenceError(f"innovation solve failed (dpotrs info {info})")
+    return gain_t.T
 
 
 def kalman_update(
@@ -356,45 +455,46 @@ def kalman_update(
     """One measurement update, any dimensions.
 
     The innovation covariance is factorized (Cholesky) rather than
-    inverted; failure to factorize is reported as divergence.
+    inverted; a non-finite or indefinite one is reported as divergence.
     """
     z = np.asarray(z, dtype=float)
     r_diag = np.asarray(r_diag, dtype=float)
-    s_mat = jac @ p_mat @ jac.T + np.diag(r_diag)
-    s_mat = 0.5 * (s_mat + s_mat.T)
-    try:
-        factor = cho_factor(s_mat, lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise FilterDivergenceError(
-            f"innovation covariance not positive definite: {exc}"
-        ) from exc
-    gain = cho_solve(factor, jac @ p_mat).T  # (n, m)
+    hp = jac @ p_mat
+    gain = _innovation_gain(hp @ jac.T + np.diag(r_diag), hp)  # (n, m)
     x1 = x + gain @ (z - z_pred)
     if joseph:
         ikj = np.eye(len(x)) - gain @ jac
         p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
     else:
-        p1 = p_mat - gain @ (jac @ p_mat)
+        p1 = p_mat - gain @ hp
     return x1, _check_covariance(p1)
 
 
 def update(est: StateEstimate, z: NDArray[np.float64], cfg: FilterConfig) -> StateEstimate:
-    """Measurement update with one calibrated IMU sample (6-vector)."""
-    x1, p1 = kalman_update(
-        est.x, est.P, z, measurement_model(est.x), _MEAS_JAC,
-        cfg.r_diag, cfg.joseph,
-    )
+    """Measurement update with one calibrated IMU sample (6-vector).
+
+    The same update as `kalman_update` with the constant H = [0 | I | I]
+    (the IMU states 13:19 and the biases 19:25), written out: H P is
+    the sum of two row blocks of P, H P H^T the sum of two column blocks
+    of that, and I - K H the identity with K subtracted from both column
+    blocks.
+    """
+    x, p_mat = est.x, est.P
+    r_diag = cfg.r_diag
+    hp = p_mat[_IMU_STATES] + p_mat[_BIASES]
+    s_mat = hp[:, _IMU_STATES] + hp[:, _BIASES]
+    s_mat.ravel()[:: MEAS_DIM + 1] += r_diag
+    gain = _innovation_gain(s_mat, hp)
+    x1 = x + gain @ (np.asarray(z, dtype=float) - measurement_model(x))
+    if cfg.joseph:
+        ikh = np.eye(DIM)
+        ikh[:, _IMU_STATES] -= gain
+        ikh[:, _BIASES] -= gain
+        p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
+    else:
+        p1 = p_mat - gain @ hp
     x1[QUAT] = quat_normalize(x1[QUAT])
-    return StateEstimate(x=x1, P=p1)
-
-
-def innovation_stats(
-    est: StateEstimate, z: NDArray[np.float64], cfg: FilterConfig
-) -> float:
-    """Normalized innovation squared of one IMU sample (consistency check)."""
-    s_mat = _MEAS_JAC @ est.P @ _MEAS_JAC.T + np.diag(cfg.r_diag)
-    nu = np.asarray(z, dtype=float) - measurement_model(est.x)
-    return float(nu @ np.linalg.solve(s_mat, nu))
+    return StateEstimate(x=x1, P=_check_covariance(p1))
 
 
 def init_state(

@@ -46,6 +46,25 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Rows per block in `_write_rows`: large enough to amortise the numpy
+# calls, small enough that a million-row log never exists as Python
+# objects all at once.
+_BLOCK_ROWS = 1024
+
+
+def _write_rows(fh, fmt: str, columns) -> None:
+    """Write ``fmt % row`` for every row of the side-by-side ``columns``.
+
+    ``fmt`` has one field per column: ``%.17g`` gives the same bytes as
+    `_fmt`, ``%d`` an integer-valued column (counts, flags) as an
+    integer.
+    """
+    n = len(columns[0])
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
+        fh.writelines([fmt % tuple(row) for row in block.tolist()])
+
+
 def _read_csv_body(path, n_cols: int, label: str) -> np.ndarray:
     """Read a comment-headed CSV, tolerating an empty body."""
     with open(path) as fh:
@@ -69,13 +88,8 @@ def write_log(path, log: ImuLog) -> None:
             f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
             f"lsb_w={_fmt(log.lsb_gyro)}\n"
         )
-        a = np.rint(log.accel).astype(np.int64)
-        w = np.rint(log.gyro).astype(np.int64)
-        for k in range(log.t.size):
-            fh.write(
-                f"{_fmt(log.t[k])},{a[k, 0]},{a[k, 1]},{a[k, 2]},"
-                f"{w[k, 0]},{w[k, 1]},{w[k, 2]}\n"
-            )
+        _write_rows(fh, "%.17g" + ",%d" * 6 + "\n",
+                    [log.t, np.rint(log.accel), np.rint(log.gyro)])
 
 
 def read_log(path) -> ImuLog:
@@ -117,10 +131,8 @@ def write_truth(path, truth: GroundTruth) -> None:
     """Write the ground-truth sidecar: `t, p, v, q, stance` per row."""
     with open(path, "w") as fh:
         fh.write(_TRUTH_HEADER + "\n")
-        for k in range(truth.t.size):
-            row = [truth.t[k], *truth.p[k], *truth.v[k], *truth.q_nb[k]]
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write(f",{int(truth.stance[k])}\n")
+        _write_rows(fh, ",".join(["%.17g"] * 11) + ",%d\n",
+                    [truth.t, truth.p, truth.v, truth.q_nb, truth.stance])
 
 
 def read_truth(path) -> GroundTruth:
@@ -152,10 +164,8 @@ def write_trajectory(path, traj: Trajectory) -> None:
     """Write an estimated trajectory, floats at full precision."""
     with open(path, "w") as fh:
         fh.write(_TRAJ_HEADER + "\n")
-        for k in range(traj.t.size):
-            row = [traj.t[k], *traj.p[k], *traj.q_nb[k], traj.sfs[k]]
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write(f",{int(traj.stance[k])}\n")
+        _write_rows(fh, ",".join(["%.17g"] * 9) + ",%d\n",
+                    [traj.t, traj.p, traj.q_nb, traj.sfs, traj.stance])
 
 
 def read_trajectory(path) -> Trajectory:

@@ -15,13 +15,15 @@ Conventions, fixed once here and relied on everywhere else:
 
 All operations accept a single quaternion of shape ``(4,)`` or a batch
 of shape ``(4, k)`` with components along the first axis, and vectors of
-shape ``(3,)`` or ``(3, k)``.  The ``*_jacobian`` functions take single
-arguments and differentiate the operations exactly as written, with
-quaternions perturbed additively (not on the unit sphere), which is what
+shape ``(3,)`` or ``(3, k)``.  `quat_rotate_jacobian` takes single
+arguments and differentiates the rotation exactly as written, with the
+quaternion perturbed additively (not on the unit sphere), which is what
 a filter that stores the four components in its state needs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,9 +34,6 @@ __all__ = [
     "quat_normalize",
     "quat_exp",
     "quat_rotate",
-    "quat_mul_jacobian",
-    "quat_normalize_jacobian",
-    "quat_exp_jacobian",
     "quat_rotate_jacobian",
     "rot_matrix",
     "quat_from_rpy",
@@ -47,9 +46,6 @@ _EXP_SERIES_NORM = 1e-8
 
 # A quaternion with a norm this small cannot be meaningfully normalized.
 _DEGENERATE_NORM = 1e-12
-
-_EYE3 = np.eye(3)
-_EYE4 = np.eye(4)
 
 
 def quat_mul(p: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -96,6 +92,13 @@ def quat_normalize(q: NDArray[np.float64]) -> NDArray[np.float64]:
         the direction to be trusted.
     """
     q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        # One quaternion: float arithmetic, summed in the batch order.
+        w, x, y, z = q.tolist()
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        if not _DEGENERATE_NORM <= n < math.inf:
+            raise ValueError(f"cannot normalize quaternion with norm {n:g}")
+        return q / n
     n = np.sqrt(np.sum(q * q, axis=0))
     if (n < _DEGENERATE_NORM).any() or not np.isfinite(n).all():
         raise ValueError(f"cannot normalize quaternion with norm {np.min(n):g}")
@@ -147,58 +150,55 @@ def quat_rotate(q: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.fl
     ])
 
 
-def quat_mul_jacobian(p: NDArray[np.float64], q: NDArray[np.float64]):
-    """Derivatives of ``quat_mul(p, q)``; the product is bilinear.
+def _rotate_terms(w, x, y, z, a, b, c):
+    """`quat_rotate` of one vector and its derivatives, in floats.
+
+    The scalar core of `quat_rotate_jacobian` for callers that hold the
+    components already.
 
     Returns
     -------
-    d_p, d_q : ndarray, shape (4, 4)
-        ``quat_mul(p, q) == d_p @ p == d_q @ q``.
+    rotated : tuple of 3 floats
+        Bit-identical to `quat_rotate` of ``(w, x, y, z)`` and ``(a, b, c)``.
+    d_q : tuple of 12 floats
+        d/d(w, x, y, z), row-major (3, 4).
+    d_u : tuple of 9 floats
+        d/d(a, b, c), row-major (3, 3).
     """
-    pw, px, py, pz = np.asarray(p, dtype=float).tolist()
-    qw, qx, qy, qz = np.asarray(q, dtype=float).tolist()
-    d_p = np.array([
-        [qw, -qx, -qy, -qz],
-        [qx, qw, qz, -qy],
-        [qy, -qz, qw, qx],
-        [qz, qy, -qx, qw],
-    ])
-    d_q = np.array([
-        [pw, -px, -py, -pz],
-        [px, pw, -pz, py],
-        [py, pz, pw, -px],
-        [pz, -py, px, pw],
-    ])
-    return d_p, d_q
+    tx = 2.0 * (y * c - z * b)
+    ty = 2.0 * (z * a - x * c)
+    tz = 2.0 * (x * b - y * a)
+    rotated = (
+        a + w * tx + (y * tz - z * ty),
+        b + w * ty + (z * tx - x * tz),
+        c + w * tz + (x * ty - y * tx),
+    )
+    ru = x * a + y * b + z * c
+    rr = x * x + y * y + z * z
+    d_q = (
+        tx, 2.0 * (ru - a * x), 2.0 * (x * b - 2.0 * a * y + w * c),
+        2.0 * (x * c - 2.0 * a * z - w * b),
+        ty, 2.0 * (y * a - 2.0 * b * x - w * c), 2.0 * (ru - b * y),
+        2.0 * (y * c - 2.0 * b * z + w * a),
+        tz, 2.0 * (z * a - 2.0 * c * x + w * b),
+        2.0 * (z * b - 2.0 * c * y - w * a), 2.0 * (ru - c * z),
+    )
+    d_u = (
+        1.0 + 2.0 * (x * x - rr), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+        2.0 * (y * x + w * z), 1.0 + 2.0 * (y * y - rr), 2.0 * (y * z - w * x),
+        2.0 * (z * x - w * y), 2.0 * (z * y + w * x), 1.0 + 2.0 * (z * z - rr),
+    )
+    return rotated, d_q, d_u
 
 
-def quat_normalize_jacobian(q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Derivative of `quat_normalize`: ``(I - q q^T / |q|^2) / |q|``, (4, 4)."""
-    q = np.asarray(q, dtype=float)
-    n2 = float(q @ q)
-    return (_EYE4 - np.outer(q, q) / n2) / np.sqrt(n2)
-
-
-def quat_exp_jacobian(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Derivative of `quat_exp` at one rotation vector, shape (4, 3).
-
-    Below the series cutoff the derivative of the series itself is
-    returned, matching the branch `quat_exp` evaluates.
-    """
-    v = np.asarray(v, dtype=float)
-    n2 = float(v @ v)
-    n = np.sqrt(n2)
-    if n < _EXP_SERIES_NORM:
-        # d/dv of (1 - n^2/2, (1 - n^2/6) v)
-        s, c = 1.0 - n2 / 6.0, -1.0 / 3.0
-    else:
-        # d/dv of (cos n, s v) with s = sin(n)/n, ds/dn = (cos n - s)/n
-        s = np.sin(n) / n
-        c = (np.cos(n) - s) / n2
-    jac = np.empty((4, 3))
-    jac[0] = -s * v
-    jac[1:] = s * _EYE3 + c * np.outer(v, v)
-    return jac
+def _conj_rotate_terms(w, x, y, z, a, b, c):
+    """`_rotate_terms` of ``conj(q)``: ``rot_matrix(q).T @ u`` and its
+    derivatives, with d/dq taken with respect to ``q`` itself (the vector
+    columns change sign)."""
+    rotated, d, d_u = _rotate_terms(w, -x, -y, -z, a, b, c)
+    d_q = (d[0], -d[1], -d[2], -d[3], d[4], -d[5], -d[6], -d[7],
+           d[8], -d[9], -d[10], -d[11])
+    return rotated, d_q, d_u
 
 
 def quat_rotate_jacobian(q: NDArray[np.float64], u: NDArray[np.float64]):
@@ -219,24 +219,9 @@ def quat_rotate_jacobian(q: NDArray[np.float64], u: NDArray[np.float64]):
     d_q : ndarray, shape (3, 4)
     d_u : ndarray, shape (3, 3)
     """
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
-    a, b, c = np.asarray(u, dtype=float).tolist()
-    ru = x * a + y * b + z * c
-    rr = x * x + y * y + z * z
-    d_q = 2.0 * np.array([
-        [y * c - z * b, ru - a * x, x * b - 2.0 * a * y + w * c,
-         x * c - 2.0 * a * z - w * b],
-        [z * a - x * c, y * a - 2.0 * b * x - w * c, ru - b * y,
-         y * c - 2.0 * b * z + w * a],
-        [x * b - y * a, z * a - 2.0 * c * x + w * b,
-         z * b - 2.0 * c * y - w * a, ru - c * z],
-    ])
-    d_u = _EYE3 + 2.0 * np.array([
-        [x * x - rr, x * y - w * z, x * z + w * y],
-        [y * x + w * z, y * y - rr, y * z - w * x],
-        [z * x - w * y, z * y + w * x, z * z - rr],
-    ])
-    return d_q, d_u
+    _, d_q, d_u = _rotate_terms(*np.asarray(q, dtype=float).tolist(),
+                                *np.asarray(u, dtype=float).tolist())
+    return np.reshape(d_q, (3, 4)), np.reshape(d_u, (3, 3))
 
 
 def rot_matrix(q: NDArray[np.float64]) -> NDArray[np.float64]:

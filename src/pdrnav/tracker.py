@@ -245,26 +245,33 @@ def run_tracker(
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))
     event: StanceEvent | None = None
+    # Per-run constants, built here rather than held on the (mutable)
+    # stance config: the enabled pseudo-measurement rows, their base
+    # variances, and the IMU measurement vectors.
+    mask = stance_cfg.row_mask()
+    base_variances = stance_cfg.pseudo_variances[mask]
+    soft = stance_cfg.mode == "soft"
+    z_imu = np.hstack([f_b, w_b])
 
     for k in range(n):
         try:
             est = predict(est, filter_cfg)
-            z = np.concatenate([f_b[k], w_b[k]])
-            est = update(est, z, filter_cfg)
+            est = update(est, z_imu[k], filter_cfg)
             if active[k]:
                 if event is None:
                     event = StanceEvent(start_index=k,
                                         latched_xy=est.x[POS][:2])
                 z_p, residual, scale = build_pseudo_measurements(
                     est.x, event, f_b[k], w_b[k], stance_cfg,
-                    g=filter_cfg.g)
-                score = scores[k] if stance_cfg.mode == "soft" else 1.0
-                variances = soft_covariance(stance_cfg, score) * scale
+                    g=filter_cfg.g, mask=mask)
+                score = scores[k] if soft else 1.0
+                variances = soft_covariance(
+                    stance_cfg, score, base_variances) * scale
                 est = zupt_update(est, z_p, residual, variances,
                                   joseph=filter_cfg.joseph)
             else:
                 event = None
-            if not np.all(np.isfinite(est.x)):
+            if not np.isfinite(est.x).all():
                 raise FilterDivergenceError("state became non-finite")
         except (FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
             partial = Trajectory(

@@ -28,6 +28,7 @@ clean mid-stance samples pull it hard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ from .ekf import (
     StateEstimate,
     kalman_update,
 )
-from .quat import quat_conj, quat_normalize, quat_rotate, quat_rotate_jacobian
+from .quat import _conj_rotate_terms, _rotate_terms, quat_normalize
 
 __all__ = [
     "PSEUDO_GROUPS",
@@ -459,13 +460,27 @@ def _linear_stance_rows() -> NDArray[np.float64]:
 
 _LINEAR_STANCE_ROWS = _linear_stance_rows()
 
+# State entries copied into the prediction stack (rows 9-12, the gravity
+# direction and norm, are overwritten), and the flat positions in the
+# prediction Jacobian of the entries `StanceResidual.linearize` fills:
+# gravity direction by QUAT and by ACC_B, gravity norm by ACC_B, accel
+# bias by QUAT.
+_STANCE_SOURCE = np.r_[0:9, 0:4, 16:25]
+_STANCE_INDEX = np.array(
+    [r * DIM + c for r in range(9, 12) for c in range(9, 13)]
+    + [r * DIM + c for r in range(9, 12) for c in range(13, 16)]
+    + [_NORM_ROW * DIM + c for c in range(13, 16)]
+    + [r * DIM + c for r in range(16, 19) for c in range(9, 13)]
+)
+
 
 class StanceResidual:
     """Residual ``z_p - prediction`` of one stance stack.
 
-    Calling it maps states ``(25,)`` or batches ``(25, k)`` to residuals
-    of the enabled rows; `jacobian` gives its closed-form derivative at
-    one state.
+    `linearize` gives the residual of the enabled rows and its
+    closed-form derivative at one state, from one read of the state.
+    Calling it maps states ``(25,)`` or batches ``(25, k)``, column by
+    column, to residuals; `jacobian` gives the derivative alone.
     """
 
     def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_],
@@ -474,40 +489,45 @@ class StanceResidual:
         self.mask = mask
         self.g_vec = g_vec
 
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        q = xs[QUAT]
-        h = np.empty((N_PSEUDO,) + xs.shape[1:])
-        h[0:3] = xs[POS]
-        h[3:6] = xs[VEL]
-        h[6:9] = xs[ACC]
-        h[9:12] = quat_rotate(quat_conj(q), xs[ACC_B])
-        h[12] = np.linalg.norm(xs[ACC_B], axis=0)
-        h[13:16] = xs[OMEGA]
-        h[16:19] = xs[BIAS_A] - quat_rotate(q, self.g_vec)
-        h[19:22] = xs[BIAS_W]
-        z_full = self.z_full.reshape((N_PSEUDO,) + (1,) * (xs.ndim - 1))
-        return (z_full - h)[self.mask]
-
-    def jacobian(self, x) -> NDArray[np.float64]:
-        """Derivative of the residual at one state, shape (m, 25).
+    def linearize(self, x):
+        """Residual and its derivative at one state, shapes (m,) and (m, 25).
 
         Only the gravity-direction, gravity-norm and accel-bias rows
-        depend on the state.  The gravity-norm gradient ``a_b / |a_b|``
-        is taken as zero where ``|a_b|`` is below the threshold at which
-        `build_pseudo_measurements` defuses that row.
+        depend on the state nonlinearly.  The gravity-norm gradient
+        ``a_b / |a_b|`` is taken as zero where ``|a_b|`` is below the
+        threshold at which `build_pseudo_measurements` defuses that row.
         """
         x = np.asarray(x, dtype=float)
-        q, a_b = x[QUAT], x[ACC_B]
-        h = _LINEAR_STANCE_ROWS.copy()
-        d_conj, h[9:12, ACC_B] = quat_rotate_jacobian(quat_conj(q), a_b)
-        d_conj[:, 1:] = -d_conj[:, 1:]  # conj flips the vector part
-        h[9:12, QUAT] = d_conj
-        norm = np.linalg.norm(a_b)
+        qw, qx, qy, qz, fx, fy, fz = x[QUAT.start:ACC_B.stop].tolist()
+        # R(q)^T a_b = quat_rotate(conj(q), a_b) and R(q) g_vec.
+        nav_f, d_nav_q, d_nav_f = _conj_rotate_terms(qw, qx, qy, qz, fx, fy, fz)
+        body_g, d_body_q, _ = _rotate_terms(qw, qx, qy, qz,
+                                            *self.g_vec.tolist())
+        norm = math.sqrt(fx * fx + fy * fy + fz * fz)
+
+        h = x[_STANCE_SOURCE]
+        h[9:13] = (*nav_f, norm)
+        h[16:19] -= body_g
+
+        values = list(d_nav_q + d_nav_f)
         if norm >= _NORM_EPS:
-            h[_NORM_ROW, ACC_B] = a_b / norm
-        h[16:19, QUAT] = -quat_rotate_jacobian(q, self.g_vec)[0]
-        return -h[self.mask]
+            values += (fx / norm, fy / norm, fz / norm)
+        else:
+            values += (0.0, 0.0, 0.0)
+        values += [-v for v in d_body_q]
+        h_jac = _LINEAR_STANCE_ROWS.copy()
+        h_jac.ravel()[_STANCE_INDEX] = values
+        return (self.z_full - h)[self.mask], -h_jac[self.mask]
+
+    def __call__(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim == 1:
+            return self.linearize(xs)[0]
+        return np.column_stack([self.linearize(x)[0] for x in xs.T])
+
+    def jacobian(self, x) -> NDArray[np.float64]:
+        """Derivative of the residual at one state, shape (m, 25)."""
+        return self.linearize(x)[1]
 
 
 def build_pseudo_measurements(
@@ -517,6 +537,8 @@ def build_pseudo_measurements(
     gyro_sample,
     cfg: StanceConfig,
     g: float = constants.GRAVITY,
+    *,
+    mask: NDArray[np.bool_] | None = None,
 ):
     """Assemble the stance pseudo-measurement stack for one sample.
 
@@ -551,6 +573,9 @@ def build_pseudo_measurements(
     cfg : StanceConfig
     g : float
         Gravity magnitude, m/s^2.
+    mask : ndarray of bool, shape (22,), optional
+        ``cfg.row_mask()``, for a caller that builds many stacks under
+        one configuration and holds it already.
 
     Returns
     -------
@@ -558,8 +583,9 @@ def build_pseudo_measurements(
         Stacked targets for the enabled groups.
     residual : StanceResidual
         Maps states (25,) or batches (25, k) to residuals
-        ``z_p - prediction``; its ``jacobian(x)`` is the closed-form
-        derivative that `zupt_update` uses.
+        ``z_p - prediction``; its ``linearize(x)`` gives the residual
+        and its closed-form derivative together, as `zupt_update` uses
+        them.
     variance_scale : ndarray, shape (m,)
         Per-row multipliers for the variances, 1 everywhere except the
         gravity-norm row when ``|a_b|`` is too small to define its
@@ -569,7 +595,8 @@ def build_pseudo_measurements(
     accel_sample = np.asarray(accel_sample, dtype=float).reshape(3)
     gyro_sample = np.asarray(gyro_sample, dtype=float).reshape(3)
     g_vec = np.array([0.0, 0.0, -g])
-    mask = cfg.row_mask()
+    if mask is None:
+        mask = cfg.row_mask()
 
     z_full = np.concatenate([
         event.latched_xy,
@@ -585,22 +612,31 @@ def build_pseudo_measurements(
     z_p = z_full[mask]
 
     scale_full = np.ones(N_PSEUDO)
-    if np.linalg.norm(x[ACC_B]) < _NORM_EPS:
+    fx, fy, fz = x[ACC_B].tolist()
+    if math.sqrt(fx * fx + fy * fy + fz * fz) < _NORM_EPS:
         scale_full[_NORM_ROW] = _NORM_INFLATION
     return z_p, StanceResidual(z_full, mask, g_vec), scale_full[mask]
 
 
-def soft_covariance(cfg: StanceConfig, sfs_k: float) -> NDArray[np.float64]:
+def soft_covariance(
+    cfg: StanceConfig,
+    sfs_k: float,
+    base_variances: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
     """Confidence-modulated variances for the enabled rows.
 
     A score of 1 returns the base variances unchanged; lower scores
     scale them up by ``1 + covariance_gain * (1 - score)``, weakening
-    the pull of every pseudo-measurement together.
+    the pull of every pseudo-measurement together.  ``base_variances``
+    are ``cfg.pseudo_variances`` of the enabled rows, for a caller that
+    holds them already.
     """
     if not 0.0 <= sfs_k <= 1.0:
         raise ValueError(f"score {sfs_k} outside [0, 1]")
+    if base_variances is None:
+        base_variances = cfg.pseudo_variances[cfg.row_mask()]
     factor = 1.0 + cfg.covariance_gain * (1.0 - sfs_k)
-    return factor * cfg.pseudo_variances[cfg.row_mask()]
+    return factor * base_variances
 
 
 def zupt_update(
@@ -617,11 +653,9 @@ def zupt_update(
     `build_pseudo_measurements`; its closed-form Jacobian (negated, since
     the residual is target minus prediction) feeds the standard update.
     """
-    z_p = np.asarray(z_p, dtype=float)
-    nu = residual(est.x)
-    jac = -residual.jacobian(est.x)
+    nu, jac = residual.linearize(est.x)
     x1, p1 = kalman_update(
-        est.x, est.P, nu, np.zeros_like(nu), jac, variances, joseph
+        est.x, est.P, nu, np.zeros_like(nu), -jac, variances, joseph
     )
     x1[QUAT] = quat_normalize(x1[QUAT])
     return StateEstimate(x=x1, P=p1)

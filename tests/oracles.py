@@ -52,6 +52,79 @@ def finite_difference_jacobian(f, x, m: int | None = None):
     return jac
 
 
+def quat_mul_jacobian(p, q):
+    """Derivatives of ``quat_mul(p, q)``; the product is bilinear.
+
+    Returns
+    -------
+    d_p, d_q : ndarray, shape (4, 4)
+        ``quat_mul(p, q) == d_p @ p == d_q @ q``.
+    """
+    pw, px, py, pz = np.asarray(p, dtype=float).tolist()
+    qw, qx, qy, qz = np.asarray(q, dtype=float).tolist()
+    d_p = np.array([
+        [qw, -qx, -qy, -qz],
+        [qx, qw, qz, -qy],
+        [qy, -qz, qw, qx],
+        [qz, qy, -qx, qw],
+    ])
+    d_q = np.array([
+        [pw, -px, -py, -pz],
+        [px, pw, -pz, py],
+        [py, pz, pw, -px],
+        [pz, -py, px, pw],
+    ])
+    return d_p, d_q
+
+
+def quat_normalize_jacobian(q):
+    """Derivative of `quat_normalize`: ``(I - q q^T / |q|^2) / |q|``, (4, 4)."""
+    q = np.asarray(q, dtype=float)
+    n2 = float(q @ q)
+    return (np.eye(4) - np.outer(q, q) / n2) / np.sqrt(n2)
+
+
+def quat_exp_jacobian(v):
+    """Derivative of `quat_exp` at one rotation vector, shape (4, 3).
+
+    Below `quat_exp`'s series cutoff (1e-8) the derivative of the series
+    itself is returned, matching the branch `quat_exp` evaluates.
+    """
+    v = np.asarray(v, dtype=float)
+    n2 = float(v @ v)
+    n = np.sqrt(n2)
+    if n < 1e-8:
+        # d/dv of (1 - n^2/2, (1 - n^2/6) v)
+        s, c = 1.0 - n2 / 6.0, -1.0 / 3.0
+    else:
+        # d/dv of (cos n, s v) with s = sin(n)/n, ds/dn = (cos n - s)/n
+        s = np.sin(n) / n
+        c = (np.cos(n) - s) / n2
+    jac = np.empty((4, 3))
+    jac[0] = -s * v
+    jac[1:] = s * np.eye(3) + c * np.outer(v, v)
+    return jac
+
+
+def chain_rule_quaternion_rows(x, ts):
+    """Rows QUAT of the process Jacobian by the plain chain rule.
+
+    With ``inc = quat_exp(delta)``, ``delta = -ts omega / 2`` and
+    ``m = inc * q``: ``quat_normalize_jacobian(m)`` times
+    ``[dm/dq | dm/d inc @ quat_exp_jacobian(delta) * (-ts / 2)]``, each
+    factor formed as a matrix, none of the products simplified.
+    """
+    x = np.asarray(x, dtype=float)
+    q, delta = x[QUAT], -0.5 * ts * x[OMEGA]
+    inc = quat_exp(delta)
+    d_inc, d_q = quat_mul_jacobian(inc, q)
+    d_norm = quat_normalize_jacobian(quat_mul(inc, q))
+    rows = np.zeros((4, DIM))
+    rows[:, QUAT] = d_norm @ d_q
+    rows[:, OMEGA] = d_norm @ d_inc @ quat_exp_jacobian(delta) * (-0.5 * ts)
+    return rows
+
+
 def cross_quat_rotate(q, u):
     """`quat_rotate` written with ``np.cross``: the Rodrigues form
     ``u + w t + xyz x t``, ``t = 2 xyz x u``, with trailing batch axes
@@ -130,3 +203,39 @@ def strapdown_integrate(t, accel, gyro, q0, p0, v0, g_vec):
     v = np.vstack([v0, v0 + np.cumsum(0.5 * (a_nav[1:] + a_nav[:-1]) * dt[:, None], axis=0)])
     p = np.vstack([p0, p0 + np.cumsum(0.5 * (v[1:] + v[:-1]) * dt[:, None], axis=0)])
     return p, v, quats
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def per_value_log_text(log):
+    """An IMU log file as text, one `format(x, ".17g")` per value."""
+    lines = [f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
+             f"lsb_w={_fmt(log.lsb_gyro)}\n"]
+    a = np.rint(log.accel).astype(np.int64)
+    w = np.rint(log.gyro).astype(np.int64)
+    for k in range(log.t.size):
+        lines.append(f"{_fmt(log.t[k])},{a[k, 0]},{a[k, 1]},{a[k, 2]},"
+                     f"{w[k, 0]},{w[k, 1]},{w[k, 2]}\n")
+    return "".join(lines)
+
+
+def per_value_truth_text(truth):
+    """A truth sidecar as text, one `format(x, ".17g")` per value."""
+    lines = ["# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance\n"]
+    for k in range(truth.t.size):
+        row = [truth.t[k], *truth.p[k], *truth.v[k], *truth.q_nb[k]]
+        lines.append(",".join(_fmt(x) for x in row)
+                     + f",{int(truth.stance[k])}\n")
+    return "".join(lines)
+
+
+def per_value_trajectory_text(traj):
+    """A trajectory file as text, one `format(x, ".17g")` per value."""
+    lines = ["# t,px,py,pz,qw,qx,qy,qz,sfs,stance\n"]
+    for k in range(traj.t.size):
+        row = [traj.t[k], *traj.p[k], *traj.q_nb[k], traj.sfs[k]]
+        lines.append(",".join(_fmt(x) for x in row)
+                     + f",{int(traj.stance[k])}\n")
+    return "".join(lines)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,7 @@ from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix, rpy_from_quat
 from pdrnav.tracker import ImuLog, run_tracker
 
 from oracles import (
+    chain_rule_quaternion_rows,
     finite_difference_jacobian,
     random_covariance,
     random_nav_state,
@@ -193,6 +196,21 @@ class TestProcessJacobian:
         ref = richardson_jacobian(lambda s: propagate(s, cfg), x, DIM)
         assert np.max(np.abs(process_jacobian(x, cfg) - ref)) <= 1e-5
 
+    def test_quaternion_rows_match_chain_rule(self, cfg):
+        # The kernel folds the normalisation Jacobian into closed forms
+        # (u^T dm/dq = q^T / |m|, and the rate columns only scale); the
+        # plain product of the three factor Jacobians must agree with it
+        # to rounding, on and off the unit sphere and on both branches
+        # of the exponential.
+        rng = np.random.default_rng(36)
+        for k in range(50):
+            x = random_nav_state(rng)
+            x[QUAT] *= rng.uniform(0.8, 1.2)
+            if k % 5 == 0:
+                x[OMEGA] *= 1e-7
+            rows = chain_rule_quaternion_rows(x, cfg.ts)
+            assert np.max(np.abs(process_jacobian(x, cfg)[QUAT] - rows)) <= 1e-12
+
     def test_predict_pushes_covariance_through_it(self, cfg):
         rng = np.random.default_rng(34)
         est = StateEstimate(x=random_nav_state(rng), P=random_covariance(rng))
@@ -325,6 +343,58 @@ class TestUpdate:
         tiny_r = FilterConfig(ts=cfg.ts, q_diag=cfg.q_diag, r_diag=np.full(6, 1e-9))
         with pytest.raises(FilterDivergenceError):
             update(est, np.zeros(MEAS_DIM), tiny_r)
+
+
+class TestStructuredUpdate:
+    """`update` writes out H = [0 | I | I]; it must be the general
+    `kalman_update` with that matrix, and both must refuse an innovation
+    covariance that cannot be factored."""
+
+    @pytest.mark.parametrize("joseph", [True, False])
+    def test_matches_general_update(self, cfg, joseph):
+        cfg = dataclasses.replace(cfg, joseph=joseph)
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            x = random_nav_state(rng)
+            p0 = random_covariance(rng, scale=rng.uniform(1e-3, 1.0))
+            z = measurement_model(x) + 0.1 * rng.standard_normal(MEAS_DIM)
+            out = update(StateEstimate(x=x.copy(), P=p0.copy()), z, cfg)
+            want_x, want_p = kalman_update(
+                x, p0, z, measurement_model(x), measurement_jacobian(),
+                cfg.r_diag, joseph)
+            want_x[QUAT] = quat_normalize(want_x[QUAT])
+            assert np.max(np.abs(out.x - want_x)) <= 1e-12 * np.max(np.abs(want_x))
+            assert np.max(np.abs(out.P - want_p)) <= 1e-12 * np.max(np.abs(want_p))
+
+    @staticmethod
+    def imu_update(p_mat, r_diag):
+        x = np.zeros(DIM)
+        x[QUAT][0] = 1.0
+        cfg = FilterConfig(q_diag=np.zeros(DIM), r_diag=r_diag)
+        return update(StateEstimate(x=x, P=p_mat), np.zeros(MEAS_DIM), cfg)
+
+    @staticmethod
+    def general_update(p_mat, r_diag):
+        x = np.zeros(DIM)
+        return kalman_update(x, p_mat, np.zeros(MEAS_DIM), np.zeros(MEAS_DIM),
+                             measurement_jacobian(), r_diag)
+
+    @pytest.mark.parametrize("path", ["imu_update", "general_update"])
+    def test_nan_innovation_covariance_raises(self, path):
+        # LAPACK's dpotrf factors a NaN matrix with info 0; the finite
+        # check must catch it before the gain is formed.
+        p_mat = np.eye(DIM)
+        p_mat[14, 20] = p_mat[20, 14] = np.nan
+        with pytest.raises(FilterDivergenceError,
+                           match="innovation covariance is not finite"):
+            getattr(self, path)(p_mat, np.full(MEAS_DIM, 1e-3))
+
+    @pytest.mark.parametrize("path", ["imu_update", "general_update"])
+    def test_indefinite_innovation_covariance_raises(self, path):
+        p_mat = np.eye(DIM)
+        p_mat[16, 16] = -5.0
+        with pytest.raises(FilterDivergenceError, match="not positive definite"):
+            getattr(self, path)(p_mat, np.full(MEAS_DIM, 1e-3))
 
 
 class TestInitState:

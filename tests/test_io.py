@@ -18,6 +18,7 @@ from pdrnav.calibration import SensorCalibration
 from pdrnav.ekf import default_filter_config
 from pdrnav.gait import (
     GaitParams,
+    GroundTruth,
     NoiseParams,
     generate_gait,
     inverse_imu,
@@ -42,6 +43,12 @@ from pdrnav.io import (
 from pdrnav.tracker import ImuLog, Trajectory
 from pdrnav.zupt import default_stance_config
 
+from oracles import (
+    per_value_log_text,
+    per_value_trajectory_text,
+    per_value_truth_text,
+)
+
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
 LSB_W = constants.DEFAULT_LSB_GYRO
@@ -58,6 +65,63 @@ def short_walk():
     log = ImuLog(t=truth.t, accel=counts_a, gyro=counts_w, fs=FS,
                  lsb_accel=LSB_A, lsb_gyro=LSB_W)
     return truth, log
+
+
+class TestRowWriters:
+    """The CSV writers against one ``format(x, ".17g")`` per value, on
+    values whose text is easy to get wrong and on more rows than one
+    write block holds."""
+
+    N = 9000
+    AWKWARD = np.array([-0.0, 5e-324, -5e-324, 1e-5, 1e22, -1e22, 0.1,
+                        -2.5, 1.0 / 3.0, 123456789.0])
+
+    def values(self, rng, shape):
+        picks = rng.choice(self.AWKWARD, size=shape)
+        return np.where(rng.random(shape) < 0.5, picks,
+                        rng.standard_normal(shape))
+
+    @staticmethod
+    def assert_text(path, want):
+        # Line lists, so a mismatch is reported by its first differing
+        # line rather than by a diff of the whole file.
+        assert path.read_text().splitlines(True) == want.splitlines(True)
+
+    def times(self):
+        # Strictly increasing, and still covering the awkward values.
+        head = np.array([-1e22, -2.5, -0.0, 5e-324, 1e-5, 0.1])
+        return np.concatenate([head, 1.0 + np.arange(self.N - 7) / 100.0,
+                               [1e22]])
+
+    def test_log(self, tmp_path):
+        rng = np.random.default_rng(60)
+        counts = rng.integers(-32768, 32768, size=(self.N, 6))
+        counts[:4] = [[-32768, -1, 0, 32767, -5, 7]] * 4
+        log = ImuLog(t=self.times(), accel=counts[:, :3], gyro=counts[:, 3:],
+                     fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W)
+        write_log(tmp_path / "log.csv", log)
+        self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
+
+    def test_truth(self, tmp_path):
+        rng = np.random.default_rng(61)
+        n = self.N
+        truth = GroundTruth(
+            t=self.times(), p=self.values(rng, (n, 3)),
+            v=self.values(rng, (n, 3)), a=np.zeros((n, 3)),
+            q_nb=self.values(rng, (n, 4)), omega=np.zeros((n, 3)),
+            stance=rng.random(n) < 0.3, fs=FS)
+        write_truth(tmp_path / "truth.csv", truth)
+        self.assert_text(tmp_path / "truth.csv", per_value_truth_text(truth))
+
+    def test_trajectory(self, tmp_path):
+        rng = np.random.default_rng(62)
+        n = self.N
+        traj = Trajectory(
+            t=self.times(), p=self.values(rng, (n, 3)),
+            q_nb=self.values(rng, (n, 4)), sfs=self.values(rng, n),
+            stance=rng.random(n) < 0.3)
+        write_trajectory(tmp_path / "traj.csv", traj)
+        self.assert_text(tmp_path / "traj.csv", per_value_trajectory_text(traj))
 
 
 class TestLogFormat:

@@ -10,19 +10,22 @@ from scipy.spatial.transform import Rotation
 from pdrnav.quat import (
     quat_conj,
     quat_exp,
-    quat_exp_jacobian,
     quat_from_rpy,
     quat_mul,
-    quat_mul_jacobian,
     quat_normalize,
-    quat_normalize_jacobian,
     quat_rotate,
     quat_rotate_jacobian,
     rot_matrix,
     rpy_from_quat,
 )
 
-from oracles import cross_quat_rotate, richardson_jacobian
+from oracles import (
+    cross_quat_rotate,
+    quat_exp_jacobian,
+    quat_mul_jacobian,
+    quat_normalize_jacobian,
+    richardson_jacobian,
+)
 
 
 def random_unit_quats(n: int, seed: int) -> np.ndarray:
@@ -118,6 +121,19 @@ class TestQuatNormalize:
     def test_nan_raises(self):
         with pytest.raises(ValueError):
             quat_normalize(np.array([np.nan, 0.0, 0.0, 1.0]))
+
+    def test_single_bit_identical_to_batch_column(self):
+        # One quaternion takes a float path, a batch the array path.
+        q = np.random.default_rng(11).standard_normal((4, 50)) * 3.0
+        batch = quat_normalize(q)
+        for j in range(q.shape[1]):
+            assert_allclose(quat_normalize(q[:, j]), batch[:, j], rtol=0, atol=0)
+
+    def test_degenerate_batch_member_raises(self):
+        q = np.ones((4, 3))
+        q[:, 1] = [0.0, 1e-300, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            quat_normalize(q)
 
 
 class TestRotMatrix:

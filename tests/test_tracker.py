@@ -34,7 +34,7 @@ from pdrnav.tracker import (
     evaluate_trajectory,
     run_tracker,
 )
-from pdrnav.zupt import default_stance_config
+from pdrnav.zupt import PSEUDO_GROUPS, StanceConfig, default_stance_config
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -165,6 +165,23 @@ class TestRunTracker:
         assert exc.diagnostic.sample_index == 500
         assert exc.trajectory.t.size == 500
         assert np.all(np.isfinite(exc.trajectory.p))
+
+    def test_stance_config_is_read_afresh_each_run(self, short_walk):
+        # The tracker builds the pseudo-measurement row mask and base
+        # variances once per run; a config changed between two runs
+        # must be honoured by the second, exactly as a fresh config is.
+        _, log = short_walk
+        cfg = default_stance_config(FS)
+        first = run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
+        cfg.pseudo_groups["velocity"] = False
+        second = run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
+        groups = {name: name != "velocity" for name, _ in PSEUDO_GROUPS}
+        fresh = run_tracker(log, CAL_A, CAL_W, stance_cfg=StanceConfig(
+            pseudo_variances=default_stance_config(FS).pseudo_variances,
+            pseudo_groups=groups))
+        assert np.max(np.abs(second.p - first.p)) > 1e-3
+        np.testing.assert_array_equal(second.p, fresh.p)
+        np.testing.assert_array_equal(second.q_nb, fresh.q_nb)
 
 
 @pytest.fixture(scope="module")
