@@ -8,9 +8,14 @@ The accelerometer gain and bias are fitted from P still orientations
 using only the fact that the true specific force has magnitude g in all
 of them: the per-orientation mean measurements must lie on the ellipsoid
 ``{gain @ a + bias : |a| = g}``.  The fit minimizes the sum of squared
-point-to-ellipsoid distances; the inner projection is solved exactly
-through the Lagrange secular equation, the outer problem by damped
-iterative least squares started from an algebraic quadric fit.
+point-to-ellipsoid distances by damped Gauss-Newton started from an
+algebraic quadric fit.  Each evaluation projects all P means onto the
+ellipsoid at once: the Lagrange secular equation is solved for every
+mean in one vectorized, bracketed Newton pass.  The Jacobian needs no
+further evaluations: by the envelope theorem the closest point
+``a*`` stays put to first order, so a distance moves with the bias
+along the unit error ``e / r`` and with gain entry (i, j) by
+``e_i a*_j / r``.
 
 A magnitude-only fit cannot see a rotation applied to the sensor triad
 (``gain @ rot`` fits any data ``gain`` fits), so the gain is constrained
@@ -28,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
 
 from .constants import GRAVITY
 
@@ -157,69 +161,124 @@ def batch_means(
     )
 
 
-def _secular_residual(s: NDArray, z: NDArray, g: float) -> float:
-    """Squared distance from a point to the ellipsoid {U S V' a : |a| = g}.
+_TRIL_ROWS, _TRIL_COLS = np.tril_indices(3)
 
-    ``s`` are the singular values of the gain, ``z`` the point expressed
-    in the left singular basis (already centered).  The stationarity
-    condition gives coordinates ``w_i = s_i z_i / (s_i^2 - lam)``; the
-    multiplier of the closest point is the unique root of the monotone
-    constraint equation below ``min(s_i^2)``.
+# The secular solve stops once a Newton step moves the multiplier by
+# less than this fraction of itself.
+_SECULAR_RTOL = 1e-12
+_SECULAR_MAX_ITER = 100
+
+
+def _project(gain: NDArray, bias: NDArray, means: NDArray, g: float):
+    """Closest points of the model ellipsoid to P means, all at once.
+
+    With ``gain = u diag(s) vt`` and ``z = u' (mean - bias)``, the
+    closest point ``gain a* + bias`` (``|a*| = g``) has sphere
+    coordinates ``vt a* = s q`` where ``q = z / (s^2 - lam)`` and ``lam``
+    is the Lagrange multiplier.  Writing ``lam = min(s^2) - mu``,
+    ``mu`` is the root of the monotone, convex secular function
+    ``h(mu) = |s z / (s^2 - min(s^2) + mu)|^2 - g^2`` inside the bracket
+    ``[mu_lo, mu_hi]``; it is found for every mean together by Newton's
+    method on ``1 / sqrt(h + g^2)``, which is concave and close to
+    linear, so the iterates rise monotonically from ``mu_lo`` and are
+    clipped to the bracket (More and Sorensen, 1983).
+
+    Means with no weight on the smallest-singular-value directions (the
+    symmetry axis of a spheroid, the centre) whose other directions
+    cannot reach the sphere have ``lam = min(s^2)``; the tied directions
+    take up the slack in the sphere constraint.
+
+    Returns ``u``, ``s``, ``vt``, ``lam`` (P,) and ``q`` (3, P).  The error
+    ``gain a* + bias - mean`` is ``u (lam q)``, so the squared distance
+    is ``lam^2 |q|^2``, and ``u q`` is the outward normal at ``a*``.
     """
+    u, s, vt = np.linalg.svd(gain)
+    z = u.T @ (means - bias).T
     d = s * s
-    c = s * z
-    d_min = float(np.min(d))
-    # Split off directions whose singular value ties the smallest one;
-    # their c-components decide whether the secular function blows up.
-    tied = d - d_min <= 1e-12 * max(d_min, 1e-300)
-    cm2 = float(np.sum(c[tied] ** 2))
-    rest = ~tied
-    dr = d[rest] - d_min
-    big = float(np.sum(c[rest] ** 2 / dr**2)) if np.any(rest) else 0.0
-
+    d_min = float(d.min())
+    delta = (d - d_min)[:, None]
+    c2 = (s[:, None] * z) ** 2
     g2 = g * g
-    norm_c = float(np.sqrt(np.sum(c * c)))
-    if norm_c == 0.0 and big == 0.0:
-        # Point at the ellipsoid center.
-        return d_min * g2
+    # Directions whose singular value ties the smallest one; their
+    # weight decides whether the secular function has a pole at mu = 0.
+    tied = d - d_min <= 1e-12 * max(d_min, 1e-300)
+    rest = ~tied
+    cm2 = c2[tied].sum(axis=0)
+    big = (c2[rest] / delta[rest] ** 2).sum(axis=0)
+    norm_c = np.sqrt(c2.sum(axis=0))
 
-    def h(mu: float) -> float:
-        return float(np.sum(c * c / (d - d_min + mu) ** 2)) - g2
+    on_axis = cm2 <= 1e-28 * norm_c**2
+    slack = on_axis & (big <= g2)
+    lam = np.full(z.shape[1], d_min)
+    q = np.empty_like(z)
 
-    if cm2 <= (1e-28 * norm_c**2):
-        if big <= g2:
-            # Multiplier sits exactly at d_min; the tied directions take
-            # up the slack in the sphere constraint.
-            res = d_min * (g2 - big)
-            if np.any(rest):
-                res += d_min**2 * float(np.sum(z[rest] ** 2 / dr**2))
-            return res
-        mu_lo = 1e-18 * max(d_min, 1.0)
-        mu_hi = norm_c / g
-    else:
-        mu_lo = np.sqrt(cm2) / g      # h(mu_lo) >= g2 by construction
-        mu_hi = norm_c / g            # h(mu_hi) <= g2 by construction
-    if mu_hi <= mu_lo * (1.0 + 1e-15):
-        mu = mu_lo
-    else:
-        f_lo, f_hi = h(mu_lo), h(mu_hi)
-        if f_lo <= 0.0:
-            mu = mu_lo
-        elif f_hi >= 0.0:
-            mu = mu_hi
-        else:
-            mu = brentq(h, mu_lo, mu_hi, rtol=1e-12, xtol=1e-300, maxiter=200)
-    lam = d_min - mu
-    return float(lam * lam * np.sum(z * z / (d - lam) ** 2))
+    solve = ~slack
+    if solve.any():
+        cs2 = c2[:, solve]
+        mu_hi = norm_c[solve] / g
+        mu = np.where(on_axis[solve], 1e-18 * max(d_min, 1.0),
+                      np.sqrt(cm2[solve]) / g)
+        for _ in range(_SECULAR_MAX_ITER):
+            den = delta + mu
+            t = cs2 / den**2
+            n2 = t.sum(axis=0)
+            # Newton step on 1/sqrt(n2) - 1/g; n2 = h + g^2.
+            step = n2 * (np.sqrt(n2) / g - 1.0) / (t / den).sum(axis=0)
+            new = np.minimum(np.maximum(mu + step, mu), mu_hi)
+            done = np.all(new - mu <= _SECULAR_RTOL * new)
+            mu = new
+            if done:
+                break
+        lam[solve] = d_min - mu
+        q[:, solve] = z[:, solve] / (d[:, None] - lam[solve])
+
+    if slack.any():
+        zs = z[:, slack]
+        qs = np.zeros_like(zs)
+        qs[rest] = zs[rest] / delta[rest]
+        # The tied directions carry what is left of the sphere radius,
+        # along the mean's own tied component (the first tied axis at
+        # the centre).
+        zt = zs[tied]
+        zt_norm = np.sqrt((zt * zt).sum(axis=0))
+        direction = np.zeros_like(zt)
+        direction[0] = 1.0
+        off = zt_norm > 0.0
+        direction[:, off] = zt[:, off] / zt_norm[off]
+        qs[tied] = direction * np.sqrt(np.maximum(g2 - big[slack], 0.0) / d_min)
+        q[:, slack] = qs
+    return u, s, vt, lam, q
 
 
 def _sphere_residuals(
     gain: NDArray, bias: NDArray, means: NDArray, g: float
 ) -> NDArray[np.float64]:
     """Squared distances of each mean to the model ellipsoid, (P,)."""
-    u, s, _ = np.linalg.svd(gain)
-    zs = u.T @ (means - bias).T  # (3, P)
-    return np.array([_secular_residual(s, zs[:, p], g) for p in range(zs.shape[1])])
+    _, _, _, lam, q = _project(gain, bias, means, g)
+    return lam * lam * (q * q).sum(axis=0)
+
+
+def _distances_and_jacobian(
+    gain: NDArray, bias: NDArray, means: NDArray, g: float
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Distances ``r`` (P,) of each mean to the model ellipsoid and their
+    derivative (P, 9) by the lower-triangular gain and the bias.
+
+    By the envelope theorem the closest point ``a*`` stays put to first
+    order, so with ``e = gain a* + bias - mean``: ``dr/db = e / r`` and
+    ``dr/dgain_ij = e_i a*_j / r``.  ``e / r`` is the unit normal at
+    ``a*``, outward for means inside (``lam > 0``) and inward for means
+    outside; at a zero distance the outward normal is taken.
+    """
+    u, s, vt, lam, q = _project(gain, bias, means, g)
+    q_norm = np.sqrt((q * q).sum(axis=0))
+    dist = np.abs(lam) * q_norm
+    unit = (u @ (q * (np.where(lam < 0.0, -1.0, 1.0) / q_norm))).T
+    a_star = (vt.T @ (s[:, None] * q)).T
+    jac = np.empty((means.shape[0], 9))
+    jac[:, :6] = unit[:, _TRIL_ROWS] * a_star[:, _TRIL_COLS]
+    jac[:, 6:] = unit
+    return dist, jac
 
 
 def gravity_sphere_residual(
@@ -237,9 +296,6 @@ def gravity_sphere_residual(
     mean = np.asarray(mean, dtype=float)
     bias = np.asarray(bias, dtype=float)
     return float(_sphere_residuals(gain, bias, mean[None, :], g)[0])
-
-
-_TRIL_ROWS, _TRIL_COLS = np.tril_indices(3)
 
 
 def _theta_to_gain_bias(theta: NDArray) -> tuple[NDArray, NDArray]:
@@ -342,17 +398,17 @@ def fit_accel_calibration(
             f"need at least {MIN_ORIENTATIONS}"
         )
 
-    def residuals(theta: NDArray) -> NDArray:
+    def evaluate(theta: NDArray):
         gain, bias = _theta_to_gain_bias(theta)
         if np.any(np.diag(gain) <= 0):
-            return None
-        return np.sqrt(np.maximum(_sphere_residuals(gain, bias, means, g), 0.0))
+            return None, None
+        return _distances_and_jacobian(gain, bias, means, g)
 
     theta = _algebraic_init(means, g)
-    res = residuals(theta)
+    res, jac = evaluate(theta)
     if res is None:  # fallback init is always positive-diagonal; be safe
         theta[[0, 2, 5]] = np.abs(theta[[0, 2, 5]]) + 1e-9
-        res = residuals(theta)
+        res, jac = evaluate(theta)
     cost = float(res @ res)
     info = FitInfo(cost_history=[cost])
 
@@ -361,32 +417,17 @@ def fit_accel_calibration(
         if cost <= 1e-30:
             converged = True
             break
-        # Central-difference Jacobian of the distance residuals.
-        jac = np.empty((n_orient, 9))
-        for j in range(9):
-            h = 1e-6 * max(1.0, abs(theta[j]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            rp, rm = residuals(tp), residuals(tm)
-            if rp is None or rm is None:
-                h *= 0.5  # diagonal close to zero: shrink once
-                tp, tm = theta.copy(), theta.copy()
-                tp[j] += h
-                tm[j] -= h
-                rp, rm = residuals(tp), residuals(tm)
-            jac[:, j] = (rp - rm) / (2 * h)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
 
-        new_theta, new_res, new_cost = None, None, cost
+        new_theta, new_cost = None, cost
         alpha = 1.0
         for _ in range(40):
             trial = theta + alpha * step
-            trial_res = residuals(trial)
+            trial_res, trial_jac = evaluate(trial)
             if trial_res is not None:
                 trial_cost = float(trial_res @ trial_res)
                 if trial_cost < cost:
-                    new_theta, new_res, new_cost = trial, trial_res, trial_cost
+                    new_theta, new_cost = trial, trial_cost
                     break
             alpha *= 0.5
         if new_theta is None:
@@ -394,7 +435,7 @@ def fit_accel_calibration(
             # numerically at a minimum.
             converged = True
             break
-        theta, res = new_theta, new_res
+        theta, res, jac = new_theta, trial_res, trial_jac
         info.cost_history.append(new_cost)
         info.iterations = it + 1
         if abs(cost - new_cost) <= cost_rtol * max(new_cost, 1e-300):

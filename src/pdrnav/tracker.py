@@ -261,13 +261,13 @@ def run_tracker(
                 if event is None:
                     event = StanceEvent(start_index=k,
                                         latched_xy=est.x[POS][:2])
-                z_p, residual, scale = build_pseudo_measurements(
+                _, residual, scale = build_pseudo_measurements(
                     est.x, event, f_b[k], w_b[k], stance_cfg,
                     g=filter_cfg.g, mask=mask)
                 score = scores[k] if soft else 1.0
                 variances = soft_covariance(
                     stance_cfg, score, base_variances) * scale
-                est = zupt_update(est, z_p, residual, variances,
+                est = zupt_update(est, residual, variances,
                                   joseph=filter_cfg.joseph)
             else:
                 event = None

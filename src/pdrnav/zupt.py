@@ -56,11 +56,8 @@ __all__ = [
     "StanceConfig",
     "StanceEvent",
     "default_stance_config",
-    "condition_signals",
     "condition_series",
-    "sfs",
     "sfs_series",
-    "hard_detector",
     "hard_series",
     "stance_intervals",
     "detect_stance",
@@ -345,26 +342,6 @@ def condition_series(accel, gyro, cfg: StanceConfig):
     return c1, c2, c3, c4
 
 
-def condition_signals(accel, gyro, cfg: StanceConfig, i: int):
-    """The four condition signals at one sample index.
-
-    Direct two-pass evaluation on the truncated window around ``i``;
-    agrees with `condition_series` everywhere, kept as the plainly
-    readable reference form.
-    """
-    mag_a, mag_w = _magnitudes(accel, gyro)
-    n = mag_a.size
-    if not 0 <= i < n:
-        raise IndexError(f"sample index {i} outside record of length {n}")
-    lo = max(i - cfg.std_half_width, 0)
-    hi = min(i + cfg.std_half_width + 1, n)
-    c1 = cfg.accel_norm_min < mag_a[i] < cfg.accel_norm_max
-    c2 = float(np.std(mag_a[lo:hi])) < cfg.accel_std_max
-    c3 = mag_w[i] < cfg.gyro_norm_max
-    c4 = float(np.std(mag_w[lo:hi])) < cfg.gyro_std_max
-    return bool(c1), bool(c2), bool(c3), bool(c4)
-
-
 def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     """Still-foot score for every sample of a calibrated record.
 
@@ -382,20 +359,6 @@ def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     return np.clip(counts / width, 0.0, 1.0)
 
 
-def sfs(accel, gyro, cfg: StanceConfig, k: int) -> float:
-    """Still-foot score at one index; see `sfs_series`."""
-    mag_a, _ = _magnitudes(accel, gyro)
-    n = mag_a.size
-    if not 0 <= k < n:
-        raise IndexError(f"sample index {k} outside record of length {n}")
-    lo = max(k - cfg.detect_half_width, 0)
-    hi = min(k + cfg.detect_half_width + 1, n)
-    count = sum(
-        all(condition_signals(accel, gyro, cfg, i)) for i in range(lo, hi)
-    )
-    return float(np.clip(count / (2 * cfg.detect_half_width + 1), 0.0, 1.0))
-
-
 def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
     """Binary baseline detector over a record.
 
@@ -407,20 +370,6 @@ def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
     c1, c2, c3, _ = condition_series(accel, gyro, cfg)
     counts = _windowed_count(c1 & c2 & c3, cfg.detect_half_width)
     return counts > cfg.detect_half_width / 2.0
-
-
-def hard_detector(accel, gyro, cfg: StanceConfig, k: int) -> bool:
-    """Binary baseline detector at one index; see `hard_series`."""
-    mag_a, _ = _magnitudes(accel, gyro)
-    n = mag_a.size
-    if not 0 <= k < n:
-        raise IndexError(f"sample index {k} outside record of length {n}")
-    lo = max(k - cfg.detect_half_width, 0)
-    hi = min(k + cfg.detect_half_width + 1, n)
-    count = sum(
-        all(condition_signals(accel, gyro, cfg, i)[:3]) for i in range(lo, hi)
-    )
-    return bool(count > cfg.detect_half_width / 2.0)
 
 
 def stance_intervals(active) -> list[tuple[int, int]]:
@@ -477,10 +426,11 @@ _STANCE_INDEX = np.array(
 class StanceResidual:
     """Residual ``z_p - prediction`` of one stance stack.
 
-    `linearize` gives the residual of the enabled rows and its
-    closed-form derivative at one state, from one read of the state.
-    Calling it maps states ``(25,)`` or batches ``(25, k)``, column by
-    column, to residuals; `jacobian` gives the derivative alone.
+    `linearize` gives the residual of the enabled rows and the
+    closed-form Jacobian H of their prediction at one state, from one
+    read of the state.  Calling it maps states ``(25,)`` or batches
+    ``(25, k)``, column by column, to residuals; `jacobian` gives the
+    derivative of the residual, ``-H``.
     """
 
     def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_],
@@ -490,7 +440,7 @@ class StanceResidual:
         self.g_vec = g_vec
 
     def linearize(self, x):
-        """Residual and its derivative at one state, shapes (m,) and (m, 25).
+        """Residual and prediction Jacobian H at one state, (m,) and (m, 25).
 
         Only the gravity-direction, gravity-norm and accel-bias rows
         depend on the state nonlinearly.  The gravity-norm gradient
@@ -517,7 +467,7 @@ class StanceResidual:
         values += [-v for v in d_body_q]
         h_jac = _LINEAR_STANCE_ROWS.copy()
         h_jac.ravel()[_STANCE_INDEX] = values
-        return (self.z_full - h)[self.mask], -h_jac[self.mask]
+        return (self.z_full - h)[self.mask], h_jac[self.mask]
 
     def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -526,8 +476,8 @@ class StanceResidual:
         return np.column_stack([self.linearize(x)[0] for x in xs.T])
 
     def jacobian(self, x) -> NDArray[np.float64]:
-        """Derivative of the residual at one state, shape (m, 25)."""
-        return self.linearize(x)[1]
+        """Derivative of the residual at one state, ``-H``, shape (m, 25)."""
+        return -self.linearize(x)[1]
 
 
 def build_pseudo_measurements(
@@ -584,8 +534,8 @@ def build_pseudo_measurements(
     residual : StanceResidual
         Maps states (25,) or batches (25, k) to residuals
         ``z_p - prediction``; its ``linearize(x)`` gives the residual
-        and its closed-form derivative together, as `zupt_update` uses
-        them.
+        and the closed-form prediction Jacobian together, as
+        `zupt_update` uses them.
     variance_scale : ndarray, shape (m,)
         Per-row multipliers for the variances, 1 everywhere except the
         gravity-norm row when ``|a_b|`` is too small to define its
@@ -641,7 +591,6 @@ def soft_covariance(
 
 def zupt_update(
     est: StateEstimate,
-    z_p,
     residual,
     variances,
     *,
@@ -650,12 +599,12 @@ def zupt_update(
     """Inject one stance pseudo-measurement into the filter.
 
     ``residual`` is the `StanceResidual` from
-    `build_pseudo_measurements`; its closed-form Jacobian (negated, since
-    the residual is target minus prediction) feeds the standard update.
+    `build_pseudo_measurements`; its residual and prediction Jacobian
+    feed the standard update.
     """
     nu, jac = residual.linearize(est.x)
     x1, p1 = kalman_update(
-        est.x, est.P, nu, np.zeros_like(nu), -jac, variances, joseph
+        est.x, est.P, nu, np.zeros_like(nu), jac, variances, joseph
     )
     x1[QUAT] = quat_normalize(x1[QUAT])
     return StateEstimate(x=x1, P=p1)

@@ -7,6 +7,8 @@ layout constants; oracles recompute results from first principles.
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import NDArray
+from scipy.optimize import brentq
 
 from pdrnav.ekf import ACC_B, DIM, OMEGA, QUAT
 from pdrnav.quat import quat_exp, quat_mul, rot_matrix
@@ -141,6 +143,71 @@ def cross_quat_rotate(q, u):
     return u + w * t + np.cross(xyz, t, axis=0)
 
 
+def _secular_residual(s: NDArray, z: NDArray, g: float) -> float:
+    """Squared distance from a point to the ellipsoid {U S V' a : |a| = g}.
+
+    ``s`` are the singular values of the gain, ``z`` the point expressed
+    in the left singular basis (already centered).  The stationarity
+    condition gives coordinates ``w_i = s_i z_i / (s_i^2 - lam)``; the
+    multiplier of the closest point is the unique root of the monotone
+    constraint equation below ``min(s_i^2)``.
+    """
+    d = s * s
+    c = s * z
+    d_min = float(np.min(d))
+    # Split off directions whose singular value ties the smallest one;
+    # their c-components decide whether the secular function blows up.
+    tied = d - d_min <= 1e-12 * max(d_min, 1e-300)
+    cm2 = float(np.sum(c[tied] ** 2))
+    rest = ~tied
+    dr = d[rest] - d_min
+    big = float(np.sum(c[rest] ** 2 / dr**2)) if np.any(rest) else 0.0
+
+    g2 = g * g
+    norm_c = float(np.sqrt(np.sum(c * c)))
+    if norm_c == 0.0 and big == 0.0:
+        # Point at the ellipsoid center.
+        return d_min * g2
+
+    def h(mu: float) -> float:
+        return float(np.sum(c * c / (d - d_min + mu) ** 2)) - g2
+
+    if cm2 <= (1e-28 * norm_c**2):
+        if big <= g2:
+            # Multiplier sits exactly at d_min; the tied directions take
+            # up the slack in the sphere constraint.
+            res = d_min * (g2 - big)
+            if np.any(rest):
+                res += d_min**2 * float(np.sum(z[rest] ** 2 / dr**2))
+            return res
+        mu_lo = 1e-18 * max(d_min, 1.0)
+        mu_hi = norm_c / g
+    else:
+        mu_lo = np.sqrt(cm2) / g      # h(mu_lo) >= g2 by construction
+        mu_hi = norm_c / g            # h(mu_hi) <= g2 by construction
+    if mu_hi <= mu_lo * (1.0 + 1e-15):
+        mu = mu_lo
+    else:
+        f_lo, f_hi = h(mu_lo), h(mu_hi)
+        if f_lo <= 0.0:
+            mu = mu_lo
+        elif f_hi >= 0.0:
+            mu = mu_hi
+        else:
+            mu = brentq(h, mu_lo, mu_hi, rtol=1e-12, xtol=1e-300, maxiter=200)
+    lam = d_min - mu
+    return float(lam * lam * np.sum(z * z / (d - lam) ** 2))
+
+
+def brentq_sphere_residuals(gain, bias, means, g):
+    """Squared distances of each mean (P, 3) to the calibration model
+    ellipsoid, one scalar `brentq` secular solve per mean."""
+    u, s, _ = np.linalg.svd(np.asarray(gain, dtype=float))
+    zs = u.T @ (np.atleast_2d(means) - bias).T
+    return np.array([_secular_residual(s, zs[:, p], g)
+                     for p in range(zs.shape[1])])
+
+
 def richardson_jacobian(f, x, m, h0=1e-4):
     """High-order derivative reference: central differences at two step
     sizes combined by Richardson extrapolation (error O(h0^4)).
@@ -164,6 +231,64 @@ def richardson_jacobian(f, x, m, h0=1e-4):
     d1 = central(h0)
     d2 = central(h0 / 2.0)
     return (4.0 * d2 - d1) / 3.0
+
+
+def _magnitudes(accel, gyro):
+    accel = np.asarray(accel, dtype=float)
+    gyro = np.asarray(gyro, dtype=float)
+    if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
+        raise ValueError("accel and gyro must be matching (n, 3) arrays")
+    return np.linalg.norm(accel, axis=1), np.linalg.norm(gyro, axis=1)
+
+
+def condition_signals(accel, gyro, cfg, i: int):
+    """The four condition signals at one sample index.
+
+    Direct two-pass evaluation on the truncated window around ``i``, the
+    plainly readable reference for `pdrnav.zupt.condition_series`;
+    ``cfg`` is a `pdrnav.zupt.StanceConfig`.
+    """
+    mag_a, mag_w = _magnitudes(accel, gyro)
+    n = mag_a.size
+    if not 0 <= i < n:
+        raise IndexError(f"sample index {i} outside record of length {n}")
+    lo = max(i - cfg.std_half_width, 0)
+    hi = min(i + cfg.std_half_width + 1, n)
+    c1 = cfg.accel_norm_min < mag_a[i] < cfg.accel_norm_max
+    c2 = float(np.std(mag_a[lo:hi])) < cfg.accel_std_max
+    c3 = mag_w[i] < cfg.gyro_norm_max
+    c4 = float(np.std(mag_w[lo:hi])) < cfg.gyro_std_max
+    return bool(c1), bool(c2), bool(c3), bool(c4)
+
+
+def sfs(accel, gyro, cfg, k: int) -> float:
+    """Still-foot score at one index; see `pdrnav.zupt.sfs_series`."""
+    mag_a, _ = _magnitudes(accel, gyro)
+    n = mag_a.size
+    if not 0 <= k < n:
+        raise IndexError(f"sample index {k} outside record of length {n}")
+    lo = max(k - cfg.detect_half_width, 0)
+    hi = min(k + cfg.detect_half_width + 1, n)
+    count = sum(
+        all(condition_signals(accel, gyro, cfg, i)) for i in range(lo, hi)
+    )
+    return float(np.clip(count / (2 * cfg.detect_half_width + 1), 0.0, 1.0))
+
+
+def hard_detector(accel, gyro, cfg, k: int) -> bool:
+    """Binary baseline detector at one index; see `pdrnav.zupt.hard_series`."""
+    mag_a, _ = _magnitudes(accel, gyro)
+    n = mag_a.size
+    if not 0 <= k < n:
+        raise IndexError(f"sample index {k} outside record of length {n}")
+    lo = max(k - cfg.detect_half_width, 0)
+    hi = min(k + cfg.detect_half_width + 1, n)
+    count = sum(
+        all(condition_signals(accel, gyro, cfg, i)[:3]) for i in range(lo, hi)
+    )
+    return bool(count > cfg.detect_half_width / 2.0)
+
+
 
 
 def random_nav_state(rng, motion_scale=1.0):

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
+from scipy.spatial.transform import Rotation
 
 from pdrnav.calibration import (
     CalibrationError,
+    _distances_and_jacobian,
+    _sphere_residuals,
+    _theta_to_gain_bias,
     OrientationBatch,
     apply_accel_calibration,
     apply_gyro_calibration,
@@ -20,6 +24,8 @@ from pdrnav.calibration import (
     spread_directions,
 )
 from pdrnav.constants import GRAVITY
+
+from oracles import brentq_sphere_residuals, richardson_jacobian
 
 
 def brute_force_residual(gain, bias, mean, g, n_grid=1_000_000):
@@ -52,6 +58,16 @@ def random_lower_triangular(rng, scale=1.0):
     gain = np.tril(rng.uniform(-0.15, 0.15, (3, 3)))
     np.fill_diagonal(gain, rng.uniform(0.8, 1.2, 3))
     return gain * scale
+
+
+def points_off_surface(rng, gain, bias, n_in, n_out, g=GRAVITY):
+    """Means along random directions at 0.3-0.8 (inside) and 1.25-2.5
+    (outside) times the model radius: clear of the surface, where the
+    distance has a kink, and of the centre."""
+    u = rng.standard_normal((n_in + n_out, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    radius = np.r_[rng.uniform(0.3, 0.8, n_in), rng.uniform(1.25, 2.5, n_out)]
+    return (g * radius[:, None] * u) @ gain.T + bias
 
 
 def synth_means(gain, bias, n_orient, g=GRAVITY, sigma_phys=0.0, n_samples=1, seed=0):
@@ -133,6 +149,117 @@ class TestGravitySphereResidual:
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+class TestVectorizedSecularSolve:
+    """The one-pass solve over all means against the scalar brentq oracle.
+
+    Away from the surface the oracle's own bracket tolerance (1e-12 on
+    the multiplier) costs at most a few 1e-11 of the residual; right at
+    the surface it is amplified by ``min(s^2) / |lam|`` and the
+    comparison would measure the oracle.
+    """
+
+    @staticmethod
+    def assert_matches_oracle(gain, bias, means, g=GRAVITY):
+        means = np.atleast_2d(np.asarray(means, dtype=float))
+        got = _sphere_residuals(np.asarray(gain, dtype=float),
+                                np.asarray(bias, dtype=float), means, g)
+        want = brentq_sphere_residuals(gain, bias, means, g)
+        assert_allclose(got, want, rtol=1e-10, atol=1e-16)
+        for p in range(means.shape[0]):
+            assert gravity_sphere_residual(gain, bias, means[p], g) == (
+                pytest.approx(got[p], rel=1e-12, abs=1e-16))
+
+    def test_hand_cases(self):
+        g = GRAVITY
+        self.assert_matches_oracle(np.eye(3), np.zeros(3), [2 * g, 0, 0])
+        self.assert_matches_oracle(np.eye(3), np.zeros(3), [0.0, g / 2, 0.0])
+        self.assert_matches_oracle(np.diag([1.0, 1.0, 0.3]), np.zeros(3),
+                                   np.zeros(3))
+        self.assert_matches_oracle(np.diag([1.0, 1.0, 2.0]), np.zeros(3),
+                                   [0.0, 0.0, 1.0])
+        for z in (0.0, 0.5, 3.0 * g):
+            self.assert_matches_oracle(np.diag([1.0, 1.0, 1.7]), np.zeros(3),
+                                       [0.0, 0.0, z])
+
+    def test_points_on_ellipsoid_case(self):
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            gain = random_lower_triangular(rng)
+            bias = rng.uniform(-5, 5, 3)
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            self.assert_matches_oracle(gain, bias, gain @ (GRAVITY * u) + bias)
+
+    def test_brute_force_grid_cases(self):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            gain = random_lower_triangular(rng)
+            bias = rng.uniform(-3, 3, 3)
+            mean = rng.uniform(-2.5 * GRAVITY, 2.5 * GRAVITY, 3)
+            self.assert_matches_oracle(gain, bias, mean)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            gain = random_lower_triangular(rng, scale=rng.choice([1.0, 835.0]))
+            bias = rng.uniform(-3, 3, 3) * gain[0, 0]
+            self.assert_matches_oracle(
+                gain, bias, points_off_surface(rng, gain, bias, 8, 8))
+
+    def test_random_batches_with_tied_singular_values(self):
+        # Spheroids in rotated bases: the centre, points on the symmetry
+        # axis (inside and outside, so the tied directions take up the
+        # slack or the Newton solve starts at the pole) and generic means
+        # in one batch.
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            a, b = rng.uniform(0.5, 1.5, 2)
+            s = rng.permutation([a, a, b])
+            u = Rotation.random(random_state=rng).as_matrix()
+            v = Rotation.random(random_state=rng).as_matrix()
+            if trial % 3 == 0:
+                u = v = np.eye(3)
+            gain = u @ np.diag(s) @ v.T * rng.choice([1.0, 835.0])
+            bias = rng.uniform(-3, 3, 3)
+            axis = u[:, int(np.flatnonzero(s == b)[0])]
+            on_axis = [bias + axis * t * GRAVITY * s.max()
+                       for t in rng.uniform(-3.0, 3.0, 4)]
+            means = np.vstack([bias, *on_axis,
+                               points_off_surface(rng, gain, bias, 3, 3)])
+            self.assert_matches_oracle(gain, bias, means)
+
+
+class TestClosedFormJacobian:
+    def test_against_richardson(self):
+        # Distances and their derivative by the 6 lower-triangular gain
+        # entries and the bias, for means inside and outside.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            gain = random_lower_triangular(rng, scale=rng.choice([1.0, 835.0]))
+            bias = rng.uniform(-3, 3, 3) * gain[0, 0]
+            means = points_off_surface(rng, gain, bias, 6, 6)
+            theta = np.r_[gain[np.tril_indices(3)], bias]
+
+            def distances(t):
+                return _distances_and_jacobian(*_theta_to_gain_bias(t),
+                                               means, GRAVITY)[0]
+
+            ref = richardson_jacobian(distances, theta, means.shape[0])
+            dist, jac = _distances_and_jacobian(gain, bias, means, GRAVITY)
+            assert_allclose(dist**2, brentq_sphere_residuals(
+                gain, bias, means, GRAVITY), rtol=1e-10)
+            assert_allclose(jac, ref, rtol=1e-6, atol=1e-6 * np.abs(ref).max())
+
+    def test_zero_distance_takes_the_outward_normal(self):
+        # A mean on the unit sphere's surface: the bias row is the
+        # outward normal, not the 0/0 of e / r.
+        g = GRAVITY
+        dist, jac = _distances_and_jacobian(np.eye(3), np.zeros(3),
+                                            np.array([[0.0, g, 0.0]]), g)
+        assert dist[0] == 0.0
+        assert_allclose(jac[0, 6:], [0.0, 1.0, 0.0], atol=1e-15)
+
+
 class TestFit:
     def test_noise_free_recovery(self):
         rng = np.random.default_rng(3)
@@ -192,6 +319,47 @@ class TestFit:
         hist = np.array(info.cost_history)
         assert np.all(np.diff(hist) <= 0)
         assert info.converged
+
+    def test_minimum_of_the_oracle_cost(self):
+        # The fitted parameters sit at a stationary point of the exact
+        # cost evaluated with the brentq oracle.
+        rng = np.random.default_rng(13)
+        gain_true = random_lower_triangular(rng, scale=835.0)
+        bias_true = rng.uniform(-100, 100, 3)
+        means = synth_means(
+            gain_true, bias_true, 16, sigma_phys=0.01 * GRAVITY,
+            n_samples=100, seed=3,
+        )
+        cal, info = fit_accel_calibration(OrientationBatch(means, 100),
+                                          return_info=True)
+        theta = np.r_[cal.gain[np.tril_indices(3)], cal.bias]
+
+        def oracle_cost(t):
+            gain, bias = _theta_to_gain_bias(t)
+            return np.array([brentq_sphere_residuals(gain, bias, means,
+                                                     GRAVITY).sum()])
+
+        assert oracle_cost(theta)[0] == pytest.approx(info.cost_history[-1],
+                                                      rel=1e-10)
+        grad = richardson_jacobian(oracle_cost, theta, 1, h0=1e-3)[0]
+        assert np.max(np.abs(grad) * np.maximum(np.abs(theta), 1.0)) < (
+            1e-6 * info.cost_history[-1])
+
+    def test_iteration_budget_exhausted(self):
+        rng = np.random.default_rng(13)
+        gain_true = random_lower_triangular(rng, scale=835.0)
+        bias_true = rng.uniform(-100, 100, 3)
+        means = synth_means(
+            gain_true, bias_true, 16, sigma_phys=0.01 * GRAVITY,
+            n_samples=100, seed=3,
+        )
+        with pytest.raises(CalibrationError, match="did not converge") as err:
+            fit_accel_calibration(OrientationBatch(means, 100), max_iter=1)
+        assert err.value.gain.shape == (3, 3)
+        assert np.all(np.isfinite(err.value.gain))
+        assert err.value.bias.shape == (3,)
+        assert np.all(np.isfinite(err.value.bias))
+        assert np.isfinite(err.value.cost) and err.value.cost > 0
 
     def test_too_few_orientations(self):
         means = synth_means(np.eye(3), np.zeros(3), 8)

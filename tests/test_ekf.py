@@ -228,7 +228,7 @@ def fd_predict(est, cfg):
     return StateEstimate(x=propagate(est.x, cfg), P=0.5 * (p1 + p1.T))
 
 
-def fd_zupt_update(est, z_p, residual, variances, *, joseph=True):
+def fd_zupt_update(est, residual, variances, *, joseph=True):
     """The stance update with the finite-difference oracle Jacobian."""
     nu = residual(est.x)
     jac = -finite_difference_jacobian(residual, est.x, nu.size)

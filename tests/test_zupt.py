@@ -14,7 +14,7 @@ from pdrnav import ekf, zupt
 from pdrnav.constants import GRAVITY
 from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
-from oracles import richardson_jacobian
+from oracles import condition_signals, hard_detector, richardson_jacobian, sfs
 
 G_VEC = np.array([0.0, 0.0, -GRAVITY])
 
@@ -59,14 +59,14 @@ class TestConditionSignals:
         accel, gyro = still_signals(21)
         cfg = zupt.StanceConfig()
         for i in (0, 10, 20):
-            assert zupt.condition_signals(accel, gyro, cfg, i) == (
+            assert condition_signals(accel, gyro, cfg, i) == (
                 True, True, True, True,
             )
 
     def test_free_fall_fails_magnitude_band(self):
         accel, gyro = still_signals(21, mag=0.0)
         cfg = zupt.StanceConfig()
-        c1, _, _, _ = zupt.condition_signals(accel, gyro, cfg, 10)
+        c1, _, _, _ = condition_signals(accel, gyro, cfg, 10)
         assert not c1
 
     def test_magnitude_band_is_strict_two_sided(self):
@@ -77,14 +77,14 @@ class TestConditionSignals:
             (0.5 * (cfg.accel_norm_min + cfg.accel_norm_max), True),
         ]:
             accel, gyro = still_signals(5, mag=mag)
-            c1 = zupt.condition_signals(accel, gyro, cfg, 2)[0]
+            c1 = condition_signals(accel, gyro, cfg, 2)[0]
             assert c1 is want
 
     def test_gyro_threshold(self):
         accel, gyro = still_signals(11)
         gyro[:, 1] = 0.7
         cfg = zupt.StanceConfig(gyro_norm_max=0.6)
-        assert zupt.condition_signals(accel, gyro, cfg, 5)[2] is False
+        assert condition_signals(accel, gyro, cfg, 5)[2] is False
 
     def test_std_matches_two_pass_formula(self):
         # Pin the computed window deviation by bisecting the threshold
@@ -97,7 +97,7 @@ class TestConditionSignals:
             cfg = zupt.StanceConfig(
                 accel_std_max=sigma * (1 + eps), std_half_width=2
             )
-            assert zupt.condition_signals(accel, gyro, cfg, 2)[1] is want
+            assert condition_signals(accel, gyro, cfg, 2)[1] is want
             assert bool(zupt.condition_series(accel, gyro, cfg)[1][2]) is want
 
     def test_edge_window_is_truncated_not_padded(self):
@@ -111,7 +111,7 @@ class TestConditionSignals:
             cfg = zupt.StanceConfig(
                 accel_std_max=sigma * (1 + eps), std_half_width=2
             )
-            assert zupt.condition_signals(accel, gyro, cfg, 0)[1] is want
+            assert condition_signals(accel, gyro, cfg, 0)[1] is want
             assert bool(zupt.condition_series(accel, gyro, cfg)[1][0]) is want
 
     def test_series_agrees_with_per_index(self):
@@ -121,18 +121,18 @@ class TestConditionSignals:
         flips = sum(int(np.any(s) and not np.all(s)) for s in series)
         assert flips >= 2  # the data must actually exercise the logic
         for i in range(300):
-            got = zupt.condition_signals(accel, gyro, cfg, i)
+            got = condition_signals(accel, gyro, cfg, i)
             want = tuple(bool(s[i]) for s in series)
             assert got == want, f"disagreement at sample {i}"
 
     def test_index_out_of_range(self):
         accel, gyro = still_signals(5)
         with pytest.raises(IndexError):
-            zupt.condition_signals(accel, gyro, zupt.StanceConfig(), 5)
+            condition_signals(accel, gyro, zupt.StanceConfig(), 5)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            zupt.condition_signals(
+            condition_signals(
                 np.zeros((5, 3)), np.zeros((4, 3)), zupt.StanceConfig(), 0
             )
 
@@ -141,20 +141,20 @@ class TestSfs:
     def test_all_conditions_true_gives_one(self):
         accel, gyro = still_signals(61)
         cfg = zupt.StanceConfig()
-        assert zupt.sfs(accel, gyro, cfg, 30) == 1.0
+        assert sfs(accel, gyro, cfg, 30) == 1.0
         assert zupt.sfs_series(accel, gyro, cfg)[30] == 1.0
 
     def test_all_false_gives_zero(self):
         accel, gyro = still_signals(61, mag=20.0)
         cfg = zupt.StanceConfig()
-        assert zupt.sfs(accel, gyro, cfg, 30) == 0.0
+        assert sfs(accel, gyro, cfg, 30) == 0.0
 
     def test_half_window_true_is_near_half(self):
         # 10 in-band samples inside a 21-sample window.
         cfg = wide_open_config(detect_half_width=10)
         accel, gyro = still_signals(21, mag=20.0)
         accel[:10, 2] = GRAVITY
-        score = zupt.sfs(accel, gyro, cfg, 10)
+        score = sfs(accel, gyro, cfg, 10)
         width = 2 * cfg.detect_half_width + 1
         assert score == 10 / width
         assert abs(score - 0.5) <= 1.0 / width
@@ -165,7 +165,7 @@ class TestSfs:
         series = zupt.sfs_series(accel, gyro, cfg)
         assert np.all(series >= 0.0) and np.all(series <= 1.0)
         for k in range(0, 400, 17):
-            assert zupt.sfs(accel, gyro, cfg, k) == pytest.approx(
+            assert sfs(accel, gyro, cfg, k) == pytest.approx(
                 series[k], abs=1e-12
             )
 
@@ -191,21 +191,21 @@ class TestHardDetector:
     def test_all_true_window(self):
         accel, gyro = still_signals(31)
         cfg = zupt.StanceConfig()
-        assert zupt.hard_detector(accel, gyro, cfg, 15) is True
+        assert hard_detector(accel, gyro, cfg, 15) is True
 
     def test_all_false_window(self):
         accel, gyro = still_signals(31, mag=20.0)
         cfg = zupt.StanceConfig()
-        assert zupt.hard_detector(accel, gyro, cfg, 15) is False
+        assert hard_detector(accel, gyro, cfg, 15) is False
 
     def test_count_equal_to_half_width_over_two_is_rejected(self):
         # detect_half_width 4: a count of exactly 2 must not fire.
         cfg = wide_open_config(detect_half_width=4)
         accel, gyro = still_signals(9, mag=20.0)
         accel[3:5, 2] = GRAVITY  # count 2 == F / 2
-        assert zupt.hard_detector(accel, gyro, cfg, 4) is False
+        assert hard_detector(accel, gyro, cfg, 4) is False
         accel[5, 2] = GRAVITY  # count 3 > F / 2
-        assert zupt.hard_detector(accel, gyro, cfg, 4) is True
+        assert hard_detector(accel, gyro, cfg, 4) is True
 
     def test_fourth_condition_excluded(self):
         # Gyro magnitudes inside the norm limit but wildly unstable:
@@ -214,8 +214,8 @@ class TestHardDetector:
         accel, gyro = still_signals(n)
         gyro[::2, 2] = 0.3
         cfg = zupt.StanceConfig(gyro_norm_max=0.6, gyro_std_max=0.1)
-        assert zupt.sfs(accel, gyro, cfg, 30) == 0.0
-        assert zupt.hard_detector(accel, gyro, cfg, 30) is True
+        assert sfs(accel, gyro, cfg, 30) == 0.0
+        assert hard_detector(accel, gyro, cfg, 30) is True
 
     def test_series_agrees_with_per_index(self):
         # A still stretch into a violent stretch sweeps the windowed
@@ -231,7 +231,7 @@ class TestHardDetector:
         series = zupt.hard_series(accel, gyro, cfg)
         assert series.any() and not series.all()
         for k in range(0, 300, 7):
-            assert zupt.hard_detector(accel, gyro, cfg, k) == bool(series[k])
+            assert hard_detector(accel, gyro, cfg, k) == bool(series[k])
 
 
 class TestIntervals:
@@ -496,11 +496,11 @@ class TestZuptUpdate:
         x = est.x if x_for_build is None else x_for_build
         accel_s, gyro_s = truth_sample(stance_truth_state())
         event = zupt.StanceEvent(0, [0.0, 0.0])
-        z_p, residual, scale = zupt.build_pseudo_measurements(
+        _, residual, scale = zupt.build_pseudo_measurements(
             x, event, accel_s, gyro_s, self.cfg
         )
         variances = zupt.soft_covariance(self.cfg, 1.0) * scale * var_scale
-        return zupt.zupt_update(est, z_p, residual, variances)
+        return zupt.zupt_update(est, residual, variances)
 
     def test_zero_innovation_keeps_mean(self):
         x = stance_truth_state()
