@@ -54,6 +54,9 @@ __all__ = [
 # parameters (6 gain + 3 bias) of the magnitude-only model.
 MIN_ORIENTATIONS = 9
 
+# Fewest samples per still capture whose mean `batch_means` trusts.
+MIN_STILL_SAMPLES = 50
+
 
 class CalibrationError(ValueError):
     """Raised when calibration inputs are unusable or a fit fails.
@@ -114,7 +117,7 @@ def batch_means(
     *,
     lsb_gyro: float,
     still_gyro_limit: float = 0.05,
-    min_samples: int = 50,
+    min_samples: int = MIN_STILL_SAMPLES,
 ) -> OrientationBatch:
     """Average still accelerometer captures into an OrientationBatch.
 

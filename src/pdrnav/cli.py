@@ -23,6 +23,7 @@ import numpy as np
 
 from .allan import allan_deviation, extract_coefficients
 from .calibration import (
+    MIN_STILL_SAMPLES,
     CalibrationError,
     batch_means,
     fit_accel_calibration,
@@ -59,6 +60,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     gyro_stds = []
     for name in names:
         log = read_log(os.path.join(args.stills, name))
+        if log.t.size < MIN_STILL_SAMPLES:
+            raise ValueError(
+                f"{name}: {log.t.size} samples, a still capture needs at "
+                f"least {MIN_STILL_SAMPLES}"
+            )
         if lsb_gyro is None:
             lsb_gyro = log.lsb_gyro
         elif log.lsb_gyro != lsb_gyro:

@@ -375,6 +375,11 @@ def zero_noise() -> NoiseParams:
     return NoiseParams(zeros, zeros, zeros.copy(), zeros.copy())
 
 
+# Rows per block when `inverse_imu` rotates the specific force: the
+# rotation's temporaries stay this size however long the record is.
+_BLOCK_ROWS = 4096
+
+
 def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
                 gyro_cal: SensorCalibration, noise: NoiseParams,
                 seed: int = 0, *, quantize: bool = True,
@@ -385,6 +390,14 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     minus gravity, rotated by the attitude.  Noise (white plus bias
     random walk) is added in physical units, then the calibration maps
     physical quantities to counts:  counts = gain @ physical + bias.
+
+    Memory stays a few (n, 3) arrays for any record length.  The
+    rotation runs in fixed blocks of rows; it is elementwise, so the
+    blocks give the bits of one batch.  Each noise draw goes into
+    one reused buffer and is added to the physical arrays before the
+    next is drawn, in a fixed order (white accel, white gyro, accel
+    walk, gyro walk) and with the sums grouped as
+    ``(signal + white) + walk``.
 
     Parameters
     ----------
@@ -408,24 +421,45 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     """
     n = truth.t.size
     g_vec = np.array([0.0, 0.0, -g])
-    specific_force = quat_rotate(truth.q_nb.T, (truth.a - g_vec).T).T
+    physical_a = np.empty((n, 3))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        physical_a[lo:hi] = quat_rotate(truth.q_nb[lo:hi].T,
+                                        (truth.a[lo:hi] - g_vec).T).T
+    physical_w = np.array(truth.omega, dtype=float)
+    _add_noise(physical_a, physical_w, noise, seed)
+    return (_to_counts(physical_a, accel_cal, quantize),
+            _to_counts(physical_w, gyro_cal, quantize))
 
+
+def _add_noise(physical_a: np.ndarray, physical_w: np.ndarray,
+               noise: NoiseParams, seed: int) -> None:
+    """Add white noise and bias random walks in place, one draw at a time."""
     rng = np.random.default_rng(seed)
-    white_a = rng.standard_normal((n, 3)) * noise.accel_sigma
-    white_w = rng.standard_normal((n, 3)) * noise.gyro_sigma
-    walk_a = np.cumsum(rng.standard_normal((n, 3)) * noise.accel_walk_sigma, axis=0)
-    walk_w = np.cumsum(rng.standard_normal((n, 3)) * noise.gyro_walk_sigma, axis=0)
+    draw = np.empty(physical_a.shape)
+    for physical, sigma, walk in (
+        (physical_a, noise.accel_sigma, False),
+        (physical_w, noise.gyro_sigma, False),
+        (physical_a, noise.accel_walk_sigma, True),
+        (physical_w, noise.gyro_walk_sigma, True),
+    ):
+        rng.standard_normal(out=draw)
+        draw *= sigma
+        if walk:
+            np.cumsum(draw, axis=0, out=draw)
+        physical += draw
 
-    physical_a = specific_force + white_a + walk_a
-    physical_w = truth.omega + white_w + walk_w
 
-    counts_a = physical_a @ accel_cal.gain.T + accel_cal.bias
-    counts_w = physical_w @ gyro_cal.gain.T + gyro_cal.bias
+def _to_counts(physical: np.ndarray, cal: SensorCalibration,
+               quantize: bool) -> np.ndarray:
+    """Map physical values to counts, rounded and clipped in place."""
+    counts = physical @ cal.gain.T
+    counts += cal.bias
     if not quantize:
-        return counts_a, counts_w
-    counts_a = np.clip(np.rint(counts_a), -32768, 32767).astype(np.int32)
-    counts_w = np.clip(np.rint(counts_w), -32768, 32767).astype(np.int32)
-    return counts_a, counts_w
+        return counts
+    np.rint(counts, out=counts)
+    np.clip(counts, -32768, 32767, out=counts)
+    return counts.astype(np.int32)
 
 
 def scale_calibration(lsb: float, noise_sigma: float = 1.0) -> SensorCalibration:

@@ -7,13 +7,19 @@ byte-identical reruns a meaningful promise.
 
 Readers are strict.  A missing key is an error and so is an unknown
 one; silently defaulted configuration is how two runs quietly diverge.
+
+CSV files stream in both directions, so a million-row log costs about
+its parsed array in memory, not several copies of its text.  Readers
+hand the open file, from the first data row on, to `np.loadtxt`, which
+skips blank lines and ``#`` comments itself.  Writers format and round
+blocks of `_BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -52,33 +58,45 @@ def _fmt(x: float) -> str:
 _BLOCK_ROWS = 1024
 
 
-def _write_rows(fh, fmt: str, columns) -> None:
+def _write_rows(fh, fmt: str, columns, *, rint_from: int | None = None) -> None:
     """Write ``fmt % row`` for every row of the side-by-side ``columns``.
 
     ``fmt`` has one field per column: ``%.17g`` gives the same bytes as
     `_fmt`, ``%d`` an integer-valued column (counts, flags) as an
-    integer.
+    integer.  With ``rint_from``, the columns from that index on are
+    rounded to the nearest integer first, a block at a time.
     """
     n = len(columns[0])
     for lo in range(0, n, _BLOCK_ROWS):
         block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
+        if rint_from is not None:
+            np.rint(block[:, rint_from:], out=block[:, rint_from:])
         fh.writelines([fmt % tuple(row) for row in block.tolist()])
 
 
-def _read_csv_body(path, n_cols: int, label: str) -> np.ndarray:
-    """Read a comment-headed CSV, tolerating an empty body."""
-    with open(path) as fh:
-        body = "".join(
-            line for line in fh if line.strip() and not line.startswith("#")
-        )
-    if not body:
+def _read_rows(fh, n_cols: int, label: str) -> np.ndarray:
+    """Parse the rest of an open comment-headed CSV, tolerating no data.
+
+    Lines up to the first data row are read here, so a body without one
+    gives ``(0, n_cols)`` rather than loadtxt's "no data" warning.
+    """
+    for line in fh:
+        if line.strip() and not line.startswith("#"):
+            break
+    else:
         return np.empty((0, n_cols))
-    rows = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+    rows = np.loadtxt(chain([line], fh), delimiter=",", ndmin=2)
     if rows.shape[1] != n_cols:
         raise ValueError(
             f"{label} rows must have {n_cols} columns, got {rows.shape[1]}"
         )
     return rows
+
+
+def _read_csv_body(path, n_cols: int, label: str) -> np.ndarray:
+    """Read a comment-headed CSV, tolerating an empty body."""
+    with open(path) as fh:
+        return _read_rows(fh, n_cols, label)
 
 
 def write_log(path, log: ImuLog) -> None:
@@ -89,7 +107,7 @@ def write_log(path, log: ImuLog) -> None:
             f"lsb_w={_fmt(log.lsb_gyro)}\n"
         )
         _write_rows(fh, "%.17g" + ",%d" * 6 + "\n",
-                    [log.t, np.rint(log.accel), np.rint(log.gyro)])
+                    [log.t, log.accel, log.gyro], rint_from=1)
 
 
 def read_log(path) -> ImuLog:
@@ -107,13 +125,7 @@ def read_log(path) -> ImuLog:
             raise ValueError(
                 f"log header must declare fs, lsb_a, lsb_w; missing {sorted(missing)}"
             )
-        body = fh.read()
-    if body.strip():
-        rows = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
-    else:
-        rows = np.empty((0, 7))
-    if rows.shape[1] != 7:
-        raise ValueError(f"log rows must have 7 columns, got {rows.shape[1]}")
+        rows = _read_rows(fh, 7, "log")
     return ImuLog(
         t=rows[:, 0],
         accel=rows[:, 1:4],

@@ -6,12 +6,15 @@ layout constants; oracles recompute results from first principles.
 
 from __future__ import annotations
 
+from io import StringIO
+
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import brentq
 
+from pdrnav.constants import GRAVITY
 from pdrnav.ekf import ACC_B, DIM, OMEGA, QUAT
-from pdrnav.quat import quat_exp, quat_mul, rot_matrix
+from pdrnav.quat import quat_exp, quat_mul, quat_rotate, rot_matrix
 
 
 def finite_difference_jacobian(f, x, m: int | None = None):
@@ -364,3 +367,60 @@ def per_value_trajectory_text(traj):
         lines.append(",".join(_fmt(x) for x in row)
                      + f",{int(traj.stance[k])}\n")
     return "".join(lines)
+
+
+def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,
+                          quantize=True, g=GRAVITY):
+    """`inverse_imu` as one batch: every full-length temporary at once.
+
+    The reference the block form is held to bit for bit: specific force
+    rotated in one call, the four noise draws held side by side in the
+    order white accel, white gyro, accel walk, gyro walk.
+    """
+    n = truth.t.size
+    g_vec = np.array([0.0, 0.0, -g])
+    specific_force = quat_rotate(truth.q_nb.T, (truth.a - g_vec).T).T
+
+    rng = np.random.default_rng(seed)
+    white_a = rng.standard_normal((n, 3)) * noise.accel_sigma
+    white_w = rng.standard_normal((n, 3)) * noise.gyro_sigma
+    walk_a = np.cumsum(rng.standard_normal((n, 3)) * noise.accel_walk_sigma, axis=0)
+    walk_w = np.cumsum(rng.standard_normal((n, 3)) * noise.gyro_walk_sigma, axis=0)
+
+    physical_a = specific_force + white_a + walk_a
+    physical_w = truth.omega + white_w + walk_w
+
+    counts_a = physical_a @ accel_cal.gain.T + accel_cal.bias
+    counts_w = physical_w @ gyro_cal.gain.T + gyro_cal.bias
+    if not quantize:
+        return counts_a, counts_w
+    counts_a = np.clip(np.rint(counts_a), -32768, 32767).astype(np.int32)
+    counts_w = np.clip(np.rint(counts_w), -32768, 32767).astype(np.int32)
+    return counts_a, counts_w
+
+
+def stringio_log_rows(path):
+    """Header fields and rows of an IMU log, parsed from the whole body
+    read into memory as one string."""
+    with open(path) as fh:
+        header = fh.readline()
+        body = fh.read()
+    fields = {}
+    for token in header[1:].split():
+        key, _, value = token.partition("=")
+        fields[key] = value
+    if not body.strip():
+        return fields, np.empty((0, 7))
+    return fields, np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+
+
+def stringio_csv_rows(path, n_cols):
+    """Rows of a comment-headed CSV, parsed from the text left after
+    dropping blank and ``#`` lines."""
+    with open(path) as fh:
+        body = "".join(
+            line for line in fh if line.strip() and not line.startswith("#")
+        )
+    if not body:
+        return np.empty((0, n_cols))
+    return np.loadtxt(StringIO(body), delimiter=",", ndmin=2)

@@ -8,6 +8,7 @@ monkeypatching work; the console entry point is the same function.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -271,3 +272,38 @@ class TestExitCodes:
             main(["allan", "--log", str(ws / "still_long.csv"),
                   "--axis", "9", "--out", "a.csv"])
         assert info.value.code == 2
+
+
+class TestBadCaptures:
+    """Input problems the readers and the calibrator catch before any
+    arithmetic: exit 2 with the file named, and no numpy warnings."""
+
+    HEADER = f"# fs=100 lsb_a={LSB_A:.17g} lsb_w={LSB_W:.17g}\n"
+
+    def run_quietly(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    @pytest.mark.parametrize("body", ["", "0,0,0,8192,1,-2,3\n"],
+                             ids=["header_only", "one_row"])
+    def test_short_still_capture_exits_two(self, tmp_path, capsys, body):
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(4))
+        (stills / "still_short.csv").write_text(self.HEADER + body)
+        code = self.run_quietly(["calibrate", "--stills", str(stills),
+                                 "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "still_short.csv" in err
+        assert "samples" in err
+        assert not (tmp_path / "cal.json").exists()
+
+    def test_ragged_log_exits_two(self, tmp_path, capsys):
+        log = tmp_path / "ragged.csv"
+        log.write_text(self.HEADER + "0,0,0,8192,1,-2,3\n0.01,0,0,8192\n")
+        code = self.run_quietly(["allan", "--log", str(log), "--axis", "0",
+                                 "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        assert "pdrnav allan" in capsys.readouterr().err

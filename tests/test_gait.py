@@ -12,9 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import strapdown_integrate
-from pdrnav import constants
-from pdrnav.calibration import apply_accel_calibration, apply_gyro_calibration
+from oracles import one_batch_inverse_imu, strapdown_integrate
+from pdrnav import constants, gait
+from pdrnav.calibration import (
+    SensorCalibration,
+    apply_accel_calibration,
+    apply_gyro_calibration,
+)
 from pdrnav.gait import (
     GaitParams,
     GroundTruth,
@@ -277,6 +281,71 @@ class TestInverseImu:
         measured = np.std(np.diff(f_b[:, 0])) / np.sqrt(2.0)
         expected = constants.RAZOR_ACCEL_N[0] * np.sqrt(fs)
         assert measured == pytest.approx(expected, rel=0.1)
+
+
+class TestInverseImuBlocks:
+    """The block rendering against the one-batch oracle, bit for bit.
+
+    With 7-row blocks the short records cover several full blocks, a
+    ragged tail, an exact multiple and a record shorter than one block.
+    """
+
+    @staticmethod
+    def coupled_cals():
+        # Cross-coupled gains and count biases, so the count mapping
+        # mixes axes and the rounding sees fractional values.
+        rng = np.random.default_rng(70)
+        accel = SensorCalibration(
+            gain=(np.eye(3) + rng.uniform(-0.05, 0.05, (3, 3)))
+            / constants.DEFAULT_LSB_ACCEL,
+            bias=[412.3, -655.8, 71.5], noise_sigma=1.0)
+        gyro = SensorCalibration(
+            gain=(np.eye(3) + rng.uniform(-0.02, 0.02, (3, 3)))
+            / constants.DEFAULT_LSB_GYRO,
+            bias=[-3.25, 17.5, 0.4], noise_sigma=1.0)
+        return accel, gyro
+
+    RECORDS = {
+        "walk": lambda: generate_gait(square_params(), 100.0),
+        "still_ragged": lambda: still_truth(0.19, 100.0, yaw=0.7),
+        "still_multiple": lambda: still_truth(0.13, 100.0, yaw=-2.1),
+        "still_short": lambda: still_truth(0.04, 100.0, yaw=0.3),
+    }
+
+    @pytest.mark.parametrize("record", sorted(RECORDS))
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("noise", [razor_noise(100.0), zero_noise()],
+                             ids=["razor", "zero"])
+    def test_matches_one_batch(self, monkeypatch, record, quantize, noise):
+        monkeypatch.setattr(gait, "_BLOCK_ROWS", 7)
+        truth = self.RECORDS[record]()
+        accel_cal, gyro_cal = self.coupled_cals()
+        got = inverse_imu(truth, accel_cal, gyro_cal, noise, seed=11,
+                          quantize=quantize)
+        want = one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise,
+                                     seed=11, quantize=quantize)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+    def test_records_cover_the_block_cases(self):
+        sizes = {name: make().t.size for name, make in self.RECORDS.items()}
+        assert sizes["walk"] > 7 and sizes["walk"] % 7 != 0
+        assert (sizes["still_ragged"], sizes["still_multiple"],
+                sizes["still_short"]) == (20, 14, 5)
+
+    def test_matches_one_batch_at_the_default_block(self):
+        truth = still_truth(100.0, 100.0, yaw=0.7)
+        assert truth.t.size > 2 * gait._BLOCK_ROWS
+        assert truth.t.size % gait._BLOCK_ROWS != 0
+        accel_cal, gyro_cal = self.coupled_cals()
+        got = inverse_imu(truth, accel_cal, gyro_cal, razor_noise(100.0),
+                          seed=12)
+        want = one_batch_inverse_imu(truth, accel_cal, gyro_cal,
+                                     razor_noise(100.0), seed=12)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 class TestDetectorOnSyntheticWalks:

@@ -9,6 +9,7 @@ how two runs quietly disagree.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ from oracles import (
     per_value_log_text,
     per_value_trajectory_text,
     per_value_truth_text,
+    stringio_csv_rows,
+    stringio_log_rows,
 )
 
 FS = 100.0
@@ -212,6 +215,105 @@ class TestTrajectoryFormat:
         path.write_text("# header\n0,0,0\n")
         with pytest.raises(ValueError, match="10 columns"):
             read_trajectory(path)
+
+
+class TestStreamingReaders:
+    """The readers, which parse straight from the open file, against the
+    whole-body `StringIO` parse on the layouts a hand-edited or cut-off
+    file has."""
+
+    LOG_HEADER = f"# fs=100 lsb_a={LSB_A:.17g} lsb_w={LSB_W:.17g}\n"
+
+    @staticmethod
+    def rows(n_cols, rng, n=3):
+        # Strictly increasing times, awkward floats, a 0/1 last column.
+        t = np.cumsum(rng.uniform(0.005, 0.02, n))
+        middle = rng.standard_normal((n, n_cols - 2)) * 10.0 ** rng.integers(
+            -6, 6, (n, n_cols - 2))
+        flags = rng.integers(0, 2, n)
+        return [",".join(format(x, ".17g") for x in (t[k], *middle[k]))
+                + f",{flags[k]}\n" for k in range(n)]
+
+    @staticmethod
+    def log_rows(rng, n=3):
+        t = np.cumsum(rng.uniform(0.005, 0.02, n))
+        counts = rng.integers(-32768, 32768, (n, 6))
+        return [",".join([format(t[k], ".17g"), *map(str, counts[k])]) + "\n"
+                for k in range(n)]
+
+    LAYOUTS = {
+        "header_only": lambda head, rows: head,
+        "blank_and_comment_lines": lambda head, rows: (
+            head + "\n" + rows[0] + "# a note\n\n" + rows[1] + "\n"
+            + "# another\n" + rows[2] + "\n\n"),
+        "no_final_newline": lambda head, rows: head + "".join(rows)[:-1],
+        "single_row": lambda head, rows: head + rows[0],
+    }
+
+    @staticmethod
+    def read_quietly(reader, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return reader(path)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_log(self, tmp_path, layout):
+        path = tmp_path / "log.csv"
+        path.write_text(self.LAYOUTS[layout](
+            self.LOG_HEADER, self.log_rows(np.random.default_rng(80))))
+        log = self.read_quietly(read_log, path)
+        fields, rows = stringio_log_rows(path)
+        assert rows.shape[1] == 7
+        assert log.t.shape == (rows.shape[0],)
+        assert log.accel.shape == log.gyro.shape == (rows.shape[0], 3)
+        assert np.array_equal(log.t, rows[:, 0])
+        assert np.array_equal(log.accel, rows[:, 1:4])
+        assert np.array_equal(log.gyro, rows[:, 4:7])
+        assert (log.fs, log.lsb_accel, log.lsb_gyro) == (
+            float(fields["fs"]), float(fields["lsb_a"]),
+            float(fields["lsb_w"]))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_truth(self, tmp_path, layout):
+        path = tmp_path / "truth.csv"
+        path.write_text(self.LAYOUTS[layout](
+            "# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance\n",
+            self.rows(12, np.random.default_rng(81))))
+        truth = self.read_quietly(read_truth, path)
+        rows = stringio_csv_rows(path, 12)
+        assert truth.p.shape == (rows.shape[0], 3)
+        assert np.array_equal(truth.t, rows[:, 0])
+        assert np.array_equal(truth.p, rows[:, 1:4])
+        assert np.array_equal(truth.v, rows[:, 4:7])
+        assert np.array_equal(truth.q_nb, rows[:, 7:11])
+        assert np.array_equal(truth.stance, rows[:, 11] != 0.0)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_trajectory(self, tmp_path, layout):
+        path = tmp_path / "traj.csv"
+        path.write_text(self.LAYOUTS[layout](
+            "# t,px,py,pz,qw,qx,qy,qz,sfs,stance\n",
+            self.rows(10, np.random.default_rng(82))))
+        traj = self.read_quietly(read_trajectory, path)
+        rows = stringio_csv_rows(path, 10)
+        assert traj.p.shape == (rows.shape[0], 3)
+        assert np.array_equal(traj.t, rows[:, 0])
+        assert np.array_equal(traj.p, rows[:, 1:4])
+        assert np.array_equal(traj.q_nb, rows[:, 4:8])
+        assert np.array_equal(traj.sfs, rows[:, 8])
+        assert np.array_equal(traj.stance, rows[:, 9] != 0.0)
+
+    @pytest.mark.parametrize("reader, head, width", [
+        (read_log, LOG_HEADER, 7),
+        (read_truth, "# truth\n", 12),
+        (read_trajectory, "# trajectory\n", 10),
+    ])
+    def test_ragged_rows_rejected(self, tmp_path, reader, head, width):
+        path = tmp_path / "ragged.csv"
+        path.write_text(head + ",".join(["1"] * width) + "\n"
+                        + ",".join(["2"] * (width - 2)) + "\n")
+        with pytest.raises(ValueError):
+            reader(path)
 
 
 class TestCalibrationFormat:
