@@ -36,13 +36,28 @@ approximations; the tests hold them to Richardson-extrapolated
 differences of `propagate` itself.
 
 The IMU measurement matrix is the constant H = [0 | I | I] over the IMU
-states 13:19 and the biases 19:25, so `update` forms H P, H P H^T and
-I - K H from blocks of P and K instead of matrix products.  Both updates
-factor the innovation covariance S with LAPACK's Cholesky routines
-directly (no scipy wrapper checks), so the two ways S can fail are
-checked explicitly: a non-finite S (which ``dpotrf`` factors without
-complaint) and an indefinite one (``dpotrf``'s ``info``).  Either is a
+states 13:19 and the biases 19:25, so the IMU update forms H P, H P H^T
+and I - K H from blocks of P and K instead of matrix products.  The
+stance update takes a residual and a dense H from the stance module and
+runs the same Joseph-form algebra on full matrices.  Both updates factor
+the innovation covariance S with LAPACK's Cholesky routines directly (no
+scipy wrapper checks), so the two ways S can fail are checked
+explicitly: a non-finite S (which ``dpotrf`` factors without complaint)
+and an indefinite one (``dpotrf``'s ``info``).  Either is a
 `FilterDivergenceError`.
+
+One filter step per sample is three kernels on a bare mean and
+covariance that the caller owns: `_predict` (one `_transition`, the
+process noise added to the diagonal), `_imu_update` and, on stance
+samples, `_measurement_update`.  Each kernel ends with its own checks,
+so a divergence is reported at the stage that caused it: the
+degenerate quaternion norm, the innovation covariance, and the
+re-symmetrised covariance (`_check_covariance`).  The identity they
+need is one read-only module constant, copied where it is modified.
+The public `predict`, `update` and the stance module's `zupt_update`
+wrap the same kernels in `StateEstimate` for single calls; the
+tracker's loop calls the kernels directly, with the effective process
+noise computed once per run.
 """
 
 from __future__ import annotations
@@ -85,7 +100,6 @@ __all__ = [
     "process_jacobian",
     "predict",
     "update",
-    "kalman_update",
     "init_state",
 ]
 
@@ -104,6 +118,11 @@ BIAS_W = slice(22, 25)
 # The IMU measurement's two column blocks: H = [0 | I | I] over these.
 _IMU_STATES = slice(ACC_B.start, OMEGA.stop)
 _BIASES = slice(BIAS_A.start, BIAS_W.stop)
+
+# The state-sized identity, copied wherever a Jacobian or I - K H starts
+# from it.
+_IDENTITY = np.eye(DIM)
+_IDENTITY.flags.writeable = False
 
 
 class FilterDivergenceError(RuntimeError):
@@ -356,7 +375,7 @@ def _transition(x: NDArray[np.float64], cfg: FilterConfig):
         h_i = ds * e_i - s * q_i
         values += [kinv * (s * r_j + h_i * d_j) for r_j, d_j in zip(right, delta)]
 
-    jac = np.eye(DIM)
+    jac = _IDENTITY.copy()
     jac.ravel()[_F_INDEX] = values
     return x1, jac
 
@@ -409,16 +428,23 @@ def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
     return p_mat
 
 
-def predict(est: StateEstimate, cfg: FilterConfig) -> StateEstimate:
-    """Time update: propagate the mean, push the covariance through the
-    closed-form process Jacobian and add the process noise."""
-    x1, jac = _transition(est.x, cfg)
+def _predict(x, p_mat, cfg: FilterConfig, q_diag):
+    """Time update of a bare mean and covariance; ``q_diag`` is
+    ``cfg.effective_q_diag()``, which a caller stepping many samples
+    computes once."""
+    x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
     # of F's top rows alone sums in another order.
-    p1 = jac @ est.P @ jac.T
-    p1.ravel()[:: DIM + 1] += cfg.effective_q_diag()
-    return StateEstimate(x=x1, P=_check_covariance(p1))
+    p1 = jac @ p_mat @ jac.T
+    p1.ravel()[:: DIM + 1] += q_diag
+    return x1, _check_covariance(p1)
+
+
+def predict(est: StateEstimate, cfg: FilterConfig) -> StateEstimate:
+    """Time update: propagate the mean, push the covariance through the
+    closed-form process Jacobian and add the process noise."""
+    return StateEstimate(*_predict(est.x, est.P, cfg, cfg.effective_q_diag()))
 
 
 def _innovation_gain(s_mat: NDArray[np.float64],
@@ -443,58 +469,51 @@ def _innovation_gain(s_mat: NDArray[np.float64],
     return gain_t.T
 
 
-def kalman_update(
-    x: NDArray[np.float64],
-    p_mat: NDArray[np.float64],
-    z: NDArray[np.float64],
-    z_pred: NDArray[np.float64],
-    jac: NDArray[np.float64],
-    r_diag: NDArray[np.float64],
-    joseph: bool = True,
-):
-    """One measurement update, any dimensions.
-
-    The innovation covariance is factorized (Cholesky) rather than
-    inverted; a non-finite or indefinite one is reported as divergence.
-    """
-    z = np.asarray(z, dtype=float)
-    r_diag = np.asarray(r_diag, dtype=float)
+def _measurement_update(x, p_mat, nu, jac, r_diag, joseph: bool):
+    """Update of a bare mean and covariance with the residual ``nu`` of
+    a measurement whose prediction has the dense Jacobian ``jac``, (m,)
+    and (m, 25), and diagonal noise ``r_diag``; the quaternion is
+    renormalised and the covariance checked."""
     hp = jac @ p_mat
-    gain = _innovation_gain(hp @ jac.T + np.diag(r_diag), hp)  # (n, m)
-    x1 = x + gain @ (z - z_pred)
+    s_mat = hp @ jac.T
+    s_mat.ravel()[:: len(nu) + 1] += r_diag
+    gain = _innovation_gain(s_mat, hp)  # (25, m)
+    x1 = x + gain @ nu
     if joseph:
-        ikj = np.eye(len(x)) - gain @ jac
-        p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
+        ikh = _IDENTITY - gain @ jac
+        p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     else:
         p1 = p_mat - gain @ hp
+    x1[QUAT] = quat_normalize(x1[QUAT])
     return x1, _check_covariance(p1)
 
 
-def update(est: StateEstimate, z: NDArray[np.float64], cfg: FilterConfig) -> StateEstimate:
-    """Measurement update with one calibrated IMU sample (6-vector).
-
-    The same update as `kalman_update` with the constant H = [0 | I | I]
-    (the IMU states 13:19 and the biases 19:25), written out: H P is
-    the sum of two row blocks of P, H P H^T the sum of two column blocks
-    of that, and I - K H the identity with K subtracted from both column
-    blocks.
-    """
-    x, p_mat = est.x, est.P
-    r_diag = cfg.r_diag
+def _imu_update(x, p_mat, z, r_diag, joseph: bool):
+    """`_measurement_update` with the IMU's constant H = [0 | I | I]
+    (the IMU states 13:19 and the biases 19:25), written out: H P is the
+    sum of two row blocks of P, H P H^T the sum of two column blocks of
+    that, and I - K H the identity with K subtracted from both column
+    blocks."""
     hp = p_mat[_IMU_STATES] + p_mat[_BIASES]
     s_mat = hp[:, _IMU_STATES] + hp[:, _BIASES]
     s_mat.ravel()[:: MEAS_DIM + 1] += r_diag
     gain = _innovation_gain(s_mat, hp)
-    x1 = x + gain @ (np.asarray(z, dtype=float) - measurement_model(x))
-    if cfg.joseph:
-        ikh = np.eye(DIM)
+    x1 = x + gain @ (z - measurement_model(x))
+    if joseph:
+        ikh = _IDENTITY.copy()
         ikh[:, _IMU_STATES] -= gain
         ikh[:, _BIASES] -= gain
         p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     else:
         p1 = p_mat - gain @ hp
     x1[QUAT] = quat_normalize(x1[QUAT])
-    return StateEstimate(x=x1, P=_check_covariance(p1))
+    return x1, _check_covariance(p1)
+
+
+def update(est: StateEstimate, z: NDArray[np.float64], cfg: FilterConfig) -> StateEstimate:
+    """Measurement update with one calibrated IMU sample (6-vector)."""
+    return StateEstimate(*_imu_update(est.x, est.P, np.asarray(z, dtype=float),
+                                      cfg.r_diag, cfg.joseph))
 
 
 def init_state(

@@ -24,21 +24,19 @@ from .ekf import (
     QUAT,
     FilterConfig,
     FilterDivergenceError,
+    _imu_update,
+    _predict,
     default_filter_config,
     init_state,
-    predict,
-    update,
 )
 from .zupt import (
     StanceConfig,
-    StanceEvent,
-    build_pseudo_measurements,
+    _confidence_factor,
+    _StanceStack,
     default_stance_config,
     hard_series,
     sfs_series,
-    soft_covariance,
     stance_intervals,
-    zupt_update,
 )
 
 __all__ = [
@@ -54,6 +52,22 @@ __all__ = [
 ]
 
 _ADC_MIN, _ADC_MAX = -32768, 32767
+
+# Rows per block when float counts are checked for whole values, so the
+# check's temporaries stay small next to a long log.
+_CHECK_ROWS = 4096
+
+
+def _whole_numbers(counts: np.ndarray) -> bool:
+    """Whether every count is a whole number; integer arrays are by type,
+    float arrays are compared with their rounding block by block."""
+    if counts.dtype.kind in "iu":
+        return True
+    return all(
+        (block == np.rint(block)).all()
+        for block in (counts[lo:lo + _CHECK_ROWS]
+                      for lo in range(0, counts.shape[0], _CHECK_ROWS))
+    )
 
 
 @dataclass
@@ -93,7 +107,7 @@ class ImuLog:
         for name, counts in (("accel", self.accel), ("gyro", self.gyro)):
             if counts.size == 0:
                 continue
-            if not np.all(counts == np.rint(counts)):
+            if not _whole_numbers(counts):
                 raise ValueError(f"{name} counts must be integers")
             if counts.min() < _ADC_MIN or counts.max() > _ADC_MAX:
                 raise ValueError(
@@ -244,34 +258,29 @@ def run_tracker(
     t_out = log.t
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))
-    event: StanceEvent | None = None
     # Per-run constants, built here rather than held on the (mutable)
-    # stance config: the enabled pseudo-measurement rows, their base
-    # variances, and the IMU measurement vectors.
-    mask = stance_cfg.row_mask()
-    base_variances = stance_cfg.pseudo_variances[mask]
-    soft = stance_cfg.mode == "soft"
+    # configs: the effective process noise, the stance stack, each
+    # sample's confidence factor and the IMU measurement vectors.
+    q_diag = filter_cfg.effective_q_diag()
+    r_diag, joseph = filter_cfg.r_diag, filter_cfg.joseph
+    stance = _StanceStack(stance_cfg, filter_cfg.g)
+    factors = (_confidence_factor(stance_cfg, scores)
+               if stance_cfg.mode == "soft" else np.ones(n))
     z_imu = np.hstack([f_b, w_b])
 
+    # One filter step per sample on the mean and covariance held here;
+    # each stage checks its own result, so a divergence is reported at
+    # the sample and stage that caused it.
+    x, p_mat = est.x, est.P
     for k in range(n):
         try:
-            est = predict(est, filter_cfg)
-            est = update(est, z_imu[k], filter_cfg)
+            x, p_mat = _predict(x, p_mat, filter_cfg, q_diag)
+            x, p_mat = _imu_update(x, p_mat, z_imu[k], r_diag, joseph)
             if active[k]:
-                if event is None:
-                    event = StanceEvent(start_index=k,
-                                        latched_xy=est.x[POS][:2])
-                _, residual, scale = build_pseudo_measurements(
-                    est.x, event, f_b[k], w_b[k], stance_cfg,
-                    g=filter_cfg.g, mask=mask)
-                score = scores[k] if soft else 1.0
-                variances = soft_covariance(
-                    stance_cfg, score, base_variances) * scale
-                est = zupt_update(est, residual, variances,
-                                  joseph=filter_cfg.joseph)
-            else:
-                event = None
-            if not np.isfinite(est.x).all():
+                if k == 0 or not active[k - 1]:
+                    stance.latch(x)
+                x, p_mat = stance.update(x, p_mat, z_imu[k], factors[k], joseph)
+            if not np.isfinite(x).all():
                 raise FilterDivergenceError("state became non-finite")
         except (FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
             partial = Trajectory(
@@ -280,12 +289,12 @@ def run_tracker(
             )
             diag = TrackerDiagnostic(
                 sample_index=k,
-                covariance_condition=_condition_number(est.P),
+                covariance_condition=_condition_number(p_mat),
                 message=str(exc),
             )
             raise TrackerDivergence(partial, diag) from exc
-        p_out[k] = est.x[POS]
-        q_out[k] = est.x[QUAT]
+        p_out[k] = x[POS]
+        q_out[k] = x[QUAT]
 
     return Trajectory(t=t_out, p=p_out, q_nb=q_out, sfs=scores, stance=active)
 

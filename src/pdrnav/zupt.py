@@ -46,9 +46,9 @@ from .ekf import (
     QUAT,
     VEL,
     StateEstimate,
-    kalman_update,
+    _measurement_update,
 )
-from .quat import _conj_rotate_terms, _rotate_terms, quat_normalize
+from .quat import _conj_rotate_terms, _rotate_terms
 
 __all__ = [
     "PSEUDO_GROUPS",
@@ -86,8 +86,8 @@ PSEUDO_GROUPS = (
 N_PSEUDO = sum(rows for _, rows in PSEUDO_GROUPS)
 
 # Row index of the gravity-norm scalar inside the full stack; its
-# gradient direction a_b/|a_b| is undefined at a_b = 0 and the row is
-# defused by variance inflation there.
+# gradient direction a_b/|a_b| is undefined at a_b = 0, where the row's
+# Jacobian is zero and `build_pseudo_measurements` inflates its variance.
 _NORM_ROW = 12
 _NORM_EPS = 1e-6
 _NORM_INFLATION = 1e6
@@ -423,6 +423,15 @@ _STANCE_INDEX = np.array(
 )
 
 
+def _target_stack(g: float) -> NDArray[np.float64]:
+    """The full stack's targets with the latched xy (rows 0-1) and the
+    IMU sample (rows 16-21) left at zero for the caller to write."""
+    z_full = np.zeros(N_PSEUDO)
+    z_full[11] = g
+    z_full[_NORM_ROW] = g
+    return z_full
+
+
 class StanceResidual:
     """Residual ``z_p - prediction`` of one stance stack.
 
@@ -433,7 +442,7 @@ class StanceResidual:
     derivative of the residual, ``-H``.
     """
 
-    def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_],
+    def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_] | slice,
                  g_vec: NDArray[np.float64]):
         self.z_full = z_full
         self.mask = mask
@@ -446,6 +455,9 @@ class StanceResidual:
         depend on the state nonlinearly.  The gravity-norm gradient
         ``a_b / |a_b|`` is taken as zero where ``|a_b|`` is below the
         threshold at which `build_pseudo_measurements` defuses that row.
+        The row is then zero, so it cannot move the mean or the
+        covariance whatever its variance: H P has a zero row, S a zero
+        row and column off the diagonal, and the gain a zero column.
         """
         x = np.asarray(x, dtype=float)
         qw, qx, qy, qz, fx, fy, fz = x[QUAT.start:ACC_B.stop].tolist()
@@ -548,17 +560,10 @@ def build_pseudo_measurements(
     if mask is None:
         mask = cfg.row_mask()
 
-    z_full = np.concatenate([
-        event.latched_xy,
-        [0.0],
-        np.zeros(3),
-        np.zeros(3),
-        -g_vec,
-        [g],
-        np.zeros(3),
-        accel_sample,
-        gyro_sample,
-    ])
+    z_full = _target_stack(g)
+    z_full[0:2] = event.latched_xy
+    z_full[16:19] = accel_sample
+    z_full[19:22] = gyro_sample
     z_p = z_full[mask]
 
     scale_full = np.ones(N_PSEUDO)
@@ -566,6 +571,11 @@ def build_pseudo_measurements(
     if math.sqrt(fx * fx + fy * fy + fz * fz) < _NORM_EPS:
         scale_full[_NORM_ROW] = _NORM_INFLATION
     return z_p, StanceResidual(z_full, mask, g_vec), scale_full[mask]
+
+
+def _confidence_factor(cfg: StanceConfig, scores):
+    """``1 + covariance_gain * (1 - score)``, for one score or an array."""
+    return 1.0 + cfg.covariance_gain * (1.0 - scores)
 
 
 def soft_covariance(
@@ -585,8 +595,7 @@ def soft_covariance(
         raise ValueError(f"score {sfs_k} outside [0, 1]")
     if base_variances is None:
         base_variances = cfg.pseudo_variances[cfg.row_mask()]
-    factor = 1.0 + cfg.covariance_gain * (1.0 - sfs_k)
-    return factor * base_variances
+    return _confidence_factor(cfg, sfs_k) * base_variances
 
 
 def zupt_update(
@@ -603,11 +612,42 @@ def zupt_update(
     feed the standard update.
     """
     nu, jac = residual.linearize(est.x)
-    x1, p1 = kalman_update(
-        est.x, est.P, nu, np.zeros_like(nu), jac, variances, joseph
-    )
-    x1[QUAT] = quat_normalize(x1[QUAT])
-    return StateEstimate(x=x1, P=p1)
+    return StateEstimate(*_measurement_update(
+        est.x, est.P, nu, jac, np.asarray(variances, dtype=float), joseph))
+
+
+class _StanceStack:
+    """The stance update for a loop that owns the filter's mean and
+    covariance, with everything that does not change within a run built
+    once: one `StanceResidual` over a target stack written in place (the
+    latched xy at event start, the IMU sample at each update), and the
+    base variances of the enabled rows.
+
+    One update is `zupt_update` with the `build_pseudo_measurements`
+    stack and `soft_covariance` variances.  The stack's
+    ``variance_scale`` is left out: it only inflates the gravity-norm
+    row where `StanceResidual.linearize` zeroes that row, which leaves
+    the update unchanged bit for bit.
+    """
+
+    def __init__(self, cfg: StanceConfig, g: float):
+        mask = cfg.row_mask()
+        self.residual = StanceResidual(
+            _target_stack(g), slice(None) if mask.all() else mask,
+            np.array([0.0, 0.0, -g]))
+        self.base_variances = cfg.pseudo_variances[mask]
+
+    def latch(self, x) -> None:
+        """Start an event: hold the horizontal position of ``x``."""
+        self.residual.z_full[0:2] = x[POS.start:POS.start + 2]
+
+    def update(self, x, p_mat, imu_sample, factor: float, joseph: bool):
+        """Update with the calibrated ``imu_sample`` (accel then gyro) and
+        the confidence factor of its score."""
+        self.residual.z_full[16:22] = imu_sample
+        nu, jac = self.residual.linearize(x)
+        return _measurement_update(x, p_mat, nu, jac,
+                                   factor * self.base_variances, joseph)
 
 
 def match_intervals(

@@ -1,7 +1,12 @@
 """Independent reference implementations used only by the test suite.
 
 Nothing here may import the code paths it is checking beyond the state
-layout constants; oracles recompute results from first principles.
+layout constants; oracles recompute results from first principles.  The
+two filter references are the exception by design: `kalman_update` is
+the general dense update that the library's written-out updates must
+equal (it shares their gain and covariance checks, so both refuse the
+same inputs), and `chain_tracker` is the tracking loop built from the
+public per-call functions, which the tracker's single step must equal.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import brentq
 
+from pdrnav import calibration, ekf, tracker, zupt
 from pdrnav.constants import GRAVITY
-from pdrnav.ekf import ACC_B, DIM, OMEGA, QUAT
+from pdrnav.ekf import ACC_B, DIM, OMEGA, POS, QUAT
 from pdrnav.quat import quat_exp, quat_mul, quat_rotate, rot_matrix
 
 
@@ -424,3 +430,85 @@ def stringio_csv_rows(path, n_cols):
     if not body:
         return np.empty((0, n_cols))
     return np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+
+
+def kalman_update(x, p_mat, z, z_pred, jac, r_diag, joseph=True):
+    """One measurement update, any dimensions, with a dense H (``jac``):
+    ``H P``, ``S = H P H^T + R`` and, for Joseph, ``I - K H`` formed as
+    full matrix products.  The gain and the covariance check are the
+    library's, so a non-finite or indefinite S is refused the same way.
+    """
+    z = np.asarray(z, dtype=float)
+    r_diag = np.asarray(r_diag, dtype=float)
+    hp = jac @ p_mat
+    gain = ekf._innovation_gain(hp @ jac.T + np.diag(r_diag), hp)  # (n, m)
+    x1 = x + gain @ (z - z_pred)
+    if joseph:
+        ikj = np.eye(len(x)) - gain @ jac
+        p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
+    else:
+        p1 = p_mat - gain @ hp
+    return x1, ekf._check_covariance(p1)
+
+
+def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
+                  *, predict=ekf.predict, stance_update=zupt.zupt_update,
+                  p0=(0.0, 0.0, 0.0), heading0=0.0, init_duration=1.0):
+    """`pdrnav.tracker.run_tracker` as a chain of public per-call
+    functions: ``predict``, `ekf.update` and, on stance samples, a
+    `build_pseudo_measurements` stack with `soft_covariance` variances
+    through ``stance_update`` (called like `zupt_update`), each returning
+    a new `StateEstimate`.  Divergence is reported as the tracker
+    reports it.
+    """
+    if filter_cfg is None:
+        filter_cfg = ekf.default_filter_config(log.fs)
+    if stance_cfg is None:
+        stance_cfg = zupt.default_stance_config(log.fs)
+    n = log.t.size
+    f_b = calibration.apply_accel_calibration(accel_cal, np.asarray(log.accel, dtype=float))
+    w_b = calibration.apply_gyro_calibration(gyro_cal, np.asarray(log.gyro, dtype=float))
+    scores = zupt.sfs_series(f_b, w_b, stance_cfg)
+    if stance_cfg.mode == "soft":
+        active = scores >= stance_cfg.sfs_threshold
+    elif stance_cfg.mode == "hard":
+        active = zupt.hard_series(f_b, w_b, stance_cfg)
+    else:
+        active = np.zeros(n, dtype=bool)
+    k_init = min(n, max(int(round(init_duration * log.fs)), 1))
+    est = ekf.init_state(np.asarray(p0, dtype=float), heading0,
+                         f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
+
+    p_out = np.empty((n, 3))
+    q_out = np.empty((n, 4))
+    event = None
+    mask = stance_cfg.row_mask()
+    for k in range(n):
+        try:
+            est = predict(est, filter_cfg)
+            est = ekf.update(est, np.concatenate([f_b[k], w_b[k]]), filter_cfg)
+            if active[k]:
+                if event is None:
+                    event = zupt.StanceEvent(start_index=k, latched_xy=est.x[POS][:2])
+                _, residual, scale = zupt.build_pseudo_measurements(
+                    est.x, event, f_b[k], w_b[k], stance_cfg,
+                    g=filter_cfg.g, mask=mask)
+                score = scores[k] if stance_cfg.mode == "soft" else 1.0
+                variances = zupt.soft_covariance(stance_cfg, score) * scale
+                est = stance_update(est, residual, variances,
+                                    joseph=filter_cfg.joseph)
+            else:
+                event = None
+            if not np.isfinite(est.x).all():
+                raise ekf.FilterDivergenceError("state became non-finite")
+        except (ekf.FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
+            partial = tracker.Trajectory(t=log.t[:k], p=p_out[:k], q_nb=q_out[:k],
+                                         sfs=scores[:k], stance=active[:k])
+            diag = tracker.TrackerDiagnostic(
+                sample_index=k,
+                covariance_condition=tracker._condition_number(est.P),
+                message=str(exc))
+            raise tracker.TrackerDivergence(partial, diag) from exc
+        p_out[k] = est.x[POS]
+        q_out[k] = est.x[QUAT]
+    return tracker.Trajectory(t=log.t, p=p_out, q_nb=q_out, sfs=scores, stance=active)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import pdrnav.tracker as tracker_module
 from pdrnav import constants
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import (
@@ -28,7 +27,6 @@ from pdrnav.ekf import (
     StateEstimate,
     default_filter_config,
     init_state,
-    kalman_update,
     measurement_jacobian,
     measurement_model,
     predict,
@@ -42,7 +40,9 @@ from pdrnav.tracker import ImuLog, run_tracker
 
 from oracles import (
     chain_rule_quaternion_rows,
+    chain_tracker,
     finite_difference_jacobian,
+    kalman_update,
     random_covariance,
     random_nav_state,
     richardson_jacobian,
@@ -238,9 +238,10 @@ def fd_zupt_update(est, residual, variances, *, joseph=True):
     return StateEstimate(x=x1, P=p1)
 
 
-def test_tracker_matches_finite_difference_oracle(monkeypatch):
+def test_tracker_matches_finite_difference_oracle():
     # A 4 m L-shaped walk, tracked once with the closed-form
-    # Jacobians and once with both swapped for the difference oracle.
+    # Jacobians and once by the per-call chain with both swapped for the
+    # difference oracle.
     fs = 100.0
     lsb_a, lsb_w = constants.DEFAULT_LSB_ACCEL, constants.DEFAULT_LSB_GYRO
     cal_a, cal_w = scale_calibration(lsb_a), scale_calibration(lsb_w)
@@ -252,9 +253,8 @@ def test_tracker_matches_finite_difference_oracle(monkeypatch):
                  lsb_accel=lsb_a, lsb_gyro=lsb_w)
 
     closed = run_tracker(log, cal_a, cal_w)
-    monkeypatch.setattr(tracker_module, "predict", fd_predict)
-    monkeypatch.setattr(tracker_module, "zupt_update", fd_zupt_update)
-    oracle = run_tracker(log, cal_a, cal_w)
+    oracle = chain_tracker(log, cal_a, cal_w, predict=fd_predict,
+                           stance_update=fd_zupt_update)
 
     assert closed.stance.any()
     np.testing.assert_array_equal(closed.stance, oracle.stance)

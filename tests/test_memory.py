@@ -67,9 +67,24 @@ def test_read_log_holds_about_its_rows(tmp_path):
     log, peak = traced_peak(read_log, path)
     assert log.t.size == N
     parsed = N * 7 * 8
-    # The parsed rows plus the integer check on the counts make 1.5x;
-    # reading the body into a string and a StringIO copy first is 4.2x.
+    # The parsed rows plus the time-step check make 1.2x (a full-size
+    # integer check on the counts made it 1.5x); reading the body into a
+    # string and a StringIO copy first is 4.2x.
     assert peak <= 2 * parsed, f"peak {peak / parsed:.2f}x the (n, 7) rows"
+
+
+def test_log_checks_float_counts_by_block():
+    # Float counts (as `read_log` parses them) are checked for whole
+    # values one block at a time.  What is left is the time-step check,
+    # one float and one bool per sample (0.38x); a full-size `np.rint`
+    # copy and its comparison would add 1.1x.
+    log = still_log()
+    t = log.t.copy()
+    accel, gyro = log.accel.astype(float), log.gyro.astype(float)
+    _, peak = traced_peak(lambda: ImuLog(
+        t=t, accel=accel, gyro=gyro, fs=FS,
+        lsb_accel=log.lsb_accel, lsb_gyro=log.lsb_gyro))
+    assert peak <= 0.5 * COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
 
 
 def test_write_log_rounds_by_block(tmp_path):

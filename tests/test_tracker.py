@@ -8,12 +8,15 @@ close, and turning the stance machinery off must visibly hurt.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+import pdrnav.ekf as ekf_module
 import pdrnav.tracker as tracker_module
 from pdrnav import constants
+from pdrnav.cli import main
 from pdrnav.ekf import FilterDivergenceError, default_filter_config
 from pdrnav.gait import (
     GaitParams,
@@ -23,6 +26,13 @@ from pdrnav.gait import (
     razor_noise,
     scale_calibration,
     still_truth,
+)
+from pdrnav.io import (
+    PipelineConfig,
+    read_trajectory,
+    write_calibration,
+    write_config,
+    write_log,
 )
 from pdrnav.tracker import (
     EvalReport,
@@ -35,6 +45,8 @@ from pdrnav.tracker import (
     run_tracker,
 )
 from pdrnav.zupt import PSEUDO_GROUPS, StanceConfig, default_stance_config
+
+from oracles import chain_tracker
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -68,6 +80,16 @@ def short_walk():
     return truth, make_log(truth, seed=4)
 
 
+@pytest.fixture(scope="module")
+def slow_walk():
+    # 0.5 Hz cadence with 1.5 s stances: most samples get stance updates.
+    path = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [0.0, 0.0]]
+    params = GaitParams(step_length=STEP, cadence=0.5, stance_duration=1.5,
+                        path=path, seed=5)
+    truth = generate_gait(params, FS)
+    return truth, make_log(truth, seed=5)
+
+
 class TestLogType:
     def test_rejects_non_increasing_time(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -80,6 +102,28 @@ class TestLogType:
             ImuLog(t=np.array([0.0, 0.01]), accel=np.full((2, 3), 0.5),
                    gyro=np.zeros((2, 3)), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
+
+    @pytest.mark.parametrize("row", [0, tracker_module._CHECK_ROWS - 1,
+                                     tracker_module._CHECK_ROWS, -1])
+    @pytest.mark.parametrize("bad", [0.5, -3.25, np.nan])
+    def test_rejects_fractional_counts_in_any_block(self, row, bad):
+        # Float counts are checked block by block; a bad value in the
+        # ragged last block must be caught like one in the first.
+        n = 2 * tracker_module._CHECK_ROWS + 5
+        for sensor in ("accel", "gyro"):
+            arrays = {"accel": np.full((n, 3), 7.0), "gyro": np.zeros((n, 3))}
+            arrays[sensor][row, 2] = bad
+            with pytest.raises(ValueError, match=f"{sensor} counts must be integers"):
+                ImuLog(t=np.arange(n) / FS, fs=FS, lsb_accel=LSB_A,
+                       lsb_gyro=LSB_W, **arrays)
+
+    def test_accepts_whole_counts_of_any_dtype(self):
+        n = tracker_module._CHECK_ROWS + 3
+        for dtype in (np.int16, np.int32, np.int64, np.uint16, np.float64):
+            counts = np.full((n, 3), 1234, dtype=dtype)
+            log = ImuLog(t=np.arange(n) / FS, accel=counts, gyro=counts,
+                         fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W)
+            assert log.accel.dtype == dtype
 
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError, match="range"):
@@ -149,16 +193,16 @@ class TestRunTracker:
     def test_divergence_midway_keeps_processed_samples(self, short_walk,
                                                        monkeypatch):
         _, log = short_walk
-        real_update = tracker_module.update
+        real_update = tracker_module._imu_update
         calls = {"n": 0}
 
-        def failing_update(est, z, cfg):
+        def failing_update(*args):
             calls["n"] += 1
             if calls["n"] > 500:
                 raise FilterDivergenceError("synthetic blow-up")
-            return real_update(est, z, cfg)
+            return real_update(*args)
 
-        monkeypatch.setattr(tracker_module, "update", failing_update)
+        monkeypatch.setattr(tracker_module, "_imu_update", failing_update)
         with pytest.raises(TrackerDivergence) as info:
             run_tracker(log, CAL_A, CAL_W)
         exc = info.value
@@ -182,6 +226,146 @@ class TestRunTracker:
         assert np.max(np.abs(second.p - first.p)) > 1e-3
         np.testing.assert_array_equal(second.p, fresh.p)
         np.testing.assert_array_equal(second.q_nb, fresh.q_nb)
+
+
+def _stance_variant(name):
+    cfg = default_stance_config(FS)
+    if name == "hard":
+        cfg.mode = "hard"
+    elif name == "groups":
+        cfg.pseudo_groups["velocity"] = False
+        cfg.pseudo_groups["gravity_norm"] = False
+    return cfg
+
+
+# The kernel that runs each stage of the tracker's step.
+_STAGE_KERNELS = {"predict": "_predict", "imu": "_imu_update",
+                  "stance": "_measurement_update"}
+
+
+def inject_fault(monkeypatch, stage, fault, at):
+    """Corrupt one matrix that a check inside ``stage``'s kernel reads,
+    on that kernel's ``at``-th call (1-based): a NaN covariance entry
+    (``"nonfinite"``), or a negative diagonal entry (``"indefinite"``) in
+    the covariance at predict and in S at the two updates."""
+    kernel = _STAGE_KERNELS[stage]
+    if fault == "nonfinite" or stage == "predict":
+        name = "_check_covariance"
+        value = np.nan if fault == "nonfinite" else -1.0
+    else:
+        name, value = "_innovation_gain", -1.0
+    real = getattr(ekf_module, name)
+    calls = {"n": 0}
+
+    def corrupt(mat, *rest):
+        if sys._getframe(1).f_code.co_name == kernel:
+            calls["n"] += 1
+            if calls["n"] == at:
+                mat = mat.copy()
+                mat[0, 0] = value
+        return real(mat, *rest)
+
+    monkeypatch.setattr(ekf_module, name, corrupt)
+
+
+class TestSingleStep:
+    """`run_tracker` runs one step per sample on a mean and covariance
+    it owns; it must be the chain of public per-call functions
+    (`oracles.chain_tracker`) bit for bit, fail where that chain fails,
+    and run no more checks than the chain."""
+
+    @pytest.mark.parametrize("walk, variant", [
+        ("short_walk", "soft"), ("short_walk", "hard"),
+        ("short_walk", "groups"), ("short_walk", "plain"),
+        ("slow_walk", "soft"), ("slow_walk", "groups"),
+    ])
+    def test_matches_per_call_chain(self, walk, variant, request):
+        _, log = request.getfixturevalue(walk)
+        stance_cfg = _stance_variant(variant)
+        filter_cfg = default_filter_config(FS)
+        if variant == "plain":
+            filter_cfg = dataclasses.replace(filter_cfg, joseph=False)
+        step = run_tracker(log, CAL_A, CAL_W, filter_cfg, stance_cfg)
+        chain = chain_tracker(log, CAL_A, CAL_W, filter_cfg, stance_cfg)
+        assert step.stance.sum() > 0.2 * step.t.size
+        np.testing.assert_array_equal(step.stance, chain.stance)
+        np.testing.assert_array_equal(step.sfs, chain.sfs)
+        np.testing.assert_array_equal(step.p, chain.p)
+        np.testing.assert_array_equal(step.q_nb, chain.q_nb)
+
+    @pytest.mark.parametrize("fault", ["nonfinite", "indefinite"])
+    @pytest.mark.parametrize("stage, at", [
+        ("predict", 300), ("imu", 300), ("stance", 40),
+    ])
+    def test_divergence_parity(self, short_walk, monkeypatch, stage, fault, at):
+        _, log = short_walk
+        caught = []
+        for tracker in (run_tracker, chain_tracker):
+            with monkeypatch.context() as m:
+                inject_fault(m, stage, fault, at)
+                with pytest.raises(TrackerDivergence) as info:
+                    tracker(log, CAL_A, CAL_W)
+            caught.append(info.value)
+        step, chain = caught
+        want = at - 1
+        if stage == "stance":
+            want = int(np.flatnonzero(run_tracker(log, CAL_A, CAL_W).stance)[want])
+        message = {
+            "nonfinite": "covariance is no longer finite",
+            "indefinite": "innovation covariance not positive definite "
+                          "(dpotrf info 1)",
+        }[fault]
+        if (stage, fault) == ("predict", "indefinite"):
+            message = "covariance lost positive semidefiniteness (min diag -1)"
+        for exc in (step, chain):
+            assert exc.diagnostic.sample_index == want
+            assert exc.diagnostic.message == message
+            assert exc.trajectory.t.size == want
+        assert (step.diagnostic.covariance_condition
+                == chain.diagnostic.covariance_condition)
+        np.testing.assert_array_equal(step.trajectory.p, chain.trajectory.p)
+        np.testing.assert_array_equal(step.trajectory.q_nb,
+                                      chain.trajectory.q_nb)
+
+    def test_divergence_in_track_exits_three_with_partial_output(
+            self, short_walk, monkeypatch, tmp_path, capsys):
+        _, log = short_walk
+        write_log(tmp_path / "walk.csv", log)
+        write_calibration(tmp_path / "cal.json", CAL_A, CAL_W)
+        write_config(tmp_path / "config.json", PipelineConfig(
+            filter=default_filter_config(FS), stance=default_stance_config(FS),
+            calibration_paths={"accel": "cal.json", "gyro": "cal.json"}))
+        want = int(np.flatnonzero(run_tracker(log, CAL_A, CAL_W).stance)[39])
+        inject_fault(monkeypatch, "stance", "indefinite", 40)
+        code = main(["track", "--log", str(tmp_path / "walk.csv"),
+                     "--cal", str(tmp_path / "cal.json"),
+                     "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "traj.csv")])
+        assert code == 3
+        assert f"diverged at sample {want} " in capsys.readouterr().err
+        assert read_trajectory(tmp_path / "traj.csv").t.size == want
+
+    def test_check_and_identity_counts(self, short_walk, monkeypatch):
+        # Per sample: one covariance check after predict, one after the
+        # IMU update and one after each stance update; the identity is a
+        # module constant, so numpy builds none during a run.
+        _, log = short_walk
+        counts = {"check": 0, "eye": 0}
+        real_check, real_eye = ekf_module._check_covariance, np.eye
+
+        def check(p_mat):
+            counts["check"] += 1
+            return real_check(p_mat)
+
+        def eye(*args, **kwargs):
+            counts["eye"] += 1
+            return real_eye(*args, **kwargs)
+
+        monkeypatch.setattr(ekf_module, "_check_covariance", check)
+        monkeypatch.setattr(np, "eye", eye)
+        traj = run_tracker(log, CAL_A, CAL_W)
+        assert counts["check"] == 2 * traj.t.size + int(traj.stance.sum())
+        assert counts["eye"] == 0
 
 
 @pytest.fixture(scope="module")

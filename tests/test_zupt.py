@@ -14,7 +14,14 @@ from pdrnav import ekf, zupt
 from pdrnav.constants import GRAVITY
 from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
-from oracles import condition_signals, hard_detector, richardson_jacobian, sfs
+from oracles import (
+    condition_signals,
+    hard_detector,
+    kalman_update,
+    random_covariance,
+    richardson_jacobian,
+    sfs,
+)
 
 G_VEC = np.array([0.0, 0.0, -GRAVITY])
 
@@ -621,3 +628,62 @@ class TestStanceConfig:
         cfg = zupt.StanceConfig(pseudo_groups=[True] * 8 + [False])
         assert cfg.pseudo_groups["gyro_bias"] is False
         assert cfg.row_mask().sum() == zupt.N_PSEUDO - 3
+
+
+class TestStanceStack:
+    """The tracker's per-run stance update must be `zupt_update` on the
+    `build_pseudo_measurements` stack with `soft_covariance` variances,
+    bit for bit, and `zupt_update` the general dense update.  A quarter
+    of the states have ``a_b = 0``, where the stack's variance scale
+    inflates the gravity-norm row that the tracker's update leaves as
+    is."""
+
+    @staticmethod
+    def cases(rng):
+        for k in range(24):
+            x = random_state(rng)
+            x[ekf.ACC_B] *= 5.0
+            if k % 4 == 0:
+                x[ekf.ACC_B] = 0.0  # gravity-norm row defused
+            yield x, random_covariance(rng, scale=rng.uniform(1e-3, 1.0))
+
+    @pytest.mark.parametrize("off", [(), ("velocity",), ("gravity_norm",),
+                                     ("position_xy", "accel_bias")])
+    @pytest.mark.parametrize("joseph", [True, False])
+    def test_matches_zupt_update(self, off, joseph):
+        groups = {name: name not in off for name, _ in zupt.PSEUDO_GROUPS}
+        cfg = zupt.StanceConfig(pseudo_groups=groups)
+        stack = zupt._StanceStack(cfg, GRAVITY)
+        rng = np.random.default_rng(60)
+        for x, p_mat in self.cases(rng):
+            sample = rng.standard_normal(6)
+            score = rng.uniform(0.3, 1.0)
+            event = zupt.StanceEvent(0, x[ekf.POS][:2])
+            stack.latch(x)
+            _, residual, scale = zupt.build_pseudo_measurements(
+                x, event, sample[:3], sample[3:], cfg)
+            want = zupt.zupt_update(
+                ekf.StateEstimate(x=x.copy(), P=p_mat.copy()), residual,
+                zupt.soft_covariance(cfg, score) * scale, joseph=joseph)
+            factor = zupt._confidence_factor(cfg, np.array([score]))[0]
+            got_x, got_p = stack.update(x, p_mat, sample, factor, joseph)
+            np.testing.assert_array_equal(got_x, want.x)
+            np.testing.assert_array_equal(got_p, want.P)
+
+    @pytest.mark.parametrize("joseph", [True, False])
+    def test_zupt_update_is_the_general_update(self, joseph):
+        cfg = zupt.StanceConfig()
+        rng = np.random.default_rng(61)
+        for x, p_mat in self.cases(rng):
+            event = zupt.StanceEvent(0, rng.standard_normal(2))
+            _, residual, scale = zupt.build_pseudo_measurements(
+                x, event, rng.standard_normal(3), rng.standard_normal(3), cfg)
+            variances = zupt.soft_covariance(cfg, 0.8) * scale
+            out = zupt.zupt_update(ekf.StateEstimate(x=x.copy(), P=p_mat.copy()),
+                                   residual, variances, joseph=joseph)
+            nu, jac = residual.linearize(x)
+            want_x, want_p = kalman_update(x, p_mat, nu, np.zeros_like(nu),
+                                           jac, variances, joseph)
+            want_x[ekf.QUAT] = quat_normalize(want_x[ekf.QUAT])
+            np.testing.assert_array_equal(out.x, want_x)
+            np.testing.assert_array_equal(out.P, want_p)
