@@ -7,7 +7,10 @@ Allan-variance noise identification, and a synthetic gait generator
 that doubles as the test oracle.
 
 The subpackages are usable on their own; this module re-exports the
-names most workflows touch.
+names most workflows touch.  One filter step runs on a bare mean and
+covariance: `init_state` gives the first pair, then per sample
+`predict`, `update` with the IMU sample and, on stance samples,
+`zupt_update` with the run's `StanceStack`.
 """
 
 from .allan import AllanCurve, NoiseCoefficients, allan_deviation, extract_coefficients
@@ -23,7 +26,6 @@ from .calibration import (
 from .ekf import (
     FilterConfig,
     FilterDivergenceError,
-    StateEstimate,
     default_filter_config,
     init_state,
     predict,
@@ -63,7 +65,14 @@ from .tracker import (
     evaluate_trajectory,
     run_tracker,
 )
-from .zupt import StanceConfig, default_stance_config, event_f1, match_intervals
+from .zupt import (
+    StanceConfig,
+    StanceStack,
+    default_stance_config,
+    event_f1,
+    match_intervals,
+    zupt_update,
+)
 
 __version__ = "0.1.0"
 
@@ -81,7 +90,6 @@ __all__ = [
     "gyro_calibration_from_scale",
     "FilterConfig",
     "FilterDivergenceError",
-    "StateEstimate",
     "default_filter_config",
     "init_state",
     "predict",
@@ -115,8 +123,10 @@ __all__ = [
     "evaluate_trajectory",
     "run_tracker",
     "StanceConfig",
+    "StanceStack",
     "default_stance_config",
     "event_f1",
     "match_intervals",
+    "zupt_update",
     "__version__",
 ]

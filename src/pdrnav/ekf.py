@@ -47,17 +47,15 @@ and an indefinite one (``dpotrf``'s ``info``).  Either is a
 `FilterDivergenceError`.
 
 One filter step per sample is three kernels on a bare mean and
-covariance that the caller owns: `_predict` (one `_transition`, the
-process noise added to the diagonal), `_imu_update` and, on stance
-samples, `_measurement_update`.  Each kernel ends with its own checks,
-so a divergence is reported at the stage that caused it: the
-degenerate quaternion norm, the innovation covariance, and the
-re-symmetrised covariance (`_check_covariance`).  The identity they
-need is one read-only module constant, copied where it is modified.
-The public `predict`, `update` and the stance module's `zupt_update`
-wrap the same kernels in `StateEstimate` for single calls; the
-tracker's loop calls the kernels directly, with the effective process
-noise computed once per run.
+covariance that the caller owns, starting from the pair `init_state`
+returns: `predict` (one `_transition`, the process noise added to the
+diagonal), `update` with the IMU sample and, on stance samples, the
+stance module's `zupt_update` (`_measurement_update` on the stance
+residual and H).  Each kernel ends with its own checks, so a divergence
+is reported at the stage that caused it: the degenerate quaternion
+norm, the innovation covariance, and the re-symmetrised covariance
+(`_check_covariance`).  The identity they need is one read-only module
+constant, copied where it is modified.
 """
 
 from __future__ import annotations
@@ -90,14 +88,10 @@ __all__ = [
     "BIAS_A",
     "BIAS_W",
     "FilterDivergenceError",
-    "NavState",
-    "StateEstimate",
     "FilterConfig",
     "default_filter_config",
     "propagate",
     "measurement_model",
-    "measurement_jacobian",
-    "process_jacobian",
     "predict",
     "update",
     "init_state",
@@ -130,53 +124,13 @@ class FilterDivergenceError(RuntimeError):
 
 
 @dataclass
-class NavState:
-    """Named view of one state vector; conversion to/from the flat form."""
-
-    p: NDArray[np.float64]
-    v: NDArray[np.float64]
-    a: NDArray[np.float64]
-    q_nb: NDArray[np.float64]
-    a_b: NDArray[np.float64]
-    omega: NDArray[np.float64]
-    bias_a: NDArray[np.float64]
-    bias_w: NDArray[np.float64]
-
-    def as_vector(self) -> NDArray[np.float64]:
-        return np.concatenate(
-            [self.p, self.v, self.a, self.q_nb, self.a_b, self.omega,
-             self.bias_a, self.bias_w]
-        ).astype(float)
-
-    @classmethod
-    def from_vector(cls, x: NDArray[np.float64]) -> "NavState":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (DIM,):
-            raise ValueError(f"state vector must have shape ({DIM},)")
-        return cls(
-            p=x[POS].copy(), v=x[VEL].copy(), a=x[ACC].copy(),
-            q_nb=x[QUAT].copy(), a_b=x[ACC_B].copy(), omega=x[OMEGA].copy(),
-            bias_a=x[BIAS_A].copy(), bias_w=x[BIAS_W].copy(),
-        )
-
-
-@dataclass
-class StateEstimate:
-    """Filter mean and covariance."""
-
-    x: NDArray[np.float64]
-    P: NDArray[np.float64]
-
-
-@dataclass
 class FilterConfig:
     """Tracking filter tuning.
 
     ``q_diag`` and ``r_diag`` are the diagonal process and measurement
     noise variances (state order above; measurement order accel xyz then
-    gyro xyz).  ``joseph`` selects the numerically symmetric update
-    form; the plain form is kept for comparison.  With
-    ``estimate_biases`` off the two bias blocks are frozen at zero.
+    gyro xyz).  With ``estimate_biases`` off the two bias blocks are
+    frozen at zero.
     """
 
     ts: float = 1.0 / constants.DEFAULT_FS
@@ -187,7 +141,6 @@ class FilterConfig:
     r_diag: NDArray[np.float64] = field(
         default_factory=lambda: _default_r_diag()
     )
-    joseph: bool = True
     estimate_biases: bool = True
 
     def __post_init__(self):
@@ -215,25 +168,26 @@ class FilterConfig:
             "g": self.g,
             "q_diag": [float(v) for v in self.q_diag],
             "r_diag": [float(v) for v in self.r_diag],
-            "joseph": self.joseph,
             "estimate_biases": self.estimate_biases,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterConfig":
-        required = {"ts", "g", "q_diag", "r_diag", "joseph", "estimate_biases"}
+        required = {"ts", "g", "q_diag", "r_diag", "estimate_biases"}
         missing = required - d.keys()
         if missing:
             raise ValueError(f"filter config missing keys: {sorted(missing)}")
         unknown = d.keys() - required
         if unknown:
             raise ValueError(f"filter config has unknown keys: {sorted(unknown)}")
+        if not isinstance(d["estimate_biases"], bool):
+            raise ValueError("filter config key 'estimate_biases' must be true "
+                             f"or false, got {d['estimate_biases']!r}")
         return cls(
             ts=float(d["ts"]), g=float(d["g"]),
             q_diag=np.asarray(d["q_diag"], dtype=float),
             r_diag=np.asarray(d["r_diag"], dtype=float),
-            joseph=bool(d["joseph"]),
-            estimate_biases=bool(d["estimate_biases"]),
+            estimate_biases=d["estimate_biases"],
         )
 
 
@@ -381,37 +335,15 @@ def _transition(x: NDArray[np.float64], cfg: FilterConfig):
 
 
 def propagate(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
-    """Noise-free mean propagation over one time step (see `_transition`).
-
-    Accepts one state ``(25,)`` or a batch ``(25, k)``, stepped column
-    by column.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _transition(x, cfg)[0]
-    return np.column_stack([_transition(col, cfg)[0] for col in x.T])
+    """Noise-free mean propagation of one state ``(25,)`` over one time
+    step (see `_transition`)."""
+    return _transition(np.asarray(x, dtype=float), cfg)[0]
 
 
 def measurement_model(x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Predicted IMU reading: biased specific force and angular rate."""
     x = np.asarray(x, dtype=float)
     return x[_IMU_STATES] + x[_BIASES]
-
-
-def measurement_jacobian() -> NDArray[np.float64]:
-    """Sensitivity of the IMU measurement; exactly constant."""
-    jac = np.zeros((MEAS_DIM, DIM))
-    jac[0:3, ACC_B] = np.eye(3)
-    jac[0:3, BIAS_A] = np.eye(3)
-    jac[3:6, OMEGA] = np.eye(3)
-    jac[3:6, BIAS_W] = np.eye(3)
-    return jac
-
-
-def process_jacobian(x: NDArray[np.float64], cfg: FilterConfig) -> NDArray[np.float64]:
-    """Closed-form Jacobian of `propagate` at one state, shape (25, 25)
-    (see `_transition`)."""
-    return _transition(np.asarray(x, dtype=float), cfg)[1]
 
 
 def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -428,10 +360,11 @@ def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
     return p_mat
 
 
-def _predict(x, p_mat, cfg: FilterConfig, q_diag):
-    """Time update of a bare mean and covariance; ``q_diag`` is
-    ``cfg.effective_q_diag()``, which a caller stepping many samples
-    computes once."""
+def predict(x, p_mat, cfg: FilterConfig, q_diag):
+    """Time update of a mean and covariance: propagate the mean, push
+    the covariance through the closed-form process Jacobian and add the
+    process noise ``q_diag``, which is ``cfg.effective_q_diag()`` (a
+    caller stepping many samples computes it once)."""
     x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
@@ -439,12 +372,6 @@ def _predict(x, p_mat, cfg: FilterConfig, q_diag):
     p1 = jac @ p_mat @ jac.T
     p1.ravel()[:: DIM + 1] += q_diag
     return x1, _check_covariance(p1)
-
-
-def predict(est: StateEstimate, cfg: FilterConfig) -> StateEstimate:
-    """Time update: propagate the mean, push the covariance through the
-    closed-form process Jacobian and add the process noise."""
-    return StateEstimate(*_predict(est.x, est.P, cfg, cfg.effective_q_diag()))
 
 
 def _innovation_gain(s_mat: NDArray[np.float64],
@@ -469,7 +396,7 @@ def _innovation_gain(s_mat: NDArray[np.float64],
     return gain_t.T
 
 
-def _measurement_update(x, p_mat, nu, jac, r_diag, joseph: bool):
+def _measurement_update(x, p_mat, nu, jac, r_diag):
     """Update of a bare mean and covariance with the residual ``nu`` of
     a measurement whose prediction has the dense Jacobian ``jac``, (m,)
     and (m, 25), and diagonal noise ``r_diag``; the quaternion is
@@ -479,19 +406,20 @@ def _measurement_update(x, p_mat, nu, jac, r_diag, joseph: bool):
     s_mat.ravel()[:: len(nu) + 1] += r_diag
     gain = _innovation_gain(s_mat, hp)  # (25, m)
     x1 = x + gain @ nu
-    if joseph:
-        ikh = _IDENTITY - gain @ jac
-        p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
-    else:
-        p1 = p_mat - gain @ hp
+    ikh = _IDENTITY - gain @ jac
+    p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     x1[QUAT] = quat_normalize(x1[QUAT])
     return x1, _check_covariance(p1)
 
 
-def _imu_update(x, p_mat, z, r_diag, joseph: bool):
-    """`_measurement_update` with the IMU's constant H = [0 | I | I]
-    (the IMU states 13:19 and the biases 19:25), written out: H P is the
-    sum of two row blocks of P, H P H^T the sum of two column blocks of
+def update(x, p_mat, z, r_diag):
+    """Measurement update of a mean and covariance with one calibrated
+    IMU sample ``z`` (accel then gyro, 6-vector) of noise variances
+    ``r_diag``.
+
+    `_measurement_update` with the IMU's constant H = [0 | I | I] (the
+    IMU states 13:19 and the biases 19:25), written out: H P is the sum
+    of two row blocks of P, H P H^T the sum of two column blocks of
     that, and I - K H the identity with K subtracted from both column
     blocks."""
     hp = p_mat[_IMU_STATES] + p_mat[_BIASES]
@@ -499,21 +427,12 @@ def _imu_update(x, p_mat, z, r_diag, joseph: bool):
     s_mat.ravel()[:: MEAS_DIM + 1] += r_diag
     gain = _innovation_gain(s_mat, hp)
     x1 = x + gain @ (z - measurement_model(x))
-    if joseph:
-        ikh = _IDENTITY.copy()
-        ikh[:, _IMU_STATES] -= gain
-        ikh[:, _BIASES] -= gain
-        p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
-    else:
-        p1 = p_mat - gain @ hp
+    ikh = _IDENTITY.copy()
+    ikh[:, _IMU_STATES] -= gain
+    ikh[:, _BIASES] -= gain
+    p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     x1[QUAT] = quat_normalize(x1[QUAT])
     return x1, _check_covariance(p1)
-
-
-def update(est: StateEstimate, z: NDArray[np.float64], cfg: FilterConfig) -> StateEstimate:
-    """Measurement update with one calibrated IMU sample (6-vector)."""
-    return StateEstimate(*_imu_update(est.x, est.P, np.asarray(z, dtype=float),
-                                      cfg.r_diag, cfg.joseph))
 
 
 def init_state(
@@ -526,8 +445,8 @@ def init_state(
     *,
     still_gyro_limit: float = 0.05,
     still_accel_std_limit: float = 0.5,
-) -> StateEstimate:
-    """Initial estimate from a still period.
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Initial mean and covariance from a still period.
 
     Roll and pitch come from the mean specific force direction (a still
     accelerometer reads the upward reaction, magnitude g); the heading
@@ -568,4 +487,4 @@ def init_state(
     x[POS] = np.asarray(p0, dtype=float)
     x[QUAT] = quat_from_rpy(roll, pitch, heading0)
     x[ACC_B] = f_mean
-    return StateEstimate(x=x, P=np.diag(cfg.effective_q_diag()))
+    return x, np.diag(cfg.effective_q_diag())

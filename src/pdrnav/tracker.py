@@ -24,19 +24,20 @@ from .ekf import (
     QUAT,
     FilterConfig,
     FilterDivergenceError,
-    _imu_update,
-    _predict,
     default_filter_config,
     init_state,
+    predict,
+    update,
 )
 from .zupt import (
     StanceConfig,
+    StanceStack,
     _confidence_factor,
-    _StanceStack,
     default_stance_config,
     hard_series,
     sfs_series,
     stance_intervals,
+    zupt_update,
 )
 
 __all__ = [
@@ -252,8 +253,8 @@ def run_tracker(
         active = np.zeros(n, dtype=bool)
 
     k_init = min(n, max(int(round(init_duration * log.fs)), 1))
-    est = init_state(np.asarray(p0, dtype=float), heading0,
-                     f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
+    x, p_mat = init_state(np.asarray(p0, dtype=float), heading0,
+                          f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
 
     t_out = log.t
     p_out = np.empty((n, 3))
@@ -262,8 +263,8 @@ def run_tracker(
     # configs: the effective process noise, the stance stack, each
     # sample's confidence factor and the IMU measurement vectors.
     q_diag = filter_cfg.effective_q_diag()
-    r_diag, joseph = filter_cfg.r_diag, filter_cfg.joseph
-    stance = _StanceStack(stance_cfg, filter_cfg.g)
+    r_diag = filter_cfg.r_diag
+    stance = StanceStack(stance_cfg, filter_cfg.g)
     factors = (_confidence_factor(stance_cfg, scores)
                if stance_cfg.mode == "soft" else np.ones(n))
     z_imu = np.hstack([f_b, w_b])
@@ -271,15 +272,14 @@ def run_tracker(
     # One filter step per sample on the mean and covariance held here;
     # each stage checks its own result, so a divergence is reported at
     # the sample and stage that caused it.
-    x, p_mat = est.x, est.P
     for k in range(n):
         try:
-            x, p_mat = _predict(x, p_mat, filter_cfg, q_diag)
-            x, p_mat = _imu_update(x, p_mat, z_imu[k], r_diag, joseph)
+            x, p_mat = predict(x, p_mat, filter_cfg, q_diag)
+            x, p_mat = update(x, p_mat, z_imu[k], r_diag)
             if active[k]:
                 if k == 0 or not active[k - 1]:
                     stance.latch(x)
-                x, p_mat = stance.update(x, p_mat, z_imu[k], factors[k], joseph)
+                x, p_mat = zupt_update(x, p_mat, stance, z_imu[k], factors[k])
             if not np.isfinite(x).all():
                 raise FilterDivergenceError("state became non-finite")
         except (FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:

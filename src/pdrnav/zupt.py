@@ -24,6 +24,12 @@ count of C1*C2*C3 instead and carries no confidence information.
 The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
 so that low-confidence stance samples pull the filter gently and
 clean mid-stance samples pull it hard.
+
+A run builds one `StanceStack`: the target stack, the enabled rows and
+their base variances.  Its `linearize` gives the residual and the
+closed-form prediction Jacobian of those rows from one read of the
+state, and `zupt_update` feeds them, with the scaled variances, to the
+filter's update on a mean and covariance that the caller owns.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .ekf import (
     POS,
     QUAT,
     VEL,
-    StateEstimate,
     _measurement_update,
 )
 from .quat import _conj_rotate_terms, _rotate_terms
@@ -54,16 +59,13 @@ __all__ = [
     "PSEUDO_GROUPS",
     "N_PSEUDO",
     "StanceConfig",
-    "StanceEvent",
     "default_stance_config",
     "condition_series",
     "sfs_series",
     "hard_series",
     "stance_intervals",
     "detect_stance",
-    "StanceResidual",
-    "build_pseudo_measurements",
-    "soft_covariance",
+    "StanceStack",
     "zupt_update",
     "match_intervals",
     "event_f1",
@@ -87,10 +89,9 @@ N_PSEUDO = sum(rows for _, rows in PSEUDO_GROUPS)
 
 # Row index of the gravity-norm scalar inside the full stack; its
 # gradient direction a_b/|a_b| is undefined at a_b = 0, where the row's
-# Jacobian is zero and `build_pseudo_measurements` inflates its variance.
+# Jacobian is taken as zero.
 _NORM_ROW = 12
 _NORM_EPS = 1e-6
-_NORM_INFLATION = 1e6
 
 
 def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
@@ -117,20 +118,36 @@ def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.fl
 
 
 def _as_group_flags(groups) -> dict[str, bool]:
+    """The enable flags checked: a mapping from exactly the names in
+    ``PSEUDO_GROUPS`` to booleans."""
     names = [name for name, _ in PSEUDO_GROUPS]
-    if isinstance(groups, dict):
-        extra = groups.keys() - set(names)
-        missing = set(names) - groups.keys()
-        if extra or missing:
-            raise ValueError(
-                f"pseudo-measurement groups must be exactly {names}; "
-                f"missing {sorted(missing)}, unknown {sorted(extra)}"
-            )
-        return {name: bool(groups[name]) for name in names}
-    flags = list(groups)
-    if len(flags) != len(names):
-        raise ValueError(f"expected {len(names)} group flags, got {len(flags)}")
-    return {name: bool(flag) for name, flag in zip(names, flags)}
+    if not isinstance(groups, dict):
+        raise ValueError(
+            f"pseudo_groups must map each of {names} to true or false, "
+            f"got {groups!r}"
+        )
+    extra = groups.keys() - set(names)
+    missing = set(names) - groups.keys()
+    if extra or missing:
+        raise ValueError(
+            f"pseudo-measurement groups must be exactly {names}; "
+            f"missing {sorted(missing)}, unknown {sorted(extra)}"
+        )
+    bad = {name: groups[name] for name in names
+           if not isinstance(groups[name], (bool, np.bool_))}
+    if bad:
+        raise ValueError(f"pseudo_groups flags must be true or false, got {bad}")
+    return {name: bool(groups[name]) for name in names}
+
+
+def _whole_number(d: dict, key: str) -> int:
+    """``d[key]`` as an int, refusing anything but a whole number."""
+    value = d[key]
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(
+            f"stance config key {key!r} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -161,7 +178,8 @@ class StanceConfig:
         Base diagonal variances of the full pseudo-measurement stack.
     pseudo_groups : dict
         Enable flag per pseudo-measurement group, keys as in
-        ``PSEUDO_GROUPS``.
+        ``PSEUDO_GROUPS``; unless ``mode`` is ``"none"``, at least one
+        must be on.
     mode : str
         ``"soft"`` (score-modulated covariance), ``"hard"`` (binary
         detector, unmodulated covariance) or ``"none"`` (no stance
@@ -206,6 +224,11 @@ class StanceConfig:
             raise ValueError("pseudo_variances must be positive")
         if self.mode not in ("soft", "hard", "none"):
             raise ValueError(f"unknown stance mode {self.mode!r}")
+        if self.mode != "none" and not any(self.pseudo_groups.values()):
+            raise ValueError(
+                f"stance mode {self.mode!r} needs at least one pseudo_groups "
+                "flag on; mode 'none' switches stance updates off"
+            )
 
     def row_mask(self) -> NDArray[np.bool_]:
         """Boolean mask over the 22 rows selecting the enabled groups."""
@@ -251,8 +274,8 @@ class StanceConfig:
             accel_std_max=float(d["accel_std_max"]),
             gyro_norm_max=float(d["gyro_norm_max"]),
             gyro_std_max=float(d["gyro_std_max"]),
-            detect_half_width=int(d["detect_half_width"]),
-            std_half_width=int(d["std_half_width"]),
+            detect_half_width=_whole_number(d, "detect_half_width"),
+            std_half_width=_whole_number(d, "std_half_width"),
             sfs_threshold=float(d["sfs_threshold"]),
             covariance_gain=float(d["covariance_gain"]),
             pseudo_variances=np.asarray(d["pseudo_variances"], dtype=float),
@@ -264,25 +287,6 @@ class StanceConfig:
 def default_stance_config(fs: float = constants.DEFAULT_FS) -> StanceConfig:
     """Detector defaults tuned on the synthetic gait generator."""
     return StanceConfig(pseudo_variances=_default_pseudo_variances(fs))
-
-
-@dataclass
-class StanceEvent:
-    """One stance period, anchored at the sample where it was declared.
-
-    ``latched_xy`` is the horizontal position estimate captured exactly
-    once, at ``start_index``; every pseudo-measurement of the event
-    pulls toward this one value, which is what keeps the foot from
-    skating during the stance.
-    """
-
-    start_index: int
-    latched_xy: NDArray[np.float64]
-
-    def __post_init__(self):
-        # np.array, not asarray: the event must own its copy so later
-        # writes to the caller's buffer cannot move the latched target.
-        self.latched_xy = np.array(self.latched_xy, dtype=float).reshape(2)
 
 
 def _window_bounds(n: int, i, half: int):
@@ -411,7 +415,7 @@ _LINEAR_STANCE_ROWS = _linear_stance_rows()
 
 # State entries copied into the prediction stack (rows 9-12, the gravity
 # direction and norm, are overwritten), and the flat positions in the
-# prediction Jacobian of the entries `StanceResidual.linearize` fills:
+# prediction Jacobian of the entries `StanceStack.linearize` fills:
 # gravity direction by QUAT and by ACC_B, gravity norm by ACC_B, accel
 # bias by QUAT.
 _STANCE_SOURCE = np.r_[0:9, 0:4, 16:25]
@@ -423,42 +427,62 @@ _STANCE_INDEX = np.array(
 )
 
 
-def _target_stack(g: float) -> NDArray[np.float64]:
-    """The full stack's targets with the latched xy (rows 0-1) and the
-    IMU sample (rows 16-21) left at zero for the caller to write."""
-    z_full = np.zeros(N_PSEUDO)
-    z_full[11] = g
-    z_full[_NORM_ROW] = g
-    return z_full
+class StanceStack:
+    """The stance pseudo-measurement stack of one run.
 
+    The full stack, in row order (22 rows when every group is enabled):
 
-class StanceResidual:
-    """Residual ``z_p - prediction`` of one stance stack.
+    ==================  ====  ===========================  ==================
+    group               rows  target value                 state prediction
+    ==================  ====  ===========================  ==================
+    position_xy         2     xy latched at event start    p[0:2]
+    position_z          1     0                            p[2]
+    velocity            3     0                            v
+    acceleration        3     0                            a
+    gravity_direction   3     (0, 0, +g)                   R(q)^T a_b
+    gravity_norm        1     g                            |a_b|
+    angular_rate        3     0                            omega
+    accel_bias          3     calibrated accel sample      b_a - R(q) g_vec
+    gyro_bias           3     calibrated gyro sample       b_w
+    ==================  ====  ===========================  ==================
 
-    `linearize` gives the residual of the enabled rows and the
-    closed-form Jacobian H of their prediction at one state, from one
-    read of the state.  Calling it maps states ``(25,)`` or batches
-    ``(25, k)``, column by column, to residuals; `jacobian` gives the
-    derivative of the residual, ``-H``.
+    The two bias groups use the raw calibrated sample as the target: at
+    rest the sample is gravity reaction plus residual bias, so the
+    residual isolates the bias states.
+
+    Everything that does not change within a run is built once: the
+    target stack, written in place (`latch` at event start, the IMU
+    sample at each `linearize`), the enabled rows of ``cfg`` and their
+    base variances ``base_variances``.
     """
 
-    def __init__(self, z_full: NDArray[np.float64], mask: NDArray[np.bool_] | slice,
-                 g_vec: NDArray[np.float64]):
-        self.z_full = z_full
-        self.mask = mask
-        self.g_vec = g_vec
+    def __init__(self, cfg: StanceConfig, g: float):
+        mask = cfg.row_mask()
+        self.z_full = np.zeros(N_PSEUDO)
+        self.z_full[11] = g
+        self.z_full[_NORM_ROW] = g
+        self.mask = slice(None) if mask.all() else mask
+        self.g_vec = np.array([0.0, 0.0, -g])
+        self.base_variances = cfg.pseudo_variances[mask]
 
-    def linearize(self, x):
-        """Residual and prediction Jacobian H at one state, (m,) and (m, 25).
+    def latch(self, x) -> None:
+        """Start an event: hold the horizontal position of ``x``."""
+        self.z_full[0:2] = x[POS.start:POS.start + 2]
 
-        Only the gravity-direction, gravity-norm and accel-bias rows
-        depend on the state nonlinearly.  The gravity-norm gradient
-        ``a_b / |a_b|`` is taken as zero where ``|a_b|`` is below the
-        threshold at which `build_pseudo_measurements` defuses that row.
-        The row is then zero, so it cannot move the mean or the
-        covariance whatever its variance: H P has a zero row, S a zero
-        row and column off the diagonal, and the gain a zero column.
+    def linearize(self, x, imu_sample):
+        """Residual ``z_p - prediction`` and prediction Jacobian H of the
+        enabled rows at one state, (m,) and (m, 25), with the calibrated
+        ``imu_sample`` (accel then gyro) as the bias targets.
+
+        One read of the state; only the gravity-direction, gravity-norm
+        and accel-bias rows depend on it nonlinearly.  The gravity-norm
+        gradient ``a_b / |a_b|`` is taken as zero where ``|a_b|`` is
+        below 1e-6, where it has no direction.  The row is then zero, so
+        it cannot move the mean or the covariance whatever its variance:
+        H P has a zero row, S a zero row and column off the diagonal,
+        and the gain a zero column.
         """
+        self.z_full[16:22] = imu_sample
         x = np.asarray(x, dtype=float)
         qw, qx, qy, qz, fx, fy, fz = x[QUAT.start:ACC_B.stop].tolist()
         # R(q)^T a_b = quat_rotate(conj(q), a_b) and R(q) g_vec.
@@ -481,173 +505,22 @@ class StanceResidual:
         h_jac.ravel()[_STANCE_INDEX] = values
         return (self.z_full - h)[self.mask], h_jac[self.mask]
 
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            return self.linearize(xs)[0]
-        return np.column_stack([self.linearize(x)[0] for x in xs.T])
-
-    def jacobian(self, x) -> NDArray[np.float64]:
-        """Derivative of the residual at one state, ``-H``, shape (m, 25)."""
-        return -self.linearize(x)[1]
-
-
-def build_pseudo_measurements(
-    x,
-    event: StanceEvent,
-    accel_sample,
-    gyro_sample,
-    cfg: StanceConfig,
-    g: float = constants.GRAVITY,
-    *,
-    mask: NDArray[np.bool_] | None = None,
-):
-    """Assemble the stance pseudo-measurement stack for one sample.
-
-    The stack, in row order (22 rows when every group is enabled):
-
-    ==================  ====  ===========================  ==================
-    group               rows  target value                 state prediction
-    ==================  ====  ===========================  ==================
-    position_xy         2     xy latched at event start    p[0:2]
-    position_z          1     0                            p[2]
-    velocity            3     0                            v
-    acceleration        3     0                            a
-    gravity_direction   3     (0, 0, +g)                   R(q)^T a_b
-    gravity_norm        1     g                            |a_b|
-    angular_rate        3     0                            omega
-    accel_bias          3     calibrated accel sample      b_a - R(q) g_vec
-    gyro_bias           3     calibrated gyro sample       b_w
-    ==================  ====  ===========================  ==================
-
-    The two bias groups use the raw calibrated sample as the target: at
-    rest the sample is gravity reaction plus residual bias, so the
-    residual isolates the bias states.
-
-    Parameters
-    ----------
-    x : ndarray, shape (25,)
-        Predicted state at this sample (used to spot the singular
-        gravity-norm gradient).
-    event : StanceEvent
-    accel_sample, gyro_sample : ndarray, shape (3,)
-        The calibrated IMU sample being processed.
-    cfg : StanceConfig
-    g : float
-        Gravity magnitude, m/s^2.
-    mask : ndarray of bool, shape (22,), optional
-        ``cfg.row_mask()``, for a caller that builds many stacks under
-        one configuration and holds it already.
-
-    Returns
-    -------
-    z_p : ndarray, shape (m,)
-        Stacked targets for the enabled groups.
-    residual : StanceResidual
-        Maps states (25,) or batches (25, k) to residuals
-        ``z_p - prediction``; its ``linearize(x)`` gives the residual
-        and the closed-form prediction Jacobian together, as
-        `zupt_update` uses them.
-    variance_scale : ndarray, shape (m,)
-        Per-row multipliers for the variances, 1 everywhere except the
-        gravity-norm row when ``|a_b|`` is too small to define its
-        gradient direction, which gets 1e6.
-    """
-    x = np.asarray(x, dtype=float)
-    accel_sample = np.asarray(accel_sample, dtype=float).reshape(3)
-    gyro_sample = np.asarray(gyro_sample, dtype=float).reshape(3)
-    g_vec = np.array([0.0, 0.0, -g])
-    if mask is None:
-        mask = cfg.row_mask()
-
-    z_full = _target_stack(g)
-    z_full[0:2] = event.latched_xy
-    z_full[16:19] = accel_sample
-    z_full[19:22] = gyro_sample
-    z_p = z_full[mask]
-
-    scale_full = np.ones(N_PSEUDO)
-    fx, fy, fz = x[ACC_B].tolist()
-    if math.sqrt(fx * fx + fy * fy + fz * fz) < _NORM_EPS:
-        scale_full[_NORM_ROW] = _NORM_INFLATION
-    return z_p, StanceResidual(z_full, mask, g_vec), scale_full[mask]
-
 
 def _confidence_factor(cfg: StanceConfig, scores):
     """``1 + covariance_gain * (1 - score)``, for one score or an array."""
     return 1.0 + cfg.covariance_gain * (1.0 - scores)
 
 
-def soft_covariance(
-    cfg: StanceConfig,
-    sfs_k: float,
-    base_variances: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
-    """Confidence-modulated variances for the enabled rows.
+def zupt_update(x, p_mat, stance: StanceStack, imu_sample, factor: float):
+    """Inject one stance pseudo-measurement into a mean and covariance.
 
-    A score of 1 returns the base variances unchanged; lower scores
-    scale them up by ``1 + covariance_gain * (1 - score)``, weakening
-    the pull of every pseudo-measurement together.  ``base_variances``
-    are ``cfg.pseudo_variances`` of the enabled rows, for a caller that
-    holds them already.
+    The residual and H of ``stance`` at ``x`` with the calibrated
+    ``imu_sample`` go through the Joseph-form update, with the base
+    variances scaled by the confidence ``factor`` of the sample's score,
+    ``1 + covariance_gain * (1 - score)`` (1 for the hard detector).
     """
-    if not 0.0 <= sfs_k <= 1.0:
-        raise ValueError(f"score {sfs_k} outside [0, 1]")
-    if base_variances is None:
-        base_variances = cfg.pseudo_variances[cfg.row_mask()]
-    return _confidence_factor(cfg, sfs_k) * base_variances
-
-
-def zupt_update(
-    est: StateEstimate,
-    residual,
-    variances,
-    *,
-    joseph: bool = True,
-) -> StateEstimate:
-    """Inject one stance pseudo-measurement into the filter.
-
-    ``residual`` is the `StanceResidual` from
-    `build_pseudo_measurements`; its residual and prediction Jacobian
-    feed the standard update.
-    """
-    nu, jac = residual.linearize(est.x)
-    return StateEstimate(*_measurement_update(
-        est.x, est.P, nu, jac, np.asarray(variances, dtype=float), joseph))
-
-
-class _StanceStack:
-    """The stance update for a loop that owns the filter's mean and
-    covariance, with everything that does not change within a run built
-    once: one `StanceResidual` over a target stack written in place (the
-    latched xy at event start, the IMU sample at each update), and the
-    base variances of the enabled rows.
-
-    One update is `zupt_update` with the `build_pseudo_measurements`
-    stack and `soft_covariance` variances.  The stack's
-    ``variance_scale`` is left out: it only inflates the gravity-norm
-    row where `StanceResidual.linearize` zeroes that row, which leaves
-    the update unchanged bit for bit.
-    """
-
-    def __init__(self, cfg: StanceConfig, g: float):
-        mask = cfg.row_mask()
-        self.residual = StanceResidual(
-            _target_stack(g), slice(None) if mask.all() else mask,
-            np.array([0.0, 0.0, -g]))
-        self.base_variances = cfg.pseudo_variances[mask]
-
-    def latch(self, x) -> None:
-        """Start an event: hold the horizontal position of ``x``."""
-        self.residual.z_full[0:2] = x[POS.start:POS.start + 2]
-
-    def update(self, x, p_mat, imu_sample, factor: float, joseph: bool):
-        """Update with the calibrated ``imu_sample`` (accel then gyro) and
-        the confidence factor of its score."""
-        self.residual.z_full[16:22] = imu_sample
-        nu, jac = self.residual.linearize(x)
-        return _measurement_update(x, p_mat, nu, jac,
-                                   factor * self.base_variances, joseph)
+    nu, jac = stance.linearize(x, imu_sample)
+    return _measurement_update(x, p_mat, nu, jac, factor * stance.base_variances)
 
 
 def match_intervals(

@@ -2,11 +2,14 @@
 
 Nothing here may import the code paths it is checking beyond the state
 layout constants; oracles recompute results from first principles.  The
-two filter references are the exception by design: `kalman_update` is
-the general dense update that the library's written-out updates must
-equal (it shares their gain and covariance checks, so both refuse the
-same inputs), and `chain_tracker` is the tracking loop built from the
-public per-call functions, which the tracker's single step must equal.
+filter references are the exception by design: `kalman_update` is the
+general dense update that the library's written-out updates must equal
+(it shares their gain and covariance checks, so both refuse the same
+inputs); `build_pseudo_measurements` and `soft_covariance` are the
+stance update's per-call form, a stack built afresh for each sample
+around the library's linearisation; and `chain_tracker` is the tracking
+loop built from those dense, per-call forms, which the tracker's single
+step must equal.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from scipy.optimize import brentq
 
 from pdrnav import calibration, ekf, tracker, zupt
 from pdrnav.constants import GRAVITY
-from pdrnav.ekf import ACC_B, DIM, OMEGA, POS, QUAT
-from pdrnav.quat import quat_exp, quat_mul, quat_rotate, rot_matrix
+from pdrnav.ekf import ACC_B, BIAS_A, BIAS_W, DIM, MEAS_DIM, OMEGA, POS, QUAT
+from pdrnav.quat import quat_exp, quat_mul, quat_normalize, quat_rotate, rot_matrix
 
 
 def finite_difference_jacobian(f, x, m: int | None = None):
-    """Central-difference Jacobian of a batch-capable state function.
+    """Central-difference Jacobian of a single-state function.
 
     The reference that criterion 2 holds against Richardson, and that
     the tracker test swaps in for the filter's closed forms.
@@ -37,7 +40,8 @@ def finite_difference_jacobian(f, x, m: int | None = None):
     Parameters
     ----------
     f : callable
-        Maps ``(n, k)`` batches of states column-wise to ``(m, k)``.
+        Maps one state ``(n,)`` to ``(m,)``; it is called once per
+        perturbed state.
     x : ndarray, shape (n,)
     m : int, optional
         Output dimension, inferred from one evaluation if omitted.
@@ -47,11 +51,10 @@ def finite_difference_jacobian(f, x, m: int | None = None):
     ndarray, shape (m, n)
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
     h = np.maximum(1e-6, 1e-6 * np.abs(x))
     perturb = np.diag(h)
-    f_plus = np.asarray(f(x[:, None] + perturb))
-    f_minus = np.asarray(f(x[:, None] - perturb))
+    f_plus = np.column_stack([f(col) for col in (x[:, None] + perturb).T])
+    f_minus = np.column_stack([f(col) for col in (x[:, None] - perturb).T])
     jac = (f_plus - f_minus) / (2.0 * h)
     if m is not None and jac.shape[0] != m:
         raise ValueError(f"f returned {jac.shape[0]} rows, expected {m}")
@@ -432,9 +435,20 @@ def stringio_csv_rows(path, n_cols):
     return np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
 
 
-def kalman_update(x, p_mat, z, z_pred, jac, r_diag, joseph=True):
-    """One measurement update, any dimensions, with a dense H (``jac``):
-    ``H P``, ``S = H P H^T + R`` and, for Joseph, ``I - K H`` formed as
+def measurement_jacobian():
+    """Sensitivity of the IMU measurement, H = [0 | I | I] over the IMU
+    states and the biases as a dense (6, 25) matrix; exactly constant."""
+    jac = np.zeros((MEAS_DIM, DIM))
+    jac[0:3, ACC_B] = np.eye(3)
+    jac[0:3, BIAS_A] = np.eye(3)
+    jac[3:6, OMEGA] = np.eye(3)
+    jac[3:6, BIAS_W] = np.eye(3)
+    return jac
+
+
+def kalman_update(x, p_mat, z, z_pred, jac, r_diag):
+    """One Joseph-form measurement update, any dimensions, with a dense
+    H (``jac``): ``H P``, ``S = H P H^T + R`` and ``I - K H`` formed as
     full matrix products.  The gain and the covariance check are the
     library's, so a non-finite or indefinite S is refused the same way.
     """
@@ -443,23 +457,65 @@ def kalman_update(x, p_mat, z, z_pred, jac, r_diag, joseph=True):
     hp = jac @ p_mat
     gain = ekf._innovation_gain(hp @ jac.T + np.diag(r_diag), hp)  # (n, m)
     x1 = x + gain @ (z - z_pred)
-    if joseph:
-        ikj = np.eye(len(x)) - gain @ jac
-        p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
-    else:
-        p1 = p_mat - gain @ hp
+    ikj = np.eye(len(x)) - gain @ jac
+    p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
     return x1, ekf._check_covariance(p1)
 
 
+def build_pseudo_measurements(latched_xy, accel_sample, gyro_sample, cfg,
+                              g=GRAVITY):
+    """The stance stack of one sample, built afresh: a new
+    `pdrnav.zupt.StanceStack` for ``cfg`` whose horizontal target is
+    ``latched_xy`` and whose bias targets are this calibrated sample.
+
+    Returns ``linearize``, mapping one state to the residual and the
+    prediction Jacobian H of the enabled rows.
+    """
+    stack = zupt.StanceStack(cfg, g)
+    latch_state = np.zeros(DIM)
+    latch_state[POS][:2] = latched_xy
+    stack.latch(latch_state)
+    sample = np.concatenate([accel_sample, gyro_sample])
+    return lambda x: stack.linearize(x, sample)
+
+
+def soft_covariance(cfg, score):
+    """Variances of the enabled stance rows at one score in [0, 1]: the
+    base variances times ``1 + covariance_gain * (1 - score)``."""
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score} outside [0, 1]")
+    return (1.0 + cfg.covariance_gain * (1.0 - score)) * \
+        cfg.pseudo_variances[cfg.row_mask()]
+
+
+def dense_imu_update(x, p_mat, z, r_diag):
+    """The IMU update as `kalman_update` with the dense
+    `measurement_jacobian`, the quaternion renormalised."""
+    x1, p1 = kalman_update(x, p_mat, z, ekf.measurement_model(x),
+                           measurement_jacobian(), r_diag)
+    x1[QUAT] = quat_normalize(x1[QUAT])
+    return x1, p1
+
+
+def dense_stance_update(x, p_mat, linearize, variances):
+    """The stance update as `kalman_update` with the residual and H that
+    ``linearize`` gives at ``x``, the quaternion renormalised."""
+    nu, jac = linearize(x)
+    x1, p1 = kalman_update(x, p_mat, nu, np.zeros_like(nu), jac, variances)
+    x1[QUAT] = quat_normalize(x1[QUAT])
+    return x1, p1
+
+
 def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
-                  *, predict=ekf.predict, stance_update=zupt.zupt_update,
+                  *, predict=ekf.predict, stance_update=dense_stance_update,
                   p0=(0.0, 0.0, 0.0), heading0=0.0, init_duration=1.0):
-    """`pdrnav.tracker.run_tracker` as a chain of public per-call
-    functions: ``predict``, `ekf.update` and, on stance samples, a
-    `build_pseudo_measurements` stack with `soft_covariance` variances
-    through ``stance_update`` (called like `zupt_update`), each returning
-    a new `StateEstimate`.  Divergence is reported as the tracker
-    reports it.
+    """`pdrnav.tracker.run_tracker` as a chain of per-call steps:
+    ``predict`` (called like `pdrnav.ekf.predict`, with the effective
+    process noise formed per call), `dense_imu_update` and, on stance
+    samples, a `build_pseudo_measurements` stack latched at the event's
+    first sample with `soft_covariance` variances through
+    ``stance_update`` (called like `dense_stance_update`).  Divergence is
+    reported as the tracker reports it.
     """
     if filter_cfg is None:
         filter_cfg = ekf.default_filter_config(log.fs)
@@ -476,39 +532,37 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
     else:
         active = np.zeros(n, dtype=bool)
     k_init = min(n, max(int(round(init_duration * log.fs)), 1))
-    est = ekf.init_state(np.asarray(p0, dtype=float), heading0,
-                         f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
+    x, p_mat = ekf.init_state(np.asarray(p0, dtype=float), heading0,
+                              f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
 
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))
-    event = None
-    mask = stance_cfg.row_mask()
+    latched_xy = None
     for k in range(n):
         try:
-            est = predict(est, filter_cfg)
-            est = ekf.update(est, np.concatenate([f_b[k], w_b[k]]), filter_cfg)
+            x, p_mat = predict(x, p_mat, filter_cfg, filter_cfg.effective_q_diag())
+            x, p_mat = dense_imu_update(x, p_mat, np.concatenate([f_b[k], w_b[k]]),
+                                        filter_cfg.r_diag)
             if active[k]:
-                if event is None:
-                    event = zupt.StanceEvent(start_index=k, latched_xy=est.x[POS][:2])
-                _, residual, scale = zupt.build_pseudo_measurements(
-                    est.x, event, f_b[k], w_b[k], stance_cfg,
-                    g=filter_cfg.g, mask=mask)
+                if latched_xy is None:
+                    latched_xy = x[POS][:2].copy()
+                linearize = build_pseudo_measurements(
+                    latched_xy, f_b[k], w_b[k], stance_cfg, g=filter_cfg.g)
                 score = scores[k] if stance_cfg.mode == "soft" else 1.0
-                variances = zupt.soft_covariance(stance_cfg, score) * scale
-                est = stance_update(est, residual, variances,
-                                    joseph=filter_cfg.joseph)
+                x, p_mat = stance_update(x, p_mat, linearize,
+                                         soft_covariance(stance_cfg, score))
             else:
-                event = None
-            if not np.isfinite(est.x).all():
+                latched_xy = None
+            if not np.isfinite(x).all():
                 raise ekf.FilterDivergenceError("state became non-finite")
         except (ekf.FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
             partial = tracker.Trajectory(t=log.t[:k], p=p_out[:k], q_nb=q_out[:k],
                                          sfs=scores[:k], stance=active[:k])
             diag = tracker.TrackerDiagnostic(
                 sample_index=k,
-                covariance_condition=tracker._condition_number(est.P),
+                covariance_condition=tracker._condition_number(p_mat),
                 message=str(exc))
             raise tracker.TrackerDivergence(partial, diag) from exc
-        p_out[k] = est.x[POS]
-        q_out[k] = est.x[QUAT]
+        p_out[k] = x[POS]
+        q_out[k] = x[QUAT]
     return tracker.Trajectory(t=log.t, p=p_out, q_nb=q_out, sfs=scores, stance=active)

@@ -28,7 +28,7 @@ from pdrnav.io import (
     write_log,
 )
 from pdrnav.tracker import ImuLog
-from pdrnav.zupt import default_stance_config
+from pdrnav.zupt import PSEUDO_GROUPS, default_stance_config
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -223,6 +223,40 @@ class TestExitCodes:
                      "--out", str(tmp_path / "cal.json")])
         assert code == 2
         assert "angular rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("stance", "pseudo_groups", "FFFFFFFFF"),
+        ("stance", "pseudo_groups", 5),
+        ("stance", "pseudo_groups", {"velocity": "false"}),
+        ("stance", "pseudo_groups",
+         {name: False for name, _ in PSEUDO_GROUPS}),
+        ("stance", "detect_half_width", 6.9),
+        ("stance", "std_half_width", "3"),
+        ("filter", "estimate_biases", "false"),
+        ("filter", "joseph", True),
+    ], ids=["groups-string", "groups-number", "flag-string", "all-groups-off",
+            "half-width-fraction", "half-width-string", "biases-string",
+            "joseph-key"])
+    def test_bad_config_value_exits_two(self, workspace, tmp_path, capsys,
+                                        section, key, value):
+        # A mapping for pseudo_groups patches flags of the shipped groups;
+        # anything else replaces the entry.  Each case must be refused
+        # with a message naming the key.
+        ws, _ = workspace
+        doc = json.loads((ws / "config.json").read_text())
+        if isinstance(value, dict):
+            doc[section][key].update(value)
+        else:
+            doc[section][key] = value
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["track", "--log", str(ws / "walk.csv"),
+                     "--cal", str(ws / "cal.json"),
+                     "--config", str(bad),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_divergence_exits_three_with_partial_output(self, workspace,
                                                         tmp_path, capsys):

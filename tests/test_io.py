@@ -379,7 +379,7 @@ class TestConfigFormat:
         np.testing.assert_array_equal(back.filter.q_diag, config.filter.q_diag)
         np.testing.assert_array_equal(back.filter.r_diag, config.filter.r_diag)
         assert back.filter.ts == config.filter.ts
-        assert back.filter.joseph == config.filter.joseph
+        assert back.filter.estimate_biases == config.filter.estimate_biases
         assert back.stance.to_dict() == config.stance.to_dict()
         assert back.calibration_paths == config.calibration_paths
 
@@ -408,9 +408,21 @@ class TestConfigFormat:
         path = tmp_path / "config.json"
         write_config(path, config)
         doc = json.loads(path.read_text())
-        del doc["filter"]["joseph"]
+        del doc["filter"]["estimate_biases"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="joseph"):
+        with pytest.raises(ValueError, match="estimate_biases"):
+            read_config(path)
+
+    def test_retired_joseph_key_rejected(self, tmp_path):
+        # The updates are always in Joseph form; a config written with
+        # the retired switch is refused by the unknown-key rule.
+        config = self.make_config()
+        path = tmp_path / "config.json"
+        write_config(path, config)
+        doc = json.loads(path.read_text())
+        doc["filter"]["joseph"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown.*joseph"):
             read_config(path)
 
 

@@ -193,7 +193,7 @@ class TestRunTracker:
     def test_divergence_midway_keeps_processed_samples(self, short_walk,
                                                        monkeypatch):
         _, log = short_walk
-        real_update = tracker_module._imu_update
+        real_update = tracker_module.update
         calls = {"n": 0}
 
         def failing_update(*args):
@@ -202,7 +202,7 @@ class TestRunTracker:
                 raise FilterDivergenceError("synthetic blow-up")
             return real_update(*args)
 
-        monkeypatch.setattr(tracker_module, "_imu_update", failing_update)
+        monkeypatch.setattr(tracker_module, "update", failing_update)
         with pytest.raises(TrackerDivergence) as info:
             run_tracker(log, CAL_A, CAL_W)
         exc = info.value
@@ -238,9 +238,12 @@ def _stance_variant(name):
     return cfg
 
 
-# The kernel that runs each stage of the tracker's step.
-_STAGE_KERNELS = {"predict": "_predict", "imu": "_imu_update",
-                  "stance": "_measurement_update"}
+# The functions that run each stage of a step: the tracker's kernel, and
+# the dense form of the two updates in `oracles.chain_tracker`, which
+# reach the checks through `oracles.kalman_update`.
+_STAGE_KERNELS = {"predict": {"predict"},
+                  "imu": {"update", "dense_imu_update"},
+                  "stance": {"_measurement_update", "dense_stance_update"}}
 
 
 def inject_fault(monkeypatch, stage, fault, at):
@@ -248,7 +251,7 @@ def inject_fault(monkeypatch, stage, fault, at):
     on that kernel's ``at``-th call (1-based): a NaN covariance entry
     (``"nonfinite"``), or a negative diagonal entry (``"indefinite"``) in
     the covariance at predict and in S at the two updates."""
-    kernel = _STAGE_KERNELS[stage]
+    kernels = _STAGE_KERNELS[stage]
     if fault == "nonfinite" or stage == "predict":
         name = "_check_covariance"
         value = np.nan if fault == "nonfinite" else -1.0
@@ -258,7 +261,10 @@ def inject_fault(monkeypatch, stage, fault, at):
     calls = {"n": 0}
 
     def corrupt(mat, *rest):
-        if sys._getframe(1).f_code.co_name == kernel:
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "kalman_update":
+            caller = sys._getframe(2).f_code.co_name
+        if caller in kernels:
             calls["n"] += 1
             if calls["n"] == at:
                 mat = mat.copy()
@@ -270,21 +276,21 @@ def inject_fault(monkeypatch, stage, fault, at):
 
 class TestSingleStep:
     """`run_tracker` runs one step per sample on a mean and covariance
-    it owns; it must be the chain of public per-call functions
+    it owns; it must be the chain of dense, per-call forms
     (`oracles.chain_tracker`) bit for bit, fail where that chain fails,
     and run no more checks than the chain."""
 
     @pytest.mark.parametrize("walk, variant", [
         ("short_walk", "soft"), ("short_walk", "hard"),
-        ("short_walk", "groups"), ("short_walk", "plain"),
+        ("short_walk", "groups"), ("short_walk", "biases_off"),
         ("slow_walk", "soft"), ("slow_walk", "groups"),
     ])
     def test_matches_per_call_chain(self, walk, variant, request):
         _, log = request.getfixturevalue(walk)
         stance_cfg = _stance_variant(variant)
         filter_cfg = default_filter_config(FS)
-        if variant == "plain":
-            filter_cfg = dataclasses.replace(filter_cfg, joseph=False)
+        if variant == "biases_off":
+            filter_cfg = dataclasses.replace(filter_cfg, estimate_biases=False)
         step = run_tracker(log, CAL_A, CAL_W, filter_cfg, stance_cfg)
         chain = chain_tracker(log, CAL_A, CAL_W, filter_cfg, stance_cfg)
         assert step.stance.sum() > 0.2 * step.t.size

@@ -15,12 +15,15 @@ from pdrnav.constants import GRAVITY
 from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
 from oracles import (
+    build_pseudo_measurements,
     condition_signals,
+    dense_stance_update,
     hard_detector,
     kalman_update,
     random_covariance,
     richardson_jacobian,
     sfs,
+    soft_covariance,
 )
 
 G_VEC = np.array([0.0, 0.0, -GRAVITY])
@@ -293,44 +296,60 @@ def random_state(rng):
     return x
 
 
+def latched_stack(cfg, latched_xy, g=GRAVITY):
+    """A run's stance stack with an event latched at ``latched_xy``."""
+    stack = zupt.StanceStack(cfg, g)
+    x_start = np.zeros(ekf.DIM)
+    x_start[ekf.POS][:2] = latched_xy
+    stack.latch(x_start)
+    return stack
+
+
+def stance_residual(cfg, latched_xy, accel_s, gyro_s):
+    """The stance residual of one sample as a function of one state."""
+    stack = latched_stack(cfg, latched_xy)
+    sample = np.concatenate([accel_s, gyro_s])
+    return lambda x: stack.linearize(x, sample)[0]
+
+
 class TestBuildPseudoMeasurements:
+    """The run's stance stack: its targets, latching and row masks, and
+    its residual against a row-by-row re-derivation."""
+
     def test_residual_zero_at_stance_truth(self):
         for roll, pitch, yaw in [(0, 0, 0), (0.3, -0.2, 1.0)]:
             x = stance_truth_state(roll, pitch, yaw, p=(2.0, -1.0, 0.0))
             accel_s, gyro_s = truth_sample(x)
-            event = zupt.StanceEvent(0, x[ekf.POS][:2])
-            cfg = zupt.StanceConfig()
-            _, residual, _ = zupt.build_pseudo_measurements(
-                x, event, accel_s, gyro_s, cfg
-            )
+            residual = stance_residual(zupt.StanceConfig(), x[ekf.POS][:2],
+                                       accel_s, gyro_s)
             np.testing.assert_allclose(residual(x), 0.0, atol=1e-12)
 
     def test_velocity_rows_reflect_drift(self):
         x = stance_truth_state()
         x[ekf.VEL] = [0.1, 0.0, 0.0]
-        event = zupt.StanceEvent(0, [0.0, 0.0])
         accel_s, gyro_s = truth_sample(x)
-        _, residual, _ = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, zupt.StanceConfig()
-        )
+        residual = stance_residual(zupt.StanceConfig(), [0.0, 0.0],
+                                   accel_s, gyro_s)
         np.testing.assert_allclose(residual(x)[3:6], [-0.1, 0.0, 0.0])
 
     def test_latched_target_drives_xy_rows(self):
         x = stance_truth_state(p=(3.0, -2.5, 0.2))
-        event = zupt.StanceEvent(17, [3.5, -2.0])
         accel_s, gyro_s = truth_sample(x)
-        _, residual, _ = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, zupt.StanceConfig()
-        )
+        residual = stance_residual(zupt.StanceConfig(), [3.5, -2.0],
+                                   accel_s, gyro_s)
         r = residual(x)
         np.testing.assert_allclose(r[:2], [0.5, 0.5])
         np.testing.assert_allclose(r[2], -0.2)
 
     def test_event_owns_its_latched_copy(self):
-        xy = np.array([1.0, 2.0])
-        event = zupt.StanceEvent(0, xy)
-        xy[:] = 99.0
-        np.testing.assert_array_equal(event.latched_xy, [1.0, 2.0])
+        # The stack holds the latched xy by value: later writes to the
+        # state it was latched from cannot move the event's target.
+        stack = zupt.StanceStack(zupt.StanceConfig(), GRAVITY)
+        x = stance_truth_state(p=(1.0, 2.0, 0.0))
+        stack.latch(x)
+        x[ekf.POS] = 99.0
+        nu, _ = stack.linearize(stance_truth_state(), np.zeros(6))
+        np.testing.assert_array_equal(nu[:2], [1.0, 2.0])
 
     def test_residual_matches_independent_derivation(self):
         rng = np.random.default_rng(42)
@@ -340,70 +359,48 @@ class TestBuildPseudoMeasurements:
             latched = rng.standard_normal(2)
             accel_s = rng.standard_normal(3)
             gyro_s = rng.standard_normal(3)
-            event = zupt.StanceEvent(0, latched)
-            z_p, residual, _ = zupt.build_pseudo_measurements(
-                x, event, accel_s, gyro_s, cfg
-            )
+            residual = stance_residual(cfg, latched, accel_s, gyro_s)
             want = oracle_residual(x, latched, accel_s, gyro_s)
             np.testing.assert_allclose(residual(x), want, atol=1e-12)
-            assert z_p.shape == (zupt.N_PSEUDO,)
-
-    def test_residual_batch_matches_single(self):
-        rng = np.random.default_rng(5)
-        x0 = stance_truth_state()
-        event = zupt.StanceEvent(0, [0.0, 0.0])
-        accel_s, gyro_s = truth_sample(x0)
-        _, residual, _ = zupt.build_pseudo_measurements(
-            x0, event, accel_s, gyro_s, zupt.StanceConfig()
-        )
-        batch = np.stack([random_state(rng) for _ in range(6)], axis=1)
-        out = residual(batch)
-        assert out.shape == (zupt.N_PSEUDO, 6)
-        for j in range(6):
-            np.testing.assert_allclose(
-                out[:, j], residual(batch[:, j]), atol=1e-13
-            )
+            assert residual(x).shape == (zupt.N_PSEUDO,)
 
     def test_group_mask_selects_rows(self):
         rng = np.random.default_rng(9)
         x = random_state(rng)
-        event = zupt.StanceEvent(0, [0.5, 0.5])
-        accel_s, gyro_s = rng.standard_normal(3), rng.standard_normal(3)
-        full_cfg = zupt.StanceConfig()
-        z_full, res_full, _ = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, full_cfg
-        )
+        sample = rng.standard_normal(6)
+        full = latched_stack(zupt.StanceConfig(), [0.5, 0.5])
+        nu_full, jac_full = full.linearize(x, sample)
         groups = {name: True for name, _ in zupt.PSEUDO_GROUPS}
         groups["velocity"] = False
         groups["gravity_norm"] = False
         cfg = zupt.StanceConfig(pseudo_groups=groups)
         mask = cfg.row_mask()
         assert mask.sum() == zupt.N_PSEUDO - 4
-        z_p, residual, scale = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, cfg
-        )
-        np.testing.assert_array_equal(z_p, z_full[mask])
-        np.testing.assert_allclose(residual(x), res_full(x)[mask], atol=1e-13)
-        assert scale.shape == (mask.sum(),)
+        stack = latched_stack(cfg, [0.5, 0.5])
+        nu, jac = stack.linearize(x, sample)
+        np.testing.assert_array_equal(nu, nu_full[mask])
+        np.testing.assert_array_equal(jac, jac_full[mask])
+        np.testing.assert_array_equal(stack.base_variances,
+                                      cfg.pseudo_variances[mask])
 
-    def test_degenerate_specific_force_inflates_norm_row(self):
-        x = stance_truth_state()
-        x[ekf.ACC_B] = 0.0
-        event = zupt.StanceEvent(0, [0.0, 0.0])
-        _, _, scale = zupt.build_pseudo_measurements(
-            x, event, np.zeros(3), np.zeros(3), zupt.StanceConfig()
-        )
-        assert scale[12] == 1e6
-        assert np.all(np.delete(scale, 12) == 1.0)
-
-    def test_healthy_specific_force_leaves_scale_alone(self):
-        x = stance_truth_state()
-        event = zupt.StanceEvent(0, [0.0, 0.0])
-        accel_s, gyro_s = truth_sample(x)
-        _, _, scale = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, zupt.StanceConfig()
-        )
-        assert np.all(scale == 1.0)
+    def test_degenerate_specific_force_row_ignores_its_variance(self):
+        # At a_b = 0 the gravity-norm row of H is zero, so the update
+        # cannot depend on that row's variance: inflating it a
+        # million-fold leaves the result unchanged bit for bit.
+        rng = np.random.default_rng(44)
+        cfg = zupt.StanceConfig()
+        for _ in range(8):
+            x = random_state(rng)
+            x[ekf.ACC_B] = 0.0
+            p_mat = random_covariance(rng, scale=rng.uniform(1e-3, 1.0))
+            sample = rng.standard_normal(6)
+            plain = latched_stack(cfg, x[ekf.POS][:2])
+            inflated = latched_stack(cfg, x[ekf.POS][:2])
+            inflated.base_variances[12] *= 1e6
+            want_x, want_p = zupt.zupt_update(x, p_mat, plain, sample, 1.5)
+            got_x, got_p = zupt.zupt_update(x, p_mat, inflated, sample, 1.5)
+            np.testing.assert_array_equal(got_x, want_x)
+            np.testing.assert_array_equal(got_p, want_p)
 
 
 class TestStanceJacobian:
@@ -411,13 +408,19 @@ class TestStanceJacobian:
     differences of the residual itself."""
 
     def build(self, x, rng, cfg=None):
+        """The stance linearisation at one sample, as a function of one
+        state."""
         cfg = zupt.StanceConfig() if cfg is None else cfg
-        event = zupt.StanceEvent(0, x[ekf.POS][:2] + 0.01)
+        stack = latched_stack(cfg, x[ekf.POS][:2] + 0.01)
         accel_s = x[ekf.ACC_B] + rng.normal(0.0, 0.01, 3)
         gyro_s = rng.normal(0.0, 0.01, 3)
-        _, residual, _ = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, cfg)
-        return residual
+        sample = np.concatenate([accel_s, gyro_s])
+        return lambda s: stack.linearize(s, sample)
+
+    @staticmethod
+    def residual_and_jacobian(linearize, x):
+        """The residual as a function, and its derivative ``-H`` at x."""
+        return (lambda s: linearize(s)[0]), -linearize(x)[1]
 
     def test_full_stack(self):
         rng = np.random.default_rng(40)
@@ -425,9 +428,8 @@ class TestStanceJacobian:
             x = random_state(rng)
             x[ekf.QUAT] *= rng.uniform(0.8, 1.2)  # off-unit, as perturbed
             x[ekf.ACC_B] *= 5.0
-            residual = self.build(x, rng)
+            residual, jac = self.residual_and_jacobian(self.build(x, rng), x)
             ref = richardson_jacobian(residual, x, zupt.N_PSEUDO)
-            jac = residual.jacobian(x)
             assert jac.shape == (zupt.N_PSEUDO, ekf.DIM)
             assert np.max(np.abs(jac - ref)) <= 1e-5
 
@@ -441,10 +443,9 @@ class TestStanceJacobian:
         cfg = zupt.StanceConfig(pseudo_groups=groups)
         rng = np.random.default_rng(42)
         x = random_state(rng)
-        residual = self.build(x, rng, cfg)
+        residual, jac = self.residual_and_jacobian(self.build(x, rng, cfg), x)
         m = int(cfg.row_mask().sum())
         ref = richardson_jacobian(residual, x, m)
-        jac = residual.jacobian(x)
         assert jac.shape == (m, ekf.DIM)
         assert np.max(np.abs(jac - ref)) <= 1e-5
 
@@ -454,97 +455,92 @@ class TestStanceJacobian:
         rng = np.random.default_rng(43)
         x = random_state(rng)
         x[ekf.ACC_B] = 0.0
-        residual = self.build(x, rng)
-        jac = residual.jacobian(x)
+        residual, jac = self.residual_and_jacobian(self.build(x, rng), x)
         np.testing.assert_array_equal(jac[12], 0.0)
         ref = richardson_jacobian(residual, x, zupt.N_PSEUDO)
         assert np.max(np.abs(jac - ref)) <= 1e-5
+
+
+def stance_variances(cfg, score):
+    """The variances `zupt_update` gives the enabled rows at one score:
+    the run's confidence factor times the stack's base variances."""
+    return (zupt._confidence_factor(cfg, score)
+            * zupt.StanceStack(cfg, GRAVITY).base_variances)
 
 
 class TestSoftCovariance:
     def test_full_confidence_returns_base(self):
         cfg = zupt.StanceConfig()
         np.testing.assert_array_equal(
-            zupt.soft_covariance(cfg, 1.0), cfg.pseudo_variances
+            stance_variances(cfg, 1.0), cfg.pseudo_variances
         )
 
     def test_plug_in_factor(self):
         cfg = zupt.StanceConfig(covariance_gain=9.0)
-        got = zupt.soft_covariance(cfg, 0.5)
+        got = stance_variances(cfg, 0.5)
         np.testing.assert_allclose(got, 5.5 * cfg.pseudo_variances)
 
     def test_monotone_in_score(self):
         cfg = zupt.StanceConfig()
         grid = np.linspace(0.0, 1.0, 21)
-        factors = [zupt.soft_covariance(cfg, s)[0] for s in grid]
+        factors = [stance_variances(cfg, s)[0] for s in grid]
         assert all(a >= b for a, b in zip(factors, factors[1:]))
-
-    def test_score_out_of_range_rejected(self):
-        cfg = zupt.StanceConfig()
-        for bad in (-0.01, 1.01):
-            with pytest.raises(ValueError):
-                zupt.soft_covariance(cfg, bad)
 
     def test_disabled_groups_shrink_vector(self):
         groups = {name: name != "acceleration" for name, _ in zupt.PSEUDO_GROUPS}
         cfg = zupt.StanceConfig(pseudo_groups=groups)
-        assert zupt.soft_covariance(cfg, 1.0).shape == (zupt.N_PSEUDO - 3,)
+        assert stance_variances(cfg, 1.0).shape == (zupt.N_PSEUDO - 3,)
 
 
 def estimate_at(x, p_scale=1e-2):
-    return ekf.StateEstimate(x=x.copy(), P=p_scale * np.eye(ekf.DIM))
+    return x.copy(), p_scale * np.eye(ekf.DIM)
 
 
 class TestZuptUpdate:
     def setup_method(self):
         self.cfg = zupt.StanceConfig()
 
-    def inject(self, est, x_for_build=None, var_scale=1.0):
-        x = est.x if x_for_build is None else x_for_build
+    def inject(self, est, var_scale=1.0):
+        """One stance update latched at the origin, the variances scaled
+        by ``var_scale`` through the confidence factor."""
         accel_s, gyro_s = truth_sample(stance_truth_state())
-        event = zupt.StanceEvent(0, [0.0, 0.0])
-        _, residual, scale = zupt.build_pseudo_measurements(
-            x, event, accel_s, gyro_s, self.cfg
-        )
-        variances = zupt.soft_covariance(self.cfg, 1.0) * scale * var_scale
-        return zupt.zupt_update(est, residual, variances)
+        stack = latched_stack(self.cfg, [0.0, 0.0])
+        return zupt.zupt_update(*est, stack, np.concatenate([accel_s, gyro_s]),
+                                var_scale)
 
     def test_zero_innovation_keeps_mean(self):
         x = stance_truth_state()
-        est = estimate_at(x)
-        out = self.inject(est)
-        np.testing.assert_allclose(out.x, x, atol=1e-12)
+        x1, _ = self.inject(estimate_at(x))
+        np.testing.assert_allclose(x1, x, atol=1e-12)
 
     def test_covariance_contracts_and_stays_sound(self):
         x = stance_truth_state()
-        est = estimate_at(x)
-        out = self.inject(est)
-        assert np.trace(out.P) < np.trace(est.P)
-        np.testing.assert_allclose(out.P, out.P.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(out.P) > -1e-12)
+        _, p_mat = est = estimate_at(x)
+        _, p1 = self.inject(est)
+        assert np.trace(p1) < np.trace(p_mat)
+        np.testing.assert_allclose(p1, p1.T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(p1) > -1e-12)
 
     def test_velocity_drift_is_pulled_down(self):
         x = stance_truth_state()
         x[ekf.VEL] = [0.3, 0.2, -0.1]
-        est = estimate_at(x)
-        out = self.inject(est)
-        assert np.linalg.norm(out.x[ekf.VEL]) < 0.1 * np.linalg.norm(x[ekf.VEL])
+        x1, _ = self.inject(estimate_at(x))
+        assert np.linalg.norm(x1[ekf.VEL]) < 0.1 * np.linalg.norm(x[ekf.VEL])
 
     def test_huge_variances_are_a_noop(self):
         x = stance_truth_state()
         x[ekf.VEL] = [0.3, 0.2, -0.1]
         x[ekf.POS] = [1.0, 2.0, 0.3]
-        est = estimate_at(x)
-        out = self.inject(est, var_scale=1e12)
-        np.testing.assert_allclose(out.x, x, atol=1e-6)
-        np.testing.assert_allclose(out.P, est.P, atol=1e-6)
+        _, p_mat = est = estimate_at(x)
+        x1, p1 = self.inject(est, var_scale=1e12)
+        np.testing.assert_allclose(x1, x, atol=1e-6)
+        np.testing.assert_allclose(p1, p_mat, atol=1e-6)
 
     def test_quaternion_stays_unit(self):
         x = stance_truth_state(roll=0.2, pitch=-0.1, yaw=0.7)
         x[ekf.VEL] = [0.2, -0.3, 0.1]
-        est = estimate_at(x)
-        out = self.inject(est)
-        assert np.linalg.norm(out.x[ekf.QUAT]) == pytest.approx(1.0, abs=1e-12)
+        x1, _ = self.inject(estimate_at(x))
+        assert np.linalg.norm(x1[ekf.QUAT]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEventScoring:
@@ -624,19 +620,46 @@ class TestStanceConfig:
         with pytest.raises(ValueError):
             zupt.StanceConfig(pseudo_groups={"velocity": True})
 
-    def test_group_flags_accept_sequence(self):
-        cfg = zupt.StanceConfig(pseudo_groups=[True] * 8 + [False])
-        assert cfg.pseudo_groups["gyro_bias"] is False
-        assert cfg.row_mask().sum() == zupt.N_PSEUDO - 3
+    def test_group_flags_reject_sequence(self):
+        with pytest.raises(ValueError, match="pseudo_groups"):
+            zupt.StanceConfig(pseudo_groups=[True] * 8 + [False])
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1.0, None])
+    def test_group_flags_must_be_booleans(self, flag):
+        groups = {name: True for name, _ in zupt.PSEUDO_GROUPS}
+        groups["velocity"] = flag
+        with pytest.raises(ValueError, match="pseudo_groups.*velocity"):
+            zupt.StanceConfig(pseudo_groups=groups)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_all_groups_off_needs_mode_none(self, mode):
+        off = {name: False for name, _ in zupt.PSEUDO_GROUPS}
+        with pytest.raises(ValueError, match="pseudo_groups"):
+            zupt.StanceConfig(pseudo_groups=off, mode=mode)
+        assert not zupt.StanceConfig(pseudo_groups=off, mode="none").row_mask().any()
+
+    @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
+    @pytest.mark.parametrize("value", [6.9, "6", True])
+    def test_half_widths_must_be_whole_numbers(self, key, value):
+        d = zupt.StanceConfig().to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            zupt.StanceConfig.from_dict(d)
+
+    def test_half_widths_accept_whole_floats(self):
+        d = zupt.StanceConfig().to_dict()
+        d["detect_half_width"] = 6.0
+        assert zupt.StanceConfig.from_dict(d).detect_half_width == 6
 
 
 class TestStanceStack:
-    """The tracker's per-run stance update must be `zupt_update` on the
-    `build_pseudo_measurements` stack with `soft_covariance` variances,
-    bit for bit, and `zupt_update` the general dense update.  A quarter
-    of the states have ``a_b = 0``, where the stack's variance scale
-    inflates the gravity-norm row that the tracker's update leaves as
-    is."""
+    """The tracker's stance update, `zupt_update` with one `StanceStack`
+    per run, must be the per-call stance stack
+    (`oracles.build_pseudo_measurements` with `soft_covariance`
+    variances) through the general dense update, bit for bit, under the
+    score's confidence factor (``soft``) and the hard detector's unit
+    factor.  A quarter of the states have ``a_b = 0``, where the
+    gravity-norm row of H is zero."""
 
     @staticmethod
     def cases(rng):
@@ -649,41 +672,38 @@ class TestStanceStack:
 
     @pytest.mark.parametrize("off", [(), ("velocity",), ("gravity_norm",),
                                      ("position_xy", "accel_bias")])
-    @pytest.mark.parametrize("joseph", [True, False])
-    def test_matches_zupt_update(self, off, joseph):
+    @pytest.mark.parametrize("soft", [True, False])
+    def test_matches_zupt_update(self, off, soft):
         groups = {name: name not in off for name, _ in zupt.PSEUDO_GROUPS}
         cfg = zupt.StanceConfig(pseudo_groups=groups)
-        stack = zupt._StanceStack(cfg, GRAVITY)
+        stack = zupt.StanceStack(cfg, GRAVITY)
         rng = np.random.default_rng(60)
         for x, p_mat in self.cases(rng):
             sample = rng.standard_normal(6)
-            score = rng.uniform(0.3, 1.0)
-            event = zupt.StanceEvent(0, x[ekf.POS][:2])
+            score = rng.uniform(0.3, 1.0) if soft else 1.0
             stack.latch(x)
-            _, residual, scale = zupt.build_pseudo_measurements(
-                x, event, sample[:3], sample[3:], cfg)
-            want = zupt.zupt_update(
-                ekf.StateEstimate(x=x.copy(), P=p_mat.copy()), residual,
-                zupt.soft_covariance(cfg, score) * scale, joseph=joseph)
+            linearize = build_pseudo_measurements(
+                x[ekf.POS][:2], sample[:3], sample[3:], cfg)
+            want_x, want_p = dense_stance_update(
+                x, p_mat, linearize, soft_covariance(cfg, score))
+            # The tracker takes each factor from the run's score array.
             factor = zupt._confidence_factor(cfg, np.array([score]))[0]
-            got_x, got_p = stack.update(x, p_mat, sample, factor, joseph)
-            np.testing.assert_array_equal(got_x, want.x)
-            np.testing.assert_array_equal(got_p, want.P)
+            got_x, got_p = zupt.zupt_update(x, p_mat, stack, sample, factor)
+            np.testing.assert_array_equal(got_x, want_x)
+            np.testing.assert_array_equal(got_p, want_p)
 
-    @pytest.mark.parametrize("joseph", [True, False])
-    def test_zupt_update_is_the_general_update(self, joseph):
+    @pytest.mark.parametrize("soft", [True, False])
+    def test_zupt_update_is_the_general_update(self, soft):
         cfg = zupt.StanceConfig()
         rng = np.random.default_rng(61)
+        factor = zupt._confidence_factor(cfg, 0.8) if soft else 1.0
         for x, p_mat in self.cases(rng):
-            event = zupt.StanceEvent(0, rng.standard_normal(2))
-            _, residual, scale = zupt.build_pseudo_measurements(
-                x, event, rng.standard_normal(3), rng.standard_normal(3), cfg)
-            variances = zupt.soft_covariance(cfg, 0.8) * scale
-            out = zupt.zupt_update(ekf.StateEstimate(x=x.copy(), P=p_mat.copy()),
-                                   residual, variances, joseph=joseph)
-            nu, jac = residual.linearize(x)
-            want_x, want_p = kalman_update(x, p_mat, nu, np.zeros_like(nu),
-                                           jac, variances, joseph)
+            stack = latched_stack(cfg, rng.standard_normal(2))
+            sample = rng.standard_normal(6)
+            got_x, got_p = zupt.zupt_update(x, p_mat, stack, sample, factor)
+            nu, jac = stack.linearize(x, sample)
+            want_x, want_p = kalman_update(x, p_mat, nu, np.zeros_like(nu), jac,
+                                           factor * cfg.pseudo_variances)
             want_x[ekf.QUAT] = quat_normalize(want_x[ekf.QUAT])
-            np.testing.assert_array_equal(out.x, want_x)
-            np.testing.assert_array_equal(out.P, want_p)
+            np.testing.assert_array_equal(got_x, want_x)
+            np.testing.assert_array_equal(got_p, want_p)
