@@ -21,7 +21,6 @@ from .calibration import (
     apply_gyro_calibration,
     canonical_gain,
     fit_accel_calibration,
-    gyro_calibration_from_scale,
 )
 from .ekf import (
     FilterConfig,
@@ -87,7 +86,6 @@ __all__ = [
     "apply_gyro_calibration",
     "canonical_gain",
     "fit_accel_calibration",
-    "gyro_calibration_from_scale",
     "FilterConfig",
     "FilterDivergenceError",
     "default_filter_config",

@@ -41,11 +41,9 @@ __all__ = [
     "SensorCalibration",
     "OrientationBatch",
     "batch_means",
-    "gravity_sphere_residual",
     "fit_accel_calibration",
     "apply_accel_calibration",
     "apply_gyro_calibration",
-    "gyro_calibration_from_scale",
     "canonical_gain",
     "spread_directions",
 ]
@@ -81,8 +79,13 @@ class SensorCalibration:
     noise_sigma: float
 
     def __post_init__(self):
-        self.gain = np.asarray(self.gain, dtype=float).reshape(3, 3)
-        self.bias = np.asarray(self.bias, dtype=float).reshape(3)
+        self.gain = np.asarray(self.gain, dtype=float)
+        self.bias = np.asarray(self.bias, dtype=float)
+        if self.gain.size != 9 or self.bias.size != 3:
+            raise CalibrationError(
+                "gain must be 9 numbers row-major and bias 3 numbers")
+        self.gain = self.gain.reshape(3, 3)
+        self.bias = self.bias.reshape(3)
         if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):
             raise CalibrationError("calibration parameters must be finite")
         if abs(np.linalg.det(self.gain)) < 1e-12:
@@ -284,23 +287,6 @@ def _distances_and_jacobian(
     return dist, jac
 
 
-def gravity_sphere_residual(
-    gain: NDArray[np.float64],
-    bias: NDArray[np.float64],
-    mean: NDArray[np.float64],
-    g: float = GRAVITY,
-) -> float:
-    """Exact squared distance from one orientation mean to the model ellipsoid.
-
-    This is the inner minimization of the calibration cost: the smallest
-    ``|gain @ a + bias - mean|^2`` over all ``a`` with ``|a| = g``.
-    """
-    gain = np.asarray(gain, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    return float(_sphere_residuals(gain, bias, mean[None, :], g)[0])
-
-
 def _theta_to_gain_bias(theta: NDArray) -> tuple[NDArray, NDArray]:
     gain = np.zeros((3, 3))
     gain[_TRIL_ROWS, _TRIL_COLS] = theta[:6]
@@ -494,17 +480,6 @@ def apply_gyro_calibration(
 ) -> NDArray[np.float64]:
     """Invert the gyroscope model; same contract as the accelerometer."""
     return apply_accel_calibration(cal, raw)
-
-
-def gyro_calibration_from_scale(
-    lsb: float, noise_sigma: float = 1e-3
-) -> SensorCalibration:
-    """Datasheet gyroscope calibration: pure scale, zero coarse bias."""
-    if not lsb > 0:
-        raise CalibrationError("lsb must be positive")
-    return SensorCalibration(
-        gain=np.eye(3) / lsb, bias=np.zeros(3), noise_sigma=noise_sigma
-    )
 
 
 def canonical_gain(gain: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -27,10 +27,9 @@ from .calibration import (
     CalibrationError,
     batch_means,
     fit_accel_calibration,
-    gyro_calibration_from_scale,
 )
 from .constants import GRAVITY
-from .gait import inverse_imu, scale_calibration
+from .gait import generate_gait, inverse_imu, scale_calibration
 from .io import (
     read_calibration,
     read_config,
@@ -80,7 +79,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     # Gyro model is datasheet scale with zero coarse bias; only its
     # noise floor comes from the data.
     gyro_sigma = max(float(np.mean(gyro_stds)) * lsb_gyro, 1e-12)
-    gyro_cal = gyro_calibration_from_scale(lsb_gyro, noise_sigma=gyro_sigma)
+    gyro_cal = scale_calibration(lsb_gyro, noise_sigma=gyro_sigma)
     write_calibration(args.out, accel_cal, gyro_cal)
     return 0
 
@@ -129,8 +128,6 @@ def _cmd_allan(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .gait import generate_gait  # heavier import kept off the fast paths
-
     params, fs, noise, lsb_accel, lsb_gyro = read_gait_params(args.params)
     truth = generate_gait(params, fs)
     counts_a, counts_w = inverse_imu(
@@ -151,7 +148,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     traj = read_trajectory(args.traj)
     truth = read_truth(args.truth)
     report = evaluate_trajectory(traj, truth, args.ttd)
-    write_json(args.out, report.to_dict())
+    write_json(args.out, report)
     return 0
 
 

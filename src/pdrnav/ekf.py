@@ -150,6 +150,10 @@ class FilterConfig:
             raise ValueError("ts must be a positive time step")
         if np.any(self.q_diag < 0) or np.any(self.r_diag <= 0):
             raise ValueError("q_diag must be >= 0 and r_diag > 0")
+        if not isinstance(self.estimate_biases, (bool, np.bool_)):
+            raise ValueError("estimate_biases must be true or false, "
+                             f"got {self.estimate_biases!r}")
+        self.estimate_biases = bool(self.estimate_biases)
 
     @property
     def g_vec(self) -> NDArray[np.float64]:
@@ -161,34 +165,6 @@ class FilterConfig:
         if not self.estimate_biases:
             q[_BIASES] = 0.0
         return q
-
-    def to_dict(self) -> dict:
-        return {
-            "ts": self.ts,
-            "g": self.g,
-            "q_diag": [float(v) for v in self.q_diag],
-            "r_diag": [float(v) for v in self.r_diag],
-            "estimate_biases": self.estimate_biases,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterConfig":
-        required = {"ts", "g", "q_diag", "r_diag", "estimate_biases"}
-        missing = required - d.keys()
-        if missing:
-            raise ValueError(f"filter config missing keys: {sorted(missing)}")
-        unknown = d.keys() - required
-        if unknown:
-            raise ValueError(f"filter config has unknown keys: {sorted(unknown)}")
-        if not isinstance(d["estimate_biases"], bool):
-            raise ValueError("filter config key 'estimate_biases' must be true "
-                             f"or false, got {d['estimate_biases']!r}")
-        return cls(
-            ts=float(d["ts"]), g=float(d["g"]),
-            q_diag=np.asarray(d["q_diag"], dtype=float),
-            r_diag=np.asarray(d["r_diag"], dtype=float),
-            estimate_biases=d["estimate_biases"],
-        )
 
 
 def _default_r_diag(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:

@@ -15,7 +15,7 @@ acceleration are exact derivatives rather than finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -345,8 +345,7 @@ class NoiseParams:
     gyro_walk_sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("accel_sigma", "gyro_sigma",
-                     "accel_walk_sigma", "gyro_walk_sigma"):
+        for name in (f.name for f in fields(self)):
             value = np.asarray(getattr(self, name), dtype=float) * np.ones(3)
             if value.shape != (3,) or np.any(value < 0.0) or not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be non-negative and broadcast to shape (3,)")

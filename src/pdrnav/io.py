@@ -5,8 +5,14 @@ and configuration are JSON.  Floats are written with 17 significant
 digits so every file round-trips bit-exactly, which is what makes
 byte-identical reruns a meaningful promise.
 
-Readers are strict.  A missing key is an error and so is an unknown
-one; silently defaulted configuration is how two runs quietly diverge.
+Every JSON document goes through one codec: `_to_doc` writes a
+dataclass as an object with one key per field, in field order, arrays
+as lists; `_from_doc` reads it back.  Readers are strict.  A missing key
+is an error and so is an unknown one; silently defaulted configuration
+is how two runs quietly diverge.  Each value must match its field's
+annotation (a finite number, a whole number, a boolean, a string, a
+list of finite numbers), and an error names the key; shapes and ranges
+are the classes' own checks.
 
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
@@ -17,7 +23,12 @@ blocks of `_BLOCK_ROWS` rows.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
+import os
+import typing
 from dataclasses import dataclass
 from itertools import chain
 
@@ -191,43 +202,95 @@ def read_trajectory(path) -> Trajectory:
     )
 
 
-def _cal_to_dict(cal: SensorCalibration) -> dict:
-    return {
-        "gain": [float(x) for x in np.asarray(cal.gain).ravel()],
-        "bias": [float(x) for x in np.asarray(cal.bias)],
-        "noise_sigma": float(cal.noise_sigma),
-    }
-
-
-def _cal_from_dict(d: dict, label: str) -> SensorCalibration:
-    _require_keys(d, {"gain", "bias", "noise_sigma"}, label)
-    gain = np.asarray(d["gain"], dtype=float)
-    if gain.shape != (9,):
-        raise ValueError(f"{label} gain must be 9 numbers row-major")
-    bias = np.asarray(d["bias"], dtype=float)
-    if bias.shape != (3,):
-        raise ValueError(f"{label} bias must be 3 numbers")
-    return SensorCalibration(
-        gain=gain.reshape(3, 3), bias=bias, noise_sigma=float(d["noise_sigma"])
-    )
-
-
-def write_calibration(path, accel: SensorCalibration, gyro: SensorCalibration) -> None:
-    """Persist both sensor calibrations to one JSON document."""
-    doc = {"accel": _cal_to_dict(accel), "gyro": _cal_to_dict(gyro)}
+def write_allan_curve(path, taus, adev) -> None:
+    """Write an Allan deviation curve as `tau,adev` rows."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write("# tau,adev\n")
+        _write_rows(fh, "%.17g,%.17g\n", [taus, adev])
 
 
-def read_calibration(path) -> tuple[SensorCalibration, SensorCalibration]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require_keys(doc, {"accel", "gyro"}, "calibration file")
-    return (
-        _cal_from_dict(doc["accel"], "accel calibration"),
-        _cal_from_dict(doc["gyro"], "gyro calibration"),
-    )
+def _to_doc(obj):
+    """``obj`` as a JSON value: a dataclass is an object with one key per
+    field, in field order, and arrays are (nested) lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _to_doc(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _to_doc(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _is_numbers(value) -> bool:
+    if isinstance(value, list):
+        return all(map(_is_numbers, value))
+    return _is_number(value)
+
+
+# Per annotated field type: what a JSON value must be, the test, and the
+# conversion to the field's value.
+_JSON_TYPES = {
+    float: ("a finite number", _is_number, float),
+    int: ("a whole number",
+          lambda v: _is_number(v) and float(v).is_integer(), int),
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    np.ndarray: ("a finite number or an evenly nested list of them",
+                 _is_numbers, lambda v: np.asarray(v, dtype=float)),
+}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _decode(tp, value, where: str):
+    """``value`` checked against the annotated type ``tp`` and converted;
+    ``where`` names it in the error."""
+    if dataclasses.is_dataclass(tp):
+        return _from_doc(tp, value, where)
+    kind = typing.get_origin(tp) or tp
+    if kind is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {value!r}")
+        item = typing.get_args(tp)[1]
+        return {key: _decode(item, v, f"{where} entry {key!r}")
+                for key, v in value.items()}
+    what, valid, convert = _JSON_TYPES[kind]
+    try:
+        if valid(value):
+            return convert(value)
+    except ValueError:  # a ragged list
+        pass
+    raise ValueError(f"{where} must be {what}, got {value!r}")
+
+
+def _from_doc(cls, doc, label: str):
+    """The dataclass ``cls`` from a JSON object with exactly its fields.
+
+    Each value must match its field's annotation (see `_JSON_TYPES`);
+    shapes and ranges are checked by the class itself, and its error
+    is prefixed with ``label``.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    _require_keys(doc, set(names), label)
+    types = _field_types(cls)
+    values = {name: _decode(types[name], doc[name], f"{label} key {name!r}")
+              for name in names}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
 
 
 def _require_keys(d: dict, expected: set, label: str) -> None:
@@ -242,113 +305,77 @@ def _require_keys(d: dict, expected: set, label: str) -> None:
         )
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, doc) -> None:
+    """Write a JSON document with a trailing newline; dataclasses and
+    arrays inside ``doc`` are written as `_to_doc` gives them."""
+    with open(path, "w") as fh:
+        json.dump(_to_doc(doc), fh, indent=2)
+        fh.write("\n")
+
+
+def _cal_doc(cal: SensorCalibration) -> dict:
+    # The file keeps the gain as 9 numbers, row-major.
+    return dict(_to_doc(cal), gain=cal.gain.ravel().tolist())
+
+
+def write_calibration(path, accel: SensorCalibration, gyro: SensorCalibration) -> None:
+    """Persist both sensor calibrations to one JSON document."""
+    write_json(path, {"accel": _cal_doc(accel), "gyro": _cal_doc(gyro)})
+
+
+def read_calibration(path) -> tuple[SensorCalibration, SensorCalibration]:
+    doc = _read_json(path)
+    _require_keys(doc, {"accel", "gyro"}, "calibration file")
+    return (
+        _from_doc(SensorCalibration, doc["accel"], "accel calibration"),
+        _from_doc(SensorCalibration, doc["gyro"], "gyro calibration"),
+    )
+
+
 @dataclass
 class PipelineConfig:
     """Everything the tracker needs beyond the log itself."""
 
     filter: FilterConfig
     stance: StanceConfig
-    calibration_paths: dict
+    calibration_paths: dict[str, str]
 
     def __post_init__(self) -> None:
         _require_keys(self.calibration_paths, {"accel", "gyro"},
                       "calibration_paths")
+        self.calibration_paths = {
+            key: os.fspath(path) for key, path in self.calibration_paths.items()}
 
 
 def write_config(path, config: PipelineConfig) -> None:
     """Write the pipeline configuration, every parameter explicit."""
-    doc = {
-        "filter": config.filter.to_dict(),
-        "stance": config.stance.to_dict(),
-        "calibration_paths": {
-            "accel": str(config.calibration_paths["accel"]),
-            "gyro": str(config.calibration_paths["gyro"]),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, config)
 
 
 def read_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require_keys(doc, {"filter", "stance", "calibration_paths"}, "config file")
-    return PipelineConfig(
-        filter=FilterConfig.from_dict(doc["filter"]),
-        stance=StanceConfig.from_dict(doc["stance"]),
-        calibration_paths=dict(doc["calibration_paths"]),
-    )
-
-
-_GAIT_KEYS = {
-    "step_length", "cadence", "path", "stance_duration",
-    "swing_peak_height", "lead_in", "tail", "seed",
-}
-_NOISE_KEYS = {"accel_sigma", "gyro_sigma", "accel_walk_sigma", "gyro_walk_sigma"}
+    return _from_doc(PipelineConfig, _read_json(path), "config file")
 
 
 def write_gait_params(path, params: GaitParams, fs: float, noise: NoiseParams,
                       lsb_accel: float, lsb_gyro: float) -> None:
     """Persist a simulation scenario: walk, rate, noise, ADC scales."""
-    doc = {
-        "gait": {
-            "step_length": params.step_length,
-            "cadence": params.cadence,
-            "path": [[float(x), float(y)] for x, y in params.path],
-            "stance_duration": params.stance_duration,
-            "swing_peak_height": params.swing_peak_height,
-            "lead_in": params.lead_in,
-            "tail": params.tail,
-            "seed": params.seed,
-        },
-        "fs": fs,
-        "noise": {key: [float(x) for x in getattr(noise, key)]
-                  for key in sorted(_NOISE_KEYS)},
-        "lsb_accel": lsb_accel,
-        "lsb_gyro": lsb_gyro,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"gait": params, "fs": fs, "noise": noise,
+                      "lsb_accel": lsb_accel, "lsb_gyro": lsb_gyro})
 
 
 def read_gait_params(path) -> tuple[GaitParams, float, NoiseParams, float, float]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    _require_keys(doc, {"gait", "fs", "noise", "lsb_accel", "lsb_gyro"},
-                  "simulation parameter file")
-    _require_keys(doc["gait"], _GAIT_KEYS, "gait section")
-    _require_keys(doc["noise"], _NOISE_KEYS, "noise section")
-    gait = doc["gait"]
-    params = GaitParams(
-        step_length=float(gait["step_length"]),
-        cadence=float(gait["cadence"]),
-        path=gait["path"],
-        stance_duration=float(gait["stance_duration"]),
-        swing_peak_height=float(gait["swing_peak_height"]),
-        lead_in=float(gait["lead_in"]),
-        tail=float(gait["tail"]),
-        seed=int(gait["seed"]),
+    doc = _read_json(path)
+    label = "simulation parameter file"
+    _require_keys(doc, {"gait", "fs", "noise", "lsb_accel", "lsb_gyro"}, label)
+    return (
+        _from_doc(GaitParams, doc["gait"], "gait section"),
+        _decode(float, doc["fs"], f"{label} key 'fs'"),
+        _from_doc(NoiseParams, doc["noise"], "noise section"),
+        _decode(float, doc["lsb_accel"], f"{label} key 'lsb_accel'"),
+        _decode(float, doc["lsb_gyro"], f"{label} key 'lsb_gyro'"),
     )
-    noise = NoiseParams(**{key: np.asarray(doc["noise"][key], dtype=float)
-                           for key in _NOISE_KEYS})
-    return (params, float(doc["fs"]), noise,
-            float(doc["lsb_accel"]), float(doc["lsb_gyro"]))
-
-
-def write_allan_curve(path, taus, adev) -> None:
-    """Write an Allan deviation curve as `tau,adev` rows."""
-    taus = np.asarray(taus, dtype=float)
-    adev = np.asarray(adev, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("# tau,adev\n")
-        for tau, dev in zip(taus, adev):
-            fh.write(f"{_fmt(tau)},{_fmt(dev)}\n")
-
-
-def write_json(path, doc: dict) -> None:
-    """Write a small JSON report with a trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")

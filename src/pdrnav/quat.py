@@ -30,14 +30,12 @@ from numpy.typing import NDArray
 
 __all__ = [
     "quat_mul",
-    "quat_conj",
     "quat_normalize",
     "quat_exp",
     "quat_rotate",
     "quat_rotate_jacobian",
     "rot_matrix",
     "quat_from_rpy",
-    "rpy_from_quat",
 ]
 
 # Below this rotation-vector norm the exponential switches to its
@@ -72,14 +70,6 @@ def quat_mul(p: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float
             pw * qz + px * qy - py * qx + pz * qw,
         ]
     )
-
-
-def quat_conj(q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Conjugate ``(w, -x, -y, -z)``; the inverse for unit quaternions."""
-    q = np.asarray(q, dtype=float)
-    out = q.copy()
-    out[1:] = -out[1:]
-    return out
 
 
 def quat_normalize(q: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -262,12 +252,3 @@ def quat_from_rpy(roll: float, pitch: float, yaw: float) -> NDArray[np.float64]:
     # Body attitude is Rz(yaw) Ry(pitch) Rx(roll); the nav-to-body state
     # quaternion is its inverse.
     return quat_mul(quat_exp(-ex), quat_mul(quat_exp(-ey), quat_exp(-ez)))
-
-
-def rpy_from_quat(q: NDArray[np.float64]) -> tuple[float, float, float]:
-    """Roll, pitch, yaw of the body carrying the state quaternion ``q``."""
-    c = rot_matrix(q).T  # body-to-nav
-    pitch = np.arcsin(np.clip(-c[2, 0], -1.0, 1.0))
-    roll = np.arctan2(c[2, 1], c[2, 2])
-    yaw = np.arctan2(c[1, 0], c[0, 0])
-    return float(roll), float(pitch), float(yaw)

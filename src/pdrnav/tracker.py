@@ -364,14 +364,6 @@ class EvalReport:
         if abs(self.epsilon_ttd - expected) > 1e-12 * max(1.0, expected):
             raise ValueError("epsilon_ttd must equal closure_error / ttd")
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon_ttd": self.epsilon_ttd,
-            "ttd": self.ttd,
-            "closure_error": self.closure_error,
-            "checkpoint_errors": list(self.checkpoint_errors),
-        }
-
 
 def evaluate_trajectory(traj: Trajectory, truth, ttd: float) -> EvalReport:
     """Score a trajectory against ground truth.

@@ -140,16 +140,6 @@ def _as_group_flags(groups) -> dict[str, bool]:
     return {name: bool(groups[name]) for name in names}
 
 
-def _whole_number(d: dict, key: str) -> int:
-    """``d[key]`` as an int, refusing anything but a whole number."""
-    value = d[key]
-    if not (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        raise ValueError(
-            f"stance config key {key!r} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class StanceConfig:
     """Stance detector thresholds and pseudo-measurement weights.
@@ -224,64 +214,25 @@ class StanceConfig:
             raise ValueError("pseudo_variances must be positive")
         if self.mode not in ("soft", "hard", "none"):
             raise ValueError(f"unknown stance mode {self.mode!r}")
-        if self.mode != "none" and not any(self.pseudo_groups.values()):
+        self.row_mask()
+
+    def row_mask(self) -> NDArray[np.bool_]:
+        """Boolean mask over the 22 rows selecting the enabled groups.
+
+        Raises `ValueError` when no group is on unless ``mode`` is
+        ``"none"``; the flags are a mutable dict, so this runs at every
+        use as well as at construction.
+        """
+        mask = np.concatenate([
+            np.full(rows, self.pseudo_groups[name])
+            for name, rows in PSEUDO_GROUPS
+        ])
+        if self.mode != "none" and not mask.any():
             raise ValueError(
                 f"stance mode {self.mode!r} needs at least one pseudo_groups "
                 "flag on; mode 'none' switches stance updates off"
             )
-
-    def row_mask(self) -> NDArray[np.bool_]:
-        """Boolean mask over the 22 rows selecting the enabled groups."""
-        parts = [
-            np.full(rows, self.pseudo_groups[name])
-            for name, rows in PSEUDO_GROUPS
-        ]
-        return np.concatenate(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "accel_norm_min": self.accel_norm_min,
-            "accel_norm_max": self.accel_norm_max,
-            "accel_std_max": self.accel_std_max,
-            "gyro_norm_max": self.gyro_norm_max,
-            "gyro_std_max": self.gyro_std_max,
-            "detect_half_width": self.detect_half_width,
-            "std_half_width": self.std_half_width,
-            "sfs_threshold": self.sfs_threshold,
-            "covariance_gain": self.covariance_gain,
-            "pseudo_variances": [float(v) for v in self.pseudo_variances],
-            "pseudo_groups": dict(self.pseudo_groups),
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StanceConfig":
-        required = {
-            "accel_norm_min", "accel_norm_max", "accel_std_max",
-            "gyro_norm_max", "gyro_std_max", "detect_half_width",
-            "std_half_width", "sfs_threshold", "covariance_gain",
-            "pseudo_variances", "pseudo_groups", "mode",
-        }
-        missing = required - d.keys()
-        if missing:
-            raise ValueError(f"stance config missing keys: {sorted(missing)}")
-        unknown = d.keys() - required
-        if unknown:
-            raise ValueError(f"stance config has unknown keys: {sorted(unknown)}")
-        return cls(
-            accel_norm_min=float(d["accel_norm_min"]),
-            accel_norm_max=float(d["accel_norm_max"]),
-            accel_std_max=float(d["accel_std_max"]),
-            gyro_norm_max=float(d["gyro_norm_max"]),
-            gyro_std_max=float(d["gyro_std_max"]),
-            detect_half_width=_whole_number(d, "detect_half_width"),
-            std_half_width=_whole_number(d, "std_half_width"),
-            sfs_threshold=float(d["sfs_threshold"]),
-            covariance_gain=float(d["covariance_gain"]),
-            pseudo_variances=np.asarray(d["pseudo_variances"], dtype=float),
-            pseudo_groups=d["pseudo_groups"],
-            mode=str(d["mode"]),
-        )
+        return mask
 
 
 def default_stance_config(fs: float = constants.DEFAULT_FS) -> StanceConfig:

@@ -155,6 +155,36 @@ def cross_quat_rotate(q, u):
     return u + w * t + np.cross(xyz, t, axis=0)
 
 
+def quat_conj(q):
+    """Conjugate ``(w, -x, -y, -z)``; the inverse for unit quaternions."""
+    out = np.array(q, dtype=float)
+    out[1:] = -out[1:]
+    return out
+
+
+def rpy_from_quat(q) -> tuple[float, float, float]:
+    """Roll, pitch, yaw of the body carrying the state quaternion ``q``."""
+    c = rot_matrix(q).T  # body-to-nav
+    pitch = np.arcsin(np.clip(-c[2, 0], -1.0, 1.0))
+    roll = np.arctan2(c[2, 1], c[2, 2])
+    yaw = np.arctan2(c[1, 0], c[0, 0])
+    return float(roll), float(pitch), float(yaw)
+
+
+def gravity_sphere_residual(gain, bias, mean, g: float = GRAVITY) -> float:
+    """The library's squared distance from one orientation mean to the
+    model ellipsoid: the inner minimization of the calibration cost, the
+    smallest ``|gain @ a + bias - mean|^2`` over ``|a| = g``.
+
+    A single-mean view of `calibration._sphere_residuals`, the form the
+    hand-derived and brute-force tests check.
+    """
+    mean = np.asarray(mean, dtype=float)
+    return float(calibration._sphere_residuals(
+        np.asarray(gain, dtype=float), np.asarray(bias, dtype=float),
+        mean[None, :], g)[0])
+
+
 def _secular_residual(s: NDArray, z: NDArray, g: float) -> float:
     """Squared distance from a point to the ellipsoid {U S V' a : |a| = g}.
 
@@ -376,6 +406,12 @@ def per_value_trajectory_text(traj):
         lines.append(",".join(_fmt(x) for x in row)
                      + f",{int(traj.stance[k])}\n")
     return "".join(lines)
+
+
+def per_value_allan_text(taus, adev):
+    """An Allan curve file as text, one `format(x, ".17g")` per value."""
+    return "# tau,adev\n" + "".join(
+        f"{_fmt(tau)},{_fmt(dev)}\n" for tau, dev in zip(taus, adev))
 
 
 def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,

@@ -19,13 +19,16 @@ from pdrnav.calibration import (
     batch_means,
     canonical_gain,
     fit_accel_calibration,
-    gravity_sphere_residual,
-    gyro_calibration_from_scale,
     spread_directions,
 )
 from pdrnav.constants import GRAVITY
+from pdrnav.gait import scale_calibration
 
-from oracles import brentq_sphere_residuals, richardson_jacobian
+from oracles import (
+    brentq_sphere_residuals,
+    gravity_sphere_residual,
+    richardson_jacobian,
+)
 
 
 def brute_force_residual(gain, bias, mean, g, n_grid=1_000_000):
@@ -411,7 +414,7 @@ class TestApply:
 
     def test_gyro_datasheet_round_trip(self):
         lsb = np.deg2rad(500.0) / 32768.0
-        cal = gyro_calibration_from_scale(lsb)
+        cal = scale_calibration(lsb)
         rng = np.random.default_rng(22)
         truth = rng.uniform(-5, 5, (40, 3))
         raw = truth / lsb

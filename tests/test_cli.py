@@ -7,17 +7,19 @@ monkeypatching work; the console entry point is the same function.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 import warnings
 
 import numpy as np
 import pytest
 
 from pdrnav import constants
-from pdrnav.calibration import canonical_gain
+from pdrnav.calibration import SensorCalibration, canonical_gain
 from pdrnav.cli import main
-from pdrnav.ekf import default_filter_config
-from pdrnav.gait import GaitParams, razor_noise
+from pdrnav.ekf import FilterConfig, default_filter_config
+from pdrnav.gait import GaitParams, NoiseParams, razor_noise
 from pdrnav.io import (
     PipelineConfig,
     read_calibration,
@@ -28,7 +30,7 @@ from pdrnav.io import (
     write_log,
 )
 from pdrnav.tracker import ImuLog
-from pdrnav.zupt import PSEUDO_GROUPS, default_stance_config
+from pdrnav.zupt import PSEUDO_GROUPS, StanceConfig, default_stance_config
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -306,6 +308,94 @@ class TestExitCodes:
             main(["allan", "--log", str(ws / "still_long.csv"),
                   "--axis", "9", "--out", "a.csv"])
         assert info.value.code == 2
+
+
+# Every scalar and array field of every JSON document the CLI reads, as
+# (file, section, field, annotated type): the dataclass fields of each
+# section, so a field added later is covered without editing this list,
+# and the top-level numbers of gait.json.  Nested dataclass fields (the
+# config's filter and stance) are covered through their own sections.
+_FIELDS = [
+    (file, section, name, tp)
+    for file, section, cls in [
+        ("config.json", "filter", FilterConfig),
+        ("config.json", "stance", StanceConfig),
+        ("config.json", None, PipelineConfig),
+        ("cal.json", "accel", SensorCalibration),
+        ("cal.json", "gyro", SensorCalibration),
+        ("gait.json", "gait", GaitParams),
+        ("gait.json", "noise", NoiseParams),
+    ]
+    for name, tp in typing.get_type_hints(cls).items()
+    if not dataclasses.is_dataclass(tp)
+] + [("gait.json", None, name, float) for name in ("fs", "lsb_accel", "lsb_gyro")]
+
+# JSON values of the wrong type for a field of each scalar type.
+_WRONG = {
+    float: [None, "1", True, [1]],
+    int: [None, "1", True, [1], 1.5],
+    bool: [None, "true", 1, [True]],
+    str: [None, 1, True, ["soft"]],
+}
+
+
+def _poison(value, bad):
+    """``value`` with its first number, however deeply nested, ``bad``."""
+    if isinstance(value, list):
+        return [_poison(value[0], bad), *value[1:]]
+    return bad
+
+
+def _wrong_values(tp, good):
+    """Wrong values for a field annotated ``tp`` whose value in a good
+    file is ``good``: the wrong scalars, and for an array or a mapping,
+    also the good value with one wrong entry (for an array, also one
+    that makes it ragged)."""
+    kind = typing.get_origin(tp) or tp
+    if kind is np.ndarray:
+        return [None, "1", True] + [_poison(good, v)
+                                    for v in _WRONG[float][:3] + [[1, 2]]]
+    if kind is dict:
+        first = next(iter(good))
+        entries = _WRONG[typing.get_args(tp)[1]][:3]
+        return _WRONG[float] + [{**good, first: v} for v in entries]
+    return _WRONG[kind]
+
+
+class TestMalformedValues:
+    """Each field of each JSON document set to a value of the wrong type
+    is refused with exit 2 and a message naming the field, before any
+    output is written."""
+
+    @pytest.mark.parametrize(
+        "file, section, name, tp", _FIELDS,
+        ids=[f"{f}-{s or 'top'}-{n}" for f, s, n, _ in _FIELDS])
+    def test_wrong_type_exits_two(self, workspace, tmp_path, capsys,
+                                  file, section, name, tp):
+        ws, _ = workspace
+        header = (ws / "walk.csv").read_text().splitlines()[0]
+        (tmp_path / "empty.csv").write_text(header + "\n")
+        paths = {"config.json": ws / "config.json", "cal.json": ws / "cal.json"}
+        bad = paths[file] = tmp_path / file
+        out = tmp_path / "out.csv"
+        if file == "gait.json":
+            argv = ["simulate", "--params", str(bad), "--out", str(out),
+                    "--truth", str(tmp_path / "truth.csv")]
+        else:
+            argv = ["track", "--log", str(tmp_path / "empty.csv"),
+                    "--cal", str(paths["cal.json"]),
+                    "--config", str(paths["config.json"]), "--out", str(out)]
+        doc = json.loads((ws / file).read_text())
+        target = doc if section is None else doc[section]
+        for value in _wrong_values(tp, target[name]):
+            good, target[name] = target[name], value
+            bad.write_text(json.dumps(doc))
+            target[name] = good
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, (value, err)
+            assert f"'{name}'" in err, (value, err)
+            assert not out.exists(), value
 
 
 class TestBadCaptures:

@@ -30,7 +30,7 @@ from pdrnav.ekf import (
     update,
 )
 from pdrnav.gait import GaitParams, generate_gait, inverse_imu, razor_noise, scale_calibration
-from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix, rpy_from_quat
+from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix
 from pdrnav.tracker import ImuLog, run_tracker
 
 from oracles import (
@@ -43,6 +43,7 @@ from oracles import (
     random_covariance,
     random_nav_state,
     richardson_jacobian,
+    rpy_from_quat,
 )
 
 
@@ -256,6 +257,14 @@ def test_tracker_matches_finite_difference_oracle():
     np.testing.assert_array_equal(closed.stance, oracle.stance)
     err = np.linalg.norm(closed.p - oracle.p, axis=1)
     assert np.max(err) < 1e-6
+
+
+class TestFilterConfig:
+    @pytest.mark.parametrize("flag", ["false", 0, 1.0, None])
+    def test_estimate_biases_must_be_a_boolean(self, flag):
+        # "false" is truthy: read as a flag it would switch the biases on.
+        with pytest.raises(ValueError, match="estimate_biases"):
+            FilterConfig(estimate_biases=flag)
 
 
 class TestPredict:

@@ -28,12 +28,14 @@ from pdrnav.gait import (
 )
 from pdrnav.io import (
     PipelineConfig,
+    _to_doc,
     read_calibration,
     read_config,
     read_gait_params,
     read_log,
     read_trajectory,
     read_truth,
+    write_allan_curve,
     write_calibration,
     write_config,
     write_gait_params,
@@ -45,6 +47,7 @@ from pdrnav.tracker import ImuLog, Trajectory
 from pdrnav.zupt import default_stance_config
 
 from oracles import (
+    per_value_allan_text,
     per_value_log_text,
     per_value_trajectory_text,
     per_value_truth_text,
@@ -125,6 +128,14 @@ class TestRowWriters:
             stance=rng.random(n) < 0.3)
         write_trajectory(tmp_path / "traj.csv", traj)
         self.assert_text(tmp_path / "traj.csv", per_value_trajectory_text(traj))
+
+    def test_allan_curve(self, tmp_path):
+        rng = np.random.default_rng(63)
+        taus = self.times()
+        adev = self.values(rng, self.N)
+        write_allan_curve(tmp_path / "allan.csv", taus, adev)
+        self.assert_text(tmp_path / "allan.csv",
+                         per_value_allan_text(taus, adev))
 
 
 class TestLogFormat:
@@ -359,7 +370,7 @@ class TestCalibrationFormat:
         }
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="9 numbers"):
+        with pytest.raises(ValueError, match="accel calibration.*9 numbers"):
             read_calibration(path)
 
 
@@ -380,8 +391,19 @@ class TestConfigFormat:
         np.testing.assert_array_equal(back.filter.r_diag, config.filter.r_diag)
         assert back.filter.ts == config.filter.ts
         assert back.filter.estimate_biases == config.filter.estimate_biases
-        assert back.stance.to_dict() == config.stance.to_dict()
+        assert _to_doc(back.stance) == _to_doc(config.stance)
         assert back.calibration_paths == config.calibration_paths
+
+    def test_calibration_paths_are_written_as_strings(self, tmp_path):
+        config = PipelineConfig(
+            filter=default_filter_config(FS),
+            stance=default_stance_config(FS),
+            calibration_paths={"accel": tmp_path / "a.json", "gyro": "g.json"},
+        )
+        path = tmp_path / "config.json"
+        write_config(path, config)
+        assert read_config(path).calibration_paths == {
+            "accel": str(tmp_path / "a.json"), "gyro": "g.json"}
 
     def test_missing_section_rejected(self, tmp_path):
         config = self.make_config()

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
 from pdrnav.quat import (
-    quat_conj,
     quat_exp,
     quat_from_rpy,
     quat_mul,
@@ -16,15 +15,16 @@ from pdrnav.quat import (
     quat_rotate,
     quat_rotate_jacobian,
     rot_matrix,
-    rpy_from_quat,
 )
 
 from oracles import (
     cross_quat_rotate,
     quat_exp_jacobian,
     quat_mul_jacobian,
+    quat_conj,
     quat_normalize_jacobian,
     richardson_jacobian,
+    rpy_from_quat,
 )
 
 

@@ -29,6 +29,7 @@ from pdrnav.gait import (
 )
 from pdrnav.io import (
     PipelineConfig,
+    _to_doc,
     read_trajectory,
     write_calibration,
     write_config,
@@ -226,6 +227,18 @@ class TestRunTracker:
         assert np.max(np.abs(second.p - first.p)) > 1e-3
         np.testing.assert_array_equal(second.p, fresh.p)
         np.testing.assert_array_equal(second.q_nb, fresh.q_nb)
+
+    def test_groups_switched_off_after_construction_are_refused(self,
+                                                                short_walk):
+        # The flags are a mutable dict, so the "at least one group" rule
+        # is checked again when the run builds its stance stack: the run
+        # is refused before its first sample, not diverged at it.
+        _, log = short_walk
+        cfg = default_stance_config(FS)
+        for name in cfg.pseudo_groups:
+            cfg.pseudo_groups[name] = False
+        with pytest.raises(ValueError, match="pseudo_groups"):
+            run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
 
 
 def _stance_variant(name):
@@ -517,10 +530,10 @@ class TestEvalReport:
         with pytest.raises(ValueError, match="non-negative"):
             EvalReport(epsilon_ttd=-0.01, ttd=300.0, closure_error=-3.0)
 
-    def test_to_dict_round_trip(self):
+    def test_report_doc(self):
         report = EvalReport(epsilon_ttd=0.01, ttd=300.0, closure_error=3.0,
                             checkpoint_errors=[0.1, 0.2])
-        d = report.to_dict()
+        d = _to_doc(report)
         assert d["epsilon_ttd"] == 0.01
         assert d["checkpoint_errors"] == [0.1, 0.2]
 

@@ -12,6 +12,7 @@ from scipy.spatial.transform import Rotation
 
 from pdrnav import ekf, zupt
 from pdrnav.constants import GRAVITY
+from pdrnav.io import _from_doc, _to_doc as to_doc
 from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
 from oracles import (
@@ -585,6 +586,11 @@ class TestEventScoring:
         assert zupt.match_intervals(pred, truth, tolerance=5) == 0
 
 
+def from_doc(doc):
+    """A stance section read as `read_config` reads it."""
+    return _from_doc(zupt.StanceConfig, doc, "stance")
+
+
 class TestStanceConfig:
     def test_round_trip(self):
         cfg = zupt.StanceConfig(
@@ -595,18 +601,18 @@ class TestStanceConfig:
             },
             mode="hard",
         )
-        clone = zupt.StanceConfig.from_dict(cfg.to_dict())
-        assert clone.to_dict() == cfg.to_dict()
+        clone = from_doc(to_doc(cfg))
+        assert to_doc(clone) == to_doc(cfg)
 
     def test_missing_and_unknown_keys_rejected(self):
-        d = zupt.StanceConfig().to_dict()
+        d = to_doc(zupt.StanceConfig())
         d.pop("sfs_threshold")
         with pytest.raises(ValueError, match="missing"):
-            zupt.StanceConfig.from_dict(d)
-        d2 = zupt.StanceConfig().to_dict()
+            from_doc(d)
+        d2 = to_doc(zupt.StanceConfig())
         d2["typo"] = 1
         with pytest.raises(ValueError, match="unknown"):
-            zupt.StanceConfig.from_dict(d2)
+            from_doc(d2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -641,15 +647,15 @@ class TestStanceConfig:
     @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
     @pytest.mark.parametrize("value", [6.9, "6", True])
     def test_half_widths_must_be_whole_numbers(self, key, value):
-        d = zupt.StanceConfig().to_dict()
+        d = to_doc(zupt.StanceConfig())
         d[key] = value
         with pytest.raises(ValueError, match=key):
-            zupt.StanceConfig.from_dict(d)
+            from_doc(d)
 
     def test_half_widths_accept_whole_floats(self):
-        d = zupt.StanceConfig().to_dict()
+        d = to_doc(zupt.StanceConfig())
         d["detect_half_width"] = 6.0
-        assert zupt.StanceConfig.from_dict(d).detect_half_width == 6
+        assert from_doc(d).detect_half_width == 6
 
 
 class TestStanceStack:
