@@ -1,9 +1,8 @@
 """Physical constants and representative sensor noise figures.
 
-The noise figures are Allan-variance coefficients for two IMU grades that
-are commonly strapped to a shoe: a consumer-grade Razor-class 9DOF board
-and a tactical-grade Xsens-class unit.  They are used to seed the default
-filter tuning and the synthetic walk generator.
+The noise figures are Allan-variance coefficients of a consumer-grade
+Razor-class 9DOF board, the kind commonly strapped to a shoe.  They seed
+the default filter tuning and the synthetic walk generator.
 
 Units: random-walk densities N are (unit)/sqrt(Hz) and bias instabilities
 B are in (unit), where unit is m/s^2 for accelerometers and rad/s for
@@ -33,9 +32,3 @@ RAZOR_GYRO_N = np.array([5.2e-3, 12.1e-3, 5.6e-3]) * DEG     # (rad/s)/sqrt(Hz)
 RAZOR_GYRO_B = np.array([3.0e-3, 18.0e-3, 4.4e-3]) * DEG     # rad/s
 RAZOR_ACCEL_N = np.array([5.5e-3, 5.1e-3, 7.6e-3])           # (m/s^2)/sqrt(Hz)
 RAZOR_ACCEL_B = np.array([609e-6, 590e-6, 732e-6])           # m/s^2
-
-# Xsens-class unit, per axis (x, y, z).
-XSENS_GYRO_N = np.array([45e-3, 41e-3, 36e-3]) * DEG
-XSENS_GYRO_B = np.array([7e-3, 7e-3, 5e-3]) * DEG
-XSENS_ACCEL_N = np.array([900e-6, 950e-6, 850e-6])
-XSENS_ACCEL_B = np.array([230e-6, 270e-6, 290e-6])

@@ -144,8 +144,12 @@ class FilterConfig:
     estimate_biases: bool = True
 
     def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float).reshape(DIM)
-        self.r_diag = np.asarray(self.r_diag, dtype=float).reshape(MEAS_DIM)
+        self.q_diag = np.asarray(self.q_diag, dtype=float)
+        self.r_diag = np.asarray(self.r_diag, dtype=float)
+        for name, size in (("q_diag", DIM), ("r_diag", MEAS_DIM)):
+            shape = getattr(self, name).shape
+            if shape != (size,):
+                raise ValueError(f"{name} must be {size} numbers, got shape {shape}")
         if not (self.ts > 0 and np.isfinite(self.ts)):
             raise ValueError("ts must be a positive time step")
         if np.any(self.q_diag < 0) or np.any(self.r_diag <= 0):

@@ -310,22 +310,23 @@ def still_truth(duration: float, fs: float = constants.DEFAULT_FS,
     """Ground truth for a sensor sitting still.
 
     Handy for calibration captures, Allan records, and drift checks.
+    Only ``t`` is a real array: ``p``, ``v``, ``a``, ``q_nb``, ``omega``
+    and ``stance`` are read-only broadcast views of one row each, so a
+    million-sample record costs its time column alone.
     """
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     if fs <= 0.0:
         raise ValueError("fs must be positive")
     n = int(round(duration * fs)) + 1
-    t = np.arange(n) / fs
-    p = np.tile(np.asarray(position, dtype=float), (n, 1))
-    q_nb = np.zeros((n, 4))
-    q_nb[:, 0] = np.cos(yaw / 2.0)
-    q_nb[:, 3] = -np.sin(yaw / 2.0)
+    position = np.array(position, dtype=float)
+    q_nb = np.array([np.cos(yaw / 2.0), 0.0, 0.0, -np.sin(yaw / 2.0)])
+    zeros = np.broadcast_to(0.0, (n, 3))
     return GroundTruth(
-        t=t, p=p, v=np.zeros((n, 3)), a=np.zeros((n, 3)), q_nb=q_nb,
-        omega=np.zeros((n, 3)), stance=np.ones(n, dtype=bool), fs=fs,
-        footfalls=np.asarray(position, dtype=float)[None, :2].copy(),
-        path_length=0.0,
+        t=np.arange(n) / fs, p=np.broadcast_to(position, (n, 3)), v=zeros,
+        a=zeros, q_nb=np.broadcast_to(q_nb, (n, 4)), omega=zeros,
+        stance=np.broadcast_to(True, (n,)), fs=fs,
+        footfalls=position[None, :2].copy(), path_length=0.0,
     )
 
 

@@ -209,7 +209,8 @@ def run_tracker(
     log : ImuLog
     accel_cal, gyro_cal : SensorCalibration
     filter_cfg : FilterConfig, optional
-        Defaults to the sample-rate-matched tuning.
+        Defaults to the sample-rate-matched tuning.  Its ``ts`` must be
+        ``1 / log.fs``.
     stance_cfg : StanceConfig, optional
         Defaults likewise.  Its ``mode`` selects soft score-modulated
         updates, a hard binary detector, or no stance updates at all.
@@ -230,10 +231,16 @@ def run_tracker(
         If the filter diverges; the exception carries the partial
         trajectory and a diagnostic.
     ValueError
-        If the log is too short or not still enough to initialize.
+        If the log is too short or not still enough to initialize, or
+        the filter's ``ts`` is not the log's sample period.
     """
     if filter_cfg is None:
         filter_cfg = default_filter_config(log.fs)
+    if abs(filter_cfg.ts * log.fs - 1.0) > 1e-9:
+        raise ValueError(
+            f"filter ts {filter_cfg.ts:g} s does not match the log's "
+            f"{log.fs:g} Hz; ts must be 1/fs = {1.0 / log.fs:g} s"
+        )
     if stance_cfg is None:
         stance_cfg = default_stance_config(log.fs)
 

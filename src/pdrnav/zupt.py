@@ -25,11 +25,12 @@ The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
 so that low-confidence stance samples pull the filter gently and
 clean mid-stance samples pull it hard.
 
-A run builds one `StanceStack`: the target stack, the enabled rows and
-their base variances.  Its `linearize` gives the residual and the
-closed-form prediction Jacobian of those rows from one read of the
-state, and `zupt_update` feeds them, with the scaled variances, to the
-filter's update on a mean and covariance that the caller owns.
+A run builds one `StanceStack`: the 22-row target stack and its base
+variances.  Every stance update injects the whole stack.  Its
+`linearize` gives the residual and the closed-form prediction Jacobian
+from one read of the state, and `zupt_update` feeds them, with the
+scaled variances, to the filter's update on a mean and covariance that
+the caller owns.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .ekf import (
 from .quat import _conj_rotate_terms, _rotate_terms
 
 __all__ = [
-    "PSEUDO_GROUPS",
     "N_PSEUDO",
     "StanceConfig",
     "default_stance_config",
@@ -71,23 +71,11 @@ __all__ = [
     "event_f1",
 ]
 
-# Pseudo-measurement groups in stacking order with their row counts.
-# Every group can be switched off individually; the full stack is 22
-# scalar rows.
-PSEUDO_GROUPS = (
-    ("position_xy", 2),
-    ("position_z", 1),
-    ("velocity", 3),
-    ("acceleration", 3),
-    ("gravity_direction", 3),
-    ("gravity_norm", 1),
-    ("angular_rate", 3),
-    ("accel_bias", 3),
-    ("gyro_bias", 3),
-)
-N_PSEUDO = sum(rows for _, rows in PSEUDO_GROUPS)
+# Scalar rows of the stance pseudo-measurement stack; `StanceStack`
+# lists them.
+N_PSEUDO = 22
 
-# Row index of the gravity-norm scalar inside the full stack; its
+# Row index of the gravity-norm scalar inside the stack; its
 # gradient direction a_b/|a_b| is undefined at a_b = 0, where the row's
 # Jacobian is taken as zero.
 _NORM_ROW = 12
@@ -95,7 +83,7 @@ _NORM_EPS = 1e-6
 
 
 def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
-    """Per-row variances of the full pseudo-measurement stack.
+    """Per-row variances of the pseudo-measurement stack.
 
     The kinematic rows encode how still a stance really is (the foot
     rolls slightly, so they are not driven to zero); the two bias groups
@@ -115,29 +103,6 @@ def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.fl
     out[16:19] = accel_var
     out[19:22] = gyro_var
     return out
-
-
-def _as_group_flags(groups) -> dict[str, bool]:
-    """The enable flags checked: a mapping from exactly the names in
-    ``PSEUDO_GROUPS`` to booleans."""
-    names = [name for name, _ in PSEUDO_GROUPS]
-    if not isinstance(groups, dict):
-        raise ValueError(
-            f"pseudo_groups must map each of {names} to true or false, "
-            f"got {groups!r}"
-        )
-    extra = groups.keys() - set(names)
-    missing = set(names) - groups.keys()
-    if extra or missing:
-        raise ValueError(
-            f"pseudo-measurement groups must be exactly {names}; "
-            f"missing {sorted(missing)}, unknown {sorted(extra)}"
-        )
-    bad = {name: groups[name] for name in names
-           if not isinstance(groups[name], (bool, np.bool_))}
-    if bad:
-        raise ValueError(f"pseudo_groups flags must be true or false, got {bad}")
-    return {name: bool(groups[name]) for name in names}
 
 
 @dataclass
@@ -165,11 +130,7 @@ class StanceConfig:
         Scale of the confidence modulation; the pseudo-measurement
         variances are multiplied by ``1 + gain * (1 - score)``.
     pseudo_variances : ndarray, shape (22,)
-        Base diagonal variances of the full pseudo-measurement stack.
-    pseudo_groups : dict
-        Enable flag per pseudo-measurement group, keys as in
-        ``PSEUDO_GROUPS``; unless ``mode`` is ``"none"``, at least one
-        must be on.
+        Base diagonal variances of the pseudo-measurement stack.
     mode : str
         ``"soft"`` (score-modulated covariance), ``"hard"`` (binary
         detector, unmodulated covariance) or ``"none"`` (no stance
@@ -192,16 +153,13 @@ class StanceConfig:
     pseudo_variances: NDArray[np.float64] = field(
         default_factory=_default_pseudo_variances
     )
-    pseudo_groups: dict[str, bool] = field(
-        default_factory=lambda: {name: True for name, _ in PSEUDO_GROUPS}
-    )
     mode: str = "soft"
 
     def __post_init__(self):
-        self.pseudo_variances = np.asarray(
-            self.pseudo_variances, dtype=float
-        ).reshape(N_PSEUDO)
-        self.pseudo_groups = _as_group_flags(self.pseudo_groups)
+        self.pseudo_variances = np.asarray(self.pseudo_variances, dtype=float)
+        if self.pseudo_variances.shape != (N_PSEUDO,):
+            raise ValueError(f"pseudo_variances must be {N_PSEUDO} numbers, "
+                             f"got shape {self.pseudo_variances.shape}")
         if not self.accel_norm_min < self.accel_norm_max:
             raise ValueError("accel_norm_min must be below accel_norm_max")
         if not 0.0 <= self.sfs_threshold <= 1.0:
@@ -214,25 +172,6 @@ class StanceConfig:
             raise ValueError("pseudo_variances must be positive")
         if self.mode not in ("soft", "hard", "none"):
             raise ValueError(f"unknown stance mode {self.mode!r}")
-        self.row_mask()
-
-    def row_mask(self) -> NDArray[np.bool_]:
-        """Boolean mask over the 22 rows selecting the enabled groups.
-
-        Raises `ValueError` when no group is on unless ``mode`` is
-        ``"none"``; the flags are a mutable dict, so this runs at every
-        use as well as at construction.
-        """
-        mask = np.concatenate([
-            np.full(rows, self.pseudo_groups[name])
-            for name, rows in PSEUDO_GROUPS
-        ])
-        if self.mode != "none" and not mask.any():
-            raise ValueError(
-                f"stance mode {self.mode!r} needs at least one pseudo_groups "
-                "flag on; mode 'none' switches stance updates off"
-            )
-        return mask
 
 
 def default_stance_config(fs: float = constants.DEFAULT_FS) -> StanceConfig:
@@ -381,7 +320,7 @@ _STANCE_INDEX = np.array(
 class StanceStack:
     """The stance pseudo-measurement stack of one run.
 
-    The full stack, in row order (22 rows when every group is enabled):
+    The stack, in row order (22 rows, all injected at every update):
 
     ==================  ====  ===========================  ==================
     group               rows  target value                 state prediction
@@ -403,27 +342,25 @@ class StanceStack:
 
     Everything that does not change within a run is built once: the
     target stack, written in place (`latch` at event start, the IMU
-    sample at each `linearize`), the enabled rows of ``cfg`` and their
-    base variances ``base_variances``.
+    sample at each `linearize`), and a copy of the base variances of
+    ``cfg``, ``base_variances``.
     """
 
     def __init__(self, cfg: StanceConfig, g: float):
-        mask = cfg.row_mask()
         self.z_full = np.zeros(N_PSEUDO)
         self.z_full[11] = g
         self.z_full[_NORM_ROW] = g
-        self.mask = slice(None) if mask.all() else mask
         self.g_vec = np.array([0.0, 0.0, -g])
-        self.base_variances = cfg.pseudo_variances[mask]
+        self.base_variances = cfg.pseudo_variances.copy()
 
     def latch(self, x) -> None:
         """Start an event: hold the horizontal position of ``x``."""
         self.z_full[0:2] = x[POS.start:POS.start + 2]
 
     def linearize(self, x, imu_sample):
-        """Residual ``z_p - prediction`` and prediction Jacobian H of the
-        enabled rows at one state, (m,) and (m, 25), with the calibrated
-        ``imu_sample`` (accel then gyro) as the bias targets.
+        """Residual ``z_p - prediction`` and prediction Jacobian H at one
+        state, (22,) and (22, 25), with the calibrated ``imu_sample``
+        (accel then gyro) as the bias targets.
 
         One read of the state; only the gravity-direction, gravity-norm
         and accel-bias rows depend on it nonlinearly.  The gravity-norm
@@ -454,7 +391,7 @@ class StanceStack:
         values += [-v for v in d_body_q]
         h_jac = _LINEAR_STANCE_ROWS.copy()
         h_jac.ravel()[_STANCE_INDEX] = values
-        return (self.z_full - h)[self.mask], h_jac[self.mask]
+        return self.z_full - h, h_jac
 
 
 def _confidence_factor(cfg: StanceConfig, scores):

@@ -505,7 +505,7 @@ def build_pseudo_measurements(latched_xy, accel_sample, gyro_sample, cfg,
     ``latched_xy`` and whose bias targets are this calibrated sample.
 
     Returns ``linearize``, mapping one state to the residual and the
-    prediction Jacobian H of the enabled rows.
+    prediction Jacobian H of the stack.
     """
     stack = zupt.StanceStack(cfg, g)
     latch_state = np.zeros(DIM)
@@ -516,12 +516,11 @@ def build_pseudo_measurements(latched_xy, accel_sample, gyro_sample, cfg,
 
 
 def soft_covariance(cfg, score):
-    """Variances of the enabled stance rows at one score in [0, 1]: the
-    base variances times ``1 + covariance_gain * (1 - score)``."""
+    """Variances of the stance rows at one score in [0, 1]: the base
+    variances times ``1 + covariance_gain * (1 - score)``."""
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score {score} outside [0, 1]")
-    return (1.0 + cfg.covariance_gain * (1.0 - score)) * \
-        cfg.pseudo_variances[cfg.row_mask()]
+    return (1.0 + cfg.covariance_gain * (1.0 - score)) * cfg.pseudo_variances
 
 
 def dense_imu_update(x, p_mat, z, r_diag):

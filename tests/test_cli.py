@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import typing
 import warnings
 
@@ -30,12 +31,18 @@ from pdrnav.io import (
     write_log,
 )
 from pdrnav.tracker import ImuLog
-from pdrnav.zupt import PSEUDO_GROUPS, StanceConfig, default_stance_config
+from pdrnav.zupt import StanceConfig, default_stance_config
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
 LSB_W = constants.DEFAULT_LSB_GYRO
 GYRO_WHITE_SIGMA = 9e-5  # rad/s at each sample, the allan target
+
+# The stance groups that older configs could switch off one by one,
+# under ``stance.pseudo_groups``; such configs are now refused.
+_GROUP_NAMES = ("position_xy", "position_z", "velocity", "acceleration",
+                "gravity_direction", "gravity_norm", "angular_rate",
+                "accel_bias", "gyro_bias")
 
 
 def _write_still_logs(stills_dir, rng, n_logs=12, n_samples=300):
@@ -230,26 +237,31 @@ class TestExitCodes:
         ("stance", "pseudo_groups", "FFFFFFFFF"),
         ("stance", "pseudo_groups", 5),
         ("stance", "pseudo_groups", {"velocity": "false"}),
-        ("stance", "pseudo_groups",
-         {name: False for name, _ in PSEUDO_GROUPS}),
+        ("stance", "pseudo_groups", dict.fromkeys(_GROUP_NAMES, False)),
+        ("stance", "pseudo_groups", dict.fromkeys(_GROUP_NAMES, True)),
         ("stance", "detect_half_width", 6.9),
         ("stance", "std_half_width", "3"),
         ("filter", "estimate_biases", "false"),
         ("filter", "joseph", True),
+        ("filter", "ts", 0.005),
+        ("filter", "q_diag", [1e-3] * 3),
+        ("filter", "q_diag", [[1e-3] * 5] * 5),
+        ("filter", "r_diag", [1e-3] * 5),
+        ("stance", "pseudo_variances", [1e-4] * 21),
     ], ids=["groups-string", "groups-number", "flag-string", "all-groups-off",
-            "half-width-fraction", "half-width-string", "biases-string",
-            "joseph-key"])
+            "stale-groups", "half-width-fraction", "half-width-string",
+            "biases-string", "joseph-key", "ts-not-log-period",
+            "q-diag-short", "q-diag-square", "r-diag-short",
+            "pseudo-variances-short"])
     def test_bad_config_value_exits_two(self, workspace, tmp_path, capsys,
                                         section, key, value):
-        # A mapping for pseudo_groups patches flags of the shipped groups;
-        # anything else replaces the entry.  Each case must be refused
-        # with a message naming the key.
+        # Each case must be refused with a message naming the key.  The
+        # stance section has no pseudo_groups key since the stack was
+        # fixed, so a config that still carries one, whatever its value,
+        # is refused.  The log is 100 Hz, so ts 0.005 s does not match.
         ws, _ = workspace
         doc = json.loads((ws / "config.json").read_text())
-        if isinstance(value, dict):
-            doc[section][key].update(value)
-        else:
-            doc[section][key] = value
+        doc[section][key] = value
         bad = tmp_path / "bad_value.json"
         bad.write_text(json.dumps(doc))
         code = main(["track", "--log", str(ws / "walk.csv"),
@@ -257,7 +269,9 @@ class TestExitCodes:
                      "--config", str(bad),
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err), err
+        assert "cannot reshape" not in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_divergence_exits_three_with_partial_output(self, workspace,

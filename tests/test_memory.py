@@ -1,7 +1,7 @@
 """Peak memory of the lab session's long-record paths.
 
 A still record for Allan analysis runs to a million samples, so
-rendering, writing and parsing it must cost about the arrays it
+its truth, rendering, writing and parsing must cost about the arrays it
 produces, not several full-size temporaries.  Peaks are the traced
 allocations (numpy reports its buffers to `tracemalloc`) of one call,
 counted against the size of an (n, 3) or (n, 7) float64 array.
@@ -48,6 +48,17 @@ def still_log():
     return ImuLog(t=truth.t, accel=accel, gyro=gyro, fs=FS,
                   lsb_accel=constants.DEFAULT_LSB_ACCEL,
                   lsb_gyro=constants.DEFAULT_LSB_GYRO)
+
+
+def test_still_truth_holds_its_time_column():
+    truth, peak = traced_peak(still_truth, (N - 1) / FS, FS, (1.0, 2.0, 0.0), 0.4)
+    assert truth.p.shape == truth.omega.shape == (N, 3)
+    assert truth.q_nb.shape == (N, 4) and truth.stance.shape == (N,)
+    # The time column and its integer ramp make 0.67x; the six constant
+    # arrays stored at full length made 5.7x.  They are read-only views.
+    assert peak <= COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
+    for name in ("p", "v", "a", "q_nb", "omega", "stance"):
+        assert not getattr(truth, name).flags.writeable, name
 
 
 def test_inverse_imu_holds_a_few_columns():

@@ -45,7 +45,7 @@ from pdrnav.tracker import (
     evaluate_trajectory,
     run_tracker,
 )
-from pdrnav.zupt import PSEUDO_GROUPS, StanceConfig, default_stance_config
+from pdrnav.zupt import StanceConfig, default_stance_config
 
 from oracles import chain_tracker
 
@@ -149,6 +149,13 @@ class TestRunTracker:
         drift = np.linalg.norm(traj.p[-1] - traj.p[0])
         assert drift < 0.05
 
+    def test_filter_period_must_match_the_log(self, short_walk):
+        # A filter built for 200 Hz would propagate a 100 Hz log with
+        # half its true time step.
+        _, log = short_walk
+        with pytest.raises(ValueError, match=r"ts 0\.005 s .* 100 Hz"):
+            run_tracker(log, CAL_A, CAL_W, default_filter_config(2 * FS))
+
     def test_trajectory_shape_matches_log(self, short_walk):
         truth, log = short_walk
         traj = run_tracker(log, CAL_A, CAL_W)
@@ -212,42 +219,27 @@ class TestRunTracker:
         assert np.all(np.isfinite(exc.trajectory.p))
 
     def test_stance_config_is_read_afresh_each_run(self, short_walk):
-        # The tracker builds the pseudo-measurement row mask and base
-        # variances once per run; a config changed between two runs
-        # must be honoured by the second, exactly as a fresh config is.
+        # The tracker copies the pseudo-measurement base variances once
+        # per run; a config changed between two runs must be honoured by
+        # the second, exactly as a fresh config is.
         _, log = short_walk
         cfg = default_stance_config(FS)
         first = run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
-        cfg.pseudo_groups["velocity"] = False
+        cfg.pseudo_variances[3:6] *= 1e4
         second = run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
-        groups = {name: name != "velocity" for name, _ in PSEUDO_GROUPS}
+        variances = default_stance_config(FS).pseudo_variances
+        variances[3:6] *= 1e4
         fresh = run_tracker(log, CAL_A, CAL_W, stance_cfg=StanceConfig(
-            pseudo_variances=default_stance_config(FS).pseudo_variances,
-            pseudo_groups=groups))
+            pseudo_variances=variances))
         assert np.max(np.abs(second.p - first.p)) > 1e-3
         np.testing.assert_array_equal(second.p, fresh.p)
         np.testing.assert_array_equal(second.q_nb, fresh.q_nb)
-
-    def test_groups_switched_off_after_construction_are_refused(self,
-                                                                short_walk):
-        # The flags are a mutable dict, so the "at least one group" rule
-        # is checked again when the run builds its stance stack: the run
-        # is refused before its first sample, not diverged at it.
-        _, log = short_walk
-        cfg = default_stance_config(FS)
-        for name in cfg.pseudo_groups:
-            cfg.pseudo_groups[name] = False
-        with pytest.raises(ValueError, match="pseudo_groups"):
-            run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
 
 
 def _stance_variant(name):
     cfg = default_stance_config(FS)
     if name == "hard":
         cfg.mode = "hard"
-    elif name == "groups":
-        cfg.pseudo_groups["velocity"] = False
-        cfg.pseudo_groups["gravity_norm"] = False
     return cfg
 
 
@@ -295,8 +287,8 @@ class TestSingleStep:
 
     @pytest.mark.parametrize("walk, variant", [
         ("short_walk", "soft"), ("short_walk", "hard"),
-        ("short_walk", "groups"), ("short_walk", "biases_off"),
-        ("slow_walk", "soft"), ("slow_walk", "groups"),
+        ("short_walk", "biases_off"), ("slow_walk", "soft"),
+        ("slow_walk", "hard"),
     ])
     def test_matches_per_call_chain(self, walk, variant, request):
         _, log = request.getfixturevalue(walk)

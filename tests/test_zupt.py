@@ -314,8 +314,8 @@ def stance_residual(cfg, latched_xy, accel_s, gyro_s):
 
 
 class TestBuildPseudoMeasurements:
-    """The run's stance stack: its targets, latching and row masks, and
-    its residual against a row-by-row re-derivation."""
+    """The run's stance stack: its targets and latching, and its
+    residual against a row-by-row re-derivation."""
 
     def test_residual_zero_at_stance_truth(self):
         for roll, pitch, yaw in [(0, 0, 0), (0.3, -0.2, 1.0)]:
@@ -365,25 +365,6 @@ class TestBuildPseudoMeasurements:
             np.testing.assert_allclose(residual(x), want, atol=1e-12)
             assert residual(x).shape == (zupt.N_PSEUDO,)
 
-    def test_group_mask_selects_rows(self):
-        rng = np.random.default_rng(9)
-        x = random_state(rng)
-        sample = rng.standard_normal(6)
-        full = latched_stack(zupt.StanceConfig(), [0.5, 0.5])
-        nu_full, jac_full = full.linearize(x, sample)
-        groups = {name: True for name, _ in zupt.PSEUDO_GROUPS}
-        groups["velocity"] = False
-        groups["gravity_norm"] = False
-        cfg = zupt.StanceConfig(pseudo_groups=groups)
-        mask = cfg.row_mask()
-        assert mask.sum() == zupt.N_PSEUDO - 4
-        stack = latched_stack(cfg, [0.5, 0.5])
-        nu, jac = stack.linearize(x, sample)
-        np.testing.assert_array_equal(nu, nu_full[mask])
-        np.testing.assert_array_equal(jac, jac_full[mask])
-        np.testing.assert_array_equal(stack.base_variances,
-                                      cfg.pseudo_variances[mask])
-
     def test_degenerate_specific_force_row_ignores_its_variance(self):
         # At a_b = 0 the gravity-norm row of H is zero, so the update
         # cannot depend on that row's variance: inflating it a
@@ -398,6 +379,8 @@ class TestBuildPseudoMeasurements:
             plain = latched_stack(cfg, x[ekf.POS][:2])
             inflated = latched_stack(cfg, x[ekf.POS][:2])
             inflated.base_variances[12] *= 1e6
+            # Each stack holds its own copy of the config's variances.
+            assert inflated.base_variances[12] == 1e6 * plain.base_variances[12]
             want_x, want_p = zupt.zupt_update(x, p_mat, plain, sample, 1.5)
             got_x, got_p = zupt.zupt_update(x, p_mat, inflated, sample, 1.5)
             np.testing.assert_array_equal(got_x, want_x)
@@ -408,11 +391,10 @@ class TestStanceJacobian:
     """The closed-form stance Jacobian against Richardson-extrapolated
     differences of the residual itself."""
 
-    def build(self, x, rng, cfg=None):
+    def build(self, x, rng):
         """The stance linearisation at one sample, as a function of one
         state."""
-        cfg = zupt.StanceConfig() if cfg is None else cfg
-        stack = latched_stack(cfg, x[ekf.POS][:2] + 0.01)
+        stack = latched_stack(zupt.StanceConfig(), x[ekf.POS][:2] + 0.01)
         accel_s = x[ekf.ACC_B] + rng.normal(0.0, 0.01, 3)
         gyro_s = rng.normal(0.0, 0.01, 3)
         sample = np.concatenate([accel_s, gyro_s])
@@ -434,22 +416,6 @@ class TestStanceJacobian:
             assert jac.shape == (zupt.N_PSEUDO, ekf.DIM)
             assert np.max(np.abs(jac - ref)) <= 1e-5
 
-    @pytest.mark.parametrize("off", [
-        ("gravity_direction",),
-        ("position_xy", "gravity_norm", "gyro_bias"),
-        ("velocity", "acceleration", "angular_rate", "accel_bias"),
-    ])
-    def test_groups_disabled(self, off):
-        groups = {name: name not in off for name, _ in zupt.PSEUDO_GROUPS}
-        cfg = zupt.StanceConfig(pseudo_groups=groups)
-        rng = np.random.default_rng(42)
-        x = random_state(rng)
-        residual, jac = self.residual_and_jacobian(self.build(x, rng, cfg), x)
-        m = int(cfg.row_mask().sum())
-        ref = richardson_jacobian(residual, x, m)
-        assert jac.shape == (m, ekf.DIM)
-        assert np.max(np.abs(jac - ref)) <= 1e-5
-
     def test_zero_specific_force(self):
         # |a_b| has no gradient direction at a_b = 0; the row is zero,
         # which is also what the symmetric difference gives there.
@@ -463,7 +429,7 @@ class TestStanceJacobian:
 
 
 def stance_variances(cfg, score):
-    """The variances `zupt_update` gives the enabled rows at one score:
+    """The variances `zupt_update` gives the stack at one score:
     the run's confidence factor times the stack's base variances."""
     return (zupt._confidence_factor(cfg, score)
             * zupt.StanceStack(cfg, GRAVITY).base_variances)
@@ -486,12 +452,6 @@ class TestSoftCovariance:
         grid = np.linspace(0.0, 1.0, 21)
         factors = [stance_variances(cfg, s)[0] for s in grid]
         assert all(a >= b for a, b in zip(factors, factors[1:]))
-
-    def test_disabled_groups_shrink_vector(self):
-        groups = {name: name != "acceleration" for name, _ in zupt.PSEUDO_GROUPS}
-        cfg = zupt.StanceConfig(pseudo_groups=groups)
-        assert stance_variances(cfg, 1.0).shape == (zupt.N_PSEUDO - 3,)
-
 
 def estimate_at(x, p_scale=1e-2):
     return x.copy(), p_scale * np.eye(ekf.DIM)
@@ -596,9 +556,7 @@ class TestStanceConfig:
         cfg = zupt.StanceConfig(
             sfs_threshold=0.4,
             covariance_gain=7.0,
-            pseudo_groups={
-                name: name != "gyro_bias" for name, _ in zupt.PSEUDO_GROUPS
-            },
+            pseudo_variances=np.linspace(1e-6, 1e-2, zupt.N_PSEUDO),
             mode="hard",
         )
         clone = from_doc(to_doc(cfg))
@@ -623,26 +581,8 @@ class TestStanceConfig:
             zupt.StanceConfig(detect_half_width=0)
         with pytest.raises(ValueError):
             zupt.StanceConfig(mode="sometimes")
-        with pytest.raises(ValueError):
-            zupt.StanceConfig(pseudo_groups={"velocity": True})
-
-    def test_group_flags_reject_sequence(self):
-        with pytest.raises(ValueError, match="pseudo_groups"):
-            zupt.StanceConfig(pseudo_groups=[True] * 8 + [False])
-
-    @pytest.mark.parametrize("flag", ["false", 0, 1.0, None])
-    def test_group_flags_must_be_booleans(self, flag):
-        groups = {name: True for name, _ in zupt.PSEUDO_GROUPS}
-        groups["velocity"] = flag
-        with pytest.raises(ValueError, match="pseudo_groups.*velocity"):
-            zupt.StanceConfig(pseudo_groups=groups)
-
-    @pytest.mark.parametrize("mode", ["soft", "hard"])
-    def test_all_groups_off_needs_mode_none(self, mode):
-        off = {name: False for name, _ in zupt.PSEUDO_GROUPS}
-        with pytest.raises(ValueError, match="pseudo_groups"):
-            zupt.StanceConfig(pseudo_groups=off, mode=mode)
-        assert not zupt.StanceConfig(pseudo_groups=off, mode="none").row_mask().any()
+        with pytest.raises(ValueError, match="pseudo_variances must be 22"):
+            zupt.StanceConfig(pseudo_variances=np.ones(21))
 
     @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
     @pytest.mark.parametrize("value", [6.9, "6", True])
@@ -676,12 +616,9 @@ class TestStanceStack:
                 x[ekf.ACC_B] = 0.0  # gravity-norm row defused
             yield x, random_covariance(rng, scale=rng.uniform(1e-3, 1.0))
 
-    @pytest.mark.parametrize("off", [(), ("velocity",), ("gravity_norm",),
-                                     ("position_xy", "accel_bias")])
     @pytest.mark.parametrize("soft", [True, False])
-    def test_matches_zupt_update(self, off, soft):
-        groups = {name: name not in off for name, _ in zupt.PSEUDO_GROUPS}
-        cfg = zupt.StanceConfig(pseudo_groups=groups)
+    def test_matches_zupt_update(self, soft):
+        cfg = zupt.StanceConfig()
         stack = zupt.StanceStack(cfg, GRAVITY)
         rng = np.random.default_rng(60)
         for x, p_mat in self.cases(rng):
