@@ -132,12 +132,19 @@ def allan_deviation(
     # matters for sensors parked at g.
     series = series - series.mean()
     # Integrated signal; successive cluster means become second
-    # differences of this, one vector operation per tau.
+    # differences of this, formed per tau in one buffer sized for the
+    # shortest tau: -2 I[m:-m], then I[2m:] and I[:-2m] added in place.
+    # That is the same sum in the same order as the plain expression,
+    # so the same bits, without its three full-length temporaries.
     integral = np.concatenate([[0.0], np.cumsum(series)]) / fs
     sizes = _cluster_sizes(n, points_per_decade)
     adev = np.empty(sizes.size)
+    buffer = np.empty(n + 1 - 2 * sizes[0])
     for j, m in enumerate(sizes):
-        d = integral[2 * m:] - 2.0 * integral[m:-m] + integral[:-2 * m]
+        d = buffer[:n + 1 - 2 * m]
+        np.multiply(integral[m:-m], -2.0, out=d)
+        d += integral[2 * m:]
+        d += integral[:-2 * m]
         tau = m / fs
         adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
     return AllanCurve(taus=sizes / fs, adev=adev, fs=float(fs))

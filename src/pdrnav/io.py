@@ -1,9 +1,12 @@
 """File formats for the batch pipeline.
 
 Plain text throughout: IMU logs and trajectories are CSV, calibration
-and configuration are JSON.  Floats are written with 17 significant
-digits so every file round-trips bit-exactly, which is what makes
-byte-identical reruns a meaningful promise.
+and configuration are JSON.  Every float is written in text that reads
+back to the same bits, which is what makes byte-identical reruns a
+meaningful promise: CSV floats with 17 significant digits, except the
+log's time column, which like JSON gets its shortest round-trip text
+(`repr`), so a 100 Hz grid reads ``4.98`` rather than
+``4.9800000000000004``.  Log counts are integer literals.
 
 Every JSON document goes through one codec: `_to_doc` writes a
 dataclass as an object with one key per field, in field order, arrays
@@ -17,8 +20,10 @@ are the classes' own checks.
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
 hand the open file, from the first data row on, to `np.loadtxt`, which
-skips blank lines and ``#`` comments itself.  Writers format and round
-blocks of `_BLOCK_ROWS` rows.
+skips blank lines and ``#`` comments itself and parses each row into
+one record of the format's row dtype: a log row is a float64 time and
+six int32 counts, 32 bytes.  Writers format and round blocks of
+`_BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ def _write_rows(fh, fmt: str, columns, *, rint_from: int | None = None) -> None:
     """Write ``fmt % row`` for every row of the side-by-side ``columns``.
 
     ``fmt`` has one field per column: ``%.17g`` gives the same bytes as
-    `_fmt`, ``%d`` an integer-valued column (counts, flags) as an
-    integer.  With ``rint_from``, the columns from that index on are
-    rounded to the nearest integer first, a block at a time.
+    `_fmt`, ``%r`` the shortest text that reads back to the same float,
+    ``%d`` an integer-valued column (counts, flags) as an integer.  With
+    ``rint_from``, the columns from that index on are rounded to the
+    nearest integer first, a block at a time.
     """
     n = len(columns[0])
     for lo in range(0, n, _BLOCK_ROWS):
@@ -85,29 +91,42 @@ def _write_rows(fh, fmt: str, columns, *, rint_from: int | None = None) -> None:
         fh.writelines([fmt % tuple(row) for row in block.tolist()])
 
 
-def _read_rows(fh, n_cols: int, label: str) -> np.ndarray:
-    """Parse the rest of an open comment-headed CSV, tolerating no data.
+# One record per CSV row; each field is one column, or with a shape,
+# that many side by side.  `np.loadtxt` refuses a row with any other
+# column count, and a count text that is not an integer literal.
+_LOG_ROW = np.dtype([("t", np.float64), ("counts", np.int32, (6,))])
+_TRUTH_ROW = np.dtype([("t", np.float64), ("p", np.float64, (3,)),
+                       ("v", np.float64, (3,)), ("q_nb", np.float64, (4,)),
+                       ("stance", np.float64)])
+_TRAJ_ROW = np.dtype([("t", np.float64), ("p", np.float64, (3,)),
+                      ("q_nb", np.float64, (4,)), ("sfs", np.float64),
+                      ("stance", np.float64)])
+
+
+def _read_rows(fh, row: np.dtype, label: str) -> np.ndarray:
+    """Parse the rest of an open comment-headed CSV into ``row`` records,
+    tolerating no data.
 
     Lines up to the first data row are read here, so a body without one
-    gives ``(0, n_cols)`` rather than loadtxt's "no data" warning.
+    gives no records rather than loadtxt's "no data" warning.  A parse
+    error names the file.
     """
     for line in fh:
         if line.strip() and not line.startswith("#"):
             break
     else:
-        return np.empty((0, n_cols))
-    rows = np.loadtxt(chain([line], fh), delimiter=",", ndmin=2)
-    if rows.shape[1] != n_cols:
-        raise ValueError(
-            f"{label} rows must have {n_cols} columns, got {rows.shape[1]}"
-        )
-    return rows
+        return np.empty(0, row)
+    try:
+        return np.loadtxt(chain([line], fh), dtype=row, delimiter=",",
+                          ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{label} {fh.name}: {exc}") from None
 
 
-def _read_csv_body(path, n_cols: int, label: str) -> np.ndarray:
+def _read_csv_body(path, row: np.dtype, label: str) -> np.ndarray:
     """Read a comment-headed CSV, tolerating an empty body."""
     with open(path) as fh:
-        return _read_rows(fh, n_cols, label)
+        return _read_rows(fh, row, label)
 
 
 def write_log(path, log: ImuLog) -> None:
@@ -117,7 +136,7 @@ def write_log(path, log: ImuLog) -> None:
             f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
             f"lsb_w={_fmt(log.lsb_gyro)}\n"
         )
-        _write_rows(fh, "%.17g" + ",%d" * 6 + "\n",
+        _write_rows(fh, "%r" + ",%d" * 6 + "\n",
                     [log.t, log.accel, log.gyro], rint_from=1)
 
 
@@ -136,11 +155,12 @@ def read_log(path) -> ImuLog:
             raise ValueError(
                 f"log header must declare fs, lsb_a, lsb_w; missing {sorted(missing)}"
             )
-        rows = _read_rows(fh, 7, "log")
+        rows = _read_rows(fh, _LOG_ROW, "log")
+    counts = rows["counts"]
     return ImuLog(
-        t=rows[:, 0],
-        accel=rows[:, 1:4],
-        gyro=rows[:, 4:7],
+        t=rows["t"],
+        accel=counts[:, :3],
+        gyro=counts[:, 3:],
         fs=float(fields["fs"]),
         lsb_accel=float(fields["lsb_a"]),
         lsb_gyro=float(fields["lsb_w"]),
@@ -164,18 +184,18 @@ def read_truth(path) -> GroundTruth:
     The sidecar stores the kinematics evaluation needs; acceleration
     and angular rate are not part of the format and come back as zeros.
     """
-    rows = _read_csv_body(path, 12, "truth")
-    n = rows.shape[0]
-    t = rows[:, 0]
+    rows = _read_csv_body(path, _TRUTH_ROW, "truth")
+    n = rows.size
+    t = rows["t"]
     fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
     return GroundTruth(
         t=t,
-        p=rows[:, 1:4],
-        v=rows[:, 4:7],
+        p=rows["p"],
+        v=rows["v"],
         a=np.zeros((n, 3)),
-        q_nb=rows[:, 7:11],
+        q_nb=rows["q_nb"],
         omega=np.zeros((n, 3)),
-        stance=rows[:, 11] != 0.0,
+        stance=rows["stance"] != 0.0,
         fs=fs,
     )
 
@@ -192,13 +212,13 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    rows = _read_csv_body(path, 10, "trajectory")
+    rows = _read_csv_body(path, _TRAJ_ROW, "trajectory")
     return Trajectory(
-        t=rows[:, 0],
-        p=rows[:, 1:4],
-        q_nb=rows[:, 4:8],
-        sfs=rows[:, 8],
-        stance=rows[:, 9] != 0.0,
+        t=rows["t"],
+        p=rows["p"],
+        q_nb=rows["q_nb"],
+        sfs=rows["sfs"],
+        stance=rows["stance"] != 0.0,
     )
 
 

@@ -9,6 +9,7 @@ log, so it is computed up front and the filter loop consumes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,8 +104,11 @@ class ImuLog:
             raise ValueError("accel and gyro must be (n, 3) matching t")
         if n > 1 and not np.all(np.diff(self.t) > 0.0):
             raise ValueError("log times must be strictly increasing")
-        if self.fs <= 0.0 or self.lsb_accel <= 0.0 or self.lsb_gyro <= 0.0:
-            raise ValueError("fs and LSB scales must be positive")
+        for name in ("fs", "lsb_accel", "lsb_gyro"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
         for name, counts in (("accel", self.accel), ("gyro", self.gyro)):
             if counts.size == 0:
                 continue

@@ -376,15 +376,18 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def per_value_log_text(log):
-    """An IMU log file as text, one `format(x, ".17g")` per value."""
+def per_value_log_text(log, time_text=repr):
+    """An IMU log file as text: header scales with `format(x, ".17g")`,
+    each time with ``time_text`` (`repr` of a Python float, the shortest
+    text that reads back to it), counts as integers.  ``time_text=_fmt``
+    gives the 17-digit time column that logs were once written with."""
     lines = [f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
              f"lsb_w={_fmt(log.lsb_gyro)}\n"]
     a = np.rint(log.accel).astype(np.int64)
     w = np.rint(log.gyro).astype(np.int64)
     for k in range(log.t.size):
-        lines.append(f"{_fmt(log.t[k])},{a[k, 0]},{a[k, 1]},{a[k, 2]},"
-                     f"{w[k, 0]},{w[k, 1]},{w[k, 2]}\n")
+        lines.append(f"{time_text(float(log.t[k]))},{a[k, 0]},{a[k, 1]},"
+                     f"{a[k, 2]},{w[k, 0]},{w[k, 1]},{w[k, 2]}\n")
     return "".join(lines)
 
 
@@ -412,6 +415,22 @@ def per_value_allan_text(taus, adev):
     """An Allan curve file as text, one `format(x, ".17g")` per value."""
     return "# tau,adev\n" + "".join(
         f"{_fmt(tau)},{_fmt(dev)}\n" for tau, dev in zip(taus, adev))
+
+
+def three_temporary_allan_deviation(series, fs, sizes):
+    """Overlapping Allan deviation at the cluster sizes ``sizes``, each
+    second difference of the integrated signal written as one expression
+    with its three full-length temporaries: the form `allan_deviation`
+    forms in one buffer and must equal bit for bit."""
+    series = np.asarray(series, dtype=float).ravel()
+    series = series - series.mean()
+    integral = np.concatenate([[0.0], np.cumsum(series)]) / fs
+    adev = np.empty(len(sizes))
+    for j, m in enumerate(sizes):
+        d = integral[2 * m:] - 2.0 * integral[m:-m] + integral[:-2 * m]
+        tau = m / fs
+        adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
+    return adev
 
 
 def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,

@@ -1,9 +1,11 @@
 """Noise-characterization tests.
 
 Oracles: a loop-written overlapping estimator pins the vectorized
-algebra; closed-form laws pin white noise (adev = sigma/sqrt(fs tau))
-and integrated noise (+1/2 slope); an FFT-shaped 1/f generator with a
-known Allan floor pins the bias-instability read-out.
+algebra, and the plain three-temporary expression of each second
+difference pins the one-buffer form bit for bit; closed-form laws pin
+white noise (adev = sigma/sqrt(fs tau)) and integrated noise (+1/2
+slope); an FFT-shaped 1/f generator with a known Allan floor pins the
+bias-instability read-out.
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ from pdrnav.allan import (
     allan_deviation,
     extract_coefficients,
 )
+
+from oracles import three_temporary_allan_deviation
 
 FS = 100.0
 
@@ -66,6 +70,14 @@ class TestAllanDeviation:
             m = int(round(tau * FS))
             want = loop_overlapping_adev(series, FS, m)
             assert got == pytest.approx(want, rel=1e-10), f"m={m}"
+
+    def test_matches_three_temporary_form_bit_for_bit(self):
+        # A still accelerometer axis: white noise on an offset near g.
+        series = white(100_000, 0.02, seed=9) + 9.81
+        curve = allan_deviation(series, FS)
+        sizes = np.rint(curve.taus * FS).astype(np.int64)
+        np.testing.assert_array_equal(
+            curve.adev, three_temporary_allan_deviation(series, FS, sizes))
 
     def test_white_noise_law(self):
         sigma = 0.052

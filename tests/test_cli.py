@@ -438,6 +438,45 @@ class TestBadCaptures:
         assert "samples" in err
         assert not (tmp_path / "cal.json").exists()
 
+    @pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan",
+                                      "99999999999"])
+    def test_non_integer_count_exits_two(self, tmp_path, capsys, text):
+        log = tmp_path / "float_counts.csv"
+        log.write_text(self.HEADER + "0,0,0,8192,1,-2,3\n"
+                       + f"0.01,0,{text},8192,1,-2,3\n")
+        code = self.run_quietly(["allan", "--log", str(log), "--axis", "0",
+                                 "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "float_counts.csv" in err and repr(text) in err, err
+        assert not (tmp_path / "allan.csv").exists()
+
+    @pytest.mark.parametrize("command, header, field", [
+        ("track", "# fs=nan lsb_a=0.001 lsb_w=0.0001\n", "fs"),
+        ("allan", "# fs=100 lsb_a=nan lsb_w=nan\n", "lsb_accel"),
+    ], ids=["fs", "lsb"])
+    def test_non_finite_header_exits_two(self, workspace, tmp_path, capsys,
+                                         command, header, field):
+        # Refused when the log is read, naming the field, rather than
+        # later by whatever arithmetic the NaN reaches first.
+        ws, _ = workspace
+        log = tmp_path / "nan_header.csv"
+        log.write_text(header + "".join(
+            f"{k / 100!r},0,0,8192,1,-2,3\n" for k in range(1200)))
+        out = tmp_path / "out.csv"
+        if command == "track":
+            argv = ["track", "--log", str(log), "--cal", str(ws / "cal.json"),
+                    "--config", str(ws / "config.json"), "--out", str(out)]
+        else:
+            argv = ["allan", "--log", str(log), "--axis", "0",
+                    "--out", str(out)]
+        code = self.run_quietly(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{field}\b", err), err
+        assert "finite" in err, err
+        assert not out.exists()
+
     def test_ragged_log_exits_two(self, tmp_path, capsys):
         log = tmp_path / "ragged.csv"
         log.write_text(self.HEADER + "0,0,0,8192,1,-2,3\n0.01,0,0,8192\n")

@@ -9,10 +9,14 @@ how two runs quietly disagree.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdrnav import constants
 from pdrnav.calibration import SensorCalibration
@@ -47,6 +51,7 @@ from pdrnav.tracker import ImuLog, Trajectory
 from pdrnav.zupt import default_stance_config
 
 from oracles import (
+    _fmt,
     per_value_allan_text,
     per_value_log_text,
     per_value_trajectory_text,
@@ -74,9 +79,9 @@ def short_walk():
 
 
 class TestRowWriters:
-    """The CSV writers against one ``format(x, ".17g")`` per value, on
-    values whose text is easy to get wrong and on more rows than one
-    write block holds."""
+    """The CSV writers against one ``format(x, ".17g")`` per value (the
+    log's time column: one `repr`), on values whose text is easy to get
+    wrong and on more rows than one write block holds."""
 
     N = 9000
     AWKWARD = np.array([-0.0, 5e-324, -5e-324, 1e-5, 1e22, -1e22, 0.1,
@@ -180,6 +185,68 @@ class TestLogFormat:
         path.write_text(f"# fs=100 lsb_a={LSB_A} lsb_w={LSB_W}\n0,1,2,3\n")
         with pytest.raises(ValueError, match="7 columns"):
             read_log(path)
+
+    def test_time_column_is_shortest_round_trip_text(self, short_walk,
+                                                     tmp_path):
+        _, log = short_walk
+        path = tmp_path / "walk.csv"
+        write_log(path, log)
+        assert log.t[482] == 4.82
+        row = path.read_text().splitlines()[1 + 482]
+        assert row.split(",")[0] == "4.82"
+
+    def test_seventeen_digit_log_reads_the_same(self, short_walk, tmp_path):
+        # Logs written before the time column took its shortest text.
+        _, log = short_walk
+        old = tmp_path / "old.csv"
+        old.write_text(per_value_log_text(log, time_text=_fmt))
+        assert "\n4.8200000000000003," in old.read_text()
+        new = tmp_path / "new.csv"
+        write_log(new, log)
+        for path in (old, new):
+            back = read_log(path)
+            assert np.array_equal(back.t.view(np.uint64),
+                                  log.t.view(np.uint64))
+            assert np.array_equal(back.accel, log.accel)
+            assert np.array_equal(back.gyro, log.gyro)
+
+    @pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan",
+                                      "99999999999"])
+    def test_count_must_be_an_integer_literal(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# fs=100 lsb_a={LSB_A!r} lsb_w={LSB_W!r}\n"
+                        f"0.0,0,0,8192,0,0,0\n0.01,0,0,8192,0,{text},0\n")
+        with pytest.raises(ValueError,
+                           match=rf"bad\.csv.*'{re.escape(text)}'"):
+            read_log(path)
+
+
+@st.composite
+def logs(draw):
+    """Logs with strictly increasing float64 times that always hold
+    -0.0, the smallest subnormal and 1e22, and counts across the ADC
+    range with both rails in the first row."""
+    drawn = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=40))
+    times = {x for x in drawn if x != 0.0} | {-0.0, 5e-324, 1e22}
+    t = np.array(sorted(times))
+    counts = draw(hnp.arrays(np.int32, (t.size, 6),
+                             elements=st.integers(-32768, 32767)))
+    counts[0] = [-32768, 32767, 0, 32767, -32768, -1]
+    return ImuLog(t=t, accel=counts[:, :3], gyro=counts[:, 3:], fs=FS,
+                  lsb_accel=LSB_A, lsb_gyro=LSB_W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=logs())
+def test_log_round_trip_is_bit_exact(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_log(path, log)
+    back = read_log(path)
+    assert np.array_equal(back.t.view(np.uint64), log.t.view(np.uint64))
+    assert np.array_equal(back.accel, log.accel)
+    assert np.array_equal(back.gyro, log.gyro)
+    assert back.accel.dtype == back.gyro.dtype == np.int32
 
 
 class TestTruthFormat:
@@ -318,7 +385,7 @@ class TestStreamingReaders:
         (read_log, LOG_HEADER, 7),
         (read_truth, "# truth\n", 12),
         (read_trajectory, "# trajectory\n", 10),
-    ])
+    ], ids=["log", "truth", "trajectory"])
     def test_ragged_rows_rejected(self, tmp_path, reader, head, width):
         path = tmp_path / "ragged.csv"
         path.write_text(head + ",".join(["1"] * width) + "\n"

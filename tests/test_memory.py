@@ -4,7 +4,8 @@ A still record for Allan analysis runs to a million samples, so
 its truth, rendering, writing and parsing must cost about the arrays it
 produces, not several full-size temporaries.  Peaks are the traced
 allocations (numpy reports its buffers to `tracemalloc`) of one call,
-counted against the size of an (n, 3) or (n, 7) float64 array.
+counted against the size of an (n, 3) float64 array or of the parsed
+log rows.
 """
 
 from __future__ import annotations
@@ -77,16 +78,19 @@ def test_read_log_holds_about_its_rows(tmp_path):
     write_log(path, still_log())
     log, peak = traced_peak(read_log, path)
     assert log.t.size == N
-    parsed = N * 7 * 8
-    # The parsed rows plus the time-step check make 1.2x (a full-size
-    # integer check on the counts made it 1.5x); reading the body into a
-    # string and a StringIO copy first is 4.2x.
-    assert peak <= 2 * parsed, f"peak {peak / parsed:.2f}x the (n, 7) rows"
+    assert log.accel.dtype == log.gyro.dtype == np.int32
+    parsed = N * 32     # one float64 time and six int32 counts per row
+    # The parsed rows plus the time-step check, one float and one bool
+    # per sample, make 1.28x; rows of seven float64 columns made 2.1x,
+    # and reading the body into a string and a StringIO copy first
+    # makes 5.3x.
+    assert peak <= 1.5 * parsed, f"peak {peak / parsed:.2f}x the 32-byte rows"
 
 
 def test_log_checks_float_counts_by_block():
-    # Float counts (as `read_log` parses them) are checked for whole
-    # values one block at a time.  What is left is the time-step check,
+    # Float counts, as a caller may build a log from rounded floats, are
+    # checked for whole values one block at a time (`read_log` and
+    # `inverse_imu` give int32 counts, whole by their type).  What is left is the time-step check,
     # one float and one bool per sample (0.38x); a full-size `np.rint`
     # copy and its comparison would add 1.1x.
     log = still_log()
