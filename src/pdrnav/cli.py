@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -154,8 +155,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive and finite")
     return value
 
 

@@ -36,14 +36,14 @@ approximations; the tests hold them to Richardson-extrapolated
 differences of `propagate` itself.
 
 The IMU measurement matrix is the constant H = [0 | I | I] over the IMU
-states 13:19 and the biases 19:25, so the IMU update forms H P, H P H^T
-and I - K H from blocks of P and K instead of matrix products.  The
-stance update takes a residual and a dense H from the stance module and
-runs the same Joseph-form algebra on full matrices.  Both updates factor
-the innovation covariance S with LAPACK's Cholesky routines directly (no
-scipy wrapper checks), so the two ways S can fail are checked
-explicitly: a non-finite S (which ``dpotrf`` factors without complaint)
-and an indefinite one (``dpotrf``'s ``info``).  Either is a
+states 13:19 and the biases 19:25, so the IMU update forms H P and
+H P H^T from blocks of P instead of matrix products.  The stance update
+takes a residual and a dense H from the stance module and runs the same
+Joseph-form algebra on full matrices.  Both updates factor the
+innovation covariance S as formed with LAPACK's Cholesky routines
+directly (no scipy wrapper checks), so the two ways S can fail are
+checked explicitly: a non-finite S (which ``dpotrf`` factors without
+complaint) and an indefinite one (``dpotrf``'s ``info``).  Either is a
 `FilterDivergenceError`.
 
 One filter step per sample is three kernels on a bare mean and
@@ -51,11 +51,12 @@ covariance that the caller owns, starting from the pair `init_state`
 returns: `predict` (one `_transition`, the process noise added to the
 diagonal), `update` with the IMU sample and, on stance samples, the
 stance module's `zupt_update` (`_measurement_update` on the stance
-residual and H).  Each kernel ends with its own checks, so a divergence
-is reported at the stage that caused it: the degenerate quaternion
-norm, the innovation covariance, and the re-symmetrised covariance
-(`_check_covariance`).  The identity they need is one read-only module
-constant, copied where it is modified.
+residual and H).  Predict re-symmetrises the covariance once per
+sample; every stage checks, so a divergence is reported at the stage
+that caused it: the degenerate quaternion norm, the innovation
+covariance, and the covariance (`_check_covariance`).  The two updates
+use the Joseph product form (I - K H) P (I - K H)^T + K R K^T, whose
+result is symmetric to rounding.
 """
 
 from __future__ import annotations
@@ -113,10 +114,13 @@ BIAS_W = slice(22, 25)
 _IMU_STATES = slice(ACC_B.start, OMEGA.stop)
 _BIASES = slice(BIAS_A.start, BIAS_W.stop)
 
-# The state-sized identity, copied wherever a Jacobian or I - K H starts
-# from it.
+# The state-sized identity, copied where the process Jacobian starts
+# from it, and the IMU measurement matrix H; both read-only.
 _IDENTITY = np.eye(DIM)
 _IDENTITY.flags.writeable = False
+_H_IMU = np.zeros((MEAS_DIM, DIM))
+_H_IMU[:, _IMU_STATES] = _H_IMU[:, _BIASES] = np.eye(MEAS_DIM)
+_H_IMU.flags.writeable = False
 
 
 class FilterDivergenceError(RuntimeError):
@@ -255,7 +259,7 @@ def _transition(x: NDArray[np.float64], cfg: FilterConfig):
     # QUAT: m = inc * q with inc = exp(delta), delta = -ts omega / 2;
     # with n = |delta|, s = sin(n) / n and ds = s'(n) / n.
     k = -0.5 * ts
-    delta = dx, dy, dz = k * wx, k * wy, k * wz
+    dx, dy, dz = k * wx, k * wy, k * wz
     n = math.sqrt(dx * dx + dy * dy + dz * dz)
     if n < _EXP_SERIES_NORM:
         s, iw, ds = 1.0 - n * n / 6.0, 1.0 - n * n / 2.0, -1.0 / 3.0
@@ -281,33 +285,39 @@ def _transition(x: NDArray[np.float64], cfg: FilterConfig):
         mw / nm, mx / nm, my / nm, mz / nm,
     ]
 
-    # Kinematic chain; the old acceleration is replaced, not integrated.
-    values = [ts] * 6 + [0.0] * 3 + [0.5 * ts * ts] * 3
-    values += d_acc_q
-    values += d_acc_f
-    # QUAT rows: (I - u u^T) / |m| with u = m / |m|, times dm/dq = L (the
-    # left product matrix of inc) and dm/d omega = k R E (R the right
-    # product matrix of q, E = d inc / d delta = (-s delta^T;
-    # s I + ds delta delta^T), so row i of R E is
-    # s R[i, 1:] + (ds e_i - s q_i) delta^T with e = R[:, 1:] delta).
-    # L^T L = |inc|^2 I and |inc| = 1 make u^T L = q^T / |m| and
-    # u^T R E = (|q|^2 / |m|) inc^T E = 0, so the rate columns only scale.
+    # Values in `_F_INDEX` order.  The kinematic chain replaces the old
+    # acceleration rather than integrating it.  QUAT rows: (I - u u^T) / |m|
+    # with u = m / |m|, times dm/dq = L (the left product matrix of inc)
+    # and dm/d omega = k R E (R the right product matrix of q,
+    # E = d inc / d delta = (-s delta^T; s I + ds delta delta^T), so row i
+    # of R E is s R[i, 1:] + h_i delta^T with h_i = ds e_i - s q_i and
+    # e = R[:, 1:] delta).  L^T L = |inc|^2 I and |inc| = 1 make
+    # u^T L = q^T / |m| and u^T R E = (|q|^2 / |m|) inc^T E = 0, so the
+    # rate columns only scale: row i is (L[i] - u_i q^T) / |m| with
+    # u_i = m_i / |m|^2, then k (s R[i, 1:] + h_i delta^T) / |m|.
     inv = 1.0 / nm
     kinv = k * inv
-    q = (qw, qx, qy, qz)
-    for left, right, m_i, q_i, e_i in zip(
-        ((iw, -ix, -iy, -iz), (ix, iw, -iz, iy),
-         (iy, iz, iw, -ix), (iz, -iy, ix, iw)),
-        ((-qx, -qy, -qz), (qw, qz, -qy), (-qz, qw, qx), (qy, -qx, qw)),
-        (mw, mx, my, mz),
-        q,
-        (-qx * dx - qy * dy - qz * dz, qw * dx + qz * dy - qy * dz,
-         -qz * dx + qw * dy + qx * dz, qy * dx - qx * dy + qw * dz),
-    ):
-        a_i = m_i * inv * inv
-        values += [(l_j - a_i * q_j) * inv for l_j, q_j in zip(left, q)]
-        h_i = ds * e_i - s * q_i
-        values += [kinv * (s * r_j + h_i * d_j) for r_j, d_j in zip(right, delta)]
+    uw, ux, uy, uz = mw * inv * inv, mx * inv * inv, my * inv * inv, mz * inv * inv
+    hw = ds * (-qx * dx - qy * dy - qz * dz) - s * qw
+    hx = ds * (qw * dx + qz * dy - qy * dz) - s * qx
+    hy = ds * (-qz * dx + qw * dy + qx * dz) - s * qy
+    hz = ds * (qy * dx - qx * dy + qw * dz) - s * qz
+    tt = 0.5 * ts * ts
+    values = (
+        ts, ts, ts, ts, ts, ts, 0.0, 0.0, 0.0, tt, tt, tt, *d_acc_q, *d_acc_f,
+        (iw - uw * qw) * inv, (-ix - uw * qx) * inv, (-iy - uw * qy) * inv,
+        (-iz - uw * qz) * inv, kinv * (hw * dx - s * qx),
+        kinv * (hw * dy - s * qy), kinv * (hw * dz - s * qz),
+        (ix - ux * qw) * inv, (iw - ux * qx) * inv, (-iz - ux * qy) * inv,
+        (iy - ux * qz) * inv, kinv * (s * qw + hx * dx),
+        kinv * (s * qz + hx * dy), kinv * (hx * dz - s * qy),
+        (iy - uy * qw) * inv, (iz - uy * qx) * inv, (iw - uy * qy) * inv,
+        (-ix - uy * qz) * inv, kinv * (hy * dx - s * qz),
+        kinv * (s * qw + hy * dy), kinv * (s * qx + hy * dz),
+        (iz - uz * qw) * inv, (-iy - uz * qx) * inv, (ix - uz * qy) * inv,
+        (iw - uz * qz) * inv, kinv * (s * qy + hz * dx),
+        kinv * (hz * dy - s * qx), kinv * (s * qw + hz * dz),
+    )
 
     jac = _IDENTITY.copy()
     jac.ravel()[_F_INDEX] = values
@@ -327,8 +337,10 @@ def measurement_model(x: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Re-symmetrize and apply cheap divergence checks."""
-    p_mat = 0.5 * (p_mat + p_mat.T)
+    """Return the covariance as it stands after two cheap divergence
+    checks: every entry finite, and the smallest diagonal entry at least
+    -1e-9 times the trace.  It does not symmetrise; `predict` does that
+    once per sample before its check."""
     if not np.isfinite(p_mat).all():
         raise FilterDivergenceError("covariance is no longer finite")
     diag = p_mat.diagonal().tolist()
@@ -344,25 +356,28 @@ def predict(x, p_mat, cfg: FilterConfig, q_diag):
     """Time update of a mean and covariance: propagate the mean, push
     the covariance through the closed-form process Jacobian and add the
     process noise ``q_diag``, which is ``cfg.effective_q_diag()`` (a
-    caller stepping many samples computes it once)."""
+    caller stepping many samples computes it once).  The result is
+    symmetrised, once per filter step, and then checked."""
     x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
     # of F's top rows alone sums in another order.
     p1 = jac @ p_mat @ jac.T
     p1.ravel()[:: DIM + 1] += q_diag
-    return x1, _check_covariance(p1)
+    return x1, _check_covariance(0.5 * (p1 + p1.T))
 
 
 def _innovation_gain(s_mat: NDArray[np.float64],
                      hp: NDArray[np.float64]) -> NDArray[np.float64]:
     """Kalman gain ``K = (S^-1 H P)^T`` through a Cholesky factor of S.
 
-    LAPACK is called directly, so both failure modes are checked here:
-    ``dpotrf`` factors a matrix holding NaN without complaint, and it
-    reports an indefinite S only through ``info``.
+    S is factored as formed: ``dpotrf`` reads only its lower triangle,
+    so symmetrising it first would only move rounding.  LAPACK is called
+    directly, so both failure modes are checked here: ``dpotrf`` factors
+    a matrix holding NaN without complaint (so all of S is checked for
+    finite entries first), and it reports an indefinite S only through
+    ``info``.
     """
-    s_mat = 0.5 * (s_mat + s_mat.T)
     if not np.isfinite(s_mat).all():
         raise FilterDivergenceError("innovation covariance is not finite")
     factor, info = dpotrf(s_mat, lower=1, clean=0)
@@ -380,7 +395,9 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
     """Update of a bare mean and covariance with the residual ``nu`` of
     a measurement whose prediction has the dense Jacobian ``jac``, (m,)
     and (m, 25), and diagonal noise ``r_diag``; the quaternion is
-    renormalised and the covariance checked."""
+    renormalised and the covariance checked (not symmetrised: the
+    product form keeps it symmetric to rounding, and the next `predict`
+    symmetrises it)."""
     hp = jac @ p_mat
     s_mat = hp @ jac.T
     s_mat.ravel()[:: len(nu) + 1] += r_diag
@@ -399,17 +416,16 @@ def update(x, p_mat, z, r_diag):
 
     `_measurement_update` with the IMU's constant H = [0 | I | I] (the
     IMU states 13:19 and the biases 19:25), written out: H P is the sum
-    of two row blocks of P, H P H^T the sum of two column blocks of
-    that, and I - K H the identity with K subtracted from both column
-    blocks."""
+    of two row blocks of P and H P H^T the sum of two column blocks of
+    that; K H is the product with the constant `_H_IMU`, exact because
+    H holds only zeros and ones.  The covariance is checked, not
+    symmetrised (see `_measurement_update`)."""
     hp = p_mat[_IMU_STATES] + p_mat[_BIASES]
     s_mat = hp[:, _IMU_STATES] + hp[:, _BIASES]
     s_mat.ravel()[:: MEAS_DIM + 1] += r_diag
     gain = _innovation_gain(s_mat, hp)
-    x1 = x + gain @ (z - measurement_model(x))
-    ikh = _IDENTITY.copy()
-    ikh[:, _IMU_STATES] -= gain
-    ikh[:, _BIASES] -= gain
+    x1 = x + gain @ (z - (x[_IMU_STATES] + x[_BIASES]))
+    ikh = _IDENTITY - gain @ _H_IMU
     p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     x1[QUAT] = quat_normalize(x1[QUAT])
     return x1, _check_covariance(p1)

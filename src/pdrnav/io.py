@@ -22,7 +22,8 @@ its parsed array in memory, not several copies of its text.  Readers
 hand the open file, from the first data row on, to `np.loadtxt`, which
 skips blank lines and ``#`` comments itself and parses each row into
 one record of the format's row dtype: a log row is a float64 time and
-six int32 counts, 32 bytes.  Writers format and round blocks of
+six int32 counts, 32 bytes.  A parse error names the file and the file
+line of the refused row.  Writers format and round blocks of
 `_BLOCK_ROWS` rows.
 """
 
@@ -33,9 +34,10 @@ import functools
 import json
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -103,16 +105,46 @@ _TRAJ_ROW = np.dtype([("t", np.float64), ("p", np.float64, (3,)),
                       ("stance", np.float64)])
 
 
+def _is_body_start(line: str) -> bool:
+    return bool(line.strip()) and not line.startswith("#")
+
+
+# The data-row index in a loadtxt parse error.  It counts only the rows
+# loadtxt parses, from the first data row, and is 0-based for a value
+# that does not convert but 1-based for a wrong column count.
+_LOADTXT_ROW = re.compile(r" at row (\d+)")
+
+
+def _refused_line(path, row: np.dtype, reported: int) -> int | None:
+    """File line (1-based) of the data row that loadtxt refused, given
+    the row index in its message: the first of the two rows the index
+    can name that fails to parse alone, or None if neither does."""
+    with open(path) as fh:
+        lines = enumerate(fh, 1)
+        # The first data row as `_read_rows` finds it, then the lines
+        # loadtxt parses: those not empty once ``#`` comments go.
+        first = next((n, text) for n, text in lines if _is_body_start(text))
+        rows = chain([first], ((n, text) for n, text in lines
+                               if text.split("#", 1)[0].rstrip("\n")))
+        for number, text in islice(rows, max(reported - 1, 0), reported + 1):
+            try:
+                np.loadtxt([text], dtype=row, delimiter=",", ndmin=1)
+            except ValueError:
+                return number
+    return None
+
+
 def _read_rows(fh, row: np.dtype, label: str) -> np.ndarray:
     """Parse the rest of an open comment-headed CSV into ``row`` records,
     tolerating no data.
 
     Lines up to the first data row are read here, so a body without one
     gives no records rather than loadtxt's "no data" warning.  A parse
-    error names the file.
+    error names the file and, found again only on that error, the file
+    line of the refused row.
     """
     for line in fh:
-        if line.strip() and not line.startswith("#"):
+        if _is_body_start(line):
             break
     else:
         return np.empty(0, row)
@@ -120,7 +152,12 @@ def _read_rows(fh, row: np.dtype, label: str) -> np.ndarray:
         return np.loadtxt(chain([line], fh), dtype=row, delimiter=",",
                           ndmin=1)
     except ValueError as exc:
-        raise ValueError(f"{label} {fh.name}: {exc}") from None
+        message, where = str(exc), ""
+        found = _LOADTXT_ROW.search(message)
+        number = found and _refused_line(fh.name, row, int(found[1]))
+        if number:
+            message, where = _LOADTXT_ROW.sub("", message, 1), f", line {number}"
+        raise ValueError(f"{label} {fh.name}{where}: {message}") from None
 
 
 def _read_csv_body(path, row: np.dtype, label: str) -> np.ndarray:
@@ -153,17 +190,24 @@ def read_log(path) -> ImuLog:
         missing = {"fs", "lsb_a", "lsb_w"} - fields.keys()
         if missing:
             raise ValueError(
-                f"log header must declare fs, lsb_a, lsb_w; missing {sorted(missing)}"
+                f"log {path}: header must declare fs, lsb_a, lsb_w; "
+                f"missing {sorted(missing)}"
             )
         rows = _read_rows(fh, _LOG_ROW, "log")
+    for key in ("fs", "lsb_a", "lsb_w"):
+        try:
+            fields[key] = float(fields[key])
+        except ValueError:
+            raise ValueError(f"log {path}: header field {key}="
+                             f"{fields[key]!r} is not a number") from None
     counts = rows["counts"]
     return ImuLog(
         t=rows["t"],
         accel=counts[:, :3],
         gyro=counts[:, 3:],
-        fs=float(fields["fs"]),
-        lsb_accel=float(fields["lsb_a"]),
-        lsb_gyro=float(fields["lsb_w"]),
+        fs=fields["fs"],
+        lsb_accel=fields["lsb_a"],
+        lsb_gyro=fields["lsb_w"],
     )
 
 

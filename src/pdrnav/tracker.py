@@ -276,8 +276,9 @@ def run_tracker(
     q_diag = filter_cfg.effective_q_diag()
     r_diag = filter_cfg.r_diag
     stance = StanceStack(stance_cfg, filter_cfg.g)
-    factors = (_confidence_factor(stance_cfg, scores)
-               if stance_cfg.mode == "soft" else np.ones(n))
+    factors = (_confidence_factor(stance_cfg, scores).tolist()
+               if stance_cfg.mode == "soft" else [1.0] * n)
+    is_active = active.tolist()
     z_imu = np.hstack([f_b, w_b])
 
     # One filter step per sample on the mean and covariance held here;
@@ -287,8 +288,8 @@ def run_tracker(
         try:
             x, p_mat = predict(x, p_mat, filter_cfg, q_diag)
             x, p_mat = update(x, p_mat, z_imu[k], r_diag)
-            if active[k]:
-                if k == 0 or not active[k - 1]:
+            if is_active[k]:
+                if k == 0 or not is_active[k - 1]:
                     stance.latch(x)
                 x, p_mat = zupt_update(x, p_mat, stance, z_imu[k], factors[k])
             if not np.isfinite(x).all():
@@ -316,8 +317,8 @@ def epsilon_ttd(traj: Trajectory, ttd: float) -> float:
     Dimensionless: closure error in meters over ``ttd`` in meters.
     Zero for an ideal tracker on a closed path.
     """
-    if ttd <= 0.0:
-        raise ValueError("ttd must be positive")
+    if not (ttd > 0.0 and math.isfinite(ttd)):
+        raise ValueError(f"ttd must be positive and finite, got {ttd}")
     if traj.t.size == 0:
         raise ValueError("empty trajectory")
     return float(np.linalg.norm(traj.p[0] - traj.p[-1])) / ttd
@@ -365,8 +366,8 @@ class EvalReport:
     checkpoint_errors: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.ttd <= 0.0:
-            raise ValueError("ttd must be positive")
+        if not (self.ttd > 0.0 and math.isfinite(self.ttd)):
+            raise ValueError(f"ttd must be positive and finite, got {self.ttd}")
         if self.closure_error < 0.0 or self.epsilon_ttd < 0.0:
             raise ValueError("errors must be non-negative")
         if any(e < 0.0 for e in self.checkpoint_errors):

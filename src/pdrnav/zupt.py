@@ -405,7 +405,9 @@ def zupt_update(x, p_mat, stance: StanceStack, imu_sample, factor: float):
     The residual and H of ``stance`` at ``x`` with the calibrated
     ``imu_sample`` go through the Joseph-form update, with the base
     variances scaled by the confidence ``factor`` of the sample's score,
-    ``1 + covariance_gain * (1 - score)`` (1 for the hard detector).
+    ``1 + covariance_gain * (1 - score)`` (1 for the hard detector).  The
+    covariance is checked, not symmetrised: the next `predict`
+    re-symmetrises it.
     """
     nu, jac = stance.linearize(x, imu_sample)
     return _measurement_update(x, p_mat, nu, jac, factor * stance.base_variances)

@@ -311,6 +311,25 @@ class TestExitCodes:
         assert "empty trajectory" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+    def test_non_finite_flag_exits_two(self, workspace, tmp_path, capsys,
+                                       command, value):
+        # Refused by the argument parser, before ``eval --ttd inf`` can
+        # write epsilon_ttd 0 or ``calibrate --g inf`` reach the fit.
+        ws, _ = workspace
+        out = tmp_path / "out.json"
+        if command == "eval":
+            argv = ["eval", "--traj", str(ws / "traj.csv"),
+                    "--truth", str(ws / "truth.csv"), "--ttd", value]
+        else:
+            argv = ["calibrate", "--stills", str(ws / "stills"), "--g", value]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out)])
+        assert info.value.code == 2
+        assert f"{value!r} is not positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_usage_exits_two(self, workspace):
         ws, _ = workspace
         with pytest.raises(SystemExit) as info:
@@ -476,6 +495,39 @@ class TestBadCaptures:
         assert re.search(rf"\b{field}\b", err), err
         assert "finite" in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("header, field", [
+        ("# fs=abc lsb_a=0.001 lsb_w=0.0001\n", "fs='abc'"),
+        ("# fs=100 lsb_a=0.001 lsb_w=1e-4x\n", "lsb_w='1e-4x'"),
+        ("# fs=100 lsb_a=0.001\n", "['lsb_w']"),
+    ], ids=["fs_text", "lsb_text", "missing"])
+    def test_bad_header_names_field_and_file(self, tmp_path, capsys, header,
+                                             field):
+        log = tmp_path / "bad_header.csv"
+        log.write_text(header + "0,0,0,8192,1,-2,3\n")
+        code = self.run_quietly(["allan", "--log", str(log), "--axis", "0",
+                                 "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"log {log}: " in err and field in err, err
+        assert not (tmp_path / "allan.csv").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.02,0,0,x,1,-2,3", "'x'"),
+        ("0.02,0,0", "7 columns"),
+    ], ids=["count", "ragged"])
+    def test_parse_error_names_file_line(self, tmp_path, capsys, row, message):
+        # A comment line and a blank line between the data rows, which
+        # the parser's own row count leaves out; the bad row is line 5.
+        log = tmp_path / "bad_row.csv"
+        log.write_text(self.HEADER + "0,0,0,8192,1,-2,3\n# pause\n\n"
+                       + row + "\n0.03,0,0,8192,1,-2,3\n")
+        code = self.run_quietly(["allan", "--log", str(log), "--axis", "0",
+                                 "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"log {log}, line 5: " in err and message in err, err
+        assert " row " not in err, err
 
     def test_ragged_log_exits_two(self, tmp_path, capsys):
         log = tmp_path / "ragged.csv"

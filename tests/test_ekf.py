@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdrnav import constants
+from pdrnav import constants, ekf
+from pdrnav.calibration import apply_accel_calibration, apply_gyro_calibration
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import (
     ACC,
@@ -32,6 +33,7 @@ from pdrnav.ekf import (
 from pdrnav.gait import GaitParams, generate_gait, inverse_imu, razor_noise, scale_calibration
 from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix
 from pdrnav.tracker import ImuLog, run_tracker
+from pdrnav.zupt import StanceStack, default_stance_config, sfs_series, zupt_update
 
 from oracles import (
     chain_rule_quaternion_rows,
@@ -235,10 +237,9 @@ def fd_zupt_update(x, p_mat, linearize, variances):
     return x1, p1
 
 
-def test_tracker_matches_finite_difference_oracle():
-    # A 4 m L-shaped walk, tracked once with the closed-form
-    # Jacobians and once by the per-call chain with both swapped for the
-    # difference oracle.
+def l_walk():
+    """A 4 m L-shaped walk at 100 Hz: the log and its datasheet
+    calibrations."""
     fs = 100.0
     lsb_a, lsb_w = constants.DEFAULT_LSB_ACCEL, constants.DEFAULT_LSB_GYRO
     cal_a, cal_w = scale_calibration(lsb_a), scale_calibration(lsb_w)
@@ -248,7 +249,13 @@ def test_tracker_matches_finite_difference_oracle():
     counts_a, counts_w = inverse_imu(truth, cal_a, cal_w, razor_noise(fs), seed=3)
     log = ImuLog(t=truth.t, accel=counts_a, gyro=counts_w, fs=fs,
                  lsb_accel=lsb_a, lsb_gyro=lsb_w)
+    return log, cal_a, cal_w
 
+
+def test_tracker_matches_finite_difference_oracle():
+    # The L walk, tracked once with the closed-form Jacobians and once
+    # by the per-call chain with both swapped for the difference oracle.
+    log, cal_a, cal_w = l_walk()
     closed = run_tracker(log, cal_a, cal_w)
     oracle = chain_tracker(log, cal_a, cal_w, predict=fd_predict,
                            stance_update=fd_zupt_update)
@@ -376,6 +383,65 @@ class TestStructuredUpdate:
         p_mat[16, 16] = -5.0
         with pytest.raises(FilterDivergenceError, match="not positive definite"):
             getattr(self, path)(p_mat, np.full(MEAS_DIM, 1e-3))
+
+
+def joseph_error(p_mat, p1, gain, jac, r_diag):
+    """Largest entry of ``p1`` minus (I - K H) P (I - K H)^T + K R K^T,
+    evaluated in extended precision from the same float64 P, K, H and R,
+    relative to sqrt(P1_ii P1_jj) of that evaluation."""
+    p_mat, gain, jac = (np.asarray(a, dtype=np.longdouble)
+                        for a in (p_mat, gain, jac))
+    r_diag = np.asarray(r_diag, dtype=np.longdouble)
+    ikh = np.eye(DIM, dtype=np.longdouble) - gain @ jac
+    want = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    return float(np.max(np.abs(p1 - want) / scale))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+def test_update_covariance_matches_extended_precision():
+    # The updates keep the Joseph product form for its accuracy: along
+    # the L walk, stepped as the tracker steps it, the covariance of
+    # sampled IMU and stance updates agrees with an extended-precision
+    # evaluation of the same formula for the same gain to about 1e-15
+    # relative, where the expanded form P - K H P - (K H P)^T + K S K^T
+    # is off by about 1e-11.
+    log, cal_a, cal_w = l_walk()
+    cfg, stance_cfg = default_filter_config(log.fs), default_stance_config(log.fs)
+    f_b = apply_accel_calibration(cal_a, np.asarray(log.accel, dtype=float))
+    w_b = apply_gyro_calibration(cal_w, np.asarray(log.gyro, dtype=float))
+    scores = sfs_series(f_b, w_b, stance_cfg)
+    active = scores >= stance_cfg.sfs_threshold
+    x, p_mat = init_state(np.zeros(3), 0.0, f_b[:100], w_b[:100], cfg, log.fs)
+    q_diag, h_imu = cfg.effective_q_diag(), measurement_jacobian()
+    stance = StanceStack(stance_cfg, cfg.g)
+    errors = {"imu": [], "stance": []}
+    for k in range(log.t.size):
+        z = np.concatenate([f_b[k], w_b[k]])
+        x, p_mat = predict(x, p_mat, cfg, q_diag)
+        x1, p1 = update(x, p_mat, z, cfg.r_diag)
+        if k % 10 == 0:
+            hp = h_imu @ p_mat
+            gain = ekf._innovation_gain(hp @ h_imu.T + np.diag(cfg.r_diag), hp)
+            errors["imu"].append(joseph_error(p_mat, p1, gain, h_imu, cfg.r_diag))
+        x, p_mat = x1, p1
+        if active[k]:
+            if k == 0 or not active[k - 1]:
+                stance.latch(x)
+            factor = 1.0 + stance_cfg.covariance_gain * (1.0 - scores[k])
+            x1, p1 = zupt_update(x, p_mat, stance, z, factor)
+            if k % 5 == 0:
+                _, jac = stance.linearize(x, z)
+                variances = factor * stance.base_variances
+                hp = jac @ p_mat
+                gain = ekf._innovation_gain(hp @ jac.T + np.diag(variances), hp)
+                errors["stance"].append(
+                    joseph_error(p_mat, p1, gain, jac, variances))
+            x, p_mat = x1, p1
+    assert len(errors["stance"]) > 20
+    for kind, errs in errors.items():
+        assert max(errs) < 1e-13, (kind, max(errs))
 
 
 class TestInitState:

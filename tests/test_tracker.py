@@ -522,6 +522,11 @@ class TestEvalReport:
         with pytest.raises(ValueError, match="non-negative"):
             EvalReport(epsilon_ttd=-0.01, ttd=300.0, closure_error=-3.0)
 
+    @pytest.mark.parametrize("ttd", [np.inf, np.nan, 0.0])
+    def test_rejects_ttd_that_is_not_positive_and_finite(self, ttd):
+        with pytest.raises(ValueError, match="ttd must be positive and finite"):
+            EvalReport(epsilon_ttd=0.0, ttd=ttd, closure_error=3.0)
+
     def test_report_doc(self):
         report = EvalReport(epsilon_ttd=0.01, ttd=300.0, closure_error=3.0,
                             checkpoint_errors=[0.1, 0.2])
