@@ -135,8 +135,14 @@ def allan_deviation(
     # differences of this, formed per tau in one buffer sized for the
     # shortest tau: -2 I[m:-m], then I[2m:] and I[:-2m] added in place.
     # That is the same sum in the same order as the plain expression,
-    # so the same bits, without its three full-length temporaries.
-    integral = np.concatenate([[0.0], np.cumsum(series)]) / fs
+    # so the same bits, without its three full-length temporaries.  The
+    # integral is summed and scaled in place, and the centred copy is
+    # freed before the sweep, so at most two series-length arrays live.
+    integral = np.empty(n + 1)
+    integral[0] = 0.0
+    np.cumsum(series, out=integral[1:])
+    integral /= fs
+    del series
     sizes = _cluster_sizes(n, points_per_decade)
     adev = np.empty(sizes.size)
     buffer = np.empty(n + 1 - 2 * sizes[0])

@@ -111,11 +111,14 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_allan(args: argparse.Namespace) -> int:
     log = read_log(args.log)
+    fs = log.fs
     if args.axis < 3:
         series = log.accel[:, args.axis] * log.lsb_accel
     else:
         series = log.gyro[:, args.axis - 3] * log.lsb_gyro
-    curve = allan_deviation(series, log.fs,
+    # The parsed rows are four times the series; free them for the sweep.
+    del log
+    curve = allan_deviation(series, fs,
                             points_per_decade=args.points_per_decade)
     coeffs = extract_coefficients(curve)
     write_allan_curve(args.out, curve.taus, curve.adev)

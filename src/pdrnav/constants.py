@@ -23,7 +23,7 @@ DEFAULT_FS = 100.0
 # Default ADC scale: 16-bit accelerometer spanning +/-4 g, 16-bit gyroscope
 # spanning +/-500 deg/s.  One count equals one LSB.
 DEFAULT_LSB_ACCEL = 4.0 * GRAVITY / 32768.0        # m/s^2 per count
-DEFAULT_LSB_GYRO = np.deg2rad(500.0) / 32768.0     # rad/s per count
+DEFAULT_LSB_GYRO = float(np.deg2rad(500.0)) / 32768.0  # rad/s per count
 
 DEG = np.pi / 180.0
 

@@ -16,6 +16,7 @@ acceleration are exact derivatives rather than finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,29 +188,26 @@ def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, db, d2b
 
 
-def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> GroundTruth:
-    """Generate exact walker ground truth for a waypoint path.
+class _PhaseTable(NamedTuple):
+    """A walk's sample clock and its phases, in time order.
 
-    The path is split into equal-arc steps.  Each step cycle is a swing
-    (quintic interpolation between consecutive footfalls, with a C^2
-    vertical bump) followed by a planted stance.  Yaw turns toward the
-    next chord during swing and holds during stance.  Still samples are
-    assigned their constants directly, never through the interpolants,
-    so during every stance the position is bitwise constant and the
-    velocity is exactly zero.
-
-    Parameters
-    ----------
-    params : GaitParams
-        Walk description.
-    fs : float
-        Sample rate, Hz.  At least 50; below that a 0.15 s stance spans
-        too few samples for anything downstream to see it.
-
-    Returns
-    -------
-    GroundTruth
+    ``idx[i]`` is the phase of sample ``i``; it never decreases.  A
+    ``"still"`` phase's payload is ``(foot, heading)``, a ``"swing"``
+    phase's ``(foot_a, foot_b, heading_a, heading_b)``.
     """
+
+    t: np.ndarray
+    idx: np.ndarray
+    starts: list[float]
+    kinds: list[str]
+    payload: list[tuple]
+    swing_t: float
+    footfalls: np.ndarray
+    path_length: float
+
+
+def _phase_table(params: GaitParams, fs: float) -> _PhaseTable:
+    """The sample clock and the phase schedule of a walk at ``fs``."""
     if fs < 50.0:
         raise ValueError("fs must be at least 50 Hz")
     lengths, cum = _arc_table(params.path)
@@ -248,13 +246,41 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
         payload.append((footfalls[k + 1], headings[k + 1]))
         clock += params.stance_duration
     total_t = clock + params.tail
-    starts_arr = np.asarray(starts)
 
     n = int(round(total_t * fs)) + 1
     t = np.arange(n) / fs
-    idx = np.searchsorted(starts_arr, t, side="right") - 1
+    idx = np.searchsorted(np.asarray(starts), t, side="right") - 1
     idx = np.clip(idx, 0, len(starts) - 1)
+    return _PhaseTable(t, idx, starts, kinds, payload, swing_t, footfalls,
+                       total_len)
 
+
+def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> GroundTruth:
+    """Generate exact walker ground truth for a waypoint path.
+
+    The path is split into equal-arc steps.  Each step cycle is a swing
+    (quintic interpolation between consecutive footfalls, with a C^2
+    vertical bump) followed by a planted stance.  Yaw turns toward the
+    next chord during swing and holds during stance.  Still samples are
+    assigned their constants directly, never through the interpolants,
+    so during every stance the position is bitwise constant and the
+    velocity is exactly zero.
+
+    Parameters
+    ----------
+    params : GaitParams
+        Walk description.
+    fs : float
+        Sample rate, Hz.  At least 50; below that a 0.15 s stance spans
+        too few samples for anything downstream to see it.
+
+    Returns
+    -------
+    GroundTruth
+    """
+    (t, idx, starts, kinds, payload, swing_t, footfalls,
+     path_length) = _phase_table(params, fs)
+    n = t.size
     p = np.zeros((n, 3))
     v = np.zeros((n, 3))
     a = np.zeros((n, 3))
@@ -262,9 +288,12 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
     yaw_rate = np.zeros(n)
     stance = np.zeros(n, dtype=bool)
 
+    # The phase index never decreases, so each phase is one contiguous
+    # run of samples, found by bisection instead of a mask per phase.
+    bounds = np.searchsorted(idx, np.arange(len(starts) + 1)).tolist()
     for j, kind in enumerate(kinds):
-        sel = idx == j
-        if not np.any(sel):
+        sel = slice(bounds[j], bounds[j + 1])
+        if sel.start == sel.stop:
             continue
         if kind == "still":
             foot, psi = payload[j]
@@ -300,7 +329,7 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
 
     return GroundTruth(
         t=t, p=p, v=v, a=a, q_nb=q_nb, omega=omega, stance=stance, fs=fs,
-        footfalls=footfalls, path_length=total_len,
+        footfalls=footfalls, path_length=path_length,
     )
 
 
@@ -375,8 +404,9 @@ def zero_noise() -> NoiseParams:
     return NoiseParams(zeros, zeros, zeros.copy(), zeros.copy())
 
 
-# Rows per block when `inverse_imu` rotates the specific force: the
-# rotation's temporaries stay this size however long the record is.
+# Rows per block when `inverse_imu` rotates the specific force, draws
+# the noise and maps to counts: those temporaries stay this size however
+# long the record is.
 _BLOCK_ROWS = 4096
 
 
@@ -391,13 +421,14 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     random walk) is added in physical units, then the calibration maps
     physical quantities to counts:  counts = gain @ physical + bias.
 
-    Memory stays a few (n, 3) arrays for any record length.  The
-    rotation runs in fixed blocks of rows; it is elementwise, so the
-    blocks give the bits of one batch.  Each noise draw goes into
-    one reused buffer and is added to the physical arrays before the
-    next is drawn, in a fixed order (white accel, white gyro, accel
-    walk, gyro walk) and with the sums grouped as
-    ``(signal + white) + walk``.
+    Memory peaks at the two physical (n, 3) float arrays and the int32
+    accel counts, 2.5 times one (n, 3) float array, for any record
+    length: the accel array is freed before the gyro is converted.  The
+    rotation, the noise and the count mapping run in fixed blocks of
+    rows, and give the bits of one batch.  Each noise stream is drawn
+    block by block into one reused buffer and added to its physical
+    array, in a fixed order (white accel, white gyro, accel walk, gyro
+    walk) and with the sums grouped as ``(signal + white) + walk``.
 
     Parameters
     ----------
@@ -428,38 +459,58 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
                                         (truth.a[lo:hi] - g_vec).T).T
     physical_w = np.array(truth.omega, dtype=float)
     _add_noise(physical_a, physical_w, noise, seed)
-    return (_to_counts(physical_a, accel_cal, quantize),
-            _to_counts(physical_w, gyro_cal, quantize))
+    counts_a = _to_counts(physical_a, accel_cal, quantize)
+    del physical_a
+    return counts_a, _to_counts(physical_w, gyro_cal, quantize)
 
 
 def _add_noise(physical_a: np.ndarray, physical_w: np.ndarray,
                noise: NoiseParams, seed: int) -> None:
-    """Add white noise and bias random walks in place, one draw at a time."""
+    """Add white noise and bias random walks in place, one block of one
+    stream at a time.
+
+    The generator fills sequentially, so drawing a stream block by block
+    gives the values of one full-length draw.  A walk carries its last
+    sum into the next block's first row before the block's cumulative
+    sum, which keeps the additions in sequence order; the first block
+    gets no carry, so a -0.0 draw stays -0.0 as in one full-length sum.
+    """
     rng = np.random.default_rng(seed)
-    draw = np.empty(physical_a.shape)
+    draw = np.empty((min(_BLOCK_ROWS, physical_a.shape[0]), 3))
     for physical, sigma, walk in (
         (physical_a, noise.accel_sigma, False),
         (physical_w, noise.gyro_sigma, False),
         (physical_a, noise.accel_walk_sigma, True),
         (physical_w, noise.gyro_walk_sigma, True),
     ):
-        rng.standard_normal(out=draw)
-        draw *= sigma
-        if walk:
-            np.cumsum(draw, axis=0, out=draw)
-        physical += draw
+        carry = None
+        for lo in range(0, physical.shape[0], _BLOCK_ROWS):
+            rows = physical[lo:lo + _BLOCK_ROWS]
+            block = draw[:rows.shape[0]]
+            rng.standard_normal(out=block)
+            block *= sigma
+            if walk:
+                if carry is not None:
+                    block[0] += carry
+                np.cumsum(block, axis=0, out=block)
+                carry = block[-1].copy()
+            rows += block
 
 
 def _to_counts(physical: np.ndarray, cal: SensorCalibration,
                quantize: bool) -> np.ndarray:
-    """Map physical values to counts, rounded and clipped in place."""
-    counts = physical @ cal.gain.T
-    counts += cal.bias
-    if not quantize:
-        return counts
-    np.rint(counts, out=counts)
-    np.clip(counts, -32768, 32767, out=counts)
-    return counts.astype(np.int32)
+    """Map physical values to counts block by block: rounded and
+    clipped into a new int32 array when ``quantize`` is set, otherwise
+    written over ``physical``."""
+    counts = np.empty(physical.shape, dtype=np.int32) if quantize else physical
+    for lo in range(0, physical.shape[0], _BLOCK_ROWS):
+        block = physical[lo:lo + _BLOCK_ROWS] @ cal.gain.T
+        block += cal.bias
+        if quantize:
+            np.rint(block, out=block)
+            np.clip(block, -32768, 32767, out=block)
+        counts[lo:lo + _BLOCK_ROWS] = block
+    return counts
 
 
 def scale_calibration(lsb: float, noise_sigma: float = 1.0) -> SensorCalibration:

@@ -55,6 +55,12 @@ __all__ = [
 
 _ADC_MIN, _ADC_MAX = -32768, 32767
 
+# Largest distance of a log time step from the sample period, in
+# periods.  The filter steps by 1/fs, so a dropped sample (a step of
+# 2/fs) or a repeated one would silently shift every later position;
+# half a period flags both and lets timestamp jitter through.
+_STEP_TOLERANCE = 0.5
+
 # Rows per block when float counts are checked for whole values, so the
 # check's temporaries stay small next to a long log.
 _CHECK_ROWS = 4096
@@ -189,6 +195,21 @@ def _condition_number(p_mat: np.ndarray) -> float:
     return cond if np.isfinite(cond) else float("inf")
 
 
+def _check_time_steps(log: ImuLog) -> None:
+    """Refuse a log whose time steps are not its sample period: the
+    first step off ``1 / fs`` by more than ``_STEP_TOLERANCE`` periods
+    is named by the sample it ends at."""
+    off = np.abs(np.diff(log.t) * log.fs - 1.0) > _STEP_TOLERANCE
+    if off.any():
+        k = int(np.argmax(off)) + 1
+        step = log.t[k] - log.t[k - 1]
+        raise ValueError(
+            f"log time step into sample {k} is {step:g} s, more than half "
+            f"a period from 1/fs = {1.0 / log.fs:g} s; the filter steps by "
+            f"1/fs, so a gap or a repeated sample would go untracked"
+        )
+
+
 def run_tracker(
     log: ImuLog,
     accel_cal: SensorCalibration,
@@ -235,8 +256,9 @@ def run_tracker(
         If the filter diverges; the exception carries the partial
         trajectory and a diagnostic.
     ValueError
-        If the log is too short or not still enough to initialize, or
-        the filter's ``ts`` is not the log's sample period.
+        If the log is too short or not still enough to initialize, the
+        filter's ``ts`` is not the log's sample period, or a time step
+        of the log is more than half a period away from ``1 / log.fs``.
     """
     if filter_cfg is None:
         filter_cfg = default_filter_config(log.fs)
@@ -247,6 +269,7 @@ def run_tracker(
         )
     if stance_cfg is None:
         stance_cfg = default_stance_config(log.fs)
+    _check_time_steps(log)
 
     n = log.t.size
     if n == 0:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import brentq
 
-from pdrnav import calibration, ekf, tracker, zupt
+from pdrnav import calibration, ekf, gait, tracker, zupt
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import ACC_B, BIAS_A, BIAS_W, DIM, MEAS_DIM, OMEGA, POS, QUAT
 from pdrnav.quat import quat_exp, quat_mul, quat_normalize, quat_rotate, rot_matrix
@@ -431,6 +431,59 @@ def three_temporary_allan_deviation(series, fs, sizes):
         tau = m / fs
         adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
     return adev
+
+
+def mask_generate_gait(params, fs):
+    """`generate_gait` filling each phase through a mask ``idx == j``,
+    one full-length comparison per phase: O(n x phases) where the
+    library slices each phase's contiguous run.  The phase table and the
+    interpolants are the library's; the fill is written out here."""
+    table = gait._phase_table(params, fs)
+    t, idx, swing_t = table.t, table.idx, table.swing_t
+    n = t.size
+    p = np.zeros((n, 3))
+    v = np.zeros((n, 3))
+    a = np.zeros((n, 3))
+    yaw = np.zeros(n)
+    yaw_rate = np.zeros(n)
+    stance = np.zeros(n, dtype=bool)
+    height = params.swing_peak_height
+    for j, kind in enumerate(table.kinds):
+        sel = idx == j
+        if not np.any(sel):
+            continue
+        if kind == "still":
+            foot, psi = table.payload[j]
+            p[sel, 0] = foot[0]
+            p[sel, 1] = foot[1]
+            yaw[sel] = psi
+            stance[sel] = True
+            continue
+        foot_a, foot_b, psi_a, psi_b = table.payload[j]
+        s = (t[sel] - table.starts[j]) / swing_t
+        sigma, dsigma, d2sigma = gait._smoothstep(s)
+        b, db, d2b = gait._bump(s)
+        chord = foot_b - foot_a
+        p[sel, 0] = foot_a[0] + sigma * chord[0]
+        p[sel, 1] = foot_a[1] + sigma * chord[1]
+        p[sel, 2] = height * b
+        v[sel, 0] = chord[0] * dsigma / swing_t
+        v[sel, 1] = chord[1] * dsigma / swing_t
+        v[sel, 2] = height * db / swing_t
+        a[sel, 0] = chord[0] * d2sigma / swing_t**2
+        a[sel, 1] = chord[1] * d2sigma / swing_t**2
+        a[sel, 2] = height * d2b / swing_t**2
+        dpsi = gait._wrap_angle(psi_b - psi_a)
+        yaw[sel] = psi_a + sigma * dpsi
+        yaw_rate[sel] = dpsi * dsigma / swing_t
+    q_nb = np.zeros((n, 4))
+    q_nb[:, 0] = np.cos(yaw / 2.0)
+    q_nb[:, 3] = -np.sin(yaw / 2.0)
+    omega = np.zeros((n, 3))
+    omega[:, 2] = yaw_rate
+    return gait.GroundTruth(
+        t=t, p=p, v=v, a=a, q_nb=q_nb, omega=omega, stance=stance, fs=fs,
+        footfalls=table.footfalls, path_length=table.path_length)
 
 
 def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,

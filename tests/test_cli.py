@@ -274,6 +274,21 @@ class TestExitCodes:
         assert "cannot reshape" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_gap_in_the_log_exits_two(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        log = read_log(ws / "walk.csv")
+        keep = np.r_[:500, 520:log.t.size]
+        write_log(tmp_path / "gapped.csv", ImuLog(
+            t=log.t[keep], accel=log.accel[keep], gyro=log.gyro[keep],
+            fs=log.fs, lsb_accel=log.lsb_accel, lsb_gyro=log.lsb_gyro))
+        code = main(["track", "--log", str(tmp_path / "gapped.csv"),
+                     "--cal", str(ws / "cal.json"),
+                     "--config", str(ws / "config.json"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "sample 500 is 0.21 s" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_divergence_exits_three_with_partial_output(self, workspace,
                                                         tmp_path, capsys):
         ws, _ = workspace

@@ -9,10 +9,12 @@ round-tripping through an independent strapdown integrator.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from oracles import one_batch_inverse_imu, strapdown_integrate
+from oracles import mask_generate_gait, one_batch_inverse_imu, strapdown_integrate
 from pdrnav import constants, gait
 from pdrnav.calibration import (
     SensorCalibration,
@@ -106,6 +108,35 @@ class TestGaitStructure:
         truth = generate_gait(straight_params(swing_peak_height=0.07), 100.0)
         assert truth.p[:, 2].max() == pytest.approx(0.07, rel=5e-3)
         assert truth.p[:, 2].min() >= 0.0
+
+
+class TestPhaseFill:
+    """Each phase filled from its contiguous run of samples, against the
+    mask-per-phase oracle, bit for bit on every array."""
+
+    WALKS = {
+        # The benchmark's walk (40 m square, criterion-4 gait) and its
+        # slow walk, and the 300 m acceptance square.
+        "bench_walk": lambda: square_params(10.0, cadence=1.5,
+                                            stance_duration=0.15),
+        "slow_walk": lambda: square_params(2.0, cadence=0.5,
+                                           stance_duration=1.5),
+        "square_300m": lambda: square_params(75.0, cadence=1.5,
+                                             stance_duration=0.15),
+    }
+
+    @pytest.mark.parametrize("walk", sorted(WALKS))
+    def test_matches_the_mask_loop(self, walk):
+        params = self.WALKS[walk]()
+        got = generate_gait(params, 100.0)
+        want = mask_generate_gait(params, 100.0)
+        for f in fields(GroundTruth):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype, f.name
+                np.testing.assert_array_equal(g, w, err_msg=f.name)
+            else:
+                assert g == w, f.name
 
 
 class TestGaitCalculus:

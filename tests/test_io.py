@@ -210,15 +210,26 @@ class TestLogFormat:
             assert np.array_equal(back.accel, log.accel)
             assert np.array_equal(back.gyro, log.gyro)
 
+    @staticmethod
+    def log_with_count(path, text):
+        path.write_text(f"# fs=100 lsb_a={LSB_A!r} lsb_w={LSB_W!r}\n"
+                        f"0.0,0,0,8192,0,0,0\n0.01,0,0,8192,0,{text},0\n")
+        return path
+
     @pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan",
                                       "99999999999"])
     def test_count_must_be_an_integer_literal(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"# fs=100 lsb_a={LSB_A!r} lsb_w={LSB_W!r}\n"
-                        f"0.0,0,0,8192,0,0,0\n0.01,0,0,8192,0,{text},0\n")
+        path = self.log_with_count(tmp_path / "bad.csv", text)
         with pytest.raises(ValueError,
                            match=rf"bad\.csv.*'{re.escape(text)}'"):
             read_log(path)
+
+    def test_the_same_layout_with_a_valid_count_reads_back(self, tmp_path):
+        # The control for the case above: its header must be valid, or
+        # the bad count is not what it refuses.
+        log = read_log(self.log_with_count(tmp_path / "good.csv", "-7"))
+        assert (log.fs, log.lsb_accel, log.lsb_gyro) == (FS, LSB_A, LSB_W)
+        assert log.gyro.tolist() == [[0, 0, 0], [0, -7, 0]]
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """Peak memory of the lab session's long-record paths.
 
 A still record for Allan analysis runs to a million samples, so
-its truth, rendering, writing and parsing must cost about the arrays it
-produces, not several full-size temporaries.  Peaks are the traced
+its truth, rendering, writing, parsing and analysis must cost about the
+arrays they produce, not several full-size temporaries.  Peaks are the traced
 allocations (numpy reports its buffers to `tracemalloc`) of one call,
 counted against the size of an (n, 3) float64 array or of the parsed
 log rows.
@@ -14,7 +14,8 @@ import tracemalloc
 
 import numpy as np
 
-from pdrnav import constants
+from pdrnav import cli, constants
+from pdrnav.allan import allan_deviation
 from pdrnav.gait import inverse_imu, razor_noise, scale_calibration, still_truth
 from pdrnav.io import read_log, write_log
 from pdrnav.tracker import ImuLog
@@ -68,9 +69,36 @@ def test_inverse_imu_holds_a_few_columns():
             scale_calibration(constants.DEFAULT_LSB_GYRO), razor_noise(FS))
     (accel, _), peak = traced_peak(inverse_imu, *args)
     assert accel.shape == (N, 3)
-    # The physical arrays, one draw buffer and the counts make 4x;
-    # holding all four draws and a batch rotation's temporaries is 11x.
-    assert peak <= 6 * COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
+    # The two physical arrays and the int32 accel counts make 2.67x,
+    # the rest being one block of draws and counts.  A full-length draw
+    # buffer and float counts made 4.0x; holding all four draws and a
+    # batch rotation's temporaries is 11x.
+    assert peak <= 3 * COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
+
+
+def test_allan_deviation_holds_two_series():
+    series = np.random.default_rng(5).standard_normal(N)
+    curve, peak = traced_peak(allan_deviation, series, FS)
+    assert curve.adev.size > 10
+    # The centred copy and the integral make 2.01x, and the second
+    # difference buffer takes the centred copy's place; concatenating
+    # the integral and dividing it into a new array made 3.01x.
+    assert peak <= 2.25 * series.nbytes, \
+        f"peak {peak / series.nbytes:.2f}x the series"
+
+
+def test_allan_command_frees_the_log_for_the_sweep(tmp_path):
+    path = tmp_path / "still.csv"
+    write_log(path, still_log())
+    code, peak = traced_peak(cli.main, ["allan", "--log", str(path),
+                                        "--axis", "4",
+                                        "--out", str(tmp_path / "a.csv")])
+    assert code == 0
+    parsed = N * 32     # one float64 time and six int32 counts per row
+    # The call peaks at 1.33x, 1.28x of it while the log is parsed; the
+    # sweep's arrays are each a quarter of the rows.  Sweeping with the
+    # parsed log still held made 2.04x.
+    assert peak <= 1.5 * parsed, f"peak {peak / parsed:.2f}x the 32-byte rows"
 
 
 def test_read_log_holds_about_its_rows(tmp_path):

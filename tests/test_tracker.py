@@ -156,6 +156,33 @@ class TestRunTracker:
         with pytest.raises(ValueError, match=r"ts 0\.005 s .* 100 Hz"):
             run_tracker(log, CAL_A, CAL_W, default_filter_config(2 * FS))
 
+    def test_a_gap_in_the_log_is_an_input_error(self, short_walk):
+        # Twenty rows (0.2 s) dropped: tracked with fixed 1/fs steps, this
+        # walk used to close at 0.62 m against the intact log's 0.32 m.
+        _, log = short_walk
+        keep = np.r_[:500, 520:log.t.size]
+        gapped = ImuLog(t=log.t[keep], accel=log.accel[keep],
+                        gyro=log.gyro[keep], fs=FS,
+                        lsb_accel=LSB_A, lsb_gyro=LSB_W)
+        with pytest.raises(ValueError, match=r"sample 500 is 0\.21 s"):
+            run_tracker(gapped, CAL_A, CAL_W)
+
+    @pytest.mark.parametrize("periods, ok", [(0.4, False), (0.6, True),
+                                             (1.4, True), (1.6, False)])
+    def test_time_steps_may_be_half_a_period_off(self, short_walk, periods,
+                                                 ok):
+        # The step into sample 300 lasts ``periods`` sample periods.
+        _, log = short_walk
+        t = log.t.copy()
+        t[300:] += (periods - 1.0) / FS
+        retimed = ImuLog(t=t, accel=log.accel, gyro=log.gyro, fs=FS,
+                         lsb_accel=LSB_A, lsb_gyro=LSB_W)
+        if ok:
+            assert run_tracker(retimed, CAL_A, CAL_W).t.size == t.size
+        else:
+            with pytest.raises(ValueError, match="into sample 300 is"):
+                run_tracker(retimed, CAL_A, CAL_W)
+
     def test_trajectory_shape_matches_log(self, short_walk):
         truth, log = short_walk
         traj = run_tracker(log, CAL_A, CAL_W)
