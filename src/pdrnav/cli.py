@@ -45,7 +45,13 @@ from .io import (
     write_trajectory,
     write_truth,
 )
-from .tracker import ImuLog, TrackerDivergence, evaluate_trajectory, run_tracker
+from .tracker import (
+    ImuLog,
+    TrackerDivergence,
+    _check_time_steps,
+    evaluate_trajectory,
+    run_tracker,
+)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -111,6 +117,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_allan(args: argparse.Namespace) -> int:
     log = read_log(args.log)
+    # The sweep averages over spans of whole samples, taking each to be
+    # 1/fs long, so a gap would shift every span that straddles it.
+    _check_time_steps(log)
     fs = log.fs
     if args.axis < 3:
         series = log.accel[:, args.axis] * log.lsb_accel

@@ -44,7 +44,8 @@ innovation covariance S as formed with LAPACK's Cholesky routines
 directly (no scipy wrapper checks), so the two ways S can fail are
 checked explicitly: a non-finite S (which ``dpotrf`` factors without
 complaint) and an indefinite one (``dpotrf``'s ``info``).  Either is a
-`FilterDivergenceError`.
+`FilterDivergenceError`.  The routines are bound on the first filter
+update, so scipy loads then and not when the package is imported.
 
 One filter step per sample is three kernels on a bare mean and
 covariance that the caller owns, starting from the pair `init_state`
@@ -66,7 +67,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import constants
 from .quat import (
@@ -367,6 +367,19 @@ def predict(x, p_mat, cfg: FilterConfig, q_diag):
     return x1, _check_covariance(0.5 * (p1 + p1.T))
 
 
+# LAPACK's Cholesky factor and solve, bound by the first filter update:
+# importing scipy.linalg takes longer than most subcommands that never
+# update a filter, so the package does not import it.
+_dpotrf = _dpotrs = None
+
+
+def _bind_lapack() -> None:
+    global _dpotrf, _dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    _dpotrf, _dpotrs = dpotrf, dpotrs
+
+
 def _innovation_gain(s_mat: NDArray[np.float64],
                      hp: NDArray[np.float64]) -> NDArray[np.float64]:
     """Kalman gain ``K = (S^-1 H P)^T`` through a Cholesky factor of S.
@@ -380,12 +393,14 @@ def _innovation_gain(s_mat: NDArray[np.float64],
     """
     if not np.isfinite(s_mat).all():
         raise FilterDivergenceError("innovation covariance is not finite")
-    factor, info = dpotrf(s_mat, lower=1, clean=0)
+    if _dpotrf is None:
+        _bind_lapack()
+    factor, info = _dpotrf(s_mat, lower=1, clean=0)
     if info != 0:
         raise FilterDivergenceError(
             f"innovation covariance not positive definite (dpotrf info {info})"
         )
-    gain_t, info = dpotrs(factor, hp, lower=1)
+    gain_t, info = _dpotrs(factor, hp, lower=1)
     if info != 0:
         raise FilterDivergenceError(f"innovation solve failed (dpotrs info {info})")
     return gain_t.T

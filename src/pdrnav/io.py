@@ -23,8 +23,11 @@ hand the open file, from the first data row on, to `np.loadtxt`, which
 skips blank lines and ``#`` comments itself and parses each row into
 one record of the format's row dtype: a log row is a float64 time and
 six int32 counts, 32 bytes.  A parse error names the file and the file
-line of the refused row.  Writers format and round blocks of
-`_BLOCK_ROWS` rows.
+line of the refused row.  Writers format `_BLOCK_ROWS` rows at a time.
+The log writer keeps the counts integers: it texts each distinct count
+of a block once, gathers the texts into rows beside the time column's
+`repr`, and refuses a count outside the 16-bit ADC range rather than
+writing it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .calibration import SensorCalibration
 from .ekf import FilterConfig
 from .gait import GaitParams, GroundTruth, NoiseParams
-from .tracker import ImuLog, Trajectory
+from .tracker import _ADC_MAX, _ADC_MIN, ImuLog, Trajectory
 from .zupt import StanceConfig
 
 __all__ = [
@@ -70,26 +73,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per block in `_write_rows`: large enough to amortise the numpy
+# Rows per block in the writers: large enough to amortise the numpy
 # calls, small enough that a million-row log never exists as Python
 # objects all at once.
 _BLOCK_ROWS = 1024
 
 
-def _write_rows(fh, fmt: str, columns, *, rint_from: int | None = None) -> None:
+def _write_rows(fh, fmt: str, columns) -> None:
     """Write ``fmt % row`` for every row of the side-by-side ``columns``.
 
     ``fmt`` has one field per column: ``%.17g`` gives the same bytes as
-    `_fmt`, ``%r`` the shortest text that reads back to the same float,
-    ``%d`` an integer-valued column (counts, flags) as an integer.  With
-    ``rint_from``, the columns from that index on are rounded to the
-    nearest integer first, a block at a time.
+    `_fmt`, ``%d`` an integer-valued column (a flag) as an integer.
     """
     n = len(columns[0])
     for lo in range(0, n, _BLOCK_ROWS):
         block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
-        if rint_from is not None:
-            np.rint(block[:, rint_from:], out=block[:, rint_from:])
         fh.writelines([fmt % tuple(row) for row in block.tolist()])
 
 
@@ -166,6 +164,28 @@ def _read_csv_body(path, row: np.dtype, label: str) -> np.ndarray:
         return _read_rows(fh, row, label)
 
 
+def _count_texts(block: np.ndarray, path) -> list:
+    """Integer texts of one block's count columns, which are the rows of
+    ``block``: each distinct count is texted once and gathered.
+
+    Float counts are rounded to the nearest integer, as `ImuLog` holds
+    them whole; a count outside the ADC range (NaN and infinities
+    among them) is an error rather than a text.
+    """
+    values, where = np.unique(block, return_inverse=True)
+    if values.dtype.kind == "f":
+        values = np.rint(values)
+    # Sorted with NaN last, so the ends are the extremes.
+    low, high = values[0], values[-1]
+    if not (_ADC_MIN <= low and high <= _ADC_MAX):
+        bad = high if _ADC_MIN <= low else low
+        raise ValueError(f"log {path}: count {bad} is outside the 16-bit "
+                         f"ADC range [{_ADC_MIN}, {_ADC_MAX}]")
+    texts = np.array(list(map(str, values.astype(np.int64).tolist())),
+                     dtype=object)
+    return texts[where.reshape(block.shape)].tolist()
+
+
 def write_log(path, log: ImuLog) -> None:
     """Write an IMU log: one header line, then `t,ax,ay,az,gx,gy,gz`."""
     with open(path, "w") as fh:
@@ -173,8 +193,13 @@ def write_log(path, log: ImuLog) -> None:
             f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
             f"lsb_w={_fmt(log.lsb_gyro)}\n"
         )
-        _write_rows(fh, "%r" + ",%d" * 6 + "\n",
-                    [log.t, log.accel, log.gyro], rint_from=1)
+        for lo in range(0, log.t.size, _BLOCK_ROWS):
+            hi = lo + _BLOCK_ROWS
+            counts = np.concatenate((log.accel[lo:hi].T, log.gyro[lo:hi].T))
+            times = map(float.__repr__, log.t[lo:hi].tolist())
+            fh.write("\n".join(map(",".join, zip(
+                times, *_count_texts(counts, path)))))
+            fh.write("\n")
 
 
 def read_log(path) -> ImuLog:

@@ -289,6 +289,21 @@ class TestExitCodes:
         assert "sample 500 is 0.21 s" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_gap_in_an_allan_log_exits_two(self, workspace, tmp_path, capsys):
+        # The sweep takes every sample to be 1/fs after the last, so a
+        # gap is refused like the tracker refuses it.
+        ws, _ = workspace
+        log = read_log(ws / "still_long.csv")
+        keep = np.r_[:700, 705:log.t.size]
+        write_log(tmp_path / "gapped.csv", ImuLog(
+            t=log.t[keep], accel=log.accel[keep], gyro=log.gyro[keep],
+            fs=log.fs, lsb_accel=log.lsb_accel, lsb_gyro=log.lsb_gyro))
+        code = main(["allan", "--log", str(tmp_path / "gapped.csv"),
+                     "--axis", "3", "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        assert "sample 700 is 0.06 s" in capsys.readouterr().err
+        assert not (tmp_path / "allan.csv").exists()
+
     def test_divergence_exits_three_with_partial_output(self, workspace,
                                                         tmp_path, capsys):
         ws, _ = workspace

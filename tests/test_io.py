@@ -31,6 +31,7 @@ from pdrnav.gait import (
     scale_calibration,
 )
 from pdrnav.io import (
+    _BLOCK_ROWS,
     PipelineConfig,
     _to_doc,
     read_calibration,
@@ -112,6 +113,55 @@ class TestRowWriters:
                      fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W)
         write_log(tmp_path / "log.csv", log)
         self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
+
+    def counts_log(self, counts):
+        return ImuLog(t=np.arange(len(counts)) / FS, accel=counts[:, :3],
+                      gyro=counts[:, 3:], fs=FS, lsb_accel=LSB_A,
+                      lsb_gyro=LSB_W)
+
+    def test_log_whole_float_counts(self, tmp_path):
+        # Float counts as a caller may build them: -0.0 is written "0",
+        # and both rails of the ADC as themselves.
+        rng = np.random.default_rng(64)
+        counts = rng.integers(-32768, 32768, size=(self.N, 6)).astype(float)
+        counts[:3] = [[-0.0, -32768.0, 32767.0, 0.0, -1.0, 1.0]] * 3
+        counts[rng.random((self.N, 6)) < 0.05] = -0.0
+        log = self.counts_log(counts)
+        write_log(tmp_path / "log.csv", log)
+        self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
+        assert "\n0.0,0,-32768,32767,0,-1,1\n" in (tmp_path / "log.csv").read_text()
+
+    def test_log_still_block_with_few_distinct_counts(self, tmp_path):
+        # A still log's block holds a few hundred distinct counts, here
+        # seven per axis, each texted once and gathered into many rows.
+        rng = np.random.default_rng(65)
+        level = np.array([0, 0, 8192, 0, 0, 0])
+        counts = level + rng.integers(-3, 4, size=(self.N, 6))
+        log = self.counts_log(counts.astype(np.int32))
+        write_log(tmp_path / "log.csv", log)
+        self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
+
+    def test_log_with_one_row_past_two_blocks(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 1
+        rng = np.random.default_rng(66)
+        log = self.counts_log(rng.integers(-32768, 32768, size=(n, 6)))
+        write_log(tmp_path / "log.csv", log)
+        self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e20, -1e20])
+    def test_log_refuses_a_count_that_is_not_one(self, tmp_path, value):
+        # A float count set after the log was built: refused, never cast
+        # to an integer that the file would then hold.
+        counts = np.zeros((2 * _BLOCK_ROWS, 6))
+        log = self.counts_log(counts)
+        log.gyro[_BLOCK_ROWS + 5, 1] = value
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValueError, match=r"log\.csv: count .* outside "
+                                             r"the 16-bit ADC range"):
+            write_log(path, log)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) <= _BLOCK_ROWS
+        assert all(row.split(",")[1:] == ["0"] * 6 for row in rows)
 
     def test_truth(self, tmp_path):
         rng = np.random.default_rng(61)
