@@ -256,14 +256,6 @@ def _project(gain: NDArray, bias: NDArray, means: NDArray, g: float):
     return u, s, vt, lam, q
 
 
-def _sphere_residuals(
-    gain: NDArray, bias: NDArray, means: NDArray, g: float
-) -> NDArray[np.float64]:
-    """Squared distances of each mean to the model ellipsoid, (P,)."""
-    _, _, _, lam, q = _project(gain, bias, means, g)
-    return lam * lam * (q * q).sum(axis=0)
-
-
 def _distances_and_jacobian(
     gain: NDArray, bias: NDArray, means: NDArray, g: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

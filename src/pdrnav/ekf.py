@@ -35,11 +35,11 @@ the derivatives of `propagate` as written, not tangent-space
 approximations; the tests hold them to Richardson-extrapolated
 differences of `propagate` itself.
 
-The IMU measurement matrix is the constant H = [0 | I | I] over the IMU
-states 13:19 and the biases 19:25, so the IMU update forms H P and
-H P H^T from blocks of P instead of matrix products.  The stance update
-takes a residual and a dense H from the stance module and runs the same
-Joseph-form algebra on full matrices.  Both updates factor the
+Both measurement updates are `_measurement_update`, one Joseph-form
+update on a residual and a dense H.  The IMU update passes the residual
+of `measurement_model` and the constant H = [0 | I | I] over the IMU
+states 13:19 and the biases 19:25; the stance update passes the
+residual and H of the stance module's stack.  The update factors the
 innovation covariance S as formed with LAPACK's Cholesky routines
 directly (no scipy wrapper checks), so the two ways S can fail are
 checked explicitly: a non-finite S (which ``dpotrf`` factors without
@@ -55,9 +55,9 @@ stance module's `zupt_update` (`_measurement_update` on the stance
 residual and H).  Predict re-symmetrises the covariance once per
 sample; every stage checks, so a divergence is reported at the stage
 that caused it: the degenerate quaternion norm, the innovation
-covariance, and the covariance (`_check_covariance`).  The two updates
-use the Joseph product form (I - K H) P (I - K H)^T + K R K^T, whose
-result is symmetric to rounding.
+covariance, and the covariance (`_check_covariance`).  The update uses
+the Joseph product form (I - K H) P (I - K H)^T + K R K^T, whose result
+is symmetric to rounding.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from numpy.typing import NDArray
 from . import constants
 from .quat import (
     _DEGENERATE_NORM,
-    _EXP_SERIES_NORM,
     _conj_rotate_terms,
     quat_from_rpy,
     quat_normalize,
@@ -109,6 +108,11 @@ ACC_B = slice(13, 16)
 OMEGA = slice(16, 19)
 BIAS_A = slice(19, 22)
 BIAS_W = slice(22, 25)
+
+# Below this norm of the half-angle rotation vector, `_transition`
+# takes the quaternion exponential from its second-order series; that
+# keeps the increment unit to 1e-12 and avoids 0/0.
+_EXP_SERIES_NORM = 1e-8
 
 # The IMU measurement's two column blocks: H = [0 | I | I] over these.
 _IMU_STATES = slice(ACC_B.start, OMEGA.stop)
@@ -427,23 +431,10 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
 def update(x, p_mat, z, r_diag):
     """Measurement update of a mean and covariance with one calibrated
     IMU sample ``z`` (accel then gyro, 6-vector) of noise variances
-    ``r_diag``.
-
-    `_measurement_update` with the IMU's constant H = [0 | I | I] (the
-    IMU states 13:19 and the biases 19:25), written out: H P is the sum
-    of two row blocks of P and H P H^T the sum of two column blocks of
-    that; K H is the product with the constant `_H_IMU`, exact because
-    H holds only zeros and ones.  The covariance is checked, not
-    symmetrised (see `_measurement_update`)."""
-    hp = p_mat[_IMU_STATES] + p_mat[_BIASES]
-    s_mat = hp[:, _IMU_STATES] + hp[:, _BIASES]
-    s_mat.ravel()[:: MEAS_DIM + 1] += r_diag
-    gain = _innovation_gain(s_mat, hp)
-    x1 = x + gain @ (z - (x[_IMU_STATES] + x[_BIASES]))
-    ikh = _IDENTITY - gain @ _H_IMU
-    p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
-    x1[QUAT] = quat_normalize(x1[QUAT])
-    return x1, _check_covariance(p1)
+    ``r_diag``: `_measurement_update` with the residual of
+    `measurement_model` and the IMU's constant H = [0 | I | I]."""
+    return _measurement_update(x, p_mat, z - measurement_model(x), _H_IMU,
+                               r_diag)
 
 
 def init_state(

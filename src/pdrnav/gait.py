@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constants
 from .calibration import SensorCalibration
-from .quat import quat_rotate
+from .quat import quat_from_rpy, quat_rotate
 
 __all__ = [
     "GaitParams",
@@ -31,7 +31,6 @@ __all__ = [
     "generate_gait",
     "still_truth",
     "razor_noise",
-    "zero_noise",
     "inverse_imu",
     "scale_calibration",
 ]
@@ -320,10 +319,7 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
         yaw[sel] = psi_a + sigma * dpsi
         yaw_rate[sel] = dpsi * dsigma / swing_t
 
-    # Pure-yaw attitude: navigation-to-body quaternion for heading psi.
-    q_nb = np.zeros((n, 4))
-    q_nb[:, 0] = np.cos(yaw / 2.0)
-    q_nb[:, 3] = -np.sin(yaw / 2.0)
+    q_nb = quat_from_rpy(0.0, 0.0, yaw).T
     omega = np.zeros((n, 3))
     omega[:, 2] = yaw_rate
 
@@ -349,7 +345,7 @@ def still_truth(duration: float, fs: float = constants.DEFAULT_FS,
         raise ValueError("fs must be positive")
     n = int(round(duration * fs)) + 1
     position = np.array(position, dtype=float)
-    q_nb = np.array([np.cos(yaw / 2.0), 0.0, 0.0, -np.sin(yaw / 2.0)])
+    q_nb = quat_from_rpy(0.0, 0.0, yaw)
     zeros = np.broadcast_to(0.0, (n, 3))
     return GroundTruth(
         t=np.arange(n) / fs, p=np.broadcast_to(position, (n, 3)), v=zeros,
@@ -396,12 +392,6 @@ def razor_noise(fs: float = constants.DEFAULT_FS) -> NoiseParams:
         accel_walk_sigma=constants.RAZOR_ACCEL_B / np.sqrt(horizon),
         gyro_walk_sigma=constants.RAZOR_GYRO_B / np.sqrt(horizon),
     )
-
-
-def zero_noise() -> NoiseParams:
-    """Noise-free sensor, for exactness tests."""
-    zeros = np.zeros(3)
-    return NoiseParams(zeros, zeros, zeros.copy(), zeros.copy())
 
 
 # Rows per block when `inverse_imu` rotates the specific force, draws

@@ -23,7 +23,10 @@ hand the open file, from the first data row on, to `np.loadtxt`, which
 skips blank lines and ``#`` comments itself and parses each row into
 one record of the format's row dtype: a log row is a float64 time and
 six int32 counts, 32 bytes.  A parse error names the file and the file
-line of the refused row.  Writers format `_BLOCK_ROWS` rows at a time.
+line of the refused row.  Writers format `_BLOCK_ROWS` rows at a time
+into a sibling temporary file and move it onto the target only once the
+whole file is written, so a refused or failed write leaves no partial
+file under the target name, and an existing target keeps its bytes.
 The log writer keeps the counts integers: it texts each distinct count
 of a block once, gathers the texts into rows beside the time column's
 `repr`, and refuses a count outside the 16-bit ADC range rather than
@@ -32,6 +35,7 @@ writing it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -77,6 +81,22 @@ def _fmt(x: float) -> str:
 # calls, small enough that a million-row log never exists as Python
 # objects all at once.
 _BLOCK_ROWS = 1024
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Open a sibling temporary file for text and `os.replace` it onto
+    ``path`` once the ``with`` body finishes; if anything raises, the
+    temporary file is removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_rows(fh, fmt: str, columns) -> None:
@@ -188,7 +208,7 @@ def _count_texts(block: np.ndarray, path) -> list:
 
 def write_log(path, log: ImuLog) -> None:
     """Write an IMU log: one header line, then `t,ax,ay,az,gx,gy,gz`."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(
             f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
             f"lsb_w={_fmt(log.lsb_gyro)}\n"
@@ -241,7 +261,7 @@ _TRUTH_HEADER = "# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance"
 
 def write_truth(path, truth: GroundTruth) -> None:
     """Write the ground-truth sidecar: `t, p, v, q, stance` per row."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(_TRUTH_HEADER + "\n")
         _write_rows(fh, ",".join(["%.17g"] * 11) + ",%d\n",
                     [truth.t, truth.p, truth.v, truth.q_nb, truth.stance])
@@ -274,7 +294,7 @@ _TRAJ_HEADER = "# t,px,py,pz,qw,qx,qy,qz,sfs,stance"
 
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write an estimated trajectory, floats at full precision."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(_TRAJ_HEADER + "\n")
         _write_rows(fh, ",".join(["%.17g"] * 9) + ",%d\n",
                     [traj.t, traj.p, traj.q_nb, traj.sfs, traj.stance])
@@ -293,7 +313,7 @@ def read_trajectory(path) -> Trajectory:
 
 def write_allan_curve(path, taus, adev) -> None:
     """Write an Allan deviation curve as `tau,adev` rows."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write("# tau,adev\n")
         _write_rows(fh, "%.17g,%.17g\n", [taus, adev])
 
@@ -402,7 +422,7 @@ def _read_json(path):
 def write_json(path, doc) -> None:
     """Write a JSON document with a trailing newline; dataclasses and
     arrays inside ``doc`` are written as `_to_doc` gives them."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(_to_doc(doc), fh, indent=2)
         fh.write("\n")
 

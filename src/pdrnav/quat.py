@@ -1,22 +1,25 @@
 """Unit quaternion kinematics.
 
-Conventions, fixed once here and relied on everywhere else:
+Conventions, fixed once here and relied on everywhere else (Sola,
+"Quaternion kinematics for the error-state Kalman filter",
+arXiv:1711.02583, sections 2 to 4):
 
 - Quaternions are stored scalar-first, ``q = (w, x, y, z)``, Hamilton
   product, right-handed.
-- ``quat_exp(v)`` is the unit quaternion of the rotation by angle
-  ``2 * norm(v)`` about ``v`` (half-angle argument).
-- ``rot_matrix(q)`` is the matrix of the sandwich product: for every
-  quaternion ``q`` and vector ``u``, ``rot_matrix(q) @ u`` equals the
-  vector part of ``q * (0, u) * conj(q)``.
+- `quat_rotate` applies the sandwich product: ``quat_rotate(q, u)`` is
+  the vector part of ``q * (0, u) * conj(q)``.
 - A state quaternion carries the navigation-to-body coordinate
-  transform: ``v_body = rot_matrix(q) @ v_nav``.  The body-to-nav
-  direction is the transpose, written explicitly at call sites.
+  transform: ``v_body = quat_rotate(q, v_nav)``.  The body-to-nav
+  direction is the rotation by ``conj(q)``, written explicitly at call
+  sites.
+- `quat_from_rpy` is the one constructor of a state quaternion from an
+  attitude.
 
-All operations accept a single quaternion of shape ``(4,)`` or a batch
-of shape ``(4, k)`` with components along the first axis, and vectors of
-shape ``(3,)`` or ``(3, k)``.  `quat_rotate_jacobian` takes single
-arguments and differentiates the rotation exactly as written, with the
+`quat_rotate` and `quat_from_rpy` take single arguments or batches with
+the components along the first axis: quaternions ``(4,)`` or ``(4, k)``,
+vectors ``(3,)`` or ``(3, k)``.  `quat_normalize` takes one quaternion.
+`_rotate_terms` and `_conj_rotate_terms` are the filter's scalar form
+of the rotation, with its derivatives taken exactly as written and the
 quaternion perturbed additively (not on the unit sphere), which is what
 a filter that stores the four components in its state needs.
 """
@@ -29,101 +32,37 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "quat_mul",
     "quat_normalize",
-    "quat_exp",
     "quat_rotate",
-    "quat_rotate_jacobian",
-    "rot_matrix",
     "quat_from_rpy",
 ]
-
-# Below this rotation-vector norm the exponential switches to its
-# second-order series; keeps the output unit to 1e-12 and avoids 0/0.
-_EXP_SERIES_NORM = 1e-8
 
 # A quaternion with a norm this small cannot be meaningfully normalized.
 _DEGENERATE_NORM = 1e-12
 
 
-def quat_mul(p: NDArray[np.float64], q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Hamilton product ``p * q``.
-
-    Parameters
-    ----------
-    p, q : ndarray, shape (4,) or (4, k)
-        Quaternions, scalar first.  Shapes must broadcast.
-
-    Returns
-    -------
-    ndarray
-        The product, same layout as the inputs.
-    """
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return np.stack(
-        [
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        ]
-    )
-
-
 def quat_normalize(q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rescale to unit norm.
+    """Rescale one quaternion, shape (4,), to unit norm.
 
     Raises
     ------
     ValueError
-        If any quaternion in the batch has a norm too close to zero for
-        the direction to be trusted.
+        If the norm is too close to zero for the direction to be
+        trusted, or not finite.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        # One quaternion: float arithmetic, summed in the batch order.
-        w, x, y, z = q.tolist()
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if not _DEGENERATE_NORM <= n < math.inf:
-            raise ValueError(f"cannot normalize quaternion with norm {n:g}")
-        return q / n
-    n = np.sqrt(np.sum(q * q, axis=0))
-    if (n < _DEGENERATE_NORM).any() or not np.isfinite(n).all():
-        raise ValueError(f"cannot normalize quaternion with norm {np.min(n):g}")
+    w, x, y, z = q.tolist()
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not _DEGENERATE_NORM <= n < math.inf:
+        raise ValueError(f"cannot normalize quaternion with norm {n:g}")
     return q / n
-
-
-def quat_exp(v: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Map a rotation vector to a unit quaternion.
-
-    ``quat_exp(v) = (cos |v|, sin |v| * v / |v|)``: the result rotates by
-    the angle ``2 |v|`` about ``v`` under the sandwich product.
-
-    Parameters
-    ----------
-    v : ndarray, shape (3,) or (3, k)
-
-    Returns
-    -------
-    ndarray, shape (4,) or (4, k)
-    """
-    v = np.asarray(v, dtype=float)
-    n = np.sqrt(np.sum(v * v, axis=0))
-    small = n < _EXP_SERIES_NORM
-    # sin(n)/n, with the series 1 - n^2/6 where n underflows the division.
-    with np.errstate(invalid="ignore"):
-        s = np.where(small, 1.0 - n * n / 6.0, np.sin(n) / np.where(small, 1.0, n))
-    w = np.where(small, 1.0 - n * n / 2.0, np.cos(n))
-    return np.concatenate([np.expand_dims(w, 0), s * v])
 
 
 def quat_rotate(q: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.float64]:
     """Apply the sandwich product: vector part of ``q * (0, u) * conj(q)``.
 
-    Equivalent to ``rot_matrix(q) @ u`` but works on batches without
-    materializing matrices.
+    Works on single quaternions and vectors and on batches alike,
+    without materializing rotation matrices.
     """
     w, x, y, z = np.asarray(q, dtype=float)
     ux, uy, uz = np.asarray(u, dtype=float)
@@ -141,10 +80,18 @@ def quat_rotate(q: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.fl
 
 
 def _rotate_terms(w, x, y, z, a, b, c):
-    """`quat_rotate` of one vector and its derivatives, in floats.
+    """`quat_rotate` of one vector and its derivatives, in floats, for
+    callers that hold the components already.
 
-    The scalar core of `quat_rotate_jacobian` for callers that hold the
-    components already.
+    The Rodrigues polynomial ``u + 2 w (r x u) + 2 r x (r x u)``, with
+    ``r = (x, y, z)``, is differentiated as written, so ``q`` need not
+    be unit:
+
+    - d/dw = 2 r x u,
+    - d/dr = 2 ((r.u) I + r u^T - 2 u r^T - w [u]x),
+    - d/du = I + 2 (w [r]x + r r^T - (r.r) I),
+
+    with ``[a]x`` the matrix of ``a x .``.
 
     Returns
     -------
@@ -182,73 +129,35 @@ def _rotate_terms(w, x, y, z, a, b, c):
 
 
 def _conj_rotate_terms(w, x, y, z, a, b, c):
-    """`_rotate_terms` of ``conj(q)``: ``rot_matrix(q).T @ u`` and its
-    derivatives, with d/dq taken with respect to ``q`` itself (the vector
-    columns change sign)."""
+    """`_rotate_terms` of ``conj(q)``: the body-to-nav rotation of ``u``
+    and its derivatives, with d/dq taken with respect to ``q`` itself
+    (the vector columns change sign)."""
     rotated, d, d_u = _rotate_terms(w, -x, -y, -z, a, b, c)
     d_q = (d[0], -d[1], -d[2], -d[3], d[4], -d[5], -d[6], -d[7],
            d[8], -d[9], -d[10], -d[11])
     return rotated, d_q, d_u
 
 
-def quat_rotate_jacobian(q: NDArray[np.float64], u: NDArray[np.float64]):
-    """Derivatives of `quat_rotate` at one quaternion and vector.
-
-    The Rodrigues polynomial ``u + 2 w (r x u) + 2 r x (r x u)``, with
-    ``r = (x, y, z)`` the vector part of ``q``, is differentiated as
-    written, so ``q`` need not be unit:
-
-    - d/dw = 2 r x u,
-    - d/dr = 2 ((r.u) I + r u^T - 2 u r^T - w [u]x),
-    - d/du = I + 2 (w [r]x + r r^T - (r.r) I),
-
-    with ``[a]x`` the matrix of ``a x .``.
-
-    Returns
-    -------
-    d_q : ndarray, shape (3, 4)
-    d_u : ndarray, shape (3, 3)
-    """
-    _, d_q, d_u = _rotate_terms(*np.asarray(q, dtype=float).tolist(),
-                                *np.asarray(u, dtype=float).tolist())
-    return np.reshape(d_q, (3, 4)), np.reshape(d_u, (3, 3))
-
-
-def rot_matrix(q: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Rotation matrix of the sandwich product of ``q``.
-
-    For a state quaternion (navigation-to-body transform) the returned
-    matrix maps navigation-frame coordinates to body-frame coordinates;
-    its transpose maps back.
-
-    Parameters
-    ----------
-    q : ndarray, shape (4,)
-        Unit quaternion.
-
-    Returns
-    -------
-    ndarray, shape (3, 3)
-    """
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def quat_from_rpy(roll: float, pitch: float, yaw: float) -> NDArray[np.float64]:
+def quat_from_rpy(roll, pitch, yaw) -> NDArray[np.float64]:
     """State quaternion (nav-to-body) for a body at the given attitude.
 
     Roll, pitch, yaw are the usual aerospace z-y-x Euler angles of the
-    body relative to the navigation frame, in radians.
+    body relative to the navigation frame, in radians.  They broadcast
+    against each other, and the result has the components along the
+    first axis: (4,) for scalars, (4, k) for arrays of length k.  A pure
+    yaw gives ``(cos(yaw / 2), 0, 0, -sin(yaw / 2))`` exactly.
     """
-    ex = np.array([roll / 2.0, 0.0, 0.0])
-    ey = np.array([0.0, pitch / 2.0, 0.0])
-    ez = np.array([0.0, 0.0, yaw / 2.0])
+    cr, sr = np.cos(roll / 2.0), np.sin(roll / 2.0)
+    cp, sp = np.cos(pitch / 2.0), np.sin(pitch / 2.0)
+    cy, sy = np.cos(yaw / 2.0), np.sin(yaw / 2.0)
     # Body attitude is Rz(yaw) Ry(pitch) Rx(roll); the nav-to-body state
-    # quaternion is its inverse.
-    return quat_mul(quat_exp(-ex), quat_mul(quat_exp(-ey), quat_exp(-ez)))
+    # quaternion is the conjugate of the product of those three
+    # half-angle quaternions.  A pure yaw leaves x and y as sums of
+    # zeros signed by the yaw terms; the 0.0 added or subtracted makes
+    # them +0.0.  z is a negation, so yaw = 0 gives -sin(0) = -0.0.
+    return np.stack([
+        cr * cp * cy + sr * sp * sy,
+        cr * sp * sy - sr * cp * cy + 0.0,
+        0.0 - (cr * sp * cy + sr * cp * sy),
+        -(cr * cp * sy - sr * sp * cy),
+    ])

@@ -64,7 +64,6 @@ __all__ = [
     "sfs_series",
     "hard_series",
     "stance_intervals",
-    "detect_stance",
     "StanceStack",
     "zupt_update",
     "match_intervals",
@@ -278,16 +277,6 @@ def stance_intervals(active) -> list[tuple[int, int]]:
     ]
 
 
-def detect_stance(scores, threshold: float) -> list[tuple[int, int]]:
-    """Stance events from a score series.
-
-    An event begins at the first sample whose score reaches
-    ``threshold`` and ends before the first subsequent sample whose
-    score drops below it.
-    """
-    return stance_intervals(np.asarray(scores, dtype=float) >= threshold)
-
-
 def _linear_stance_rows() -> NDArray[np.float64]:
     """The state-independent part of the full stack's prediction Jacobian."""
     h = np.zeros((N_PSEUDO, DIM))
@@ -447,8 +436,10 @@ def event_f1(
 ) -> dict:
     """Event-level precision, recall and F1 of a stance detection.
 
-    Events are half-open index intervals as returned by `detect_stance`
-    and `stance_intervals`.
+    Events are half-open index intervals as `stance_intervals` returns
+    them; a score series gives its events as
+    ``stance_intervals(scores >= sfs_threshold)``, the threshold
+    inclusive.
     """
     tp = match_intervals(predicted, truth, tolerance)
     precision = tp / len(predicted) if predicted else 0.0

@@ -2,6 +2,9 @@
 
 Nothing here may import the code paths it is checking beyond the state
 layout constants; oracles recompute results from first principles.  The
+quaternion algebra the library does not run (the Hamilton product, the
+exponential, the rotation matrix, batch normalisation) lives here too,
+as the forms the library's closed forms are held against.  The
 filter references are the exception by design: `kalman_update` is the
 general dense update that the library's written-out updates must equal
 (it shares their gain and covariance checks, so both refuse the same
@@ -23,7 +26,74 @@ from scipy.optimize import brentq
 from pdrnav import calibration, ekf, gait, tracker, zupt
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import ACC_B, BIAS_A, BIAS_W, DIM, MEAS_DIM, OMEGA, POS, QUAT
-from pdrnav.quat import quat_exp, quat_mul, quat_normalize, quat_rotate, rot_matrix
+from pdrnav.quat import _DEGENERATE_NORM, _rotate_terms, quat_normalize, quat_rotate
+
+
+def quat_mul(p, q):
+    """Hamilton product ``p * q`` of quaternions (4,) or (4, k), scalar
+    first; the shapes broadcast."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return np.stack([
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ])
+
+
+def quat_exp(v):
+    """Unit quaternion ``(cos |v|, sin |v| * v / |v|)`` of a rotation
+    vector (3,) or (3, k): the rotation by ``2 |v|`` about ``v`` under the
+    sandwich product.  Below the filter's series cutoff
+    (`pdrnav.ekf._EXP_SERIES_NORM`) the second-order series is used."""
+    v = np.asarray(v, dtype=float)
+    n = np.sqrt(np.sum(v * v, axis=0))
+    small = n < ekf._EXP_SERIES_NORM
+    # sin(n)/n, with the series 1 - n^2/6 where n underflows the division.
+    with np.errstate(invalid="ignore"):
+        s = np.where(small, 1.0 - n * n / 6.0, np.sin(n) / np.where(small, 1.0, n))
+    w = np.where(small, 1.0 - n * n / 2.0, np.cos(n))
+    return np.concatenate([np.expand_dims(w, 0), s * v])
+
+
+def quat_normalize_batch(q):
+    """`pdrnav.quat.quat_normalize` of each column of a (4, k) batch, in
+    array arithmetic; raises ValueError like it on any degenerate or
+    non-finite norm."""
+    q = np.asarray(q, dtype=float)
+    n = np.sqrt(np.sum(q * q, axis=0))
+    if (n < _DEGENERATE_NORM).any() or not np.isfinite(n).all():
+        raise ValueError(f"cannot normalize quaternion with norm {np.min(n):g}")
+    return q / n
+
+
+def rot_matrix(q):
+    """Rotation matrix (3, 3) of the sandwich product of one unit
+    quaternion: ``rot_matrix(q) @ u == quat_rotate(q, u)``.  For a state
+    quaternion it maps navigation coordinates to body coordinates; its
+    transpose maps back."""
+    w, x, y, z = np.asarray(q, dtype=float)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def quat_rotate_jacobian(q, u):
+    """`pdrnav.quat._rotate_terms`' derivatives of `quat_rotate` at one
+    quaternion and vector as matrices: d_q (3, 4) and d_u (3, 3)."""
+    _, d_q, d_u = _rotate_terms(*np.asarray(q, dtype=float).tolist(),
+                                *np.asarray(u, dtype=float).tolist())
+    return np.reshape(d_q, (3, 4)), np.reshape(d_u, (3, 3))
+
+
+def zero_noise():
+    """Noise levels of a noise-free sensor, for exactness tests."""
+    zeros = np.zeros(3)
+    return gait.NoiseParams(zeros, zeros, zeros.copy(), zeros.copy())
 
 
 def finite_difference_jacobian(f, x, m: int | None = None):
@@ -176,13 +246,20 @@ def gravity_sphere_residual(gain, bias, mean, g: float = GRAVITY) -> float:
     model ellipsoid: the inner minimization of the calibration cost, the
     smallest ``|gain @ a + bias - mean|^2`` over ``|a| = g``.
 
-    A single-mean view of `calibration._sphere_residuals`, the form the
-    hand-derived and brute-force tests check.
+    A single-mean view of `sphere_residuals`, the form the hand-derived
+    and brute-force tests check.
     """
     mean = np.asarray(mean, dtype=float)
-    return float(calibration._sphere_residuals(
+    return float(sphere_residuals(
         np.asarray(gain, dtype=float), np.asarray(bias, dtype=float),
         mean[None, :], g)[0])
+
+
+def sphere_residuals(gain, bias, means, g):
+    """Squared distances (P,) of each mean to the model ellipsoid, from
+    the library's one-pass projection `calibration._project`."""
+    _, _, _, lam, q = calibration._project(gain, bias, means, g)
+    return lam * lam * (q * q).sum(axis=0)
 
 
 def _secular_residual(s: NDArray, z: NDArray, g: float) -> float:

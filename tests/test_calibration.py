@@ -11,7 +11,6 @@ from scipy.spatial.transform import Rotation
 from pdrnav.calibration import (
     CalibrationError,
     _distances_and_jacobian,
-    _sphere_residuals,
     _theta_to_gain_bias,
     OrientationBatch,
     apply_accel_calibration,
@@ -28,6 +27,7 @@ from oracles import (
     brentq_sphere_residuals,
     gravity_sphere_residual,
     richardson_jacobian,
+    sphere_residuals,
 )
 
 
@@ -164,8 +164,8 @@ class TestVectorizedSecularSolve:
     @staticmethod
     def assert_matches_oracle(gain, bias, means, g=GRAVITY):
         means = np.atleast_2d(np.asarray(means, dtype=float))
-        got = _sphere_residuals(np.asarray(gain, dtype=float),
-                                np.asarray(bias, dtype=float), means, g)
+        got = sphere_residuals(np.asarray(gain, dtype=float),
+                               np.asarray(bias, dtype=float), means, g)
         want = brentq_sphere_residuals(gain, bias, means, g)
         assert_allclose(got, want, rtol=1e-10, atol=1e-16)
         for p in range(means.shape[0]):

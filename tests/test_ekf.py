@@ -31,7 +31,7 @@ from pdrnav.ekf import (
     update,
 )
 from pdrnav.gait import GaitParams, generate_gait, inverse_imu, razor_noise, scale_calibration
-from pdrnav.quat import quat_normalize, quat_rotate, rot_matrix
+from pdrnav.quat import quat_normalize, quat_rotate
 from pdrnav.tracker import ImuLog, run_tracker
 from pdrnav.zupt import StanceStack, default_stance_config, sfs_series, zupt_update
 
@@ -45,6 +45,7 @@ from oracles import (
     random_covariance,
     random_nav_state,
     richardson_jacobian,
+    rot_matrix,
     rpy_from_quat,
 )
 

@@ -24,7 +24,7 @@ def test_layers_are_every_module_but_the_front_end_and_constants():
 def test_package_exports_the_ordered_union_of_the_layers():
     union = [name for module in layer_modules() for name in module.__all__]
     assert pdrnav.__all__ == list(dict.fromkeys(union)) + ["__version__"]
-    assert len(pdrnav.__all__) == 85
+    assert len(pdrnav.__all__) == 79
     # One name is listed by two modules, and it is the same object.
     shared = [n for n, c in collections.Counter(union).items() if c > 1]
     assert shared == ["ImuLog"]

@@ -14,7 +14,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oracles import mask_generate_gait, one_batch_inverse_imu, strapdown_integrate
+from oracles import (
+    mask_generate_gait,
+    one_batch_inverse_imu,
+    strapdown_integrate,
+    zero_noise,
+)
 from pdrnav import constants, gait
 from pdrnav.calibration import (
     SensorCalibration,
@@ -30,7 +35,6 @@ from pdrnav.gait import (
     razor_noise,
     scale_calibration,
     still_truth,
-    zero_noise,
 )
 from pdrnav.quat import quat_from_rpy
 from pdrnav.zupt import stance_intervals
@@ -385,8 +389,8 @@ class TestDetectorOnSyntheticWalks:
         # defaults were tuned against: sample-level F1 must clear 0.95
         # on noisy walks, and every detected event must sit within five
         # samples of a true stance interval.
-        from pdrnav.zupt import default_stance_config, detect_stance, \
-            match_intervals, sfs_series
+        from pdrnav.zupt import default_stance_config, match_intervals, \
+            sfs_series
         fs = 100.0
         accel_cal, gyro_cal = datasheet_cals()
         cfg = default_stance_config(fs)
@@ -406,7 +410,7 @@ class TestDetectorOnSyntheticWalks:
             recall = tp / np.sum(truth.stance)
             f1 = 2.0 * precision * recall / (precision + recall)
             assert f1 >= 0.95, f"seed {seed}: sample F1 {f1:.3f}"
-            events = detect_stance(scores, cfg.sfs_threshold)
+            events = stance_intervals(active)
             truth_iv = stance_intervals(truth.stance)
             matched = match_intervals(events, truth_iv, tolerance=5)
             assert matched == len(events), \

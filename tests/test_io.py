@@ -44,6 +44,7 @@ from pdrnav.io import (
     write_calibration,
     write_config,
     write_gait_params,
+    write_json,
     write_log,
     write_trajectory,
     write_truth,
@@ -159,9 +160,30 @@ class TestRowWriters:
         with pytest.raises(ValueError, match=r"log\.csv: count .* outside "
                                              r"the 16-bit ADC range"):
             write_log(path, log)
-        rows = path.read_text().splitlines()[1:]
-        assert len(rows) <= _BLOCK_ROWS
-        assert all(row.split(",")[1:] == ["0"] * 6 for row in rows)
+        # The block before the refused one was written, but only to a
+        # temporary file, which is gone: no shorter log is left behind.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_log_leaves_an_existing_target_as_it_was(self, tmp_path):
+        path = tmp_path / "log.csv"
+        write_log(path, self.counts_log(np.ones((2 * _BLOCK_ROWS, 6))))
+        before = path.read_bytes()
+        log = self.counts_log(np.zeros((2 * _BLOCK_ROWS, 6)))
+        log.accel[_BLOCK_ROWS + 5, 2] = np.nan
+        with pytest.raises(ValueError, match="outside the 16-bit ADC range"):
+            write_log(path, log)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_json_leaves_an_existing_target_as_it_was(self, tmp_path):
+        # json.dump has written the first key when the second fails.
+        path = tmp_path / "doc.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_truth(self, tmp_path):
         rng = np.random.default_rng(61)

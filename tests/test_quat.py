@@ -1,4 +1,8 @@
-"""Quaternion kinematics: hand-computed oracles and convention checks."""
+"""Quaternion kinematics: hand-computed oracles and convention checks.
+
+The Hamilton product, the exponential, the rotation matrix and the
+batch normalisation are the test suite's own (`oracles`); the library's
+rotation and attitude constructor are held against them."""
 
 from __future__ import annotations
 
@@ -7,23 +11,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
-from pdrnav.quat import (
-    quat_exp,
-    quat_from_rpy,
-    quat_mul,
-    quat_normalize,
-    quat_rotate,
-    quat_rotate_jacobian,
-    rot_matrix,
-)
+from pdrnav.quat import quat_from_rpy, quat_normalize, quat_rotate
 
 from oracles import (
     cross_quat_rotate,
+    quat_exp,
     quat_exp_jacobian,
+    quat_mul,
     quat_mul_jacobian,
     quat_conj,
+    quat_normalize_batch,
     quat_normalize_jacobian,
+    quat_rotate_jacobian,
     richardson_jacobian,
+    rot_matrix,
     rpy_from_quat,
 )
 
@@ -123,9 +124,9 @@ class TestQuatNormalize:
             quat_normalize(np.array([np.nan, 0.0, 0.0, 1.0]))
 
     def test_single_bit_identical_to_batch_column(self):
-        # One quaternion takes a float path, a batch the array path.
+        # The library's float path against the array arithmetic of a batch.
         q = np.random.default_rng(11).standard_normal((4, 50)) * 3.0
-        batch = quat_normalize(q)
+        batch = quat_normalize_batch(q)
         for j in range(q.shape[1]):
             assert_allclose(quat_normalize(q[:, j]), batch[:, j], rtol=0, atol=0)
 
@@ -133,7 +134,7 @@ class TestQuatNormalize:
         q = np.ones((4, 3))
         q[:, 1] = [0.0, 1e-300, 0.0, 0.0]
         with pytest.raises(ValueError):
-            quat_normalize(q)
+            quat_normalize_batch(q)
 
 
 class TestRotMatrix:
@@ -283,3 +284,74 @@ class TestEuler:
         # Body-to-nav matrix equals scipy's intrinsic z-y-x composition.
         expected = Rotation.from_euler("ZYX", [yaw, pitch, roll]).as_matrix()
         assert_allclose(rot_matrix(q).T, expected, atol=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestQuatFromRpy:
+    """The one attitude constructor: the closed-form product of the
+    three half-angle quaternions."""
+
+    @staticmethod
+    def random_attitudes(n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-np.pi, np.pi, n),
+                rng.uniform(-np.pi / 2.0, np.pi / 2.0, n),
+                rng.uniform(-np.pi, np.pi, n))
+
+    def test_broadcast_equals_scalar_calls(self):
+        roll, pitch, yaw = self.random_attitudes(500, 30)
+        batch = quat_from_rpy(roll, pitch, yaw)
+        assert batch.shape == (4, 500)
+        for j in range(500):
+            single = quat_from_rpy(float(roll[j]), float(pitch[j]),
+                                   float(yaw[j]))
+            assert single.shape == (4,)
+            np.testing.assert_array_equal(_bits(single), _bits(batch[:, j]))
+        # One array argument broadcasts against two scalars.
+        mixed = quat_from_rpy(0.25, -0.5, yaw)
+        for j in range(0, 500, 50):
+            np.testing.assert_array_equal(
+                _bits(mixed[:, j]), _bits(quat_from_rpy(0.25, -0.5, yaw[j])))
+
+    def test_pure_yaw_is_the_half_angle_pair_to_the_bit(self):
+        # The pure-yaw rows the gait generator writes: zeros in x and y
+        # are +0.0 and z at yaw = 0 is -sin(0) = -0.0, as the truth
+        # files have always held them.
+        rng = np.random.default_rng(31)
+        yaw = np.concatenate([[0.0, -0.0, np.pi, -np.pi, 3.5, -3.5],
+                              rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 20000)])
+        want = np.zeros((4, yaw.size))
+        want[0] = np.cos(yaw / 2.0)
+        want[3] = -np.sin(yaw / 2.0)
+        np.testing.assert_array_equal(_bits(quat_from_rpy(0.0, 0.0, yaw)),
+                                      _bits(want))
+        np.testing.assert_array_equal(_bits(quat_from_rpy(0.0, 0.0, 0.0)),
+                                      _bits([1.0, 0.0, 0.0, -0.0]))
+
+    def test_matches_scipy_euler(self):
+        roll, pitch, yaw = self.random_attitudes(2000, 32)
+        # Pitch at and next to the gimbal-lock angles.
+        pitch[:8] = [np.pi / 2, -np.pi / 2, np.nextafter(np.pi / 2, 0.0),
+                     np.nextafter(-np.pi / 2, 0.0), np.pi / 2 - 1e-9,
+                     -np.pi / 2 + 1e-9, np.pi / 2 - 1e-4, -np.pi / 2 + 1e-4]
+        # scipy's quaternion of the body-to-nav rotation Rz Ry Rx, scalar
+        # first; the state quaternion is its conjugate, up to the sign
+        # of the whole quaternion.
+        body = Rotation.from_euler("ZYX", np.column_stack([yaw, pitch, roll]))
+        want = quat_conj(body.as_quat(scalar_first=True).T)
+        got = quat_from_rpy(roll, pitch, yaw)
+        sign = np.where(np.sum(got * want, axis=0) < 0.0, -1.0, 1.0)
+        assert np.max(np.abs(got - sign * want)) <= 1e-15
+
+    def test_matches_the_product_of_exponentials(self):
+        roll, pitch, yaw = self.random_attitudes(2000, 33)
+        # Body attitude Rz(yaw) Ry(pitch) Rx(roll); nav-to-body is its
+        # inverse, exp(-roll/2 x) exp(-pitch/2 y) exp(-yaw/2 z).
+        zeros = np.zeros_like(roll)
+        chain = quat_mul(quat_exp(np.stack([-roll / 2.0, zeros, zeros])),
+                         quat_mul(quat_exp(np.stack([zeros, -pitch / 2.0, zeros])),
+                                  quat_exp(np.stack([zeros, zeros, -yaw / 2.0]))))
+        assert np.max(np.abs(quat_from_rpy(roll, pitch, yaw) - chain)) <= 1e-15

@@ -245,6 +245,17 @@ class TestRunTracker:
         assert exc.trajectory.t.size == 500
         assert np.all(np.isfinite(exc.trajectory.p))
 
+    def test_stance_threshold_is_inclusive(self, short_walk):
+        # 4/13 is a score the 13-sample window really gives: a sample
+        # whose score equals the threshold is stance.
+        _, log = short_walk
+        threshold = 4 / 13
+        cfg = default_stance_config(FS)
+        cfg.sfs_threshold = threshold
+        traj = run_tracker(log, CAL_A, CAL_W, stance_cfg=cfg)
+        assert np.any(traj.sfs == threshold)
+        np.testing.assert_array_equal(traj.stance, traj.sfs >= threshold)
+
     def test_stance_config_is_read_afresh_each_run(self, short_walk):
         # The tracker copies the pseudo-measurement base variances once
         # per run; a config changed between two runs must be honoured by
@@ -270,12 +281,13 @@ def _stance_variant(name):
     return cfg
 
 
-# The functions that run each stage of a step: the tracker's kernel, and
-# the dense form of the two updates in `oracles.chain_tracker`, which
-# reach the checks through `oracles.kalman_update`.
+# The functions that run each stage of a step: the tracker's kernels,
+# whose two updates reach the checks through `ekf._measurement_update`,
+# and the dense form of the two updates in `oracles.chain_tracker`, which
+# reach them through `oracles.kalman_update`.
 _STAGE_KERNELS = {"predict": {"predict"},
                   "imu": {"update", "dense_imu_update"},
-                  "stance": {"_measurement_update", "dense_stance_update"}}
+                  "stance": {"zupt_update", "dense_stance_update"}}
 
 
 def inject_fault(monkeypatch, stage, fault, at):
@@ -294,7 +306,7 @@ def inject_fault(monkeypatch, stage, fault, at):
 
     def corrupt(mat, *rest):
         caller = sys._getframe(1).f_code.co_name
-        if caller == "kalman_update":
+        if caller in ("kalman_update", "_measurement_update"):
             caller = sys._getframe(2).f_code.co_name
         if caller in kernels:
             calls["n"] += 1

@@ -255,10 +255,6 @@ class TestIntervals:
         assert zupt.stance_intervals([False, False]) == []
         assert zupt.stance_intervals([True, True, True]) == [(0, 3)]
 
-    def test_detect_stance_threshold_is_inclusive(self):
-        scores = np.array([0.1, 0.6, 0.7, 0.59, 0.6, 0.2])
-        assert zupt.detect_stance(scores, 0.6) == [(1, 3), (4, 5)]
-
 
 def stance_truth_state(roll=0.0, pitch=0.0, yaw=0.0, p=(0.0, 0.0, 0.0)):
     """A state exactly consistent with a motionless, bias-free foot."""
