@@ -25,9 +25,8 @@ from .zupt import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# `ImuLog` is listed by both `io` and `tracker`; it is one object.
-__all__ = list(dict.fromkeys(
+__all__ = [
     name
     for module in (allan, calibration, ekf, gait, io, quat, tracker, zupt)
     for name in module.__all__
-)) + ["__version__"]
+] + ["__version__"]

@@ -46,7 +46,6 @@ class AllanCurve:
 
     taus: NDArray[np.float64]
     adev: NDArray[np.float64]
-    fs: float
 
     def __post_init__(self):
         self.taus = np.asarray(self.taus, dtype=float)
@@ -153,7 +152,7 @@ def allan_deviation(
         d += integral[:-2 * m]
         tau = m / fs
         adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
-    return AllanCurve(taus=sizes / fs, adev=adev, fs=float(fs))
+    return AllanCurve(taus=sizes / fs, adev=adev)
 
 
 def _longest_run(flags: NDArray[np.bool_]) -> NDArray[np.bool_]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .constants import GRAVITY
+from .constants import GRAVITY, STILL_RATE_LIMIT
 
 __all__ = [
     "CalibrationError",
@@ -54,6 +54,9 @@ MIN_ORIENTATIONS = 9
 
 # Fewest samples per still capture whose mean `batch_means` trusts.
 MIN_STILL_SAMPLES = 50
+
+# The fit has converged when a step lowers the cost by at most this share.
+_COST_RTOL = 1e-12
 
 
 class CalibrationError(ValueError):
@@ -111,7 +114,6 @@ class OrientationBatch:
 @dataclass
 class FitInfo:
     cost_history: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
 
 
@@ -119,22 +121,20 @@ def batch_means(
     stills: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
     *,
     lsb_gyro: float,
-    still_gyro_limit: float = 0.05,
-    min_samples: int = MIN_STILL_SAMPLES,
+    still_gyro_limit: float = STILL_RATE_LIMIT,
 ) -> OrientationBatch:
     """Average still accelerometer captures into an OrientationBatch.
 
     Parameters
     ----------
     stills : list of (accel, gyro) pairs
-        One entry per orientation; raw counts of shape (n, 3) each.
+        One entry per orientation; raw counts of shape (n, 3) each, with
+        n at least ``MIN_STILL_SAMPLES``.
     lsb_gyro : float
         Gyroscope scale, rad/s per count, used for the stillness check.
     still_gyro_limit : float
         A segment whose median gyro magnitude exceeds this (rad/s) was
         moving and is rejected.
-    min_samples : int
-        Minimum samples per segment for the mean to be trusted.
     """
     means = []
     stds = []
@@ -145,10 +145,9 @@ def batch_means(
         if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
             raise CalibrationError(f"segment {idx}: expected matching (n, 3) arrays")
         n = accel.shape[0]
-        if n < min_samples:
-            raise CalibrationError(
-                f"segment {idx}: {n} samples, need at least {min_samples}"
-            )
+        if n < MIN_STILL_SAMPLES:
+            raise CalibrationError(f"segment {idx}: {n} samples, need at "
+                                   f"least {MIN_STILL_SAMPLES}")
         rate = np.median(np.linalg.norm(gyro * lsb_gyro, axis=1))
         if rate > still_gyro_limit:
             raise CalibrationError(
@@ -291,7 +290,8 @@ def _algebraic_init(means: NDArray, g: float) -> NDArray:
     Fits m'Am - 2c'm + d = 0 in the least-squares sense, recovers the
     center b = inv(A) c and rescales A so the quadric value at the means
     is g^2.  Falls back to a centered sphere when the quadric is not an
-    ellipsoid (flat or noisy data).
+    ellipsoid (flat or noisy data).  Either way the gain diagonal is
+    positive for a positive, finite g.
     """
     m = means
     cols = [
@@ -341,7 +341,6 @@ def fit_accel_calibration(
     g: float = GRAVITY,
     *,
     max_iter: int = 500,
-    cost_rtol: float = 1e-12,
     return_info: bool = False,
 ):
     """Fit accelerometer gain and bias from still-orientation means.
@@ -367,9 +366,9 @@ def fit_accel_calibration(
     Raises
     ------
     CalibrationError
-        Fewer than 9 orientations, or the iteration budget is exhausted
-        while the cost is still moving; the error carries the last
-        iterate and its cost.
+        Fewer than 9 orientations, g not positive and finite, or the
+        iteration budget exhausted while the cost is still moving; the
+        error carries the last iterate and its cost.
     """
     means = batch.means
     n_orient = means.shape[0]
@@ -378,6 +377,8 @@ def fit_accel_calibration(
             f"{n_orient} orientations cannot identify 9 parameters; "
             f"need at least {MIN_ORIENTATIONS}"
         )
+    if not (g > 0 and np.isfinite(g)):
+        raise CalibrationError(f"g must be positive and finite, got {g!r}")
 
     def evaluate(theta: NDArray):
         gain, bias = _theta_to_gain_bias(theta)
@@ -387,14 +388,11 @@ def fit_accel_calibration(
 
     theta = _algebraic_init(means, g)
     res, jac = evaluate(theta)
-    if res is None:  # fallback init is always positive-diagonal; be safe
-        theta[[0, 2, 5]] = np.abs(theta[[0, 2, 5]]) + 1e-9
-        res, jac = evaluate(theta)
     cost = float(res @ res)
     info = FitInfo(cost_history=[cost])
 
     converged = False
-    for it in range(max_iter):
+    for _ in range(max_iter):
         if cost <= 1e-30:
             converged = True
             break
@@ -418,8 +416,7 @@ def fit_accel_calibration(
             break
         theta, res, jac = new_theta, trial_res, trial_jac
         info.cost_history.append(new_cost)
-        info.iterations = it + 1
-        if abs(cost - new_cost) <= cost_rtol * max(new_cost, 1e-300):
+        if abs(cost - new_cost) <= _COST_RTOL * max(new_cost, 1e-300):
             cost = new_cost
             converged = True
             break

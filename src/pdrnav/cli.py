@@ -29,7 +29,7 @@ from .calibration import (
     batch_means,
     fit_accel_calibration,
 )
-from .constants import GRAVITY
+from .constants import GRAVITY, STILL_RATE_LIMIT
 from .gait import generate_gait, inverse_imu, scale_calibration
 from .io import (
     read_calibration,
@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration JSON to write")
     p.add_argument("--g", type=_positive, default=GRAVITY,
                    help="local gravity magnitude, m/s^2 (default %(default)s)")
-    p.add_argument("--still-gyro-limit", type=_positive, default=0.05,
+    p.add_argument("--still-gyro-limit", type=_positive, default=STILL_RATE_LIMIT,
                    help="reject captures whose median rate exceeds this, rad/s")
     p.set_defaults(func=_cmd_calibrate)
 

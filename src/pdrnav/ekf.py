@@ -114,6 +114,9 @@ BIAS_W = slice(22, 25)
 # keeps the increment unit to 1e-12 and avoids 0/0.
 _EXP_SERIES_NORM = 1e-8
 
+# Largest std of the specific-force magnitude (m/s^2) in a still window.
+_STILL_ACCEL_STD_LIMIT = 0.5
+
 # The IMU measurement's two column blocks: H = [0 | I | I] over these.
 _IMU_STATES = slice(ACC_B.start, OMEGA.stop)
 _BIASES = slice(BIAS_A.start, BIAS_W.stop)
@@ -160,17 +163,14 @@ class FilterConfig:
                 raise ValueError(f"{name} must be {size} numbers, got shape {shape}")
         if not (self.ts > 0 and np.isfinite(self.ts)):
             raise ValueError("ts must be a positive time step")
+        if not (self.g > 0 and np.isfinite(self.g)):
+            raise ValueError(f"g must be positive and finite, got {self.g!r}")
         if np.any(self.q_diag < 0) or np.any(self.r_diag <= 0):
             raise ValueError("q_diag must be >= 0 and r_diag > 0")
         if not isinstance(self.estimate_biases, (bool, np.bool_)):
             raise ValueError("estimate_biases must be true or false, "
                              f"got {self.estimate_biases!r}")
         self.estimate_biases = bool(self.estimate_biases)
-
-    @property
-    def g_vec(self) -> NDArray[np.float64]:
-        """Gravity vector in the navigation frame (z up, so it points down)."""
-        return np.array([0.0, 0.0, -self.g])
 
     def effective_q_diag(self) -> NDArray[np.float64]:
         q = self.q_diag.copy()
@@ -194,8 +194,8 @@ def _default_q_diag(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
     constant-between-samples model during foot swings (sub-m/s^3 to a
     few hundred m/s^3 of jerk); they were tuned on the synthetic gait
     suite.  The bias random walks are sized from the bias instability B
-    so the bias wanders by about B over a 100 s horizon:
-    var_per_step = B^2 / (fs * 100 s).
+    so the bias wanders by about B over ``constants.BIAS_HORIZON``:
+    var_per_step = B^2 / (fs * horizon).
     """
     q = np.empty(DIM)
     q[POS] = 1e-8
@@ -204,9 +204,8 @@ def _default_q_diag(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
     q[QUAT] = 1e-6
     q[ACC_B] = 1.0
     q[OMEGA] = 0.04
-    horizon = 100.0
-    q[BIAS_A] = constants.RAZOR_ACCEL_B**2 / (fs * horizon)
-    q[BIAS_W] = constants.RAZOR_GYRO_B**2 / (fs * horizon)
+    q[BIAS_A] = constants.RAZOR_ACCEL_B**2 / (fs * constants.BIAS_HORIZON)
+    q[BIAS_W] = constants.RAZOR_GYRO_B**2 / (fs * constants.BIAS_HORIZON)
     return q
 
 
@@ -444,9 +443,6 @@ def init_state(
     gyro: NDArray[np.float64],
     cfg: FilterConfig,
     fs: float,
-    *,
-    still_gyro_limit: float = 0.05,
-    still_accel_std_limit: float = 0.5,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Initial mean and covariance from a still period.
 
@@ -476,7 +472,7 @@ def init_state(
         raise ValueError(f"still period spans {span:.2f} s, need at least 0.5 s")
     rate = float(np.median(np.linalg.norm(gyro, axis=1)))
     wobble = float(np.std(np.linalg.norm(accel, axis=1)))
-    if rate > still_gyro_limit or wobble > still_accel_std_limit:
+    if rate > constants.STILL_RATE_LIMIT or wobble > _STILL_ACCEL_STD_LIMIT:
         raise ValueError(
             f"initialization window is not still (rate {rate:.3g} rad/s, "
             f"accel std {wobble:.3g} m/s^2)"

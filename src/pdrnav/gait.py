@@ -60,7 +60,8 @@ class GaitParams:
         Extra standing time prepended and appended, seconds.  The filter
         needs a still stretch to level itself, so keep at least a second.
     seed : int
-        Recorded for provenance; the generator itself is deterministic.
+        Seeds the sensor noise when ``pdrnav simulate`` renders the
+        walk; the trajectory itself is deterministic.
     """
 
     step_length: float
@@ -383,9 +384,9 @@ def razor_noise(fs: float = constants.DEFAULT_FS) -> NoiseParams:
 
     White sigma per sample is the random-walk density times sqrt(fs).
     The walk increment is sized so the bias wanders by about the
-    datasheet instability over a 100 s window.
+    datasheet instability over ``constants.BIAS_HORIZON``.
     """
-    horizon = 100.0 * fs
+    horizon = constants.BIAS_HORIZON * fs
     return NoiseParams(
         accel_sigma=constants.RAZOR_ACCEL_N * np.sqrt(fs),
         gyro_sigma=constants.RAZOR_GYRO_N * np.sqrt(fs),
@@ -402,12 +403,12 @@ _BLOCK_ROWS = 4096
 
 def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
                 gyro_cal: SensorCalibration, noise: NoiseParams,
-                seed: int = 0, *, quantize: bool = True,
-                g: float = constants.GRAVITY) -> tuple[np.ndarray, np.ndarray]:
+                seed: int = 0, *,
+                quantize: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Render ground truth into raw IMU counts.
 
     The specific force in the body frame is the kinematic acceleration
-    minus gravity, rotated by the attitude.  Noise (white plus bias
+    minus standard gravity, rotated by the attitude.  Noise (white plus bias
     random walk) is added in physical units, then the calibration maps
     physical quantities to counts:  counts = gain @ physical + bias.
 
@@ -432,8 +433,6 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     quantize : bool
         Round to integer counts and clip to the signed 16-bit range.
         Disable for exact round-trip tests.
-    g : float
-        Gravity magnitude.
 
     Returns
     -------
@@ -441,7 +440,7 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
         Integer arrays when ``quantize`` is set, floats otherwise.
     """
     n = truth.t.size
-    g_vec = np.array([0.0, 0.0, -g])
+    g_vec = np.array([0.0, 0.0, -constants.GRAVITY])
     physical_a = np.empty((n, 3))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
@@ -498,7 +497,7 @@ def _to_counts(physical: np.ndarray, cal: SensorCalibration,
         block += cal.bias
         if quantize:
             np.rint(block, out=block)
-            np.clip(block, -32768, 32767, out=block)
+            np.clip(block, constants.ADC_MIN, constants.ADC_MAX, out=block)
         counts[lo:lo + _BLOCK_ROWS] = block
     return counts
 

@@ -51,11 +51,11 @@ import numpy as np
 from .calibration import SensorCalibration
 from .ekf import FilterConfig
 from .gait import GaitParams, GroundTruth, NoiseParams
-from .tracker import _ADC_MAX, _ADC_MIN, ImuLog, Trajectory
+from .constants import ADC_MAX, ADC_MIN
+from .tracker import ImuLog, Trajectory
 from .zupt import StanceConfig
 
 __all__ = [
-    "ImuLog",
     "PipelineConfig",
     "read_log",
     "write_log",
@@ -197,10 +197,10 @@ def _count_texts(block: np.ndarray, path) -> list:
         values = np.rint(values)
     # Sorted with NaN last, so the ends are the extremes.
     low, high = values[0], values[-1]
-    if not (_ADC_MIN <= low and high <= _ADC_MAX):
-        bad = high if _ADC_MIN <= low else low
+    if not (ADC_MIN <= low and high <= ADC_MAX):
+        bad = high if ADC_MIN <= low else low
         raise ValueError(f"log {path}: count {bad} is outside the 16-bit "
-                         f"ADC range [{_ADC_MIN}, {_ADC_MAX}]")
+                         f"ADC range [{ADC_MIN}, {ADC_MAX}]")
     texts = np.array(list(map(str, values.astype(np.int64).tolist())),
                      dtype=object)
     return texts[where.reshape(block.shape)].tolist()

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import constants
 from .calibration import (
     SensorCalibration,
     apply_accel_calibration,
     apply_gyro_calibration,
 )
+from .constants import ADC_MAX, ADC_MIN
 from .ekf import (
     POS,
     QUAT,
@@ -52,8 +52,6 @@ __all__ = [
     "checkpoint_errors",
     "evaluate_trajectory",
 ]
-
-_ADC_MIN, _ADC_MAX = -32768, 32767
 
 # Largest distance of a log time step from the sample period, in
 # periods.  The filter steps by 1/fs, so a dropped sample (a step of
@@ -120,11 +118,9 @@ class ImuLog:
                 continue
             if not _whole_numbers(counts):
                 raise ValueError(f"{name} counts must be integers")
-            if counts.min() < _ADC_MIN or counts.max() > _ADC_MAX:
-                raise ValueError(
-                    f"{name} counts outside the 16-bit ADC range "
-                    f"[{_ADC_MIN}, {_ADC_MAX}]"
-                )
+            if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
+                raise ValueError(f"{name} counts outside the 16-bit ADC "
+                                 f"range [{ADC_MIN}, {ADC_MAX}]")
 
 
 @dataclass
@@ -323,7 +319,7 @@ def run_tracker(
                 x, p_mat = zupt_update(x, p_mat, stance, z_imu[k], factors[k])
             if not np.isfinite(x).all():
                 raise FilterDivergenceError("state became non-finite")
-        except (FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
+        except (FilterDivergenceError, ValueError) as exc:
             partial = Trajectory(
                 t=t_out[:k], p=p_out[:k], q_nb=q_out[:k],
                 sfs=scores[:k], stance=active[:k],

@@ -124,7 +124,7 @@ class StanceConfig:
     std_half_width : int
         Half width (samples) of the standard-deviation windows in C2/C4.
     sfs_threshold : float
-        Score level at which a stance event starts and ends, in [0, 1].
+        Score level at which a stance event starts and ends, in (0, 1].
     covariance_gain : float
         Scale of the confidence modulation; the pseudo-measurement
         variances are multiplied by ``1 + gain * (1 - score)``.
@@ -161,8 +161,11 @@ class StanceConfig:
                              f"got shape {self.pseudo_variances.shape}")
         if not self.accel_norm_min < self.accel_norm_max:
             raise ValueError("accel_norm_min must be below accel_norm_max")
-        if not 0.0 <= self.sfs_threshold <= 1.0:
-            raise ValueError("sfs_threshold must lie in [0, 1]")
+        for name in ("accel_std_max", "gyro_norm_max", "gyro_std_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.sfs_threshold <= 1.0:
+            raise ValueError("sfs_threshold must lie in (0, 1]")
         if self.detect_half_width < 1 or self.std_half_width < 1:
             raise ValueError("window half widths must be at least 1 sample")
         if self.covariance_gain < 0:

@@ -218,7 +218,6 @@ class TestExtractCoefficients:
         curve = AllanCurve(
             taus=np.array([0.01, 0.1, 1000.0]),
             adev=np.array([1.0, 0.3, 0.1]),
-            fs=FS,
         )
         with pytest.raises(ValueError, match="too few"):
             extract_coefficients(curve)
@@ -227,11 +226,11 @@ class TestExtractCoefficients:
 class TestTypes:
     def test_curve_validation(self):
         with pytest.raises(ValueError, match="increasing"):
-            AllanCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]), FS)
+            AllanCurve(np.array([1.0, 1.0]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError, match="nonnegative"):
-            AllanCurve(np.array([1.0, 2.0]), np.array([0.1, -0.1]), FS)
+            AllanCurve(np.array([1.0, 2.0]), np.array([0.1, -0.1]))
         with pytest.raises(ValueError):
-            AllanCurve(np.array([1.0, 2.0]), np.array([0.1]), FS)
+            AllanCurve(np.array([1.0, 2.0]), np.array([0.1]))
 
     def test_coefficients_validation(self):
         with pytest.raises(ValueError):

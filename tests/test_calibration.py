@@ -364,6 +364,12 @@ class TestFit:
         assert np.all(np.isfinite(err.value.bias))
         assert np.isfinite(err.value.cost) and err.value.cost > 0
 
+    @pytest.mark.parametrize("g", [0.0, -9.8, np.nan, np.inf])
+    def test_gravity_must_be_positive_and_finite(self, g):
+        means = synth_means(np.eye(3) * 833.0, np.zeros(3), 16)
+        with pytest.raises(CalibrationError, match="g must be positive"):
+            fit_accel_calibration(OrientationBatch(means, 1), g)
+
     def test_too_few_orientations(self):
         means = synth_means(np.eye(3), np.zeros(3), 8)
         with pytest.raises(CalibrationError, match="9"):
@@ -391,6 +397,14 @@ class TestBatchMeans:
         spinning = (rng.normal(0, 1, (100, 3)), rng.normal(0, 1, (100, 3)) + 500.0)
         with pytest.raises(CalibrationError, match="segment 1"):
             batch_means([quiet, spinning], lsb_gyro=1e-3)
+
+    def test_fifty_samples_is_the_shortest_capture(self):
+        def still(n):
+            return np.zeros((n, 3)), np.zeros((n, 3))
+
+        assert batch_means([still(50)], lsb_gyro=1e-3).samples_per_orientation == 50
+        with pytest.raises(CalibrationError, match="49 samples, need at least 50"):
+            batch_means([still(49)], lsb_gyro=1e-3)
 
     def test_short_segment_rejected(self):
         seg = (np.zeros((10, 3)), np.zeros((10, 3)))

@@ -248,11 +248,19 @@ class TestExitCodes:
         ("filter", "q_diag", [[1e-3] * 5] * 5),
         ("filter", "r_diag", [1e-3] * 5),
         ("stance", "pseudo_variances", [1e-4] * 21),
+        ("filter", "g", 0.0),
+        ("filter", "g", -9.80665),
+        ("stance", "accel_std_max", -1.0),
+        ("stance", "gyro_norm_max", 0.0),
+        ("stance", "gyro_std_max", 0.0),
+        ("stance", "sfs_threshold", 0.0),
     ], ids=["groups-string", "groups-number", "flag-string", "all-groups-off",
             "stale-groups", "half-width-fraction", "half-width-string",
             "biases-string", "joseph-key", "ts-not-log-period",
             "q-diag-short", "q-diag-square", "r-diag-short",
-            "pseudo-variances-short"])
+            "pseudo-variances-short", "g-zero", "g-negative",
+            "accel-std-max-negative", "gyro-norm-max-zero",
+            "gyro-std-max-zero", "sfs-threshold-zero"])
     def test_bad_config_value_exits_two(self, workspace, tmp_path, capsys,
                                         section, key, value):
         # Each case must be refused with a message naming the key.  The

@@ -60,12 +60,17 @@ def process_jacobian(x, cfg):
     return _transition(np.asarray(x, dtype=float), cfg)[1]
 
 
+def g_vec(cfg):
+    """Gravity in the navigation frame (z up, so it points down)."""
+    return np.array([0.0, 0.0, -cfg.g])
+
+
 def rest_state(rng, cfg):
     """A physically at-rest state: the body feels the upward reaction."""
     x = np.zeros(DIM)
     q = rng.standard_normal(4)
     x[QUAT] = q / np.linalg.norm(q)
-    x[ACC_B] = quat_rotate(x[QUAT], -cfg.g_vec)
+    x[ACC_B] = quat_rotate(x[QUAT], -g_vec(cfg))
     return x
 
 
@@ -93,14 +98,14 @@ class TestPropagate:
         x = np.zeros(DIM)
         x[POS], x[VEL] = p0, v0
         x[QUAT][0] = 1.0
-        x[ACC] = cfg.g_vec  # already propagated once from a_b = 0
+        x[ACC] = g_vec(cfg)  # already propagated once from a_b = 0
         n = 50
         for _ in range(n):
             x = propagate(x, cfg)
         ts = cfg.ts
-        assert_allclose(x[VEL], v0 + n * ts * cfg.g_vec, atol=1e-12)
+        assert_allclose(x[VEL], v0 + n * ts * g_vec(cfg), atol=1e-12)
         assert_allclose(
-            x[POS], p0 + n * ts * v0 + 0.5 * n * n * ts * ts * cfg.g_vec, atol=1e-10
+            x[POS], p0 + n * ts * v0 + 0.5 * n * n * ts * ts * g_vec(cfg), atol=1e-10
         )
 
     def test_output_quaternion_is_unit(self, cfg):
@@ -114,7 +119,7 @@ class TestPropagate:
         rng = np.random.default_rng(4)
         x = random_nav_state(rng)
         out = propagate(x, cfg)
-        expected = rot_matrix(x[QUAT]).T @ x[ACC_B] + cfg.g_vec
+        expected = rot_matrix(x[QUAT]).T @ x[ACC_B] + g_vec(cfg)
         assert_allclose(out[ACC], expected, atol=1e-12)
 
 
@@ -273,6 +278,11 @@ class TestFilterConfig:
         # "false" is truthy: read as a flag it would switch the biases on.
         with pytest.raises(ValueError, match="estimate_biases"):
             FilterConfig(estimate_biases=flag)
+
+    @pytest.mark.parametrize("g", [0.0, -GRAVITY, np.nan, np.inf])
+    def test_gravity_must_be_positive_and_finite(self, g):
+        with pytest.raises(ValueError, match="g must be positive"):
+            FilterConfig(g=g)
 
 
 class TestPredict:
@@ -479,6 +489,28 @@ class TestInitState:
         gyro = gyro + 2.0
         with pytest.raises(ValueError, match="not still"):
             init_state(np.zeros(3), 0.0, accel, gyro, cfg, fs=100.0)
+
+    def test_median_rate_may_equal_the_still_limit(self, cfg):
+        assert constants.STILL_RATE_LIMIT == 0.05
+        accel, gyro = self.make_still(0.0)
+        gyro[:, 0] = constants.STILL_RATE_LIMIT
+        init_state(np.zeros(3), 0.0, accel, gyro, cfg, fs=100.0)
+        gyro[:, 0] = np.nextafter(constants.STILL_RATE_LIMIT, 1.0)
+        with pytest.raises(ValueError, match="not still"):
+            init_state(np.zeros(3), 0.0, accel, gyro, cfg, fs=100.0)
+
+    @pytest.mark.parametrize("spread, still", [(0.5 * (1 - 1e-9), True),
+                                               (0.5 * (1 + 1e-9), False)])
+    def test_accel_spread_limit_is_half_a_unit(self, cfg, spread, still):
+        # Magnitudes alternate g + d and g - d: their deviation is d.
+        accel, gyro = self.make_still(0.0)
+        accel[0::2, 2] += spread
+        accel[1::2, 2] -= spread
+        if still:
+            init_state(np.zeros(3), 0.0, accel, gyro, cfg, fs=100.0)
+        else:
+            with pytest.raises(ValueError, match="not still"):
+                init_state(np.zeros(3), 0.0, accel, gyro, cfg, fs=100.0)
 
 
 class TestStability:

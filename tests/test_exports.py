@@ -3,7 +3,6 @@ module order, and nothing else but ``__version__``."""
 
 from __future__ import annotations
 
-import collections
 import importlib
 import pkgutil
 
@@ -23,11 +22,11 @@ def test_layers_are_every_module_but_the_front_end_and_constants():
 
 def test_package_exports_the_ordered_union_of_the_layers():
     union = [name for module in layer_modules() for name in module.__all__]
-    assert pdrnav.__all__ == list(dict.fromkeys(union)) + ["__version__"]
+    assert pdrnav.__all__ == union + ["__version__"]
     assert len(pdrnav.__all__) == 79
-    # One name is listed by two modules, and it is the same object.
-    shared = [n for n, c in collections.Counter(union).items() if c > 1]
-    assert shared == ["ImuLog"]
+    # Each name is listed by one module only; `io` imports `ImuLog`
+    # from `tracker`, which lists it.
+    assert len(set(union)) == len(union)
     assert pdrnav.io.ImuLog is pdrnav.tracker.ImuLog
 
 

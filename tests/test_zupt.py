@@ -573,6 +573,11 @@ class TestStanceConfig:
             zupt.StanceConfig(accel_norm_min=11.0, accel_norm_max=10.0)
         with pytest.raises(ValueError):
             zupt.StanceConfig(sfs_threshold=1.5)
+        for key, value in [("accel_std_max", -1.0), ("gyro_norm_max", 0.0),
+                           ("gyro_std_max", 0.0), ("sfs_threshold", 0.0)]:
+            with pytest.raises(ValueError, match=key):
+                zupt.StanceConfig(**{key: value})
+        assert zupt.StanceConfig(sfs_threshold=1.0).sfs_threshold == 1.0
         with pytest.raises(ValueError):
             zupt.StanceConfig(detect_half_width=0)
         with pytest.raises(ValueError):
