@@ -1,10 +1,10 @@
 """Batch command line front end.
 
 Five subcommands cover the offline workflow: ``calibrate`` fits the
-accelerometer model from a directory of still captures, ``track`` runs
-the filter over a raw log, ``allan`` characterizes sensor noise,
-``simulate`` renders a synthetic walk to a log plus truth sidecar, and
-``eval`` scores a trajectory against truth.
+accelerometer model and the gyro bias from a directory of still
+captures, ``track`` runs the filter over a raw log, ``allan``
+characterizes sensor noise, ``simulate`` renders a synthetic walk to a
+log plus truth sidecar, and ``eval`` scores a trajectory against truth.
 
 Exit codes: 0 on success, 2 on any input problem (unreadable files,
 malformed formats, bad arguments), 3 when the filter diverges.  On
@@ -15,6 +15,7 @@ diagnostic goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .allan import allan_deviation, extract_coefficients
+from .allan import POINTS_PER_DECADE, allan_deviation, extract_coefficients
 from .calibration import (
     MIN_STILL_SAMPLES,
     CalibrationError,
@@ -83,10 +84,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     batch = batch_means(stills, lsb_gyro=lsb_gyro,
                         still_gyro_limit=args.still_gyro_limit)
     accel_cal = fit_accel_calibration(batch, args.g)
-    # Gyro model is datasheet scale with zero coarse bias; only its
-    # noise floor comes from the data.
+    # Gyro model is datasheet scale; a still gyro reads its bias, so the
+    # bias is the mean count over every capture's samples, and the noise
+    # floor comes from the data too.
     gyro_sigma = max(float(np.mean(gyro_stds)) * lsb_gyro, 1e-12)
-    gyro_cal = scale_calibration(lsb_gyro, noise_sigma=gyro_sigma)
+    gyro_bias = np.concatenate([gyro for _, gyro in stills]).mean(axis=0)
+    gyro_cal = dataclasses.replace(
+        scale_calibration(lsb_gyro, noise_sigma=gyro_sigma), bias=gyro_bias)
     write_calibration(args.out, accel_cal, gyro_cal)
     return 0
 
@@ -181,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "calibrate",
-        help="fit accelerometer gain/bias from a directory of still logs",
+        help="fit accelerometer gain/bias and gyro bias from a directory "
+             "of still logs",
     )
     p.add_argument("--stills", required=True,
                    help="directory of .csv still logs, one orientation each")
@@ -211,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="curve CSV to write; coefficients go to "
                         "<out>_coefficients.json")
-    p.add_argument("--points-per-decade", type=int, default=10)
+    p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE,
+                   help="density of the tau grid (default %(default)s)")
     p.set_defaults(func=_cmd_allan)
 
     p = sub.add_parser("simulate", help="render a synthetic walk")
@@ -238,7 +244,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CalibrationError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"pdrnav {args.command}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,10 +19,12 @@ are the classes' own checks.
 
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
-hand the open file, from the first data row on, to `np.loadtxt`, which
-skips blank lines and ``#`` comments itself and parses each row into
-one record of the format's row dtype: a log row is a float64 time and
-six int32 counts, 32 bytes.  A parse error names the file and the file
+scan to the first data row, so an empty body reads as no rows, then
+hand the path and the number of lines before that row to `np.loadtxt`,
+which reads the file in chunks, skips those lines and, after them,
+blank lines and ``#`` comments itself, and parses each row into one
+record of the format's row dtype: a log row is a float64 time and six
+int32 counts, 32 bytes.  A parse error names the file and the file
 line of the refused row.  Writers format `_BLOCK_ROWS` rows at a time
 into a sibling temporary file and move it onto the target only once the
 whole file is written, so a refused or failed write leaves no partial
@@ -152,36 +154,32 @@ def _refused_line(path, row: np.dtype, reported: int) -> int | None:
     return None
 
 
-def _read_rows(fh, row: np.dtype, label: str) -> np.ndarray:
-    """Parse the rest of an open comment-headed CSV into ``row`` records,
-    tolerating no data.
+def _read_rows(path, row: np.dtype, label: str) -> np.ndarray:
+    """Parse a comment-headed CSV into ``row`` records, tolerating no data.
 
-    Lines up to the first data row are read here, so a body without one
-    gives no records rather than loadtxt's "no data" warning.  A parse
-    error names the file and, found again only on that error, the file
-    line of the refused row.
+    Lines up to the first data row are scanned here, so a body without
+    one gives no records rather than loadtxt's "no data" warning.
+    loadtxt skips those lines by count, so a whitespace-only line among
+    them, which it would refuse as a row, goes with them.  It gets the
+    path, which it reads in chunks; from a line iterator it would pull
+    one Python string per row.  A parse error names the file and, found
+    again only on that error, the file line of the refused row.
     """
-    for line in fh:
-        if _is_body_start(line):
-            break
-    else:
+    with open(path) as fh:
+        head = next((k for k, line in enumerate(fh) if _is_body_start(line)),
+                    None)
+    if head is None:
         return np.empty(0, row)
     try:
-        return np.loadtxt(chain([line], fh), dtype=row, delimiter=",",
-                          ndmin=1)
+        return np.loadtxt(path, dtype=row, delimiter=",", ndmin=1,
+                          skiprows=head)
     except ValueError as exc:
         message, where = str(exc), ""
         found = _LOADTXT_ROW.search(message)
-        number = found and _refused_line(fh.name, row, int(found[1]))
+        number = found and _refused_line(path, row, int(found[1]))
         if number:
             message, where = _LOADTXT_ROW.sub("", message, 1), f", line {number}"
-        raise ValueError(f"{label} {fh.name}{where}: {message}") from None
-
-
-def _read_csv_body(path, row: np.dtype, label: str) -> np.ndarray:
-    """Read a comment-headed CSV, tolerating an empty body."""
-    with open(path) as fh:
-        return _read_rows(fh, row, label)
+        raise ValueError(f"{label} {path}{where}: {message}") from None
 
 
 def _count_texts(block: np.ndarray, path) -> list:
@@ -238,7 +236,7 @@ def read_log(path) -> ImuLog:
                 f"log {path}: header must declare fs, lsb_a, lsb_w; "
                 f"missing {sorted(missing)}"
             )
-        rows = _read_rows(fh, _LOG_ROW, "log")
+    rows = _read_rows(path, _LOG_ROW, "log")
     for key in ("fs", "lsb_a", "lsb_w"):
         try:
             fields[key] = float(fields[key])
@@ -273,7 +271,7 @@ def read_truth(path) -> GroundTruth:
     The sidecar stores the kinematics evaluation needs; acceleration
     and angular rate are not part of the format and come back as zeros.
     """
-    rows = _read_csv_body(path, _TRUTH_ROW, "truth")
+    rows = _read_rows(path, _TRUTH_ROW, "truth")
     n = rows.size
     t = rows["t"]
     fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
@@ -301,7 +299,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    rows = _read_csv_body(path, _TRAJ_ROW, "trajectory")
+    rows = _read_rows(path, _TRAJ_ROW, "trajectory")
     return Trajectory(
         t=rows["t"],
         p=rows["p"],

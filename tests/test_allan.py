@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from pdrnav.allan import (
+    _SWEEP_BLOCK,
     MIN_SAMPLES,
+    POINTS_PER_DECADE,
     AllanCurve,
     NoiseCoefficients,
     allan_deviation,
@@ -78,6 +80,28 @@ class TestAllanDeviation:
         sizes = np.rint(curve.taus * FS).astype(np.int64)
         np.testing.assert_array_equal(
             curve.adev, three_temporary_allan_deviation(series, FS, sizes))
+
+    # Record lengths whose m = 1 second difference, n - 1 rows, is one
+    # sweep block, one block and a row, two blocks less a row, and the
+    # shortest record, which is shorter than one block.
+    @pytest.mark.parametrize("n", [_SWEEP_BLOCK + 1, _SWEEP_BLOCK + 2,
+                                   2 * _SWEEP_BLOCK, MIN_SAMPLES],
+                             ids=["one_block", "block_and_row",
+                                  "two_blocks_less_row", "min_samples"])
+    def test_blocked_sweep_matches_three_temporary_form(self, n):
+        series = white(n, 0.02, seed=n) + 9.81
+        curve = allan_deviation(series, FS)
+        sizes = np.rint(curve.taus * FS).astype(np.int64)
+        assert sizes[0] == 1
+        np.testing.assert_array_equal(
+            curve.adev, three_temporary_allan_deviation(series, FS, sizes))
+
+    def test_default_grid_has_ten_points_per_decade(self):
+        series = white(20_000, 0.1, seed=6)
+        assert POINTS_PER_DECADE == 10
+        np.testing.assert_array_equal(
+            allan_deviation(series, FS).taus,
+            allan_deviation(series, FS, points_per_decade=10).taus)
 
     def test_white_noise_law(self):
         sigma = 0.052

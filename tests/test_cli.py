@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdrnav
 from pdrnav import constants
+from pdrnav.allan import allan_deviation
 from pdrnav.calibration import SensorCalibration, canonical_gain
 from pdrnav.cli import main
 from pdrnav.ekf import FilterConfig, default_filter_config
@@ -45,9 +51,11 @@ _GROUP_NAMES = ("position_xy", "position_z", "velocity", "acceleration",
                 "accel_bias", "gyro_bias")
 
 
-def _write_still_logs(stills_dir, rng, n_logs=12, n_samples=300):
+def _write_still_logs(stills_dir, rng, n_logs=12, n_samples=300,
+                      gyro_bias=(0.0, 0.0, 0.0)):
     # Unit directions spread over the sphere; each still capture sees
-    # gravity from one of them.
+    # gravity from one of them.  The gyro reads its rate through the
+    # datasheet scale plus ``gyro_bias`` counts.
     golden = np.pi * (3.0 - np.sqrt(5.0))
     for p in range(n_logs):
         z = 1.0 - 2.0 * (p + 0.5) / n_logs
@@ -58,7 +66,7 @@ def _write_still_logs(stills_dir, rng, n_logs=12, n_samples=300):
         log = ImuLog(
             t=np.arange(n_samples) / FS,
             accel=np.rint(f_b / LSB_A).astype(np.int32),
-            gyro=np.rint(w_b / LSB_W).astype(np.int32),
+            gyro=np.rint(w_b / LSB_W + gyro_bias).astype(np.int32),
             fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W,
         )
         write_log(stills_dir / f"still_{p:02d}.csv", log)
@@ -132,6 +140,18 @@ class TestPipeline:
         assert rel.max() < 0.05
         np.testing.assert_allclose(gyro_cal.gain, np.eye(3) / LSB_W)
 
+    def test_calibrate_fits_the_gyro_bias(self, tmp_path):
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        bias = np.array([7.0, -20.0, 3.0])
+        _write_still_logs(stills, np.random.default_rng(22), gyro_bias=bias)
+        assert main(["calibrate", "--stills", str(stills),
+                     "--out", str(tmp_path / "cal.json")]) == 0
+        _, gyro_cal = read_calibration(tmp_path / "cal.json")
+        # 3,600 samples of 7.5-count noise: the mean is good to 0.13 count.
+        assert np.abs(gyro_cal.bias - bias).max() < 0.5, gyro_cal.bias
+        np.testing.assert_array_equal(gyro_cal.gain, np.eye(3) / LSB_W)
+
     def test_track_emits_one_row_per_sample(self, workspace):
         ws, codes = workspace
         assert codes["track"] == 0
@@ -162,6 +182,17 @@ class TestPipeline:
         assert report["epsilon_ttd"] == pytest.approx(
             report["closure_error"] / 42.0)
         assert len(report["checkpoint_errors"]) > 30
+
+    def test_allan_grid_defaults_to_the_library_default(self, workspace,
+                                                         tmp_path):
+        ws, _ = workspace
+        out = tmp_path / "allan.csv"
+        assert main(["allan", "--log", str(ws / "still_long.csv"),
+                     "--axis", "3", "--out", str(out)]) == 0
+        log = read_log(ws / "still_long.csv")
+        curve = allan_deviation(log.gyro[:, 0] * log.lsb_gyro, log.fs)
+        written = np.loadtxt(out, delimiter=",", comments="#")
+        np.testing.assert_array_equal(written[:, 0], curve.taus)
 
     def test_allan_writes_curve_and_coefficients(self, workspace):
         ws, _ = workspace
@@ -574,3 +605,84 @@ class TestBadCaptures:
                                  "--out", str(tmp_path / "allan.csv")])
         assert code == 2
         assert "pdrnav allan" in capsys.readouterr().err
+
+
+class TestLongLogParseErrors:
+    """A bad row far into a long log, past the first chunk the parser
+    reads, is named by its file line, with comment and blank lines
+    scattered before it that the parser's own row count leaves out."""
+
+    HEADER = TestBadCaptures.HEADER
+    ROWS = 200_000
+    BAD_ROW = 160_000   # data row index of the refused row
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        lines = [self.HEADER]
+        for k in range(self.ROWS):
+            if k % 9_973 == 500:
+                lines.append("# pause\n")
+            if k % 7_919 == 300:
+                lines.append("\n")
+            lines.append(f"{k / 100!r},0,0,8192,1,-2,3\n")
+        return lines
+
+    def write_with_bad_row(self, lines, path, row):
+        # The bad row's place among the file lines, counted from 1.
+        data = [i for i, text in enumerate(lines)
+                if text.strip() and not text.startswith("#")]
+        index = data[self.BAD_ROW]
+        path.write_text("".join(lines[:index]) + row + "\n"
+                        + "".join(lines[index + 1:]))
+        return index + 1
+
+    CASES = pytest.mark.parametrize("row, message", [
+        ("1600.0,0,0,x,1,-2,3", "'x'"),
+        ("1600.0,0,0", "7 columns"),
+    ], ids=["count", "short_row"])
+
+    @CASES
+    def test_read_log_names_the_file_line(self, lines, tmp_path, row, message):
+        path = tmp_path / "long.csv"
+        number = self.write_with_bad_row(lines, path, row)
+        assert number > 150_000 and number != self.BAD_ROW + 2
+        with pytest.raises(ValueError) as refused:
+            read_log(path)
+        text = str(refused.value)
+        assert f"log {path}, line {number}: " in text and message in text, text
+
+    @CASES
+    def test_allan_names_the_file_line(self, lines, tmp_path, capsys, row,
+                                       message):
+        path = tmp_path / "long.csv"
+        number = self.write_with_bad_row(lines, path, row)
+        code = main(["allan", "--log", str(path), "--axis", "0",
+                     "--out", str(tmp_path / "allan.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"log {path}, line {number}: " in err and message in err, err
+        assert not (tmp_path / "allan.csv").exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m pdrnav`` runs the command line from a source tree."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(pdrnav.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "pdrnav", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    def test_help_exits_zero(self):
+        done = self.run("--help")
+        assert done.returncode == 0, done.stderr
+        assert "allan" in done.stdout
+
+    def test_allan_without_arguments_exits_two(self):
+        done = self.run("allan")
+        assert done.returncode == 2
+        assert "--log" in done.stderr

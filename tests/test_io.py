@@ -379,9 +379,9 @@ class TestTrajectoryFormat:
 
 
 class TestStreamingReaders:
-    """The readers, which parse straight from the open file, against the
-    whole-body `StringIO` parse on the layouts a hand-edited or cut-off
-    file has."""
+    """The readers, which hand the path to loadtxt's chunked reader,
+    against the whole-body `StringIO` parse on the layouts a hand-edited
+    or cut-off file has."""
 
     LOG_HEADER = f"# fs=100 lsb_a={LSB_A:.17g} lsb_w={LSB_W:.17g}\n"
 
@@ -463,6 +463,18 @@ class TestStreamingReaders:
         assert np.array_equal(traj.q_nb, rows[:, 4:8])
         assert np.array_equal(traj.sfs, rows[:, 8])
         assert np.array_equal(traj.stance, rows[:, 9] != 0.0)
+
+    def test_whitespace_line_before_the_first_row_is_skipped(self, tmp_path):
+        # loadtxt refuses a whitespace-only line as a row; before the
+        # first data row the reader skips it with the header.
+        rows = "".join(self.log_rows(np.random.default_rng(83)))
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text(self.LOG_HEADER + rows)
+        spaced.write_text(self.LOG_HEADER + " \t\n" + rows)
+        want, got = read_log(plain), self.read_quietly(read_log, spaced)
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.accel, want.accel)
+        assert np.array_equal(got.gyro, want.gyro)
 
     @pytest.mark.parametrize("reader, head, width", [
         (read_log, LOG_HEADER, 7),
