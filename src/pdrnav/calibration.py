@@ -75,7 +75,12 @@ class CalibrationError(ValueError):
 
 @dataclass
 class SensorCalibration:
-    """Fitted sensor model: counts = gain @ physical + bias."""
+    """Fitted sensor model: counts = gain @ physical + bias.
+
+    ``noise_sigma`` is the white-noise standard deviation of one
+    calibrated sample in physical units: m/s^2 for an accelerometer,
+    rad/s for a gyroscope.
+    """
 
     gain: NDArray[np.float64]
     bias: NDArray[np.float64]
@@ -362,6 +367,9 @@ def fit_accel_calibration(
     Returns
     -------
     SensorCalibration, or (SensorCalibration, FitInfo)
+        Its ``noise_sigma`` is in m/s^2: the batch's pooled count noise
+        through the fitted gain when the batch has one, else the fit's
+        residual scaled back to one sample.
 
     Raises
     ------

@@ -9,7 +9,8 @@ log plus truth sidecar, and ``eval`` scores a trajectory against truth.
 Exit codes: 0 on success, 2 on any input problem (unreadable files,
 malformed formats, bad arguments), 3 when the filter diverges.  On
 divergence the partial trajectory is still written to ``--out`` and the
-diagnostic goes to stderr.
+diagnostic, naming the sample and the stage of the filter step that
+failed, goes to stderr.
 """
 
 from __future__ import annotations
@@ -108,12 +109,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
                            filter_cfg=config.filter, stance_cfg=config.stance)
     except TrackerDivergence as exc:
         write_trajectory(args.out, exc.trajectory)
-        d = exc.diagnostic
-        print(
-            f"filter diverged at sample {d.sample_index} "
-            f"(covariance condition {d.covariance_condition:.3e}): {d.message}",
-            file=sys.stderr,
-        )
+        print(exc, file=sys.stderr)
         return 3
     write_trajectory(args.out, traj)
     return 0

@@ -40,12 +40,13 @@ update on a residual and a dense H.  The IMU update passes the residual
 of `measurement_model` and the constant H = [0 | I | I] over the IMU
 states 13:19 and the biases 19:25; the stance update passes the
 residual and H of the stance module's stack.  The update factors the
-innovation covariance S as formed with LAPACK's Cholesky routines
-directly (no scipy wrapper checks), so the two ways S can fail are
-checked explicitly: a non-finite S (which ``dpotrf`` factors without
-complaint) and an indefinite one (``dpotrf``'s ``info``).  Either is a
-`FilterDivergenceError`.  The routines are bound on the first filter
-update, so scipy loads then and not when the package is imported.
+innovation covariance S as formed and solves for the gain in one call
+to LAPACK's ``dposv`` directly (no scipy wrapper checks), so the two
+ways S can fail are checked explicitly: a non-finite S (which LAPACK
+factors without complaint) and an indefinite one (``dposv``'s
+``info``).  Either is a `FilterDivergenceError`.  The routine is bound
+with the first finite check, in the first filter update, so scipy
+loads then and not when the package is imported.
 
 One filter step per sample is three kernels on a bare mean and
 covariance that the caller owns, starting from the pair `init_state`
@@ -53,11 +54,16 @@ returns: `predict` (one `_transition`, the process noise added to the
 diagonal), `update` with the IMU sample and, on stance samples, the
 stance module's `zupt_update` (`_measurement_update` on the stance
 residual and H).  Predict re-symmetrises the covariance once per
-sample; every stage checks, so a divergence is reported at the stage
-that caused it: the degenerate quaternion norm, the innovation
-covariance, and the covariance (`_check_covariance`).  The update uses
-the Joseph product form (I - K H) P (I - K H)^T + K R K^T, whose result
-is symmetric to rounding.
+sample.  Each kernel refuses only what it alone can see: a degenerate
+quaternion norm (in `_transition` and in the update's renormalisation)
+and an innovation covariance that is non-finite or indefinite.  The
+kernels do not check the covariance they return; the caller checks the
+step's result once (`_check_covariance` and a finite state) and, on a
+failure, replays the step through the same kernels with that check
+after each, so a divergence is still reported at the stage that caused
+it.  The update uses the Joseph product form
+(I - K H) P (I - K H)^T + K R K^T, whose result is symmetric to
+rounding.
 """
 
 from __future__ import annotations
@@ -339,20 +345,41 @@ def measurement_model(x: NDArray[np.float64]) -> NDArray[np.float64]:
     return x[_IMU_STATES] + x[_BIASES]
 
 
-def _check_covariance(p_mat: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Return the covariance as it stands after two cheap divergence
+# Zeros to take one dot product with: any NaN or infinity among the
+# entries makes it NaN (0 * inf is NaN), finite entries make it +-0.
+_ZEROS = np.zeros(DIM * DIM)
+_ZEROS.flags.writeable = False
+
+
+def _finite(a: NDArray[np.float64]) -> bool:
+    """Whether every entry of an array of at most 25 x 25 entries is
+    finite, from one BLAS dot product with zeros.
+
+    BLAS's own ``ddot`` (through scipy) rather than ``ndarray.dot``: the
+    reduction is the same, but numpy checks the floating-point status
+    after its dot and warns of the invalid 0 * inf it takes to see an
+    infinity.  Either costs a fraction of ``np.isfinite(a).all()``.
+    """
+    if _ddot is None:
+        _bind_blas_lapack()
+    return math.isfinite(_ddot(a.ravel(), _ZEROS[:a.size]))
+
+
+def _check_covariance(p_mat: NDArray[np.float64]) -> None:
+    """Refuse a covariance that fails either of two cheap divergence
     checks: every entry finite, and the smallest diagonal entry at least
     -1e-9 times the trace.  It does not symmetrise; `predict` does that
-    once per sample before its check."""
-    if not np.isfinite(p_mat).all():
+    once per sample.  The kernels do not call it: the tracker checks
+    each step's result once, and each stage's result only when it
+    replays a failed step."""
+    if not _finite(p_mat):
         raise FilterDivergenceError("covariance is no longer finite")
     diag = p_mat.diagonal().tolist()
     low = min(diag)
-    if low < -1e-9 * max(sum(diag), 1e-30):
+    if low < 0.0 and low < -1e-9 * max(sum(diag), 1e-30):
         raise FilterDivergenceError(
             f"covariance lost positive semidefiniteness (min diag {low:g})"
         )
-    return p_mat
 
 
 def predict(x, p_mat, cfg: FilterConfig, q_diag):
@@ -360,52 +387,52 @@ def predict(x, p_mat, cfg: FilterConfig, q_diag):
     the covariance through the closed-form process Jacobian and add the
     process noise ``q_diag``, which is ``cfg.effective_q_diag()`` (a
     caller stepping many samples computes it once).  The result is
-    symmetrised, once per filter step, and then checked."""
+    symmetrised, once per filter step, and not checked (see
+    `_check_covariance`)."""
     x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
     # of F's top rows alone sums in another order.
     p1 = jac @ p_mat @ jac.T
     p1.ravel()[:: DIM + 1] += q_diag
-    return x1, _check_covariance(0.5 * (p1 + p1.T))
+    return x1, 0.5 * (p1 + p1.T)
 
 
-# LAPACK's Cholesky factor and solve, bound by the first filter update:
+# BLAS's dot product and LAPACK's Cholesky factor-and-solve, bound by
+# the first finite check, which comes with the first filter step:
 # importing scipy.linalg takes longer than most subcommands that never
 # update a filter, so the package does not import it.
-_dpotrf = _dpotrs = None
+_ddot = _dposv = None
 
 
-def _bind_lapack() -> None:
-    global _dpotrf, _dpotrs
-    from scipy.linalg.lapack import dpotrf, dpotrs
+def _bind_blas_lapack() -> None:
+    global _ddot, _dposv
+    from scipy.linalg.blas import ddot
+    from scipy.linalg.lapack import dposv
 
-    _dpotrf, _dpotrs = dpotrf, dpotrs
+    _ddot, _dposv = ddot, dposv
 
 
 def _innovation_gain(s_mat: NDArray[np.float64],
                      hp: NDArray[np.float64]) -> NDArray[np.float64]:
     """Kalman gain ``K = (S^-1 H P)^T`` through a Cholesky factor of S.
 
-    S is factored as formed: ``dpotrf`` reads only its lower triangle,
-    so symmetrising it first would only move rounding.  LAPACK is called
-    directly, so both failure modes are checked here: ``dpotrf`` factors
-    a matrix holding NaN without complaint (so all of S is checked for
-    finite entries first), and it reports an indefinite S only through
-    ``info``.
+    One ``dposv`` call factors S as formed and solves with the factor;
+    it reads only the lower triangle, so symmetrising S first would
+    only move rounding.  ``dposv`` runs ``dpotrf`` and ``dpotrs``, so
+    the gain is theirs bit for bit, and its ``info`` is ``dpotrf``'s.
+    LAPACK is called directly, so both failure modes are checked here,
+    the only place that sees S: LAPACK factors a matrix holding NaN
+    without complaint (so all of S is checked for finite entries
+    first), and it reports an indefinite S only through ``info``.
     """
-    if not np.isfinite(s_mat).all():
+    if not _finite(s_mat):
         raise FilterDivergenceError("innovation covariance is not finite")
-    if _dpotrf is None:
-        _bind_lapack()
-    factor, info = _dpotrf(s_mat, lower=1, clean=0)
+    _, gain_t, info = _dposv(s_mat, hp, lower=1)
     if info != 0:
         raise FilterDivergenceError(
             f"innovation covariance not positive definite (dpotrf info {info})"
         )
-    gain_t, info = _dpotrs(factor, hp, lower=1)
-    if info != 0:
-        raise FilterDivergenceError(f"innovation solve failed (dpotrs info {info})")
     return gain_t.T
 
 
@@ -413,9 +440,10 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
     """Update of a bare mean and covariance with the residual ``nu`` of
     a measurement whose prediction has the dense Jacobian ``jac``, (m,)
     and (m, 25), and diagonal noise ``r_diag``; the quaternion is
-    renormalised and the covariance checked (not symmetrised: the
-    product form keeps it symmetric to rounding, and the next `predict`
-    symmetrises it)."""
+    renormalised.  The covariance is neither symmetrised (the product
+    form keeps it symmetric to rounding, and the next `predict`
+    symmetrises it) nor checked (see `_check_covariance`); S is checked
+    in `_innovation_gain`."""
     hp = jac @ p_mat
     s_mat = hp @ jac.T
     s_mat.ravel()[:: len(nu) + 1] += r_diag
@@ -424,7 +452,7 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
     ikh = _IDENTITY - gain @ jac
     p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
     x1[QUAT] = quat_normalize(x1[QUAT])
-    return x1, _check_covariance(p1)
+    return x1, p1
 
 
 def update(x, p_mat, z, r_diag):

@@ -502,13 +502,17 @@ def _to_counts(physical: np.ndarray, cal: SensorCalibration,
     return counts
 
 
-def scale_calibration(lsb: float, noise_sigma: float = 1.0) -> SensorCalibration:
+def scale_calibration(lsb: float,
+                      noise_sigma: float | None = None) -> SensorCalibration:
     """Ideal datasheet calibration: pure scale, zero bias.
 
-    ``noise_sigma`` is in counts, matching the calibration file format.
+    ``lsb`` and ``noise_sigma`` are in physical units (m/s^2 or rad/s),
+    as every `SensorCalibration` holds its noise; the noise defaults to
+    one count, ``lsb``.
     """
     if lsb <= 0.0:
         raise ValueError("lsb must be positive")
     return SensorCalibration(
-        gain=np.eye(3) / lsb, bias=np.zeros(3), noise_sigma=noise_sigma
+        gain=np.eye(3) / lsb, bias=np.zeros(3),
+        noise_sigma=lsb if noise_sigma is None else noise_sigma,
     )

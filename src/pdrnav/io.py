@@ -19,13 +19,14 @@ are the classes' own checks.
 
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
-scan to the first data row, so an empty body reads as no rows, then
-hand the path and the number of lines before that row to `np.loadtxt`,
-which reads the file in chunks, skips those lines and, after them,
-blank lines and ``#`` comments itself, and parses each row into one
-record of the format's row dtype: a log row is a float64 time and six
-int32 counts, 32 bytes.  A parse error names the file and the file
-line of the refused row.  Writers format `_BLOCK_ROWS` rows at a time
+scan to the first data row, reading the first line (the log's header)
+on the way, so an empty body reads as no rows, then hand the path and
+the number of lines before that row to `np.loadtxt`, which reads the
+file in chunks, skips those lines and, after them, blank lines and
+``#`` comments itself, and parses each row into one record of the
+format's row dtype: a log row is a float64 time and six int32 counts,
+32 bytes.  A parse error names the file and the file line of the
+refused row.  Writers format `_BLOCK_ROWS` rows at a time
 into a sibling temporary file and move it onto the target only once the
 whole file is written, so a refused or failed write leaves no partial
 file under the target name, and an existing target keeps its bytes.
@@ -135,15 +136,17 @@ def _is_body_start(line: str) -> bool:
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
 
 
-def _refused_line(path, row: np.dtype, reported: int) -> int | None:
+def _refused_line(path, row: np.dtype, reported: int,
+                  head: int) -> int | None:
     """File line (1-based) of the data row that loadtxt refused, given
-    the row index in its message: the first of the two rows the index
-    can name that fails to parse alone, or None if neither does."""
+    the row index in its message and the index of the first data row:
+    the first of the two rows the index can name that fails to parse
+    alone, or None if neither does."""
     with open(path) as fh:
-        lines = enumerate(fh, 1)
-        # The first data row as `_read_rows` finds it, then the lines
-        # loadtxt parses: those not empty once ``#`` comments go.
-        first = next((n, text) for n, text in lines if _is_body_start(text))
+        # The first data row, then the lines loadtxt parses: those not
+        # empty once ``#`` comments go.
+        lines = islice(enumerate(fh, 1), head, None)
+        first = next(lines)
         rows = chain([first], ((n, text) for n, text in lines
                                if text.split("#", 1)[0].rstrip("\n")))
         for number, text in islice(rows, max(reported - 1, 0), reported + 1):
@@ -154,20 +157,29 @@ def _refused_line(path, row: np.dtype, reported: int) -> int | None:
     return None
 
 
-def _read_rows(path, row: np.dtype, label: str) -> np.ndarray:
+def _scan_head(path) -> tuple[str, int | None]:
+    """The first line of a comment-headed CSV (empty for an empty file)
+    and the index of its first data row, None if it has none, read in
+    one pass from one `open`."""
+    with open(path) as fh:
+        first = fh.readline()
+        head = next((k for k, line in enumerate(chain([first], fh))
+                     if _is_body_start(line)), None)
+    return first, head
+
+
+def _read_rows(path, row: np.dtype, label: str, head: int | None) -> np.ndarray:
     """Parse a comment-headed CSV into ``row`` records, tolerating no data.
 
-    Lines up to the first data row are scanned here, so a body without
-    one gives no records rather than loadtxt's "no data" warning.
-    loadtxt skips those lines by count, so a whitespace-only line among
-    them, which it would refuse as a row, goes with them.  It gets the
-    path, which it reads in chunks; from a line iterator it would pull
-    one Python string per row.  A parse error names the file and, found
-    again only on that error, the file line of the refused row.
+    ``head`` is the index of the first data row as `_scan_head` finds
+    it, so a body without one (None) gives no records rather than
+    loadtxt's "no data" warning.  loadtxt skips the lines before it by
+    count, so a whitespace-only line among them, which it would refuse
+    as a row, goes with them.  It gets the path, which it reads in
+    chunks; from a line iterator it would pull one Python string per
+    row.  A parse error names the file and, found again only on that
+    error, the file line of the refused row.
     """
-    with open(path) as fh:
-        head = next((k for k, line in enumerate(fh) if _is_body_start(line)),
-                    None)
     if head is None:
         return np.empty(0, row)
     try:
@@ -176,7 +188,7 @@ def _read_rows(path, row: np.dtype, label: str) -> np.ndarray:
     except ValueError as exc:
         message, where = str(exc), ""
         found = _LOADTXT_ROW.search(message)
-        number = found and _refused_line(path, row, int(found[1]))
+        number = found and _refused_line(path, row, int(found[1]), head)
         if number:
             message, where = _LOADTXT_ROW.sub("", message, 1), f", line {number}"
         raise ValueError(f"{label} {path}{where}: {message}") from None
@@ -221,22 +233,26 @@ def write_log(path, log: ImuLog) -> None:
 
 
 def read_log(path) -> ImuLog:
-    """Parse an IMU log written by `write_log` (or the simulator)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fields = {}
-        if header.startswith("#"):
-            for token in header[1:].split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    fields[key] = value
-        missing = {"fs", "lsb_a", "lsb_w"} - fields.keys()
-        if missing:
-            raise ValueError(
-                f"log {path}: header must declare fs, lsb_a, lsb_w; "
-                f"missing {sorted(missing)}"
-            )
-    rows = _read_rows(path, _LOG_ROW, "log")
+    """Parse an IMU log written by `write_log` (or the simulator).
+
+    The header is the first line, read in the scan for the first data
+    row, so the file is opened once here and once by numpy's parse.
+    """
+    first, head = _scan_head(path)
+    header = first.strip()
+    fields = {}
+    if header.startswith("#"):
+        for token in header[1:].split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                fields[key] = value
+    missing = {"fs", "lsb_a", "lsb_w"} - fields.keys()
+    if missing:
+        raise ValueError(
+            f"log {path}: header must declare fs, lsb_a, lsb_w; "
+            f"missing {sorted(missing)}"
+        )
+    rows = _read_rows(path, _LOG_ROW, "log", head)
     for key in ("fs", "lsb_a", "lsb_w"):
         try:
             fields[key] = float(fields[key])
@@ -271,7 +287,7 @@ def read_truth(path) -> GroundTruth:
     The sidecar stores the kinematics evaluation needs; acceleration
     and angular rate are not part of the format and come back as zeros.
     """
-    rows = _read_rows(path, _TRUTH_ROW, "truth")
+    rows = _read_rows(path, _TRUTH_ROW, "truth", _scan_head(path)[1])
     n = rows.size
     t = rows["t"]
     fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
@@ -299,7 +315,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    rows = _read_rows(path, _TRAJ_ROW, "trajectory")
+    rows = _read_rows(path, _TRAJ_ROW, "trajectory", _scan_head(path)[1])
     return Trajectory(
         t=rows["t"],
         p=rows["p"],

@@ -25,6 +25,8 @@ from .ekf import (
     QUAT,
     FilterConfig,
     FilterDivergenceError,
+    _check_covariance,
+    _finite,
     default_filter_config,
     init_state,
     predict,
@@ -156,11 +158,19 @@ def _empty_trajectory() -> Trajectory:
 
 @dataclass
 class TrackerDiagnostic:
-    """What was known at the moment the filter fell over."""
+    """What was known at the moment the filter fell over.
+
+    ``stage`` names the stage of the step that failed, ``"predict"``,
+    ``"imu"`` or ``"stance"``, found by replaying the sample with a check
+    after each stage; ``covariance_condition`` is that of the covariance
+    the stage was given.  ``stage`` is None only if the replay passes
+    where the step failed, which a deterministic step cannot do.
+    """
 
     sample_index: int
     covariance_condition: float
     message: str
+    stage: str | None
 
 
 class TrackerDivergence(FilterDivergenceError):
@@ -174,8 +184,10 @@ class TrackerDivergence(FilterDivergenceError):
     """
 
     def __init__(self, trajectory: Trajectory, diagnostic: TrackerDiagnostic):
+        stage = diagnostic.stage
         super().__init__(
-            f"filter diverged at sample {diagnostic.sample_index}: "
+            f"filter diverged at sample {diagnostic.sample_index}"
+            f"{f' in the {stage} stage' if stage else ''}: "
             f"{diagnostic.message} "
             f"(covariance condition {diagnostic.covariance_condition:.3g})"
         )
@@ -189,6 +201,30 @@ def _condition_number(p_mat: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         return float("inf")
     return cond if np.isfinite(cond) else float("inf")
+
+
+def _check_state(x: np.ndarray, p_mat: np.ndarray) -> None:
+    """The divergence check on a filter state: the covariance's
+    (`_check_covariance`), then a finite mean."""
+    _check_covariance(p_mat)
+    if not _finite(x):
+        raise FilterDivergenceError("state became non-finite")
+
+
+def _failed_stage(x, p_mat, stages):
+    """Run one sample's ``stages``, ``(name, kernel of (x, P))`` pairs in
+    step order, from the step's input pair with `_check_state` after
+    each.  Return the name of the first stage that raises or fails the
+    check, its error and the covariance it was given; None if all pass.
+    """
+    for name, stage in stages:
+        try:
+            x1, p1 = stage(x, p_mat)
+            _check_state(x1, p1)
+        except (FilterDivergenceError, ValueError) as exc:
+            return name, exc, p_mat
+        x, p_mat = x1, p1
+    return None
 
 
 def _check_time_steps(log: ImuLog) -> None:
@@ -256,7 +292,11 @@ def run_tracker(
     ------
     TrackerDivergence
         If the filter diverges; the exception carries the partial
-        trajectory and a diagnostic.
+        trajectory and a diagnostic naming the sample and the stage.
+        Each step is checked once, at its end, so a covariance entry
+        that one stage leaves non-finite or negative on the diagonal
+        is refused only if it is still so at the end of the step; a
+        later stage of the same sample may repair it.
     ValueError
         If the log is too short or not still enough to initialize, the
         filter's ``ts`` is not the log's sample period, or a time step
@@ -306,10 +346,13 @@ def run_tracker(
     is_active = active.tolist()
     z_imu = np.hstack([f_b, w_b])
 
-    # One filter step per sample on the mean and covariance held here;
-    # each stage checks its own result, so a divergence is reported at
-    # the sample and stage that caused it.
+    # One filter step per sample on the mean and covariance held here,
+    # checked once at its end.  The kernels return new arrays, so the
+    # step's input pair survives a failure, and the failed sample is
+    # replayed from it through the same kernels with a check after each
+    # stage, to report the stage that caused the divergence.
     for k in range(n):
+        x_in, p_in = x, p_mat
         try:
             x, p_mat = predict(x, p_mat, filter_cfg, q_diag)
             x, p_mat = update(x, p_mat, z_imu[k], r_diag)
@@ -317,19 +360,35 @@ def run_tracker(
                 if k == 0 or not is_active[k - 1]:
                     stance.latch(x)
                 x, p_mat = zupt_update(x, p_mat, stance, z_imu[k], factors[k])
-            if not np.isfinite(x).all():
-                raise FilterDivergenceError("state became non-finite")
+            _check_state(x, p_mat)
         except (FilterDivergenceError, ValueError) as exc:
+            z = z_imu[k]
+            stages = [
+                ("predict", lambda x, p: predict(x, p, filter_cfg, q_diag)),
+                ("imu", lambda x, p: update(x, p, z, r_diag)),
+            ]
+            if is_active[k]:
+                starts = k == 0 or not is_active[k - 1]
+
+                def stance_stage(x, p):
+                    if starts:
+                        stance.latch(x)
+                    return zupt_update(x, p, stance, z, factors[k])
+
+                stages.append(("stance", stance_stage))
+            stage, cause, p_given = (_failed_stage(x_in, p_in, stages)
+                                     or (None, exc, p_mat))
             partial = Trajectory(
                 t=t_out[:k], p=p_out[:k], q_nb=q_out[:k],
                 sfs=scores[:k], stance=active[:k],
             )
             diag = TrackerDiagnostic(
                 sample_index=k,
-                covariance_condition=_condition_number(p_mat),
-                message=str(exc),
+                covariance_condition=_condition_number(p_given),
+                message=str(cause),
+                stage=stage,
             )
-            raise TrackerDivergence(partial, diag) from exc
+            raise TrackerDivergence(partial, diag) from cause
         p_out[k] = x[POS]
         q_out[k] = x[QUAT]
 

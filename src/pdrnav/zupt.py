@@ -398,8 +398,11 @@ def zupt_update(x, p_mat, stance: StanceStack, imu_sample, factor: float):
     ``imu_sample`` go through the Joseph-form update, with the base
     variances scaled by the confidence ``factor`` of the sample's score,
     ``1 + covariance_gain * (1 - score)`` (1 for the hard detector).  The
-    covariance is checked, not symmetrised: the next `predict`
-    re-symmetrises it.
+    update refuses a non-finite or indefinite innovation covariance and
+    a degenerate quaternion; the covariance it returns is neither
+    checked (the tracker checks each step once, see
+    `pdrnav.ekf._check_covariance`) nor symmetrised (the next `predict`
+    re-symmetrises it).
     """
     nu, jac = stance.linearize(x, imu_sample)
     return _measurement_update(x, p_mat, nu, jac, factor * stance.base_variances)

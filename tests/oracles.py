@@ -6,13 +6,14 @@ quaternion algebra the library does not run (the Hamilton product, the
 exponential, the rotation matrix, batch normalisation) lives here too,
 as the forms the library's closed forms are held against.  The
 filter references are the exception by design: `kalman_update` is the
-general dense update that the library's written-out updates must equal
-(it shares their gain and covariance checks, so both refuse the same
-inputs); `build_pseudo_measurements` and `soft_covariance` are the
-stance update's per-call form, a stack built afresh for each sample
-around the library's linearisation; and `chain_tracker` is the tracking
-loop built from those dense, per-call forms, which the tracker's single
-step must equal.
+general dense update that the library's updates must equal (it shares
+their gain and its checks of S, so both refuse the same inputs, and
+like them it leaves the covariance unchecked);
+`build_pseudo_measurements` and `soft_covariance` are the stance
+update's per-call form, a stack built afresh for each sample around the
+library's linearisation; and `chain_tracker` is the tracking loop built
+from those dense, per-call forms, checked after every stage, which the
+tracker's single step must equal.
 """
 
 from __future__ import annotations
@@ -634,8 +635,9 @@ def measurement_jacobian():
 def kalman_update(x, p_mat, z, z_pred, jac, r_diag):
     """One Joseph-form measurement update, any dimensions, with a dense
     H (``jac``): ``H P``, ``S = H P H^T + R`` and ``I - K H`` formed as
-    full matrix products.  The gain and the covariance check are the
-    library's, so a non-finite or indefinite S is refused the same way.
+    full matrix products.  The gain is the library's, so a non-finite or
+    indefinite S is refused the same way; the covariance is returned
+    unchecked, as the library's updates return it.
     """
     z = np.asarray(z, dtype=float)
     r_diag = np.asarray(r_diag, dtype=float)
@@ -644,7 +646,7 @@ def kalman_update(x, p_mat, z, z_pred, jac, r_diag):
     x1 = x + gain @ (z - z_pred)
     ikj = np.eye(len(x)) - gain @ jac
     p1 = ikj @ p_mat @ ikj.T + (gain * r_diag) @ gain.T
-    return x1, ekf._check_covariance(p1)
+    return x1, p1
 
 
 def build_pseudo_measurements(latched_xy, accel_sample, gyro_sample, cfg,
@@ -690,16 +692,28 @@ def dense_stance_update(x, p_mat, linearize, variances):
     return x1, p1
 
 
+def checked(x, p_mat):
+    """A stage's result, refused by the check the tracker runs on each
+    step's result."""
+    tracker._check_state(x, p_mat)
+    return x, p_mat
+
+
 def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
-                  *, predict=ekf.predict, stance_update=dense_stance_update,
+                  *, predict=ekf.predict, imu_update=dense_imu_update,
+                  stance_update=dense_stance_update,
                   p0=(0.0, 0.0, 0.0), heading0=0.0, init_duration=1.0):
     """`pdrnav.tracker.run_tracker` as a chain of per-call steps:
     ``predict`` (called like `pdrnav.ekf.predict`, with the effective
-    process noise formed per call), `dense_imu_update` and, on stance
-    samples, a `build_pseudo_measurements` stack latched at the event's
-    first sample with `soft_covariance` variances through
-    ``stance_update`` (called like `dense_stance_update`).  Divergence is
-    reported as the tracker reports it.
+    process noise formed per call), ``imu_update`` (called like
+    `dense_imu_update`) and, on stance samples, a
+    `build_pseudo_measurements` stack latched at the event's first
+    sample with `soft_covariance` variances through ``stance_update``
+    (called like `dense_stance_update`).  Each stage's result is
+    `checked` before the next stage runs, so a divergence is reported
+    at the first stage that raises or fails the check, with the
+    condition of the covariance that stage was given, as the tracker
+    reports it.
     """
     if filter_cfg is None:
         filter_cfg = ekf.default_filter_config(log.fs)
@@ -723,29 +737,31 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
     q_out = np.empty((n, 4))
     latched_xy = None
     for k in range(n):
+        stage = "predict"
         try:
-            x, p_mat = predict(x, p_mat, filter_cfg, filter_cfg.effective_q_diag())
-            x, p_mat = dense_imu_update(x, p_mat, np.concatenate([f_b[k], w_b[k]]),
-                                        filter_cfg.r_diag)
+            x, p_mat = checked(*predict(x, p_mat, filter_cfg,
+                                        filter_cfg.effective_q_diag()))
+            stage = "imu"
+            x, p_mat = checked(*imu_update(
+                x, p_mat, np.concatenate([f_b[k], w_b[k]]), filter_cfg.r_diag))
             if active[k]:
+                stage = "stance"
                 if latched_xy is None:
                     latched_xy = x[POS][:2].copy()
                 linearize = build_pseudo_measurements(
                     latched_xy, f_b[k], w_b[k], stance_cfg, g=filter_cfg.g)
                 score = scores[k] if stance_cfg.mode == "soft" else 1.0
-                x, p_mat = stance_update(x, p_mat, linearize,
-                                         soft_covariance(stance_cfg, score))
+                x, p_mat = checked(*stance_update(
+                    x, p_mat, linearize, soft_covariance(stance_cfg, score)))
             else:
                 latched_xy = None
-            if not np.isfinite(x).all():
-                raise ekf.FilterDivergenceError("state became non-finite")
         except (ekf.FilterDivergenceError, np.linalg.LinAlgError, ValueError) as exc:
             partial = tracker.Trajectory(t=log.t[:k], p=p_out[:k], q_nb=q_out[:k],
                                          sfs=scores[:k], stance=active[:k])
             diag = tracker.TrackerDiagnostic(
                 sample_index=k,
                 covariance_condition=tracker._condition_number(p_mat),
-                message=str(exc))
+                message=str(exc), stage=stage)
             raise tracker.TrackerDivergence(partial, diag) from exc
         p_out[k] = x[POS]
         q_out[k] = x[QUAT]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdrnav.tracker as tracker_module
 from pdrnav import constants, ekf
 from pdrnav.calibration import apply_accel_calibration, apply_gyro_calibration
 from pdrnav.constants import GRAVITY
@@ -32,9 +33,10 @@ from pdrnav.ekf import (
 )
 from pdrnav.gait import GaitParams, generate_gait, inverse_imu, razor_noise, scale_calibration
 from pdrnav.quat import quat_normalize, quat_rotate
-from pdrnav.tracker import ImuLog, run_tracker
+from pdrnav.tracker import ImuLog, TrackerDivergence, run_tracker
 from pdrnav.zupt import StanceStack, default_stance_config, sfs_series, zupt_update
 
+from faults import stage_inputs
 from oracles import (
     chain_rule_quaternion_rows,
     chain_tracker,
@@ -306,12 +308,46 @@ class TestPredict:
         assert np.array_equal(p1, p1.T)
         assert np.linalg.norm(x1[QUAT]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_nonfinite_covariance_raises(self, cfg):
-        rng = np.random.default_rng(11)
-        p_bad = random_covariance(rng)
-        p_bad[0, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(FilterDivergenceError):
-            predict(random_nav_state(rng), p_bad, cfg, cfg.effective_q_diag())
+    def test_nonfinite_covariance_raises(self, monkeypatch):
+        # predict returns the covariance unchecked; the tracker's one
+        # check per step refuses an infinite entry predict receives on
+        # one sample of the L walk, and its replay names predict, at
+        # the sample, with the message and partial trajectory of the
+        # chain that checks after every stage.
+        log, cal_a, cal_w = l_walk()
+        key = stage_inputs(log, cal_a, cal_w, "predict")[150]
+
+        def infinite_input(kernel):
+            def run(x, p_mat, *rest):
+                if np.array_equal(x, key):
+                    p_mat = p_mat.copy()
+                    p_mat[0, 0] = np.inf
+                return kernel(x, p_mat, *rest)
+            return run
+
+        caught = []
+        with np.errstate(invalid="ignore"):
+            x, p_mat = key, np.eye(DIM)
+            p_mat[0, 0] = np.inf
+            cfg = default_filter_config(log.fs)
+            _, p1 = predict(x, p_mat, cfg, cfg.effective_q_diag())
+            assert not np.isfinite(p1).all()
+            monkeypatch.setattr(tracker_module, "predict",
+                                infinite_input(predict))
+            for run in (run_tracker, lambda *args: chain_tracker(
+                    *args, predict=infinite_input(predict))):
+                with pytest.raises(TrackerDivergence) as info:
+                    run(log, cal_a, cal_w)
+                caught.append(info.value)
+        step, chain = caught
+        for exc in (step, chain):
+            assert exc.diagnostic.sample_index == 150
+            assert exc.diagnostic.stage == "predict"
+            assert exc.diagnostic.message == "covariance is no longer finite"
+            assert exc.trajectory.t.size == 150
+        np.testing.assert_array_equal(step.trajectory.p, chain.trajectory.p)
+        np.testing.assert_array_equal(step.trajectory.q_nb,
+                                      chain.trajectory.q_nb)
 
 
 class TestUpdate:
@@ -349,11 +385,10 @@ class TestUpdate:
 
 
 class TestStructuredUpdate:
-    """`update` writes out H = [0 | I | I]; it must be the general
-    `kalman_update` with that matrix bit for bit (every product with a 0
-    or 1 entry of H is exact, so the blocks sum as the dense products
-    do), and both must refuse an innovation covariance that cannot be
-    factored."""
+    """`update` passes the dense H = [0 | I | I] to the one Joseph-form
+    update; it must be the general `kalman_update` with that matrix bit
+    for bit, and both must refuse an innovation covariance that cannot
+    be factored."""
 
     def test_matches_general_update(self, cfg):
         rng = np.random.default_rng(50)
@@ -394,6 +429,58 @@ class TestStructuredUpdate:
         p_mat[16, 16] = -5.0
         with pytest.raises(FilterDivergenceError, match="not positive definite"):
             getattr(self, path)(p_mat, np.full(MEAS_DIM, 1e-3))
+
+
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+class TestFiniteChecks:
+    """The finite checks on P, S and x are one dot product with zeros:
+    0 * NaN and 0 * +-inf are NaN, 0 * finite is +-0.  Every non-finite
+    value at every entry must be caught, and the largest finite values
+    must pass."""
+
+    def test_covariance_entry(self):
+        p_mat = random_covariance(np.random.default_rng(60))
+        for index in np.ndindex(p_mat.shape):
+            for value in _NON_FINITE:
+                bad = p_mat.copy()
+                bad[index] = value
+                with pytest.raises(FilterDivergenceError,
+                                   match="covariance is no longer finite"):
+                    ekf._check_covariance(bad)
+
+    @pytest.mark.parametrize("m", [MEAS_DIM, 22])
+    def test_innovation_covariance_entry(self, m):
+        rng = np.random.default_rng(61)
+        s_mat = random_covariance(rng, dim=m)
+        hp = rng.standard_normal((m, DIM))
+        for index in np.ndindex(s_mat.shape):
+            for value in _NON_FINITE:
+                bad = s_mat.copy()
+                bad[index] = value
+                with pytest.raises(FilterDivergenceError,
+                                   match="innovation covariance is not finite"):
+                    ekf._innovation_gain(bad, hp)
+
+    def test_state_entry(self):
+        rng = np.random.default_rng(62)
+        x, p_mat = random_nav_state(rng), random_covariance(rng)
+        tracker_module._check_state(x, p_mat)
+        for i in range(DIM):
+            for value in _NON_FINITE:
+                bad = x.copy()
+                bad[i] = value
+                with pytest.raises(FilterDivergenceError,
+                                   match="state became non-finite"):
+                    tracker_module._check_state(bad, p_mat)
+
+    def test_largest_finite_entries_pass(self):
+        signs = np.random.default_rng(63).choice([-1.0, 1.0], (DIM, DIM))
+        huge = 1e308 * signs
+        assert ekf._finite(huge)
+        np.fill_diagonal(huge, 1e308)
+        ekf._check_covariance(huge)
 
 
 def joseph_error(p_mat, p1, gain, jac, r_diag):

@@ -470,3 +470,11 @@ class TestValidation:
             scale_calibration(0.0)
         cal = scale_calibration(0.5)
         np.testing.assert_allclose(cal.gain, np.eye(3) * 2.0)
+
+    @pytest.mark.parametrize("lsb", [constants.DEFAULT_LSB_ACCEL,
+                                     constants.DEFAULT_LSB_GYRO])
+    def test_scale_calibration_noise_is_one_count(self, lsb):
+        # noise_sigma is in physical units, as the fit and `pdrnav
+        # calibrate` write it; a datasheet calibration's is one count.
+        assert scale_calibration(lsb).noise_sigma == lsb
+        assert scale_calibration(lsb, noise_sigma=0.02).noise_sigma == 0.02

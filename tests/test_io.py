@@ -246,6 +246,35 @@ class TestLogFormat:
         assert back.t.size == 0
         assert back.accel.shape == (0, 3)
 
+    def test_file_is_opened_once_here_and_once_by_numpy(self, short_walk,
+                                                        tmp_path, monkeypatch):
+        # The header is read in the scan for the first data row, so the
+        # library opens the log once and numpy's chunked parse once.
+        import builtins
+
+        import pdrnav.io as io_module
+
+        _, log = short_walk
+        path = tmp_path / "walk.csv"
+        write_log(path, log)
+        opened, parsed = [], []
+        real_open, real_loadtxt = builtins.open, np.loadtxt
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def counted_loadtxt(fname, *args, **kwargs):
+            parsed.append(fname)
+            return real_loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(io_module, "open", counted_open, raising=False)
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        back = read_log(path)
+        assert opened == [path]
+        assert parsed == [path]
+        np.testing.assert_array_equal(back.accel, log.accel)
+
     def test_missing_header_field_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# fs=100 lsb_a=0.001\n0,0,0,8192,0,0,0\n")

@@ -8,7 +8,6 @@ close, and turning the stance machinery off must visibly hurt.
 from __future__ import annotations
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -47,6 +46,7 @@ from pdrnav.tracker import (
 )
 from pdrnav.zupt import StanceConfig, default_stance_config
 
+from faults import inject_fault, stage_inputs
 from oracles import chain_tracker
 
 FS = 100.0
@@ -281,48 +281,12 @@ def _stance_variant(name):
     return cfg
 
 
-# The functions that run each stage of a step: the tracker's kernels,
-# whose two updates reach the checks through `ekf._measurement_update`,
-# and the dense form of the two updates in `oracles.chain_tracker`, which
-# reach them through `oracles.kalman_update`.
-_STAGE_KERNELS = {"predict": {"predict"},
-                  "imu": {"update", "dense_imu_update"},
-                  "stance": {"zupt_update", "dense_stance_update"}}
-
-
-def inject_fault(monkeypatch, stage, fault, at):
-    """Corrupt one matrix that a check inside ``stage``'s kernel reads,
-    on that kernel's ``at``-th call (1-based): a NaN covariance entry
-    (``"nonfinite"``), or a negative diagonal entry (``"indefinite"``) in
-    the covariance at predict and in S at the two updates."""
-    kernels = _STAGE_KERNELS[stage]
-    if fault == "nonfinite" or stage == "predict":
-        name = "_check_covariance"
-        value = np.nan if fault == "nonfinite" else -1.0
-    else:
-        name, value = "_innovation_gain", -1.0
-    real = getattr(ekf_module, name)
-    calls = {"n": 0}
-
-    def corrupt(mat, *rest):
-        caller = sys._getframe(1).f_code.co_name
-        if caller in ("kalman_update", "_measurement_update"):
-            caller = sys._getframe(2).f_code.co_name
-        if caller in kernels:
-            calls["n"] += 1
-            if calls["n"] == at:
-                mat = mat.copy()
-                mat[0, 0] = value
-        return real(mat, *rest)
-
-    monkeypatch.setattr(ekf_module, name, corrupt)
-
-
 class TestSingleStep:
     """`run_tracker` runs one step per sample on a mean and covariance
     it owns; it must be the chain of dense, per-call forms
-    (`oracles.chain_tracker`) bit for bit, fail where that chain fails,
-    and run no more checks than the chain."""
+    (`oracles.chain_tracker`) bit for bit and, checking once per step
+    where the chain checks after every stage, fail at the sample and
+    the stage where that chain fails."""
 
     @pytest.mark.parametrize("walk, variant", [
         ("short_walk", "soft"), ("short_walk", "hard"),
@@ -348,14 +312,21 @@ class TestSingleStep:
         ("predict", 300), ("imu", 300), ("stance", 40),
     ])
     def test_divergence_parity(self, short_walk, monkeypatch, stage, fault, at):
+        # A fault keyed to the ``at``-th call (1-based) of the stage's
+        # kernel in a clean run (a sample for predict and the IMU
+        # update, a stance sample for the stance update): the tracker's
+        # one check per step sees it, and its replay names the stage,
+        # as the chain that checks after every stage does.
         _, log = short_walk
+        key = stage_inputs(log, CAL_A, CAL_W, stage)[at - 1]
         caught = []
-        for tracker in (run_tracker, chain_tracker):
-            with monkeypatch.context() as m:
-                inject_fault(m, stage, fault, at)
+        with monkeypatch.context() as m:
+            chain_kwargs = inject_fault(m, stage, fault, key)
+            for tracker in (run_tracker, lambda *args: chain_tracker(
+                    *args, **chain_kwargs)):
                 with pytest.raises(TrackerDivergence) as info:
                     tracker(log, CAL_A, CAL_W)
-            caught.append(info.value)
+                caught.append(info.value)
         step, chain = caught
         want = at - 1
         if stage == "stance":
@@ -369,6 +340,7 @@ class TestSingleStep:
             message = "covariance lost positive semidefiniteness (min diag -1)"
         for exc in (step, chain):
             assert exc.diagnostic.sample_index == want
+            assert exc.diagnostic.stage == stage
             assert exc.diagnostic.message == message
             assert exc.trajectory.t.size == want
         assert (step.diagnostic.covariance_condition
@@ -376,6 +348,64 @@ class TestSingleStep:
         np.testing.assert_array_equal(step.trajectory.p, chain.trajectory.p)
         np.testing.assert_array_equal(step.trajectory.q_nb,
                                       chain.trajectory.q_nb)
+
+    def test_failure_the_replay_does_not_repeat_is_reported_unstaged(
+            self, short_walk, monkeypatch):
+        # A failure on the 300th update call only: the replay calls the
+        # update again and passes, so the diagnostic gives the step's
+        # own failure and names no stage.
+        _, log = short_walk
+        real_update = tracker_module.update
+        calls = {"n": 0}
+
+        def once(*args):
+            calls["n"] += 1
+            if calls["n"] == 300:
+                raise FilterDivergenceError("synthetic one-off")
+            return real_update(*args)
+
+        monkeypatch.setattr(tracker_module, "update", once)
+        with pytest.raises(TrackerDivergence) as info:
+            run_tracker(log, CAL_A, CAL_W)
+        diagnostic = info.value.diagnostic
+        assert (diagnostic.sample_index, diagnostic.stage) == (299, None)
+        assert diagnostic.message == "synthetic one-off"
+        assert str(info.value).startswith(
+            "filter diverged at sample 299: synthetic one-off")
+
+    def test_negative_variance_repaired_within_the_step_passes(
+            self, short_walk, monkeypatch):
+        # The step is checked once, at its end: a negative variance that
+        # predict leaves and the IMU update of the same sample repairs
+        # is no error to the tracker, while the chain, which checks
+        # after every stage, stops at predict.
+        _, log = short_walk
+        clean = run_tracker(log, CAL_A, CAL_W)
+        key = stage_inputs(log, CAL_A, CAL_W, "predict")[299]
+        real_predict, real_update = ekf_module.predict, tracker_module.update
+        held = {}
+
+        def predict(x, p_mat, *rest):
+            x1, p1 = real_predict(x, p_mat, *rest)
+            if np.array_equal(x, key):
+                held["p"], p1 = p1, p1.copy()
+                p1[0, 0] = -1.0
+            return x1, p1
+
+        def update(x, p_mat, *rest):
+            if "p" in held and p_mat[0, 0] == -1.0:
+                p_mat = held["p"]
+            return real_update(x, p_mat, *rest)
+
+        monkeypatch.setattr(tracker_module, "predict", predict)
+        monkeypatch.setattr(tracker_module, "update", update)
+        traj = run_tracker(log, CAL_A, CAL_W)
+        np.testing.assert_array_equal(traj.p, clean.p)
+        np.testing.assert_array_equal(traj.q_nb, clean.q_nb)
+        with pytest.raises(TrackerDivergence) as info:
+            chain_tracker(log, CAL_A, CAL_W, predict=predict)
+        assert info.value.diagnostic.sample_index == 299
+        assert info.value.diagnostic.stage == "predict"
 
     def test_divergence_in_track_exits_three_with_partial_output(
             self, short_walk, monkeypatch, tmp_path, capsys):
@@ -385,36 +415,51 @@ class TestSingleStep:
         write_config(tmp_path / "config.json", PipelineConfig(
             filter=default_filter_config(FS), stance=default_stance_config(FS),
             calibration_paths={"accel": "cal.json", "gyro": "cal.json"}))
+        # The written log reads back to the same arrays, so the state
+        # the stance update receives on its 40th call is the same.
         want = int(np.flatnonzero(run_tracker(log, CAL_A, CAL_W).stance)[39])
-        inject_fault(monkeypatch, "stance", "indefinite", 40)
+        inject_fault(monkeypatch, "stance", "indefinite",
+                     stage_inputs(log, CAL_A, CAL_W, "stance")[39])
         code = main(["track", "--log", str(tmp_path / "walk.csv"),
                      "--cal", str(tmp_path / "cal.json"),
                      "--config", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "traj.csv")])
         assert code == 3
-        assert f"diverged at sample {want} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"diverged at sample {want} in the stance stage: " in err
+        assert "not positive definite (dpotrf info 1)" in err
         assert read_trajectory(tmp_path / "traj.csv").t.size == want
 
     def test_check_and_identity_counts(self, short_walk, monkeypatch):
-        # Per sample: one covariance check after predict, one after the
-        # IMU update and one after each stance update; the identity is a
-        # module constant, so numpy builds none during a run.
+        # Per sample: exactly one covariance check, at the end of the
+        # step, and one LAPACK call (dposv) per update; no separate
+        # factor and solve.  The identity is a module constant, so numpy
+        # builds none during a run.
+        from scipy.linalg import lapack
+
         _, log = short_walk
-        counts = {"check": 0, "eye": 0}
+        counts = {"check": 0, "eye": 0, "dposv": 0, "dpotrf": 0, "dpotrs": 0}
         real_check, real_eye = ekf_module._check_covariance, np.eye
 
-        def check(p_mat):
-            counts["check"] += 1
-            return real_check(p_mat)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
 
-        def eye(*args, **kwargs):
-            counts["eye"] += 1
-            return real_eye(*args, **kwargs)
-
-        monkeypatch.setattr(ekf_module, "_check_covariance", check)
-        monkeypatch.setattr(np, "eye", eye)
+        for module in (ekf_module, tracker_module):
+            monkeypatch.setattr(module, "_check_covariance",
+                                counted("check", real_check))
+        monkeypatch.setattr(np, "eye", counted("eye", real_eye))
+        for name in ("dposv", "dpotrf", "dpotrs"):
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        # Bind BLAS and LAPACK afresh, from the counted routines.
+        monkeypatch.setattr(ekf_module, "_ddot", None)
+        monkeypatch.setattr(ekf_module, "_dposv", None)
         traj = run_tracker(log, CAL_A, CAL_W)
-        assert counts["check"] == 2 * traj.t.size + int(traj.stance.sum())
+        assert counts["check"] == traj.t.size
+        assert counts["dposv"] == traj.t.size + int(traj.stance.sum())
+        assert counts["dpotrf"] == counts["dpotrs"] == 0
         assert counts["eye"] == 0
 
 
