@@ -27,6 +27,8 @@ __all__ = [
     "extract_coefficients",
 ]
 
+# Shortest series `allan_deviation` takes.  `extract_coefficients` needs
+# three decades of tau, and so 1,000 times `_MIN_CLUSTERS` samples.
 MIN_SAMPLES = 1000
 
 # Fewest clusters per curve point; limits the largest tau to a ninth of
@@ -217,8 +219,11 @@ def extract_coefficients(curve: AllanCurve) -> NoiseCoefficients:
         raise ValueError("curve has too few points to classify slopes")
     span = taus[-1] / taus[0]
     if span < 1e3:
+        # Rounded down, so a span just short of three never reads 3.00.
+        decades = np.floor(100.0 * np.log10(span)) / 100.0
         raise ValueError(
-            f"curve spans {np.log10(span):.2f} decades of tau, need 3"
+            f"curve spans {decades:.2f} decades of tau, need 3: a record "
+            f"of at least {_MIN_CLUSTERS * 1000} samples"
         )
     positive = adev > 0
     if not np.any(positive):

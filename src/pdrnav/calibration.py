@@ -22,9 +22,9 @@ A magnitude-only fit cannot see a rotation applied to the sensor triad
 lower-triangular with a positive diagonal.  ``canonical_gain`` maps an
 arbitrary gain to that representative for comparisons.
 
-Gyroscope calibration is a datasheet pass-through: the gain is the ADC
-scale factor, the coarse bias is left at zero and the residual is
-estimated online by the tracking filter.
+The gyroscope keeps its datasheet gain, the ADC scale factor.  A still
+gyro reads its bias, so ``pdrnav calibrate`` writes the mean still count
+as the bias, and the tracking filter estimates the residual online.
 """
 
 from __future__ import annotations

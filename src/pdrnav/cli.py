@@ -64,7 +64,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError(f"no .csv still logs found in {args.stills!r}")
     stills = []
-    lsb_gyro = None
+    first = None
     gyro_stds = []
     for name in names:
         log = read_log(os.path.join(args.stills, name))
@@ -73,15 +73,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 f"{name}: {log.t.size} samples, a still capture needs at "
                 f"least {MIN_STILL_SAMPLES}"
             )
-        if lsb_gyro is None:
-            lsb_gyro = log.lsb_gyro
-        elif log.lsb_gyro != lsb_gyro:
-            raise ValueError(
-                f"{name}: gyro scale {log.lsb_gyro:g} differs from "
-                f"{names[0]}'s {lsb_gyro:g}; captures must share one sensor"
-            )
+        # The fit runs in counts, so every capture must share the scales.
+        scales = {"accel": log.lsb_accel, "gyro": log.lsb_gyro}
+        first = first or scales
+        for sensor, lsb in scales.items():
+            if lsb != first[sensor]:
+                raise ValueError(f"{name}: {sensor} scale {lsb:g} differs "
+                                 f"from {names[0]}'s {first[sensor]:g}; "
+                                 f"captures must share one sensor")
         stills.append((log.accel, log.gyro))
         gyro_stds.append(log.gyro.std(axis=0, ddof=1).mean())
+    lsb_gyro = first["gyro"]
     batch = batch_means(stills, lsb_gyro=lsb_gyro,
                         still_gyro_limit=args.still_gyro_limit)
     accel_cal = fit_accel_calibration(batch, args.g)

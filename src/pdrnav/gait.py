@@ -403,8 +403,7 @@ _BLOCK_ROWS = 4096
 
 def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
                 gyro_cal: SensorCalibration, noise: NoiseParams,
-                seed: int = 0, *,
-                quantize: bool = True) -> tuple[np.ndarray, np.ndarray]:
+                seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Render ground truth into raw IMU counts.
 
     The specific force in the body frame is the kinematic acceleration
@@ -430,14 +429,11 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     seed : int
         Seeds the noise generator; the draw order is fixed, so equal
         seeds give bit-identical records.
-    quantize : bool
-        Round to integer counts and clip to the signed 16-bit range.
-        Disable for exact round-trip tests.
 
     Returns
     -------
-    (accel_counts, gyro_counts) : ndarray, shape (n, 3) each
-        Integer arrays when ``quantize`` is set, floats otherwise.
+    (accel_counts, gyro_counts) : int32 ndarray, shape (n, 3) each
+        Rounded to whole counts and clipped to the 16-bit ADC range.
     """
     n = truth.t.size
     g_vec = np.array([0.0, 0.0, -constants.GRAVITY])
@@ -448,9 +444,9 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
                                         (truth.a[lo:hi] - g_vec).T).T
     physical_w = np.array(truth.omega, dtype=float)
     _add_noise(physical_a, physical_w, noise, seed)
-    counts_a = _to_counts(physical_a, accel_cal, quantize)
+    counts_a = _to_counts(physical_a, accel_cal)
     del physical_a
-    return counts_a, _to_counts(physical_w, gyro_cal, quantize)
+    return counts_a, _to_counts(physical_w, gyro_cal)
 
 
 def _add_noise(physical_a: np.ndarray, physical_w: np.ndarray,
@@ -486,18 +482,15 @@ def _add_noise(physical_a: np.ndarray, physical_w: np.ndarray,
             rows += block
 
 
-def _to_counts(physical: np.ndarray, cal: SensorCalibration,
-               quantize: bool) -> np.ndarray:
-    """Map physical values to counts block by block: rounded and
-    clipped into a new int32 array when ``quantize`` is set, otherwise
-    written over ``physical``."""
-    counts = np.empty(physical.shape, dtype=np.int32) if quantize else physical
+def _to_counts(physical: np.ndarray, cal: SensorCalibration) -> np.ndarray:
+    """Map physical values to counts block by block, rounded and clipped
+    into a new int32 array."""
+    counts = np.empty(physical.shape, dtype=np.int32)
     for lo in range(0, physical.shape[0], _BLOCK_ROWS):
         block = physical[lo:lo + _BLOCK_ROWS] @ cal.gain.T
         block += cal.bias
-        if quantize:
-            np.rint(block, out=block)
-            np.clip(block, constants.ADC_MIN, constants.ADC_MAX, out=block)
+        np.rint(block, out=block)
+        np.clip(block, constants.ADC_MIN, constants.ADC_MAX, out=block)
         counts[lo:lo + _BLOCK_ROWS] = block
     return counts
 

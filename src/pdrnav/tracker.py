@@ -211,20 +211,23 @@ def _check_state(x: np.ndarray, p_mat: np.ndarray) -> None:
         raise FilterDivergenceError("state became non-finite")
 
 
-def _failed_stage(x, p_mat, stages):
-    """Run one sample's ``stages``, ``(name, kernel of (x, P))`` pairs in
-    step order, from the step's input pair with `_check_state` after
-    each.  Return the name of the first stage that raises or fails the
-    check, its error and the covariance it was given; None if all pass.
-    """
-    for name, stage in stages:
-        try:
-            x1, p1 = stage(x, p_mat)
-            _check_state(x1, p1)
-        except (FilterDivergenceError, ValueError) as exc:
-            return name, exc, p_mat
-        x, p_mat = x1, p1
-    return None
+def _run_stage(stage, kernel, *args):
+    """Run one stage of the filter step: its kernel on ``args``."""
+    return kernel(*args)
+
+
+class _StageFailure(Exception):
+    """A checked stage failed; args: its name, the error, its input P."""
+
+
+def _run_checked(stage, kernel, x, p_mat, *args):
+    """`_run_stage`, then `_check_state`; any failure is a `_StageFailure`."""
+    try:
+        x1, p1 = kernel(x, p_mat, *args)
+        _check_state(x1, p1)
+    except (FilterDivergenceError, ValueError) as exc:
+        raise _StageFailure(stage, exc, p_mat) from exc
+    return x1, p1
 
 
 def _check_time_steps(log: ImuLog) -> None:
@@ -346,38 +349,33 @@ def run_tracker(
     is_active = active.tolist()
     z_imu = np.hstack([f_b, w_b])
 
-    # One filter step per sample on the mean and covariance held here,
-    # checked once at its end.  The kernels return new arrays, so the
-    # step's input pair survives a failure, and the failed sample is
-    # replayed from it through the same kernels with a check after each
+    # One filter step on sample k, each stage run as ``run(stage,
+    # kernel, x, P, *args)``.  The loop runs it on the mean and
+    # covariance held here and checks once at its end.  The kernels
+    # return new arrays, so the step's input pair survives a failure,
+    # and the failed sample is replayed from it with a check after each
     # stage, to report the stage that caused the divergence.
+    def step(x, p_mat, k, run):
+        x, p_mat = run("predict", predict, x, p_mat, filter_cfg, q_diag)
+        x, p_mat = run("imu", update, x, p_mat, z_imu[k], r_diag)
+        if is_active[k]:
+            if k == 0 or not is_active[k - 1]:
+                stance.latch(x)
+            x, p_mat = run("stance", zupt_update, x, p_mat, stance, z_imu[k],
+                           factors[k])
+        return x, p_mat
+
     for k in range(n):
         x_in, p_in = x, p_mat
         try:
-            x, p_mat = predict(x, p_mat, filter_cfg, q_diag)
-            x, p_mat = update(x, p_mat, z_imu[k], r_diag)
-            if is_active[k]:
-                if k == 0 or not is_active[k - 1]:
-                    stance.latch(x)
-                x, p_mat = zupt_update(x, p_mat, stance, z_imu[k], factors[k])
+            x, p_mat = step(x, p_mat, k, _run_stage)
             _check_state(x, p_mat)
         except (FilterDivergenceError, ValueError) as exc:
-            z = z_imu[k]
-            stages = [
-                ("predict", lambda x, p: predict(x, p, filter_cfg, q_diag)),
-                ("imu", lambda x, p: update(x, p, z, r_diag)),
-            ]
-            if is_active[k]:
-                starts = k == 0 or not is_active[k - 1]
-
-                def stance_stage(x, p):
-                    if starts:
-                        stance.latch(x)
-                    return zupt_update(x, p, stance, z, factors[k])
-
-                stages.append(("stance", stance_stage))
-            stage, cause, p_given = (_failed_stage(x_in, p_in, stages)
-                                     or (None, exc, p_mat))
+            stage, cause, p_given = None, exc, p_mat
+            try:
+                step(x_in, p_in, k, _run_checked)
+            except _StageFailure as failure:
+                stage, cause, p_given = failure.args
             partial = Trajectory(
                 t=t_out[:k], p=p_out[:k], q_nb=q_out[:k],
                 sfs=scores[:k], stance=active[:k],

@@ -27,6 +27,9 @@ CHAIN_KERNELS = {"predict": ("predict", ekf.predict),
                  "imu": ("imu_update", oracles.dense_imu_update),
                  "stance": ("stance_update", oracles.dense_stance_update)}
 
+# The message of the ``"raises"`` fault.
+RAISED = "cannot normalize quaternion with norm 0"
+
 # A state that the first row of the stage's H reads, so a large negative
 # variance of it makes S's first leading minor negative (info 1).
 _FIRST_READ = {"imu": ACC_B.start, "stance": POS.start}
@@ -57,11 +60,14 @@ def faulty(kernel, stage, fault, key):
     ``"nonfinite"`` puts NaN in the covariance the kernel returns.
     ``"indefinite"`` puts -1 on that covariance's first diagonal entry
     for predict, and for an update gives the kernel a covariance whose
-    innovation covariance S is indefinite.
+    innovation covariance S is indefinite.  ``"raises"`` raises the
+    ValueError that a degenerate quaternion norm raises.
     """
     def run(x, p_mat, *rest):
         if not np.array_equal(x, key):
             return kernel(x, p_mat, *rest)
+        if fault == "raises":
+            raise ValueError(RAISED)
         if fault == "indefinite" and stage != "predict":
             p_mat = p_mat.copy()
             p_mat[_FIRST_READ[stage], _FIRST_READ[stage]] = -1e3

@@ -233,6 +233,17 @@ class TestExtractCoefficients:
         with pytest.raises(ValueError, match="decades"):
             extract_coefficients(curve)
 
+    @pytest.mark.parametrize("n, decades", [(1000, "2.04"), (8999, "2.99")])
+    def test_narrow_span_names_the_samples_it_needs(self, n, decades):
+        # 8,999 samples span 2.9996 decades: the refusal must not read
+        # 3.00 against a need of 3, and names the 9,000 samples.
+        curve = allan_deviation(white(n, 0.1, seed=14), FS)
+        with pytest.raises(ValueError) as info:
+            extract_coefficients(curve)
+        assert str(info.value) == (
+            f"curve spans {decades} decades of tau, need 3: a record of at "
+            f"least 9000 samples")
+
     def test_three_decade_span_is_accepted(self):
         curve = allan_deviation(white(9000, 0.1, seed=15), FS)
         coeffs = extract_coefficients(curve)

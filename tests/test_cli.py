@@ -208,6 +208,26 @@ class TestPipeline:
         n_true = GYRO_WHITE_SIGMA / np.sqrt(FS)
         assert abs(coeffs["random_walk"] - n_true) / n_true < 0.15
 
+    @pytest.mark.parametrize("n", [8999, 9000])
+    def test_allan_takes_the_samples_it_names(self, tmp_path, capsys, n):
+        # The shortest still log whose coefficients `allan` extracts is
+        # the one its refusal names.
+        rng = np.random.default_rng(3)
+        write_log(tmp_path / "still.csv", ImuLog(
+            t=np.arange(n) / FS, accel=np.zeros((n, 3), dtype=np.int32),
+            gyro=np.rint(rng.normal(0.0, 3.0, (n, 3))).astype(np.int32),
+            fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W,
+        ))
+        code = main(["allan", "--log", str(tmp_path / "still.csv"),
+                     "--axis", "3", "--out", str(tmp_path / "allan.csv")])
+        err = capsys.readouterr().err
+        if n < 9000:
+            assert code == 2
+            assert "spans 2.99 decades of tau, need 3: a record of at least " \
+                   "9000 samples" in err, err
+        else:
+            assert code == 0, err
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, workspace):
@@ -524,6 +544,27 @@ class TestBadCaptures:
         err = capsys.readouterr().err
         assert "still_short.csv" in err
         assert "samples" in err
+        assert not (tmp_path / "cal.json").exists()
+
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_capture_on_another_scale_exits_two(self, tmp_path, capsys,
+                                                 sensor):
+        # One capture logged at twice the full-scale range: each of its
+        # counts means twice as much, and the fit runs in counts.
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(4))
+        path = stills / "still_05.csv"
+        log = read_log(path)
+        lsb = f"lsb_{sensor}"
+        write_log(path, dataclasses.replace(
+            log, **{sensor: getattr(log, sensor) // 2,
+                    lsb: 2.0 * getattr(log, lsb)}))
+        code = self.run_quietly(["calibrate", "--stills", str(stills),
+                                 "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"still_05.csv: {sensor} scale" in err, err
         assert not (tmp_path / "cal.json").exists()
 
     @pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan",

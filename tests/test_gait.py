@@ -240,16 +240,6 @@ class TestInverseImu:
         assert np.all(counts_w == 0)
         assert np.issubdtype(counts_a.dtype, np.integer)
 
-    def test_quantize_false_returns_exact_floats(self):
-        truth = still_truth(1.0, 100.0)
-        accel_cal, gyro_cal = datasheet_cals()
-        raw_a, raw_w = inverse_imu(truth, accel_cal, gyro_cal, zero_noise(),
-                                   seed=0, quantize=False)
-        assert raw_a.dtype == np.float64
-        np.testing.assert_allclose(
-            raw_a[:, 2], constants.GRAVITY / constants.DEFAULT_LSB_ACCEL,
-            rtol=1e-12)
-
     def test_counts_stay_in_sixteen_bit_range(self):
         truth = generate_gait(straight_params(), 100.0)
         accel_cal, gyro_cal = datasheet_cals()
@@ -260,13 +250,13 @@ class TestInverseImu:
             assert counts.max() <= 32767
 
     def test_zero_noise_round_trip_strapdown(self):
-        # Decode the synthetic counts with the same calibration and dead
+        # Decode the unrounded counts with the same calibration and dead
         # reckon with an independent integrator: the walk with two turns
         # must come back to within a millimeter over ten seconds.
         truth = generate_gait(square_params(), 4000.0)
         accel_cal, gyro_cal = datasheet_cals()
-        raw_a, raw_w = inverse_imu(truth, accel_cal, gyro_cal, zero_noise(),
-                                   seed=0, quantize=False)
+        raw_a, raw_w = one_batch_inverse_imu(truth, accel_cal, gyro_cal,
+                                             zero_noise(), quantize=False)
         f_b = apply_accel_calibration(accel_cal, raw_a)
         w_b = apply_gyro_calibration(gyro_cal, raw_w)
         p_hat, v_hat, _ = strapdown_integrate(
@@ -283,8 +273,8 @@ class TestInverseImu:
         bias_rate = 0.01
         biased = scale_calibration(constants.DEFAULT_LSB_GYRO)
         biased.bias = biased.gain @ np.array([0.0, 0.0, bias_rate])
-        raw_a, raw_w = inverse_imu(truth, accel_cal, biased, zero_noise(),
-                                   seed=0, quantize=False)
+        raw_a, raw_w = one_batch_inverse_imu(truth, accel_cal, biased,
+                                             zero_noise(), quantize=False)
         f_b = apply_accel_calibration(accel_cal, raw_a)
         w_b = apply_gyro_calibration(gyro_cal, raw_w)
         np.testing.assert_allclose(w_b[:, 2], bias_rate, rtol=1e-9)
@@ -310,8 +300,8 @@ class TestInverseImu:
         truth = still_truth(60.0, fs)
         accel_cal, gyro_cal = datasheet_cals()
         noise = razor_noise(fs)
-        raw_a, _ = inverse_imu(truth, accel_cal, gyro_cal, noise, seed=5,
-                               quantize=False)
+        raw_a, _ = one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise,
+                                         seed=5, quantize=False)
         f_b = apply_accel_calibration(accel_cal, raw_a)
         measured = np.std(np.diff(f_b[:, 0])) / np.sqrt(2.0)
         expected = constants.RAZOR_ACCEL_N[0] * np.sqrt(fs)
@@ -348,15 +338,15 @@ class TestInverseImuBlocks:
     }
 
     @pytest.mark.parametrize("record", sorted(RECORDS))
-    @pytest.mark.parametrize("quantize", [True, False])
+    # The oracle's rounded path, the only one `inverse_imu` renders.
+    @pytest.mark.parametrize("quantize", [True])
     @pytest.mark.parametrize("noise", [razor_noise(100.0), zero_noise()],
                              ids=["razor", "zero"])
     def test_matches_one_batch(self, monkeypatch, record, quantize, noise):
         monkeypatch.setattr(gait, "_BLOCK_ROWS", 7)
         truth = self.RECORDS[record]()
         accel_cal, gyro_cal = self.coupled_cals()
-        got = inverse_imu(truth, accel_cal, gyro_cal, noise, seed=11,
-                          quantize=quantize)
+        got = inverse_imu(truth, accel_cal, gyro_cal, noise, seed=11)
         want = one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise,
                                      seed=11, quantize=quantize)
         for g, w in zip(got, want):

@@ -7,7 +7,9 @@ close, and turning the stance machinery off must visibly hurt.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from pdrnav.tracker import (
 )
 from pdrnav.zupt import StanceConfig, default_stance_config
 
-from faults import inject_fault, stage_inputs
+from faults import RAISED, inject_fault, stage_inputs
 from oracles import chain_tracker
 
 FS = 100.0
@@ -281,6 +283,11 @@ def _stance_variant(name):
     return cfg
 
 
+# The stance kernel's call in a clean run of ``short_walk`` that falls
+# on the first sample of a stance event (its third).
+_ONSET_CALL = 134
+
+
 class TestSingleStep:
     """`run_tracker` runs one step per sample on a mean and covariance
     it owns; it must be the chain of dense, per-call forms
@@ -307,16 +314,19 @@ class TestSingleStep:
         np.testing.assert_array_equal(step.p, chain.p)
         np.testing.assert_array_equal(step.q_nb, chain.q_nb)
 
-    @pytest.mark.parametrize("fault", ["nonfinite", "indefinite"])
+    @pytest.mark.parametrize("fault", ["nonfinite", "indefinite", "raises"])
     @pytest.mark.parametrize("stage, at", [
         ("predict", 300), ("imu", 300), ("stance", 40),
+        ("stance", _ONSET_CALL),
     ])
     def test_divergence_parity(self, short_walk, monkeypatch, stage, fault, at):
         # A fault keyed to the ``at``-th call (1-based) of the stage's
         # kernel in a clean run (a sample for predict and the IMU
         # update, a stance sample for the stance update): the tracker's
-        # one check per step sees it, and its replay names the stage,
-        # as the chain that checks after every stage does.
+        # one check per step sees it, or the kernel raises, and its
+        # replay names the stage, as the chain that checks after every
+        # stage does.  At a stance event's first sample the replay
+        # latches the event again.
         _, log = short_walk
         key = stage_inputs(log, CAL_A, CAL_W, stage)[at - 1]
         caught = []
@@ -330,11 +340,14 @@ class TestSingleStep:
         step, chain = caught
         want = at - 1
         if stage == "stance":
-            want = int(np.flatnonzero(run_tracker(log, CAL_A, CAL_W).stance)[want])
+            stance = run_tracker(log, CAL_A, CAL_W).stance
+            want = int(np.flatnonzero(stance)[want])
+            assert (not stance[want - 1]) == (at == _ONSET_CALL)
         message = {
             "nonfinite": "covariance is no longer finite",
             "indefinite": "innovation covariance not positive definite "
                           "(dpotrf info 1)",
+            "raises": RAISED,
         }[fault]
         if (stage, fault) == ("predict", "indefinite"):
             message = "covariance lost positive semidefiniteness (min diag -1)"
@@ -429,6 +442,15 @@ class TestSingleStep:
         assert f"diverged at sample {want} in the stance stage: " in err
         assert "not positive definite (dpotrf info 1)" in err
         assert read_trajectory(tmp_path / "traj.csv").t.size == want
+
+    def test_each_kernel_is_written_once(self):
+        # The loop and its divergence replay run one step function, so
+        # `run_tracker` names each stage's kernel in one place.
+        tree = ast.parse(inspect.getsource(run_tracker))
+        names = [node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)]
+        for kernel in ("predict", "update", "zupt_update"):
+            assert names.count(kernel) == 1, kernel
 
     def test_check_and_identity_counts(self, short_walk, monkeypatch):
         # Per sample: exactly one covariance check, at the end of the
