@@ -29,7 +29,7 @@ as the bias, and the tracking filter estimates the residual online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +57,9 @@ MIN_STILL_SAMPLES = 50
 
 # The fit has converged when a step lowers the cost by at most this share.
 _COST_RTOL = 1e-12
+
+# Gauss-Newton iterations the fit may take before it gives up.
+_MAX_ITER = 500
 
 
 class CalibrationError(ValueError):
@@ -116,17 +119,10 @@ class OrientationBatch:
             raise CalibrationError("means must have shape (P, 3)")
 
 
-@dataclass
-class FitInfo:
-    cost_history: list[float] = field(default_factory=list)
-    converged: bool = False
-
-
 def batch_means(
     stills: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
     *,
     lsb_gyro: float,
-    still_gyro_limit: float = STILL_RATE_LIMIT,
 ) -> OrientationBatch:
     """Average still accelerometer captures into an OrientationBatch.
 
@@ -136,10 +132,10 @@ def batch_means(
         One entry per orientation; raw counts of shape (n, 3) each, with
         n at least ``MIN_STILL_SAMPLES``.
     lsb_gyro : float
-        Gyroscope scale, rad/s per count, used for the stillness check.
-    still_gyro_limit : float
-        A segment whose median gyro magnitude exceeds this (rad/s) was
-        moving and is rejected.
+        Gyroscope scale, rad/s per count, used for the stillness check:
+        a segment whose median gyro magnitude exceeds
+        ``constants.STILL_RATE_LIMIT`` (rad/s) was moving and is
+        rejected.
     """
     means = []
     stds = []
@@ -154,10 +150,10 @@ def batch_means(
             raise CalibrationError(f"segment {idx}: {n} samples, need at "
                                    f"least {MIN_STILL_SAMPLES}")
         rate = np.median(np.linalg.norm(gyro * lsb_gyro, axis=1))
-        if rate > still_gyro_limit:
+        if rate > STILL_RATE_LIMIT:
             raise CalibrationError(
                 f"segment {idx}: median angular rate {rate:.3g} rad/s "
-                f"exceeds still limit {still_gyro_limit:g}"
+                f"exceeds still limit {STILL_RATE_LIMIT:g}"
             )
         means.append(accel.mean(axis=0))
         stds.append(accel.std(axis=0, ddof=1).mean())
@@ -344,10 +340,7 @@ def _algebraic_init(means: NDArray, g: float) -> NDArray:
 def fit_accel_calibration(
     batch: OrientationBatch,
     g: float = GRAVITY,
-    *,
-    max_iter: int = 500,
-    return_info: bool = False,
-):
+) -> SensorCalibration:
     """Fit accelerometer gain and bias from still-orientation means.
 
     Minimizes the sum over orientations of the exact squared distance
@@ -361,12 +354,10 @@ def fit_accel_calibration(
         At least 9 orientation means, reasonably spread.
     g : float
         Gravity magnitude the true specific force is assumed to have.
-    return_info : bool
-        Also return a FitInfo with the accepted cost history.
 
     Returns
     -------
-    SensorCalibration, or (SensorCalibration, FitInfo)
+    SensorCalibration
         Its ``noise_sigma`` is in m/s^2: the batch's pooled count noise
         through the fitted gain when the batch has one, else the fit's
         residual scaled back to one sample.
@@ -375,7 +366,7 @@ def fit_accel_calibration(
     ------
     CalibrationError
         Fewer than 9 orientations, g not positive and finite, or the
-        iteration budget exhausted while the cost is still moving; the
+        ``_MAX_ITER`` iterations spent while the cost is still moving; the
         error carries the last iterate and its cost.
     """
     means = batch.means
@@ -397,10 +388,9 @@ def fit_accel_calibration(
     theta = _algebraic_init(means, g)
     res, jac = evaluate(theta)
     cost = float(res @ res)
-    info = FitInfo(cost_history=[cost])
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if cost <= 1e-30:
             converged = True
             break
@@ -423,18 +413,16 @@ def fit_accel_calibration(
             converged = True
             break
         theta, res, jac = new_theta, trial_res, trial_jac
-        info.cost_history.append(new_cost)
         if abs(cost - new_cost) <= _COST_RTOL * max(new_cost, 1e-300):
             cost = new_cost
             converged = True
             break
         cost = new_cost
 
-    info.converged = converged
     gain, bias = _theta_to_gain_bias(theta)
     if not converged:
         raise CalibrationError(
-            f"calibration fit did not converge in {max_iter} iterations "
+            f"calibration fit did not converge in {_MAX_ITER} iterations "
             f"(cost {cost:.6g})",
             gain=gain,
             bias=bias,
@@ -455,8 +443,7 @@ def fit_accel_calibration(
             * np.sqrt(batch.samples_per_orientation)
             * float(np.sqrt(np.trace(np.linalg.inv(gain @ gain.T)) / 3.0))
         )
-    cal = SensorCalibration(gain=gain, bias=bias, noise_sigma=max(sigma, 1e-12))
-    return (cal, info) if return_info else cal
+    return SensorCalibration(gain=gain, bias=bias, noise_sigma=max(sigma, 1e-12))
 
 
 def apply_accel_calibration(

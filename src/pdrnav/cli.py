@@ -24,14 +24,14 @@ import sys
 
 import numpy as np
 
-from .allan import POINTS_PER_DECADE, allan_deviation, extract_coefficients
+from .allan import allan_deviation, extract_coefficients
 from .calibration import (
     MIN_STILL_SAMPLES,
     CalibrationError,
     batch_means,
     fit_accel_calibration,
 )
-from .constants import GRAVITY, STILL_RATE_LIMIT
+from .constants import GRAVITY
 from .gait import generate_gait, inverse_imu, scale_calibration
 from .io import (
     read_calibration,
@@ -84,8 +84,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         stills.append((log.accel, log.gyro))
         gyro_stds.append(log.gyro.std(axis=0, ddof=1).mean())
     lsb_gyro = first["gyro"]
-    batch = batch_means(stills, lsb_gyro=lsb_gyro,
-                        still_gyro_limit=args.still_gyro_limit)
+    batch = batch_means(stills, lsb_gyro=lsb_gyro)
     accel_cal = fit_accel_calibration(batch, args.g)
     # Gyro model is datasheet scale; a still gyro reads its bias, so the
     # bias is the mean count over every capture's samples, and the noise
@@ -129,8 +128,7 @@ def _cmd_allan(args: argparse.Namespace) -> int:
         series = log.gyro[:, args.axis - 3] * log.lsb_gyro
     # The parsed rows are four times the series; free them for the sweep.
     del log
-    curve = allan_deviation(series, fs,
-                            points_per_decade=args.points_per_decade)
+    curve = allan_deviation(series, fs)
     coeffs = extract_coefficients(curve)
     write_allan_curve(args.out, curve.taus, curve.adev)
     sidecar = os.path.splitext(args.out)[0] + "_coefficients.json"
@@ -191,8 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration JSON to write")
     p.add_argument("--g", type=_positive, default=GRAVITY,
                    help="local gravity magnitude, m/s^2 (default %(default)s)")
-    p.add_argument("--still-gyro-limit", type=_positive, default=STILL_RATE_LIMIT,
-                   help="reject captures whose median rate exceeds this, rad/s")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("track", help="run the filter over a raw log")
@@ -214,8 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="curve CSV to write; coefficients go to "
                         "<out>_coefficients.json")
-    p.add_argument("--points-per-decade", type=int, default=POINTS_PER_DECADE,
-                   help="density of the tau grid (default %(default)s)")
     p.set_defaults(func=_cmd_allan)
 
     p = sub.add_parser("simulate", help="render a synthetic walk")

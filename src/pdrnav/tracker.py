@@ -35,11 +35,9 @@ from .ekf import (
 from .zupt import (
     StanceConfig,
     StanceStack,
-    _confidence_factor,
     default_stance_config,
-    hard_series,
-    sfs_series,
     stance_intervals,
+    stance_schedule,
     zupt_update,
 )
 
@@ -60,6 +58,10 @@ __all__ = [
 # 2/fs) or a repeated one would silently shift every later position;
 # half a period flags both and lets timestamp jitter through.
 _STEP_TOLERANCE = 0.5
+
+# Leading stretch of every log, in seconds, that levels the filter: the
+# walker stands still before the first step.
+_LEVEL_SECONDS = 1.0
 
 # Rows per block when float counts are checked for whole values, so the
 # check's temporaries stay small next to a long log.
@@ -147,13 +149,6 @@ class Trajectory:
             raise ValueError("trajectory arrays must share the sample count")
         if n > 1 and not np.all(np.diff(self.t) > 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-
-
-def _empty_trajectory() -> Trajectory:
-    return Trajectory(
-        t=np.empty(0), p=np.empty((0, 3)), q_nb=np.empty((0, 4)),
-        sfs=np.empty(0), stance=np.empty(0, dtype=bool),
-    )
 
 
 @dataclass
@@ -257,18 +252,18 @@ def run_tracker(
     gyro_cal: SensorCalibration,
     filter_cfg: FilterConfig | None = None,
     stance_cfg: StanceConfig | None = None,
-    *,
-    p0=(0.0, 0.0, 0.0),
-    heading0: float = 0.0,
-    init_duration: float = 1.0,
 ) -> Trajectory:
     """Track one log from start to finish.
 
     Per sample: decode counts to physical units, propagate the filter,
-    update with the IMU measurement, evaluate the stance score, and
-    while a stance event is active inject the pseudo-measurement stack.
-    The horizontal pseudo-target is latched from the estimate at the
-    sample the event starts, after that sample's regular update.
+    update with the IMU measurement, and while a stance event is active
+    inject the pseudo-measurement stack.  The horizontal pseudo-target
+    is latched from the estimate at the sample the event starts, after
+    that sample's regular update.
+
+    The IMU alone observes neither position nor heading, so the track
+    is in its own frame: it starts at the origin with yaw 0, levelled
+    on the log's first second, over which the walker stands still.
 
     Parameters
     ----------
@@ -278,14 +273,8 @@ def run_tracker(
         Defaults to the sample-rate-matched tuning.  Its ``ts`` must be
         ``1 / log.fs``.
     stance_cfg : StanceConfig, optional
-        Defaults likewise.  Its ``mode`` selects soft score-modulated
-        updates, a hard binary detector, or no stance updates at all.
-    p0 : array_like, shape (3,)
-        Starting position.
-    heading0 : float
-        Initial yaw, radians (not observable from the IMU alone).
-    init_duration : float
-        Leading still stretch used to level the filter, seconds.
+        Defaults likewise.  `stance_schedule` turns it into the samples
+        that get a stance update and the weight of each.
 
     Returns
     -------
@@ -301,9 +290,10 @@ def run_tracker(
         is refused only if it is still so at the end of the step; a
         later stage of the same sample may repair it.
     ValueError
-        If the log is too short or not still enough to initialize, the
-        filter's ``ts`` is not the log's sample period, or a time step
-        of the log is more than half a period away from ``1 / log.fs``.
+        If the log is too short (an empty one included) or not still
+        enough to level on, the filter's ``ts`` is not the log's sample
+        period, or a time step of the log is more than half a period
+        away from ``1 / log.fs``.
     """
     if filter_cfg is None:
         filter_cfg = default_filter_config(log.fs)
@@ -317,35 +307,24 @@ def run_tracker(
     _check_time_steps(log)
 
     n = log.t.size
-    if n == 0:
-        return _empty_trajectory()
-
     f_b = apply_accel_calibration(accel_cal, np.asarray(log.accel, dtype=float))
     w_b = apply_gyro_calibration(gyro_cal, np.asarray(log.gyro, dtype=float))
 
-    scores = sfs_series(f_b, w_b, stance_cfg)
-    if stance_cfg.mode == "soft":
-        active = scores >= stance_cfg.sfs_threshold
-    elif stance_cfg.mode == "hard":
-        active = hard_series(f_b, w_b, stance_cfg)
-    else:
-        active = np.zeros(n, dtype=bool)
-
-    k_init = min(n, max(int(round(init_duration * log.fs)), 1))
-    x, p_mat = init_state(np.asarray(p0, dtype=float), heading0,
-                          f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
+    k_init = min(n, max(int(round(_LEVEL_SECONDS * log.fs)), 1))
+    x, p_mat = init_state(np.zeros(3), 0.0, f_b[:k_init], w_b[:k_init],
+                          filter_cfg, log.fs)
+    scores, active, factors = stance_schedule(f_b, w_b, stance_cfg)
 
     t_out = log.t
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))
     # Per-run constants, built here rather than held on the (mutable)
     # configs: the effective process noise, the stance stack, each
-    # sample's confidence factor and the IMU measurement vectors.
+    # sample's variance factor and the IMU measurement vectors.
     q_diag = filter_cfg.effective_q_diag()
     r_diag = filter_cfg.r_diag
     stance = StanceStack(stance_cfg, filter_cfg.g)
-    factors = (_confidence_factor(stance_cfg, scores).tolist()
-               if stance_cfg.mode == "soft" else [1.0] * n)
+    factors = factors.tolist()
     is_active = active.tolist()
     z_imu = np.hstack([f_b, w_b])
 

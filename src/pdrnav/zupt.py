@@ -36,6 +36,7 @@ the caller owns.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,7 @@ from .ekf import (
     POS,
     QUAT,
     VEL,
+    _flat_index,
     _measurement_update,
 )
 from .quat import _conj_rotate_terms, _rotate_terms
@@ -63,6 +65,7 @@ __all__ = [
     "condition_series",
     "sfs_series",
     "hard_series",
+    "stance_schedule",
     "stance_intervals",
     "StanceStack",
     "zupt_update",
@@ -133,7 +136,7 @@ class StanceConfig:
     mode : str
         ``"soft"`` (score-modulated covariance), ``"hard"`` (binary
         detector, unmodulated covariance) or ``"none"`` (no stance
-        updates at all, for ablation).
+        updates at all, for ablation); `stance_schedule` applies it.
     """
 
     accel_norm_min: float = 8.8
@@ -166,6 +169,12 @@ class StanceConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.sfs_threshold <= 1.0:
             raise ValueError("sfs_threshold must lie in (0, 1]")
+        for name in ("detect_half_width", "std_half_width"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not float(value).is_integer()):
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            setattr(self, name, int(value))
         if self.detect_half_width < 1 or self.std_half_width < 1:
             raise ValueError("window half widths must be at least 1 sample")
         if self.covariance_gain < 0:
@@ -268,6 +277,25 @@ def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
     return counts > cfg.detect_half_width / 2.0
 
 
+def stance_schedule(accel, gyro, cfg: StanceConfig):
+    """Per sample of a calibrated record: the score, whether a stance
+    update runs, and the factor on its base variances, as ``cfg.mode``
+    sets them.  ``"soft"`` updates at scores of at least
+    ``sfs_threshold`` with factor `_confidence_factor`; ``"hard"``
+    updates where `hard_series` fires and ``"none"`` nowhere, both with
+    factor 1.
+    """
+    scores = sfs_series(accel, gyro, cfg)
+    if cfg.mode == "soft":
+        return (scores, scores >= cfg.sfs_threshold,
+                _confidence_factor(cfg, scores))
+    if cfg.mode == "hard":
+        active = hard_series(accel, gyro, cfg)
+    else:
+        active = np.zeros(scores.size, dtype=bool)
+    return scores, active, np.ones(scores.size)
+
+
 def stance_intervals(active) -> list[tuple[int, int]]:
     """Maximal runs of True as half-open (start, stop) index pairs."""
     active = np.asarray(active, dtype=bool)
@@ -302,10 +330,10 @@ _LINEAR_STANCE_ROWS = _linear_stance_rows()
 # bias by QUAT.
 _STANCE_SOURCE = np.r_[0:9, 0:4, 16:25]
 _STANCE_INDEX = np.array(
-    [r * DIM + c for r in range(9, 12) for c in range(9, 13)]
-    + [r * DIM + c for r in range(9, 12) for c in range(13, 16)]
-    + [_NORM_ROW * DIM + c for c in range(13, 16)]
-    + [r * DIM + c for r in range(16, 19) for c in range(9, 13)]
+    _flat_index(range(9, 12), range(9, 13))
+    + _flat_index(range(9, 12), range(13, 16))
+    + _flat_index((_NORM_ROW,), range(13, 16))
+    + _flat_index(range(16, 19), range(9, 13))
 )
 
 

@@ -701,8 +701,7 @@ def checked(x, p_mat):
 
 def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
                   *, predict=ekf.predict, imu_update=dense_imu_update,
-                  stance_update=dense_stance_update,
-                  p0=(0.0, 0.0, 0.0), heading0=0.0, init_duration=1.0):
+                  stance_update=dense_stance_update):
     """`pdrnav.tracker.run_tracker` as a chain of per-call steps:
     ``predict`` (called like `pdrnav.ekf.predict`, with the effective
     process noise formed per call), ``imu_update`` (called like
@@ -713,7 +712,8 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
     `checked` before the next stage runs, so a divergence is reported
     at the first stage that raises or fails the check, with the
     condition of the covariance that stage was given, as the tracker
-    reports it.
+    reports it.  The track starts at the origin with yaw 0, levelled on
+    the log's first second.
     """
     if filter_cfg is None:
         filter_cfg = ekf.default_filter_config(log.fs)
@@ -729,9 +729,9 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
         active = zupt.hard_series(f_b, w_b, stance_cfg)
     else:
         active = np.zeros(n, dtype=bool)
-    k_init = min(n, max(int(round(init_duration * log.fs)), 1))
-    x, p_mat = ekf.init_state(np.asarray(p0, dtype=float), heading0,
-                              f_b[:k_init], w_b[:k_init], filter_cfg, log.fs)
+    k_init = min(n, max(int(round(log.fs)), 1))
+    x, p_mat = ekf.init_state(np.zeros(3), 0.0, f_b[:k_init], w_b[:k_init],
+                              filter_cfg, log.fs)
 
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))

@@ -381,8 +381,7 @@ class TestExitCodes:
         traj = read_trajectory(out)  # partial trajectory still lands on disk
         assert traj.t.size == 0
 
-    def test_eval_of_empty_trajectory_exits_two(self, workspace, tmp_path,
-                                                capsys):
+    def test_track_of_empty_log_exits_two(self, workspace, tmp_path, capsys):
         ws, _ = workspace
         header = (ws / "walk.csv").read_text().splitlines()[0]
         empty_log = tmp_path / "empty.csv"
@@ -391,7 +390,16 @@ class TestExitCodes:
         assert main(["track", "--log", str(empty_log),
                      "--cal", str(ws / "cal.json"),
                      "--config", str(ws / "config.json"),
-                     "--out", str(traj)]) == 0
+                     "--out", str(traj)]) == 2
+        assert "still period spans 0.00 s" in capsys.readouterr().err
+        assert not traj.exists()
+
+    def test_eval_of_empty_trajectory_exits_two(self, workspace, tmp_path,
+                                                capsys):
+        ws, _ = workspace
+        header = (ws / "traj.csv").read_text().splitlines()[0]
+        traj = tmp_path / "empty_traj.csv"
+        traj.write_text(header + "\n")
         assert read_trajectory(traj).t.size == 0
         code = main(["eval", "--traj", str(traj),
                      "--truth", str(ws / "truth.csv"),
@@ -430,6 +438,29 @@ class TestExitCodes:
             main(["allan", "--log", str(ws / "still_long.csv"),
                   "--axis", "9", "--out", "a.csv"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("calibrate", "--still-gyro-limit"),
+        ("allan", "--points-per-decade"),
+    ])
+    def test_retired_flags_exit_two(self, workspace, tmp_path, capsys,
+                                    command, flag):
+        # The still limit is `constants.STILL_RATE_LIMIT` and the tau
+        # grid density the library default; neither is a flag.
+        ws, _ = workspace
+        out = tmp_path / "out.csv"
+        if command == "calibrate":
+            argv = ["calibrate", "--stills", str(ws / "stills")]
+        else:
+            argv = ["allan", "--log", str(ws / "still_long.csv"), "--axis", "3"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(out), flag, "10"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert flag not in capsys.readouterr().out
 
 
 # Every scalar and array field of every JSON document the CLI reads, as

@@ -136,13 +136,17 @@ class TestLogType:
 
 
 class TestRunTracker:
-    def test_zero_length_log_gives_empty_trajectory(self):
-        log = ImuLog(t=np.empty(0), accel=np.empty((0, 3)),
-                     gyro=np.empty((0, 3)), fs=FS,
-                     lsb_accel=LSB_A, lsb_gyro=LSB_W)
-        traj = run_tracker(log, CAL_A, CAL_W)
-        assert traj.t.size == 0
-        assert traj.p.shape == (0, 3)
+    def test_zero_length_log_is_refused(self):
+        # Refused as a log of 1 to 49 samples is: there is no half
+        # second of stillness to level on.
+        log = make_log(still_truth(1.0, FS), seed=1)
+        for n in (0, 1, 49):
+            short = ImuLog(t=log.t[:n], accel=log.accel[:n],
+                           gyro=log.gyro[:n], fs=FS,
+                           lsb_accel=LSB_A, lsb_gyro=LSB_W)
+            with pytest.raises(ValueError, match=(
+                    rf"still period spans {n / FS:.2f} s, need at least 0\.5 s")):
+                run_tracker(short, CAL_A, CAL_W)
 
     def test_still_minute_stays_within_five_centimeters(self):
         truth = still_truth(60.0, FS)
@@ -451,6 +455,20 @@ class TestSingleStep:
                  if isinstance(node, ast.Name)]
         for kernel in ("predict", "update", "zupt_update"):
             assert names.count(kernel) == 1, kernel
+
+    def test_stance_policy_stays_in_zupt(self):
+        # `zupt.stance_schedule` decides which samples get a stance
+        # update and how hard each pulls; the tracker reads none of the
+        # policy's settings and imports none of its parts.
+        tree = ast.parse(inspect.getsource(tracker_module))
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert not attrs & {"mode", "sfs_threshold", "covariance_gain"}
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & {"sfs_series", "hard_series", "_confidence_factor"}
 
     def test_check_and_identity_counts(self, short_walk, monkeypatch):
         # Per sample: exactly one covariance check, at the end of the

@@ -245,6 +245,42 @@ class TestHardDetector:
             assert hard_detector(accel, gyro, cfg, k) == bool(series[k])
 
 
+class TestStanceSchedule:
+    """Each mode's policy: the score in every mode; soft updates at or
+    above the threshold with the confidence factor, hard updates where
+    the binary detector fires with factor 1, none never."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard", "none"])
+    def test_matches_the_detectors(self, mode):
+        accel, gyro = noisy_signals(150, seed=23, accel_noise=0.05,
+                                    gyro_noise=0.01)
+        rough_a, rough_w = noisy_signals(150, seed=24, accel_noise=8.0,
+                                         gyro_noise=2.0)
+        accel = np.vstack([accel, rough_a, accel])
+        gyro = np.vstack([gyro, rough_w, gyro])
+        cfg = zupt.StanceConfig(mode=mode)
+        scores, active, factors = zupt.stance_schedule(accel, gyro, cfg)
+
+        want_scores = zupt.sfs_series(accel, gyro, cfg)
+        # Scores of 0, 1 and between, so the soft factors vary.
+        assert want_scores.min() == 0.0 and want_scores.max() == 1.0
+        assert ((want_scores > 0.0) & (want_scores < 1.0)).any()
+        if mode == "soft":
+            want_active = want_scores >= cfg.sfs_threshold
+            want_factors = zupt._confidence_factor(cfg, want_scores)
+        elif mode == "hard":
+            want_active = zupt.hard_series(accel, gyro, cfg)
+            want_factors = np.ones(450)
+        else:
+            want_active = np.zeros(450, dtype=bool)
+            want_factors = np.ones(450)
+        np.testing.assert_array_equal(scores, want_scores)
+        assert active.dtype == bool
+        np.testing.assert_array_equal(active, want_active)
+        np.testing.assert_array_equal(factors, want_factors)
+        assert mode == "none" or (active.any() and not active.all())
+
+
 class TestIntervals:
     def test_hand_mask(self):
         mask = [False, True, True, False, True]
@@ -586,17 +622,28 @@ class TestStanceConfig:
             zupt.StanceConfig(pseudo_variances=np.ones(21))
 
     @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
-    @pytest.mark.parametrize("value", [6.9, "6", True])
+    @pytest.mark.parametrize("value", [6.9, 6.5, "6", True])
     def test_half_widths_must_be_whole_numbers(self, key, value):
+        # Refused when read and when constructed: 6.5 would otherwise
+        # reach the score's window indices and fail there.
         d = to_doc(zupt.StanceConfig())
         d[key] = value
         with pytest.raises(ValueError, match=key):
             from_doc(d)
+        with pytest.raises(ValueError, match=key):
+            zupt.StanceConfig(**{key: value})
 
     def test_half_widths_accept_whole_floats(self):
         d = to_doc(zupt.StanceConfig())
         d["detect_half_width"] = 6.0
         assert from_doc(d).detect_half_width == 6
+        cfg = zupt.StanceConfig(detect_half_width=6.0, std_half_width=3.0)
+        assert type(cfg.detect_half_width) is int and cfg.detect_half_width == 6
+        assert type(cfg.std_half_width) is int and cfg.std_half_width == 3
+        accel, gyro = noisy_signals(40, seed=5)
+        np.testing.assert_array_equal(
+            zupt.sfs_series(accel, gyro, cfg),
+            zupt.sfs_series(accel, gyro, zupt.StanceConfig()))
 
 
 class TestStanceStack:
