@@ -64,6 +64,12 @@ after each, so a divergence is still reported at the stage that caused
 it.  The update uses the Joseph product form
 (I - K H) P (I - K H)^T + K R K^T, whose result is symmetric to
 rounding.
+
+The kernels form every matrix product with ``ndarray.dot`` and the
+tests' dense oracles with ``@``.  Both call the same BLAS routine on
+the same operands in the same order, so the tests hold the kernels to
+the oracles bit for bit; ``.dot`` only skips the matmul ufunc's
+dispatch.
 """
 
 from __future__ import annotations
@@ -164,9 +170,13 @@ class FilterConfig:
         self.q_diag = np.asarray(self.q_diag, dtype=float)
         self.r_diag = np.asarray(self.r_diag, dtype=float)
         for name, size in (("q_diag", DIM), ("r_diag", MEAS_DIM)):
-            shape = getattr(self, name).shape
-            if shape != (size,):
-                raise ValueError(f"{name} must be {size} numbers, got shape {shape}")
+            value = getattr(self, name)
+            if value.shape != (size,):
+                raise ValueError(f"{name} must be {size} numbers, "
+                                 f"got shape {value.shape}")
+            # NaN and infinities pass the sign checks below.
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if not (self.ts > 0 and np.isfinite(self.ts)):
             raise ValueError("ts must be a positive time step")
         if not (self.g > 0 and np.isfinite(self.g)):
@@ -392,8 +402,11 @@ def predict(x, p_mat, cfg: FilterConfig, q_diag):
     x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
-    # of F's top rows alone sums in another order.
-    p1 = jac @ p_mat @ jac.T
+    # of F's top rows alone sums in another order.  Here and in
+    # `_measurement_update` the products are ``ndarray.dot``: the same
+    # BLAS routine as ``@``, so the same bits, with about 0.5 us less
+    # dispatch per 25 x 25 product.
+    p1 = jac.dot(p_mat).dot(jac.T)
     p1.ravel()[:: DIM + 1] += q_diag
     return x1, 0.5 * (p1 + p1.T)
 
@@ -444,13 +457,14 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
     form keeps it symmetric to rounding, and the next `predict`
     symmetrises it) nor checked (see `_check_covariance`); S is checked
     in `_innovation_gain`."""
-    hp = jac @ p_mat
-    s_mat = hp @ jac.T
+    hp = jac.dot(p_mat)
+    s_mat = hp.dot(jac.T)
     s_mat.ravel()[:: len(nu) + 1] += r_diag
     gain = _innovation_gain(s_mat, hp)  # (25, m)
-    x1 = x + gain @ nu
-    ikh = _IDENTITY - gain @ jac
-    p1 = ikh @ p_mat @ ikh.T + (gain * r_diag) @ gain.T
+    x1 = x + gain.dot(nu)
+    ikh = _IDENTITY - gain.dot(jac)
+    p1 = ikh.dot(p_mat).dot(ikh.T)
+    p1 += (gain * r_diag).dot(gain.T)
     x1[QUAT] = quat_normalize(x1[QUAT])
     return x1, p1
 

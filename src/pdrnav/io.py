@@ -26,10 +26,12 @@ file in chunks, skips those lines and, after them, blank lines and
 ``#`` comments itself, and parses each row into one record of the
 format's row dtype: a log row is a float64 time and six int32 counts,
 32 bytes.  A parse error names the file and the file line of the
-refused row.  Writers format `_BLOCK_ROWS` rows at a time
-into a sibling temporary file and move it onto the target only once the
-whole file is written, so a refused or failed write leaves no partial
-file under the target name, and an existing target keeps its bytes.
+refused row, and so does the refusal of a NaN or an infinity in a
+trajectory or truth file, which evaluation would otherwise score.
+Writers format `_BLOCK_ROWS` rows at a time into a sibling temporary
+file and move it onto the target only once the whole file is written,
+so a refused or failed write leaves no partial file under the target
+name, and an existing target keeps its bytes.
 The log writer keeps the counts integers: it texts each distinct count
 of a block once, gathers the texts into rows beside the time column's
 `repr`, and refuses a count outside the 16-bit ADC range rather than
@@ -136,6 +138,16 @@ def _is_body_start(line: str) -> bool:
 _LOADTXT_ROW = re.compile(r" at row (\d+)")
 
 
+def _data_lines(fh, head: int):
+    """The file line (1-based) and text of each line loadtxt parses as
+    a data row: the first data row, index ``head``, then the lines not
+    empty once ``#`` comments go."""
+    lines = islice(enumerate(fh, 1), head, None)
+    first = next(lines)
+    return chain([first], ((n, text) for n, text in lines
+                           if text.split("#", 1)[0].rstrip("\n")))
+
+
 def _refused_line(path, row: np.dtype, reported: int,
                   head: int) -> int | None:
     """File line (1-based) of the data row that loadtxt refused, given
@@ -143,13 +155,8 @@ def _refused_line(path, row: np.dtype, reported: int,
     the first of the two rows the index can name that fails to parse
     alone, or None if neither does."""
     with open(path) as fh:
-        # The first data row, then the lines loadtxt parses: those not
-        # empty once ``#`` comments go.
-        lines = islice(enumerate(fh, 1), head, None)
-        first = next(lines)
-        rows = chain([first], ((n, text) for n, text in lines
-                               if text.split("#", 1)[0].rstrip("\n")))
-        for number, text in islice(rows, max(reported - 1, 0), reported + 1):
+        for number, text in islice(_data_lines(fh, head),
+                                   max(reported - 1, 0), reported + 1):
             try:
                 np.loadtxt([text], dtype=row, delimiter=",", ndmin=1)
             except ValueError:
@@ -192,6 +199,22 @@ def _read_rows(path, row: np.dtype, label: str, head: int | None) -> np.ndarray:
         if number:
             message, where = _LOADTXT_ROW.sub("", message, 1), f", line {number}"
         raise ValueError(f"{label} {path}{where}: {message}") from None
+
+
+def _read_finite_rows(path, row: np.dtype, label: str) -> np.ndarray:
+    """`_read_rows` for an all-float64 ``row``, refusing a NaN or an
+    infinity with the file line of the first row that holds one:
+    loadtxt parses ``nan`` and ``inf``, which evaluation would score."""
+    head = _scan_head(path)[1]
+    rows = _read_rows(path, row, label, head)
+    values = rows.view(np.float64).reshape(rows.size, rows.itemsize // 8)
+    if np.isfinite(values).all():
+        return rows
+    index = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+    bad = values[index][~np.isfinite(values[index])][0]
+    with open(path) as fh:
+        number = next(islice(_data_lines(fh, head), index, None))[0]
+    raise ValueError(f"{label} {path}, line {number}: value {bad} is not finite")
 
 
 def _count_texts(block: np.ndarray, path) -> list:
@@ -287,7 +310,7 @@ def read_truth(path) -> GroundTruth:
     The sidecar stores the kinematics evaluation needs; acceleration
     and angular rate are not part of the format and come back as zeros.
     """
-    rows = _read_rows(path, _TRUTH_ROW, "truth", _scan_head(path)[1])
+    rows = _read_finite_rows(path, _TRUTH_ROW, "truth")
     n = rows.size
     t = rows["t"]
     fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
@@ -315,7 +338,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
-    rows = _read_rows(path, _TRAJ_ROW, "trajectory", _scan_head(path)[1])
+    rows = _read_finite_rows(path, _TRAJ_ROW, "trajectory")
     return Trajectory(
         t=rows["t"],
         p=rows["p"],
@@ -435,9 +458,14 @@ def _read_json(path):
 
 def write_json(path, doc) -> None:
     """Write a JSON document with a trailing newline; dataclasses and
-    arrays inside ``doc`` are written as `_to_doc` gives them."""
+    arrays inside ``doc`` are written as `_to_doc` gives them.  A NaN or
+    an infinity is refused, as standard JSON has no text for it, and no
+    file is left."""
     with _replacing(path) as fh:
-        json.dump(_to_doc(doc), fh, indent=2)
+        try:
+            json.dump(_to_doc(doc), fh, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"JSON {path}: {exc}") from None
         fh.write("\n")
 
 

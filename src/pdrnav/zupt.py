@@ -162,6 +162,13 @@ class StanceConfig:
         if self.pseudo_variances.shape != (N_PSEUDO,):
             raise ValueError(f"pseudo_variances must be {N_PSEUDO} numbers, "
                              f"got shape {self.pseudo_variances.shape}")
+        # Some range checks below let NaN or an infinity through, and
+        # the filter would report either only as a divergence.
+        for name in ("accel_norm_min", "accel_norm_max", "accel_std_max",
+                     "gyro_norm_max", "gyro_std_max", "sfs_threshold",
+                     "covariance_gain", "pseudo_variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not self.accel_norm_min < self.accel_norm_max:
             raise ValueError("accel_norm_min must be below accel_norm_max")
         for name in ("accel_std_max", "gyro_norm_max", "gyro_std_max"):

@@ -408,6 +408,34 @@ class TestExitCodes:
         assert "empty trajectory" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("name, row, value", [
+        ("traj.csv", 100, "nan"), ("traj.csv", -1, "inf"),
+        ("truth.csv", 100, "nan"),
+    ])
+    def test_eval_of_non_finite_rows_exits_two(self, workspace, tmp_path,
+                                               capsys, name, row, value):
+        # ``nan`` and ``inf`` parse as floats; row 100 is no checkpoint,
+        # so a NaN there would go unseen, and an infinite last row would
+        # write ``Infinity`` into the report.
+        ws, _ = workspace
+        lines = (ws / name).read_text().splitlines(keepends=True)
+        number = row + 2 if row >= 0 else len(lines)
+        fields = lines[number - 1].split(",")
+        fields[1] = value
+        lines[number - 1] = ",".join(fields)
+        bad = tmp_path / name
+        bad.write_text("".join(lines))
+        inputs = {"traj.csv": ws / "traj.csv", "truth.csv": ws / "truth.csv"}
+        inputs[name] = bad
+        out = tmp_path / "report.json"
+        code = main(["eval", "--traj", str(inputs["traj.csv"]),
+                     "--truth", str(inputs["truth.csv"]),
+                     "--ttd", "42", "--out", str(out)])
+        assert code == 2
+        assert (f"{bad}, line {number}: value {value} is not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
     def test_non_finite_flag_exits_two(self, workspace, tmp_path, capsys,

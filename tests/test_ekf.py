@@ -218,9 +218,17 @@ class TestProcessJacobian:
             rows = chain_rule_quaternion_rows(x, cfg.ts)
             assert np.max(np.abs(process_jacobian(x, cfg)[QUAT] - rows)) <= 1e-12
 
-    def test_predict_pushes_covariance_through_it(self, cfg):
-        rng = np.random.default_rng(34)
+    @pytest.mark.parametrize("seed, still", [
+        (34, False), (35, False), (37, False), (38, True), (39, True),
+    ], ids=["seed34", "seed35", "seed37", "seed38-series", "seed39-series"])
+    def test_predict_pushes_covariance_through_it(self, cfg, seed, still):
+        # Bit for bit against the ``@`` products, on both branches of
+        # the quaternion exponential (``still``: the series branch).
+        rng = np.random.default_rng(seed)
         x, p_mat = random_nav_state(rng), random_covariance(rng)
+        if still:
+            x[OMEGA] *= 1e-7
+            assert np.linalg.norm(0.5 * cfg.ts * x[OMEGA]) < 1e-8
         jac = process_jacobian(x, cfg)
         want = jac @ p_mat @ jac.T + np.diag(cfg.effective_q_diag())
         x1, p1 = predict(x, p_mat, cfg, cfg.effective_q_diag())
@@ -285,6 +293,15 @@ class TestFilterConfig:
     def test_gravity_must_be_positive_and_finite(self, g):
         with pytest.raises(ValueError, match="g must be positive"):
             FilterConfig(g=g)
+
+    @pytest.mark.parametrize("key", ["q_diag", "r_diag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_noise_variances_must_be_finite(self, key, value):
+        # NaN passes the sign checks, and so does +inf.
+        noise = getattr(FilterConfig(), key).copy()
+        noise[2] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            FilterConfig(**{key: noise})
 
 
 class TestPredict:

@@ -185,6 +185,15 @@ class TestRowWriters:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_json_is_refused(self, tmp_path, value):
+        # JSON has no text for these; ``Infinity`` and ``NaN`` are
+        # Python's extensions, which this package's readers refuse.
+        path = tmp_path / "doc.json"
+        with pytest.raises(ValueError, match=f"JSON {re.escape(str(path))}"):
+            write_json(path, {"a": 1.0, "b": np.array([0.5, value])})
+        assert list(tmp_path.iterdir()) == []
+
     def test_truth(self, tmp_path):
         rng = np.random.default_rng(61)
         n = self.N

@@ -456,6 +456,15 @@ class TestSingleStep:
         for kernel in ("predict", "update", "zupt_update"):
             assert names.count(kernel) == 1, kernel
 
+    def test_step_products_skip_the_matmul_dispatch(self):
+        # The per-sample kernels form their products with ``ndarray.dot``,
+        # which runs the same BLAS routine as ``@`` without the matmul
+        # ufunc's dispatch; ``@`` stays in the oracles.
+        for kernel in (ekf_module.predict, ekf_module._measurement_update):
+            tree = ast.parse(inspect.getsource(kernel))
+            assert not any(isinstance(node, ast.MatMult)
+                           for node in ast.walk(tree)), kernel.__name__
+
     def test_stance_policy_stays_in_zupt(self):
         # `zupt.stance_schedule` decides which samples get a stance
         # update and how hard each pulls; the tracker reads none of the

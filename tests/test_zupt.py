@@ -621,6 +621,22 @@ class TestStanceConfig:
         with pytest.raises(ValueError, match="pseudo_variances must be 22"):
             zupt.StanceConfig(pseudo_variances=np.ones(21))
 
+    @pytest.mark.parametrize("key, value", [
+        ("covariance_gain", np.nan), ("covariance_gain", np.inf),
+        ("pseudo_variances", np.nan), ("pseudo_variances", np.inf),
+        ("accel_std_max", np.inf), ("gyro_norm_max", np.inf),
+        ("gyro_std_max", np.inf), ("accel_norm_max", np.inf),
+        ("accel_norm_min", -np.inf),
+    ])
+    def test_non_finite_values_are_refused(self, key, value):
+        # Each of these passes the range checks alone; a NaN or infinite
+        # weight would reach the tracker and show only as a divergence.
+        if key == "pseudo_variances":
+            value = np.where(np.arange(zupt.N_PSEUDO) == 5, value,
+                             zupt.StanceConfig().pseudo_variances)
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            zupt.StanceConfig(**{key: value})
+
     @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
     @pytest.mark.parametrize("value", [6.9, 6.5, "6", True])
     def test_half_widths_must_be_whole_numbers(self, key, value):
