@@ -79,6 +79,12 @@ class GaitParams:
             raise ValueError("path must be an (n, 2) array with n >= 2")
         if not np.all(np.isfinite(self.path)):
             raise ValueError("path contains non-finite waypoints")
+        # The range checks below let NaN and some infinities through, and
+        # the walk would render a non-finite truth or overflow its clock.
+        for name in ("step_length", "cadence", "stance_duration",
+                     "swing_peak_height", "lead_in", "tail"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.step_length <= 0.0:
             raise ValueError("step_length must be positive")
         if self.cadence <= 0.0:
@@ -208,8 +214,8 @@ class _PhaseTable(NamedTuple):
 
 def _phase_table(params: GaitParams, fs: float) -> _PhaseTable:
     """The sample clock and the phase schedule of a walk at ``fs``."""
-    if fs < 50.0:
-        raise ValueError("fs must be at least 50 Hz")
+    if not 50.0 <= fs < np.inf:
+        raise ValueError(f"fs must be finite and at least 50 Hz, got {fs}")
     lengths, cum = _arc_table(params.path)
     total_len = float(cum[-1])
     n_steps = max(int(round(total_len / params.step_length)), 1)

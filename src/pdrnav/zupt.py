@@ -2,11 +2,12 @@
 
 While the foot is on the ground the filter can be told, with high
 confidence, a batch of things it cannot otherwise observe: the position
-is frozen at the value latched when the stance began, velocity and
-acceleration are zero, the specific force is exactly the gravity
-reaction and the raw sensor readings expose the residual biases.  This
-module detects those stance windows from the calibrated IMU stream and
-assembles the pseudo-measurement stack that injects them.
+is frozen at the value latched when the stance began, velocity,
+acceleration and angular rate are zero, the specific force is exactly
+the gravity reaction and the raw accelerometer reading exposes the
+residual accel bias.  This module detects those stance windows from the
+calibrated IMU stream and assembles the pseudo-measurement stack that
+injects them.
 
 Detection is built on four per-sample condition signals:
 
@@ -25,7 +26,7 @@ The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
 so that low-confidence stance samples pull the filter gently and
 clean mid-stance samples pull it hard.
 
-A run builds one `StanceStack`: the 22-row target stack and its base
+A run builds one `StanceStack`: the 18-row target stack and its base
 variances.  Every stance update injects the whole stack.  Its
 `linearize` gives the residual and the closed-form prediction Jacobian
 from one read of the state, and `zupt_update` feeds them, with the
@@ -35,7 +36,6 @@ the caller owns.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -47,7 +47,6 @@ from .ekf import (
     ACC,
     ACC_B,
     BIAS_A,
-    BIAS_W,
     DIM,
     OMEGA,
     POS,
@@ -75,35 +74,26 @@ __all__ = [
 
 # Scalar rows of the stance pseudo-measurement stack; `StanceStack`
 # lists them.
-N_PSEUDO = 22
-
-# Row index of the gravity-norm scalar inside the stack; its
-# gradient direction a_b/|a_b| is undefined at a_b = 0, where the row's
-# Jacobian is taken as zero.
-_NORM_ROW = 12
-_NORM_EPS = 1e-6
+N_PSEUDO = 18
 
 
 def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
     """Per-row variances of the pseudo-measurement stack.
 
     The kinematic rows encode how still a stance really is (the foot
-    rolls slightly, so they are not driven to zero); the two bias groups
-    observe raw sensor samples and therefore carry the white-noise
-    variance of the sensor itself.
+    rolls slightly, so they are not driven to zero); the accel-bias rows
+    observe the raw accelerometer sample and therefore carry the
+    white-noise variance of the sensor itself.
     """
     accel_var = float(np.mean(constants.RAZOR_ACCEL_N**2) * fs)
-    gyro_var = float(np.mean(constants.RAZOR_GYRO_N**2) * fs)
     out = np.empty(N_PSEUDO)
     out[0:2] = 1e-4      # latched xy, sigma 1 cm
     out[2] = 1e-4        # height, sigma 1 cm
     out[3:6] = 1e-6      # velocity, sigma 1 mm/s
     out[6:9] = 1e-4      # acceleration
     out[9:12] = 1e-4     # gravity direction in nav coordinates
-    out[12] = 1e-4       # gravity magnitude
-    out[13:16] = 1e-8    # angular rate
-    out[16:19] = accel_var
-    out[19:22] = gyro_var
+    out[12:15] = 1e-8    # angular rate
+    out[15:18] = accel_var
     return out
 
 
@@ -131,7 +121,7 @@ class StanceConfig:
     covariance_gain : float
         Scale of the confidence modulation; the pseudo-measurement
         variances are multiplied by ``1 + gain * (1 - score)``.
-    pseudo_variances : ndarray, shape (22,)
+    pseudo_variances : ndarray, shape (18,)
         Base diagonal variances of the pseudo-measurement stack.
     mode : str
         ``"soft"`` (score-modulated covariance), ``"hard"`` (binary
@@ -193,8 +183,17 @@ class StanceConfig:
 
 
 def default_stance_config(fs: float = constants.DEFAULT_FS) -> StanceConfig:
-    """Detector defaults tuned on the synthetic gait generator."""
-    return StanceConfig(pseudo_variances=_default_pseudo_variances(fs))
+    """Detector defaults tuned on the synthetic gait generator.
+
+    The window half widths are 0.06 s and 0.03 s at ``fs``, rounded down
+    to whole samples and at least one: (6, 3) at 100 Hz, (3, 1) at
+    50 Hz and (12, 6) at 200 Hz.  A 0.15 s stance at 50 Hz is 7-8
+    samples; rounding its std half width up to 2 would let C2 hold on
+    only about 60% of them.
+    """
+    return StanceConfig(detect_half_width=max(1, int(6 * fs // 100)),
+                        std_half_width=max(1, int(3 * fs // 100)),
+                        pseudo_variances=_default_pseudo_variances(fs))
 
 
 def _window_bounds(n: int, i, half: int):
@@ -277,7 +276,9 @@ def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
     Declares stance where the windowed count of C1*C2*C3 strictly
     exceeds half the window half-width.  C4 does not participate; the
     comparison is against ``detect_half_width / 2`` exactly, so an even
-    count equal to it is not stance.
+    count equal to it is not stance.  This ``dh / 2`` rule was checked
+    only at the 100 Hz windows (6, 3); at (3, 1) its median epsilon_TTD
+    on the 300 m suite was 0.317.
     """
     c1, c2, c3, _ = condition_series(accel, gyro, cfg)
     counts = _windowed_count(c1 & c2 & c3, cfg.detect_half_width)
@@ -322,32 +323,29 @@ def _linear_stance_rows() -> NDArray[np.float64]:
     h[0:3, POS] = eye3
     h[3:6, VEL] = eye3
     h[6:9, ACC] = eye3
-    h[13:16, OMEGA] = eye3
-    h[16:19, BIAS_A] = eye3
-    h[19:22, BIAS_W] = eye3
+    h[12:15, OMEGA] = eye3
+    h[15:18, BIAS_A] = eye3
     return h
 
 
 _LINEAR_STANCE_ROWS = _linear_stance_rows()
 
-# State entries copied into the prediction stack (rows 9-12, the gravity
-# direction and norm, are overwritten), and the flat positions in the
-# prediction Jacobian of the entries `StanceStack.linearize` fills:
-# gravity direction by QUAT and by ACC_B, gravity norm by ACC_B, accel
-# bias by QUAT.
-_STANCE_SOURCE = np.r_[0:9, 0:4, 16:25]
+# State entries copied into the prediction stack (rows 9-11, the gravity
+# direction, are overwritten), and the flat positions in the prediction
+# Jacobian of the entries `StanceStack.linearize` fills: gravity
+# direction by QUAT and by ACC_B, accel bias by QUAT.
+_STANCE_SOURCE = np.r_[0:9, 0:3, 16:22]
 _STANCE_INDEX = np.array(
     _flat_index(range(9, 12), range(9, 13))
     + _flat_index(range(9, 12), range(13, 16))
-    + _flat_index((_NORM_ROW,), range(13, 16))
-    + _flat_index(range(16, 19), range(9, 13))
+    + _flat_index(range(15, 18), range(9, 13))
 )
 
 
 class StanceStack:
     """The stance pseudo-measurement stack of one run.
 
-    The stack, in row order (22 rows, all injected at every update):
+    The stack, in row order (18 rows, all injected at every update):
 
     ==================  ====  ===========================  ==================
     group               rows  target value                 state prediction
@@ -357,15 +355,17 @@ class StanceStack:
     velocity            3     0                            v
     acceleration        3     0                            a
     gravity_direction   3     (0, 0, +g)                   R(q)^T a_b
-    gravity_norm        1     g                            |a_b|
     angular_rate        3     0                            omega
     accel_bias          3     calibrated accel sample      b_a - R(q) g_vec
-    gyro_bias           3     calibrated gyro sample       b_w
     ==================  ====  ===========================  ==================
 
-    The two bias groups use the raw calibrated sample as the target: at
-    rest the sample is gravity reaction plus residual bias, so the
-    residual isolates the bias states.
+    The accel-bias rows use the raw calibrated accelerometer sample as
+    the target: at rest the sample is gravity reaction plus residual
+    bias, so the residual isolates the bias states.  The gravity-direction
+    rows target the whole vector, its length included, and no row
+    targets the gyro sample: the angular-rate rows pin omega to 0, and
+    the IMU update of the same step already measures omega + b_w against
+    that sample.
 
     Everything that does not change within a run is built once: the
     target stack, written in place (`latch` at event start, the IMU
@@ -376,7 +376,6 @@ class StanceStack:
     def __init__(self, cfg: StanceConfig, g: float):
         self.z_full = np.zeros(N_PSEUDO)
         self.z_full[11] = g
-        self.z_full[_NORM_ROW] = g
         self.g_vec = np.array([0.0, 0.0, -g])
         self.base_variances = cfg.pseudo_variances.copy()
 
@@ -386,36 +385,26 @@ class StanceStack:
 
     def linearize(self, x, imu_sample):
         """Residual ``z_p - prediction`` and prediction Jacobian H at one
-        state, (22,) and (22, 25), with the calibrated ``imu_sample``
-        (accel then gyro) as the bias targets.
+        state, (18,) and (18, 25).  Of the calibrated ``imu_sample``
+        (accel then gyro) only the accel half is read, as the accel-bias
+        target.
 
-        One read of the state; only the gravity-direction, gravity-norm
-        and accel-bias rows depend on it nonlinearly.  The gravity-norm
-        gradient ``a_b / |a_b|`` is taken as zero where ``|a_b|`` is
-        below 1e-6, where it has no direction.  The row is then zero, so
-        it cannot move the mean or the covariance whatever its variance:
-        H P has a zero row, S a zero row and column off the diagonal,
-        and the gain a zero column.
+        One read of the state; only the gravity-direction and accel-bias
+        rows depend on it nonlinearly.
         """
-        self.z_full[16:22] = imu_sample
+        self.z_full[15:18] = imu_sample[:3]
         x = np.asarray(x, dtype=float)
         qw, qx, qy, qz, fx, fy, fz = x[QUAT.start:ACC_B.stop].tolist()
         # R(q)^T a_b = quat_rotate(conj(q), a_b) and R(q) g_vec.
         nav_f, d_nav_q, d_nav_f = _conj_rotate_terms(qw, qx, qy, qz, fx, fy, fz)
         body_g, d_body_q, _ = _rotate_terms(qw, qx, qy, qz,
                                             *self.g_vec.tolist())
-        norm = math.sqrt(fx * fx + fy * fy + fz * fz)
 
         h = x[_STANCE_SOURCE]
-        h[9:13] = (*nav_f, norm)
-        h[16:19] -= body_g
+        h[9:12] = nav_f
+        h[15:18] -= body_g
 
-        values = list(d_nav_q + d_nav_f)
-        if norm >= _NORM_EPS:
-            values += (fx / norm, fy / norm, fz / norm)
-        else:
-            values += (0.0, 0.0, 0.0)
-        values += [-v for v in d_body_q]
+        values = list(d_nav_q + d_nav_f) + [-v for v in d_body_q]
         h_jac = _LINEAR_STANCE_ROWS.copy()
         h_jac.ravel()[_STANCE_INDEX] = values
         return self.z_full - h, h_jac

@@ -653,7 +653,8 @@ def build_pseudo_measurements(latched_xy, accel_sample, gyro_sample, cfg,
                               g=GRAVITY):
     """The stance stack of one sample, built afresh: a new
     `pdrnav.zupt.StanceStack` for ``cfg`` whose horizontal target is
-    ``latched_xy`` and whose bias targets are this calibrated sample.
+    ``latched_xy`` and whose accel-bias target is this calibrated
+    accel sample.
 
     Returns ``linearize``, mapping one state to the residual and the
     prediction Jacobian H of the stack.

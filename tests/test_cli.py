@@ -299,6 +299,7 @@ class TestExitCodes:
         ("filter", "q_diag", [[1e-3] * 5] * 5),
         ("filter", "r_diag", [1e-3] * 5),
         ("stance", "pseudo_variances", [1e-4] * 21),
+        ("stance", "pseudo_variances", [1e-4] * 22),
         ("filter", "g", 0.0),
         ("filter", "g", -9.80665),
         ("stance", "accel_std_max", -1.0),
@@ -309,15 +310,16 @@ class TestExitCodes:
             "stale-groups", "half-width-fraction", "half-width-string",
             "biases-string", "joseph-key", "ts-not-log-period",
             "q-diag-short", "q-diag-square", "r-diag-short",
-            "pseudo-variances-short", "g-zero", "g-negative",
-            "accel-std-max-negative", "gyro-norm-max-zero",
-            "gyro-std-max-zero", "sfs-threshold-zero"])
+            "pseudo-variances-short", "pseudo-variances-22-row-stack",
+            "g-zero", "g-negative", "accel-std-max-negative",
+            "gyro-norm-max-zero", "gyro-std-max-zero", "sfs-threshold-zero"])
     def test_bad_config_value_exits_two(self, workspace, tmp_path, capsys,
                                         section, key, value):
         # Each case must be refused with a message naming the key.  The
         # stance section has no pseudo_groups key since the stack was
         # fixed, so a config that still carries one, whatever its value,
-        # is refused.  The log is 100 Hz, so ts 0.005 s does not match.
+        # is refused, and so is one written for the 22-row stack.  The
+        # log is 100 Hz, so ts 0.005 s does not match.
         ws, _ = workspace
         doc = json.loads((ws / "config.json").read_text())
         doc[section][key] = value
@@ -376,10 +378,13 @@ class TestExitCodes:
                      "--config", str(bad), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "diverged at sample" in err
+        failed = re.search(r"diverged at sample (\d+)", err)
+        assert failed is not None
         assert "condition" in err
-        traj = read_trajectory(out)  # partial trajectory still lands on disk
-        assert traj.t.size == 0
+        # The partial trajectory lands on disk, every sample before the
+        # failed one.
+        traj = read_trajectory(out)
+        assert traj.t.size == int(failed.group(1))
 
     def test_track_of_empty_log_exits_two(self, workspace, tmp_path, capsys):
         ws, _ = workspace

@@ -442,6 +442,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="fs"):
             generate_gait(straight_params(), 40.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["step_length", "cadence",
+                                      "stance_duration", "swing_peak_height",
+                                      "lead_in", "tail", "fs"])
+    def test_non_finite_values_are_refused(self, name, value):
+        # Each is refused by name, not rendered into a non-finite truth
+        # or left to overflow the sample clock.
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            if name == "fs":
+                generate_gait(straight_params(), value)
+            else:
+                params = dict(step_length=1.0, cadence=2.0,
+                              path=[[0, 0], [5, 0]])
+                params[name] = value
+                generate_gait(GaitParams(**params), 100.0)
+
     def test_still_truth_validation(self):
         with pytest.raises(ValueError, match="duration"):
             still_truth(0.0, 100.0)

@@ -46,7 +46,12 @@ from pdrnav.tracker import (
     evaluate_trajectory,
     run_tracker,
 )
-from pdrnav.zupt import StanceConfig, default_stance_config
+from pdrnav.zupt import (
+    StanceConfig,
+    default_stance_config,
+    event_f1,
+    stance_intervals,
+)
 
 from faults import RAISED, inject_fault, stage_inputs
 from oracles import chain_tracker
@@ -64,17 +69,17 @@ CADENCE = 1.5
 
 
 def make_log(truth, seed):
-    counts_a, counts_w = inverse_imu(truth, CAL_A, CAL_W, razor_noise(FS),
-                                     seed=seed)
-    return ImuLog(t=truth.t, accel=counts_a, gyro=counts_w, fs=FS,
+    counts_a, counts_w = inverse_imu(truth, CAL_A, CAL_W,
+                                     razor_noise(truth.fs), seed=seed)
+    return ImuLog(t=truth.t, accel=counts_a, gyro=counts_w, fs=truth.fs,
                   lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
 
-def closed_square(side, seed):
+def closed_square(side, seed, fs=FS):
     path = [[0.0, 0.0], [side, 0.0], [side, side], [0.0, side], [0.0, 0.0]]
     params = GaitParams(step_length=STEP, cadence=CADENCE, path=path,
                         seed=seed)
-    return generate_gait(params, FS)
+    return generate_gait(params, fs)
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +231,11 @@ class TestRunTracker:
         with pytest.raises(TrackerDivergence) as info:
             run_tracker(log, CAL_A, CAL_W, filter_cfg=bad)
         exc = info.value
-        assert exc.diagnostic.sample_index == 0
+        # The trajectory keeps every sample before the failed one.
+        assert exc.diagnostic.sample_index < log.t.size
+        assert exc.trajectory.t.size == exc.diagnostic.sample_index
         assert exc.diagnostic.covariance_condition > 0.0
         assert exc.diagnostic.message
-        assert exc.trajectory.t.size == 0
 
     def test_divergence_midway_keeps_processed_samples(self, short_walk,
                                                        monkeypatch):
@@ -567,6 +573,31 @@ class TestAblation:
                 traj = run_tracker(log, CAL_A, CAL_W, filter_cfg=fcfg)
                 errs[estimate].append(epsilon_ttd(traj, truth.path_length))
         assert np.median(errs[False]) > np.median(errs[True])
+
+
+class TestSampleRates:
+    """The default tracker at rates other than 100 Hz.  The detector
+    windows are sized in seconds, so a 0.15 s stance spans the same part
+    of them at 50 Hz and at 200 Hz as at 100 Hz."""
+
+    @pytest.mark.parametrize("fs, windows", [(50.0, (3, 1)), (100.0, (6, 3)),
+                                             (200.0, (12, 6))])
+    def test_windows_follow_the_rate(self, fs, windows):
+        cfg = default_stance_config(fs)
+        assert (cfg.detect_half_width, cfg.std_half_width) == windows
+
+    @pytest.mark.parametrize("fs", [50.0, 200.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_square_walk_finds_every_stance_and_closes(self, fs, seed):
+        # 80 m square; the event tolerance is 0.05 s, 5 samples at
+        # 100 Hz as in criterion 6.
+        truth = closed_square(20.0, seed=seed, fs=fs)
+        traj = run_tracker(make_log(truth, seed=seed), CAL_A, CAL_W)
+        report = event_f1(stance_intervals(traj.stance),
+                          stance_intervals(truth.stance),
+                          tolerance=round(0.05 * fs))
+        assert report["f1"] == 1.0
+        assert epsilon_ttd(traj, truth.path_length) <= 0.02
 
 
 class TestEpsilonTtd:
