@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._fields import check_fields
 from .constants import GRAVITY, STILL_RATE_LIMIT
 
 __all__ = [
@@ -90,15 +91,12 @@ class SensorCalibration:
     noise_sigma: float
 
     def __post_init__(self):
-        self.gain = np.asarray(self.gain, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
+        check_fields(self)
         if self.gain.size != 9 or self.bias.size != 3:
             raise CalibrationError(
                 "gain must be 9 numbers row-major and bias 3 numbers")
         self.gain = self.gain.reshape(3, 3)
         self.bias = self.bias.reshape(3)
-        if not (np.all(np.isfinite(self.gain)) and np.all(np.isfinite(self.bias))):
-            raise CalibrationError("calibration parameters must be finite")
         if abs(np.linalg.det(self.gain)) < 1e-12:
             raise CalibrationError("gain matrix is singular")
         if not self.noise_sigma > 0:

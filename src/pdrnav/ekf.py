@@ -81,6 +81,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import constants
+from ._fields import check_fields
 from .quat import (
     _DEGENERATE_NORM,
     _conj_rotate_terms,
@@ -167,26 +168,18 @@ class FilterConfig:
     estimate_biases: bool = True
 
     def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float)
-        self.r_diag = np.asarray(self.r_diag, dtype=float)
+        check_fields(self)
         for name, size in (("q_diag", DIM), ("r_diag", MEAS_DIM)):
             value = getattr(self, name)
             if value.shape != (size,):
                 raise ValueError(f"{name} must be {size} numbers, "
                                  f"got shape {value.shape}")
-            # NaN and infinities pass the sign checks below.
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
-        if not (self.ts > 0 and np.isfinite(self.ts)):
+        if not self.ts > 0:
             raise ValueError("ts must be a positive time step")
-        if not (self.g > 0 and np.isfinite(self.g)):
-            raise ValueError(f"g must be positive and finite, got {self.g!r}")
+        if not self.g > 0:
+            raise ValueError(f"g must be positive, got {self.g!r}")
         if np.any(self.q_diag < 0) or np.any(self.r_diag <= 0):
             raise ValueError("q_diag must be >= 0 and r_diag > 0")
-        if not isinstance(self.estimate_biases, (bool, np.bool_)):
-            raise ValueError("estimate_biases must be true or false, "
-                             f"got {self.estimate_biases!r}")
-        self.estimate_biases = bool(self.estimate_biases)
 
     def effective_q_diag(self) -> NDArray[np.float64]:
         q = self.q_diag.copy()

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants
+from ._fields import check_fields
 from .calibration import SensorCalibration
 from .quat import quat_from_rpy, quat_rotate
 
@@ -74,17 +75,9 @@ class GaitParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.path = np.asarray(self.path, dtype=float)
+        check_fields(self)
         if self.path.ndim != 2 or self.path.shape[1] != 2 or self.path.shape[0] < 2:
             raise ValueError("path must be an (n, 2) array with n >= 2")
-        if not np.all(np.isfinite(self.path)):
-            raise ValueError("path contains non-finite waypoints")
-        # The range checks below let NaN and some infinities through, and
-        # the walk would render a non-finite truth or overflow its clock.
-        for name in ("step_length", "cadence", "stance_duration",
-                     "swing_peak_height", "lead_in", "tail"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.step_length <= 0.0:
             raise ValueError("step_length must be positive")
         if self.cadence <= 0.0:
@@ -98,6 +91,8 @@ class GaitParams:
             raise ValueError("swing_peak_height must be non-negative")
         if self.lead_in < 0.0 or self.tail < 0.0:
             raise ValueError("lead_in and tail must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         seg_lengths = np.linalg.norm(np.diff(self.path, axis=0), axis=1)
         short = np.flatnonzero(seg_lengths < self.step_length)
         if short.size:
@@ -337,28 +332,26 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
 
 
 def still_truth(duration: float, fs: float = constants.DEFAULT_FS,
-                position: tuple[float, float, float] = (0.0, 0.0, 0.0),
                 yaw: float = 0.0) -> GroundTruth:
-    """Ground truth for a sensor sitting still.
+    """Ground truth for a sensor sitting still at the origin.
 
     Handy for calibration captures, Allan records, and drift checks.
     Only ``t`` is a real array: ``p``, ``v``, ``a``, ``q_nb``, ``omega``
     and ``stance`` are read-only broadcast views of one row each, so a
     million-sample record costs its time column alone.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    if fs <= 0.0:
-        raise ValueError("fs must be positive")
+    if not (duration > 0.0 and np.isfinite(duration)):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    if not (fs > 0.0 and np.isfinite(fs)):
+        raise ValueError(f"fs must be positive and finite, got {fs}")
     n = int(round(duration * fs)) + 1
-    position = np.array(position, dtype=float)
     q_nb = quat_from_rpy(0.0, 0.0, yaw)
     zeros = np.broadcast_to(0.0, (n, 3))
     return GroundTruth(
-        t=np.arange(n) / fs, p=np.broadcast_to(position, (n, 3)), v=zeros,
+        t=np.arange(n) / fs, p=zeros, v=zeros,
         a=zeros, q_nb=np.broadcast_to(q_nb, (n, 4)), omega=zeros,
         stance=np.broadcast_to(True, (n,)), fs=fs,
-        footfalls=position[None, :2].copy(), path_length=0.0,
+        footfalls=np.zeros((1, 2)), path_length=0.0,
     )
 
 
@@ -378,9 +371,10 @@ class NoiseParams:
     gyro_walk_sigma: np.ndarray
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in (f.name for f in fields(self)):
-            value = np.asarray(getattr(self, name), dtype=float) * np.ones(3)
-            if value.shape != (3,) or np.any(value < 0.0) or not np.all(np.isfinite(value)):
+            value = getattr(self, name) * np.ones(3)
+            if value.shape != (3,) or np.any(value < 0.0):
                 raise ValueError(f"{name} must be non-negative and broadcast to shape (3,)")
             setattr(self, name, value)
 

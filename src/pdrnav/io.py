@@ -12,10 +12,9 @@ Every JSON document goes through one codec: `_to_doc` writes a
 dataclass as an object with one key per field, in field order, arrays
 as lists; `_from_doc` reads it back.  Readers are strict.  A missing key
 is an error and so is an unknown one; silently defaulted configuration
-is how two runs quietly diverge.  Each value must match its field's
-annotation (a finite number, a whole number, a boolean, a string, a
-list of finite numbers), and an error names the key; shapes and ranges
-are the classes' own checks.
+is how two runs quietly diverge.  What each field admits is stated
+once, in `_fields`, and the classes check it when constructed, so a
+file and a Python caller get the same refusal.
 
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
@@ -42,17 +41,15 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
-import math
 import os
 import re
-import typing
 from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
 
+from ._fields import _decode, _field_types, check_fields
 from .calibration import SensorCalibration
 from .ekf import FilterConfig
 from .gait import GaitParams, GroundTruth, NoiseParams
@@ -283,14 +280,12 @@ def read_log(path) -> ImuLog:
             raise ValueError(f"log {path}: header field {key}="
                              f"{fields[key]!r} is not a number") from None
     counts = rows["counts"]
-    return ImuLog(
-        t=rows["t"],
-        accel=counts[:, :3],
-        gyro=counts[:, 3:],
-        fs=fields["fs"],
-        lsb_accel=fields["lsb_a"],
-        lsb_gyro=fields["lsb_w"],
-    )
+    try:
+        return ImuLog(t=rows["t"], accel=counts[:, :3], gyro=counts[:, 3:],
+                      fs=fields["fs"], lsb_accel=fields["lsb_a"],
+                      lsb_gyro=fields["lsb_w"])
+    except ValueError as exc:
+        raise ValueError(f"log {path}: {exc}") from None
 
 
 _TRUTH_HEADER = "# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance"
@@ -368,71 +363,18 @@ def _to_doc(obj):
     return obj
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _is_numbers(value) -> bool:
-    if isinstance(value, list):
-        return all(map(_is_numbers, value))
-    return _is_number(value)
-
-
-# Per annotated field type: what a JSON value must be, the test, and the
-# conversion to the field's value.
-_JSON_TYPES = {
-    float: ("a finite number", _is_number, float),
-    int: ("a whole number",
-          lambda v: _is_number(v) and float(v).is_integer(), int),
-    bool: ("true or false", lambda v: isinstance(v, bool), bool),
-    str: ("a string", lambda v: isinstance(v, str), str),
-    np.ndarray: ("a finite number or an evenly nested list of them",
-                 _is_numbers, lambda v: np.asarray(v, dtype=float)),
-}
-
-
-@functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
-def _decode(tp, value, where: str):
-    """``value`` checked against the annotated type ``tp`` and converted;
-    ``where`` names it in the error."""
-    if dataclasses.is_dataclass(tp):
-        return _from_doc(tp, value, where)
-    kind = typing.get_origin(tp) or tp
-    if kind is dict:
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be a JSON object, got {value!r}")
-        item = typing.get_args(tp)[1]
-        return {key: _decode(item, v, f"{where} entry {key!r}")
-                for key, v in value.items()}
-    what, valid, convert = _JSON_TYPES[kind]
-    try:
-        if valid(value):
-            return convert(value)
-    except ValueError:  # a ragged list
-        pass
-    raise ValueError(f"{where} must be {what}, got {value!r}")
-
-
 def _from_doc(cls, doc, label: str):
     """The dataclass ``cls`` from a JSON object with exactly its fields.
 
-    Each value must match its field's annotation (see `_JSON_TYPES`);
-    shapes and ranges are checked by the class itself, and its error
-    is prefixed with ``label``.
+    Values go to the class as they are, except that a field holding a
+    dataclass is read from its own object first; the class checks each
+    value (see `_fields`), and its error is prefixed with ``label``.
     """
     names = [f.name for f in dataclasses.fields(cls)]
     _require_keys(doc, set(names), label)
     types = _field_types(cls)
-    values = {name: _decode(types[name], doc[name], f"{label} key {name!r}")
-              for name in names}
+    values = {n: _from_doc(types[n], doc[n], f"{label} key {n!r}")
+              if dataclasses.is_dataclass(types[n]) else doc[n] for n in names}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -497,10 +439,9 @@ class PipelineConfig:
     calibration_paths: dict[str, str]
 
     def __post_init__(self) -> None:
+        check_fields(self)
         _require_keys(self.calibration_paths, {"accel", "gyro"},
                       "calibration_paths")
-        self.calibration_paths = {
-            key: os.fspath(path) for key, path in self.calibration_paths.items()}
 
 
 def write_config(path, config: PipelineConfig) -> None:

@@ -36,13 +36,13 @@ the caller owns.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import constants
+from ._fields import check_fields
 from .ekf import (
     ACC,
     ACC_B,
@@ -148,17 +148,10 @@ class StanceConfig:
     mode: str = "soft"
 
     def __post_init__(self):
-        self.pseudo_variances = np.asarray(self.pseudo_variances, dtype=float)
+        check_fields(self)
         if self.pseudo_variances.shape != (N_PSEUDO,):
             raise ValueError(f"pseudo_variances must be {N_PSEUDO} numbers, "
                              f"got shape {self.pseudo_variances.shape}")
-        # Some range checks below let NaN or an infinity through, and
-        # the filter would report either only as a divergence.
-        for name in ("accel_norm_min", "accel_norm_max", "accel_std_max",
-                     "gyro_norm_max", "gyro_std_max", "sfs_threshold",
-                     "covariance_gain", "pseudo_variances"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
         if not self.accel_norm_min < self.accel_norm_max:
             raise ValueError("accel_norm_min must be below accel_norm_max")
         for name in ("accel_std_max", "gyro_norm_max", "gyro_std_max"):
@@ -166,12 +159,6 @@ class StanceConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.sfs_threshold <= 1.0:
             raise ValueError("sfs_threshold must lie in (0, 1]")
-        for name in ("detect_half_width", "std_half_width"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not float(value).is_integer()):
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            setattr(self, name, int(value))
         if self.detect_half_width < 1 or self.std_half_width < 1:
             raise ValueError("window half widths must be at least 1 sample")
         if self.covariance_gain < 0:

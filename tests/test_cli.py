@@ -7,12 +7,15 @@ monkeypatching work; the console entry point is the same function.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 import typing
 import warnings
 from pathlib import Path
@@ -26,9 +29,11 @@ from pdrnav.allan import allan_deviation
 from pdrnav.calibration import SensorCalibration, canonical_gain
 from pdrnav.cli import main
 from pdrnav.ekf import FilterConfig, default_filter_config
-from pdrnav.gait import GaitParams, NoiseParams, razor_noise
+from pdrnav.gait import GaitParams, NoiseParams, razor_noise, scale_calibration
 from pdrnav.io import (
     PipelineConfig,
+    _from_doc,
+    _to_doc,
     read_calibration,
     read_log,
     read_trajectory,
@@ -501,17 +506,18 @@ class TestExitCodes:
 # section, so a field added later is covered without editing this list,
 # and the top-level numbers of gait.json.  Nested dataclass fields (the
 # config's filter and stance) are covered through their own sections.
+_SECTIONS = [
+    ("config.json", "filter", FilterConfig),
+    ("config.json", "stance", StanceConfig),
+    ("config.json", None, PipelineConfig),
+    ("cal.json", "accel", SensorCalibration),
+    ("cal.json", "gyro", SensorCalibration),
+    ("gait.json", "gait", GaitParams),
+    ("gait.json", "noise", NoiseParams),
+]
 _FIELDS = [
     (file, section, name, tp)
-    for file, section, cls in [
-        ("config.json", "filter", FilterConfig),
-        ("config.json", "stance", StanceConfig),
-        ("config.json", None, PipelineConfig),
-        ("cal.json", "accel", SensorCalibration),
-        ("cal.json", "gyro", SensorCalibration),
-        ("gait.json", "gait", GaitParams),
-        ("gait.json", "noise", NoiseParams),
-    ]
+    for file, section, cls in _SECTIONS
     for name, tp in typing.get_type_hints(cls).items()
     if not dataclasses.is_dataclass(tp)
 ] + [("gait.json", None, name, float) for name in ("fs", "lsb_accel", "lsb_gyro")]
@@ -582,6 +588,74 @@ class TestMalformedValues:
             assert code == 2, (value, err)
             assert f"'{name}'" in err, (value, err)
             assert not out.exists(), value
+
+
+# A valid instance of each config class, in the order of `_SECTIONS`.
+_CONFIG_CLASSES = list(dict.fromkeys(cls for _, _, cls in _SECTIONS))
+_VALID = {
+    FilterConfig: lambda: default_filter_config(FS),
+    StanceConfig: lambda: default_stance_config(FS),
+    PipelineConfig: lambda: PipelineConfig(
+        filter=default_filter_config(FS), stance=default_stance_config(FS),
+        calibration_paths={"accel": "cal.json", "gyro": "cal.json"}),
+    SensorCalibration: lambda: scale_calibration(LSB_A),
+    GaitParams: lambda: GaitParams(step_length=1.0, cadence=1.5,
+                                   path=[[0.0, 0.0], [5.0, 0.0]], seed=3),
+    NoiseParams: lambda: razor_noise(FS),
+}
+_CLASS_FIELDS = [(cls, name, tp) for cls in _CONFIG_CLASSES
+                 for name, tp in typing.get_type_hints(cls).items()
+                 if not dataclasses.is_dataclass(tp)]
+
+
+class TestMalformedFieldsInPython:
+    """The Python twin of `TestMalformedValues`: each config class,
+    constructed with each wrong value, raises a `ValueError` naming the
+    field, and the JSON reader refuses the same value with the same
+    message under its section label."""
+
+    @pytest.mark.parametrize(
+        "cls, name, tp", _CLASS_FIELDS,
+        ids=[f"{cls.__name__}-{name}" for cls, name, _ in _CLASS_FIELDS])
+    def test_wrong_type_raises(self, cls, name, tp):
+        valid = _VALID[cls]()
+        for value in _wrong_values(tp, _to_doc(getattr(valid, name))):
+            with pytest.raises(ValueError, match=f"'{name}'") as python:
+                dataclasses.replace(valid, **{name: value})
+            doc = _to_doc(valid)
+            doc[name] = value
+            with pytest.raises(ValueError) as json_doc:
+                _from_doc(cls, doc, "section")
+            assert str(json_doc.value) == f"section: {python.value}", value
+
+    def test_field_rule_is_stated_once(self):
+        # Each class checks its annotated fields through `check_fields`
+        # before anything else, and tests no type or finiteness itself.
+        for cls in _CONFIG_CLASSES:
+            source = textwrap.dedent(inspect.getsource(cls.__post_init__))
+            tree = ast.parse(source)
+            assert ast.unparse(tree.body[0].body[0]) == "check_fields(self)", cls
+            names = {node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+            assert not names & {"isfinite", "numbers", "Real", "bool",
+                                "bool_", "isinstance", "is_integer",
+                                "asarray"}, cls
+
+    def test_negative_seed_is_refused(self, workspace, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"\bseed\b"):
+            dataclasses.replace(_VALID[GaitParams](), seed=-1)
+        ws, _ = workspace
+        doc = json.loads((ws / "gait.json").read_text())
+        doc["gait"]["seed"] = -1
+        (tmp_path / "gait.json").write_text(json.dumps(doc))
+        out = tmp_path / "walk.csv"
+        code = main(["simulate", "--params", str(tmp_path / "gait.json"),
+                     "--out", str(out), "--truth", str(tmp_path / "truth.csv")])
+        assert code == 2
+        assert "gait section: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBadCaptures:
@@ -666,6 +740,7 @@ class TestBadCaptures:
         code = self.run_quietly(argv)
         assert code == 2
         err = capsys.readouterr().err
+        assert f"log {log}: " in err, err
         assert re.search(rf"\b{field}\b", err), err
         assert "finite" in err, err
         assert not out.exists()

@@ -291,7 +291,8 @@ class TestFilterConfig:
 
     @pytest.mark.parametrize("g", [0.0, -GRAVITY, np.nan, np.inf])
     def test_gravity_must_be_positive_and_finite(self, g):
-        with pytest.raises(ValueError, match="g must be positive"):
+        rule = "g must be positive" if np.isfinite(g) else "'g' must be a finite number"
+        with pytest.raises(ValueError, match=rf"{rule}, got {g!r}$"):
             FilterConfig(g=g)
 
     @pytest.mark.parametrize("key", ["q_diag", "r_diag"])
@@ -300,7 +301,8 @@ class TestFilterConfig:
         # NaN passes the sign checks, and so does +inf.
         noise = getattr(FilterConfig(), key).copy()
         noise[2] = value
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
+        with pytest.raises(ValueError, match=rf"(?s)'{key}' must be a finite "
+                                             rf"number.*,\s*{value!r},"):
             FilterConfig(**{key: noise})
 
 

@@ -464,6 +464,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="fs"):
             still_truth(5.0, -1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["duration", "fs"])
+    def test_still_truth_refuses_non_finite(self, name, value):
+        # Refused by name, not left to the sample count's conversion.
+        args = {"duration": 5.0, "fs": 100.0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be positive "
+                                             rf"and finite, got {value!r}$"):
+            still_truth(**args)
+
     def test_noise_params_validation(self):
         with pytest.raises(ValueError, match="accel_sigma"):
             NoiseParams(-1.0, 0.0, 0.0, 0.0)

@@ -53,7 +53,7 @@ def still_log():
 
 
 def test_still_truth_holds_its_time_column():
-    truth, peak = traced_peak(still_truth, (N - 1) / FS, FS, (1.0, 2.0, 0.0), 0.4)
+    truth, peak = traced_peak(still_truth, (N - 1) / FS, FS, 0.4)
     assert truth.p.shape == truth.omega.shape == (N, 3)
     assert truth.q_nb.shape == (N, 4) and truth.stance.shape == (N,)
     # The time column and its integer ramp make 0.67x; the six constant

@@ -608,10 +608,13 @@ class TestStanceConfig:
     def test_non_finite_values_are_refused(self, key, value):
         # Each of these passes the range checks alone; a NaN or infinite
         # weight would reach the tracker and show only as a divergence.
+        got = rf"got {value!r}$"
         if key == "pseudo_variances":
+            got = rf"got array\(.*,\s*{value!r},"
             value = np.where(np.arange(zupt.N_PSEUDO) == 5, value,
                              zupt.StanceConfig().pseudo_variances)
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
+        with pytest.raises(ValueError,
+                           match=rf"(?s)'{key}' must be a finite number.*{got}"):
             zupt.StanceConfig(**{key: value})
 
     @pytest.mark.parametrize("key", ["detect_half_width", "std_half_width"])
