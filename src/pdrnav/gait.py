@@ -247,6 +247,10 @@ def _phase_table(params: GaitParams, fs: float) -> _PhaseTable:
         payload.append((footfalls[k + 1], headings[k + 1]))
         clock += params.stance_duration
     total_t = clock + params.tail
+    if not np.isfinite(total_t * fs):
+        raise ValueError(
+            f"lead_in ({params.lead_in}) and tail ({params.tail}) make the "
+            f"walk {total_t} s long, too long to count its samples at {fs} Hz")
 
     n = int(round(total_t * fs)) + 1
     t = np.arange(n) / fs
@@ -344,6 +348,9 @@ def still_truth(duration: float, fs: float = constants.DEFAULT_FS,
         raise ValueError(f"duration must be positive and finite, got {duration}")
     if not (fs > 0.0 and np.isfinite(fs)):
         raise ValueError(f"fs must be positive and finite, got {fs}")
+    if not np.isfinite(duration * fs):
+        raise ValueError(f"duration {duration} s is too long to count its "
+                         f"samples at {fs} Hz")
     n = int(round(duration * fs)) + 1
     q_nb = quat_from_rpy(0.0, 0.0, yaw)
     zeros = np.broadcast_to(0.0, (n, 3))
@@ -373,10 +380,13 @@ class NoiseParams:
     def __post_init__(self) -> None:
         check_fields(self)
         for name in (f.name for f in fields(self)):
-            value = getattr(self, name) * np.ones(3)
-            if value.shape != (3,) or np.any(value < 0.0):
-                raise ValueError(f"{name} must be non-negative and broadcast to shape (3,)")
-            setattr(self, name, value)
+            value = getattr(self, name)
+            if value.shape not in ((), (1,), (3,)):
+                raise ValueError(f"{name} must broadcast to shape (3,), got "
+                                 f"shape {value.shape}")
+            if np.any(value < 0.0):
+                raise ValueError(f"{name} must be non-negative")
+            setattr(self, name, value * np.ones(3))
 
 
 def razor_noise(fs: float = constants.DEFAULT_FS) -> NoiseParams:

@@ -35,6 +35,16 @@ The log writer keeps the counts integers: it texts each distinct count
 of a block once, gathers the texts into rows beside the time column's
 `repr`, and refuses a count outside the 16-bit ADC range rather than
 writing it.
+
+The float writers (truth, trajectory, Allan curve) text each column of
+a block by runs of equal float64 bits: a planted foot holds position
+and zero velocity for its whole stance and a straight leg one attitude,
+so a walk's truth has a third to a fifth as many runs as values.
+Each run is texted once and repeated.  Runs, not distinct values: a run
+costs one comparison per value, where sorting each column for its
+distinct values would slow the trajectory, whose values hardly repeat.
+A NaN or an infinity is refused as the readers refuse it, naming the
+file and line, and checking only the runs' values.
 """
 
 from __future__ import annotations
@@ -101,16 +111,58 @@ def _replacing(path):
         raise
 
 
-def _write_rows(fh, fmt: str, columns) -> None:
-    """Write ``fmt % row`` for every row of the side-by-side ``columns``.
+def _write_table(path, label: str, header: str, columns, flags=None) -> None:
+    """Write a headed CSV of the side-by-side float ``columns`` and, if
+    given, a last column of ``flags``: each float as ``%.17g`` gives it,
+    each flag as ``%d`` does.  ``label`` names the file in a refusal."""
+    columns = [*columns] if flags is None else [*columns, flags]
+    with _replacing(path) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.concatenate(
+                [np.atleast_2d(np.transpose(c[lo:lo + _BLOCK_ROWS]))
+                 for c in columns], dtype=np.float64)
+            cells = _column_texts(block, flags is not None,
+                                  f"{label} {path}", lo + 2)
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
 
-    ``fmt`` has one field per column: ``%.17g`` gives the same bytes as
-    `_fmt`, ``%d`` an integer-valued column (a flag) as an integer.
+
+def _column_texts(block: np.ndarray, flagged: bool, name: str,
+                  line: int) -> list:
+    """The texts of each column of a block, which are the rows of
+    ``block``, formatted run by run.
+
+    A run is a stretch of one column whose values have the same float64
+    bits, so -0.0 beside 0.0, or two NaN payloads, are two runs.  All
+    the block's runs are texted in one ``%``, each text is repeated by
+    its run's length, and a column of runs of one keeps its texts as
+    they are.  ``flagged`` texts the last column's runs with ``%d``.
+    A non-finite value is refused, with ``name`` and the file line of
+    the first row that holds one, the block's first row being ``line``.
     """
-    n = len(columns[0])
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
-        fh.writelines([fmt % tuple(row) for row in block.tolist()])
+    width, m = block.shape
+    values = block.ravel()
+    bits = values.view(np.int64)
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    new[::m] = True
+    starts = np.flatnonzero(new)
+    runs = values[starts]
+    if not np.isfinite(runs).all():
+        row = int((starts[~np.isfinite(runs)] % m).min())
+        bad = block[:, row][~np.isfinite(block[:, row])][0]
+        raise ValueError(f"{name}, line {line + row}: value {bad} is not finite")
+    firsts = np.searchsorted(starts, np.arange(width + 1) * m).tolist()
+    n_float = firsts[-2] if flagged else firsts[-1]
+    texts = ("\n".join(["%.17g"] * n_float)
+             % tuple(runs[:n_float].tolist())).split("\n")
+    texts += ["%d" % flag for flag in runs[n_float:].tolist()]
+    lengths = np.diff(starts, append=values.size)
+    return [texts[a:b] if b - a == m else
+            np.repeat(np.array(texts[a:b], dtype=object), lengths[a:b]).tolist()
+            for a, b in zip(firsts, firsts[1:])]
 
 
 # One record per CSV row; each field is one column, or with a shape,
@@ -293,10 +345,8 @@ _TRUTH_HEADER = "# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance"
 
 def write_truth(path, truth: GroundTruth) -> None:
     """Write the ground-truth sidecar: `t, p, v, q, stance` per row."""
-    with _replacing(path) as fh:
-        fh.write(_TRUTH_HEADER + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * 11) + ",%d\n",
-                    [truth.t, truth.p, truth.v, truth.q_nb, truth.stance])
+    _write_table(path, "truth", _TRUTH_HEADER,
+                 [truth.t, truth.p, truth.v, truth.q_nb], truth.stance)
 
 
 def read_truth(path) -> GroundTruth:
@@ -326,10 +376,8 @@ _TRAJ_HEADER = "# t,px,py,pz,qw,qx,qy,qz,sfs,stance"
 
 def write_trajectory(path, traj: Trajectory) -> None:
     """Write an estimated trajectory, floats at full precision."""
-    with _replacing(path) as fh:
-        fh.write(_TRAJ_HEADER + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * 9) + ",%d\n",
-                    [traj.t, traj.p, traj.q_nb, traj.sfs, traj.stance])
+    _write_table(path, "trajectory", _TRAJ_HEADER,
+                 [traj.t, traj.p, traj.q_nb, traj.sfs], traj.stance)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -345,9 +393,7 @@ def read_trajectory(path) -> Trajectory:
 
 def write_allan_curve(path, taus, adev) -> None:
     """Write an Allan deviation curve as `tau,adev` rows."""
-    with _replacing(path) as fh:
-        fh.write("# tau,adev\n")
-        _write_rows(fh, "%.17g,%.17g\n", [taus, adev])
+    _write_table(path, "Allan curve", "# tau,adev", [taus, adev])
 
 
 def _to_doc(obj):

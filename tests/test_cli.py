@@ -29,20 +29,30 @@ from pdrnav.allan import allan_deviation
 from pdrnav.calibration import SensorCalibration, canonical_gain
 from pdrnav.cli import main
 from pdrnav.ekf import FilterConfig, default_filter_config
-from pdrnav.gait import GaitParams, NoiseParams, razor_noise, scale_calibration
+from pdrnav.gait import (
+    GaitParams,
+    NoiseParams,
+    generate_gait,
+    razor_noise,
+    scale_calibration,
+)
 from pdrnav.io import (
     PipelineConfig,
     _from_doc,
     _to_doc,
     read_calibration,
+    read_config,
+    read_gait_params,
     read_log,
     read_trajectory,
     write_config,
     write_gait_params,
     write_log,
 )
-from pdrnav.tracker import ImuLog
+from pdrnav.tracker import ImuLog, run_tracker
 from pdrnav.zupt import StanceConfig, default_stance_config
+
+from oracles import per_value_trajectory_text, per_value_truth_text
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -163,6 +173,20 @@ class TestPipeline:
         log = read_log(ws / "walk.csv")
         traj = read_trajectory(ws / "traj.csv")
         assert traj.t.size == log.t.size
+
+    def test_written_files_are_the_per_value_text(self, workspace):
+        # Each float of the truth and the trajectory as one
+        # ``format(x, ".17g")`` of the array that was rendered or tracked.
+        ws, codes = workspace
+        assert codes["simulate"] == codes["track"] == 0
+        params, fs, *_ = read_gait_params(ws / "gait.json")
+        truth = generate_gait(params, fs)
+        assert (ws / "truth.csv").read_text() == per_value_truth_text(truth)
+        config = read_config(ws / "config.json")
+        traj = run_tracker(read_log(ws / "walk.csv"),
+                           *read_calibration(ws / "cal.json"),
+                           filter_cfg=config.filter, stance_cfg=config.stance)
+        assert (ws / "traj.csv").read_text() == per_value_trajectory_text(traj)
 
     def test_track_can_take_calibration_from_config(self, workspace):
         ws, _ = workspace
@@ -655,6 +679,29 @@ class TestMalformedFieldsInPython:
                      "--out", str(out), "--truth", str(tmp_path / "truth.csv")])
         assert code == 2
         assert "gait section: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, name, value, message", [
+        ("gait", "lead_in", 1e308, "lead_in (1e+308) and tail (1.0) make"),
+        ("gait", "tail", 1e308, "lead_in (1.0) and tail (1e+308) make"),
+        ("noise", "accel_sigma", [0.1, 0.2],
+         "noise section: accel_sigma must broadcast to shape (3,)")])
+    def test_scenario_out_of_range_exits_two(self, workspace, tmp_path,
+                                             capsys, section, name, value,
+                                             message):
+        # A walk too long to count its samples, and a noise level for
+        # two axes: refused by name, not by a traceback or numpy's own
+        # broadcast message.
+        ws, _ = workspace
+        doc = json.loads((ws / "gait.json").read_text())
+        doc[section][name] = value
+        (tmp_path / "gait.json").write_text(json.dumps(doc))
+        out = tmp_path / "walk.csv"
+        code = main(["simulate", "--params", str(tmp_path / "gait.json"),
+                     "--out", str(out), "--truth", str(tmp_path / "truth.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pdrnav simulate: {message}"), err
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ round-tripping through an independent strapdown integrator.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -472,6 +473,30 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{name} must be positive "
                                              rf"and finite, got {value!r}$"):
             still_truth(**args)
+
+    @pytest.mark.parametrize("name", ["lead_in", "tail", "duration"])
+    def test_a_clock_too_long_to_count_is_refused(self, name):
+        # Finite, but its sample count overflows a float: refused by
+        # name before any array of that length is sized.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"\b{name}\b.* too long"):
+                if name == "duration":
+                    still_truth(1e308, 100.0)
+                else:
+                    generate_gait(GaitParams(step_length=1.0, cadence=2.0,
+                                             path=[[0, 0], [5, 0]],
+                                             **{name: 1e308}), 100.0)
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("value", [[0.1, 0.2], [[0.1, 0.2, 0.3]],
+                                       np.zeros((3, 3))])
+    def test_noise_of_the_wrong_shape_is_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=r"^accel_sigma must broadcast "
+                                             r"to shape \(3,\), got shape"):
+            NoiseParams(value, 0.0, 0.0, 0.0)
 
     def test_noise_params_validation(self):
         with pytest.raises(ValueError, match="accel_sigma"):

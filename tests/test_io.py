@@ -8,6 +8,7 @@ how two runs quietly disagree.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import warnings
@@ -29,6 +30,7 @@ from pdrnav.gait import (
     inverse_imu,
     razor_noise,
     scale_calibration,
+    still_truth,
 )
 from pdrnav.io import (
     _BLOCK_ROWS,
@@ -222,6 +224,195 @@ class TestRowWriters:
         write_allan_curve(tmp_path / "allan.csv", taus, adev)
         self.assert_text(tmp_path / "allan.csv",
                          per_value_allan_text(taus, adev))
+
+
+class TestRunFormatting:
+    """The float writers text each run of equal bits once; these pin the
+    runs' edges to the per-value oracles."""
+
+    @staticmethod
+    def truth(p, v, q_nb, stance):
+        n = len(stance)
+        return GroundTruth(t=np.arange(n) / FS, p=p, v=v, a=np.zeros((n, 3)),
+                           q_nb=q_nb, omega=np.zeros((n, 3)), stance=stance,
+                           fs=FS)
+
+    def assert_truth_text(self, path, truth):
+        write_truth(path, truth)
+        TestRowWriters.assert_text(path, per_value_truth_text(truth))
+
+    def test_long_runs(self, tmp_path):
+        # Runs of a few to a few thousand rows, each column cut apart
+        # at its own rows.
+        rng = np.random.default_rng(70)
+        n = 3 * _BLOCK_ROWS + 17
+
+        def runs(width):
+            levels = rng.standard_normal((40, width))
+            return levels[np.sort(rng.integers(0, 40, n))]
+
+        truth = self.truth(runs(3), runs(3), runs(4), runs(1)[:, 0] > 0.0)
+        self.assert_truth_text(tmp_path / "truth.csv", truth)
+
+    def test_negative_zero_beside_zero_keeps_its_sign(self, tmp_path):
+        n = 8
+        column = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0, -0.0])
+        traj = Trajectory(t=np.arange(n) / FS, p=np.column_stack([column] * 3),
+                          q_nb=np.tile([1.0, -0.0, 0.0, -0.0], (n, 1)),
+                          sfs=column, stance=np.zeros(n, dtype=bool))
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj)
+        TestRowWriters.assert_text(path, per_value_trajectory_text(traj))
+        assert [row.split(",")[1] for row in path.read_text().splitlines()[1:]] \
+            == ["0", "-0", "-0", "0", "0", "-0", "1", "-0"]
+
+    def test_run_across_a_block_boundary(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        rng = np.random.default_rng(71)
+        p = rng.standard_normal((n, 3))
+        p[_BLOCK_ROWS - 10:_BLOCK_ROWS + 10] = [0.25, -0.0, 1e22]
+        p[-5:] = p[-6]
+        stance = np.zeros(n, dtype=bool)
+        stance[_BLOCK_ROWS - 1:2 * _BLOCK_ROWS + 1] = True
+        truth = self.truth(p, np.zeros((n, 3)), rng.standard_normal((n, 4)),
+                           stance)
+        self.assert_truth_text(tmp_path / "truth.csv", truth)
+
+    def test_still_truth_is_constant_columns(self, tmp_path):
+        # Every column but time is one broadcast row, across three blocks.
+        truth = still_truth(25.0, FS, yaw=0.3)
+        assert truth.t.size > 2 * _BLOCK_ROWS
+        assert truth.p.strides == (0, 0)
+        self.assert_truth_text(tmp_path / "truth.csv", truth)
+
+    def test_constant_allan_column(self, tmp_path):
+        taus = np.arange(1, _BLOCK_ROWS + 50) / FS
+        adev = np.full(taus.size, 1.0 / 3.0)
+        path = tmp_path / "allan.csv"
+        write_allan_curve(path, taus, adev)
+        TestRowWriters.assert_text(path, per_value_allan_text(taus, adev))
+
+    def test_zero_rows_write_the_header_alone(self, tmp_path):
+        empty = np.empty(0)
+        truth = self.truth(np.empty((0, 3)), np.empty((0, 3)),
+                           np.empty((0, 4)), np.empty(0, dtype=bool))
+        traj = Trajectory(t=empty, p=np.empty((0, 3)), q_nb=np.empty((0, 4)),
+                          sfs=empty, stance=np.empty(0, dtype=bool))
+        write_truth(tmp_path / "truth.csv", truth)
+        write_trajectory(tmp_path / "traj.csv", traj)
+        write_allan_curve(tmp_path / "allan.csv", empty, empty)
+        assert (tmp_path / "truth.csv").read_text() == per_value_truth_text(truth)
+        assert (tmp_path / "traj.csv").read_text() \
+            == per_value_trajectory_text(traj)
+        assert (tmp_path / "allan.csv").read_text() == "# tau,adev\n"
+        assert read_truth(tmp_path / "truth.csv").t.size == 0
+        assert read_trajectory(tmp_path / "traj.csv").t.size == 0
+
+    def test_float_stance_flags(self, tmp_path):
+        # `GroundTruth` keeps a float 0/1 stance as it is given; its
+        # flags are written as integers all the same.
+        n = _BLOCK_ROWS + 100
+        rng = np.random.default_rng(72)
+        stance = np.repeat(rng.random(n // 50 + 1) < 0.5, 50)[:n].astype(float)
+        stance[7] = -0.0
+        truth = self.truth(rng.standard_normal((n, 3)), np.zeros((n, 3)),
+                           rng.standard_normal((n, 4)), stance)
+        assert truth.stance.dtype == np.float64
+        self.assert_truth_text(tmp_path / "truth.csv", truth)
+        np.testing.assert_array_equal(read_truth(tmp_path / "truth.csv").stance,
+                                      stance != 0.0)
+
+
+class TestNonFiniteRows:
+    """The float writers refuse what their readers refuse, with the
+    same message, and leave no file and no changed target behind."""
+
+    N = 2 * _BLOCK_ROWS + 10
+
+    def trajectory(self):
+        rng = np.random.default_rng(73)
+        n = self.N
+        return Trajectory(t=np.arange(n) / FS, p=rng.standard_normal((n, 3)),
+                          q_nb=rng.standard_normal((n, 4)), sfs=rng.random(n),
+                          stance=rng.random(n) < 0.5)
+
+    def truth(self):
+        n = self.N
+        truth = still_truth((n - 1) / FS, FS)
+        return dataclasses.replace(truth, p=np.zeros((n, 3)),
+                                   v=np.zeros((n, 3)),
+                                   stance=np.ones(n, dtype=bool))
+
+    @staticmethod
+    def assert_refused_as_read(tmp_path, write, read, oracle, obj, line):
+        # The oracle writes the rows regardless; the reader's refusal of
+        # them is the message the writer must give.
+        written = tmp_path / "oracle.csv"
+        written.write_text(oracle(obj))
+        with pytest.raises(ValueError) as read_error:
+            read(written)
+        assert f", line {line}: " in str(read_error.value)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError) as write_error:
+            write(path, obj)
+        assert str(write_error.value) == str(read_error.value).replace(
+            str(written), str(path))
+        assert sorted(tmp_path.iterdir()) == [written]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_trajectory(self, tmp_path, value):
+        # The first row that holds one, not the first column that does:
+        # the position's bad value comes first in the block's column
+        # order, two rows after q_nb's.
+        traj = self.trajectory()
+        traj.p[_BLOCK_ROWS + 7, 1] = -value
+        traj.q_nb[_BLOCK_ROWS + 5, 2] = value
+        self.assert_refused_as_read(tmp_path, write_trajectory,
+                                    read_trajectory, per_value_trajectory_text,
+                                    traj, _BLOCK_ROWS + 5 + 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_truth(self, tmp_path, value):
+        # A run of bad values across a block boundary, and a bad flag.
+        truth = self.truth()
+        truth.v[_BLOCK_ROWS - 3:_BLOCK_ROWS + 30, 0] = value
+        truth.stance = truth.stance.astype(float)
+        truth.stance[_BLOCK_ROWS - 3] = value
+        self.assert_refused_as_read(tmp_path, write_truth, read_truth,
+                                    per_value_truth_text_any_flag, truth,
+                                    _BLOCK_ROWS - 3 + 2)
+
+    def test_allan_curve(self, tmp_path):
+        taus = np.arange(1, 20) / FS
+        adev = np.ones(taus.size)
+        adev[4] = np.nan
+        path = tmp_path / "allan.csv"
+        with pytest.raises(ValueError, match=rf"^Allan curve {re.escape(str(path))}"
+                                             r", line 6: value nan is not finite$"):
+            write_allan_curve(path, taus, adev)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_leaves_an_existing_target_as_it_was(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        traj = self.trajectory()
+        write_trajectory(path, traj)
+        before = path.read_bytes()
+        traj.sfs[-1] = np.nan
+        with pytest.raises(ValueError, match=rf"line {self.N + 1}: value nan"):
+            write_trajectory(path, traj)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def per_value_truth_text_any_flag(truth):
+    """`per_value_truth_text` with each flag texted as a float, so a
+    non-finite flag reaches the file for the reader to refuse."""
+    text = per_value_truth_text(dataclasses.replace(
+        truth, stance=np.zeros(truth.t.size)))
+    lines = text.splitlines(True)
+    return lines[0] + "".join(
+        line.rsplit(",", 1)[0] + f",{flag}\n"
+        for line, flag in zip(lines[1:], truth.stance.tolist()))
 
 
 class TestLogFormat:
