@@ -7,7 +7,8 @@ characterizes sensor noise, ``simulate`` renders a synthetic walk to a
 log plus truth sidecar, and ``eval`` scores a trajectory against truth.
 
 Exit codes: 0 on success, 2 on any input problem (unreadable files,
-malformed formats, bad arguments), 3 when the filter diverges.  On
+malformed formats, bad arguments, a walk too long to hold in memory), 3
+when the filter diverges.  On
 divergence the partial trajectory is still written to ``--out`` and the
 diagnostic, naming the sample and the stage of the filter step that
 failed, goes to stderr.
@@ -233,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CalibrationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CalibrationError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"pdrnav {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ The foot trajectory alternates stance phases (foot planted, all
 derivatives zero) with swing phases built from quintic smoothstep
 interpolants, so position is C^2 everywhere and velocity and
 acceleration are exact derivatives rather than finite differences.
+Phase ``2k`` is always the stance on footfall ``k`` and phase ``2k + 1``
+the swing from footfall ``k`` to ``k + 1``, so the walk is rendered in
+whole-array passes: one over every sample, one over the swing samples.
 """
 
 from __future__ import annotations
@@ -148,24 +151,7 @@ def _arc_table(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.concatenate(([0.0], np.cumsum(lengths)))
 
 
-def _point_at_arc(path: np.ndarray, lengths: np.ndarray, cum: np.ndarray,
-                  s: float) -> np.ndarray:
-    """Point on the polyline at arc length ``s``, clamped to the ends.
-
-    Clamping returns the stored endpoint verbatim, so a closed path
-    (first waypoint repeated last) yields bit-identical start and end
-    footfalls with no arithmetic in between.
-    """
-    if s <= 0.0:
-        return path[0].copy()
-    if s >= cum[-1]:
-        return path[-1].copy()
-    j = int(np.searchsorted(cum, s, side="right")) - 1
-    frac = (s - cum[j]) / lengths[j]
-    return path[j] + frac * (path[j + 1] - path[j])
-
-
-def _wrap_angle(d: float) -> float:
+def _wrap_angle(d: np.ndarray) -> np.ndarray:
     """Wrap to [-pi, pi) so yaw interpolation takes the short way."""
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
@@ -192,16 +178,16 @@ def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _PhaseTable(NamedTuple):
     """A walk's sample clock and its phases, in time order.
 
-    ``idx[i]`` is the phase of sample ``i``; it never decreases.  A
-    ``"still"`` phase's payload is ``(foot, heading)``, a ``"swing"``
-    phase's ``(foot_a, foot_b, heading_a, heading_b)``.
+    Phase ``2k`` is the stance on ``footfalls[k]`` facing
+    ``headings[k]``; phase ``2k + 1`` is the swing from footfall ``k`` to
+    footfall ``k + 1``.  ``starts[j]`` is the start time of phase ``j``,
+    and ``idx[i]`` the phase of sample ``i``; it never decreases.
     """
 
     t: np.ndarray
     idx: np.ndarray
-    starts: list[float]
-    kinds: list[str]
-    payload: list[tuple]
+    starts: np.ndarray
+    headings: np.ndarray
     swing_t: float
     footfalls: np.ndarray
     path_length: float
@@ -211,42 +197,37 @@ def _phase_table(params: GaitParams, fs: float) -> _PhaseTable:
     """The sample clock and the phase schedule of a walk at ``fs``."""
     if not 50.0 <= fs < np.inf:
         raise ValueError(f"fs must be finite and at least 50 Hz, got {fs}")
-    lengths, cum = _arc_table(params.path)
+    path = params.path
+    lengths, cum = _arc_table(path)
     total_len = float(cum[-1])
     n_steps = max(int(round(total_len / params.step_length)), 1)
     arcs = np.linspace(0.0, total_len, n_steps + 1)
-    footfalls = np.array(
-        [_point_at_arc(params.path, lengths, cum, s) for s in arcs]
-    )
+    # Footfalls at equal arcs.  Arcs at or past the ends take the stored
+    # waypoints verbatim, so a closed path (first waypoint repeated
+    # last) starts and ends on bit-identical footfalls.
+    j = np.minimum(np.searchsorted(cum, arcs, side="right") - 1, lengths.size - 1)
+    frac = (arcs - cum[j]) / lengths[j]
+    footfalls = path[j] + frac[:, None] * (path[j + 1] - path[j])
+    footfalls[arcs <= 0.0] = path[0]
+    footfalls[arcs >= cum[-1]] = path[-1]
 
+    # Each step faces along its chord; a zero chord holds the heading
+    # before it (0 before the first move), and the last stance keeps the
+    # last step's.
     chords = np.diff(footfalls, axis=0)
-    chord_len = np.linalg.norm(chords, axis=1)
-    headings = np.empty(n_steps + 1)
-    prev = 0.0
-    for k in range(n_steps):
-        if chord_len[k] > 1e-12:
-            prev = float(np.arctan2(chords[k, 1], chords[k, 0]))
-        headings[k] = prev
-    headings[n_steps] = headings[n_steps - 1]
+    moves = np.linalg.norm(chords, axis=1) > 1e-12
+    held = np.maximum.accumulate(np.where(moves, np.arange(1, n_steps + 1), 0))
+    headings = np.append(0.0, np.arctan2(chords[:, 1], chords[:, 0]))[
+        np.append(held, held[-1])]
 
+    # Phase start times, summed in time order.  The lead-in merges with
+    # the first stance, the tail with the last.
     swing_t = 1.0 / params.cadence - params.stance_duration
-
-    # Phase table: start time, kind, and per-kind payload.  The lead-in
-    # merges with the first stance, the tail with the last.
-    starts = [0.0]
-    kinds = ["still"]
-    payload: list[tuple] = [(footfalls[0], headings[0])]
-    clock = params.lead_in + params.stance_duration
-    for k in range(n_steps):
-        starts.append(clock)
-        kinds.append("swing")
-        payload.append((footfalls[k], footfalls[k + 1], headings[k], headings[k + 1]))
-        clock += swing_t
-        starts.append(clock)
-        kinds.append("still")
-        payload.append((footfalls[k + 1], headings[k + 1]))
-        clock += params.stance_duration
-    total_t = clock + params.tail
+    durations = np.full(2 * n_steps, params.stance_duration)
+    durations[0] = params.lead_in + params.stance_duration
+    durations[1::2] = swing_t
+    starts = np.append(0.0, np.cumsum(durations))
+    total_t = float(starts[-1]) + params.stance_duration + params.tail
     if not np.isfinite(total_t * fs):
         raise ValueError(
             f"lead_in ({params.lead_in}) and tail ({params.tail}) make the "
@@ -254,10 +235,8 @@ def _phase_table(params: GaitParams, fs: float) -> _PhaseTable:
 
     n = int(round(total_t * fs)) + 1
     t = np.arange(n) / fs
-    idx = np.searchsorted(np.asarray(starts), t, side="right") - 1
-    idx = np.clip(idx, 0, len(starts) - 1)
-    return _PhaseTable(t, idx, starts, kinds, payload, swing_t, footfalls,
-                       total_len)
+    idx = np.searchsorted(starts, t, side="right") - 1
+    return _PhaseTable(t, idx, starts, headings, swing_t, footfalls, total_len)
 
 
 def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> GroundTruth:
@@ -283,52 +262,40 @@ def generate_gait(params: GaitParams, fs: float = constants.DEFAULT_FS) -> Groun
     -------
     GroundTruth
     """
-    (t, idx, starts, kinds, payload, swing_t, footfalls,
-     path_length) = _phase_table(params, fs)
+    t, idx, starts, headings, swing_t, footfalls, path_length = _phase_table(
+        params, fs)
     n = t.size
     p = np.zeros((n, 3))
     v = np.zeros((n, 3))
     a = np.zeros((n, 3))
-    yaw = np.zeros(n)
-    yaw_rate = np.zeros(n)
-    stance = np.zeros(n, dtype=bool)
+    omega = np.zeros((n, 3))
 
-    # The phase index never decreases, so each phase is one contiguous
-    # run of samples, found by bisection instead of a mask per phase.
-    bounds = np.searchsorted(idx, np.arange(len(starts) + 1)).tolist()
-    for j, kind in enumerate(kinds):
-        sel = slice(bounds[j], bounds[j + 1])
-        if sel.start == sel.stop:
-            continue
-        if kind == "still":
-            foot, psi = payload[j]
-            p[sel, 0] = foot[0]
-            p[sel, 1] = foot[1]
-            yaw[sel] = psi
-            stance[sel] = True
-            continue
-        foot_a, foot_b, psi_a, psi_b = payload[j]
-        s = (t[sel] - starts[j]) / swing_t
-        sigma, dsigma, d2sigma = _smoothstep(s)
-        b, db, d2b = _bump(s)
-        chord = foot_b - foot_a
-        p[sel, 0] = foot_a[0] + sigma * chord[0]
-        p[sel, 1] = foot_a[1] + sigma * chord[1]
-        p[sel, 2] = params.swing_peak_height * b
-        v[sel, 0] = chord[0] * dsigma / swing_t
-        v[sel, 1] = chord[1] * dsigma / swing_t
-        v[sel, 2] = params.swing_peak_height * db / swing_t
-        a[sel, 0] = chord[0] * d2sigma / swing_t**2
-        a[sel, 1] = chord[1] * d2sigma / swing_t**2
-        a[sel, 2] = params.swing_peak_height * d2b / swing_t**2
-        dpsi = _wrap_angle(psi_b - psi_a)
-        yaw[sel] = psi_a + sigma * dpsi
-        yaw_rate[sel] = dpsi * dsigma / swing_t
+    # Every sample starts on its phase's footfall and heading, which is
+    # all a stance sample holds; a swing sample's are those it leaves.
+    step = idx // 2
+    p[:, :2] = footfalls[step]
+    yaw = headings[step]
+    stance = idx % 2 == 0
+
+    # Then every swing sample, in one pass, moves off along its chord.
+    sw = np.flatnonzero(~stance)
+    step = step[sw]
+    s = (t[sw] - starts[idx[sw]]) / swing_t
+    sigma, dsigma, d2sigma = _smoothstep(s)
+    b, db, d2b = _bump(s)
+    chord = np.diff(footfalls, axis=0)[step]
+    height = params.swing_peak_height
+    p[sw, :2] += sigma[:, None] * chord
+    p[sw, 2] = height * b
+    v[sw, :2] = chord * dsigma[:, None] / swing_t
+    v[sw, 2] = height * db / swing_t
+    a[sw, :2] = chord * d2sigma[:, None] / swing_t**2
+    a[sw, 2] = height * d2b / swing_t**2
+    dpsi = _wrap_angle(np.diff(headings))[step]
+    yaw[sw] += sigma * dpsi
+    omega[sw, 2] = dpsi * dsigma / swing_t
 
     q_nb = quat_from_rpy(0.0, 0.0, yaw).T
-    omega = np.zeros((n, 3))
-    omega[:, 2] = yaw_rate
-
     return GroundTruth(
         t=t, p=p, v=v, a=a, q_nb=q_nb, omega=omega, stance=stance, fs=fs,
         footfalls=footfalls, path_length=path_length,

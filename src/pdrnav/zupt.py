@@ -245,7 +245,7 @@ def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
 
     The score of sample k is the count of samples in the window
     ``k +- detect_half_width`` where C1..C4 all hold, divided by the
-    full window length and clamped to [0, 1].  Windows truncated by the
+    full window length, so it lies in [0, 1].  Windows truncated by the
     record ends keep the full-length normalizer, so scores sag near the
     first and last ``detect_half_width`` samples; walking records start
     and end with still margins much longer than the window, where this
@@ -254,7 +254,7 @@ def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     c1, c2, c3, c4 = condition_series(accel, gyro, cfg)
     width = 2 * cfg.detect_half_width + 1
     counts = _windowed_count(c1 & c2 & c3 & c4, cfg.detect_half_width)
-    return np.clip(counts / width, 0.0, 1.0)
+    return counts / width
 
 
 def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:

@@ -511,14 +511,75 @@ def three_temporary_allan_deviation(series, fs, sizes):
     return adev
 
 
+def _point_at_arc(path: np.ndarray, lengths: np.ndarray, cum: np.ndarray,
+                  s: float) -> np.ndarray:
+    """Point on the polyline at arc length ``s``, clamped to the ends.
+
+    Clamping returns the stored endpoint verbatim, so a closed path
+    (first waypoint repeated last) yields bit-identical start and end
+    footfalls with no arithmetic in between.
+    """
+    if s <= 0.0:
+        return path[0].copy()
+    if s >= cum[-1]:
+        return path[-1].copy()
+    j = int(np.searchsorted(cum, s, side="right")) - 1
+    frac = (s - cum[j]) / lengths[j]
+    return path[j] + frac * (path[j + 1] - path[j])
+
+
 def mask_generate_gait(params, fs):
-    """`generate_gait` filling each phase through a mask ``idx == j``,
-    one full-length comparison per phase: O(n x phases) where the
-    library slices each phase's contiguous run.  The phase table and the
-    interpolants are the library's; the fill is written out here."""
+    """`generate_gait` worked out phase by phase: one `_point_at_arc`
+    call per footfall, a heading loop over the steps, the phase list
+    built by alternating stance and swing with each start added to a
+    running clock, and each phase filled through a mask ``idx == j``,
+    one full-length comparison per phase.  Only the interpolants are the
+    library's.  The library's phase table must hold the same footfalls,
+    headings and phase starts bit for bit; this asserts so."""
+    path = params.path
+    lengths = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(lengths)))
+    total_len = float(cum[-1])
+    n_steps = max(int(round(total_len / params.step_length)), 1)
+    arcs = np.linspace(0.0, total_len, n_steps + 1)
+    footfalls = np.array([_point_at_arc(path, lengths, cum, s) for s in arcs])
+
+    chords = np.diff(footfalls, axis=0)
+    chord_len = np.linalg.norm(chords, axis=1)
+    headings = np.empty(n_steps + 1)
+    prev = 0.0
+    for k in range(n_steps):
+        if chord_len[k] > 1e-12:
+            prev = float(np.arctan2(chords[k, 1], chords[k, 0]))
+        headings[k] = prev
+    headings[n_steps] = headings[n_steps - 1]
+
+    swing_t = 1.0 / params.cadence - params.stance_duration
+    starts = [0.0]
+    kinds = ["still"]
+    payload: list[tuple] = [(footfalls[0], headings[0])]
+    clock = params.lead_in + params.stance_duration
+    for k in range(n_steps):
+        starts.append(clock)
+        kinds.append("swing")
+        payload.append((footfalls[k], footfalls[k + 1], headings[k], headings[k + 1]))
+        clock += swing_t
+        starts.append(clock)
+        kinds.append("still")
+        payload.append((footfalls[k + 1], headings[k + 1]))
+        clock += params.stance_duration
+    total_t = clock + params.tail
+
     table = gait._phase_table(params, fs)
-    t, idx, swing_t = table.t, table.idx, table.swing_t
-    n = t.size
+    for name, want in (("footfalls", footfalls), ("headings", headings),
+                       ("starts", np.array(starts))):
+        got = getattr(table, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+    n = int(round(total_t * fs)) + 1
+    t = np.arange(n) / fs
+    idx = np.searchsorted(np.asarray(starts), t, side="right") - 1
     p = np.zeros((n, 3))
     v = np.zeros((n, 3))
     a = np.zeros((n, 3))
@@ -526,19 +587,19 @@ def mask_generate_gait(params, fs):
     yaw_rate = np.zeros(n)
     stance = np.zeros(n, dtype=bool)
     height = params.swing_peak_height
-    for j, kind in enumerate(table.kinds):
+    for j, kind in enumerate(kinds):
         sel = idx == j
         if not np.any(sel):
             continue
         if kind == "still":
-            foot, psi = table.payload[j]
+            foot, psi = payload[j]
             p[sel, 0] = foot[0]
             p[sel, 1] = foot[1]
             yaw[sel] = psi
             stance[sel] = True
             continue
-        foot_a, foot_b, psi_a, psi_b = table.payload[j]
-        s = (t[sel] - table.starts[j]) / swing_t
+        foot_a, foot_b, psi_a, psi_b = payload[j]
+        s = (t[sel] - starts[j]) / swing_t
         sigma, dsigma, d2sigma = gait._smoothstep(s)
         b, db, d2b = gait._bump(s)
         chord = foot_b - foot_a
@@ -561,7 +622,7 @@ def mask_generate_gait(params, fs):
     omega[:, 2] = yaw_rate
     return gait.GroundTruth(
         t=t, p=p, v=v, a=a, q_nb=q_nb, omega=omega, stance=stance, fs=fs,
-        footfalls=table.footfalls, path_length=table.path_length)
+        footfalls=footfalls, path_length=total_len)
 
 
 def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,

@@ -684,14 +684,17 @@ class TestMalformedFieldsInPython:
     @pytest.mark.parametrize("section, name, value, message", [
         ("gait", "lead_in", 1e308, "lead_in (1e+308) and tail (1.0) make"),
         ("gait", "tail", 1e308, "lead_in (1.0) and tail (1e+308) make"),
+        # Countable, but hundreds of TiB: numpy refuses the allocation
+        # before it takes any memory.
+        ("gait", "lead_in", 1e12, "Unable to allocate"),
         ("noise", "accel_sigma", [0.1, 0.2],
          "noise section: accel_sigma must broadcast to shape (3,)")])
     def test_scenario_out_of_range_exits_two(self, workspace, tmp_path,
                                              capsys, section, name, value,
                                              message):
-        # A walk too long to count its samples, and a noise level for
-        # two axes: refused by name, not by a traceback or numpy's own
-        # broadcast message.
+        # A walk too long to count its samples or to hold in memory,
+        # and a noise level for two axes: refused with a message, not by
+        # a traceback or numpy's own broadcast message.
         ws, _ = workspace
         doc = json.loads((ws / "gait.json").read_text())
         doc[section][name] = value

@@ -56,6 +56,15 @@ def square_params(side=4.0, **kw):
     return GaitParams(path=path, **kw)
 
 
+def out_and_back_params(along=(1.0, 0.0), **kw):
+    # 3.5 m out and 3.5 m back at 1 m steps: footfalls 3 and 4 both land
+    # 0.5 m short of the far end, so step 3 has a zero chord.
+    kw.setdefault("step_length", 1.0)
+    kw.setdefault("cadence", 2.0)
+    far = [3.5 * along[0], 3.5 * along[1]]
+    return GaitParams(path=[[0.0, 0.0], far, [0.0, 0.0]], **kw)
+
+
 def datasheet_cals():
     return (
         scale_calibration(constants.DEFAULT_LSB_ACCEL),
@@ -114,10 +123,39 @@ class TestGaitStructure:
         assert truth.p[:, 2].max() == pytest.approx(0.07, rel=5e-3)
         assert truth.p[:, 2].min() >= 0.0
 
+    @pytest.mark.parametrize("along", [(1.0, 0.0), (0.0, 1.0)], ids=["x", "y"])
+    def test_zero_chord_holds_the_heading_and_lifts_in_place(self, along):
+        # A step whose two footfalls coincide keeps the heading before
+        # it.  Along y the held heading, pi/2, differs from
+        # arctan2(0, 0) = 0, so only there would a dropped hold show.
+        params = out_and_back_params(along, swing_peak_height=0.07)
+        truth = generate_gait(params, 100.0)
+        idx = gait._phase_table(params, 100.0).idx
+        assert np.array_equal(truth.footfalls[3], truth.footfalls[4])
+        yaw = 2.0 * np.arctan2(-truth.q_nb[:, 3], truth.q_nb[:, 0])
+
+        # Swing 2 lands on the repeated footfall facing the held heading
+        # throughout.
+        onto = idx == 5
+        assert np.all(yaw[onto] == yaw[onto][0])
+        assert yaw[onto][0] == pytest.approx(np.arctan2(along[1], along[0]),
+                                             abs=1e-15)
+        assert np.all(truth.omega[onto] == 0.0)
+
+        # Swing 3 runs the zero chord: xy stays on the footfall while
+        # the foot still lifts to its peak and yaw turns to the return.
+        zero = idx == 7
+        assert np.all(truth.p[zero, :2] == truth.footfalls[3])
+        assert np.all(truth.v[zero, :2] == 0.0)
+        assert truth.p[zero, 2].max() == pytest.approx(0.07, rel=5e-3)
+        back = np.arctan2(-along[1], -along[0])
+        assert np.cos(yaw[zero][-1] - back) == pytest.approx(1.0, abs=1e-6)
+
 
 class TestPhaseFill:
-    """Each phase filled from its contiguous run of samples, against the
-    mask-per-phase oracle, bit for bit on every array."""
+    """The whole-array fill against the phase-by-phase oracle, which
+    places each footfall, sums each phase start and fills each phase
+    through its own mask, bit for bit on every array."""
 
     WALKS = {
         # The benchmark's walk (40 m square, criterion-4 gait) and its
@@ -128,13 +166,29 @@ class TestPhaseFill:
                                            stance_duration=1.5),
         "square_300m": lambda: square_params(75.0, cadence=1.5,
                                              stance_duration=0.15),
+        "no_lead_in_or_tail": lambda: square_params(lead_in=0.0, tail=0.0),
+        # A triangle whose first turn, from pi to -pi/2, crosses +-pi.
+        "turn_across_pi": lambda: GaitParams(
+            path=[[0.0, 0.0], [-5.0, 0.0], [-5.0, -5.0], [0.0, 0.0]],
+            step_length=1.0, cadence=2.0),
+        "out_and_back": out_and_back_params,
+        # Closed, off the grid: the last footfall lands on the start only
+        # because the end takes the stored waypoint, not arithmetic.
+        "closed_off_grid": lambda: GaitParams(
+            path=[[0.3, 0.7], [3.3, 0.7], [1.1, 4.9], [0.3, 0.7]],
+            step_length=0.9, cadence=2.0),
     }
 
-    @pytest.mark.parametrize("walk", sorted(WALKS))
-    def test_matches_the_mask_loop(self, walk):
+    CASES = [*((walk, 100.0) for walk in sorted(WALKS)),
+             ("bench_walk", 50.0), ("bench_walk", 137.0),
+             ("bench_walk", 200.0), ("out_and_back", 137.0)]
+
+    @pytest.mark.parametrize("walk, fs", CASES, ids=[
+        walk if fs == 100.0 else f"{walk}-{fs:g}Hz" for walk, fs in CASES])
+    def test_matches_the_mask_loop(self, walk, fs):
         params = self.WALKS[walk]()
-        got = generate_gait(params, 100.0)
-        want = mask_generate_gait(params, 100.0)
+        got = generate_gait(params, fs)
+        want = mask_generate_gait(params, fs)
         for f in fields(GroundTruth):
             g, w = getattr(got, f.name), getattr(want, f.name)
             if isinstance(w, np.ndarray):
