@@ -1,10 +1,11 @@
 """Foot-mounted pedestrian dead reckoning.
 
-Strapdown inertial navigation for a shoe-mounted IMU: six-parameter
-sensor calibration from static batches, a 25-state extended Kalman
-filter, stance detection with soft zero-velocity pseudo-measurements,
-Allan-variance noise identification, and a synthetic gait generator
-that doubles as the test oracle.
+Strapdown inertial navigation for a shoe-mounted IMU: nine-parameter
+sensor calibration (six gain and three bias entries) from static
+batches, a 25-state extended Kalman filter, stance detection with soft
+zero-velocity pseudo-measurements, Allan-variance noise
+identification, and a synthetic gait generator that doubles as the test
+oracle.
 
 Each layer module is usable on its own; this package re-exports the
 public names of every one, their ``__all__`` lists in module order.

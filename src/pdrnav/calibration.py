@@ -6,16 +6,14 @@ Sensor error model, identical for both triads::
 
 The accelerometer gain and bias are fitted from P still orientations
 using only the fact that the true specific force has magnitude g in all
-of them: the per-orientation mean measurements must lie on the ellipsoid
-``{gain @ a + bias : |a| = g}``.  The fit minimizes the sum of squared
-point-to-ellipsoid distances by damped Gauss-Newton started from an
-algebraic quadric fit.  Each evaluation projects all P means onto the
-ellipsoid at once: the Lagrange secular equation is solved for every
-mean in one vectorized, bracketed Newton pass.  The Jacobian needs no
-further evaluations: by the envelope theorem the closest point
-``a*`` stays put to first order, so a distance moves with the bias
-along the unit error ``e / r`` and with gain entry (i, j) by
-``e_i a*_j / r``.
+of them.  Each orientation mean ``m`` maps back to the specific force
+``a = inv(gain) (m - bias)``, and the fit minimizes the sum of squared
+radial residuals ``|a| - g`` (m/s^2) by damped Gauss-Newton started
+from an algebraic quadric fit; the residuals and their Jacobian are
+closed form (Tedaldi, Pretto and Menegatti, ICRA 2014; Frosio,
+Pedersini and Borghese, IEEE TIM 2009).  Orientations that do not spread
+enough to identify the nine parameters, such as captures turned about
+one axis only, are refused before the fit starts.
 
 A magnitude-only fit cannot see a rotation applied to the sensor triad
 (``gain @ rot`` fits any data ``gain`` fits), so the gain is constrained
@@ -56,11 +54,15 @@ MIN_ORIENTATIONS = 9
 # Fewest samples per still capture whose mean `batch_means` trusts.
 MIN_STILL_SAMPLES = 50
 
-# The fit has converged when a step lowers the cost by at most this share.
+# The fit has converged when a step moves the cost by at most this share.
 _COST_RTOL = 1e-12
 
 # Gauss-Newton iterations the fit may take before it gives up.
 _MAX_ITER = 500
+
+# Least spread of the orientations that identifies the model; see
+# `_algebraic_init`.
+_MIN_SPREAD = 0.02
 
 
 class CalibrationError(ValueError):
@@ -118,7 +120,7 @@ class OrientationBatch:
 
 
 def batch_means(
-    stills: list[tuple[NDArray[np.float64], NDArray[np.float64]]],
+    stills: dict[str, tuple[NDArray[np.float64], NDArray[np.float64]]],
     *,
     lsb_gyro: float,
 ) -> OrientationBatch:
@@ -126,31 +128,32 @@ def batch_means(
 
     Parameters
     ----------
-    stills : list of (accel, gyro) pairs
-        One entry per orientation; raw counts of shape (n, 3) each, with
-        n at least ``MIN_STILL_SAMPLES``.
+    stills : dict of name -> (accel, gyro)
+        One entry per orientation, keyed by the capture's name (its file
+        name), which prefixes any refusal; raw counts of shape (n, 3)
+        each, with n at least ``MIN_STILL_SAMPLES``.
     lsb_gyro : float
         Gyroscope scale, rad/s per count, used for the stillness check:
-        a segment whose median gyro magnitude exceeds
+        a capture whose median gyro magnitude exceeds
         ``constants.STILL_RATE_LIMIT`` (rad/s) was moving and is
         rejected.
     """
     means = []
     stds = []
     n_min = None
-    for idx, (accel, gyro) in enumerate(stills):
+    for name, (accel, gyro) in stills.items():
         accel = np.asarray(accel, dtype=float)
         gyro = np.asarray(gyro, dtype=float)
         if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
-            raise CalibrationError(f"segment {idx}: expected matching (n, 3) arrays")
+            raise CalibrationError(f"{name}: expected matching (n, 3) arrays")
         n = accel.shape[0]
         if n < MIN_STILL_SAMPLES:
-            raise CalibrationError(f"segment {idx}: {n} samples, need at "
+            raise CalibrationError(f"{name}: {n} samples, need at "
                                    f"least {MIN_STILL_SAMPLES}")
         rate = np.median(np.linalg.norm(gyro * lsb_gyro, axis=1))
         if rate > STILL_RATE_LIMIT:
             raise CalibrationError(
-                f"segment {idx}: median angular rate {rate:.3g} rad/s "
+                f"{name}: median angular rate {rate:.3g} rad/s "
                 f"exceeds still limit {STILL_RATE_LIMIT:g}"
             )
         means.append(accel.mean(axis=0))
@@ -167,114 +170,25 @@ def batch_means(
 
 _TRIL_ROWS, _TRIL_COLS = np.tril_indices(3)
 
-# The secular solve stops once a Newton step moves the multiplier by
-# less than this fraction of itself.
-_SECULAR_RTOL = 1e-12
-_SECULAR_MAX_ITER = 100
 
-
-def _project(gain: NDArray, bias: NDArray, means: NDArray, g: float):
-    """Closest points of the model ellipsoid to P means, all at once.
-
-    With ``gain = u diag(s) vt`` and ``z = u' (mean - bias)``, the
-    closest point ``gain a* + bias`` (``|a*| = g``) has sphere
-    coordinates ``vt a* = s q`` where ``q = z / (s^2 - lam)`` and ``lam``
-    is the Lagrange multiplier.  Writing ``lam = min(s^2) - mu``,
-    ``mu`` is the root of the monotone, convex secular function
-    ``h(mu) = |s z / (s^2 - min(s^2) + mu)|^2 - g^2`` inside the bracket
-    ``[mu_lo, mu_hi]``; it is found for every mean together by Newton's
-    method on ``1 / sqrt(h + g^2)``, which is concave and close to
-    linear, so the iterates rise monotonically from ``mu_lo`` and are
-    clipped to the bracket (More and Sorensen, 1983).
-
-    Means with no weight on the smallest-singular-value directions (the
-    symmetry axis of a spheroid, the centre) whose other directions
-    cannot reach the sphere have ``lam = min(s^2)``; the tied directions
-    take up the slack in the sphere constraint.
-
-    Returns ``u``, ``s``, ``vt``, ``lam`` (P,) and ``q`` (3, P).  The error
-    ``gain a* + bias - mean`` is ``u (lam q)``, so the squared distance
-    is ``lam^2 |q|^2``, and ``u q`` is the outward normal at ``a*``.
-    """
-    u, s, vt = np.linalg.svd(gain)
-    z = u.T @ (means - bias).T
-    d = s * s
-    d_min = float(d.min())
-    delta = (d - d_min)[:, None]
-    c2 = (s[:, None] * z) ** 2
-    g2 = g * g
-    # Directions whose singular value ties the smallest one; their
-    # weight decides whether the secular function has a pole at mu = 0.
-    tied = d - d_min <= 1e-12 * max(d_min, 1e-300)
-    rest = ~tied
-    cm2 = c2[tied].sum(axis=0)
-    big = (c2[rest] / delta[rest] ** 2).sum(axis=0)
-    norm_c = np.sqrt(c2.sum(axis=0))
-
-    on_axis = cm2 <= 1e-28 * norm_c**2
-    slack = on_axis & (big <= g2)
-    lam = np.full(z.shape[1], d_min)
-    q = np.empty_like(z)
-
-    solve = ~slack
-    if solve.any():
-        cs2 = c2[:, solve]
-        mu_hi = norm_c[solve] / g
-        mu = np.where(on_axis[solve], 1e-18 * max(d_min, 1.0),
-                      np.sqrt(cm2[solve]) / g)
-        for _ in range(_SECULAR_MAX_ITER):
-            den = delta + mu
-            t = cs2 / den**2
-            n2 = t.sum(axis=0)
-            # Newton step on 1/sqrt(n2) - 1/g; n2 = h + g^2.
-            step = n2 * (np.sqrt(n2) / g - 1.0) / (t / den).sum(axis=0)
-            new = np.minimum(np.maximum(mu + step, mu), mu_hi)
-            done = np.all(new - mu <= _SECULAR_RTOL * new)
-            mu = new
-            if done:
-                break
-        lam[solve] = d_min - mu
-        q[:, solve] = z[:, solve] / (d[:, None] - lam[solve])
-
-    if slack.any():
-        zs = z[:, slack]
-        qs = np.zeros_like(zs)
-        qs[rest] = zs[rest] / delta[rest]
-        # The tied directions carry what is left of the sphere radius,
-        # along the mean's own tied component (the first tied axis at
-        # the centre).
-        zt = zs[tied]
-        zt_norm = np.sqrt((zt * zt).sum(axis=0))
-        direction = np.zeros_like(zt)
-        direction[0] = 1.0
-        off = zt_norm > 0.0
-        direction[:, off] = zt[:, off] / zt_norm[off]
-        qs[tied] = direction * np.sqrt(np.maximum(g2 - big[slack], 0.0) / d_min)
-        q[:, slack] = qs
-    return u, s, vt, lam, q
-
-
-def _distances_and_jacobian(
+def _residuals_and_jacobian(
     gain: NDArray, bias: NDArray, means: NDArray, g: float
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Distances ``r`` (P,) of each mean to the model ellipsoid and their
-    derivative (P, 9) by the lower-triangular gain and the bias.
+    """Radial residuals ``r = |a| - g`` (P,) of ``a = inv(gain) (mean -
+    bias)`` and their derivative (P, 9) by the lower-triangular gain and
+    the bias.
 
-    By the envelope theorem the closest point ``a*`` stays put to first
-    order, so with ``e = gain a* + bias - mean``: ``dr/db = e / r`` and
-    ``dr/dgain_ij = e_i a*_j / r``.  ``e / r`` is the unit normal at
-    ``a*``, outward for means inside (``lam > 0``) and inward for means
-    outside; at a zero distance the outward normal is taken.
+    With ``u = a / |a|`` and ``w = inv(gain)' u``: ``dr/db = -w`` and
+    ``dr/dgain_ij = -w_i a_j``.
     """
-    u, s, vt, lam, q = _project(gain, bias, means, g)
-    q_norm = np.sqrt((q * q).sum(axis=0))
-    dist = np.abs(lam) * q_norm
-    unit = (u @ (q * (np.where(lam < 0.0, -1.0, 1.0) / q_norm))).T
-    a_star = (vt.T @ (s[:, None] * q)).T
+    inv = np.linalg.inv(gain)
+    a = (means - bias) @ inv.T
+    norm = np.sqrt((a * a).sum(axis=1))
+    w = (a / norm[:, None]) @ inv
     jac = np.empty((means.shape[0], 9))
-    jac[:, :6] = unit[:, _TRIL_ROWS] * a_star[:, _TRIL_COLS]
-    jac[:, 6:] = unit
-    return dist, jac
+    jac[:, :6] = -w[:, _TRIL_ROWS] * a[:, _TRIL_COLS]
+    jac[:, 6:] = -w
+    return norm - g, jac
 
 
 def _theta_to_gain_bias(theta: NDArray) -> tuple[NDArray, NDArray]:
@@ -286,25 +200,39 @@ def _theta_to_gain_bias(theta: NDArray) -> tuple[NDArray, NDArray]:
 def _algebraic_init(means: NDArray, g: float) -> NDArray:
     """Starting point from the linear quadric fit of the means.
 
-    Fits m'Am - 2c'm + d = 0 in the least-squares sense, recovers the
-    center b = inv(A) c and rescales A so the quadric value at the means
-    is g^2.  Falls back to a centered sphere when the quadric is not an
-    ellipsoid (flat or noisy data).  Either way the gain diagonal is
-    positive for a positive, finite g.
+    Fits x'Ax - 2c'x + d = 0 in the least-squares sense to the means
+    scaled by their RMS norm, ``x = m / rho``, recovers the center
+    ``inv(A) c`` and rescales A so the quadric value at the means is g^2;
+    the gain and center found for ``x`` are scaled back by ``rho``.  Falls
+    back to a centered sphere when the quadric is not an ellipsoid (flat
+    or noisy data).  Either way the gain diagonal is positive for a
+    positive, finite g.
+
+    For a bias small against the gravity radius the scaled means lie near
+    the unit sphere, where the design's 9th singular value measures how
+    well the orientations pin the nine parameters: CalibrationError when
+    it is below ``_MIN_SPREAD`` of the largest.  Scaling each column to
+    unit norm instead would blow the noise of a coordinate that stays
+    near zero (captures turned about that axis) up into a spread.
     """
-    m = means
-    cols = [
-        m[:, 0] ** 2, m[:, 1] ** 2, m[:, 2] ** 2,
-        2 * m[:, 0] * m[:, 1], 2 * m[:, 0] * m[:, 2], 2 * m[:, 1] * m[:, 2],
-        -2 * m[:, 0], -2 * m[:, 1], -2 * m[:, 2],
-        np.ones(len(m)),
-    ]
-    design = np.column_stack(cols)
-    # Scale columns for conditioning; the null vector is rescaled back.
-    scale = np.linalg.norm(design, axis=0)
-    scale[scale == 0] = 1.0
-    _, _, vt = np.linalg.svd(design / scale, full_matrices=False)
-    u = vt[-1] / scale
+    rho = float(np.sqrt(np.mean(np.sum(means * means, axis=1)))) or 1.0
+    x = means / rho
+    design = np.column_stack([
+        x[:, 0] ** 2, x[:, 1] ** 2, x[:, 2] ** 2,
+        2 * x[:, 0] * x[:, 1], 2 * x[:, 0] * x[:, 2], 2 * x[:, 1] * x[:, 2],
+        -2 * x[:, 0], -2 * x[:, 1], -2 * x[:, 2],
+        np.ones(len(x)),
+    ])
+    _, sv, vt = np.linalg.svd(design, full_matrices=False)
+    spread = sv[8] / sv[0]
+    if not spread >= _MIN_SPREAD:
+        raise CalibrationError(
+            f"the {len(x)} still orientations do not spread enough to "
+            f"identify the model (singular value ratio {spread:.3g}, need "
+            f"at least {_MIN_SPREAD:g}); capture the board resting on each "
+            f"of its six faces and on edges or corners between them, not "
+            f"turned about one axis")
+    u = vt[-1]
     a_mat = np.array(
         [
             [u[0], u[3], u[4]],
@@ -326,12 +254,12 @@ def _algebraic_init(means: NDArray, g: float) -> NDArray:
         gg_t = np.linalg.inv(a_mat * (g * g / k))
         gain0 = np.linalg.cholesky(gg_t)
     except np.linalg.LinAlgError:
-        center = m.mean(axis=0)
-        radius = float(np.mean(np.linalg.norm(m - center, axis=1)))
+        center = x.mean(axis=0)
+        radius = float(np.mean(np.linalg.norm(x - center, axis=1)))
         gain0 = np.eye(3) * max(radius, 1e-9) / g
     theta = np.empty(9)
-    theta[:6] = gain0[_TRIL_ROWS, _TRIL_COLS]
-    theta[6:9] = center
+    theta[:6] = rho * gain0[_TRIL_ROWS, _TRIL_COLS]
+    theta[6:9] = rho * center
     return theta
 
 
@@ -341,15 +269,16 @@ def fit_accel_calibration(
 ) -> SensorCalibration:
     """Fit accelerometer gain and bias from still-orientation means.
 
-    Minimizes the sum over orientations of the exact squared distance
-    between the mean measurement and the gravity ellipsoid of the model.
-    Gauss-Newton with step-halving; each trial step must keep the gain
-    diagonal positive and reduce the cost.
+    Minimizes the sum over orientations of the squared radial residual
+    ``|inv(gain) (mean - bias)| - g``, in m/s^2.  Gauss-Newton with
+    step-halving; each trial step must keep the gain diagonal positive
+    and reduce the cost, and a trial that ties the current cost to
+    ``_COST_RTOL`` ends the fit as converged.
 
     Parameters
     ----------
     batch : OrientationBatch
-        At least 9 orientation means, reasonably spread.
+        At least 9 orientation means, spread over the sphere.
     g : float
         Gravity magnitude the true specific force is assumed to have.
 
@@ -363,9 +292,11 @@ def fit_accel_calibration(
     Raises
     ------
     CalibrationError
-        Fewer than 9 orientations, g not positive and finite, or the
-        ``_MAX_ITER`` iterations spent while the cost is still moving; the
-        error carries the last iterate and its cost.
+        Fewer than 9 orientations, g not positive and finite, orientations
+        that do not spread enough to identify the model (see
+        ``_algebraic_init``), or the ``_MAX_ITER`` iterations spent while
+        the cost is still moving; the error carries the last iterate and
+        its cost.
     """
     means = batch.means
     n_orient = means.shape[0]
@@ -381,7 +312,7 @@ def fit_accel_calibration(
         gain, bias = _theta_to_gain_bias(theta)
         if np.any(np.diag(gain) <= 0):
             return None, None
-        return _distances_and_jacobian(gain, bias, means, g)
+        return _residuals_and_jacobian(gain, bias, means, g)
 
     theta = _algebraic_init(means, g)
     res, jac = evaluate(theta)
@@ -394,28 +325,26 @@ def fit_accel_calibration(
             break
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
 
-        new_theta, new_cost = None, cost
         alpha = 1.0
         for _ in range(40):
             trial = theta + alpha * step
             trial_res, trial_jac = evaluate(trial)
             if trial_res is not None:
                 trial_cost = float(trial_res @ trial_res)
-                if trial_cost < cost:
-                    new_theta, new_cost = trial, trial_cost
+                tied = abs(trial_cost - cost) <= _COST_RTOL * max(cost, 1e-300)
+                if tied or trial_cost < cost:
                     break
             alpha *= 0.5
-        if new_theta is None:
+        else:
             # No descent along the Gauss-Newton direction at any damping:
             # numerically at a minimum.
             converged = True
             break
-        theta, res, jac = new_theta, trial_res, trial_jac
-        if abs(cost - new_cost) <= _COST_RTOL * max(new_cost, 1e-300):
-            cost = new_cost
+        if trial_cost < cost:
+            theta, res, jac, cost = trial, trial_res, trial_jac, trial_cost
+        if tied:
             converged = True
             break
-        cost = new_cost
 
     gain, bias = _theta_to_gain_bias(theta)
     if not converged:
@@ -433,14 +362,8 @@ def fit_accel_calibration(
             np.sqrt(np.trace(np.linalg.inv(gain @ gain.T)) / 3.0)
         )
     else:
-        # Coarse: residual distance of the means, scaled back to one
-        # sample and through the gain.
-        rms = float(np.sqrt(cost / n_orient))
-        sigma = (
-            rms
-            * np.sqrt(batch.samples_per_orientation)
-            * float(np.sqrt(np.trace(np.linalg.inv(gain @ gain.T)) / 3.0))
-        )
+        # Coarse: residual of the means, scaled back to one sample.
+        sigma = float(np.sqrt(cost / n_orient * batch.samples_per_orientation))
     return SensorCalibration(gain=gain, bias=bias, noise_sigma=max(sigma, 1e-12))
 
 

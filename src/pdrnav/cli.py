@@ -26,12 +26,7 @@ import sys
 import numpy as np
 
 from .allan import allan_deviation, extract_coefficients
-from .calibration import (
-    MIN_STILL_SAMPLES,
-    CalibrationError,
-    batch_means,
-    fit_accel_calibration,
-)
+from .calibration import batch_means, fit_accel_calibration
 from .constants import GRAVITY
 from .gait import generate_gait, inverse_imu, scale_calibration
 from .io import (
@@ -64,16 +59,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     if not names:
         raise ValueError(f"no .csv still logs found in {args.stills!r}")
-    stills = []
+    stills = {}
     first = None
-    gyro_stds = []
     for name in names:
         log = read_log(os.path.join(args.stills, name))
-        if log.t.size < MIN_STILL_SAMPLES:
-            raise ValueError(
-                f"{name}: {log.t.size} samples, a still capture needs at "
-                f"least {MIN_STILL_SAMPLES}"
-            )
         # The fit runs in counts, so every capture must share the scales.
         scales = {"accel": log.lsb_accel, "gyro": log.lsb_gyro}
         first = first or scales
@@ -82,16 +71,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 raise ValueError(f"{name}: {sensor} scale {lsb:g} differs "
                                  f"from {names[0]}'s {first[sensor]:g}; "
                                  f"captures must share one sensor")
-        stills.append((log.accel, log.gyro))
-        gyro_stds.append(log.gyro.std(axis=0, ddof=1).mean())
+        stills[name] = (log.accel, log.gyro)
     lsb_gyro = first["gyro"]
     batch = batch_means(stills, lsb_gyro=lsb_gyro)
     accel_cal = fit_accel_calibration(batch, args.g)
     # Gyro model is datasheet scale; a still gyro reads its bias, so the
     # bias is the mean count over every capture's samples, and the noise
     # floor comes from the data too.
+    gyros = [gyro for _, gyro in stills.values()]
+    gyro_stds = [gyro.std(axis=0, ddof=1).mean() for gyro in gyros]
     gyro_sigma = max(float(np.mean(gyro_stds)) * lsb_gyro, 1e-12)
-    gyro_bias = np.concatenate([gyro for _, gyro in stills]).mean(axis=0)
+    gyro_bias = np.concatenate(gyros).mean(axis=0)
     gyro_cal = dataclasses.replace(
         scale_calibration(lsb_gyro, noise_sigma=gyro_sigma), bias=gyro_bias)
     write_calibration(args.out, accel_cal, gyro_cal)
@@ -234,7 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CalibrationError, ValueError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"pdrnav {args.command}: {exc}", file=sys.stderr)
         return 2

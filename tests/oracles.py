@@ -21,8 +21,6 @@ from __future__ import annotations
 from io import StringIO
 
 import numpy as np
-from numpy.typing import NDArray
-from scipy.optimize import brentq
 
 from pdrnav import calibration, ekf, gait, tracker, zupt
 from pdrnav.constants import GRAVITY
@@ -242,90 +240,13 @@ def rpy_from_quat(q) -> tuple[float, float, float]:
     return float(roll), float(pitch), float(yaw)
 
 
-def gravity_sphere_residual(gain, bias, mean, g: float = GRAVITY) -> float:
-    """The library's squared distance from one orientation mean to the
-    model ellipsoid: the inner minimization of the calibration cost, the
-    smallest ``|gain @ a + bias - mean|^2`` over ``|a| = g``.
-
-    A single-mean view of `sphere_residuals`, the form the hand-derived
-    and brute-force tests check.
-    """
-    mean = np.asarray(mean, dtype=float)
-    return float(sphere_residuals(
-        np.asarray(gain, dtype=float), np.asarray(bias, dtype=float),
-        mean[None, :], g)[0])
-
-
-def sphere_residuals(gain, bias, means, g):
-    """Squared distances (P,) of each mean to the model ellipsoid, from
-    the library's one-pass projection `calibration._project`."""
-    _, _, _, lam, q = calibration._project(gain, bias, means, g)
-    return lam * lam * (q * q).sum(axis=0)
-
-
-def _secular_residual(s: NDArray, z: NDArray, g: float) -> float:
-    """Squared distance from a point to the ellipsoid {U S V' a : |a| = g}.
-
-    ``s`` are the singular values of the gain, ``z`` the point expressed
-    in the left singular basis (already centered).  The stationarity
-    condition gives coordinates ``w_i = s_i z_i / (s_i^2 - lam)``; the
-    multiplier of the closest point is the unique root of the monotone
-    constraint equation below ``min(s_i^2)``.
-    """
-    d = s * s
-    c = s * z
-    d_min = float(np.min(d))
-    # Split off directions whose singular value ties the smallest one;
-    # their c-components decide whether the secular function blows up.
-    tied = d - d_min <= 1e-12 * max(d_min, 1e-300)
-    cm2 = float(np.sum(c[tied] ** 2))
-    rest = ~tied
-    dr = d[rest] - d_min
-    big = float(np.sum(c[rest] ** 2 / dr**2)) if np.any(rest) else 0.0
-
-    g2 = g * g
-    norm_c = float(np.sqrt(np.sum(c * c)))
-    if norm_c == 0.0 and big == 0.0:
-        # Point at the ellipsoid center.
-        return d_min * g2
-
-    def h(mu: float) -> float:
-        return float(np.sum(c * c / (d - d_min + mu) ** 2)) - g2
-
-    if cm2 <= (1e-28 * norm_c**2):
-        if big <= g2:
-            # Multiplier sits exactly at d_min; the tied directions take
-            # up the slack in the sphere constraint.
-            res = d_min * (g2 - big)
-            if np.any(rest):
-                res += d_min**2 * float(np.sum(z[rest] ** 2 / dr**2))
-            return res
-        mu_lo = 1e-18 * max(d_min, 1.0)
-        mu_hi = norm_c / g
-    else:
-        mu_lo = np.sqrt(cm2) / g      # h(mu_lo) >= g2 by construction
-        mu_hi = norm_c / g            # h(mu_hi) <= g2 by construction
-    if mu_hi <= mu_lo * (1.0 + 1e-15):
-        mu = mu_lo
-    else:
-        f_lo, f_hi = h(mu_lo), h(mu_hi)
-        if f_lo <= 0.0:
-            mu = mu_lo
-        elif f_hi >= 0.0:
-            mu = mu_hi
-        else:
-            mu = brentq(h, mu_lo, mu_hi, rtol=1e-12, xtol=1e-300, maxiter=200)
-    lam = d_min - mu
-    return float(lam * lam * np.sum(z * z / (d - lam) ** 2))
-
-
-def brentq_sphere_residuals(gain, bias, means, g):
-    """Squared distances of each mean (P, 3) to the calibration model
-    ellipsoid, one scalar `brentq` secular solve per mean."""
-    u, s, _ = np.linalg.svd(np.asarray(gain, dtype=float))
-    zs = u.T @ (np.atleast_2d(means) - bias).T
-    return np.array([_secular_residual(s, zs[:, p], g)
-                     for p in range(zs.shape[1])])
+def radial_residuals(gain, bias, means, g):
+    """Radial calibration residuals (P,) of each mean (P, 3), one mean
+    at a time: the magnitude of the specific force the model maps it back
+    to, less g."""
+    inv = np.linalg.inv(np.asarray(gain, dtype=float))
+    return np.array([np.linalg.norm(inv @ (mean - bias)) - g
+                     for mean in np.atleast_2d(means)])
 
 
 def richardson_jacobian(f, x, m, h0=1e-4):

@@ -67,15 +67,20 @@ _GROUP_NAMES = ("position_xy", "position_z", "velocity", "acceleration",
 
 
 def _write_still_logs(stills_dir, rng, n_logs=12, n_samples=300,
-                      gyro_bias=(0.0, 0.0, 0.0)):
-    # Unit directions spread over the sphere; each still capture sees
+                      gyro_bias=(0.0, 0.0, 0.0), about_x=False):
+    # Unit directions spread over the sphere, or around the y-z circle
+    # when the board is only turned about x; each still capture sees
     # gravity from one of them.  The gyro reads its rate through the
     # datasheet scale plus ``gyro_bias`` counts.
     golden = np.pi * (3.0 - np.sqrt(5.0))
     for p in range(n_logs):
-        z = 1.0 - 2.0 * (p + 0.5) / n_logs
-        r = np.sqrt(1.0 - z * z)
-        u = np.array([r * np.cos(golden * p), r * np.sin(golden * p), z])
+        if about_x:
+            angle = 2.0 * np.pi * p / n_logs
+            u = np.array([0.0, np.cos(angle), np.sin(angle)])
+        else:
+            z = 1.0 - 2.0 * (p + 0.5) / n_logs
+            r = np.sqrt(1.0 - z * z)
+            u = np.array([r * np.cos(golden * p), r * np.sin(golden * p), z])
         f_b = u * constants.GRAVITY + rng.normal(0.0, 0.02, (n_samples, 3))
         w_b = rng.normal(0.0, 0.002, (n_samples, 3))
         log = ImuLog(
@@ -301,17 +306,32 @@ class TestExitCodes:
         bad_dir = tmp_path / "stills"
         bad_dir.mkdir()
         n = 300
-        spin = np.full((n, 3), 2000)  # well above any stillness limit
-        write_log(bad_dir / "spin.csv", ImuLog(
-            t=np.arange(n) / FS,
-            accel=np.tile([0, 0, int(round(constants.GRAVITY / LSB_A))],
-                          (n, 1)),
-            gyro=spin, fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W,
-        ))
+        # A still capture, then one spinning well above any stillness
+        # limit: the refusal names the second.
+        for name, rate in [("a_still.csv", 0), ("b_spin.csv", 2000)]:
+            write_log(bad_dir / name, ImuLog(
+                t=np.arange(n) / FS,
+                accel=np.tile([0, 0, int(round(constants.GRAVITY / LSB_A))],
+                              (n, 1)),
+                gyro=np.full((n, 3), rate), fs=FS, lsb_accel=LSB_A,
+                lsb_gyro=LSB_W,
+            ))
         code = main(["calibrate", "--stills", str(bad_dir),
                      "--out", str(tmp_path / "cal.json")])
         assert code == 2
-        assert "angular rate" in capsys.readouterr().err
+        assert "b_spin.csv: median angular rate" in capsys.readouterr().err
+
+    def test_stills_turned_about_one_axis_exit_two(self, tmp_path, capsys):
+        # Twelve captures with gravity around the y-z circle pin only part
+        # of the model; the fit must refuse them, not write a wrong gain.
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(5), about_x=True)
+        code = main(["calibrate", "--stills", str(stills),
+                     "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        assert "do not spread enough" in capsys.readouterr().err
+        assert not (tmp_path / "cal.json").exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("stance", "pseudo_groups", "FFFFFFFFF"),
