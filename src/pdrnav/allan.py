@@ -145,18 +145,18 @@ def allan_deviation(
     # matters for sensors parked at g.
     series = series - series.mean()
     # Integrated signal; successive cluster means become second
-    # differences of this, formed per tau in one buffer sized for the
-    # shortest tau: -2 I[m:-m], then I[2m:] and I[:-2m] added in place.
-    # That is the same sum in the same order as the plain expression,
-    # so the same bits, without its three full-length temporaries.  The
-    # integral is summed and scaled in place, and the centred copy is
-    # freed before the sweep, so at most two series-length arrays live.
-    # The three operations run one `_SWEEP_BLOCK` of rows at a time, so
-    # the second and third read the block back from L2 rather than from
-    # memory; over the whole buffer each would stream it in again.  Each
-    # element still gets the same three operations, and the dot product
-    # runs once over the whole buffer, because summing it by block would
-    # change the order of its additions and so its last bits.
+    # differences of this, formed one `_SWEEP_BLOCK` of rows at a time
+    # in one block-sized buffer: -2 I[m:-m], then I[2m:] and I[:-2m]
+    # added in place.  That is the same sum in the same order as the
+    # plain expression, so the same bits, without its three full-length
+    # temporaries.  The second and third operations read the block back
+    # from L2, and so does its sum of squares, taken with `np.einsum`
+    # while the block is there and added to the blocks before it in
+    # order.  einsum calls no BLAS, whose dot product splits a long
+    # vector across threads and so gives bits that depend on the host's
+    # thread count.  The integral is summed and scaled in place, and the
+    # centred copy is freed before the sweep, so at most two
+    # series-length arrays live.
     integral = np.empty(n + 1)
     integral[0] = 0.0
     np.cumsum(series, out=integral[1:])
@@ -164,17 +164,19 @@ def allan_deviation(
     del series
     sizes = _cluster_sizes(n, points_per_decade)
     adev = np.empty(sizes.size)
-    buffer = np.empty(n + 1 - 2 * sizes[0])
+    buffer = np.empty(min(_SWEEP_BLOCK, n + 1 - 2 * sizes[0]))
     for j, m in enumerate(sizes):
-        d = buffer[:n + 1 - 2 * m]
-        for lo in range(0, d.size, _SWEEP_BLOCK):
-            hi = min(lo + _SWEEP_BLOCK, d.size)
-            block = d[lo:hi]
+        rows = n + 1 - 2 * m
+        total = 0.0
+        for lo in range(0, rows, _SWEEP_BLOCK):
+            hi = min(lo + _SWEEP_BLOCK, rows)
+            block = buffer[:hi - lo]
             np.multiply(integral[m + lo:m + hi], -2.0, out=block)
             block += integral[2 * m + lo:2 * m + hi]
             block += integral[lo:hi]
+            total += np.einsum("i,i->", block, block)
         tau = m / fs
-        adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
+        adev[j] = np.sqrt(total / (2.0 * rows * tau * tau))
     return AllanCurve(taus=sizes / fs, adev=adev)
 
 

@@ -54,8 +54,14 @@ MIN_ORIENTATIONS = 9
 # Fewest samples per still capture whose mean `batch_means` trusts.
 MIN_STILL_SAMPLES = 50
 
-# The fit has converged when a step moves the cost by at most this share.
+# The fit has converged when a step moves the cost by at most this share
+# and either fails to lower it or is at most `_STEP_RTOL` of the
+# parameters.  A cost tie alone stops a step short: the Gauss-Newton
+# step that removes the last of the gradient (2.7e-12 of the parameters
+# on the stationarity test's captures) lowers the cost by far less than
+# 1e-12 of itself.
 _COST_RTOL = 1e-12
+_STEP_RTOL = 1e-10
 
 # Gauss-Newton iterations the fit may take before it gives up.
 _MAX_ITER = 500
@@ -272,8 +278,10 @@ def fit_accel_calibration(
     Minimizes the sum over orientations of the squared radial residual
     ``|inv(gain) (mean - bias)| - g``, in m/s^2.  Gauss-Newton with
     step-halving; each trial step must keep the gain diagonal positive
-    and reduce the cost, and a trial that ties the current cost to
-    ``_COST_RTOL`` ends the fit as converged.
+    and reduce the cost.  A trial that ties the current cost to
+    ``_COST_RTOL`` ends the fit as converged, once it lowers the cost by
+    a step of at most ``_STEP_RTOL`` of the parameters or does not lower
+    it at all.
 
     Parameters
     ----------
@@ -340,9 +348,12 @@ def fit_accel_calibration(
             # numerically at a minimum.
             converged = True
             break
-        if trial_cost < cost:
+        lowered = trial_cost < cost
+        small = (np.linalg.norm(trial - theta)
+                 <= _STEP_RTOL * np.linalg.norm(theta))
+        if lowered:
             theta, res, jac, cost = trial, trial_res, trial_jac, trial_cost
-        if tied:
+        if tied and (small or not lowered):
             converged = True
             break
 

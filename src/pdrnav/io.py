@@ -31,10 +31,14 @@ Writers format `_BLOCK_ROWS` rows at a time into a sibling temporary
 file and move it onto the target only once the whole file is written,
 so a refused or failed write leaves no partial file under the target
 name, and an existing target keeps its bytes.
-The log writer keeps the counts integers: it texts each distinct count
-of a block once, gathers the texts into rows beside the time column's
-`repr`, and refuses a count outside the 16-bit ADC range rather than
-writing it.
+The log writer keeps the counts integers and refuses a count outside
+the 16-bit ADC range rather than writing it.  It builds each block as
+one matrix of NUL-padded text and strips the NULs in one pass, with no
+Python string per value: each count's text is gathered from a table of
+",<count>" for the whole ADC range, and each time's `repr` is worked out
+from its exact decimal when the block's times have one of at most 15
+digits (`_decimal_times`), as a recorder's grid does, and taken from
+`float.__repr__` otherwise.
 
 The float writers (truth, trajectory, Allan curve) text each column of
 a block by runs of equal float64 bits: a planted foot holds position
@@ -266,30 +270,122 @@ def _read_finite_rows(path, row: np.dtype, label: str) -> np.ndarray:
     raise ValueError(f"{label} {path}, line {number}: value {bad} is not finite")
 
 
-def _count_texts(block: np.ndarray, path) -> list:
-    """Integer texts of one block's count columns, which are the rows of
-    ``block``: each distinct count is texted once and gathered.
+# The log writer's texts are NUL-padded bytes, stripped of their NULs
+# once per block, so a NUL may sit anywhere in a text.  Its tables are
+# built here, not in the first write, so that no write's memory peak
+# holds their temporaries.
+def _count_table() -> np.ndarray:
+    """",<count>" for each count of the ADC range in 8 bytes, one uint64
+    each (0.5 MiB), so a block's count texts are one gather: the comma,
+    a minus sign or NUL, then five digits, leading zeros NUL."""
+    text = np.zeros((ADC_MAX - ADC_MIN + 1, 8), np.uint8)
+    text[:, 0] = ord(",")
+    text[:-ADC_MIN, 1] = ord("-")
+    rest = np.abs(np.arange(ADC_MIN, ADC_MAX + 1, dtype=np.int32))
+    for column in range(6, 1, -1):
+        text[:, column] = rest % 10 + ord("0")
+        if column < 6:
+            text[rest == 0, column] = 0
+        rest //= 10
+    return text.view(np.uint64).ravel()
+
+
+_COUNT_TEXTS = _count_table()
+
+# A decimal time text is a row of 4-byte groups: the integer part in
+# groups of "%04d", a group holding the point, and the fraction in
+# groups of four digits, as many of each as the block needs.
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+
+
+def _digit_groups() -> np.ndarray:
+    """"%04d" of each k below 10,000 in 4 bytes, one uint32 each, and at
+    index 10,000 the point."""
+    k = np.arange(10_000)[:, None]
+    digits = k // _POW10[3::-1] % 10 + ord("0")
+    return (np.vstack([digits, [ord("."), 0, 0, 0]]).astype(np.uint8)
+            .view(np.uint32).ravel())
+
+
+_DIGIT_GROUPS = _digit_groups()
+_POINT = 10_000
+
+
+def _time_masks() -> np.ndarray:
+    """``[i, f]``: the mask that keeps the last ``i`` digits of four
+    integer groups, the point and the first ``f`` digits of three
+    fraction groups, as eight uint32 groups of 0xFF or 0 bytes."""
+    at = np.arange(32)
+    i = np.arange(16)[:, None, None]
+    f = np.arange(13)[None, :, None]
+    keep = (((16 - i <= at) & (at < 16)) | (at == 16)
+            | ((20 <= at) & (at < 20 + f)))
+    return (keep * np.uint8(0xFF)).view(np.uint32)
+
+
+_TIME_MASKS = _time_masks()
+
+
+def _split_groups(values: np.ndarray, groups: np.ndarray) -> None:
+    """Write ``values`` into the columns of ``groups`` as base-10,000
+    digits, the last column the least significant."""
+    for j in range(groups.shape[1] - 1, 0, -1):
+        values, groups[:, j] = np.divmod(values, 10_000)
+    groups[:, 0] = values
+
+
+def _decimal_times(t: np.ndarray) -> np.ndarray | None:
+    """`repr` of each time as a row of NUL-padded 4-byte groups, one
+    uint32 each, worked out in whole-block passes; None if the block is
+    not one this can text exactly, which then takes `float.__repr__`.
+
+    The block's times must be +0.0 or lie in [1e-4, 1e15), and for the
+    smallest d <= 9 at which ``rint(t * 10**d) / 10**d == t`` holds on
+    every row, each m = rint(t * 10**d) must stay below 10**15.  Then t
+    is the double nearest the decimal m / 10**d, being the correctly
+    rounded quotient of two exact doubles (Clinger, PLDI 1990).
+    `repr(t)` is the shortest decimal that reads back to t, so it has at
+    most the 15 significant digits of m, and two decimals of at most 15
+    significant digits never read back to the same double: the two are
+    one number.  `repr` writes a number in [1e-4, 1e16) in fixed point,
+    with the fraction's trailing zeros stripped but one digit kept, as
+    this does.  Without the bound on m, a 16- or 17-digit decimal can
+    read back to t and not be its `repr`.
+    """
+    if not (np.all((t >= 1e-4) | (t.view(np.uint64) == 0))
+            and t.max() < 1e15):
+        return None
+    for d in range(10):
+        scaled = np.rint(t * 10.0 ** d)
+        if np.array_equal(scaled / 10.0 ** d, t):
+            break
+    else:
+        return None
+    if not scaled.max() < 1e15:
+        return None
+    whole, fraction = np.divmod(scaled.astype(np.int64), _POW10[d])
+    digits = np.searchsorted(_POW10[1:], whole, side="right") + 1
+    decimals = np.full(t.size, max(d, 1))
+    for s in range(1, d):
+        decimals -= fraction % _POW10[s] == 0
+    wide = -(-int(digits.max()) // 4)
+    tall = max(1, -(-d // 4))
+    groups = np.empty((t.size, wide + 1 + tall), np.int64)
+    _split_groups(whole, groups[:, :wide])
+    groups[:, wide] = _POINT
+    _split_groups(fraction * _POW10[4 * tall - d], groups[:, wide + 1:])
+    text = _DIGIT_GROUPS[groups]
+    text &= _TIME_MASKS[digits, decimals, 4 - wide:5 + tall]
+    return text
+
+
+def write_log(path, log: ImuLog) -> None:
+    """Write an IMU log: one header line, then `t,ax,ay,az,gx,gy,gz`.
 
     Float counts are rounded to the nearest integer, as `ImuLog` holds
     them whole; a count outside the ADC range (NaN and infinities
     among them) is an error rather than a text.
     """
-    values, where = np.unique(block, return_inverse=True)
-    if values.dtype.kind == "f":
-        values = np.rint(values)
-    # Sorted with NaN last, so the ends are the extremes.
-    low, high = values[0], values[-1]
-    if not (ADC_MIN <= low and high <= ADC_MAX):
-        bad = high if ADC_MIN <= low else low
-        raise ValueError(f"log {path}: count {bad} is outside the 16-bit "
-                         f"ADC range [{ADC_MIN}, {ADC_MAX}]")
-    texts = np.array(list(map(str, values.astype(np.int64).tolist())),
-                     dtype=object)
-    return texts[where.reshape(block.shape)].tolist()
-
-
-def write_log(path, log: ImuLog) -> None:
-    """Write an IMU log: one header line, then `t,ax,ay,az,gx,gy,gz`."""
     with _replacing(path) as fh:
         fh.write(
             f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
@@ -297,11 +393,29 @@ def write_log(path, log: ImuLog) -> None:
         )
         for lo in range(0, log.t.size, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            counts = np.concatenate((log.accel[lo:hi].T, log.gyro[lo:hi].T))
-            times = map(float.__repr__, log.t[lo:hi].tolist())
-            fh.write("\n".join(map(",".join, zip(
-                times, *_count_texts(counts, path)))))
-            fh.write("\n")
+            counts = np.concatenate((log.accel[lo:hi], log.gyro[lo:hi]),
+                                    axis=1)
+            if counts.dtype.kind == "f":
+                counts = np.rint(counts)
+            low, high = counts.min(), counts.max()
+            if not (ADC_MIN <= low and high <= ADC_MAX):
+                bad = high if ADC_MIN <= low else low
+                raise ValueError(f"log {path}: count {bad} is outside the "
+                                 f"16-bit ADC range [{ADC_MIN}, {ADC_MAX}]")
+            t = log.t[lo:hi]
+            times = _decimal_times(t)
+            if times is None:
+                times = np.array(list(map(float.__repr__, t.tolist())),
+                                 dtype="S32").view(np.uint32).reshape(-1, 8)
+            # A row of 4-byte groups: the time, six counts of two groups
+            # each and the newline.
+            width = times.shape[1]
+            rows = np.empty((t.size, width + 13), np.uint32)
+            rows[:, :width] = times
+            rows[:, width:-1] = _COUNT_TEXTS[
+                counts.astype(np.intp) - ADC_MIN].view(np.uint32)
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def read_log(path) -> ImuLog:

@@ -19,8 +19,9 @@ Detection is built on four per-sample condition signals:
 The still-foot score (SFS) of a sample is the fraction of its
 surrounding detection window where all four conditions hold, a soft
 value in [0, 1].  A stance event runs while the score sits at or above
-``sfs_threshold``; the hard baseline detector thresholds a windowed
-count of C1*C2*C3 instead and carries no confidence information.
+``sfs_threshold``; the hard baseline detector applies the same
+threshold to the fraction of the window where C1*C2*C3 hold instead,
+and carries no confidence information.
 
 The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
 so that low-confidence stance samples pull the filter gently and
@@ -240,6 +241,14 @@ def condition_series(accel, gyro, cfg: StanceConfig):
     return c1, c2, c3, c4
 
 
+def _window_fraction(flags: NDArray[np.bool_],
+                     cfg: StanceConfig) -> NDArray[np.float64]:
+    """Share of each sample's window ``k +- detect_half_width`` where
+    ``flags`` hold, over the full window length."""
+    width = 2 * cfg.detect_half_width + 1
+    return _windowed_count(flags, cfg.detect_half_width) / width
+
+
 def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     """Still-foot score for every sample of a calibrated record.
 
@@ -252,24 +261,21 @@ def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     is harmless.
     """
     c1, c2, c3, c4 = condition_series(accel, gyro, cfg)
-    width = 2 * cfg.detect_half_width + 1
-    counts = _windowed_count(c1 & c2 & c3 & c4, cfg.detect_half_width)
-    return counts / width
+    return _window_fraction(c1 & c2 & c3 & c4, cfg)
 
 
 def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
     """Binary baseline detector over a record.
 
-    Declares stance where the windowed count of C1*C2*C3 strictly
-    exceeds half the window half-width.  C4 does not participate; the
-    comparison is against ``detect_half_width / 2`` exactly, so an even
-    count equal to it is not stance.  This ``dh / 2`` rule was checked
-    only at the 100 Hz windows (6, 3); at (3, 1) its median epsilon_TTD
-    on the 300 m suite was 0.317.
+    Declares stance where C1*C2*C3 hold on at least ``sfs_threshold``
+    of the sample's window, counted as the score counts; C4 does not
+    participate.  A fraction of the window, not a count, so the rule
+    means the same at every rate: a count above ``detect_half_width /
+    2`` took two still samples of seven at 50 Hz (epsilon_TTD 0.165 on
+    80 m squares), where the fraction takes three.
     """
     c1, c2, c3, _ = condition_series(accel, gyro, cfg)
-    counts = _windowed_count(c1 & c2 & c3, cfg.detect_half_width)
-    return counts > cfg.detect_half_width / 2.0
+    return _window_fraction(c1 & c2 & c3, cfg) >= cfg.sfs_threshold
 
 
 def stance_schedule(accel, gyro, cfg: StanceConfig):
@@ -278,14 +284,15 @@ def stance_schedule(accel, gyro, cfg: StanceConfig):
     sets them.  ``"soft"`` updates at scores of at least
     ``sfs_threshold`` with factor `_confidence_factor`; ``"hard"``
     updates where `hard_series` fires and ``"none"`` nowhere, both with
-    factor 1.
+    factor 1.  The condition signals are worked out once.
     """
-    scores = sfs_series(accel, gyro, cfg)
+    c1, c2, c3, c4 = condition_series(accel, gyro, cfg)
+    scores = _window_fraction(c1 & c2 & c3 & c4, cfg)
     if cfg.mode == "soft":
         return (scores, scores >= cfg.sfs_threshold,
                 _confidence_factor(cfg, scores))
     if cfg.mode == "hard":
-        active = hard_series(accel, gyro, cfg)
+        active = _window_fraction(c1 & c2 & c3, cfg) >= cfg.sfs_threshold
     else:
         active = np.zeros(scores.size, dtype=bool)
     return scores, active, np.ones(scores.size)

@@ -23,6 +23,7 @@ from io import StringIO
 import numpy as np
 
 from pdrnav import calibration, ekf, gait, tracker, zupt
+from pdrnav.allan import _SWEEP_BLOCK
 from pdrnav.constants import GRAVITY
 from pdrnav.ekf import ACC_B, BIAS_A, BIAS_W, DIM, MEAS_DIM, OMEGA, POS, QUAT
 from pdrnav.quat import _DEGENERATE_NORM, _rotate_terms, quat_normalize, quat_rotate
@@ -327,7 +328,7 @@ def hard_detector(accel, gyro, cfg, k: int) -> bool:
     count = sum(
         all(condition_signals(accel, gyro, cfg, i)[:3]) for i in range(lo, hi)
     )
-    return bool(count > cfg.detect_half_width / 2.0)
+    return bool(count / (2 * cfg.detect_half_width + 1) >= cfg.sfs_threshold)
 
 
 
@@ -419,16 +420,22 @@ def per_value_allan_text(taus, adev):
 def three_temporary_allan_deviation(series, fs, sizes):
     """Overlapping Allan deviation at the cluster sizes ``sizes``, each
     second difference of the integrated signal written as one expression
-    with its three full-length temporaries: the form `allan_deviation`
-    forms in one buffer and must equal bit for bit."""
+    with its three full-length temporaries, its squares summed by
+    `np.einsum` over `pdrnav.allan._SWEEP_BLOCK` rows at a time and the
+    block sums added in order: the form `allan_deviation` forms block by
+    block and must equal bit for bit."""
     series = np.asarray(series, dtype=float).ravel()
     series = series - series.mean()
     integral = np.concatenate([[0.0], np.cumsum(series)]) / fs
     adev = np.empty(len(sizes))
     for j, m in enumerate(sizes):
         d = integral[2 * m:] - 2.0 * integral[m:-m] + integral[:-2 * m]
+        total = 0.0
+        for lo in range(0, d.size, _SWEEP_BLOCK):
+            b = d[lo:lo + _SWEEP_BLOCK]
+            total += np.einsum("i,i->", b, b)
         tau = m / fs
-        adev[j] = np.sqrt((d @ d) / (2.0 * d.size * tau * tau))
+        adev[j] = np.sqrt(total / (2.0 * d.size * tau * tau))
     return adev
 
 

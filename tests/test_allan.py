@@ -2,15 +2,20 @@
 
 Oracles: a loop-written overlapping estimator pins the vectorized
 algebra, and the plain three-temporary expression of each second
-difference pins the one-buffer form bit for bit; closed-form laws pin
-white noise (adev = sigma/sqrt(fs tau)) and integrated noise (+1/2
-slope); an FFT-shaped 1/f generator with a known Allan floor pins the
-bias-instability read-out.
+difference, summed in the same blocks, pins the blocked form bit for
+bit; closed-form laws pin white noise (adev = sigma/sqrt(fs tau)) and
+integrated noise (+1/2 slope); an FFT-shaped 1/f generator with a
+known Allan floor pins the bias-instability read-out.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pdrnav
 from pdrnav.allan import (
     _SWEEP_BLOCK,
     MIN_SAMPLES,
@@ -95,6 +100,26 @@ class TestAllanDeviation:
         assert sizes[0] == 1
         np.testing.assert_array_equal(
             curve.adev, three_temporary_allan_deviation(series, FS, sizes))
+
+    def test_curve_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a long dot product across its threads, which
+        # changes the order of its additions with their count.
+        script = ("import sys, numpy as np\n"
+                  "from pdrnav.allan import allan_deviation\n"
+                  "series = np.random.default_rng(4).standard_normal(1_000_001)\n"
+                  "sys.stdout.write(allan_deviation(series, 100.0)"
+                  ".adev.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pdrnav.__file__)))
+        curves = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            curves.append(proc.stdout)
+        assert curves[0] == curves[1]
 
     def test_default_grid_has_ten_points_per_decade(self):
         series = white(20_000, 0.1, seed=6)

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -559,6 +559,82 @@ def test_log_round_trip_is_bit_exact(tmp_path_factory, log):
     assert np.array_equal(back.accel, log.accel)
     assert np.array_equal(back.gyro, log.gyro)
     assert back.accel.dtype == back.gyro.dtype == np.int32
+
+
+# Both read back from rint(t * 10**d) / 10**d at some d <= 9, as the
+# 17- and 16-digit decimals 34280804.238748008 and 9415651814.089002,
+# which are not their shortest texts.
+LONG_DECIMAL_TIMES = [34280804.23874801, 9415651814.089003]
+AWKWARD_TIMES = [0.0, -0.0, -2.5, -1e22, 5e-324, 1e-5, 1e-4, 9.99e14,
+                 1e15, 1e16, 1e22, *LONG_DECIMAL_TIMES]
+
+
+@st.composite
+def grid_logs(draw):
+    """Logs on a recorder's time grid t0 + k / fs: as it is, moved by
+    whole microseconds or jittered by up to 0.3 of a sample, with some
+    awkward times merged in, and int or float counts with rows at both
+    rails of the ADC."""
+    fs = draw(st.sampled_from([3.0, 50.0, 100.0, 128.0, 200.0, 1000.0]))
+    t0 = draw(st.sampled_from([0.0, 1234.5678, 1.6e9]))
+    n = draw(st.one_of(st.integers(1, 64),
+                       st.integers(_BLOCK_ROWS, 2 * _BLOCK_ROWS + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = t0 + np.arange(n) / fs
+    jitter = draw(st.sampled_from(["none", "microseconds", "fraction"]))
+    if jitter == "microseconds":
+        t = np.round(t + rng.integers(-200, 201, n) * 1e-6, 6)
+    elif jitter == "fraction":
+        t = t + rng.uniform(-0.3, 0.3, n) / fs
+    awkward = draw(st.lists(st.sampled_from(AWKWARD_TIMES), max_size=3,
+                            unique=True))
+    t = np.unique(np.concatenate([t, awkward]))
+    counts = rng.integers(constants.ADC_MIN, constants.ADC_MAX + 1,
+                          (t.size, 6))
+    counts[rng.random(t.size) < 0.05] = constants.ADC_MIN
+    counts[rng.random(t.size) < 0.05] = constants.ADC_MAX
+    if draw(st.booleans()):
+        counts = np.where(counts == 0, -0.0, counts.astype(float))
+    return ImuLog(t=t, accel=counts[:, :3], gyro=counts[:, 3:], fs=fs,
+                  lsb_accel=LSB_A, lsb_gyro=LSB_W)
+
+
+class TestLogText:
+    """The log writer texts whole blocks at a time; its file must be the
+    one `repr` and `str` give value by value."""
+
+    # No shrinking: each example writes up to two blocks and their
+    # per-value text, and shrinking a failure takes minutes.  The first
+    # differing line of the failing example is reported as it is.
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(log=grid_logs())
+    def test_is_the_per_value_text(self, tmp_path_factory, log):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        write_log(path, log)
+        TestRowWriters.assert_text(path, per_value_log_text(log))
+
+    @pytest.mark.parametrize("t", [-0.0, 0.0, 5e-324, 1e-5, 1e-4,
+                                   *LONG_DECIMAL_TIMES])
+    def test_time_beside_a_grid_is_its_repr(self, tmp_path, t):
+        # One awkward time in a block of the 100 Hz grid k / 100, whose
+        # other times all have exact short decimals.
+        times = np.sort(np.append(np.arange(1, 100) / 100.0, t))
+        log = ImuLog(t=times, accel=np.zeros((100, 3)),
+                     gyro=np.zeros((100, 3)), fs=FS, lsb_accel=LSB_A,
+                     lsb_gyro=LSB_W)
+        write_log(tmp_path / "log.csv", log)
+        assert (tmp_path / "log.csv").read_text() == per_value_log_text(log)
+
+    def test_every_count_of_the_adc_range_is_its_str(self, tmp_path):
+        values = np.arange(constants.ADC_MIN, constants.ADC_MAX + 1)
+        counts = np.resize(values, (-(-values.size // 6), 6))
+        write_log(tmp_path / "log.csv", ImuLog(
+            t=np.arange(len(counts)) / FS, accel=counts[:, :3],
+            gyro=counts[:, 3:], fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W))
+        rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
+        texts = [text for row in rows for text in row.split(",")[1:]]
+        assert texts[:values.size] == list(map(str, values.tolist()))
 
 
 class TestTruthFormat:

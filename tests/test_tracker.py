@@ -586,13 +586,16 @@ class TestSampleRates:
         cfg = default_stance_config(fs)
         assert (cfg.detect_half_width, cfg.std_half_width) == windows
 
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
     @pytest.mark.parametrize("fs", [50.0, 200.0])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_square_walk_finds_every_stance_and_closes(self, fs, seed):
+    def test_square_walk_finds_every_stance_and_closes(self, fs, seed, mode):
         # 80 m square; the event tolerance is 0.05 s, 5 samples at
         # 100 Hz as in criterion 6.
         truth = closed_square(20.0, seed=seed, fs=fs)
-        traj = run_tracker(make_log(truth, seed=seed), CAL_A, CAL_W)
+        stance_cfg = dataclasses.replace(default_stance_config(fs), mode=mode)
+        traj = run_tracker(make_log(truth, seed=seed), CAL_A, CAL_W,
+                           stance_cfg=stance_cfg)
         report = event_f1(stance_intervals(traj.stance),
                           stance_intervals(truth.stance),
                           tolerance=round(0.05 * fs))

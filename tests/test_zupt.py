@@ -210,12 +210,14 @@ class TestHardDetector:
         assert hard_detector(accel, gyro, cfg, 15) is False
 
     def test_count_equal_to_half_width_over_two_is_rejected(self):
-        # detect_half_width 4: a count of exactly 2 must not fire.
+        # detect_half_width 4, a window of 9 samples, threshold 0.3:
+        # 2 of 9 (0.22) must not fire, 3 of 9 (0.33) must.
         cfg = wide_open_config(detect_half_width=4)
+        assert cfg.sfs_threshold == 0.3
         accel, gyro = still_signals(9, mag=20.0)
-        accel[3:5, 2] = GRAVITY  # count 2 == F / 2
+        accel[3:5, 2] = GRAVITY  # 2 of 9
         assert hard_detector(accel, gyro, cfg, 4) is False
-        accel[5, 2] = GRAVITY  # count 3 > F / 2
+        accel[5, 2] = GRAVITY  # 3 of 9
         assert hard_detector(accel, gyro, cfg, 4) is True
 
     def test_fourth_condition_excluded(self):
