@@ -47,6 +47,12 @@ so a walk's truth has a third to a fifth as many runs as values.
 Each run is texted once and repeated.  Runs, not distinct values: a run
 costs one comparison per value, where sorting each column for its
 distinct values would slow the trajectory, whose values hardly repeat.
+The runs' texts are worked out in whole-array passes, with no Python
+float formatting (`_float_texts`): each value's 17 digits are the
+rounded exact product of the value and a power of ten (Dekker's
+product), laid out in the log writer's digit groups under masks per
+decimal exponent, and the NULs stripped in one pass.  Values outside
+(1e-6, 1e17), zeros apart, take one ``%`` for the block.
 A NaN or an infinity is refused as the readers refuse it, naming the
 file and line, and checking only the runs' values.
 """
@@ -139,11 +145,12 @@ def _column_texts(block: np.ndarray, flagged: bool, name: str,
 
     A run is a stretch of one column whose values have the same float64
     bits, so -0.0 beside 0.0, or two NaN payloads, are two runs.  All
-    the block's runs are texted in one ``%``, each text is repeated by
-    its run's length, and a column of runs of one keeps its texts as
-    they are.  ``flagged`` texts the last column's runs with ``%d``.
-    A non-finite value is refused, with ``name`` and the file line of
-    the first row that holds one, the block's first row being ``line``.
+    the block's float runs are texted in one `_float_texts` call, each
+    text is repeated by its run's length, and a column of runs of one
+    keeps its texts as they are.  ``flagged`` texts the last column's
+    runs with ``%d``.  A non-finite value is refused, with ``name`` and
+    the file line of the first row that holds one, the block's first
+    row being ``line``.
     """
     width, m = block.shape
     values = block.ravel()
@@ -160,8 +167,7 @@ def _column_texts(block: np.ndarray, flagged: bool, name: str,
         raise ValueError(f"{name}, line {line + row}: value {bad} is not finite")
     firsts = np.searchsorted(starts, np.arange(width + 1) * m).tolist()
     n_float = firsts[-2] if flagged else firsts[-1]
-    texts = ("\n".join(["%.17g"] * n_float)
-             % tuple(runs[:n_float].tolist())).split("\n")
+    texts = _float_texts(runs[:n_float])
     texts += ["%d" % flag for flag in runs[n_float:].tolist()]
     lengths = np.diff(starts, append=values.size)
     return [texts[a:b] if b - a == m else
@@ -265,9 +271,15 @@ def _read_finite_rows(path, row: np.dtype, label: str) -> np.ndarray:
         return rows
     index = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
     bad = values[index][~np.isfinite(values[index])][0]
+    raise ValueError(f"{label} {path}, line {_row_line(path, head, index)}: "
+                     f"value {bad} is not finite")
+
+
+def _row_line(path, head: int, index: int) -> int:
+    """File line (1-based) of the data row ``index`` of a CSV whose first
+    data row is line index ``head``."""
     with open(path) as fh:
-        number = next(islice(_data_lines(fh, head), index, None))[0]
-    raise ValueError(f"{label} {path}, line {number}: value {bad} is not finite")
+        return next(islice(_data_lines(fh, head), index, None))[0]
 
 
 # The log writer's texts are NUL-padded bytes, stripped of their NULs
@@ -295,7 +307,7 @@ _COUNT_TEXTS = _count_table()
 # A decimal time text is a row of 4-byte groups: the integer part in
 # groups of "%04d", a group holding the point, and the fraction in
 # groups of four digits, as many of each as the block needs.
-_POW10 = 10 ** np.arange(16, dtype=np.int64)
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _digit_groups() -> np.ndarray:
@@ -311,16 +323,23 @@ _DIGIT_GROUPS = _digit_groups()
 _POINT = 10_000
 
 
+def _keep(start, stop, width: int) -> np.ndarray:
+    """The masks that keep bytes [start, stop) of ``width`` bytes, for
+    each pair of the broadcast ``start`` and ``stop``, as uint32 groups
+    of 0xFF or 0 bytes."""
+    at = np.arange(width)
+    keep = ((np.asarray(start)[..., None] <= at)
+            & (at < np.asarray(stop)[..., None]))
+    return (keep * np.uint8(0xFF)).view(np.uint32)
+
+
 def _time_masks() -> np.ndarray:
     """``[i, f]``: the mask that keeps the last ``i`` digits of four
     integer groups, the point and the first ``f`` digits of three
     fraction groups, as eight uint32 groups of 0xFF or 0 bytes."""
-    at = np.arange(32)
-    i = np.arange(16)[:, None, None]
-    f = np.arange(13)[None, :, None]
-    keep = (((16 - i <= at) & (at < 16)) | (at == 16)
-            | ((20 <= at) & (at < 20 + f)))
-    return (keep * np.uint8(0xFF)).view(np.uint32)
+    i = np.arange(16)[:, None]
+    f = np.arange(13)[None, :]
+    return _keep(16 - i, 16, 32) | _keep(16, 17, 32) | _keep(20, 20 + f, 32)
 
 
 _TIME_MASKS = _time_masks()
@@ -330,8 +349,194 @@ def _split_groups(values: np.ndarray, groups: np.ndarray) -> None:
     """Write ``values`` into the columns of ``groups`` as base-10,000
     digits, the last column the least significant."""
     for j in range(groups.shape[1] - 1, 0, -1):
-        values, groups[:, j] = np.divmod(values, 10_000)
+        high = values // 10_000
+        groups[:, j] = values - high * 10_000
+        values = high
     groups[:, 0] = values
+
+
+# A float's "%.17g" text is a column of 4-byte groups: a sign group,
+# the integer part in groups of "%04d", the point, the fraction in five
+# groups of four digits and an exponent group; X is the decimal
+# exponent.  The 17 digits D split into the integer part, the first
+# X + 1 of them, and the fraction, the rest after -X - 1 leading zeros
+# when X < 0, each right-aligned in its groups, so that both take whole
+# groups and a mask per X keeps their digits.  The tables below have a
+# row for each X in [-6, 16], row X + 6, and a last row for a zero.
+_ZERO_ROW = 23
+
+
+def _float_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each row: the number of D's digits in the fraction, the
+    integer part's digits, and the slot of twenty at which the fraction
+    starts.  Fixed notation, X in [-4, 16], has X + 1 integer digits, or
+    none below 0 (the sign group then holds the "0"), and a fraction of
+    16 - X slots; scientific, X in [-6, -5], one digit and sixteen."""
+    x = np.arange(-6, 18)
+    zero, fixed = x == 17, x >= -4
+    fraction = np.select([zero, x >= 0, fixed], [17, 16 - x, 17], 16)
+    integer = np.select([zero, x >= 0, fixed], [0, x + 1, 0], 1)
+    start = np.select([zero, fixed], [20, x + 4], 4)
+    return fraction, integer, start
+
+
+_FRACTION_DIGITS, _INTEGER_DIGITS, _FRACTION_START = _float_rows()
+
+# ``[:, row]``: the mask of the five integer groups, the point and the
+# five fraction groups, of which a text uses the last integer groups.
+_FLOAT_MASKS = np.ascontiguousarray((
+    _keep(20 - _INTEGER_DIGITS, 20, 44) | _keep(20, 24, 44)
+    | _keep(24 + _FRACTION_START, 44, 44)).T)
+
+
+def _tail_groups() -> np.ndarray:
+    """At 2k, "%04d" of each k below 10,000, and at 2k + 1 the same with
+    its trailing zeros NUL, so a fraction's last digits drop theirs."""
+    text = np.repeat(_DIGIT_GROUPS[:10_000], 2).view(np.uint8).reshape(-1, 4)
+    k = np.arange(20_000) // 2
+    for slot in range(4):
+        text[1::2][k[1::2] % 10 ** (4 - slot) == 0, slot] = 0
+    return text.view(np.uint32).ravel()
+
+
+_TAIL_GROUPS = _tail_groups()
+
+
+def _group(text: str) -> int:
+    return int(np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0])
+
+
+# By 2 * row + sign bit: the newline that ends the text before, the
+# sign, and the "0" of a text with no integer digits in fixed notation,
+# or of a zero.
+_SIGN_GROUPS = np.array([
+    _group("\n" + sign + ("0" if integer == 0 else ""))
+    for integer in _INTEGER_DIGITS for sign in ("", "-")], np.uint32)
+_EXPONENT_GROUPS = np.array([_group("e-06"), _group("e-05")] + [0] * 22,
+                            np.uint32)
+
+# 10**k for k <= 22 is an exact double; its two halves for `_scaled`.
+_POW10_FLOAT = 10.0 ** np.arange(23)
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each ``x`` into two halves of at most 26
+    significant bits whose sum is ``x``."""
+    t = x * 134217729.0  # 2**27 + 1
+    high = t - (t - x)
+    return high, x - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10_FLOAT)
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D = round-half-even(a * 10**(16 - x)) of the exact product, and
+    whether x is off: the product is below 10**16 or D reaches 10**17.
+
+    The product is hi + lo exactly (Dekker 1971).  If it is at least
+    10**16 > 2**53, hi is an even integer, so D = hi + rint(lo)."""
+    k = 16 - x
+    hi = a * _POW10_FLOAT[k]
+    a_high, a_low = _halves(a)
+    b_high, b_low = _POW10_HIGH[k], _POW10_LOW[k]
+    lo = a_high * b_high
+    lo -= hi
+    lo += a_high * b_low
+    lo += a_low * b_high
+    lo += a_low * b_low
+    digits = hi.astype(np.int64)
+    digits += np.rint(lo, out=lo).astype(np.int64)
+    off = hi < 1e16
+    off |= (hi == 1e16) & (lo < 0)
+    off |= digits >= 10 ** 17
+    return digits, off
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits D of each ``a`` in (1e-6, 1e17) as an
+    integer, and its decimal exponent X, so that D * 10**(X - 16) is
+    ``a`` rounded to 17 digits.
+
+    X starts from log10, which can be one off beside a power of ten;
+    those lanes are worked out once more with X one nearer."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(x, -6, 16, out=x)
+    digits, off = _scaled(a, x)
+    if off.any():
+        lanes = np.flatnonzero(off)
+        x[lanes] += np.where(digits[lanes] >= 10 ** 17, 1, -1)
+        digits[lanes] = _scaled(a[lanes], x[lanes])[0]
+    return digits, x
+
+
+# Values per `_float_text_chunk` call.  Its temporaries take about 300
+# bytes a value; the C allocator keeps a few hundred KB of them freed
+# for the next call, but hands megabytes back to the system, which then
+# pages them in again, and that doubled the cost of a 4,000-value call.
+_TEXT_CHUNK = 2048
+
+
+def _float_texts(values: np.ndarray) -> list:
+    """``"%.17g" % v`` of each finite float64, `_TEXT_CHUNK` at a time."""
+    texts = []
+    for lo in range(0, values.size, _TEXT_CHUNK):
+        texts += _float_text_chunk(values[lo:lo + _TEXT_CHUNK])
+    return texts
+
+
+def _float_text_chunk(values: np.ndarray) -> list:
+    """``"%.17g" % v`` of each finite float64, worked out in whole-array
+    passes as a column of NUL-padded 4-byte groups per value, one uint32
+    each.  Each column opens with a newline, so once the NULs go in one
+    pass, one split gives the texts.
+
+    A value in (1e-6, 1e17) or a zero is texted here: fixed notation for
+    X in [-4, 16], with trailing zeros and a bare point dropped, and
+    scientific for X in [-6, -5].  The rest (smaller, larger or
+    subnormal) take one ``%`` for all of them."""
+    a = np.abs(values)
+    fast = (a > 1e-6) & (a < 1e17)
+    digits, row = _digits(np.where(fast, a, 1.0))
+    row += 6
+    row[~fast] = _ZERO_ROW
+    shift = _POW10[_FRACTION_DIGITS[row]]
+    whole = digits // shift
+    digits -= whole * shift
+    wide = -(-len(str(whole.max())) // 4)
+    groups = np.empty((wide + 5, values.size), np.int64)
+    _split_groups(whole, groups[:wide].T)
+    _split_groups(digits, groups[wide:].T)
+    # A fraction group takes its text without trailing zeros when every
+    # group after it is zero.
+    fraction = groups[wide:]
+    bare = np.empty(fraction.shape, bool)
+    bare[4] = True
+    np.equal(fraction[4], 0, out=bare[3])
+    for j in (3, 2, 1):
+        np.logical_and(bare[j], fraction[j] == 0, out=bare[j - 1])
+    fraction <<= 1
+    fraction |= bare
+    text = np.empty((wide + 8, values.size), np.uint32)
+    text[0] = _SIGN_GROUPS[2 * row + np.signbit(values)]
+    np.take(_DIGIT_GROUPS, groups[:wide], out=text[1:wide + 1], mode="clip")
+    text[wide + 1] = _DIGIT_GROUPS[_POINT]
+    np.take(_TAIL_GROUPS, fraction, out=text[wide + 2:-1], mode="clip")
+    text[1:-1] &= np.take(_FLOAT_MASKS[5 - wide:], row, axis=1, mode="clip")
+    text[wide + 1] *= text[wide + 2:-1].any(axis=0)
+    text[-1] = _EXPONENT_GROUPS[row]
+    used = text.any(axis=1)
+    if not used.all():
+        text = text[used]
+    texts = text.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    del texts[0]
+    rest = np.flatnonzero(~fast & (a != 0)).tolist()
+    if rest:
+        fallback = ("\n".join(["%.17g"] * len(rest))
+                    % tuple(values[rest].tolist())).split("\n")
+        for lane, fallback_text in zip(rest, fallback):
+            texts[lane] = fallback_text
+    return texts
 
 
 def _decimal_times(t: np.ndarray) -> np.ndarray | None:
@@ -468,11 +673,21 @@ def read_truth(path) -> GroundTruth:
 
     The sidecar stores the kinematics evaluation needs; acceleration
     and angular rate are not part of the format and come back as zeros.
+    Its times must strictly increase, as a trajectory's must: the rate
+    is worked out from their steps, and evaluation matches on them.  A
+    time that does not is refused with the file line of its row.
     """
     rows = _read_finite_rows(path, _TRUTH_ROW, "truth")
     n = rows.size
     t = rows["t"]
-    fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
+    steps = np.diff(t)
+    if not np.all(steps > 0.0):
+        index = int(np.argmin(steps > 0.0)) + 1
+        line = _row_line(path, _scan_head(path)[1], index)
+        raise ValueError(f"truth {path}, line {line}: time {float(t[index])!r} "
+                         f"does not follow {float(t[index - 1])!r}; times "
+                         "must be strictly increasing")
+    fs = 1.0 / float(np.median(steps)) if n > 1 else 0.0
     return GroundTruth(
         t=t,
         p=rows["p"],

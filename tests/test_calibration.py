@@ -201,7 +201,10 @@ class TestFit:
 
     def test_minimum_of_the_oracle_cost(self):
         # The fitted parameters sit at a stationary point of the radial
-        # cost evaluated with the per-mean oracle.
+        # cost evaluated with the per-mean oracle.  The fit reads 4.9e-7
+        # here, the floor of the Richardson gradient; stopping at the
+        # first tied trial, without the step that lowers the cost, reads
+        # 8.3e-7, so the bound between the two pins the stop rule.
         means = self.budget_means()
         cal = fit_accel_calibration(OrientationBatch(means, 100))
         cost = self.fit_cost(cal, means)
@@ -215,7 +218,7 @@ class TestFit:
         assert oracle_cost(theta)[0] == pytest.approx(cost, rel=1e-10)
         grad = richardson_jacobian(oracle_cost, theta, 1, h0=1e-3)[0]
         assert np.max(np.abs(grad) * np.maximum(np.abs(theta), 1.0)) < (
-            1e-6 * cost)
+            6.5e-7 * cost)
 
     def test_tied_trial_ends_the_fit(self, monkeypatch):
         # A draw in the benchmark's capture geometry where a step whose

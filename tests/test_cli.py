@@ -490,6 +490,31 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, row, source", [(2, 1, 0), (None, 500, 100)],
+                             ids=["two_rows_one_time", "steps_back"])
+    def test_eval_of_truth_times_that_do_not_increase_exits_two(
+            self, workspace, tmp_path, capsys, rows, row, source):
+        # The first ``rows`` rows, row ``row`` taking the time of row
+        # ``source``: two rows with one time, whose rate would be 1 / 0,
+        # and a time stepping back mid-file, which evaluation would
+        # score.
+        ws, _ = workspace
+        lines = (ws / "truth.csv").read_text().splitlines(keepends=True)
+        lines = lines[:1 + rows] if rows else lines
+        number = row + 2
+        time = lines[source + 1].split(",", 1)[0]
+        lines[number - 1] = time + "," + lines[number - 1].split(",", 1)[1]
+        bad = tmp_path / "truth.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "report.json"
+        code = main(["eval", "--traj", str(ws / "traj.csv"),
+                     "--truth", str(bad), "--ttd", "42", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"truth {bad}, line {number}: time {float(time)!r} " in err
+        assert "times must be strictly increasing" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     @pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
     def test_non_finite_flag_exits_two(self, workspace, tmp_path, capsys,

@@ -35,6 +35,7 @@ from pdrnav.gait import (
 from pdrnav.io import (
     _BLOCK_ROWS,
     PipelineConfig,
+    _float_texts,
     _to_doc,
     read_calibration,
     read_config,
@@ -635,6 +636,93 @@ class TestLogText:
         rows = (tmp_path / "log.csv").read_text().splitlines()[1:]
         texts = [text for row in rows for text in row.split(",")[1:]]
         assert texts[:values.size] == list(map(str, values.tolist()))
+
+
+@st.composite
+def float_bits(draw):
+    """Finite float64 from bit patterns: a sign, a mantissa and a biased
+    exponent, drawn mostly where the texter works the digits out itself
+    (2**-20 to 2**57) and otherwise over the whole finite range."""
+    n = draw(st.integers(1, 200))
+    parts = draw(st.lists(st.tuples(
+        st.integers(0, 1),
+        st.one_of(st.integers(1003, 1080), st.integers(0, 2046)),
+        st.integers(0, 2**52 - 1)), min_size=n, max_size=n))
+    sign, exponent, mantissa = (np.array(part, np.uint64)
+                                for part in zip(*parts))
+    bits = sign << np.uint64(63) | exponent << np.uint64(52) | mantissa
+    return bits.view(np.float64)
+
+
+def dyadic_ties():
+    """Exact binary fractions with 18 significant digits, the last a 5,
+    so their 17-digit text is a tie: 10**(17 - j) + (2i + 1) / 2**j."""
+    return [sign * (10.0 ** (17 - j) + (2 * i + 1) / 2.0 ** j)
+            for j in range(2, 11) for i in range(4) for sign in (1, -1)]
+
+
+def around(bounds):
+    """Each bound and the floats on either side of it."""
+    bounds = np.array(bounds, dtype=float)
+    return np.concatenate([np.nextafter(bounds, 0.0), bounds,
+                           np.nextafter(bounds, np.inf)]).tolist()
+
+
+class TestFloatText:
+    """`_float_texts` works the 17 digits out in whole-array passes; each
+    text must be the one ``format(x, ".17g")`` gives.  pyproject turns a
+    RuntimeWarning into an error, so a value out of the passes' range
+    that warned (log10 of a zero, a cast of an infinity) would fail."""
+
+    @staticmethod
+    def assert_texts(values):
+        values = np.asarray(values, dtype=np.float64)
+        assert _float_texts(values) == [format(x, ".17g")
+                                        for x in values.tolist()]
+
+    # No shrinking, as for the log writer: a failing example is shown as
+    # it is drawn.
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(values=float_bits())
+    def test_is_the_per_value_text(self, values):
+        self.assert_texts(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.7976931348623157e308],
+        [s * 10.0 ** k for k in range(-7, 18) for s in (1, -1)]
+        + around([10.0 ** k for k in range(-7, 18)]),
+        # The texter's own range, (1e-6, 1e17), and its switches from
+        # scientific to fixed notation and between integer groups.
+        around([1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e4, 1e8, 1e12, 1e16, 1e17,
+                2.0 ** 53, 2.0 ** 57]),
+        dyadic_ties(),
+        np.arange(-2000, 2000) / 100.0,
+    ], ids=["zeros_and_extremes", "powers_of_ten", "range_bounds",
+            "dyadic_ties", "grid"])
+    def test_edge_values(self, values):
+        self.assert_texts(values)
+
+    def test_no_values(self):
+        assert _float_texts(np.empty(0)) == []
+
+    def test_block_of_texted_and_formatted_values(self, tmp_path):
+        # One truth block whose columns mix the texter's values, zeros of
+        # both signs and the values it hands to ``%``: below 1e-6, from
+        # 1e17 up and subnormal.  Its runs fill several texter chunks.
+        rng = np.random.default_rng(74)
+        n = _BLOCK_ROWS
+        others = np.array([1e-7, -3.2e-300, 5e-324, 1e17, -4.5e200, 0.0, -0.0])
+        p = np.where(rng.random((n, 3)) < 0.2, rng.choice(others, (n, 3)),
+                     rng.standard_normal((n, 3))
+                     * 10.0 ** rng.integers(-8, 19, (n, 3)))
+        truth = TestRunFormatting.truth(
+            p, np.repeat(rng.choice(others, (n // 8, 3)), 8, axis=0),
+            rng.standard_normal((n, 4)), rng.random(n) < 0.5)
+        write_truth(tmp_path / "truth.csv", truth)
+        TestRowWriters.assert_text(tmp_path / "truth.csv",
+                                   per_value_truth_text(truth))
 
 
 class TestTruthFormat:
