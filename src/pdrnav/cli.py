@@ -12,12 +12,17 @@ when the filter diverges.  On
 divergence the partial trajectory is still written to ``--out`` and the
 diagnostic, naming the sample and the stage of the filter step that
 failed, goes to stderr.
+
+`main` can be called many times in one process.  It builds its parser
+once, on the first call, and looks up the subcommand's ``_cmd_*``
+function on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -163,6 +168,7 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdrnav",
@@ -180,7 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="calibration JSON to write")
     p.add_argument("--g", type=_positive, default=GRAVITY,
                    help="local gravity magnitude, m/s^2 (default %(default)s)")
-    p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("track", help="run the filter over a raw log")
     p.add_argument("--log", required=True, help="raw IMU log CSV")
@@ -189,7 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "calibration_paths")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="trajectory CSV to write")
-    p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser(
         "allan",
@@ -201,13 +205,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="curve CSV to write; coefficients go to "
                         "<out>_coefficients.json")
-    p.set_defaults(func=_cmd_allan)
 
     p = sub.add_parser("simulate", help="render a synthetic walk")
     p.add_argument("--params", required=True, help="gait parameter JSON")
     p.add_argument("--out", required=True, help="raw log CSV to write")
     p.add_argument("--truth", required=True, help="truth sidecar CSV to write")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("eval", help="score a trajectory against truth")
     p.add_argument("--traj", required=True, help="trajectory CSV")
@@ -215,15 +217,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ttd", type=_positive, required=True,
                    help="total travelled distance, m")
     p.add_argument("--out", required=True, help="report JSON to write")
-    p.set_defaults(func=_cmd_eval)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up by name at call time, not bound into the cached parser.
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"pdrnav {args.command}: {exc}", file=sys.stderr)
         return 2

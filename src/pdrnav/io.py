@@ -282,6 +282,20 @@ def _row_line(path, head: int, index: int) -> int:
         return next(islice(_data_lines(fh, head), index, None))[0]
 
 
+def _check_increasing(path, label: str, t: np.ndarray) -> None:
+    """Refuse times that do not strictly increase, naming the file line
+    of the first row whose time does not follow the one before it."""
+    steps = np.diff(t)
+    if np.all(steps > 0.0):
+        return
+    index = int(np.argmin(steps > 0.0)) + 1
+    line = _row_line(path, _scan_head(path)[1], index)
+    raise ValueError(f"{label} {path}, line {line}: "
+                     f"time {float(t[index])!r} does not follow "
+                     f"{float(t[index - 1])!r}; times must be strictly "
+                     "increasing")
+
+
 # The log writer's texts are NUL-padded bytes, stripped of their NULs
 # once per block, so a NUL may sit anywhere in a text.  Its tables are
 # built here, not in the first write, so that no write's memory peak
@@ -656,6 +670,8 @@ def read_log(path) -> ImuLog:
                       fs=fields["fs"], lsb_accel=fields["lsb_a"],
                       lsb_gyro=fields["lsb_w"])
     except ValueError as exc:
+        # Only a refused log pays for the search of the offending line.
+        _check_increasing(path, "log", rows["t"])
         raise ValueError(f"log {path}: {exc}") from None
 
 
@@ -680,14 +696,8 @@ def read_truth(path) -> GroundTruth:
     rows = _read_finite_rows(path, _TRUTH_ROW, "truth")
     n = rows.size
     t = rows["t"]
-    steps = np.diff(t)
-    if not np.all(steps > 0.0):
-        index = int(np.argmin(steps > 0.0)) + 1
-        line = _row_line(path, _scan_head(path)[1], index)
-        raise ValueError(f"truth {path}, line {line}: time {float(t[index])!r} "
-                         f"does not follow {float(t[index - 1])!r}; times "
-                         "must be strictly increasing")
-    fs = 1.0 / float(np.median(steps)) if n > 1 else 0.0
+    _check_increasing(path, "truth", t)
+    fs = 1.0 / float(np.median(np.diff(t))) if n > 1 else 0.0
     return GroundTruth(
         t=t,
         p=rows["p"],
@@ -710,7 +720,10 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 
 def read_trajectory(path) -> Trajectory:
+    """Read a trajectory written by `write_trajectory`.  A time that does
+    not strictly increase is refused with the file line of its row."""
     rows = _read_finite_rows(path, _TRAJ_ROW, "trajectory")
+    _check_increasing(path, "trajectory", rows["t"])
     return Trajectory(
         t=rows["t"],
         p=rows["p"],

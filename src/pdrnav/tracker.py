@@ -389,6 +389,9 @@ def checkpoint_errors(traj: Trajectory,
                       checkpoints: list[tuple[float, np.ndarray]]) -> list[float]:
     """Euclidean error at the trajectory sample nearest each checkpoint.
 
+    The nearest sample is the closer of the two that bracket the
+    checkpoint time; on a tie the earlier one wins.
+
     Parameters
     ----------
     traj : Trajectory
@@ -407,14 +410,18 @@ def checkpoint_errors(traj: Trajectory,
     if np.any(outside):
         bad = times[outside].tolist()
         raise ValueError(f"checkpoints outside trajectory span: {bad}")
-    errors = []
-    for tc, p_true in checkpoints:
-        right = int(np.searchsorted(traj.t, tc))
-        candidates = [j for j in (right - 1, right) if 0 <= j < traj.t.size]
-        nearest = min(candidates, key=lambda j: abs(traj.t[j] - tc))
-        errors.append(float(np.linalg.norm(
-            traj.p[nearest] - np.asarray(p_true, dtype=float))))
-    return errors
+    # The samples either side of each time, clipped to the trajectory,
+    # and the later of the two only where it is strictly closer.
+    right = np.searchsorted(traj.t, times)
+    left = np.maximum(right - 1, 0)
+    right = np.minimum(right, traj.t.size - 1)
+    nearest = np.where(np.abs(traj.t[right] - times)
+                       < np.abs(traj.t[left] - times), right, left)
+    offsets = traj.p[nearest] - np.array([p for _, p in checkpoints],
+                                         dtype=float).reshape(-1, 3)
+    # One norm per row, as a 3-vector: the norm over an axis of the
+    # block sums in another order and can differ in the last bit.
+    return [float(np.linalg.norm(row)) for row in offsets]
 
 
 @dataclass

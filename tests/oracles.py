@@ -756,3 +756,24 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
         p_out[k] = x[POS]
         q_out[k] = x[QUAT]
     return tracker.Trajectory(t=log.t, p=p_out, q_nb=q_out, sfs=scores, stance=active)
+
+
+def loop_checkpoint_errors(traj, checkpoints):
+    """`pdrnav.tracker.checkpoint_errors` one checkpoint at a time: each
+    time's bracketing samples found by its own search, the nearest
+    taken by ``min``, which keeps the earlier sample on a tie."""
+    if traj.t.size == 0:
+        raise ValueError("empty trajectory")
+    times = np.array([tc for tc, _ in checkpoints], dtype=float)
+    outside = (times < traj.t[0]) | (times > traj.t[-1])
+    if np.any(outside):
+        bad = times[outside].tolist()
+        raise ValueError(f"checkpoints outside trajectory span: {bad}")
+    errors = []
+    for tc, p_true in checkpoints:
+        right = int(np.searchsorted(traj.t, tc))
+        candidates = [j for j in (right - 1, right) if 0 <= j < traj.t.size]
+        nearest = min(candidates, key=lambda j: abs(traj.t[j] - tc))
+        errors.append(float(np.linalg.norm(
+            traj.p[nearest] - np.asarray(p_true, dtype=float))))
+    return errors

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import pdrnav
-from pdrnav import constants
+from pdrnav import cli, constants
 from pdrnav.allan import allan_deviation
 from pdrnav.calibration import SensorCalibration, canonical_gain
 from pdrnav.cli import main
@@ -490,29 +490,55 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows, row, source", [(2, 1, 0), (None, 500, 100)],
-                             ids=["two_rows_one_time", "steps_back"])
+    @pytest.mark.parametrize("name, rows, row, source", [
+        ("truth.csv", 2, 1, 0), ("truth.csv", None, 500, 100),
+        ("traj.csv", 2, 1, 0), ("traj.csv", None, 500, 100),
+    ], ids=["two_rows_one_time", "steps_back",
+            "trajectory_two_rows_one_time", "trajectory_steps_back"])
     def test_eval_of_truth_times_that_do_not_increase_exits_two(
-            self, workspace, tmp_path, capsys, rows, row, source):
-        # The first ``rows`` rows, row ``row`` taking the time of row
-        # ``source``: two rows with one time, whose rate would be 1 / 0,
-        # and a time stepping back mid-file, which evaluation would
-        # score.
+            self, workspace, tmp_path, capsys, name, rows, row, source):
+        # The first ``rows`` rows of the truth or the trajectory, row
+        # ``row`` taking the time of row ``source``: two rows with one
+        # time, whose rate would be 1 / 0, and a time stepping back
+        # mid-file, which evaluation would score.
         ws, _ = workspace
-        lines = (ws / "truth.csv").read_text().splitlines(keepends=True)
+        lines = (ws / name).read_text().splitlines(keepends=True)
         lines = lines[:1 + rows] if rows else lines
         number = row + 2
         time = lines[source + 1].split(",", 1)[0]
         lines[number - 1] = time + "," + lines[number - 1].split(",", 1)[1]
-        bad = tmp_path / "truth.csv"
+        bad = tmp_path / name
         bad.write_text("".join(lines))
+        inputs = {"traj.csv": ws / "traj.csv", "truth.csv": ws / "truth.csv"}
+        inputs[name] = bad
         out = tmp_path / "report.json"
-        code = main(["eval", "--traj", str(ws / "traj.csv"),
-                     "--truth", str(bad), "--ttd", "42", "--out", str(out)])
+        code = main(["eval", "--traj", str(inputs["traj.csv"]),
+                     "--truth", str(inputs["truth.csv"]),
+                     "--ttd", "42", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"truth {bad}, line {number}: time {float(time)!r} " in err
+        label = "truth" if name == "truth.csv" else "trajectory"
+        assert f"{label} {bad}, line {number}: time {float(time)!r} " in err
         assert "times must be strictly increasing" in err
+        assert not out.exists()
+
+    def test_track_of_a_repeated_log_time_exits_two(self, workspace,
+                                                    tmp_path, capsys):
+        # Row 300 takes row 299's time; the refusal names its file line,
+        # the header being line 1.
+        ws, _ = workspace
+        lines = (ws / "walk.csv").read_text().splitlines(keepends=True)
+        time = lines[300].split(",", 1)[0]
+        lines[301] = time + "," + lines[301].split(",", 1)[1]
+        bad = tmp_path / "walk.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "traj.csv"
+        code = main(["track", "--log", str(bad), "--cal", str(ws / "cal.json"),
+                     "--config", str(ws / "config.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"log {bad}, line 302: time {float(time)!r} does not follow "
+                f"{float(time)!r}; times must be strictly increasing") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
@@ -961,3 +987,98 @@ class TestModuleEntryPoint:
         done = self.run("allan")
         assert done.returncode == 2
         assert "--log" in done.stderr
+
+
+class TestParserCache:
+    """`main` builds its parser once per process and looks up the
+    subcommand's function on every call."""
+
+    def eval_argv(self, ws, out):
+        return ["eval", "--traj", str(ws / "traj.csv"),
+                "--truth", str(ws / "truth.csv"), "--ttd", "42",
+                "--out", str(out)]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_patched_command_is_the_one_run(self, workspace, tmp_path,
+                                              monkeypatch):
+        ws, _ = workspace
+        assert main(self.eval_argv(ws, tmp_path / "first.json")) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_eval", lambda args: seen.append(args) or 7)
+        assert main(self.eval_argv(ws, tmp_path / "second.json")) == 7
+        assert [args.out for args in seen] == [str(tmp_path / "second.json")]
+        assert not (tmp_path / "second.json").exists()
+
+    @pytest.mark.parametrize("refused", [
+        ["eval", "--ttd", "-3"],
+        ["allan", "--axis", "9", "--out", "a.csv"],
+        ["no-such-command"],
+    ], ids=["bad_value", "other_command", "unknown_command"])
+    def test_a_refused_call_changes_no_later_output(self, workspace, tmp_path,
+                                                    capsys, refused):
+        ws, _ = workspace
+        assert main(self.eval_argv(ws, tmp_path / "before.json")) == 0
+        with pytest.raises(SystemExit) as info:
+            main(refused)
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert main(self.eval_argv(ws, tmp_path / "after.json")) == 0
+        assert capsys.readouterr() == ("", "")
+        assert ((tmp_path / "after.json").read_bytes()
+                == (tmp_path / "before.json").read_bytes())
+
+
+def test_in_process_calls_write_the_subprocess_bytes(tmp_path):
+    # Every subcommand on a small workspace, once through `main` in this
+    # process, whose parser earlier calls have built, and once through
+    # ``python -m pdrnav`` in a fresh one: every file written must have
+    # the same bytes both ways.
+    rng = np.random.default_rng(5)
+    inputs = tmp_path / "inputs"
+    (inputs / "stills").mkdir(parents=True)
+    _write_still_logs(inputs / "stills", rng, n_samples=100)
+    n = 9_000
+    write_log(inputs / "still.csv", ImuLog(
+        t=np.arange(n) / FS,
+        accel=np.rint(rng.normal(0.0, 2.0, (n, 3))).astype(np.int32),
+        gyro=np.rint(rng.normal(0.0, GYRO_WHITE_SIGMA, (n, 3)) / LSB_W)
+        .astype(np.int32),
+        fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W))
+    write_gait_params(inputs / "gait.json", GaitParams(
+        step_length=1.0, cadence=1.5,
+        path=[[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [0.0, 3.0], [0.0, 0.0]],
+        seed=3), FS, razor_noise(FS), LSB_A, LSB_W)
+    write_config(inputs / "config.json", PipelineConfig(
+        filter=default_filter_config(FS), stance=default_stance_config(FS),
+        calibration_paths={"accel": "unused.json", "gyro": "unused.json"}))
+
+    def commands(out):
+        return [
+            ["simulate", "--params", str(inputs / "gait.json"),
+             "--out", str(out / "walk.csv"), "--truth", str(out / "truth.csv")],
+            ["calibrate", "--stills", str(inputs / "stills"),
+             "--out", str(out / "cal.json")],
+            ["track", "--log", str(out / "walk.csv"), "--cal", str(out / "cal.json"),
+             "--config", str(inputs / "config.json"), "--out", str(out / "traj.csv")],
+            ["eval", "--traj", str(out / "traj.csv"), "--truth", str(out / "truth.csv"),
+             "--ttd", "12", "--out", str(out / "report.json")],
+            ["allan", "--log", str(inputs / "still.csv"), "--axis", "4",
+             "--out", str(out / "allan.csv")],
+        ]
+
+    here, fresh = tmp_path / "in_process", tmp_path / "subprocess"
+    here.mkdir()
+    fresh.mkdir()
+    for argv in commands(here):
+        assert main(argv) == 0, argv
+    for argv in commands(fresh):
+        done = TestModuleEntryPoint.run(*argv)
+        assert done.returncode == 0, (argv, done.stderr)
+    written = sorted(p.name for p in here.iterdir())
+    assert written == ["allan.csv", "allan_coefficients.json", "cal.json",
+                       "report.json", "traj.csv", "truth.csv", "walk.csv"]
+    assert sorted(p.name for p in fresh.iterdir()) == written
+    for name in written:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name

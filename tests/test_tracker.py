@@ -54,7 +54,7 @@ from pdrnav.zupt import (
 )
 
 from faults import RAISED, inject_fault, stage_inputs
-from oracles import chain_tracker
+from oracles import chain_tracker, loop_checkpoint_errors
 
 FS = 100.0
 LSB_A = constants.DEFAULT_LSB_ACCEL
@@ -641,9 +641,9 @@ class TestEpsilonTtd:
 
 
 class TestCheckpointErrors:
-    def make_traj(self):
-        n = 11
-        t = np.arange(n, dtype=float)
+    def make_traj(self, t=None):
+        t = np.arange(11.0) if t is None else t
+        n = t.size
         p = np.column_stack([t, np.zeros(n), np.zeros(n)])
         return Trajectory(t=t, p=p, q_nb=np.tile([1.0, 0, 0, 0], (n, 1)),
                           sfs=np.zeros(n), stance=np.zeros(n, dtype=bool))
@@ -678,6 +678,62 @@ class TestCheckpointErrors:
             linear = np.linalg.norm(
                 [np.interp(tc, traj.t, traj.p[:, i]) for i in range(3)])
             assert abs(nearest - linear) <= bound
+
+    @pytest.mark.parametrize("t, times, samples", [
+        # Exactly midway the earlier sample wins.
+        (np.arange(11.0), [4.5, 0.5, 9.5], [4, 0, 9]),
+        (np.arange(11.0) / 4.0, [0.125, 2.375], [0, 9]),
+        # The first and the last sample.
+        (np.arange(11.0), [0.0, 10.0], [0, 10]),
+        # A one-sample trajectory.
+        (np.array([2.5]), [2.5, 2.5], [0, 0]),
+        # Out of time order, and either side of a midpoint.
+        (np.arange(11.0), [7.2, 1.6, 9.9, 0.4, 4.5000001, 4.4999999],
+         [7, 2, 10, 0, 5, 4]),
+    ], ids=["midway", "midway_quarter_steps", "first_and_last",
+            "one_sample", "out_of_order"])
+    def test_nearest_sample_matches_the_loop(self, t, times, samples):
+        traj = self.make_traj(t)
+        checkpoints = [(tc, np.zeros(3)) for tc in times]
+        got = checkpoint_errors(traj, checkpoints)
+        assert got == loop_checkpoint_errors(traj, checkpoints)
+        # Positions run along x with time, so each error is the time of
+        # the sample taken.
+        assert got == [float(traj.t[s]) for s in samples]
+
+
+class TestCheckpointLookup:
+    """The one-pass nearest-sample lookup against the per-checkpoint
+    loop, bit for bit, on the benchmark's walks."""
+
+    # The benchmark's three walks: side (m), cadence (Hz), stance (s).
+    WALKS = {"walk": (10.0, 1.5, 0.15), "slow_walk": (2.0, 0.5, 1.5),
+             "imu_characterization": (5.0, 1.5, 0.15)}
+
+    @pytest.fixture(scope="class", params=sorted(WALKS))
+    def tracked(self, request):
+        side, cadence, stance = self.WALKS[request.param]
+        path = [[0.0, 0.0], [side, 0.0], [side, side], [0.0, side], [0.0, 0.0]]
+        truth = generate_gait(GaitParams(
+            step_length=STEP, cadence=cadence, stance_duration=stance,
+            path=path, lead_in=1.0, tail=1.0, seed=0), FS)
+        return truth, run_tracker(make_log(truth, seed=0), CAL_A, CAL_W)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 0.5, 0.7])
+    def test_matches_the_loop_on_the_benchmark_walks(self, tracked, shift):
+        # Shifted by a fraction of a period, every stance midpoint falls
+        # between two trajectory samples instead of on one.
+        truth, traj = tracked
+        traj = dataclasses.replace(traj, t=traj.t + shift / FS)
+        report = evaluate_trajectory(traj, truth, truth.path_length)
+        checkpoints = [(truth.t[mid], truth.p[mid]) for mid in
+                       ((start + stop) // 2
+                        for start, stop in stance_intervals(truth.stance))
+                       if traj.t[0] <= truth.t[mid] <= traj.t[-1]]
+        assert len(checkpoints) >= 5
+        want = loop_checkpoint_errors(traj, checkpoints)
+        assert checkpoint_errors(traj, checkpoints) == want
+        assert report.checkpoint_errors == want
 
 
 class TestEvalReport:
