@@ -6,7 +6,8 @@ back to the same bits, which is what makes byte-identical reruns a
 meaningful promise: CSV floats with 17 significant digits, except the
 log's time column, which like JSON gets its shortest round-trip text
 (`repr`), so a 100 Hz grid reads ``4.98`` rather than
-``4.9800000000000004``.  Log counts are integer literals.
+``4.9800000000000004``.  Log counts are integer literals, and stance
+flags 0 or 1.
 
 Every JSON document goes through one codec: `_to_doc` writes a
 dataclass as an object with one key per field, in field order, arrays
@@ -18,43 +19,33 @@ file and a Python caller get the same refusal.
 
 CSV files stream in both directions, so a million-row log costs about
 its parsed array in memory, not several copies of its text.  Readers
-scan to the first data row, reading the first line (the log's header)
-on the way, so an empty body reads as no rows, then hand the path and
-the number of lines before that row to `np.loadtxt`, which reads the
-file in chunks, skips those lines and, after them, blank lines and
-``#`` comments itself, and parses each row into one record of the
-format's row dtype: a log row is a float64 time and six int32 counts,
-32 bytes.  A parse error names the file and the file line of the
-refused row, and so does the refusal of a NaN or an infinity in a
-trajectory or truth file, which evaluation would otherwise score.
+scan to the first data row, reading the log's header on the way, so an
+empty body reads as no rows, then hand the path and the number of lines
+before that row to `np.loadtxt`, which reads the file in chunks, skips
+those lines, then blank lines and ``#`` comments, and parses each row
+into one record of the format's row dtype (a log row is a float64 time
+and six int32 counts, 32 bytes).  A parse error names the file and the
+file line of the refused row, and so does the refusal of a NaN or an
+infinity in a trajectory or truth file, which evaluation would
+otherwise score.
 Writers format `_BLOCK_ROWS` rows at a time into a sibling temporary
 file and move it onto the target only once the whole file is written,
 so a refused or failed write leaves no partial file under the target
 name, and an existing target keeps its bytes.
-The log writer keeps the counts integers and refuses a count outside
-the 16-bit ADC range rather than writing it.  It builds each block as
-one matrix of NUL-padded text and strips the NULs in one pass, with no
-Python string per value: each count's text is gathered from a table of
-",<count>" for the whole ADC range, and each time's `repr` is worked out
-from its exact decimal when the block's times have one of at most 15
-digits (`_decimal_times`), as a recorder's grid does, and taken from
-`float.__repr__` otherwise.
 
-The float writers (truth, trajectory, Allan curve) text each column of
-a block by runs of equal float64 bits: a planted foot holds position
-and zero velocity for its whole stance and a straight leg one attitude,
-so a walk's truth has a third to a fifth as many runs as values.
-Each run is texted once and repeated.  Runs, not distinct values: a run
-costs one comparison per value, where sorting each column for its
-distinct values would slow the trajectory, whose values hardly repeat.
-The runs' texts are worked out in whole-array passes, with no Python
-float formatting (`_float_texts`): each value's 17 digits are the
-rounded exact product of the value and a power of ten (Dekker's
-product), laid out in the log writer's digit groups under masks per
-decimal exponent, and the NULs stripped in one pass.  Values outside
-(1e-6, 1e17), zeros apart, take one ``%`` for the block.
+Every CSV block is one matrix of NUL-padded 4-byte groups, a row per
+CSV row, and one emitter (`_emit`) writes it with no Python string per
+value.  Counts come from a table of ",<count>" for the whole ADC range
+(a count outside it is refused), stance flags from a two-entry table (1
+where nonzero, as the readers take it), and floats from one layout
+(`_layout`) of 17 digits D and a decimal exponent X, which gives
+``%.17g`` and, with one rule, the log time column's `repr`.  D is the
+exact product of a value in (1e-6, 1e17) and a power of ten (Dekker),
+or a log time's exact decimal where `_decimal_times` proves one; the
+rest take one ``%`` into the same matrix.  The float writers lay out
+each run of equal float64 bits in a column once and repeat its groups.
 A NaN or an infinity is refused as the readers refuse it, naming the
-file and line, and checking only the runs' values.
+file and line.
 """
 
 from __future__ import annotations
@@ -106,73 +97,19 @@ _BLOCK_ROWS = 1024
 
 
 @contextlib.contextmanager
-def _replacing(path):
-    """Open a sibling temporary file for text and `os.replace` it onto
+def _replacing(path, mode: str = "w"):
+    """Open a sibling temporary file in ``mode`` and `os.replace` it onto
     ``path`` once the ``with`` body finishes; if anything raises, the
     temporary file is removed and ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def _write_table(path, label: str, header: str, columns, flags=None) -> None:
-    """Write a headed CSV of the side-by-side float ``columns`` and, if
-    given, a last column of ``flags``: each float as ``%.17g`` gives it,
-    each flag as ``%d`` does.  ``label`` names the file in a refusal."""
-    columns = [*columns] if flags is None else [*columns, flags]
-    with _replacing(path) as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.concatenate(
-                [np.atleast_2d(np.transpose(c[lo:lo + _BLOCK_ROWS]))
-                 for c in columns], dtype=np.float64)
-            cells = _column_texts(block, flags is not None,
-                                  f"{label} {path}", lo + 2)
-            fh.write("\n".join(map(",".join, zip(*cells))))
-            fh.write("\n")
-
-
-def _column_texts(block: np.ndarray, flagged: bool, name: str,
-                  line: int) -> list:
-    """The texts of each column of a block, which are the rows of
-    ``block``, formatted run by run.
-
-    A run is a stretch of one column whose values have the same float64
-    bits, so -0.0 beside 0.0, or two NaN payloads, are two runs.  All
-    the block's float runs are texted in one `_float_texts` call, each
-    text is repeated by its run's length, and a column of runs of one
-    keeps its texts as they are.  ``flagged`` texts the last column's
-    runs with ``%d``.  A non-finite value is refused, with ``name`` and
-    the file line of the first row that holds one, the block's first
-    row being ``line``.
-    """
-    width, m = block.shape
-    values = block.ravel()
-    bits = values.view(np.int64)
-    new = np.empty(values.size, dtype=bool)
-    new[0] = True
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    new[::m] = True
-    starts = np.flatnonzero(new)
-    runs = values[starts]
-    if not np.isfinite(runs).all():
-        row = int((starts[~np.isfinite(runs)] % m).min())
-        bad = block[:, row][~np.isfinite(block[:, row])][0]
-        raise ValueError(f"{name}, line {line + row}: value {bad} is not finite")
-    firsts = np.searchsorted(starts, np.arange(width + 1) * m).tolist()
-    n_float = firsts[-2] if flagged else firsts[-1]
-    texts = _float_texts(runs[:n_float])
-    texts += ["%d" % flag for flag in runs[n_float:].tolist()]
-    lengths = np.diff(starts, append=values.size)
-    return [texts[a:b] if b - a == m else
-            np.repeat(np.array(texts[a:b], dtype=object), lengths[a:b]).tolist()
-            for a, b in zip(firsts, firsts[1:])]
 
 
 # One record per CSV row; each field is one column, or with a shape,
@@ -296,10 +233,13 @@ def _check_increasing(path, label: str, t: np.ndarray) -> None:
                      "increasing")
 
 
-# The log writer's texts are NUL-padded bytes, stripped of their NULs
-# once per block, so a NUL may sit anywhere in a text.  Its tables are
-# built here, not in the first write, so that no write's memory peak
-# holds their temporaries.
+# The writers' tables of texts, as NUL-padded 4-byte groups (see the
+# module docstring), are built here, not in the first write, so that no
+# write's memory peak holds their temporaries.
+def _group(text: str) -> int:
+    return int(np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0])
+
+
 def _count_table() -> np.ndarray:
     """",<count>" for each count of the ADC range in 8 bytes, one uint64
     each (0.5 MiB), so a block's count texts are one gather: the comma,
@@ -317,46 +257,36 @@ def _count_table() -> np.ndarray:
 
 
 _COUNT_TEXTS = _count_table()
+# A stance flag's text by whether it is nonzero, as the readers take it.
+_FLAG_GROUPS = np.array([_group(",0"), _group(",1")], np.uint32)
+_NEWLINES = np.full((_BLOCK_ROWS, 1), _group("\n"), np.uint32)
+# Clears the first byte of a group: the comma of a row's first cell,
+# before its cells drop their groups that are NUL on every row.
+_UNLED = np.frombuffer(b"\0\xff\xff\xff", np.uint32)[0]
 
-# A decimal time text is a row of 4-byte groups: the integer part in
-# groups of "%04d", a group holding the point, and the fraction in
-# groups of four digits, as many of each as the block needs.
+
+# Groups per `_emit` pass, 128 KiB: a truth block's 300 KiB strings
+# went back to the system and were paged in again by the next block,
+# which made its writes 30-75% slower.
+_EMIT_GROUPS = 32_768
+
+
+def _emit(fh, cells: list) -> None:
+    """Write one block of rows to the binary file ``fh``: the
+    side-by-side group matrices ``cells``, each led by its comma but the
+    first, with each row ended by a newline and the NULs stripped."""
+    rows = np.concatenate([*cells, _NEWLINES[:len(cells[0])]], axis=1)
+    step = max(1, _EMIT_GROUPS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        fh.write(rows[lo:lo + step].tobytes().translate(None, b"\0"))
+
+
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 
 
-def _digit_groups() -> np.ndarray:
-    """"%04d" of each k below 10,000 in 4 bytes, one uint32 each, and at
-    index 10,000 the point."""
-    k = np.arange(10_000)[:, None]
-    digits = k // _POW10[3::-1] % 10 + ord("0")
-    return (np.vstack([digits, [ord("."), 0, 0, 0]]).astype(np.uint8)
-            .view(np.uint32).ravel())
-
-
-_DIGIT_GROUPS = _digit_groups()
-_POINT = 10_000
-
-
-def _keep(start, stop, width: int) -> np.ndarray:
-    """The masks that keep bytes [start, stop) of ``width`` bytes, for
-    each pair of the broadcast ``start`` and ``stop``, as uint32 groups
-    of 0xFF or 0 bytes."""
-    at = np.arange(width)
-    keep = ((np.asarray(start)[..., None] <= at)
-            & (at < np.asarray(stop)[..., None]))
-    return (keep * np.uint8(0xFF)).view(np.uint32)
-
-
-def _time_masks() -> np.ndarray:
-    """``[i, f]``: the mask that keeps the last ``i`` digits of four
-    integer groups, the point and the first ``f`` digits of three
-    fraction groups, as eight uint32 groups of 0xFF or 0 bytes."""
-    i = np.arange(16)[:, None]
-    f = np.arange(13)[None, :]
-    return _keep(16 - i, 16, 32) | _keep(16, 17, 32) | _keep(20, 20 + f, 32)
-
-
-_TIME_MASKS = _time_masks()
+# "%04d" of each k below 10,000 in 4 bytes, one uint32 each.
+_DIGIT_GROUPS = ((np.arange(10_000)[:, None] // _POW10[3::-1] % 10 + ord("0"))
+                 .astype(np.uint8).view(np.uint32).ravel())
 
 
 def _split_groups(values: np.ndarray, groups: np.ndarray) -> None:
@@ -369,15 +299,17 @@ def _split_groups(values: np.ndarray, groups: np.ndarray) -> None:
     groups[:, 0] = values
 
 
-# A float's "%.17g" text is a column of 4-byte groups: a sign group,
-# the integer part in groups of "%04d", the point, the fraction in five
-# groups of four digits and an exponent group; X is the decimal
-# exponent.  The 17 digits D split into the integer part, the first
-# X + 1 of them, and the fraction, the rest after -X - 1 leading zeros
-# when X < 0, each right-aligned in its groups, so that both take whole
-# groups and a mask per X keeps their digits.  The tables below have a
-# row for each X in [-6, 16], row X + 6, and a last row for a zero.
+# A float's text is a column of `_FLOAT_WIDTH` groups (`_layout`): a
+# sign group, the integer part in five groups of "%04d", the point, the
+# fraction in five groups of four digits and an exponent group; X is
+# the decimal exponent.  The 17 digits D split into the integer part,
+# the first X + 1 of them, and the fraction, the rest after -X - 1
+# leading zeros when X < 0, each right-aligned in its groups, so that
+# both take whole groups and a mask per X keeps their digits.  The
+# tables below have a row for each X in [-6, 16], row X + 6, and a last
+# row for a zero.
 _ZERO_ROW = 23
+_FLOAT_WIDTH = 13
 
 
 def _float_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,17 +328,24 @@ def _float_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _FRACTION_DIGITS, _INTEGER_DIGITS, _FRACTION_START = _float_rows()
 
-# ``[:, row]``: the mask of the five integer groups, the point and the
-# five fraction groups, of which a text uses the last integer groups.
-_FLOAT_MASKS = np.ascontiguousarray((
-    _keep(20 - _INTEGER_DIGITS, 20, 44) | _keep(20, 24, 44)
-    | _keep(24 + _FRACTION_START, 44, 44)).T)
+def _float_masks() -> np.ndarray:
+    """``[:, row]``: the mask of the five integer groups, the point and
+    the five fraction groups, as uint32 groups of 0xFF or 0 bytes, that
+    keeps the row's integer digits, the point and its fraction from
+    where it starts; a text uses the last integer groups."""
+    at = np.arange(44)
+    keep = ((at >= 20 - _INTEGER_DIGITS[:, None]) & (at < 24)
+            | (at >= 24 + _FRACTION_START[:, None]))
+    return np.ascontiguousarray((keep * np.uint8(0xFF)).view(np.uint32).T)
+
+
+_FLOAT_MASKS = _float_masks()
 
 
 def _tail_groups() -> np.ndarray:
     """At 2k, "%04d" of each k below 10,000, and at 2k + 1 the same with
     its trailing zeros NUL, so a fraction's last digits drop theirs."""
-    text = np.repeat(_DIGIT_GROUPS[:10_000], 2).view(np.uint8).reshape(-1, 4)
+    text = np.repeat(_DIGIT_GROUPS, 2).view(np.uint8).reshape(-1, 4)
     k = np.arange(20_000) // 2
     for slot in range(4):
         text[1::2][k[1::2] % 10 ** (4 - slot) == 0, slot] = 0
@@ -415,22 +354,56 @@ def _tail_groups() -> np.ndarray:
 
 _TAIL_GROUPS = _tail_groups()
 
-
-def _group(text: str) -> int:
-    return int(np.frombuffer(text.encode().ljust(4, b"\0"), np.uint32)[0])
-
-
-# By 2 * row + sign bit: the newline that ends the text before, the
-# sign, and the "0" of a text with no integer digits in fixed notation,
-# or of a zero.
+# By 2 * row + sign bit: the comma, the sign, and the "0" of a text
+# with no integer digits in fixed notation, or of a zero.
 _SIGN_GROUPS = np.array([
-    _group("\n" + sign + ("0" if integer == 0 else ""))
+    _group("," + sign + ("0" if integer == 0 else ""))
     for integer in _INTEGER_DIGITS for sign in ("", "-")], np.uint32)
 _EXPONENT_GROUPS = np.array([_group("e-06"), _group("e-05")] + [0] * 22,
                             np.uint32)
+# By [shortest, fraction kept]: the point, dropped with an empty
+# fraction in "%.17g" and followed by a "0" there in `repr`.
+_POINT_GROUPS = np.array([[0, _group(".")], [_group(".0"), _group(".")]],
+                         np.uint32)
 
-# 10**k for k <= 22 is an exact double; its two halves for `_scaled`.
-_POW10_FLOAT = 10.0 ** np.arange(23)
+
+def _layout(digits: np.ndarray, row: np.ndarray, negative, shortest: bool,
+            out: np.ndarray, tall: int = 5) -> None:
+    """Lay out the texts of 17 digits D (``digits``, which this
+    consumes; 0 for a zero) at their rows, with ``negative`` their sign
+    bits, as the `_FLOAT_WIDTH` groups of each column of ``out``: fixed
+    notation for X in [-4, 16], with trailing zeros and a bare point
+    dropped, and scientific for X in [-6, -5].  That is "%.17g"; with
+    ``shortest`` an empty fraction keeps its point and a "0", as `repr`
+    writes a number in [1e-4, 1e16).  Only the first ``tall`` fraction
+    groups may hold a nonzero digit; the rest are left NUL unworked."""
+    shift = _POW10[_FRACTION_DIGITS[row]]
+    whole = digits // shift
+    digits -= whole * shift
+    if tall < 5:
+        digits //= _POW10[4 * (5 - tall)]
+    wide = -(-len(str(whole.max())) // 4)
+    groups = np.empty((wide + tall, digits.size), np.int64)
+    _split_groups(whole, groups[:wide].T)
+    _split_groups(digits, groups[wide:].T)
+    # A fraction group takes its text without trailing zeros when every
+    # group after it is zero.
+    fraction = groups[wide:]
+    bare = np.empty(fraction.shape, bool)
+    bare[-1] = True
+    for j in range(tall - 1, 0, -1):
+        np.logical_and(bare[j], fraction[j] == 0, out=bare[j - 1])
+    fraction <<= 1
+    fraction |= bare
+    out[0] = _SIGN_GROUPS[2 * row + negative]
+    out[1:6 - wide] = 0
+    np.take(_DIGIT_GROUPS, groups[:wide], out=out[6 - wide:6], mode="clip")
+    out[6] = _POINT_GROUPS[int(shortest)][(digits != 0).view(np.uint8)]
+    np.take(_TAIL_GROUPS, fraction, out=out[7:7 + tall], mode="clip")
+    out[6 - wide:7 + tall] &= np.take(_FLOAT_MASKS[5 - wide:6 + tall], row,
+                                      axis=1, mode="clip")
+    out[7 + tall:12] = 0
+    out[12] = _EXPONENT_GROUPS[row]
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,6 +414,8 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
+# 10**k for k <= 22 is an exact double; its two halves for `_scaled`.
+_POW10_FLOAT = 10.0 ** np.arange(23)
 _POW10_HIGH, _POW10_LOW = _halves(_POW10_FLOAT)
 
 
@@ -484,92 +459,120 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, x
 
 
-# Values per `_float_text_chunk` call.  Its temporaries take about 300
-# bytes a value; the C allocator keeps a few hundred KB of them freed
-# for the next call, but hands megabytes back to the system, which then
-# pages them in again, and that doubled the cost of a 4,000-value call.
+_FALLBACK_WIDTH = 7     # ",-1.7976931348623157e+308" in 4-byte groups
+
+
+def _fallback_groups(values: np.ndarray, spec: str) -> np.ndarray:
+    """``"," + spec % v`` of each of the (one or more) ``values`` as a
+    column of `_FALLBACK_WIDTH` NUL-padded groups, from one ``%``."""
+    texts = ("\n".join(["," + spec] * values.size)
+             % tuple(values.tolist())).split("\n")
+    return (np.array(texts, dtype=f"S{4 * _FALLBACK_WIDTH}")
+            .view(np.uint32).reshape(-1, _FALLBACK_WIDTH).T)
+
+
+# Values per `_layout` call in `_float_groups`.  Its temporaries take
+# about 300 bytes a value, and megabytes of them, handed back to the
+# system and paged in again, doubled the cost of a 4,000-value call.
 _TEXT_CHUNK = 2048
 
 
-def _float_texts(values: np.ndarray) -> list:
-    """``"%.17g" % v`` of each finite float64, `_TEXT_CHUNK` at a time."""
-    texts = []
-    for lo in range(0, values.size, _TEXT_CHUNK):
-        texts += _float_text_chunk(values[lo:lo + _TEXT_CHUNK])
-    return texts
-
-
-def _float_text_chunk(values: np.ndarray) -> list:
-    """``"%.17g" % v`` of each finite float64, worked out in whole-array
-    passes as a column of NUL-padded 4-byte groups per value, one uint32
-    each.  Each column opens with a newline, so once the NULs go in one
-    pass, one split gives the texts.
-
-    A value in (1e-6, 1e17) or a zero is texted here: fixed notation for
-    X in [-4, 16], with trailing zeros and a bare point dropped, and
-    scientific for X in [-6, -5].  The rest (smaller, larger or
-    subnormal) take one ``%`` for all of them."""
+def _float_groups(values: np.ndarray) -> np.ndarray:
+    """``"," + "%.17g" % v`` of each finite float64 as a column of
+    `_FLOAT_WIDTH` NUL-padded groups, worked out `_TEXT_CHUNK` values at
+    a time.  A value in (1e-6, 1e17) or a zero is laid out from its
+    digits (`_digits`); the rest (smaller, larger or subnormal) take
+    one ``%`` for all of them."""
+    groups = np.empty((_FLOAT_WIDTH, values.size), np.uint32)
     a = np.abs(values)
     fast = (a > 1e-6) & (a < 1e17)
-    digits, row = _digits(np.where(fast, a, 1.0))
-    row += 6
-    row[~fast] = _ZERO_ROW
-    shift = _POW10[_FRACTION_DIGITS[row]]
-    whole = digits // shift
-    digits -= whole * shift
-    wide = -(-len(str(whole.max())) // 4)
-    groups = np.empty((wide + 5, values.size), np.int64)
-    _split_groups(whole, groups[:wide].T)
-    _split_groups(digits, groups[wide:].T)
-    # A fraction group takes its text without trailing zeros when every
-    # group after it is zero.
-    fraction = groups[wide:]
-    bare = np.empty(fraction.shape, bool)
-    bare[4] = True
-    np.equal(fraction[4], 0, out=bare[3])
-    for j in (3, 2, 1):
-        np.logical_and(bare[j], fraction[j] == 0, out=bare[j - 1])
-    fraction <<= 1
-    fraction |= bare
-    text = np.empty((wide + 8, values.size), np.uint32)
-    text[0] = _SIGN_GROUPS[2 * row + np.signbit(values)]
-    np.take(_DIGIT_GROUPS, groups[:wide], out=text[1:wide + 1], mode="clip")
-    text[wide + 1] = _DIGIT_GROUPS[_POINT]
-    np.take(_TAIL_GROUPS, fraction, out=text[wide + 2:-1], mode="clip")
-    text[1:-1] &= np.take(_FLOAT_MASKS[5 - wide:], row, axis=1, mode="clip")
-    text[wide + 1] *= text[wide + 2:-1].any(axis=0)
-    text[-1] = _EXPONENT_GROUPS[row]
-    used = text.any(axis=1)
-    if not used.all():
-        text = text[used]
-    texts = text.T.tobytes().translate(None, b"\0").decode("ascii").split("\n")
-    del texts[0]
-    rest = np.flatnonzero(~fast & (a != 0)).tolist()
-    if rest:
-        fallback = ("\n".join(["%.17g"] * len(rest))
-                    % tuple(values[rest].tolist())).split("\n")
-        for lane, fallback_text in zip(rest, fallback):
-            texts[lane] = fallback_text
-    return texts
+    for lo in range(0, values.size, _TEXT_CHUNK):
+        hi = lo + _TEXT_CHUNK
+        digits, row = _digits(np.where(fast[lo:hi], a[lo:hi], 1.0))
+        digits *= fast[lo:hi]
+        row += 6
+        row[~fast[lo:hi]] = _ZERO_ROW
+        _layout(digits, row, np.signbit(values[lo:hi]), False,
+                groups[:, lo:hi])
+    rest = np.flatnonzero(~fast & (a != 0.0))
+    if rest.size:
+        groups[:_FALLBACK_WIDTH, rest] = _fallback_groups(values[rest],
+                                                          "%.17g")
+        groups[_FALLBACK_WIDTH:, rest] = 0
+    return groups
 
 
-def _decimal_times(t: np.ndarray) -> np.ndarray | None:
-    """`repr` of each time as a row of NUL-padded 4-byte groups, one
-    uint32 each, worked out in whole-block passes; None if the block is
-    not one this can text exactly, which then takes `float.__repr__`.
+def _write_table(path, label: str, header: str, columns, flags=None) -> None:
+    """Write a headed CSV of the side-by-side float ``columns`` and, if
+    given, a last column of ``flags``: each float as ``%.17g`` gives it,
+    each flag as 1 where it is nonzero and 0 elsewhere.  ``label`` names
+    the file in a refusal."""
+    columns = [*columns] if flags is None else [*columns, flags]
+    with _replacing(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.concatenate(
+                [np.atleast_2d(np.transpose(c[lo:lo + _BLOCK_ROWS]))
+                 for c in columns], dtype=np.float64)
+            _emit(fh, _column_cells(block, flags is not None,
+                                    f"{label} {path}", lo + 2))
 
-    The block's times must be +0.0 or lie in [1e-4, 1e15), and for the
-    smallest d <= 9 at which ``rint(t * 10**d) / 10**d == t`` holds on
-    every row, each m = rint(t * 10**d) must stay below 10**15.  Then t
-    is the double nearest the decimal m / 10**d, being the correctly
-    rounded quotient of two exact doubles (Clinger, PLDI 1990).
-    `repr(t)` is the shortest decimal that reads back to t, so it has at
-    most the 15 significant digits of m, and two decimals of at most 15
-    significant digits never read back to the same double: the two are
-    one number.  `repr` writes a number in [1e-4, 1e16) in fixed point,
-    with the fraction's trailing zeros stripped but one digit kept, as
-    this does.  Without the bound on m, a 16- or 17-digit decimal can
-    read back to t and not be its `repr`.
+
+def _column_cells(block: np.ndarray, flagged: bool, name: str,
+                  line: int) -> list:
+    """The cells of the columns of a block, the rows of ``block``, for
+    `_emit`: each float column keeps the groups its runs use, and each
+    run's groups are repeated by its length.  A run is a stretch of one
+    column whose values have the same float64 bits, so -0.0 beside 0.0
+    are two runs.  ``flagged`` texts the last column as flags.  A
+    non-finite value is refused with ``name`` and the file line of the
+    first row that holds one, the block's first row being ``line``."""
+    width, m = block.shape
+    values = block.ravel()
+    bits = values.view(np.int64)
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    new[::m] = True
+    starts = np.flatnonzero(new)
+    runs = values[starts]
+    if not np.isfinite(runs).all():
+        row = int((starts[~np.isfinite(runs)] % m).min())
+        bad = block[:, row][~np.isfinite(block[:, row])][0]
+        raise ValueError(f"{name}, line {line + row}: value {bad} is not finite")
+    firsts = np.searchsorted(starts, np.arange(width + 1) * m).tolist()
+    floats = width - flagged
+    groups = _float_groups(runs[:firsts[floats]])
+    groups[0, :firsts[1]] &= _UNLED
+    used = np.bitwise_or.reduceat(groups, firsts[:floats], axis=1) != 0
+    # Each row's run, counted from its column's first run.
+    run = np.cumsum(new, dtype=np.intp).reshape(width, m)
+    run -= np.array(firsts[:width])[:, None] + 1
+    cells = []
+    for j in range(floats):
+        column = groups[used[:, j], firsts[j]:firsts[j + 1]]
+        if column.shape[1] < m:
+            column = np.take(column, run[j], axis=1)
+        cells.append(column.T)
+    if flagged:
+        cells.append(_FLAG_GROUPS[(block[-1] != 0.0).view(np.uint8), None])
+    return cells
+
+
+def _decimal_times(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Each time's 17 digits D and `_layout` row, and the block's number
+    of fraction groups, for their `repr`; None if the block's `repr`
+    texts are not known from exact decimals.
+
+    The times must be +0.0 or lie in [1e-4, 1e15), and for the smallest
+    d <= 9 at which ``rint(t * 10**d) / 10**d == t`` holds on every row,
+    each m = rint(t * 10**d) must stay below 10**15.  Then t is the
+    double nearest m / 10**d, the correctly rounded quotient of two
+    exact doubles (Clinger, PLDI 1990).  `repr(t)` has at most the 15
+    significant digits of m, and two decimals of at most 15 significant
+    digits never read back to the same double, so `repr(t)` is m / 10**d.
+    For m of k digits, D is m * 10**(17 - k) and X = k - 1 - d, and its
+    last nonzero fraction digit falls in slot k + 2 of twenty.
     """
     if not (np.all((t >= 1e-4) | (t.view(np.uint64) == 0))
             and t.max() < 1e15):
@@ -582,20 +585,10 @@ def _decimal_times(t: np.ndarray) -> np.ndarray | None:
         return None
     if not scaled.max() < 1e15:
         return None
-    whole, fraction = np.divmod(scaled.astype(np.int64), _POW10[d])
-    digits = np.searchsorted(_POW10[1:], whole, side="right") + 1
-    decimals = np.full(t.size, max(d, 1))
-    for s in range(1, d):
-        decimals -= fraction % _POW10[s] == 0
-    wide = -(-int(digits.max()) // 4)
-    tall = max(1, -(-d // 4))
-    groups = np.empty((t.size, wide + 1 + tall), np.int64)
-    _split_groups(whole, groups[:, :wide])
-    groups[:, wide] = _POINT
-    _split_groups(fraction * _POW10[4 * tall - d], groups[:, wide + 1:])
-    text = _DIGIT_GROUPS[groups]
-    text &= _TIME_MASKS[digits, decimals, 4 - wide:5 + tall]
-    return text
+    m = scaled.astype(np.int64)
+    k = np.searchsorted(_POW10[1:], m, side="right") + 1
+    row = np.where(m == 0, _ZERO_ROW, k + 5 - d)
+    return m * _POW10[17 - k], row, (int(k.max()) + 2) // 4 + 1
 
 
 def write_log(path, log: ImuLog) -> None:
@@ -603,13 +596,13 @@ def write_log(path, log: ImuLog) -> None:
 
     Float counts are rounded to the nearest integer, as `ImuLog` holds
     them whole; a count outside the ADC range (NaN and infinities
-    among them) is an error rather than a text.
+    among them) is an error rather than a text.  Each time is its
+    `repr`, laid out from an exact decimal where `_decimal_times` finds
+    one and by one ``%r`` for the block otherwise.
     """
-    with _replacing(path) as fh:
-        fh.write(
-            f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
-            f"lsb_w={_fmt(log.lsb_gyro)}\n"
-        )
+    with _replacing(path, "wb") as fh:
+        fh.write(f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
+                 f"lsb_w={_fmt(log.lsb_gyro)}\n".encode())
         for lo in range(0, log.t.size, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
             counts = np.concatenate((log.accel[lo:hi], log.gyro[lo:hi]),
@@ -622,26 +615,28 @@ def write_log(path, log: ImuLog) -> None:
                 raise ValueError(f"log {path}: count {bad} is outside the "
                                  f"16-bit ADC range [{ADC_MIN}, {ADC_MAX}]")
             t = log.t[lo:hi]
-            times = _decimal_times(t)
-            if times is None:
-                times = np.array(list(map(float.__repr__, t.tolist())),
-                                 dtype="S32").view(np.uint32).reshape(-1, 8)
-            # A row of 4-byte groups: the time, six counts of two groups
-            # each and the newline.
-            width = times.shape[1]
-            rows = np.empty((t.size, width + 13), np.uint32)
-            rows[:, :width] = times
-            rows[:, width:-1] = _COUNT_TEXTS[
-                counts.astype(np.intp) - ADC_MIN].view(np.uint32)
-            rows[:, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+            decimal = _decimal_times(t)
+            if decimal is None:
+                times = _fallback_groups(t, "%r")
+            else:
+                digits, row, tall = decimal
+                times = np.empty((_FLOAT_WIDTH, t.size), np.uint32)
+                _layout(digits, row, 0, True, times, tall)
+            times[0] &= _UNLED
+            _emit(fh, [times[np.bitwise_or.reduce(times, axis=1) != 0].T,
+                       _COUNT_TEXTS[counts.astype(np.intp) - ADC_MIN]
+                       .view(np.uint32)])
+
+
+_LOG_FIELDS = ("fs", "lsb_a", "lsb_w")
 
 
 def read_log(path) -> ImuLog:
     """Parse an IMU log written by `write_log` (or the simulator).
 
     The header is the first line, read in the scan for the first data
-    row, so the file is opened once here and once by numpy's parse.
+    row, so the file is opened once here and once by numpy's parse.  It
+    must declare each of fs, lsb_a and lsb_w once.
     """
     first, head = _scan_head(path)
     header = first.strip()
@@ -650,15 +645,18 @@ def read_log(path) -> ImuLog:
         for token in header[1:].split():
             if "=" in token:
                 key, _, value = token.partition("=")
+                if key in fields and key in _LOG_FIELDS:
+                    raise ValueError(f"log {path}: header declares {key} "
+                                     "more than once")
                 fields[key] = value
-    missing = {"fs", "lsb_a", "lsb_w"} - fields.keys()
+    missing = set(_LOG_FIELDS) - fields.keys()
     if missing:
         raise ValueError(
             f"log {path}: header must declare fs, lsb_a, lsb_w; "
             f"missing {sorted(missing)}"
         )
     rows = _read_rows(path, _LOG_ROW, "log", head)
-    for key in ("fs", "lsb_a", "lsb_w"):
+    for key in _LOG_FIELDS:
         try:
             fields[key] = float(fields[key])
         except ValueError:

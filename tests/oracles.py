@@ -392,22 +392,24 @@ def per_value_log_text(log, time_text=repr):
 
 
 def per_value_truth_text(truth):
-    """A truth sidecar as text, one `format(x, ".17g")` per value."""
+    """A truth sidecar as text, one `format(x, ".17g")` per value and
+    each stance flag as 1 where it is nonzero, 0 elsewhere."""
     lines = ["# t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,stance\n"]
     for k in range(truth.t.size):
         row = [truth.t[k], *truth.p[k], *truth.v[k], *truth.q_nb[k]]
         lines.append(",".join(_fmt(x) for x in row)
-                     + f",{int(truth.stance[k])}\n")
+                     + f",{int(truth.stance[k] != 0)}\n")
     return "".join(lines)
 
 
 def per_value_trajectory_text(traj):
-    """A trajectory file as text, one `format(x, ".17g")` per value."""
+    """A trajectory file as text, one `format(x, ".17g")` per value and
+    each stance flag as 1 where it is nonzero, 0 elsewhere."""
     lines = ["# t,px,py,pz,qw,qx,qy,qz,sfs,stance\n"]
     for k in range(traj.t.size):
         row = [traj.t[k], *traj.p[k], *traj.q_nb[k], traj.sfs[k]]
         lines.append(",".join(_fmt(x) for x in row)
-                     + f",{int(traj.stance[k])}\n")
+                     + f",{int(traj.stance[k] != 0)}\n")
     return "".join(lines)
 
 

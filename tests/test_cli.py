@@ -870,7 +870,9 @@ class TestBadCaptures:
         ("# fs=abc lsb_a=0.001 lsb_w=0.0001\n", "fs='abc'"),
         ("# fs=100 lsb_a=0.001 lsb_w=1e-4x\n", "lsb_w='1e-4x'"),
         ("# fs=100 lsb_a=0.001\n", "['lsb_w']"),
-    ], ids=["fs_text", "lsb_text", "missing"])
+        ("# fs=100 fs=50 lsb_a=0.001 lsb_w=0.0001\n",
+         "header declares fs more than once"),
+    ], ids=["fs_text", "lsb_text", "missing", "duplicate"])
     def test_bad_header_names_field_and_file(self, tmp_path, capsys, header,
                                              field):
         log = tmp_path / "bad_header.csv"

@@ -35,7 +35,8 @@ from pdrnav.gait import (
 from pdrnav.io import (
     _BLOCK_ROWS,
     PipelineConfig,
-    _float_texts,
+    _decimal_times,
+    _float_groups,
     _to_doc,
     read_calibration,
     read_config,
@@ -323,6 +324,21 @@ class TestRunFormatting:
         np.testing.assert_array_equal(read_truth(tmp_path / "truth.csv").stance,
                                       stance != 0.0)
 
+    def test_any_nonzero_flag_is_written_set(self, tmp_path):
+        # The readers take a flag as set where it is nonzero, so 0.5 and
+        # 2.0 are written 1, not truncated to 0 or kept as 2, and -0.0
+        # is written 0.
+        stance = np.array([0.5, 1.0, 2.0, 0.0, -0.0, 0.5, 2.0, -0.0])
+        n = stance.size
+        truth = self.truth(np.zeros((n, 3)), np.zeros((n, 3)),
+                           np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), stance)
+        path = tmp_path / "truth.csv"
+        self.assert_truth_text(path, truth)
+        assert [row.rsplit(",", 1)[1] for row
+                in path.read_text().splitlines()[1:]] \
+            == ["1", "1", "1", "0", "0", "1", "1", "0"]
+        np.testing.assert_array_equal(read_truth(path).stance, stance != 0.0)
+
 
 class TestNonFiniteRows:
     """The float writers refuse what their readers refuse, with the
@@ -482,6 +498,23 @@ class TestLogFormat:
         with pytest.raises(ValueError, match="lsb_w"):
             read_log(path)
 
+    @pytest.mark.parametrize("key", ["fs", "lsb_a", "lsb_w"])
+    def test_duplicated_header_field_rejected(self, tmp_path, key):
+        # Either value may be the one meant; neither is taken.
+        fields = {"fs": "100", "lsb_a": f"{LSB_A!r}", "lsb_w": f"{LSB_W!r}"}
+        header = " ".join(f"{k}={v}" for k, v in fields.items())
+        path = tmp_path / "twice.csv"
+        path.write_text(f"# {header} {key}=50\n0.0,0,0,8192,0,0,0\n")
+        with pytest.raises(ValueError, match=rf"twice\.csv: header declares "
+                                             rf"{key} more than once"):
+            read_log(path)
+
+    def test_other_repeated_header_tokens_are_ignored(self, tmp_path):
+        path = tmp_path / "notes.csv"
+        path.write_text(f"# fs=100 lsb_a={LSB_A!r} lsb_w={LSB_W!r} "
+                        "note=a note=b\n0.0,0,0,8192,0,0,0\n")
+        assert read_log(path).fs == FS
+
     def test_wrong_column_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"# fs=100 lsb_a={LSB_A} lsb_w={LSB_W}\n0,1,2,3\n")
@@ -627,6 +660,34 @@ class TestLogText:
         write_log(tmp_path / "log.csv", log)
         assert (tmp_path / "log.csv").read_text() == per_value_log_text(log)
 
+    @pytest.mark.parametrize("t", [
+        # Integral times and +0.0 keep repr's ".0".
+        np.arange(_BLOCK_ROWS) * 1.0,
+        np.append(0.0, np.arange(5, 9) * 1.0),
+        # A grid below 1, from 0.0001 up, and one from +0.0.
+        np.arange(1, _BLOCK_ROWS + 1) / 10_000.0,
+        np.arange(_BLOCK_ROWS) / 10_000.0,
+        # Nine decimals, with one and with four integer digits.
+        (10 ** 9 + np.arange(_BLOCK_ROWS) * 7) / 1e9,
+        (1234 * 10 ** 9 + np.arange(_BLOCK_ROWS) * 999_999) / 1e9,
+        # Just below 1e15: whole seconds, and tenths below 1e14.
+        10.0 ** 15 - np.arange(_BLOCK_ROWS, 0, -1),
+        (10 ** 15 - 10 - np.arange(_BLOCK_ROWS, 0, -1)) / 10.0,
+        np.array([0.0, 1e-4, 0.5, 5.0, 123.456789012]),
+    ], ids=["integral", "zero_and_integral", "below_one", "from_zero",
+            "nine_decimals", "nine_decimals_1234", "below_1e15",
+            "tenths_below_1e14", "mixed"])
+    def test_exact_decimal_times_are_their_repr(self, tmp_path, t):
+        # Blocks the shared float layout writes from their exact
+        # decimals, not through float.__repr__.
+        assert _decimal_times(t) is not None
+        log = ImuLog(t=t, accel=np.zeros((t.size, 3)),
+                     gyro=np.zeros((t.size, 3)), fs=FS, lsb_accel=LSB_A,
+                     lsb_gyro=LSB_W)
+        write_log(tmp_path / "log.csv", log)
+        TestRowWriters.assert_text(tmp_path / "log.csv",
+                                   per_value_log_text(log))
+
     def test_every_count_of_the_adc_range_is_its_str(self, tmp_path):
         values = np.arange(constants.ADC_MIN, constants.ADC_MAX + 1)
         counts = np.resize(values, (-(-values.size // 6), 6))
@@ -668,17 +729,24 @@ def around(bounds):
                            np.nextafter(bounds, np.inf)]).tolist()
 
 
+def decoded(groups):
+    """The text of each column of NUL-padded groups."""
+    return [column.tobytes().replace(b"\0", b"").decode("ascii")
+            for column in groups.T]
+
+
 class TestFloatText:
-    """`_float_texts` works the 17 digits out in whole-array passes; each
-    text must be the one ``format(x, ".17g")`` gives.  pyproject turns a
-    RuntimeWarning into an error, so a value out of the passes' range
-    that warned (log10 of a zero, a cast of an infinity) would fail."""
+    """`_float_groups` works the 17 digits out in whole-array passes; each
+    value's column of groups must hold a comma and the text
+    ``format(x, ".17g")`` gives.  pyproject turns a RuntimeWarning into
+    an error, so a value out of the passes' range that warned (log10 of
+    a zero, a cast of an infinity) would fail."""
 
     @staticmethod
     def assert_texts(values):
         values = np.asarray(values, dtype=np.float64)
-        assert _float_texts(values) == [format(x, ".17g")
-                                        for x in values.tolist()]
+        assert decoded(_float_groups(values)) == [
+            "," + format(x, ".17g") for x in values.tolist()]
 
     # No shrinking, as for the log writer: a failing example is shown as
     # it is drawn.
@@ -705,7 +773,7 @@ class TestFloatText:
         self.assert_texts(values)
 
     def test_no_values(self):
-        assert _float_texts(np.empty(0)) == []
+        assert decoded(_float_groups(np.empty(0))) == []
 
     def test_block_of_texted_and_formatted_values(self, tmp_path):
         # One truth block whose columns mix the texter's values, zeros of

@@ -17,12 +17,13 @@ import numpy as np
 from pdrnav import cli, constants
 from pdrnav.allan import allan_deviation
 from pdrnav.gait import inverse_imu, razor_noise, scale_calibration, still_truth
-from pdrnav.io import read_log, write_log
-from pdrnav.tracker import ImuLog
+from pdrnav.io import read_log, write_log, write_trajectory
+from pdrnav.tracker import ImuLog, Trajectory
 
 FS = 100.0
 N = 50_001
 COLUMN3 = N * 3 * 8     # bytes of one (n, 3) float64 array
+WALK = 2_883            # samples of the benchmark's walk
 
 
 def traced_peak(fn, *args):
@@ -137,3 +138,25 @@ def test_write_log_rounds_by_block(tmp_path):
     # counts would be 2x.
     assert peak < COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
     assert np.array_equal(read_log(tmp_path / "still.csv").accel, log.accel)
+
+
+def tracked_trajectory(n, seed):
+    """A trajectory whose floats hardly repeat, as a tracker's do, so
+    that each value is a run of its own and is texted."""
+    rng = np.random.default_rng(seed)
+    return Trajectory(t=np.arange(n) / FS, p=10.0 * rng.standard_normal((n, 3)),
+                      q_nb=rng.standard_normal((n, 4)), sfs=rng.random(n),
+                      stance=rng.random(n) < 0.3)
+
+
+def test_write_trajectory_holds_one_block(tmp_path):
+    # The writer holds one block's texts at a time: 1.2 MB for a walk
+    # and for a walk ten times as long.  Texting each block's runs as
+    # Python strings peaked at 1.9 MB.
+    _, peak = traced_peak(write_trajectory, tmp_path / "walk.csv",
+                          tracked_trajectory(WALK, 8))
+    _, long_peak = traced_peak(write_trajectory, tmp_path / "long.csv",
+                               tracked_trajectory(10 * WALK, 9))
+    assert peak <= 3e6, f"peak {peak / 1e6:.2f} MB"
+    assert long_peak <= 1.1 * peak, \
+        f"peak {long_peak / 1e6:.2f} MB, {peak / 1e6:.2f} MB for one walk"
