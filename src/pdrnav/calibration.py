@@ -21,8 +21,11 @@ lower-triangular with a positive diagonal.  ``canonical_gain`` maps an
 arbitrary gain to that representative for comparisons.
 
 The gyroscope keeps its datasheet gain, the ADC scale factor.  A still
-gyro reads its bias, so ``pdrnav calibrate`` writes the mean still count
-as the bias, and the tracking filter estimates the residual online.
+gyro reads its bias: `batch_means` gives the gyro's mean count over
+every still sample and its noise in counts, in the same pass as the
+accelerometer's statistics, ``pdrnav calibrate`` writes them as the
+gyro bias and noise, and the tracking filter estimates the residual
+bias online.
 """
 
 from __future__ import annotations
@@ -113,11 +116,21 @@ class SensorCalibration:
 
 @dataclass
 class OrientationBatch:
-    """Per-orientation mean measurements from P still captures."""
+    """Per-orientation statistics from P still captures, in counts.
+
+    ``noise_counts`` is the mean over captures of each capture's mean
+    per-axis sample standard deviation (ddof=1); ``gyro_noise_counts``
+    is the same figure for the gyro.  ``gyro_bias`` is the gyro's mean
+    count over every sample of every capture, ``median_rates`` (P,) each
+    capture's median angular rate in rad/s.
+    """
 
     means: NDArray[np.float64]          # (P, 3), counts
     samples_per_orientation: int
-    noise_counts: float | None = None   # pooled per-axis std, counts
+    noise_counts: float | None = None
+    median_rates: NDArray[np.float64] | None = None
+    gyro_bias: NDArray[np.float64] | None = None
+    gyro_noise_counts: float | None = None
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=float)
@@ -125,52 +138,176 @@ class OrientationBatch:
             raise CalibrationError("means must have shape (P, 3)")
 
 
+# Rows, over all captures, that one block of `batch_means` holds: six
+# float64 columns of 16,384 rows are 786 KB.  Each capture has at least
+# `_MIN_SPAN` rows in a block, so that many captures do not make many
+# blocks of a few rows each.
+_BLOCK_ROWS = 1 << 14
+_MIN_SPAN = 256
+
+
+def _as_counts(x) -> NDArray:
+    """A capture's counts as an array: integer counts keep their type,
+    since copying them into a float64 block converts them exactly, and
+    anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "iu" else x.astype(float, copy=False)
+
+
+def _blocks(captures: list, lengths: NDArray):
+    """The captures' rows side by side, a block at a time.
+
+    Yields ``(start, active, rows, block)``: ``block[1:rows[i] + 1, i]``
+    holds the accel and gyro columns of capture ``active[i]`` from row
+    ``start`` on, as float64, and the rest of ``block[1:, i]`` is zero,
+    which adds nothing to a sum.  Row 0 is left for the caller's running
+    sums.  A block holds only the captures that reach ``start``, so a
+    long capture takes blocks of its own rather than every capture
+    being padded to its length.
+    """
+    start = 0
+    while (active := np.flatnonzero(lengths > start)).size:
+        span = max(_BLOCK_ROWS // active.size, _MIN_SPAN)
+        rows = np.minimum(lengths[active] - start, span)
+        block = np.empty((rows.max() + 1, active.size, 6))
+        for i, (c, k) in enumerate(zip(active.tolist(), rows.tolist())):
+            accel, gyro = captures[c]
+            block[1:k + 1, i, :3] = accel[start:start + k]
+            block[1:k + 1, i, 3:] = gyro[start:start + k]
+            block[k + 1:, i] = 0.0
+        yield start, active, rows, block
+        start += span
+
+
+def _median(x: NDArray) -> float:
+    """``np.median(x)`` to the bit, partitioning ``x`` in place."""
+    k = x.size // 2
+    if x.size % 2:
+        x.partition(k)
+        return float(x[k])
+    x.partition((k - 1, k))
+    return float((x[k - 1] + x[k]) / 2)
+
+
+def _refuse_non_finite(name: str, accel: NDArray, gyro: NDArray) -> None:
+    for sensor, counts in (("accel", accel), ("gyro", gyro)):
+        bad = np.flatnonzero(~np.isfinite(counts).all(axis=1))
+        if bad.size:
+            raise CalibrationError(
+                f"{name}: {sensor} sample {bad[0]} is not finite")
+
+
 def batch_means(
     stills: dict[str, tuple[NDArray[np.float64], NDArray[np.float64]]],
     *,
     lsb_gyro: float,
 ) -> OrientationBatch:
-    """Average still accelerometer captures into an OrientationBatch.
+    """Both sensors' still statistics from every capture in one pass.
 
     Parameters
     ----------
     stills : dict of name -> (accel, gyro)
         One entry per orientation, keyed by the capture's name (its file
         name), which prefixes any refusal; raw counts of shape (n, 3)
-        each, with n at least ``MIN_STILL_SAMPLES``.
+        each, finite, with n at least ``MIN_STILL_SAMPLES``.
     lsb_gyro : float
         Gyroscope scale, rad/s per count, used for the stillness check:
         a capture whose median gyro magnitude exceeds
         ``constants.STILL_RATE_LIMIT`` (rad/s) was moving and is
         rejected.
+
+    The refusal names the first capture, in the dict's order, that has
+    a problem, and the first of its problems in the order shape,
+    non-finite sample, length, stillness.
+
+    Every figure has the bits of the per-capture numpy forms (``mean``,
+    ``std(ddof=1)``, ``median`` of ``linalg.norm``, and the gyro's
+    ``mean`` over the captures' concatenation): numpy sums an array's
+    leading axis row after row, so the captures, zero-padded side by
+    side in a (rows, captures, 6) block, are summed down its rows, each
+    capture's running sum carried in as the block's first row.
     """
-    means = []
-    stds = []
-    n_min = None
+    if not (lsb_gyro > 0 and np.isfinite(lsb_gyro)):
+        raise CalibrationError(
+            f"lsb_gyro must be positive and finite, got {lsb_gyro!r}")
+    names, captures, refusal = [], [], None
     for name, (accel, gyro) in stills.items():
-        accel = np.asarray(accel, dtype=float)
-        gyro = np.asarray(gyro, dtype=float)
+        accel, gyro = _as_counts(accel), _as_counts(gyro)
         if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
-            raise CalibrationError(f"{name}: expected matching (n, 3) arrays")
-        n = accel.shape[0]
-        if n < MIN_STILL_SAMPLES:
-            raise CalibrationError(f"{name}: {n} samples, need at "
+            refusal = f"{name}: expected matching (n, 3) arrays"
+            break
+        names.append(name)
+        captures.append((accel, gyro))
+    if not captures:
+        raise CalibrationError(refusal or "no still segments given")
+
+    n = np.array([accel.shape[0] for accel, _ in captures])
+    first = np.cumsum(n) - n
+    sums = np.zeros((n.size, 6))
+    # Each sample's angular rate, rad/s, capture after capture.
+    rates = np.empty(n.sum())
+    # A non-finite sample is refused by name below, not by a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for count, held in enumerate(_blocks(captures, n), 1):
+            start, active, rows, block = held
+            block[0] = sums[active]
+            sums[active] = np.add.reduce(block, axis=0)
+            # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
+            rate = np.zeros((len(block) - 1, len(active)))
+            for axis in range(3, 6):
+                w = block[1:, :, axis] * lsb_gyro
+                rate += np.multiply(w, w, out=w)
+            np.sqrt(rate, out=rate)
+            for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
+                rates[first[c] + start:first[c] + start + k] = r[:k]
+    finite = np.isfinite(sums).all(axis=1)
+    median_rates = np.empty(n.size)
+    for c, name in enumerate(names):
+        if not finite[c]:
+            _refuse_non_finite(name, *captures[c])
+        if n[c] < MIN_STILL_SAMPLES:
+            raise CalibrationError(f"{name}: {n[c]} samples, need at "
                                    f"least {MIN_STILL_SAMPLES}")
-        rate = np.median(np.linalg.norm(gyro * lsb_gyro, axis=1))
+        median_rates[c] = rate = _median(rates[first[c]:first[c] + n[c]])
         if rate > STILL_RATE_LIMIT:
             raise CalibrationError(
                 f"{name}: median angular rate {rate:.3g} rad/s "
                 f"exceeds still limit {STILL_RATE_LIMIT:g}"
             )
-        means.append(accel.mean(axis=0))
-        stds.append(accel.std(axis=0, ddof=1).mean())
-        n_min = n if n_min is None else min(n_min, n)
-    if not means:
-        raise CalibrationError("no still segments given")
+    if refusal is not None:
+        raise CalibrationError(refusal)
+
+    means = sums / n[:, None]
+    squares = np.zeros_like(sums)
+    # A single block is reused from the sums; more are built again.
+    blocks = [held] if count == 1 else _blocks(captures, n)
+    del held, rates
+    for start, active, rows, block in blocks:
+        dev = block[1:]
+        np.subtract(dev, means[active], out=dev)
+        dev[np.arange(len(dev))[:, None] >= rows] = 0.0
+        np.multiply(dev, dev, out=dev)
+        block[0] = squares[active]
+        squares[active] = np.add.reduce(block, axis=0)
+    # Each capture's mean per-axis std, accel then gyro: (P, 2).
+    noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)
+    # The mean gyro count over every sample, to the bits of numpy's mean
+    # of the captures' concatenation, which adds its rows in turn.
+    # Integer counts of at most 32 bits add exactly in any order while
+    # there are at most 2**21 of them, so the captures' sums give it.
+    gyros = [gyro for _, gyro in captures]
+    if n.sum() <= 1 << 21 and all(
+            g.dtype.kind in "iu" and g.dtype.itemsize <= 4 for g in gyros):
+        gyro_bias = sums[:, 3:].sum(axis=0) / n.sum()
+    else:
+        gyro_bias = np.concatenate(gyros).mean(axis=0)
     return OrientationBatch(
-        means=np.array(means),
-        samples_per_orientation=int(n_min),
-        noise_counts=float(np.mean(stds)),
+        means=np.ascontiguousarray(means[:, :3]),
+        samples_per_orientation=int(n.min()),
+        noise_counts=float(np.mean(noise[:, 0])),
+        median_rates=median_rates,
+        gyro_bias=gyro_bias,
+        gyro_noise_counts=float(np.mean(noise[:, 1])),
     )
 
 
@@ -293,7 +430,7 @@ def fit_accel_calibration(
     Returns
     -------
     SensorCalibration
-        Its ``noise_sigma`` is in m/s^2: the batch's pooled count noise
+        Its ``noise_sigma`` is in m/s^2: the batch's ``noise_counts``
         through the fitted gain when the batch has one, else the fit's
         residual scaled back to one sample.
 

@@ -28,8 +28,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .allan import allan_deviation, extract_coefficients
 from .calibration import batch_means, fit_accel_calibration
 from .constants import GRAVITY
@@ -81,14 +79,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     batch = batch_means(stills, lsb_gyro=lsb_gyro)
     accel_cal = fit_accel_calibration(batch, args.g)
     # Gyro model is datasheet scale; a still gyro reads its bias, so the
-    # bias is the mean count over every capture's samples, and the noise
-    # floor comes from the data too.
-    gyros = [gyro for _, gyro in stills.values()]
-    gyro_stds = [gyro.std(axis=0, ddof=1).mean() for gyro in gyros]
-    gyro_sigma = max(float(np.mean(gyro_stds)) * lsb_gyro, 1e-12)
-    gyro_bias = np.concatenate(gyros).mean(axis=0)
+    # bias is the batch's mean count over every capture's samples, and
+    # the noise floor comes from the data too.
+    gyro_sigma = max(batch.gyro_noise_counts * lsb_gyro, 1e-12)
     gyro_cal = dataclasses.replace(
-        scale_calibration(lsb_gyro, noise_sigma=gyro_sigma), bias=gyro_bias)
+        scale_calibration(lsb_gyro, noise_sigma=gyro_sigma),
+        bias=batch.gyro_bias)
     write_calibration(args.out, accel_cal, gyro_cal)
     return 0
 

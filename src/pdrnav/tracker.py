@@ -419,9 +419,11 @@ def checkpoint_errors(traj: Trajectory,
                        < np.abs(traj.t[left] - times), right, left)
     offsets = traj.p[nearest] - np.array([p for _, p in checkpoints],
                                          dtype=float).reshape(-1, 3)
-    # One norm per row, as a 3-vector: the norm over an axis of the
-    # block sums in another order and can differ in the last bit.
-    return [float(np.linalg.norm(row)) for row in offsets]
+    # One norm per row, as `np.linalg.norm` of the 3-vector computes it
+    # (the square root of its dot with itself) without the wrapper's
+    # checks; the norm over an axis of the block sums in another order
+    # and can differ in the last bit.
+    return [math.sqrt(row.dot(row)) for row in offsets]
 
 
 @dataclass

@@ -250,6 +250,36 @@ def radial_residuals(gain, bias, means, g):
                      for mean in np.atleast_2d(means)])
 
 
+def per_capture_still_statistics(stills, lsb_gyro):
+    """`calibration.batch_means`' figures one capture at a time, in the
+    forms it and ``pdrnav calibrate`` computed them before its one pass.
+
+    Returns a dict of the `OrientationBatch` fields: each capture's accel
+    mean, the mean over captures of each capture's mean per-axis std
+    (ddof=1), each capture's median angular rate (rad/s), the gyro's mean
+    over the captures' concatenation and its noise like the accel's.
+    The gyro counts go into their std and mean as given, so integer
+    counts take numpy's integer reductions.  No refusals: the captures
+    must be valid.
+    """
+    means, noise, rates, gyro_noise = [], [], [], []
+    for accel, gyro in stills.values():
+        accel_f = np.asarray(accel, dtype=float)
+        gyro_f = np.asarray(gyro, dtype=float)
+        rates.append(np.median(np.linalg.norm(gyro_f * lsb_gyro, axis=1)))
+        means.append(accel_f.mean(axis=0))
+        noise.append(accel_f.std(axis=0, ddof=1).mean())
+        gyro_noise.append(np.asarray(gyro).std(axis=0, ddof=1).mean())
+    gyros = [np.asarray(gyro) for _, gyro in stills.values()]
+    return {
+        "means": np.array(means),
+        "noise_counts": float(np.mean(noise)),
+        "median_rates": np.array(rates),
+        "gyro_bias": np.concatenate(gyros).mean(axis=0),
+        "gyro_noise_counts": float(np.mean(gyro_noise)),
+    }
+
+
 def richardson_jacobian(f, x, m, h0=1e-4):
     """High-order derivative reference: central differences at two step
     sizes combined by Richardson extrapolation (error O(h0^4)).

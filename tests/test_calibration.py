@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,10 +22,14 @@ from pdrnav.calibration import (
     fit_accel_calibration,
     spread_directions,
 )
-from pdrnav.constants import DEFAULT_LSB_ACCEL, GRAVITY
+from pdrnav.constants import DEFAULT_LSB_ACCEL, DEFAULT_LSB_GYRO, GRAVITY
 from pdrnav.gait import scale_calibration
 
-from oracles import radial_residuals, richardson_jacobian
+from oracles import (
+    per_capture_still_statistics,
+    radial_residuals,
+    richardson_jacobian,
+)
 
 
 def random_lower_triangular(rng, scale=1.0):
@@ -340,6 +347,118 @@ class TestBatchMeans:
         seg = (np.zeros((10, 3)), np.zeros((10, 3)))
         with pytest.raises(CalibrationError, match=r"^short\.csv: 10 samples"):
             batch_means({"short.csv": seg}, lsb_gyro=1e-3)
+
+
+def still_captures(rng, lengths, dtype=float):
+    """Still captures named ``still_00.csv`` on: accel counts about a
+    spread gravity direction, gyro counts about a small bias, both with
+    sensor-like noise, in ``dtype``."""
+    stills = {}
+    for k, (n, u) in enumerate(zip(lengths, spread_directions(len(lengths)))):
+        accel = rng.normal(u * GRAVITY / DEFAULT_LSB_ACCEL, 3.0, (n, 3))
+        gyro = rng.normal(rng.normal(0.0, 10.0, 3), 7.0, (n, 3))
+        if np.dtype(dtype).kind in "iu":
+            accel, gyro = np.rint(accel), np.rint(gyro)
+        stills[f"still_{k:02d}.csv"] = (accel.astype(dtype), gyro.astype(dtype))
+    return stills
+
+
+def assert_same_bits(batch, expect):
+    for field, value in expect.items():
+        got = np.asarray(getattr(batch, field), dtype=float)
+        want = np.asarray(value, dtype=float)
+        assert got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
+
+
+# One way to spoil a capture per check, in the order `batch_means`
+# makes the checks, and the start of each refusal after the name.
+def _with_nan(accel, gyro):
+    accel = accel.astype(float)
+    accel[3, 1] = np.nan
+    return accel, gyro
+
+
+SPOIL = {
+    "shape": (lambda accel, gyro: (accel, gyro[:-1]),
+              "expected matching (n, 3) arrays"),
+    "non-finite": (_with_nan, "accel sample 3 is not finite"),
+    "length": (lambda accel, gyro: (accel[:10], gyro[:10]),
+               "10 samples, need at least 50"),
+    "stillness": (lambda accel, gyro: (accel, gyro + 5000.0),
+                  "median angular rate"),
+}
+
+
+class TestOnePass:
+    """`batch_means` against the per-capture forms it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.int64])
+    @pytest.mark.parametrize("lengths", [
+        [50, 51, 500, 1001, 20_000],
+        [20_000, 60, 3000],
+        [500] * 16,
+        [100_000] + [500] * 15,
+    ], ids=["short_to_20000", "unequal", "bench", "one_long"])
+    def test_statistics_have_the_per_capture_bits(self, lengths, dtype):
+        stills = still_captures(np.random.default_rng(len(lengths)),
+                                lengths, dtype)
+        if dtype is np.float64:
+            # numpy's sums start from +0.0, so all -0.0 reads +0.0.
+            stills["still_00.csv"][0][:, 0] = -0.0
+        batch = batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+        assert_same_bits(batch, per_capture_still_statistics(
+            stills, DEFAULT_LSB_GYRO))
+        assert batch.samples_per_orientation == min(lengths)
+
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf],
+                                        [np.inf, -np.inf]],
+                             ids=["nan", "inf", "minus_inf", "both_infs"])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_non_finite_sample_refused(self, sensor, values):
+        # A NaN accel sample used to reach the fit as an SVD failure,
+        # and a NaN gyro sample passed the stillness check.  Infinities
+        # of both signs in one column sum to NaN without a warning.
+        stills = still_captures(np.random.default_rng(3), [200] * 3)
+        accel, gyro = stills["still_01.csv"]
+        (accel if sensor == "accel" else gyro)[17:17 + len(values), 2] = values
+        with pytest.raises(CalibrationError, match=re.escape(
+                f"still_01.csv: {sensor} sample 17 is not finite")):
+            batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+
+    def test_non_positive_gyro_scale_refused(self):
+        stills = still_captures(np.random.default_rng(3), [200] * 3)
+        for lsb in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(CalibrationError, match="lsb_gyro"):
+                batch_means(stills, lsb_gyro=lsb)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(SPOIL)),
+                             ids="-".join)
+    def test_first_bad_capture_is_named(self, order):
+        stills = still_captures(np.random.default_rng(4), [200] * 5)
+        names = list(stills)
+        for name, problem in zip(names[1:], order):
+            spoil, _ = SPOIL[problem]
+            stills[name] = spoil(*stills[name])
+        with pytest.raises(CalibrationError, match=(
+                rf"^{re.escape(names[1])}: {re.escape(SPOIL[order[0]][1])}")):
+            batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+
+    @pytest.mark.parametrize("first, second",
+                             list(itertools.combinations(SPOIL, 2)),
+                             ids=[f"{a}-{b}" for a, b
+                                  in itertools.combinations(SPOIL, 2)])
+    def test_first_problem_of_a_capture_is_named(self, first, second):
+        stills = still_captures(np.random.default_rng(5), [200] * 3)
+        capture = stills["still_02.csv"]
+        # Truncate before the NaN lands and cut the gyro short last.
+        for problem in ("length", "stillness", "non-finite", "shape"):
+            if problem in (first, second):
+                capture = SPOIL[problem][0](*capture)
+        stills["still_02.csv"] = capture
+        with pytest.raises(CalibrationError, match=(
+                rf"^still_02\.csv: {re.escape(SPOIL[first][1])}")):
+            batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
 
 
 class TestApply:

@@ -26,7 +26,12 @@ import pytest
 import pdrnav
 from pdrnav import cli, constants
 from pdrnav.allan import allan_deviation
-from pdrnav.calibration import SensorCalibration, canonical_gain
+from pdrnav.calibration import (
+    CalibrationError,
+    SensorCalibration,
+    batch_means,
+    canonical_gain,
+)
 from pdrnav.cli import main
 from pdrnav.ekf import FilterConfig, default_filter_config
 from pdrnav.gait import (
@@ -803,6 +808,39 @@ class TestBadCaptures:
         err = capsys.readouterr().err
         assert "still_short.csv" in err
         assert "samples" in err
+        assert not (tmp_path / "cal.json").exists()
+
+    @pytest.mark.parametrize("bad", [("b_spin.csv", "c_short.csv"),
+                                     ("b_short.csv", "c_spin.csv")],
+                             ids=["spin_first", "short_first"])
+    def test_first_bad_capture_by_name_exits_two(self, tmp_path, capsys,
+                                                  bad):
+        # Two bad captures before twelve good ones in file-name order:
+        # the command refuses with `batch_means`' own message for the
+        # captures in that order, which names the first bad one.
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(6))
+        for name in bad:
+            n = 20 if "short" in name else 300
+            write_log(stills / name, ImuLog(
+                t=np.arange(n) / FS,
+                accel=np.tile([0, 0, int(round(constants.GRAVITY / LSB_A))],
+                              (n, 1)),
+                gyro=np.full((n, 3), 2000 if "spin" in name else 0),
+                fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W,
+            ))
+        logs = {name: read_log(stills / name)
+                for name in sorted(os.listdir(stills))}
+        with pytest.raises(CalibrationError) as refusal:
+            batch_means({name: (log.accel, log.gyro)
+                         for name, log in logs.items()}, lsb_gyro=LSB_W)
+        assert str(refusal.value).startswith(f"{bad[0]}: ")
+        code = self.run_quietly(["calibrate", "--stills", str(stills),
+                                 "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"pdrnav calibrate: {refusal.value}\n"
         assert not (tmp_path / "cal.json").exists()
 
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])

@@ -13,9 +13,18 @@ from __future__ import annotations
 import tracemalloc
 
 import numpy as np
+# numpy imports these on first use: `numpy.random` on the first read of
+# `np.random` (the generator in `inverse_imu`) and `numpy.ma` in the
+# first `np.unique` call (the tau grid in `allan_deviation`).  Each
+# import traces 0.5-1 MB once per process, so a test run on its own
+# would count it in the first traced call; importing them here keeps
+# that set-up out of every peak.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from pdrnav import cli, constants
 from pdrnav.allan import allan_deviation
+from pdrnav.calibration import batch_means
 from pdrnav.gait import inverse_imu, razor_noise, scale_calibration, still_truth
 from pdrnav.io import read_log, write_log, write_trajectory
 from pdrnav.tracker import ImuLog, Trajectory
@@ -86,6 +95,25 @@ def test_allan_deviation_holds_two_series():
     # the integral and dividing it into a new array made 3.01x.
     assert peak <= 2.25 * series.nbytes, \
         f"peak {peak / series.nbytes:.2f}x the series"
+
+
+def test_batch_means_holds_a_few_blocks():
+    # One long capture among short ones, float counts as a Python caller
+    # may give them.  The pass peaks at 0.52x the captures' own floats,
+    # twice over: the gyro's concatenation, for its mean over every
+    # sample, is 0.50x, and the sums hold each sample's rate (0.17x) and
+    # two blocks of 786 KB while the next is built.  The per-capture
+    # loops with the command's gyro statistics made 1.24x, and a block
+    # padding every capture to the long one's length would be 15x.
+    rng = np.random.default_rng(4)
+    stills = {f"still_{k:02d}.csv": (rng.normal(3000.0, 3.0, (n, 3)),
+                                     rng.normal(0.0, 7.0, (n, 3)))
+              for k, n in enumerate([100_000] + [500] * 15)}
+    own = sum(accel.nbytes + gyro.nbytes for accel, gyro in stills.values())
+    batch, peak = traced_peak(lambda: batch_means(
+        stills, lsb_gyro=constants.DEFAULT_LSB_GYRO))
+    assert batch.samples_per_orientation == 500
+    assert peak <= 0.6 * own, f"peak {peak / own:.2f}x the captures"
 
 
 def test_allan_command_frees_the_log_for_the_sweep(tmp_path):
