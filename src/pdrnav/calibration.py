@@ -121,14 +121,12 @@ class OrientationBatch:
     ``noise_counts`` is the mean over captures of each capture's mean
     per-axis sample standard deviation (ddof=1); ``gyro_noise_counts``
     is the same figure for the gyro.  ``gyro_bias`` is the gyro's mean
-    count over every sample of every capture, ``median_rates`` (P,) each
-    capture's median angular rate in rad/s.
+    count over every sample of every capture.
     """
 
     means: NDArray[np.float64]          # (P, 3), counts
     samples_per_orientation: int
     noise_counts: float | None = None
-    median_rates: NDArray[np.float64] | None = None
     gyro_bias: NDArray[np.float64] | None = None
     gyro_noise_counts: float | None = None
 
@@ -139,11 +137,8 @@ class OrientationBatch:
 
 
 # Rows, over all captures, that one block of `batch_means` holds: six
-# float64 columns of 16,384 rows are 786 KB.  Each capture has at least
-# `_MIN_SPAN` rows in a block, so that many captures do not make many
-# blocks of a few rows each.
+# float64 columns of 16,384 rows are 786 KB.
 _BLOCK_ROWS = 1 << 14
-_MIN_SPAN = 256
 
 
 def _as_counts(x) -> NDArray:
@@ -167,7 +162,7 @@ def _blocks(captures: list, lengths: NDArray):
     """
     start = 0
     while (active := np.flatnonzero(lengths > start)).size:
-        span = max(_BLOCK_ROWS // active.size, _MIN_SPAN)
+        span = max(_BLOCK_ROWS // active.size, 1)
         rows = np.minimum(lengths[active] - start, span)
         block = np.empty((rows.max() + 1, active.size, 6))
         for i, (c, k) in enumerate(zip(active.tolist(), rows.tolist())):
@@ -189,12 +184,55 @@ def _median(x: NDArray) -> float:
     return float((x[k - 1] + x[k]) / 2)
 
 
-def _refuse_non_finite(name: str, accel: NDArray, gyro: NDArray) -> None:
-    for sensor, counts in (("accel", accel), ("gyro", gyro)):
+def _block_sums(captures: list, n: NDArray, first: NDArray,
+                lsb_gyro: float) -> tuple[NDArray, NDArray, NDArray]:
+    """`batch_means`' two passes over the blocks of `_blocks`.
+
+    Returns each capture's column sums and its squared deviations from
+    its means summed, accel then gyro, (P, 6) each, and each sample's
+    angular rate in rad/s, capture ``c``'s from ``first[c]`` on.  A
+    non-finite sample or an overflow leaves them non-finite, with no
+    warning, for the caller to refuse by name.
+    """
+    sums = np.zeros((n.size, 6))
+    squares = np.zeros_like(sums)
+    rates = np.empty(n.sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, active, rows, block in _blocks(captures, n):
+            block[0] = sums[active]
+            sums[active] = np.add.reduce(block, axis=0)
+            # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
+            rate = np.zeros((len(block) - 1, len(active)))
+            for axis in range(3, 6):
+                w = block[1:, :, axis] * lsb_gyro
+                rate += np.multiply(w, w, out=w)
+            np.sqrt(rate, out=rate)
+            for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
+                rates[first[c] + start:first[c] + start + k] = r[:k]
+        means = sums / n[:, None]
+        for start, active, rows, block in _blocks(captures, n):
+            dev = block[1:]
+            np.subtract(dev, means[active], out=dev)
+            dev[np.arange(len(dev))[:, None] >= rows] = 0.0
+            np.multiply(dev, dev, out=dev)
+            block[0] = squares[active]
+            squares[active] = np.add.reduce(block, axis=0)
+    return sums, squares, rates
+
+
+def _refuse_non_finite(name: str, accel: NDArray, gyro: NDArray,
+                       finite: NDArray) -> None:
+    """Refuse capture ``name``, whose sums or squared deviations are not
+    all finite (``finite``: accel's, gyro's): by its first non-finite
+    sample, or else as an overflow."""
+    sensors = ("accel", "gyro")
+    for sensor, counts in zip(sensors, (accel, gyro)):
         bad = np.flatnonzero(~np.isfinite(counts).all(axis=1))
         if bad.size:
             raise CalibrationError(
                 f"{name}: {sensor} sample {bad[0]} is not finite")
+    sensor = sensors[int(np.argmin(finite))]
+    raise CalibrationError(f"{name}: {sensor} counts overflow float64")
 
 
 def batch_means(
@@ -218,7 +256,8 @@ def batch_means(
 
     The refusal names the first capture, in the dict's order, that has
     a problem, and the first of its problems in the order shape,
-    non-finite sample, length, stillness.
+    non-finite sample, float64 overflow of its sums or squared
+    deviations, length, stillness.
 
     Every figure has the bits of the per-capture numpy forms (``mean``,
     ``std(ddof=1)``, ``median`` of ``linalg.norm``, and the gyro's
@@ -243,32 +282,17 @@ def batch_means(
 
     n = np.array([accel.shape[0] for accel, _ in captures])
     first = np.cumsum(n) - n
-    sums = np.zeros((n.size, 6))
-    # Each sample's angular rate, rad/s, capture after capture.
-    rates = np.empty(n.sum())
-    # A non-finite sample is refused by name below, not by a warning.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for count, held in enumerate(_blocks(captures, n), 1):
-            start, active, rows, block = held
-            block[0] = sums[active]
-            sums[active] = np.add.reduce(block, axis=0)
-            # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
-            rate = np.zeros((len(block) - 1, len(active)))
-            for axis in range(3, 6):
-                w = block[1:, :, axis] * lsb_gyro
-                rate += np.multiply(w, w, out=w)
-            np.sqrt(rate, out=rate)
-            for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
-                rates[first[c] + start:first[c] + start + k] = r[:k]
-    finite = np.isfinite(sums).all(axis=1)
-    median_rates = np.empty(n.size)
+    sums, squares, rates = _block_sums(captures, n, first, lsb_gyro)
+    # Whether each capture's figures are finite, accel then gyro: (P, 2).
+    finite = (np.isfinite(sums) & np.isfinite(squares)).reshape(-1, 2, 3)
+    finite = finite.all(axis=2)
     for c, name in enumerate(names):
-        if not finite[c]:
-            _refuse_non_finite(name, *captures[c])
+        if not finite[c].all():
+            _refuse_non_finite(name, *captures[c], finite[c])
         if n[c] < MIN_STILL_SAMPLES:
             raise CalibrationError(f"{name}: {n[c]} samples, need at "
                                    f"least {MIN_STILL_SAMPLES}")
-        median_rates[c] = rate = _median(rates[first[c]:first[c] + n[c]])
+        rate = _median(rates[first[c]:first[c] + n[c]])
         if rate > STILL_RATE_LIMIT:
             raise CalibrationError(
                 f"{name}: median angular rate {rate:.3g} rad/s "
@@ -276,19 +300,10 @@ def batch_means(
             )
     if refusal is not None:
         raise CalibrationError(refusal)
+    # Free the rates before the gyro's concatenation below.
+    del rates
 
     means = sums / n[:, None]
-    squares = np.zeros_like(sums)
-    # A single block is reused from the sums; more are built again.
-    blocks = [held] if count == 1 else _blocks(captures, n)
-    del held, rates
-    for start, active, rows, block in blocks:
-        dev = block[1:]
-        np.subtract(dev, means[active], out=dev)
-        dev[np.arange(len(dev))[:, None] >= rows] = 0.0
-        np.multiply(dev, dev, out=dev)
-        block[0] = squares[active]
-        squares[active] = np.add.reduce(block, axis=0)
     # Each capture's mean per-axis std, accel then gyro: (P, 2).
     noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)
     # The mean gyro count over every sample, to the bits of numpy's mean
@@ -305,7 +320,6 @@ def batch_means(
         means=np.ascontiguousarray(means[:, :3]),
         samples_per_orientation=int(n.min()),
         noise_counts=float(np.mean(noise[:, 0])),
-        median_rates=median_rates,
         gyro_bias=gyro_bias,
         gyro_noise_counts=float(np.mean(noise[:, 1])),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -407,9 +408,38 @@ class TestOnePass:
             # numpy's sums start from +0.0, so all -0.0 reads +0.0.
             stills["still_00.csv"][0][:, 0] = -0.0
         batch = batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
-        assert_same_bits(batch, per_capture_still_statistics(
-            stills, DEFAULT_LSB_GYRO))
+        expect = per_capture_still_statistics(stills, DEFAULT_LSB_GYRO)
+        del expect["median_rates"]
+        assert_same_bits(batch, expect)
         assert batch.samples_per_orientation == min(lengths)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    @pytest.mark.parametrize("lengths", [
+        [50, 51, 500, 1001, 20_000],
+        [100_000] + [500] * 15,
+    ], ids=["short_to_20000", "one_long"])
+    def test_median_rates_have_the_per_capture_bits(self, lengths, dtype,
+                                                    monkeypatch):
+        # The stillness check refuses a median rate above the limit, so a
+        # capture checked first passes at its oracle median as the limit
+        # and is refused one float below it only if its rate has the
+        # oracle's bits.
+        stills = still_captures(np.random.default_rng(len(lengths)),
+                                lengths, dtype)
+        rates = per_capture_still_statistics(
+            stills, DEFAULT_LSB_GYRO)["median_rates"]
+        for name, rate in zip(list(stills), rates):
+            ordered = {name: stills[name]} | stills
+            monkeypatch.setattr(calibration, "STILL_RATE_LIMIT",
+                                np.nextafter(rate, -np.inf))
+            with pytest.raises(CalibrationError, match=(
+                    rf"^{re.escape(name)}: median angular rate")):
+                batch_means(ordered, lsb_gyro=DEFAULT_LSB_GYRO)
+            monkeypatch.setattr(calibration, "STILL_RATE_LIMIT", rate)
+            try:
+                batch_means(ordered, lsb_gyro=DEFAULT_LSB_GYRO)
+            except CalibrationError as refusal:
+                assert not str(refusal).startswith(name), refusal
 
     @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf],
                                         [np.inf, -np.inf]],
@@ -425,6 +455,21 @@ class TestOnePass:
         with pytest.raises(CalibrationError, match=re.escape(
                 f"still_01.csv: {sensor} sample 17 is not finite")):
             batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200]],
+                             ids=["sum", "squared_deviations"])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_overflow_refused(self, sensor, values):
+        # Finite samples whose sum or squared deviations overflow float64
+        # would give an infinite or NaN mean or noise.
+        stills = still_captures(np.random.default_rng(3), [200] * 3)
+        accel, gyro = stills["still_01.csv"]
+        (accel if sensor == "accel" else gyro)[17:19, 2] = values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match=re.escape(
+                    f"still_01.csv: {sensor} counts overflow float64")):
+                batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
 
     def test_non_positive_gyro_scale_refused(self):
         stills = still_captures(np.random.default_rng(3), [200] * 3)
