@@ -18,6 +18,7 @@ whole-array passes: one over every sample, one over the swing samples.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -96,13 +97,25 @@ class GaitParams:
             raise ValueError("lead_in and tail must be non-negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        seg_lengths = np.linalg.norm(np.diff(self.path, axis=0), axis=1)
+        # A path too long for float64 has an infinite length here, which
+        # the step count below refuses.
+        with np.errstate(over="ignore"):
+            seg_lengths = np.linalg.norm(np.diff(self.path, axis=0), axis=1)
+            path_length = seg_lengths.sum()
+            steps = path_length / self.step_length
         short = np.flatnonzero(seg_lengths < self.step_length)
         if short.size:
             raise ValueError(
                 "waypoints closer than one step_length at segment(s) "
                 f"{short.tolist()}; merge them or shorten the step"
             )
+        # Past 2**52 steps neighbouring arcs come closer than float64
+        # can tell apart along the path.
+        if not steps < 2.0**52:
+            raise ValueError(
+                f"step_length ({self.step_length}) cuts the path length "
+                f"({path_length} m) into {steps:.3g} steps, too many to "
+                "place along it")
 
 
 @dataclass
@@ -388,14 +401,19 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     random walk) is added in physical units, then the calibration maps
     physical quantities to counts:  counts = gain @ physical + bias.
 
-    Memory peaks at the two physical (n, 3) float arrays and the int32
-    accel counts, 2.5 times one (n, 3) float array, for any record
-    length: the accel array is freed before the gyro is converted.  The
-    rotation, the noise and the count mapping run in fixed blocks of
-    rows, and give the bits of one batch.  Each noise stream is drawn
-    block by block into one reused buffer and added to its physical
-    array, in a fixed order (white accel, white gyro, accel walk, gyro
-    walk) and with the sums grouped as ``(signal + white) + walk``.
+    The noise streams are drawn from one generator in a fixed order
+    (white accel, white gyro, accel walk, gyro walk), and each sum is
+    grouped as ``(signal + white) + walk``.  The accel is the one
+    full-length float array: it holds its signal and white noise while
+    the white gyro stream is drawn past, and it is counted as its walk
+    is added.  The gyro is then rendered block by block straight to
+    counts.  Its first block of white noise is kept from that pass, and
+    a second generator, set to the state saved after that block, draws
+    the rest again, so a record of one block redraws nothing.  Memory
+    peaks at the accel array, its int32 counts and a few blocks of rows:
+    1.5 times one (n, 3) float array for a long record.  The rotation,
+    the noise and the count mapping run in blocks of rows and give the
+    bits of one batch.
 
     Parameters
     ----------
@@ -414,62 +432,92 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
     """
     n = truth.t.size
     g_vec = np.array([0.0, 0.0, -constants.GRAVITY])
+    rng = np.random.default_rng(seed)
     physical_a = np.empty((n, 3))
     for lo in range(0, n, _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
         physical_a[lo:hi] = quat_rotate(truth.q_nb[lo:hi].T,
                                         (truth.a[lo:hi] - g_vec).T).T
-    physical_w = np.array(truth.omega, dtype=float)
-    _add_noise(physical_a, physical_w, noise, seed)
-    counts_a = _to_counts(physical_a, accel_cal)
+        physical_a[lo:hi] += _white(rng, min(_BLOCK_ROWS, n - lo),
+                                    noise.accel_sigma)
+
+    # Pass the white gyro stream, keeping its first block and the state
+    # after it, then finish the accel with its walk.
+    first = _white(rng, min(_BLOCK_ROWS, n), noise.gyro_sigma)
+    state = rng.bit_generator.state
+    _pass(rng, n - first.shape[0])
+
+    counts_a = np.empty((n, 3), dtype=np.int32)
+    accel_walk = _walk(rng, n, noise.accel_walk_sigma)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        physical_a[lo:hi] += next(accel_walk)
+        counts_a[lo:hi] = _to_counts(physical_a[lo:hi], accel_cal)
     del physical_a
-    return counts_a, _to_counts(physical_w, gyro_cal)
+
+    # The main generator is now at the gyro walk; the white gyro blocks
+    # after the first come from a second one at the saved state.
+    resumed = np.random.default_rng(seed)
+    resumed.bit_generator.state = state
+    counts_w = np.empty((n, 3), dtype=np.int32)
+    gyro_walk = _walk(rng, n, noise.gyro_walk_sigma)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        white = first if lo == 0 else _white(
+            resumed, min(_BLOCK_ROWS, n - lo), noise.gyro_sigma)
+        white += truth.omega[lo:hi]     # float addition commutes
+        white += next(gyro_walk)
+        counts_w[lo:hi] = _to_counts(white, gyro_cal)
+    return counts_a, counts_w
 
 
-def _add_noise(physical_a: np.ndarray, physical_w: np.ndarray,
-               noise: NoiseParams, seed: int) -> None:
-    """Add white noise and bias random walks in place, one block of one
-    stream at a time.
+def _white(rng: np.random.Generator, rows: int,
+           sigma: np.ndarray) -> np.ndarray:
+    """A new block of ``rows`` rows of white noise at ``sigma``.
 
     The generator fills sequentially, so drawing a stream block by block
-    gives the values of one full-length draw.  A walk carries its last
-    sum into the next block's first row before the block's cumulative
-    sum, which keeps the additions in sequence order; the first block
-    gets no carry, so a -0.0 draw stays -0.0 as in one full-length sum.
+    gives the values of one full-length draw.
     """
-    rng = np.random.default_rng(seed)
-    draw = np.empty((min(_BLOCK_ROWS, physical_a.shape[0]), 3))
-    for physical, sigma, walk in (
-        (physical_a, noise.accel_sigma, False),
-        (physical_w, noise.gyro_sigma, False),
-        (physical_a, noise.accel_walk_sigma, True),
-        (physical_w, noise.gyro_walk_sigma, True),
-    ):
-        carry = None
-        for lo in range(0, physical.shape[0], _BLOCK_ROWS):
-            rows = physical[lo:lo + _BLOCK_ROWS]
-            block = draw[:rows.shape[0]]
-            rng.standard_normal(out=block)
-            block *= sigma
-            if walk:
-                if carry is not None:
-                    block[0] += carry
-                np.cumsum(block, axis=0, out=block)
-                carry = block[-1].copy()
-            rows += block
+    block = rng.standard_normal((rows, 3))
+    block *= sigma
+    return block
+
+
+def _pass(rng: np.random.Generator, rows: int) -> None:
+    """Draw ``rows`` rows of normals only to move ``rng`` past them, one
+    block at a time into one reused buffer."""
+    buf = np.empty((min(_BLOCK_ROWS, rows), 3))
+    for lo in range(0, rows, _BLOCK_ROWS):
+        rng.standard_normal(out=buf[:rows - lo])
+
+
+def _walk(rng: np.random.Generator, n: int,
+          sigma: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield ``n`` rows of a bias random walk with increments at
+    ``sigma``, in new blocks of `_BLOCK_ROWS` rows.
+
+    Each block's first increment takes the last sum before the block's
+    cumulative sum, which keeps the additions in sequence order; the
+    first block gets no carry, so a -0.0 draw stays -0.0 as in one
+    full-length sum.
+    """
+    carry = None
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = _white(rng, min(_BLOCK_ROWS, n - lo), sigma)
+        if carry is not None:
+            block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        carry = block[-1].copy()
+        yield block
 
 
 def _to_counts(physical: np.ndarray, cal: SensorCalibration) -> np.ndarray:
-    """Map physical values to counts block by block, rounded and clipped
-    into a new int32 array."""
-    counts = np.empty(physical.shape, dtype=np.int32)
-    for lo in range(0, physical.shape[0], _BLOCK_ROWS):
-        block = physical[lo:lo + _BLOCK_ROWS] @ cal.gain.T
-        block += cal.bias
-        np.rint(block, out=block)
-        np.clip(block, constants.ADC_MIN, constants.ADC_MAX, out=block)
-        counts[lo:lo + _BLOCK_ROWS] = block
-    return counts
+    """Map a block of physical values to counts, rounded and clipped,
+    as a new float array."""
+    block = physical @ cal.gain.T
+    block += cal.bias
+    np.rint(block, out=block)
+    return np.clip(block, constants.ADC_MIN, constants.ADC_MAX, out=block)
 
 
 def scale_calibration(lsb: float,

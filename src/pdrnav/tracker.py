@@ -292,8 +292,8 @@ def run_tracker(
     ValueError
         If the log is too short (an empty one included) or not still
         enough to level on, the filter's ``ts`` is not the log's sample
-        period, or a time step of the log is more than half a period
-        away from ``1 / log.fs``.
+        period, a time step of the log is more than half a period away
+        from ``1 / log.fs``, or a stance window is longer than the log.
     """
     if filter_cfg is None:
         filter_cfg = default_filter_config(log.fs)
@@ -313,6 +313,13 @@ def run_tracker(
     k_init = min(n, max(int(round(_LEVEL_SECONDS * log.fs)), 1))
     x, p_mat = init_state(np.zeros(3), 0.0, f_b[:k_init], w_b[:k_init],
                           filter_cfg, log.fs)
+    # As Python ints, so that no width overflows before it is compared.
+    for name in ("detect_half_width", "std_half_width"):
+        width = 2 * int(getattr(stance_cfg, name)) + 1
+        if width > n:
+            raise ValueError(
+                f"stance {name} ({getattr(stance_cfg, name)}) makes a window "
+                f"of {width} samples, longer than the log's {n}")
     scores, active, factors = stance_schedule(f_b, w_b, stance_cfg)
 
     t_out = log.t

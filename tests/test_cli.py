@@ -389,6 +389,29 @@ class TestExitCodes:
         assert "cannot reshape" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("detect_half_width", 3000),
+                                            ("std_half_width", 1e308)])
+    def test_stance_window_longer_than_the_log_exits_two(
+            self, workspace, tmp_path, capsys, key, value):
+        # A score window wider than the log left no sample in stance
+        # and exited 0; a whole-number 1e308 overflowed the window
+        # bounds.  Both are refused with the field and the log's count.
+        ws, _ = workspace
+        n = read_log(ws / "walk.csv").t.size
+        assert 2 * 3000 + 1 > n
+        doc = json.loads((ws / "config.json").read_text())
+        doc["stance"][key] = value
+        (tmp_path / "wide.json").write_text(json.dumps(doc))
+        code = main(["track", "--log", str(ws / "walk.csv"),
+                     "--cal", str(ws / "cal.json"),
+                     "--config", str(tmp_path / "wide.json"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err), err
+        assert f"longer than the log's {n}" in err, err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_gap_in_the_log_exits_two(self, workspace, tmp_path, capsys):
         ws, _ = workspace
         log = read_log(ws / "walk.csv")
@@ -764,13 +787,20 @@ class TestMalformedFieldsInPython:
         # before it takes any memory.
         ("gait", "lead_in", 1e12, "Unable to allocate"),
         ("noise", "accel_sigma", [0.1, 0.2],
-         "noise section: accel_sigma must broadcast to shape (3,)")])
+         "noise section: accel_sigma must broadcast to shape (3,)"),
+        # Too many steps to count: a step too short for the path, and a
+        # path whose length overflows float64.
+        ("gait", "step_length", 1e-308,
+         "gait section: step_length (1e-308) cuts the path length (42.0 m)"),
+        ("gait", "path", [[0.0, 0.0], [1e308, 0.0]],
+         "gait section: step_length (1.0) cuts the path length (inf m)")])
     def test_scenario_out_of_range_exits_two(self, workspace, tmp_path,
                                              capsys, section, name, value,
                                              message):
-        # A walk too long to count its samples or to hold in memory,
-        # and a noise level for two axes: refused with a message, not by
-        # a traceback or numpy's own broadcast message.
+        # A walk too long to count its samples or steps or to hold in
+        # memory, and a noise level for two axes: refused with a message,
+        # not by a traceback, an overflow warning or numpy's own
+        # broadcast message.
         ws, _ = workspace
         doc = json.loads((ws / "gait.json").read_text())
         doc[section][name] = value

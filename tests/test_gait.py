@@ -367,7 +367,9 @@ class TestInverseImuBlocks:
     """The block rendering against the one-batch oracle, bit for bit.
 
     With 7-row blocks the short records cover several full blocks, a
-    ragged tail, an exact multiple and a record shorter than one block.
+    ragged tail, an exact multiple, a record shorter than one block, one
+    of exactly one block (the kept first block of white gyro draws) and
+    one a row longer (the first block drawn again from the saved state).
     """
 
     @staticmethod
@@ -390,6 +392,8 @@ class TestInverseImuBlocks:
         "still_ragged": lambda: still_truth(0.19, 100.0, yaw=0.7),
         "still_multiple": lambda: still_truth(0.13, 100.0, yaw=-2.1),
         "still_short": lambda: still_truth(0.04, 100.0, yaw=0.3),
+        "still_one_block": lambda: still_truth(0.06, 100.0, yaw=1.1),
+        "still_one_block_and_a_row": lambda: still_truth(0.07, 100.0, yaw=-0.6),
     }
 
     @pytest.mark.parametrize("record", sorted(RECORDS))
@@ -412,7 +416,8 @@ class TestInverseImuBlocks:
         sizes = {name: make().t.size for name, make in self.RECORDS.items()}
         assert sizes["walk"] > 7 and sizes["walk"] % 7 != 0
         assert (sizes["still_ragged"], sizes["still_multiple"],
-                sizes["still_short"]) == (20, 14, 5)
+                sizes["still_short"], sizes["still_one_block"],
+                sizes["still_one_block_and_a_row"]) == (20, 14, 5, 7, 8)
 
     def test_matches_one_batch_at_the_default_block(self):
         truth = still_truth(100.0, 100.0, yaw=0.7)
