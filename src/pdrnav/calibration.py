@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._fields import check_fields
-from .constants import GRAVITY, STILL_RATE_LIMIT
+from .constants import ADC_MAX, ADC_MIN, GRAVITY, STILL_RATE_LIMIT
 
 __all__ = [
     "CalibrationError",
@@ -140,13 +140,25 @@ class OrientationBatch:
 # float64 columns of 16,384 rows are 786 KB.
 _BLOCK_ROWS = 1 << 14
 
+# Rows per block when float counts are checked for whole values, so the
+# check's temporaries stay small next to a long log.
+_CHECK_ROWS = 4096
 
-def _as_counts(x) -> NDArray:
-    """A capture's counts as an array: integer counts keep their type,
-    since copying them into a float64 block converts them exactly, and
-    anything else becomes float64."""
-    x = np.asarray(x)
-    return x if x.dtype.kind in "iu" else x.astype(float, copy=False)
+
+def _check_counts(sensor: str, counts: NDArray) -> None:
+    """ValueError unless every count is a whole number in the 16-bit ADC
+    range; integer arrays are whole by type, float arrays are compared
+    with their rounding block by block."""
+    if counts.size == 0:
+        return
+    if counts.dtype.kind not in "iu" and not all(
+            (block == np.rint(block)).all()
+            for block in (counts[lo:lo + _CHECK_ROWS]
+                          for lo in range(0, counts.shape[0], _CHECK_ROWS))):
+        raise ValueError(f"{sensor} counts must be integers")
+    if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
+        raise ValueError(f"{sensor} counts outside the 16-bit ADC "
+                         f"range [{ADC_MIN}, {ADC_MAX}]")
 
 
 def _blocks(captures: list, lengths: NDArray):
@@ -190,49 +202,35 @@ def _block_sums(captures: list, n: NDArray, first: NDArray,
 
     Returns each capture's column sums and its squared deviations from
     its means summed, accel then gyro, (P, 6) each, and each sample's
-    angular rate in rad/s, capture ``c``'s from ``first[c]`` on.  A
-    non-finite sample or an overflow leaves them non-finite, with no
-    warning, for the caller to refuse by name.
+    angular rate in rad/s, capture ``c``'s from ``first[c]`` on.  Every
+    count is a whole number of magnitude at most 2**15, so the sums are
+    exact and nothing overflows.
     """
     sums = np.zeros((n.size, 6))
     squares = np.zeros_like(sums)
     rates = np.empty(n.sum())
-    with np.errstate(invalid="ignore", over="ignore"):
-        for start, active, rows, block in _blocks(captures, n):
-            block[0] = sums[active]
-            sums[active] = np.add.reduce(block, axis=0)
-            # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
-            rate = np.zeros((len(block) - 1, len(active)))
-            for axis in range(3, 6):
-                w = block[1:, :, axis] * lsb_gyro
-                rate += np.multiply(w, w, out=w)
-            np.sqrt(rate, out=rate)
-            for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
-                rates[first[c] + start:first[c] + start + k] = r[:k]
-        means = sums / n[:, None]
-        for start, active, rows, block in _blocks(captures, n):
-            dev = block[1:]
-            np.subtract(dev, means[active], out=dev)
-            dev[np.arange(len(dev))[:, None] >= rows] = 0.0
-            np.multiply(dev, dev, out=dev)
-            block[0] = squares[active]
-            squares[active] = np.add.reduce(block, axis=0)
+    for start, active, rows, block in _blocks(captures, n):
+        block[0] = sums[active]
+        sums[active] = np.add.reduce(block, axis=0)
+        # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
+        rate = np.zeros((len(block) - 1, len(active)))
+        for axis in range(3, 6):
+            w = block[1:, :, axis] * lsb_gyro
+            rate += np.multiply(w, w, out=w)
+        np.sqrt(rate, out=rate)
+        for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
+            rates[first[c] + start:first[c] + start + k] = r[:k]
+    # A capture of no rows is refused by its length, so its figures,
+    # divided by 1 here instead of 0, are never read.
+    means = sums / np.maximum(n, 1)[:, None]
+    for start, active, rows, block in _blocks(captures, n):
+        dev = block[1:]
+        np.subtract(dev, means[active], out=dev)
+        dev[np.arange(len(dev))[:, None] >= rows] = 0.0
+        np.multiply(dev, dev, out=dev)
+        block[0] = squares[active]
+        squares[active] = np.add.reduce(block, axis=0)
     return sums, squares, rates
-
-
-def _refuse_non_finite(name: str, accel: NDArray, gyro: NDArray,
-                       finite: NDArray) -> None:
-    """Refuse capture ``name``, whose sums or squared deviations are not
-    all finite (``finite``: accel's, gyro's): by its first non-finite
-    sample, or else as an overflow."""
-    sensors = ("accel", "gyro")
-    for sensor, counts in zip(sensors, (accel, gyro)):
-        bad = np.flatnonzero(~np.isfinite(counts).all(axis=1))
-        if bad.size:
-            raise CalibrationError(
-                f"{name}: {sensor} sample {bad[0]} is not finite")
-    sensor = sensors[int(np.argmin(finite))]
-    raise CalibrationError(f"{name}: {sensor} counts overflow float64")
 
 
 def batch_means(
@@ -247,7 +245,9 @@ def batch_means(
     stills : dict of name -> (accel, gyro)
         One entry per orientation, keyed by the capture's name (its file
         name), which prefixes any refusal; raw counts of shape (n, 3)
-        each, finite, with n at least ``MIN_STILL_SAMPLES``.
+        each, as an `ImuLog` holds them: whole numbers in the 16-bit ADC
+        range, of an integer or a float dtype, with n at least
+        ``MIN_STILL_SAMPLES``.
     lsb_gyro : float
         Gyroscope scale, rad/s per count, used for the stillness check:
         a capture whose median gyro magnitude exceeds
@@ -255,25 +255,32 @@ def batch_means(
         rejected.
 
     The refusal names the first capture, in the dict's order, that has
-    a problem, and the first of its problems in the order shape,
-    non-finite sample, float64 overflow of its sums or squared
-    deviations, length, stillness.
+    a problem, and the first of its problems in the order shape, counts
+    (`ImuLog`'s check of whole numbers in the ADC range), length,
+    stillness.
 
     Every figure has the bits of the per-capture numpy forms (``mean``,
     ``std(ddof=1)``, ``median`` of ``linalg.norm``, and the gyro's
     ``mean`` over the captures' concatenation): numpy sums an array's
     leading axis row after row, so the captures, zero-padded side by
     side in a (rows, captures, 6) block, are summed down its rows, each
-    capture's running sum carried in as the block's first row.
+    capture's running sum carried in as the block's first row.  Sums of
+    whole counts are exact in any order, so the gyro's mean over every
+    sample is the captures' sums added and divided by their length.
     """
     if not (lsb_gyro > 0 and np.isfinite(lsb_gyro)):
         raise CalibrationError(
             f"lsb_gyro must be positive and finite, got {lsb_gyro!r}")
     names, captures, refusal = [], [], None
     for name, (accel, gyro) in stills.items():
-        accel, gyro = _as_counts(accel), _as_counts(gyro)
-        if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
-            refusal = f"{name}: expected matching (n, 3) arrays"
+        accel, gyro = np.asarray(accel), np.asarray(gyro)
+        try:
+            if accel.shape[1:] != (3,) or accel.shape != gyro.shape:
+                raise ValueError("expected matching (n, 3) arrays")
+            _check_counts("accel", accel)
+            _check_counts("gyro", gyro)
+        except ValueError as problem:
+            refusal = f"{name}: {problem}"
             break
         names.append(name)
         captures.append((accel, gyro))
@@ -283,12 +290,7 @@ def batch_means(
     n = np.array([accel.shape[0] for accel, _ in captures])
     first = np.cumsum(n) - n
     sums, squares, rates = _block_sums(captures, n, first, lsb_gyro)
-    # Whether each capture's figures are finite, accel then gyro: (P, 2).
-    finite = (np.isfinite(sums) & np.isfinite(squares)).reshape(-1, 2, 3)
-    finite = finite.all(axis=2)
     for c, name in enumerate(names):
-        if not finite[c].all():
-            _refuse_non_finite(name, *captures[c], finite[c])
         if n[c] < MIN_STILL_SAMPLES:
             raise CalibrationError(f"{name}: {n[c]} samples, need at "
                                    f"least {MIN_STILL_SAMPLES}")
@@ -300,27 +302,15 @@ def batch_means(
             )
     if refusal is not None:
         raise CalibrationError(refusal)
-    # Free the rates before the gyro's concatenation below.
-    del rates
 
     means = sums / n[:, None]
     # Each capture's mean per-axis std, accel then gyro: (P, 2).
     noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)
-    # The mean gyro count over every sample, to the bits of numpy's mean
-    # of the captures' concatenation, which adds its rows in turn.
-    # Integer counts of at most 32 bits add exactly in any order while
-    # there are at most 2**21 of them, so the captures' sums give it.
-    gyros = [gyro for _, gyro in captures]
-    if n.sum() <= 1 << 21 and all(
-            g.dtype.kind in "iu" and g.dtype.itemsize <= 4 for g in gyros):
-        gyro_bias = sums[:, 3:].sum(axis=0) / n.sum()
-    else:
-        gyro_bias = np.concatenate(gyros).mean(axis=0)
     return OrientationBatch(
         means=np.ascontiguousarray(means[:, :3]),
         samples_per_orientation=int(n.min()),
         noise_counts=float(np.mean(noise[:, 0])),
-        gyro_bias=gyro_bias,
+        gyro_bias=sums[:, 3:].sum(axis=0) / n.sum(),
         gyro_noise_counts=float(np.mean(noise[:, 1])),
     )
 

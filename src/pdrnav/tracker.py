@@ -16,10 +16,10 @@ import numpy as np
 
 from .calibration import (
     SensorCalibration,
+    _check_counts,
     apply_accel_calibration,
     apply_gyro_calibration,
 )
-from .constants import ADC_MAX, ADC_MIN
 from .ekf import (
     POS,
     QUAT,
@@ -63,23 +63,6 @@ _STEP_TOLERANCE = 0.5
 # walker stands still before the first step.
 _LEVEL_SECONDS = 1.0
 
-# Rows per block when float counts are checked for whole values, so the
-# check's temporaries stay small next to a long log.
-_CHECK_ROWS = 4096
-
-
-def _whole_numbers(counts: np.ndarray) -> bool:
-    """Whether every count is a whole number; integer arrays are by type,
-    float arrays are compared with their rounding block by block."""
-    if counts.dtype.kind in "iu":
-        return True
-    return all(
-        (block == np.rint(block)).all()
-        for block in (counts[lo:lo + _CHECK_ROWS]
-                      for lo in range(0, counts.shape[0], _CHECK_ROWS))
-    )
-
-
 @dataclass
 class ImuLog:
     """One recorded (or synthesized) IMU log in raw counts.
@@ -89,7 +72,8 @@ class ImuLog:
     t : ndarray, shape (n,)
         Sample times, seconds, strictly increasing.
     accel, gyro : ndarray, shape (n, 3)
-        Raw integer counts.
+        Raw counts, of an integer or a float dtype: whole numbers in the
+        16-bit ADC range, which `calibration._check_counts` checks here.
     fs : float
         Sample rate, Hz.
     lsb_accel, lsb_gyro : float
@@ -117,14 +101,8 @@ class ImuLog:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
-        for name, counts in (("accel", self.accel), ("gyro", self.gyro)):
-            if counts.size == 0:
-                continue
-            if not _whole_numbers(counts):
-                raise ValueError(f"{name} counts must be integers")
-            if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
-                raise ValueError(f"{name} counts outside the 16-bit ADC "
-                                 f"range [{ADC_MIN}, {ADC_MAX}]")
+        _check_counts("accel", self.accel)
+        _check_counts("gyro", self.gyro)
 
 
 @dataclass

@@ -315,8 +315,8 @@ class TestBatchMeans:
         segs = {}
         expect = []
         for k in range(3):
-            acc = rng.normal(100.0, 2.0, (200, 3))
-            gyr = rng.normal(0.0, 1.0, (200, 3))
+            acc = np.rint(rng.normal(100.0, 2.0, (200, 3)))
+            gyr = np.rint(rng.normal(0.0, 1.0, (200, 3)))
             segs[f"still_{k}.csv"] = (acc, gyr)
             expect.append(acc.mean(axis=0))
         batch = batch_means(segs, lsb_gyro=1e-3)
@@ -327,8 +327,12 @@ class TestBatchMeans:
     def test_moving_segment_rejected_with_index(self):
         # The refusal names the capture by its key.
         rng = np.random.default_rng(2)
-        quiet = (rng.normal(0, 1, (100, 3)), rng.normal(0, 1, (100, 3)))
-        spinning = (rng.normal(0, 1, (100, 3)), rng.normal(0, 1, (100, 3)) + 500.0)
+
+        def counts():
+            return np.rint(rng.normal(0, 1, (100, 3)))
+
+        quiet = (counts(), counts())
+        spinning = (counts(), counts() + 500.0)
         with pytest.raises(CalibrationError,
                            match=r"^b_spin\.csv: median angular rate"):
             batch_means({"a_quiet.csv": quiet, "b_spin.csv": spinning},
@@ -351,15 +355,14 @@ class TestBatchMeans:
 
 
 def still_captures(rng, lengths, dtype=float):
-    """Still captures named ``still_00.csv`` on: accel counts about a
-    spread gravity direction, gyro counts about a small bias, both with
-    sensor-like noise, in ``dtype``."""
+    """Still captures named ``still_00.csv`` on: whole accel counts about
+    a spread gravity direction, whole gyro counts about a small bias, both
+    with sensor-like noise, in ``dtype``."""
     stills = {}
     for k, (n, u) in enumerate(zip(lengths, spread_directions(len(lengths)))):
-        accel = rng.normal(u * GRAVITY / DEFAULT_LSB_ACCEL, 3.0, (n, 3))
-        gyro = rng.normal(rng.normal(0.0, 10.0, 3), 7.0, (n, 3))
-        if np.dtype(dtype).kind in "iu":
-            accel, gyro = np.rint(accel), np.rint(gyro)
+        up = u * GRAVITY / DEFAULT_LSB_ACCEL
+        accel = np.rint(rng.normal(up, 3.0, (n, 3)))
+        gyro = np.rint(rng.normal(rng.normal(0.0, 10.0, 3), 7.0, (n, 3)))
         stills[f"still_{k:02d}.csv"] = (accel.astype(dtype), gyro.astype(dtype))
     return stills
 
@@ -383,7 +386,7 @@ def _with_nan(accel, gyro):
 SPOIL = {
     "shape": (lambda accel, gyro: (accel, gyro[:-1]),
               "expected matching (n, 3) arrays"),
-    "non-finite": (_with_nan, "accel sample 3 is not finite"),
+    "non-finite": (_with_nan, "accel counts must be integers"),
     "length": (lambda accel, gyro: (accel[:10], gyro[:10]),
                "10 samples, need at least 50"),
     "stillness": (lambda accel, gyro: (accel, gyro + 5000.0),
@@ -446,30 +449,41 @@ class TestOnePass:
                              ids=["nan", "inf", "minus_inf", "both_infs"])
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
     def test_non_finite_sample_refused(self, sensor, values):
-        # A NaN accel sample used to reach the fit as an SVD failure,
-        # and a NaN gyro sample passed the stillness check.  Infinities
-        # of both signs in one column sum to NaN without a warning.
+        # A NaN is not a whole number and an infinity is outside the ADC
+        # range; either way the capture's counts are refused.
         stills = still_captures(np.random.default_rng(3), [200] * 3)
         accel, gyro = stills["still_01.csv"]
         (accel if sensor == "accel" else gyro)[17:17 + len(values), 2] = values
         with pytest.raises(CalibrationError, match=re.escape(
-                f"still_01.csv: {sensor} sample 17 is not finite")):
+                f"still_01.csv: {sensor} counts")):
             batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
 
     @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200]],
                              ids=["sum", "squared_deviations"])
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
     def test_overflow_refused(self, sensor, values):
-        # Finite samples whose sum or squared deviations overflow float64
-        # would give an infinite or NaN mean or noise.
+        # Finite samples whose sum or squared deviations would overflow
+        # float64 are far outside the ADC range.
         stills = still_captures(np.random.default_rng(3), [200] * 3)
         accel, gyro = stills["still_01.csv"]
         (accel if sensor == "accel" else gyro)[17:19, 2] = values
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CalibrationError, match=re.escape(
-                    f"still_01.csv: {sensor} counts overflow float64")):
+                    f"still_01.csv: {sensor} counts outside")):
                 batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_counts_outside_the_adc_range_refused(self, sensor, dtype):
+        # A count of 40000 is whole, but no 16-bit ADC gives it.
+        stills = still_captures(np.random.default_rng(3), [200] * 3, dtype)
+        accel, gyro = stills["still_01.csv"]
+        (accel if sensor == "accel" else gyro)[17, 0] = 40000
+        with pytest.raises(CalibrationError, match=re.escape(
+                f"still_01.csv: {sensor} counts outside the 16-bit ADC "
+                f"range [-32768, 32767]")):
+            batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
 
     def test_non_positive_gyro_scale_refused(self):
         stills = still_captures(np.random.default_rng(3), [200] * 3)

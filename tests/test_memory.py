@@ -100,16 +100,15 @@ def test_allan_deviation_holds_two_series():
 
 
 def test_batch_means_holds_a_few_blocks():
-    # One long capture among short ones, float counts as a Python caller
-    # may give them.  The pass peaks at 0.52x the captures' own floats,
-    # twice over: the gyro's concatenation, for its mean over every
-    # sample, is 0.50x, and the sums hold each sample's rate (0.17x) and
-    # two blocks of 786 KB while the next is built.  The per-capture
-    # loops with the command's gyro statistics made 1.24x, and a block
-    # padding every capture to the long one's length would be 15x.
+    # One long capture among short ones, whole float counts as an
+    # `ImuLog` may hold them.  The pass peaks at 0.52x the captures' own
+    # floats: each sample's rate (0.17x) and two blocks of 786 KB while
+    # the next is built.  The per-capture loops with the command's gyro
+    # statistics made 1.24x, and a block padding every capture to the
+    # long one's length would be 15x.
     rng = np.random.default_rng(4)
-    stills = {f"still_{k:02d}.csv": (rng.normal(3000.0, 3.0, (n, 3)),
-                                     rng.normal(0.0, 7.0, (n, 3)))
+    stills = {f"still_{k:02d}.csv": (np.rint(rng.normal(3000.0, 3.0, (n, 3))),
+                                     np.rint(rng.normal(0.0, 7.0, (n, 3))))
               for k, n in enumerate([100_000] + [500] * 15)}
     own = sum(accel.nbytes + gyro.nbytes for accel, gyro in stills.values())
     batch, peak = traced_peak(lambda: batch_means(

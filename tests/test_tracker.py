@@ -14,6 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
+import pdrnav.calibration as calibration_module
 import pdrnav.ekf as ekf_module
 import pdrnav.tracker as tracker_module
 from pdrnav import constants
@@ -111,13 +112,13 @@ class TestLogType:
                    gyro=np.zeros((2, 3)), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
-    @pytest.mark.parametrize("row", [0, tracker_module._CHECK_ROWS - 1,
-                                     tracker_module._CHECK_ROWS, -1])
+    @pytest.mark.parametrize("row", [0, calibration_module._CHECK_ROWS - 1,
+                                     calibration_module._CHECK_ROWS, -1])
     @pytest.mark.parametrize("bad", [0.5, -3.25, np.nan])
     def test_rejects_fractional_counts_in_any_block(self, row, bad):
         # Float counts are checked block by block; a bad value in the
         # ragged last block must be caught like one in the first.
-        n = 2 * tracker_module._CHECK_ROWS + 5
+        n = 2 * calibration_module._CHECK_ROWS + 5
         for sensor in ("accel", "gyro"):
             arrays = {"accel": np.full((n, 3), 7.0), "gyro": np.zeros((n, 3))}
             arrays[sensor][row, 2] = bad
@@ -126,7 +127,7 @@ class TestLogType:
                        lsb_gyro=LSB_W, **arrays)
 
     def test_accepts_whole_counts_of_any_dtype(self):
-        n = tracker_module._CHECK_ROWS + 3
+        n = calibration_module._CHECK_ROWS + 3
         for dtype in (np.int16, np.int32, np.int64, np.uint16, np.float64):
             counts = np.full((n, 3), 1234, dtype=dtype)
             log = ImuLog(t=np.arange(n) / FS, accel=counts, gyro=counts,
