@@ -124,8 +124,8 @@ def allan_deviation(
     Raises
     ------
     ValueError
-        If the record is shorter than ``MIN_SAMPLES`` or ``fs`` is not
-        positive.
+        If the record is shorter than ``MIN_SAMPLES``, ``fs`` is not
+        positive or a sample is not finite (naming the first such).
     """
     series = np.asarray(series, dtype=float).ravel()
     n = series.size
@@ -138,6 +138,9 @@ def allan_deviation(
         raise ValueError("fs must be a positive sample rate")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be at least 1")
+    if not np.isfinite(series).all():
+        first = np.isfinite(series).argmin()
+        raise ValueError(f"series sample {first} is not finite")
 
     # The deviation is invariant to a constant offset (cluster-mean
     # differences cancel it); centering first makes that exact in

@@ -134,6 +134,8 @@ class OrientationBatch:
         self.means = np.asarray(self.means, dtype=float)
         if self.means.ndim != 2 or self.means.shape[1] != 3:
             raise CalibrationError("means must have shape (P, 3)")
+        if not np.isfinite(self.means).all():
+            raise CalibrationError("means must be finite")
 
 
 # Rows, over all captures, that one block of `batch_means` holds: six
@@ -164,13 +166,14 @@ def _check_counts(sensor: str, counts: NDArray) -> None:
 def _blocks(captures: list, lengths: NDArray):
     """The captures' rows side by side, a block at a time.
 
-    Yields ``(start, active, rows, block)``: ``block[1:rows[i] + 1, i]``
-    holds the accel and gyro columns of capture ``active[i]`` from row
-    ``start`` on, as float64, and the rest of ``block[1:, i]`` is zero,
+    Yields ``(active, rows, block)``: ``block[1:rows[i] + 1, i]`` holds
+    the accel and gyro columns of capture ``active[i]``, the next of its
+    rows in order, as float64, and the rest of ``block[1:, i]`` is zero,
     which adds nothing to a sum.  Row 0 is left for the caller's running
-    sums.  A block holds only the captures that reach ``start``, so a
-    long capture takes blocks of its own rather than every capture
-    being padded to its length.
+    sums.  A block holds only the captures with rows left, so a long
+    capture takes blocks of its own rather than every capture being
+    padded to its length.  The captures have been checked, so a block
+    only ever gets summed.
     """
     start = 0
     while (active := np.flatnonzero(lengths > start)).size:
@@ -182,55 +185,49 @@ def _blocks(captures: list, lengths: NDArray):
             block[1:k + 1, i, :3] = accel[start:start + k]
             block[1:k + 1, i, 3:] = gyro[start:start + k]
             block[k + 1:, i] = 0.0
-        yield start, active, rows, block
+        yield active, rows, block
         start += span
 
 
-def _median(x: NDArray) -> float:
-    """``np.median(x)`` to the bit, partitioning ``x`` in place."""
-    k = x.size // 2
-    if x.size % 2:
-        x.partition(k)
-        return float(x[k])
-    x.partition((k - 1, k))
-    return float((x[k - 1] + x[k]) / 2)
+def _median_rate(gyro: NDArray, lsb_gyro: float) -> float:
+    """``np.median(np.linalg.norm(gyro * lsb_gyro, axis=1))`` to the bit
+    in float64: the squares summed x, y, z a column at a time into one
+    buffer, which is then partitioned in place."""
+    rate = np.zeros(gyro.shape[0])
+    w = np.empty_like(rate)
+    for axis in range(3):
+        np.multiply(gyro[:, axis], lsb_gyro, out=w, dtype=float)
+        rate += np.multiply(w, w, out=w)
+    np.sqrt(rate, out=rate)
+    k = rate.size // 2
+    if rate.size % 2:
+        rate.partition(k)
+        return float(rate[k])
+    rate.partition((k - 1, k))
+    return float((rate[k - 1] + rate[k]) / 2)
 
 
-def _block_sums(captures: list, n: NDArray, first: NDArray,
-                lsb_gyro: float) -> tuple[NDArray, NDArray, NDArray]:
-    """`batch_means`' two passes over the blocks of `_blocks`.
-
-    Returns each capture's column sums and its squared deviations from
-    its means summed, accel then gyro, (P, 6) each, and each sample's
-    angular rate in rad/s, capture ``c``'s from ``first[c]`` on.  Every
-    count is a whole number of magnitude at most 2**15, so the sums are
-    exact and nothing overflows.
+def _block_sums(captures: list, n: NDArray) -> tuple[NDArray, NDArray]:
+    """Each capture's column sums and its squared deviations from its
+    means summed, accel then gyro, (P, 6) each, from two passes over the
+    blocks of `_blocks`.  The captures are checked before: each has rows,
+    and every count is a whole number of magnitude at most 2**15, so the
+    sums are exact and nothing overflows.
     """
     sums = np.zeros((n.size, 6))
-    squares = np.zeros_like(sums)
-    rates = np.empty(n.sum())
-    for start, active, rows, block in _blocks(captures, n):
+    for active, _, block in _blocks(captures, n):
         block[0] = sums[active]
         sums[active] = np.add.reduce(block, axis=0)
-        # |w| with `np.linalg.norm`'s bits: squares summed x, y, z.
-        rate = np.zeros((len(block) - 1, len(active)))
-        for axis in range(3, 6):
-            w = block[1:, :, axis] * lsb_gyro
-            rate += np.multiply(w, w, out=w)
-        np.sqrt(rate, out=rate)
-        for r, c, k in zip(rate.T, active.tolist(), rows.tolist()):
-            rates[first[c] + start:first[c] + start + k] = r[:k]
-    # A capture of no rows is refused by its length, so its figures,
-    # divided by 1 here instead of 0, are never read.
-    means = sums / np.maximum(n, 1)[:, None]
-    for start, active, rows, block in _blocks(captures, n):
+    means = sums / n[:, None]
+    squares = np.zeros_like(sums)
+    for active, rows, block in _blocks(captures, n):
         dev = block[1:]
         np.subtract(dev, means[active], out=dev)
         dev[np.arange(len(dev))[:, None] >= rows] = 0.0
         np.multiply(dev, dev, out=dev)
         block[0] = squares[active]
         squares[active] = np.add.reduce(block, axis=0)
-    return sums, squares, rates
+    return sums, squares
 
 
 def batch_means(
@@ -244,7 +241,7 @@ def batch_means(
     ----------
     stills : dict of name -> (accel, gyro)
         One entry per orientation, keyed by the capture's name (its file
-        name), which prefixes any refusal; raw counts of shape (n, 3)
+        name), which prefixes any error; raw counts of shape (n, 3)
         each, as an `ImuLog` holds them: whole numbers in the 16-bit ADC
         range, of an integer or a float dtype, with n at least
         ``MIN_STILL_SAMPLES``.
@@ -254,24 +251,25 @@ def batch_means(
         ``constants.STILL_RATE_LIMIT`` (rad/s) was moving and is
         rejected.
 
-    The refusal names the first capture, in the dict's order, that has
-    a problem, and the first of its problems in the order shape, counts
-    (`ImuLog`'s check of whole numbers in the ADC range), length,
-    stillness.
+    Each capture is checked in the dict's order, before any block is
+    built, in the order shape, counts (`ImuLog`'s check of whole numbers
+    in the ADC range), length, stillness; the earliest problem found is
+    raised as a CalibrationError naming its capture.  The pass then only
+    sums.
 
     Every figure has the bits of the per-capture numpy forms (``mean``,
     ``std(ddof=1)``, ``median`` of ``linalg.norm``, and the gyro's
     ``mean`` over the captures' concatenation): numpy sums an array's
     leading axis row after row, so the captures, zero-padded side by
     side in a (rows, captures, 6) block, are summed down its rows, each
-    capture's running sum carried in as the block's first row.  Sums of
+    capture's running sum carried in as the block's row 0.  Sums of
     whole counts are exact in any order, so the gyro's mean over every
     sample is the captures' sums added and divided by their length.
     """
     if not (lsb_gyro > 0 and np.isfinite(lsb_gyro)):
         raise CalibrationError(
             f"lsb_gyro must be positive and finite, got {lsb_gyro!r}")
-    names, captures, refusal = [], [], None
+    captures = []
     for name, (accel, gyro) in stills.items():
         accel, gyro = np.asarray(accel), np.asarray(gyro)
         try:
@@ -279,30 +277,21 @@ def batch_means(
                 raise ValueError("expected matching (n, 3) arrays")
             _check_counts("accel", accel)
             _check_counts("gyro", gyro)
+            if len(accel) < MIN_STILL_SAMPLES:
+                raise ValueError(f"{len(accel)} samples, need at least "
+                                 f"{MIN_STILL_SAMPLES}")
+            rate = _median_rate(gyro, lsb_gyro)
+            if rate > STILL_RATE_LIMIT:
+                raise ValueError(f"median angular rate {rate:.3g} rad/s "
+                                 f"exceeds still limit {STILL_RATE_LIMIT:g}")
         except ValueError as problem:
-            refusal = f"{name}: {problem}"
-            break
-        names.append(name)
+            raise CalibrationError(f"{name}: {problem}") from None
         captures.append((accel, gyro))
     if not captures:
-        raise CalibrationError(refusal or "no still segments given")
+        raise CalibrationError("no still segments given")
 
     n = np.array([accel.shape[0] for accel, _ in captures])
-    first = np.cumsum(n) - n
-    sums, squares, rates = _block_sums(captures, n, first, lsb_gyro)
-    for c, name in enumerate(names):
-        if n[c] < MIN_STILL_SAMPLES:
-            raise CalibrationError(f"{name}: {n[c]} samples, need at "
-                                   f"least {MIN_STILL_SAMPLES}")
-        rate = _median(rates[first[c]:first[c] + n[c]])
-        if rate > STILL_RATE_LIMIT:
-            raise CalibrationError(
-                f"{name}: median angular rate {rate:.3g} rad/s "
-                f"exceeds still limit {STILL_RATE_LIMIT:g}"
-            )
-    if refusal is not None:
-        raise CalibrationError(refusal)
-
+    sums, squares = _block_sums(captures, n)
     means = sums / n[:, None]
     # Each capture's mean per-axis std, accel then gyro: (P, 2).
     noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)

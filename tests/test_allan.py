@@ -180,6 +180,16 @@ class TestAllanDeviation:
         with pytest.raises(ValueError, match=str(MIN_SAMPLES)):
             allan_deviation(np.zeros(MIN_SAMPLES - 1), FS)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_sample_rejected(self, value):
+        # A NaN or an infinity would make every point of the curve NaN.
+        series = white(20_000, 0.1, seed=6)
+        series[[1234, 5678]] = value
+        with pytest.raises(ValueError, match="^series sample 1234 is not "
+                                             "finite$"):
+            allan_deviation(series, FS)
+
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             allan_deviation(np.zeros(5000), 0.0)

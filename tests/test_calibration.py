@@ -274,6 +274,14 @@ class TestFit:
         with pytest.raises(CalibrationError, match="9"):
             fit_accel_calibration(OrientationBatch(means, 1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_means_refused(self, value):
+        # A hand-built batch; the fit's SVD does not converge on it.
+        means = synth_means(np.eye(3) * 833.0, np.zeros(3), 12)
+        means[5, 1] = value
+        with pytest.raises(CalibrationError, match="^means must be finite$"):
+            OrientationBatch(means, 1)
+
     @pytest.mark.parametrize("dirs, accepted", [
         (spread_directions(9), True),
         (spread_directions(12), True),
@@ -517,6 +525,21 @@ class TestOnePass:
         stills["still_02.csv"] = capture
         with pytest.raises(CalibrationError, match=(
                 rf"^still_02\.csv: {re.escape(SPOIL[first][1])}")):
+            batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
+
+    @pytest.mark.parametrize("problem", list(SPOIL))
+    def test_refusal_builds_no_block(self, problem, monkeypatch):
+        # Every capture is checked before the pass, so a bad second
+        # capture is refused without a block built for the good first.
+        def no_blocks(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(calibration, "_blocks", no_blocks)
+        stills = still_captures(np.random.default_rng(6), [200] * 3)
+        spoil, message = SPOIL[problem]
+        stills["still_01.csv"] = spoil(*stills["still_01.csv"])
+        with pytest.raises(CalibrationError, match=(
+                rf"^still_01\.csv: {re.escape(message)}")):
             batch_means(stills, lsb_gyro=DEFAULT_LSB_GYRO)
 
 

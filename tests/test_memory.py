@@ -101,11 +101,13 @@ def test_allan_deviation_holds_two_series():
 
 def test_batch_means_holds_a_few_blocks():
     # One long capture among short ones, whole float counts as an
-    # `ImuLog` may hold them.  The pass peaks at 0.52x the captures' own
-    # floats: each sample's rate (0.17x) and two blocks of 786 KB while
-    # the next is built.  The per-capture loops with the command's gyro
-    # statistics made 1.24x, and a block padding every capture to the
-    # long one's length would be 15x.
+    # `ImuLog` may hold them.  The call peaks at 0.31x the captures' own
+    # floats: the long capture's rates and one column of them (0.16x
+    # each) while it is checked, then two blocks of 786 KB while the
+    # next is built.  A full-length array of every sample's rate made
+    # 0.52x, the per-capture loops with the command's gyro statistics
+    # 1.24x, and a block padding every capture to the long one's length
+    # would be 15x.
     rng = np.random.default_rng(4)
     stills = {f"still_{k:02d}.csv": (np.rint(rng.normal(3000.0, 3.0, (n, 3))),
                                      np.rint(rng.normal(0.0, 7.0, (n, 3))))
@@ -114,7 +116,7 @@ def test_batch_means_holds_a_few_blocks():
     batch, peak = traced_peak(lambda: batch_means(
         stills, lsb_gyro=constants.DEFAULT_LSB_GYRO))
     assert batch.samples_per_orientation == 500
-    assert peak <= 0.6 * own, f"peak {peak / own:.2f}x the captures"
+    assert peak <= 0.4 * own, f"peak {peak / own:.2f}x the captures"
 
 
 def test_allan_command_frees_the_log_for_the_sweep(tmp_path):
