@@ -22,21 +22,24 @@ arbitrary gain to that representative for comparisons.
 
 The gyroscope keeps its datasheet gain, the ADC scale factor.  A still
 gyro reads its bias: `batch_means` gives the gyro's mean count over
-every still sample and its noise in counts, in the same pass as the
-accelerometer's statistics, ``pdrnav calibrate`` writes them as the
-gyro bias and noise, and the tracking filter estimates the residual
-bias online.
+every still sample and its noise in counts beside the accelerometer's
+statistics, ``pdrnav calibrate`` writes them as the gyro bias and
+noise, and the tracking filter estimates the residual bias online.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._fields import check_fields
-from .constants import ADC_MAX, ADC_MIN, GRAVITY, STILL_RATE_LIMIT
+from .constants import GRAVITY, STILL_RATE_LIMIT
+
+if TYPE_CHECKING:
+    from .tracker import ImuLog
 
 __all__ = [
     "CalibrationError",
@@ -136,57 +139,21 @@ class OrientationBatch:
             raise CalibrationError("means must have shape (P, 3)")
         if not np.isfinite(self.means).all():
             raise CalibrationError("means must be finite")
+        n = self.samples_per_orientation
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise CalibrationError(
+                f"samples_per_orientation must be a whole number of at "
+                f"least 1, got {n!r}")
+        for name in ("noise_counts", "gyro_noise_counts"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and np.isfinite(value)):
+                raise CalibrationError(
+                    f"{name} must be positive and finite, got {value!r}")
 
 
-# Rows, over all captures, that one block of `batch_means` holds: six
+# Rows of a capture that one block of `_squared_deviations` holds: six
 # float64 columns of 16,384 rows are 786 KB.
 _BLOCK_ROWS = 1 << 14
-
-# Rows per block when float counts are checked for whole values, so the
-# check's temporaries stay small next to a long log.
-_CHECK_ROWS = 4096
-
-
-def _check_counts(sensor: str, counts: NDArray) -> None:
-    """ValueError unless every count is a whole number in the 16-bit ADC
-    range; integer arrays are whole by type, float arrays are compared
-    with their rounding block by block."""
-    if counts.size == 0:
-        return
-    if counts.dtype.kind not in "iu" and not all(
-            (block == np.rint(block)).all()
-            for block in (counts[lo:lo + _CHECK_ROWS]
-                          for lo in range(0, counts.shape[0], _CHECK_ROWS))):
-        raise ValueError(f"{sensor} counts must be integers")
-    if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
-        raise ValueError(f"{sensor} counts outside the 16-bit ADC "
-                         f"range [{ADC_MIN}, {ADC_MAX}]")
-
-
-def _blocks(captures: list, lengths: NDArray):
-    """The captures' rows side by side, a block at a time.
-
-    Yields ``(active, rows, block)``: ``block[1:rows[i] + 1, i]`` holds
-    the accel and gyro columns of capture ``active[i]``, the next of its
-    rows in order, as float64, and the rest of ``block[1:, i]`` is zero,
-    which adds nothing to a sum.  Row 0 is left for the caller's running
-    sums.  A block holds only the captures with rows left, so a long
-    capture takes blocks of its own rather than every capture being
-    padded to its length.  The captures have been checked, so a block
-    only ever gets summed.
-    """
-    start = 0
-    while (active := np.flatnonzero(lengths > start)).size:
-        span = max(_BLOCK_ROWS // active.size, 1)
-        rows = np.minimum(lengths[active] - start, span)
-        block = np.empty((rows.max() + 1, active.size, 6))
-        for i, (c, k) in enumerate(zip(active.tolist(), rows.tolist())):
-            accel, gyro = captures[c]
-            block[1:k + 1, i, :3] = accel[start:start + k]
-            block[1:k + 1, i, 3:] = gyro[start:start + k]
-            block[k + 1:, i] = 0.0
-        yield active, rows, block
-        start += span
 
 
 def _median_rate(gyro: NDArray, lsb_gyro: float) -> float:
@@ -207,92 +174,66 @@ def _median_rate(gyro: NDArray, lsb_gyro: float) -> float:
     return float((rate[k - 1] + rate[k]) / 2)
 
 
-def _block_sums(captures: list, n: NDArray) -> tuple[NDArray, NDArray]:
-    """Each capture's column sums and its squared deviations from its
-    means summed, accel then gyro, (P, 6) each, from two passes over the
-    blocks of `_blocks`.  The captures are checked before: each has rows,
-    and every count is a whole number of magnitude at most 2**15, so the
-    sums are exact and nothing overflows.
-    """
-    sums = np.zeros((n.size, 6))
-    for active, _, block in _blocks(captures, n):
-        block[0] = sums[active]
-        sums[active] = np.add.reduce(block, axis=0)
-    means = sums / n[:, None]
-    squares = np.zeros_like(sums)
-    for active, rows, block in _blocks(captures, n):
+def _squared_deviations(log: ImuLog, means: NDArray) -> NDArray:
+    """The squared deviations of the log's accel and gyro counts from
+    ``means`` (6,) summed down each column, (6,).  Each block holds up to
+    `_BLOCK_ROWS` rows below the running sum in row 0, so the sum runs
+    row after row as numpy's axis-0 sum does, to the bit."""
+    n = log.accel.shape[0]
+    buf = np.empty((min(n, _BLOCK_ROWS) + 1, 6))
+    squares = np.zeros(6)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = buf[:min(n - lo, _BLOCK_ROWS) + 1]
         dev = block[1:]
-        np.subtract(dev, means[active], out=dev)
-        dev[np.arange(len(dev))[:, None] >= rows] = 0.0
+        dev[:, :3] = log.accel[lo:lo + _BLOCK_ROWS]
+        dev[:, 3:] = log.gyro[lo:lo + _BLOCK_ROWS]
+        np.subtract(dev, means, out=dev)
         np.multiply(dev, dev, out=dev)
-        block[0] = squares[active]
-        squares[active] = np.add.reduce(block, axis=0)
-    return sums, squares
+        block[0] = squares
+        squares = np.add.reduce(block, axis=0)
+    return squares
 
 
-def batch_means(
-    stills: dict[str, tuple[NDArray[np.float64], NDArray[np.float64]]],
-    *,
-    lsb_gyro: float,
-) -> OrientationBatch:
-    """Both sensors' still statistics from every capture in one pass.
+def batch_means(logs: dict[str, ImuLog]) -> OrientationBatch:
+    """Both sensors' still statistics, one capture at a time.
 
-    Parameters
-    ----------
-    stills : dict of name -> (accel, gyro)
-        One entry per orientation, keyed by the capture's name (its file
-        name), which prefixes any error; raw counts of shape (n, 3)
-        each, as an `ImuLog` holds them: whole numbers in the 16-bit ADC
-        range, of an integer or a float dtype, with n at least
-        ``MIN_STILL_SAMPLES``.
-    lsb_gyro : float
-        Gyroscope scale, rad/s per count, used for the stillness check:
-        a capture whose median gyro magnitude exceeds
-        ``constants.STILL_RATE_LIMIT`` (rad/s) was moving and is
-        rejected.
-
-    Each capture is checked in the dict's order, before any block is
-    built, in the order shape, counts (`ImuLog`'s check of whole numbers
-    in the ADC range), length, stillness; the earliest problem found is
-    raised as a CalibrationError naming its capture.  The pass then only
-    sums.
+    ``logs`` holds one still capture per orientation, keyed by its name
+    (its file name), which prefixes any error.  `ImuLog` has checked the
+    counts; each capture is checked in the dict's order, before any
+    statistic is taken, for scales equal to the first capture's (the
+    fit runs in counts), at least ``MIN_STILL_SAMPLES`` samples, and a
+    median angular rate at most ``constants.STILL_RATE_LIMIT`` (rad/s).
+    The first problem found is raised as a CalibrationError.
 
     Every figure has the bits of the per-capture numpy forms (``mean``,
-    ``std(ddof=1)``, ``median`` of ``linalg.norm``, and the gyro's
-    ``mean`` over the captures' concatenation): numpy sums an array's
-    leading axis row after row, so the captures, zero-padded side by
-    side in a (rows, captures, 6) block, are summed down its rows, each
-    capture's running sum carried in as the block's row 0.  Sums of
-    whole counts are exact in any order, so the gyro's mean over every
-    sample is the captures' sums added and divided by their length.
+    ``std(ddof=1)``, and the gyro's ``mean`` over the captures'
+    concatenation): sums of whole counts are exact in any order.
     """
-    if not (lsb_gyro > 0 and np.isfinite(lsb_gyro)):
-        raise CalibrationError(
-            f"lsb_gyro must be positive and finite, got {lsb_gyro!r}")
-    captures = []
-    for name, (accel, gyro) in stills.items():
-        accel, gyro = np.asarray(accel), np.asarray(gyro)
-        try:
-            if accel.shape[1:] != (3,) or accel.shape != gyro.shape:
-                raise ValueError("expected matching (n, 3) arrays")
-            _check_counts("accel", accel)
-            _check_counts("gyro", gyro)
-            if len(accel) < MIN_STILL_SAMPLES:
-                raise ValueError(f"{len(accel)} samples, need at least "
-                                 f"{MIN_STILL_SAMPLES}")
-            rate = _median_rate(gyro, lsb_gyro)
-            if rate > STILL_RATE_LIMIT:
-                raise ValueError(f"median angular rate {rate:.3g} rad/s "
-                                 f"exceeds still limit {STILL_RATE_LIMIT:g}")
-        except ValueError as problem:
-            raise CalibrationError(f"{name}: {problem}") from None
-        captures.append((accel, gyro))
-    if not captures:
+    if not logs:
         raise CalibrationError("no still segments given")
+    first_name, first = next(iter(logs.items()))
+    for name, log in logs.items():
+        for sensor, lsb, want in (("accel", log.lsb_accel, first.lsb_accel),
+                                  ("gyro", log.lsb_gyro, first.lsb_gyro)):
+            if lsb != want:
+                raise CalibrationError(
+                    f"{name}: {sensor} scale {lsb:g} differs from "
+                    f"{first_name}'s {want:g}; captures must share one sensor")
+        if len(log.t) < MIN_STILL_SAMPLES:
+            raise CalibrationError(f"{name}: {len(log.t)} samples, need at "
+                                   f"least {MIN_STILL_SAMPLES}")
+        rate = _median_rate(log.gyro, log.lsb_gyro)
+        if rate > STILL_RATE_LIMIT:
+            raise CalibrationError(
+                f"{name}: median angular rate {rate:.3g} rad/s exceeds "
+                f"still limit {STILL_RATE_LIMIT:g}")
 
-    n = np.array([accel.shape[0] for accel, _ in captures])
-    sums, squares = _block_sums(captures, n)
+    n = np.array([len(log.t) for log in logs.values()])
+    sums = np.array([np.r_[log.accel.sum(axis=0), log.gyro.sum(axis=0)]
+                     for log in logs.values()], dtype=float)
     means = sums / n[:, None]
+    squares = np.array([_squared_deviations(log, m)
+                        for log, m in zip(logs.values(), means)])
     # Each capture's mean per-axis std, accel then gyro: (P, 2).
     noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)
     return OrientationBatch(

@@ -62,26 +62,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     if not names:
         raise ValueError(f"no .csv still logs found in {args.stills!r}")
-    stills = {}
-    first = None
-    for name in names:
-        log = read_log(os.path.join(args.stills, name))
-        # The fit runs in counts, so every capture must share the scales.
-        scales = {"accel": log.lsb_accel, "gyro": log.lsb_gyro}
-        first = first or scales
-        for sensor, lsb in scales.items():
-            if lsb != first[sensor]:
-                raise ValueError(f"{name}: {sensor} scale {lsb:g} differs "
-                                 f"from {names[0]}'s {first[sensor]:g}; "
-                                 f"captures must share one sensor")
-        stills[name] = (log.accel, log.gyro)
-    lsb_gyro = first["gyro"]
-    batch = batch_means(stills, lsb_gyro=lsb_gyro)
+    stills = {name: read_log(os.path.join(args.stills, name))
+              for name in names}
+    batch = batch_means(stills)
     accel_cal = fit_accel_calibration(batch, args.g)
-    # Gyro model is datasheet scale; a still gyro reads its bias, so the
-    # bias is the batch's mean count over every capture's samples, and
-    # the noise floor comes from the data too.
-    gyro_sigma = max(batch.gyro_noise_counts * lsb_gyro, 1e-12)
+    # Gyro model is the captures' shared datasheet scale; a still gyro
+    # reads its bias, so the bias is the batch's mean count over every
+    # capture's samples, and the noise floor comes from the data too.
+    lsb_gyro = stills[names[0]].lsb_gyro
+    gyro_sigma = batch.gyro_noise_counts * lsb_gyro
     gyro_cal = dataclasses.replace(
         scale_calibration(lsb_gyro, noise_sigma=gyro_sigma),
         bias=batch.gyro_bias)

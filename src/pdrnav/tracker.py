@@ -16,10 +16,10 @@ import numpy as np
 
 from .calibration import (
     SensorCalibration,
-    _check_counts,
     apply_accel_calibration,
     apply_gyro_calibration,
 )
+from .constants import ADC_MAX, ADC_MIN
 from .ekf import (
     POS,
     QUAT,
@@ -63,6 +63,27 @@ _STEP_TOLERANCE = 0.5
 # walker stands still before the first step.
 _LEVEL_SECONDS = 1.0
 
+# Rows per block when float counts are checked for whole values, so the
+# check's temporaries stay small next to a long log.
+_CHECK_ROWS = 4096
+
+
+def _check_counts(sensor: str, counts: np.ndarray) -> None:
+    """ValueError unless every count is a whole number in the 16-bit ADC
+    range; integer arrays are whole by type, float arrays are compared
+    with their rounding block by block."""
+    if counts.size == 0:
+        return
+    if counts.dtype.kind not in "iu" and not all(
+            (block == np.rint(block)).all()
+            for block in (counts[lo:lo + _CHECK_ROWS]
+                          for lo in range(0, counts.shape[0], _CHECK_ROWS))):
+        raise ValueError(f"{sensor} counts must be integers")
+    if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
+        raise ValueError(f"{sensor} counts outside the 16-bit ADC "
+                         f"range [{ADC_MIN}, {ADC_MAX}]")
+
+
 @dataclass
 class ImuLog:
     """One recorded (or synthesized) IMU log in raw counts.
@@ -73,7 +94,8 @@ class ImuLog:
         Sample times, seconds, strictly increasing.
     accel, gyro : ndarray, shape (n, 3)
         Raw counts, of an integer or a float dtype: whole numbers in the
-        16-bit ADC range, which `calibration._check_counts` checks here.
+        16-bit ADC range, which `_check_counts` checks here, so code that
+        takes a log, such as `calibration.batch_means`, need not.
     fs : float
         Sample rate, Hz.
     lsb_accel, lsb_gyro : float

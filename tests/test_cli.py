@@ -177,6 +177,27 @@ class TestPipeline:
         assert np.abs(gyro_cal.bias - bias).max() < 0.5, gyro_cal.bias
         np.testing.assert_array_equal(gyro_cal.gain, np.eye(3) / LSB_W)
 
+    def test_calibrate_checks_each_capture_once(self, workspace, tmp_path,
+                                                monkeypatch):
+        # The reader's `ImuLog` checks each capture's counts, accel then
+        # gyro; the calibration takes the logs as checked.  The spy goes
+        # into every pdrnav module that binds the check.
+        real = pdrnav.tracker._check_counts
+        checked = []
+
+        def spy(sensor, counts):
+            checked.append(sensor)
+            return real(sensor, counts)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("pdrnav")
+                    and getattr(module, "_check_counts", None) is real):
+                monkeypatch.setattr(module, "_check_counts", spy)
+        ws, _ = workspace
+        assert main(["calibrate", "--stills", str(ws / "stills"),
+                     "--out", str(tmp_path / "cal.json")]) == 0
+        assert checked == ["accel", "gyro"] * 12
+
     def test_track_emits_one_row_per_sample(self, workspace):
         ws, codes = workspace
         assert codes["track"] == 0
@@ -863,8 +884,7 @@ class TestBadCaptures:
         logs = {name: read_log(stills / name)
                 for name in sorted(os.listdir(stills))}
         with pytest.raises(CalibrationError) as refusal:
-            batch_means({name: (log.accel, log.gyro)
-                         for name, log in logs.items()}, lsb_gyro=LSB_W)
+            batch_means(logs)
         assert str(refusal.value).startswith(f"{bad[0]}: ")
         code = self.run_quietly(["calibrate", "--stills", str(stills),
                                  "--out", str(tmp_path / "cal.json")])
@@ -892,6 +912,28 @@ class TestBadCaptures:
         assert code == 2
         err = capsys.readouterr().err
         assert f"still_05.csv: {sensor} scale" in err, err
+        assert not (tmp_path / "cal.json").exists()
+
+    def test_short_capture_before_another_scale_is_named(self, tmp_path,
+                                                          capsys):
+        # Each capture is checked in full, scales then length, before the
+        # next: the short still_02 is named, not the later still_05 on
+        # another gyro scale.
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(4))
+        short = read_log(stills / "still_02.csv")
+        write_log(stills / "still_02.csv", dataclasses.replace(
+            short, t=short.t[:20], accel=short.accel[:20],
+            gyro=short.gyro[:20]))
+        rescaled = read_log(stills / "still_05.csv")
+        write_log(stills / "still_05.csv", dataclasses.replace(
+            rescaled, gyro=rescaled.gyro // 2, lsb_gyro=2.0 * LSB_W))
+        code = self.run_quietly(["calibrate", "--stills", str(stills),
+                                 "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "pdrnav calibrate: still_02.csv: 20 samples, need at least 50\n")
         assert not (tmp_path / "cal.json").exists()
 
     @pytest.mark.parametrize("text", ["1.5", "1.0", "1e3", "nan",

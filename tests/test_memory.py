@@ -103,18 +103,21 @@ def test_batch_means_holds_a_few_blocks():
     # One long capture among short ones, whole float counts as an
     # `ImuLog` may hold them.  The call peaks at 0.31x the captures' own
     # floats: the long capture's rates and one column of them (0.16x
-    # each) while it is checked, then two blocks of 786 KB while the
-    # next is built.  A full-length array of every sample's rate made
-    # 0.52x, the per-capture loops with the command's gyro statistics
-    # 1.24x, and a block padding every capture to the long one's length
-    # would be 15x.
+    # each) while it is checked; a block of its squared deviations is
+    # 786 KB.  A full-length array of every sample's rate made 0.52x,
+    # the per-capture loops with the command's gyro statistics 1.24x,
+    # and a block padding every capture to the long one's length would
+    # be 15x.
     rng = np.random.default_rng(4)
-    stills = {f"still_{k:02d}.csv": (np.rint(rng.normal(3000.0, 3.0, (n, 3))),
-                                     np.rint(rng.normal(0.0, 7.0, (n, 3))))
-              for k, n in enumerate([100_000] + [500] * 15)}
-    own = sum(accel.nbytes + gyro.nbytes for accel, gyro in stills.values())
-    batch, peak = traced_peak(lambda: batch_means(
-        stills, lsb_gyro=constants.DEFAULT_LSB_GYRO))
+    logs = {f"still_{k:02d}.csv": ImuLog(
+                t=np.arange(n) / FS,
+                accel=np.rint(rng.normal(3000.0, 3.0, (n, 3))),
+                gyro=np.rint(rng.normal(0.0, 7.0, (n, 3))), fs=FS,
+                lsb_accel=constants.DEFAULT_LSB_ACCEL,
+                lsb_gyro=constants.DEFAULT_LSB_GYRO)
+            for k, n in enumerate([100_000] + [500] * 15)}
+    own = sum(log.accel.nbytes + log.gyro.nbytes for log in logs.values())
+    batch, peak = traced_peak(batch_means, logs)
     assert batch.samples_per_orientation == 500
     assert peak <= 0.4 * own, f"peak {peak / own:.2f}x the captures"
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-import pdrnav.calibration as calibration_module
 import pdrnav.ekf as ekf_module
 import pdrnav.tracker as tracker_module
 from pdrnav import constants
@@ -112,13 +113,13 @@ class TestLogType:
                    gyro=np.zeros((2, 3)), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
-    @pytest.mark.parametrize("row", [0, calibration_module._CHECK_ROWS - 1,
-                                     calibration_module._CHECK_ROWS, -1])
+    @pytest.mark.parametrize("row", [0, tracker_module._CHECK_ROWS - 1,
+                                     tracker_module._CHECK_ROWS, -1])
     @pytest.mark.parametrize("bad", [0.5, -3.25, np.nan])
     def test_rejects_fractional_counts_in_any_block(self, row, bad):
         # Float counts are checked block by block; a bad value in the
         # ragged last block must be caught like one in the first.
-        n = 2 * calibration_module._CHECK_ROWS + 5
+        n = 2 * tracker_module._CHECK_ROWS + 5
         for sensor in ("accel", "gyro"):
             arrays = {"accel": np.full((n, 3), 7.0), "gyro": np.zeros((n, 3))}
             arrays[sensor][row, 2] = bad
@@ -127,7 +128,7 @@ class TestLogType:
                        lsb_gyro=LSB_W, **arrays)
 
     def test_accepts_whole_counts_of_any_dtype(self):
-        n = calibration_module._CHECK_ROWS + 3
+        n = tracker_module._CHECK_ROWS + 3
         for dtype in (np.int16, np.int32, np.int64, np.uint16, np.float64):
             counts = np.full((n, 3), 1234, dtype=dtype)
             log = ImuLog(t=np.arange(n) / FS, accel=counts, gyro=counts,
@@ -139,6 +140,79 @@ class TestLogType:
             ImuLog(t=np.array([0.0, 0.01]), accel=np.full((2, 3), 40000.0),
                    gyro=np.zeros((2, 3)), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
+
+    @staticmethod
+    def counts_log(sensor, spoil, dtype=float, n=200):
+        """A log of ``n`` whole counts in ``dtype`` whose ``sensor``
+        counts ``spoil`` has changed in place."""
+        arrays = {"accel": np.full((n, 3), 8192, dtype),
+                  "gyro": np.zeros((n, 3), dtype)}
+        spoil(arrays[sensor])
+        return ImuLog(t=np.arange(n) / FS, fs=FS, lsb_accel=LSB_A,
+                      lsb_gyro=LSB_W, **arrays)
+
+    @pytest.mark.parametrize("shapes", [
+        ((5,), (5, 3), (4, 3)),
+        ((5,), (4, 3), (5, 3)),
+        ((5,), (5, 2), (5, 2)),
+        ((6,), (5, 3), (5, 3)),
+        ((5,), (5, 3, 1), (5, 3)),
+    ], ids=["gyro_short", "accel_short", "two_columns", "t_long", "three_d"])
+    def test_rejects_arrays_that_do_not_match_t(self, shapes):
+        t, accel, gyro = shapes
+        with pytest.raises(ValueError, match=(
+                r"^accel and gyro must be \(n, 3\) matching t$")):
+            ImuLog(t=np.arange(t[0]) / FS, accel=np.zeros(accel),
+                   gyro=np.zeros(gyro), fs=FS, lsb_accel=LSB_A,
+                   lsb_gyro=LSB_W)
+
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf],
+                                        [np.inf, -np.inf]],
+                             ids=["nan", "inf", "minus_inf", "both_infs"])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_non_finite_sample_refused(self, sensor, values):
+        # A NaN is not a whole number and an infinity is outside the ADC
+        # range; either way the sensor's counts are refused.
+        def spoil(counts):
+            counts[17:17 + len(values), 2] = values
+
+        with pytest.raises(ValueError, match=f"^{sensor} counts "):
+            self.counts_log(sensor, spoil)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_counts_outside_the_adc_range_refused(self, sensor, dtype):
+        # A count of 40000 is whole, but no 16-bit ADC gives it.
+        def spoil(counts):
+            counts[17, 0] = 40000
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"{sensor} counts outside the 16-bit ADC range "
+                f"[-32768, 32767]")):
+            self.counts_log(sensor, spoil, dtype)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200]],
+                             ids=["max_float", "opposite"])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_huge_counts_refused_without_warnings(self, sensor, values):
+        # Finite counts whose sum or squares would overflow float64 are
+        # far outside the ADC range, and the check itself stays quiet.
+        def spoil(counts):
+            counts[17:19, 2] = values
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{sensor} counts outside"):
+                self.counts_log(sensor, spoil)
+
+    def test_non_positive_gyro_scale_refused(self):
+        for lsb in (0.0, -1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match=(
+                    "^lsb_gyro must be positive and finite")):
+                ImuLog(t=np.arange(3) / FS, accel=np.zeros((3, 3)),
+                       gyro=np.zeros((3, 3)), fs=FS, lsb_accel=LSB_A,
+                       lsb_gyro=lsb)
 
 
 class TestRunTracker:
