@@ -149,6 +149,12 @@ class OrientationBatch:
             if value is not None and not (value > 0 and np.isfinite(value)):
                 raise CalibrationError(
                     f"{name} must be positive and finite, got {value!r}")
+        if self.gyro_bias is not None:
+            self.gyro_bias = np.asarray(self.gyro_bias, dtype=float)
+            if (self.gyro_bias.shape != (3,)
+                    or not np.isfinite(self.gyro_bias).all()):
+                raise CalibrationError(f"gyro_bias must be 3 finite numbers, "
+                                       f"got {self.gyro_bias!r}")
 
 
 # Rows of a capture that one block of `_squared_deviations` holds: six
@@ -203,7 +209,9 @@ def batch_means(logs: dict[str, ImuLog]) -> OrientationBatch:
     statistic is taken, for scales equal to the first capture's (the
     fit runs in counts), at least ``MIN_STILL_SAMPLES`` samples, and a
     median angular rate at most ``constants.STILL_RATE_LIMIT`` (rad/s).
-    The first problem found is raised as a CalibrationError.
+    The first problem found is raised as a CalibrationError, and so is
+    a sensor whose counts never change in any capture, named by the
+    first capture.
 
     Every figure has the bits of the per-capture numpy forms (``mean``,
     ``std(ddof=1)``, and the gyro's ``mean`` over the captures'
@@ -236,6 +244,11 @@ def batch_means(logs: dict[str, ImuLog]) -> OrientationBatch:
                         for log, m in zip(logs.values(), means)])
     # Each capture's mean per-axis std, accel then gyro: (P, 2).
     noise = np.sqrt(squares / (n - 1)[:, None]).reshape(-1, 2, 3).mean(axis=2)
+    for sensor, column in (("accel", 0), ("gyro", 1)):
+        if not noise[:, column].any():
+            raise CalibrationError(
+                f"{first_name}: {sensor} counts never change in this or "
+                f"any other capture; a still capture must show its noise")
     return OrientationBatch(
         means=np.ascontiguousarray(means[:, :3]),
         samples_per_orientation=int(n.min()),

@@ -2,12 +2,12 @@
 
 While the foot is on the ground the filter can be told, with high
 confidence, a batch of things it cannot otherwise observe: the position
-is frozen at the value latched when the stance began, velocity,
-acceleration and angular rate are zero, the specific force is exactly
-the gravity reaction and the raw accelerometer reading exposes the
-residual accel bias.  This module detects those stance windows from the
-calibrated IMU stream and assembles the pseudo-measurement stack that
-injects them.
+is frozen at the value latched when the stance began, velocity and
+angular rate are zero, the specific force is exactly the gravity
+reaction and the raw accelerometer reading exposes the residual accel
+bias.  This module detects those stance windows from the calibrated
+IMU stream and assembles the pseudo-measurement stack that injects
+them.
 
 Detection is built on four per-sample condition signals:
 
@@ -27,7 +27,7 @@ The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
 so that low-confidence stance samples pull the filter gently and
 clean mid-stance samples pull it hard.
 
-A run builds one `StanceStack`: the 18-row target stack and its base
+A run builds one `StanceStack`: the 15-row target stack and its base
 variances.  Every stance update injects the whole stack.  Its
 `linearize` gives the residual and the closed-form prediction Jacobian
 from one read of the state, and `zupt_update` feeds them, with the
@@ -45,7 +45,6 @@ from numpy.typing import NDArray
 from . import constants
 from ._fields import check_fields
 from .ekf import (
-    ACC,
     ACC_B,
     BIAS_A,
     DIM,
@@ -75,11 +74,11 @@ __all__ = [
 
 # Scalar rows of the stance pseudo-measurement stack; `StanceStack`
 # lists them.
-N_PSEUDO = 18
+N_PSEUDO = 15
 
 
 def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.float64]:
-    """Per-row variances of the pseudo-measurement stack.
+    """Per-row variances of the stack, in `StanceStack`'s row order.
 
     The kinematic rows encode how still a stance really is (the foot
     rolls slightly, so they are not driven to zero); the accel-bias rows
@@ -91,10 +90,9 @@ def _default_pseudo_variances(fs: float = constants.DEFAULT_FS) -> NDArray[np.fl
     out[0:2] = 1e-4      # latched xy, sigma 1 cm
     out[2] = 1e-4        # height, sigma 1 cm
     out[3:6] = 1e-6      # velocity, sigma 1 mm/s
-    out[6:9] = 1e-4      # acceleration
-    out[9:12] = 1e-4     # gravity direction in nav coordinates
-    out[12:15] = 1e-8    # angular rate
-    out[15:18] = accel_var
+    out[6:9] = 1e-4      # gravity direction in nav coordinates
+    out[9:12] = 1e-8     # angular rate
+    out[12:15] = accel_var
     return out
 
 
@@ -122,7 +120,7 @@ class StanceConfig:
     covariance_gain : float
         Scale of the confidence modulation; the pseudo-measurement
         variances are multiplied by ``1 + gain * (1 - score)``.
-    pseudo_variances : ndarray, shape (18,)
+    pseudo_variances : ndarray, shape (15,)
         Base diagonal variances of the pseudo-measurement stack.
     mode : str
         ``"soft"`` (score-modulated covariance), ``"hard"`` (binary
@@ -316,30 +314,29 @@ def _linear_stance_rows() -> NDArray[np.float64]:
     eye3 = np.eye(3)
     h[0:3, POS] = eye3
     h[3:6, VEL] = eye3
-    h[6:9, ACC] = eye3
-    h[12:15, OMEGA] = eye3
-    h[15:18, BIAS_A] = eye3
+    h[9:12, OMEGA] = eye3
+    h[12:15, BIAS_A] = eye3
     return h
 
 
 _LINEAR_STANCE_ROWS = _linear_stance_rows()
 
-# State entries copied into the prediction stack (rows 9-11, the gravity
+# State entries copied into the prediction stack (rows 6-8, the gravity
 # direction, are overwritten), and the flat positions in the prediction
 # Jacobian of the entries `StanceStack.linearize` fills: gravity
 # direction by QUAT and by ACC_B, accel bias by QUAT.
-_STANCE_SOURCE = np.r_[0:9, 0:3, 16:22]
+_STANCE_SOURCE = np.r_[0:6, 0:3, 16:22]
 _STANCE_INDEX = np.array(
-    _flat_index(range(9, 12), range(9, 13))
-    + _flat_index(range(9, 12), range(13, 16))
-    + _flat_index(range(15, 18), range(9, 13))
+    _flat_index(range(6, 9), range(9, 13))
+    + _flat_index(range(6, 9), range(13, 16))
+    + _flat_index(range(12, 15), range(9, 13))
 )
 
 
 class StanceStack:
     """The stance pseudo-measurement stack of one run.
 
-    The stack, in row order (18 rows, all injected at every update):
+    The stack, in row order (15 rows, all injected at every update):
 
     ==================  ====  ===========================  ==================
     group               rows  target value                 state prediction
@@ -347,7 +344,6 @@ class StanceStack:
     position_xy         2     xy latched at event start    p[0:2]
     position_z          1     0                            p[2]
     velocity            3     0                            v
-    acceleration        3     0                            a
     gravity_direction   3     (0, 0, +g)                   R(q)^T a_b
     angular_rate        3     0                            omega
     accel_bias          3     calibrated accel sample      b_a - R(q) g_vec
@@ -359,7 +355,9 @@ class StanceStack:
     rows target the whole vector, its length included, and no row
     targets the gyro sample: the angular-rate rows pin omega to 0, and
     the IMU update of the same step already measures omega + b_w against
-    that sample.
+    that sample.  No row targets the acceleration state either: `predict`
+    rebuilds it every step as R(q)^T a_b - (0, 0, g), which the
+    gravity-direction rows already pin to 0.
 
     Everything that does not change within a run is built once: the
     target stack, written in place (`latch` at event start, the IMU
@@ -369,7 +367,7 @@ class StanceStack:
 
     def __init__(self, cfg: StanceConfig, g: float):
         self.z_full = np.zeros(N_PSEUDO)
-        self.z_full[11] = g
+        self.z_full[8] = g
         self.g_vec = np.array([0.0, 0.0, -g])
         self.base_variances = cfg.pseudo_variances.copy()
 
@@ -379,14 +377,14 @@ class StanceStack:
 
     def linearize(self, x, imu_sample):
         """Residual ``z_p - prediction`` and prediction Jacobian H at one
-        state, (18,) and (18, 25).  Of the calibrated ``imu_sample``
+        state, (15,) and (15, 25).  Of the calibrated ``imu_sample``
         (accel then gyro) only the accel half is read, as the accel-bias
         target.
 
         One read of the state; only the gravity-direction and accel-bias
         rows depend on it nonlinearly.
         """
-        self.z_full[15:18] = imu_sample[:3]
+        self.z_full[12:15] = imu_sample[:3]
         x = np.asarray(x, dtype=float)
         qw, qx, qy, qz, fx, fy, fz = x[QUAT.start:ACC_B.stop].tolist()
         # R(q)^T a_b = quat_rotate(conj(q), a_b) and R(q) g_vec.
@@ -395,8 +393,8 @@ class StanceStack:
                                             *self.g_vec.tolist())
 
         h = x[_STANCE_SOURCE]
-        h[9:12] = nav_f
-        h[15:18] -= body_g
+        h[6:9] = nav_f
+        h[12:15] -= body_g
 
         values = list(d_nav_q + d_nav_f) + [-v for v in d_body_q]
         h_jac = _LINEAR_STANCE_ROWS.copy()

@@ -309,6 +309,19 @@ class TestFit:
                            match=f"^{field} must be positive and finite"):
             OrientationBatch(means, 500, **{field: value})
 
+    @pytest.mark.parametrize("bias", [[np.nan, 1.0], [1.0, 2.0],
+                                      [1.0, np.inf, 2.0], [[1.0, 2.0, 3.0]]],
+                             ids=["nan-short", "short", "inf", "nested"])
+    def test_gyro_bias_must_be_three_finite_numbers(self, bias):
+        # `pdrnav calibrate` writes the batch's gyro bias on as the gyro
+        # calibration's bias, so a malformed one is refused here.
+        means = synth_means(np.eye(3) * 833.0, np.zeros(3), 12)
+        with pytest.raises(CalibrationError,
+                           match="^gyro_bias must be 3 finite numbers"):
+            OrientationBatch(means, 500, gyro_bias=np.array(bias))
+        batch = OrientationBatch(means, 500, gyro_bias=[1, 2, 3])
+        assert_allclose(batch.gyro_bias, [1.0, 2.0, 3.0], rtol=0)
+
     @pytest.mark.parametrize("dirs, accepted", [
         (spread_directions(9), True),
         (spread_directions(12), True),
@@ -393,6 +406,22 @@ class TestBatchMeans:
         seg = still_log(np.zeros((10, 3)), np.zeros((10, 3)), lsb_gyro=1e-3)
         with pytest.raises(CalibrationError, match=r"^short\.csv: 10 samples"):
             batch_means({"short.csv": seg})
+
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_sensor_that_never_changes_refused(self, sensor):
+        # A sensor with no noise in any capture has no noise floor to
+        # fit; the refusal names it and the first capture.  One noisy
+        # capture is enough to fit it.
+        stills = still_captures(np.random.default_rng(9), [100] * 3)
+        for log in stills.values():
+            counts = getattr(log, sensor)
+            counts[:] = counts[0]
+        with pytest.raises(CalibrationError, match=(
+                rf"^still_00\.csv: {sensor} counts never change in this or "
+                rf"any other capture")):
+            batch_means(stills)
+        getattr(stills["still_02.csv"], sensor)[7] += 1
+        batch_means(stills)
 
     def test_no_capture_refused(self):
         with pytest.raises(CalibrationError, match="no still segments"):

@@ -375,6 +375,7 @@ class TestExitCodes:
         ("filter", "r_diag", [1e-3] * 5),
         ("stance", "pseudo_variances", [1e-4] * 21),
         ("stance", "pseudo_variances", [1e-4] * 22),
+        ("stance", "pseudo_variances", [1e-4] * 18),
         ("filter", "g", 0.0),
         ("filter", "g", -9.80665),
         ("stance", "accel_std_max", -1.0),
@@ -386,6 +387,7 @@ class TestExitCodes:
             "biases-string", "joseph-key", "ts-not-log-period",
             "q-diag-short", "q-diag-square", "r-diag-short",
             "pseudo-variances-short", "pseudo-variances-22-row-stack",
+            "pseudo-variances-18-row-stack",
             "g-zero", "g-negative", "accel-std-max-negative",
             "gyro-norm-max-zero", "gyro-std-max-zero", "sfs-threshold-zero"])
     def test_bad_config_value_exits_two(self, workspace, tmp_path, capsys,
@@ -393,8 +395,8 @@ class TestExitCodes:
         # Each case must be refused with a message naming the key.  The
         # stance section has no pseudo_groups key since the stack was
         # fixed, so a config that still carries one, whatever its value,
-        # is refused, and so is one written for the 22-row stack.  The
-        # log is 100 Hz, so ts 0.005 s does not match.
+        # is refused, and so is one written for the 22- or 18-row stack.
+        # The log is 100 Hz, so ts 0.005 s does not match.
         ws, _ = workspace
         doc = json.loads((ws / "config.json").read_text())
         doc[section][key] = value
@@ -465,20 +467,31 @@ class TestExitCodes:
 
     def test_divergence_exits_three_with_partial_output(self, workspace,
                                                         tmp_path, capsys):
+        # Nothing observes position between stances, so a process noise
+        # of 1e307 on it overflows the covariance by magnitude, not by
+        # rounding: the variance grows 1e307 a sample from the first
+        # swing on, and its symmetrised sum passes the largest double
+        # at the ninth.  A scale on every state instead fails, or not,
+        # by cancellation in the updates, which moves with the stack.
+        # The overflow, and the invalid values the rest of that step
+        # computes from it, are the trigger, so numpy's warnings of them
+        # are not errors here.
         ws, _ = workspace
         doc = json.loads((ws / "config.json").read_text())
-        doc["filter"]["q_diag"] = [1e300] * 25
+        doc["filter"]["q_diag"][0:3] = [1e307] * 3
         bad = tmp_path / "blowup.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "partial.csv"
-        code = main(["track", "--log", str(ws / "walk.csv"),
-                     "--cal", str(ws / "cal.json"),
-                     "--config", str(bad), "--out", str(out)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["track", "--log", str(ws / "walk.csv"),
+                         "--cal", str(ws / "cal.json"),
+                         "--config", str(bad), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         failed = re.search(r"diverged at sample (\d+)", err)
         assert failed is not None
         assert "condition" in err
+        assert "covariance is no longer finite" in err
         # The partial trajectory lands on disk, every sample before the
         # failed one.
         traj = read_trajectory(out)
@@ -912,6 +925,27 @@ class TestBadCaptures:
         assert code == 2
         err = capsys.readouterr().err
         assert f"still_05.csv: {sensor} scale" in err, err
+        assert not (tmp_path / "cal.json").exists()
+
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_captures_whose_counts_never_change_exit_two(self, tmp_path,
+                                                         capsys, sensor):
+        # Every capture holds one sensor at count 5 throughout: there is
+        # no noise to fit, and the refusal names the sensor and the
+        # first capture, not a field of the batch.
+        stills = tmp_path / "stills"
+        stills.mkdir()
+        _write_still_logs(stills, np.random.default_rng(4))
+        for path in sorted(stills.iterdir()):
+            log = read_log(path)
+            held = np.full_like(getattr(log, sensor), 5)
+            write_log(path, dataclasses.replace(log, **{sensor: held}))
+        code = self.run_quietly(["calibrate", "--stills", str(stills),
+                                 "--out", str(tmp_path / "cal.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{sensor} counts never change\b", err), err
+        assert re.search(r"\bstill_00\.csv\b", err), err
         assert not (tmp_path / "cal.json").exists()
 
     def test_short_capture_before_another_scale_is_named(self, tmp_path,

@@ -317,7 +317,6 @@ def oracle_residual(x, latched_xy, accel_s, g=GRAVITY):
     rows.extend(latched_xy - x[ekf.POS][:2])
     rows.append(0.0 - x[ekf.POS][2])
     rows.extend(0.0 - x[ekf.VEL])
-    rows.extend(0.0 - x[ekf.ACC])
     rows.extend(-g_vec - rot.T @ x[ekf.ACC_B])
     rows.extend(0.0 - x[ekf.OMEGA])
     rows.extend(accel_s - (x[ekf.BIAS_A] - rot @ g_vec))
@@ -437,6 +436,16 @@ class TestStanceJacobian:
         residual, jac = self.residual_and_jacobian(self.build(x, rng), x)
         ref = richardson_jacobian(residual, x, zupt.N_PSEUDO)
         assert np.max(np.abs(jac - ref)) <= 1e-5
+
+    def test_no_row_reads_the_acceleration(self):
+        # The filter rebuilds the acceleration state every step from
+        # the attitude and the specific force, which the
+        # gravity-direction rows already pin, so no stance row reads it.
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            x = random_state(rng)
+            _, jac = self.build(x, rng)(x)
+            np.testing.assert_array_equal(jac[:, ekf.ACC], 0.0)
 
 
 def stance_variances(cfg, score):
@@ -597,8 +606,10 @@ class TestStanceConfig:
             zupt.StanceConfig(detect_half_width=0)
         with pytest.raises(ValueError):
             zupt.StanceConfig(mode="sometimes")
-        with pytest.raises(ValueError, match="pseudo_variances must be 18"):
+        with pytest.raises(ValueError, match="pseudo_variances must be 15"):
             zupt.StanceConfig(pseudo_variances=np.ones(21))
+        with pytest.raises(ValueError, match="pseudo_variances must be 15"):
+            zupt.StanceConfig(pseudo_variances=np.ones(18))
 
     @pytest.mark.parametrize("key, value", [
         ("covariance_gain", np.nan), ("covariance_gain", np.inf),
