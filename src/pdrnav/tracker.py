@@ -288,12 +288,14 @@ def run_tracker(
         Each step is checked once, at its end, so a covariance entry
         that one stage leaves non-finite or negative on the diagonal
         is refused only if it is still so at the end of the step; a
-        later stage of the same sample may repair it.
+        later stage of the same sample may repair it.  Overflow on the
+        way there raises no numpy warning: the check reports it.
     ValueError
         If the log is too short (an empty one included) or not still
         enough to level on, the filter's ``ts`` is not the log's sample
-        period, a time step of the log is more than half a period away
-        from ``1 / log.fs``, or a stance window is longer than the log.
+        period, or a time step of the log is more than half a period
+        away from ``1 / log.fs``; and from `stance_schedule`, if a
+        stance window is longer than the log.
     """
     if filter_cfg is None:
         filter_cfg = default_filter_config(log.fs)
@@ -313,13 +315,6 @@ def run_tracker(
     k_init = min(n, max(int(round(_LEVEL_SECONDS * log.fs)), 1))
     x, p_mat = init_state(np.zeros(3), 0.0, f_b[:k_init], w_b[:k_init],
                           filter_cfg, log.fs)
-    # As Python ints, so that no width overflows before it is compared.
-    for name in ("detect_half_width", "std_half_width"):
-        width = 2 * int(getattr(stance_cfg, name)) + 1
-        if width > n:
-            raise ValueError(
-                f"stance {name} ({getattr(stance_cfg, name)}) makes a window "
-                f"of {width} samples, longer than the log's {n}")
     scores, active, factors = stance_schedule(f_b, w_b, stance_cfg)
 
     t_out = log.t
@@ -351,30 +346,35 @@ def run_tracker(
                            factors[k])
         return x, p_mat
 
-    for k in range(n):
-        x_in, p_in = x, p_mat
-        try:
-            x, p_mat = step(x, p_mat, k, _run_stage)
-            _check_state(x, p_mat)
-        except (FilterDivergenceError, ValueError) as exc:
-            stage, cause, p_given = None, exc, p_mat
+    # Overflow in a diverging step is the check's to report; numpy's
+    # warnings of it would repeat it, or escape where warnings are
+    # errors.  One errstate for the loop, replay included: one a sample
+    # would cost microseconds each.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            x_in, p_in = x, p_mat
             try:
-                step(x_in, p_in, k, _run_checked)
-            except _StageFailure as failure:
-                stage, cause, p_given = failure.args
-            partial = Trajectory(
-                t=t_out[:k], p=p_out[:k], q_nb=q_out[:k],
-                sfs=scores[:k], stance=active[:k],
-            )
-            diag = TrackerDiagnostic(
-                sample_index=k,
-                covariance_condition=_condition_number(p_given),
-                message=str(cause),
-                stage=stage,
-            )
-            raise TrackerDivergence(partial, diag) from cause
-        p_out[k] = x[POS]
-        q_out[k] = x[QUAT]
+                x, p_mat = step(x, p_mat, k, _run_stage)
+                _check_state(x, p_mat)
+            except (FilterDivergenceError, ValueError) as exc:
+                stage, cause, p_given = None, exc, p_mat
+                try:
+                    step(x_in, p_in, k, _run_checked)
+                except _StageFailure as failure:
+                    stage, cause, p_given = failure.args
+                partial = Trajectory(
+                    t=t_out[:k], p=p_out[:k], q_nb=q_out[:k],
+                    sfs=scores[:k], stance=active[:k],
+                )
+                diag = TrackerDiagnostic(
+                    sample_index=k,
+                    covariance_condition=_condition_number(p_given),
+                    message=str(cause),
+                    stage=stage,
+                )
+                raise TrackerDivergence(partial, diag) from cause
+            p_out[k] = x[POS]
+            q_out[k] = x[QUAT]
 
     return Trajectory(t=t_out, p=p_out, q_nb=q_out, sfs=scores, stance=active)
 

@@ -18,14 +18,15 @@ Detection is built on four per-sample condition signals:
 
 The still-foot score (SFS) of a sample is the fraction of its
 surrounding detection window where all four conditions hold, a soft
-value in [0, 1].  A stance event runs while the score sits at or above
-``sfs_threshold``; the hard baseline detector applies the same
+value in [0, 1].  `sfs_series` is the one detector pass: it works out
+the conditions and the score of every sample.  `stance_schedule` is the
+policy over it that ``mode`` picks.  In the soft mode a stance event
+runs while the score sits at or above ``sfs_threshold``, and the
+pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``, so
+that low-confidence stance samples pull the filter gently and clean
+mid-stance samples pull it hard.  The hard baseline applies the same
 threshold to the fraction of the window where C1*C2*C3 hold instead,
 and carries no confidence information.
-
-The pseudo-measurement covariance is scaled by ``1 + gain * (1 - SFS)``
-so that low-confidence stance samples pull the filter gently and
-clean mid-stance samples pull it hard.
 
 A run builds one `StanceStack`: the 15-row target stack and its base
 variances.  Every stance update injects the whole stack.  Its
@@ -61,9 +62,7 @@ __all__ = [
     "N_PSEUDO",
     "StanceConfig",
     "default_stance_config",
-    "condition_series",
     "sfs_series",
-    "hard_series",
     "stance_schedule",
     "stance_intervals",
     "StanceStack",
@@ -182,10 +181,15 @@ def default_stance_config(fs: float = constants.DEFAULT_FS) -> StanceConfig:
                         pseudo_variances=_default_pseudo_variances(fs))
 
 
-def _window_bounds(n: int, i, half: int):
-    lo = np.maximum(np.asarray(i) - half, 0)
-    hi = np.minimum(np.asarray(i) + half + 1, n)
-    return lo, hi
+def _window_sums(values, half: int):
+    """Sums of ``values`` over each sample's window ``k +- half``,
+    truncated at the record ends, and the length of each window."""
+    n = values.size
+    c = np.concatenate([[0], np.cumsum(values)])
+    k = np.arange(n)
+    lo = np.maximum(k - half, 0)
+    hi = np.minimum(k + half + 1, n)
+    return c[hi] - c[lo], hi - lo
 
 
 def _windowed_std(vals: NDArray[np.float64], half: int) -> NDArray[np.float64]:
@@ -195,56 +199,36 @@ def _windowed_std(vals: NDArray[np.float64], half: int) -> NDArray[np.float64]:
     squared-sum cancellation benign for magnitude series sitting near g.
     """
     vals = vals - vals.mean()
-    c1 = np.concatenate([[0.0], np.cumsum(vals)])
-    c2 = np.concatenate([[0.0], np.cumsum(vals * vals)])
-    lo, hi = _window_bounds(vals.size, np.arange(vals.size), half)
-    cnt = hi - lo
-    mean = (c1[hi] - c1[lo]) / cnt
-    ex2 = (c2[hi] - c2[lo]) / cnt
+    s1, cnt = _window_sums(vals, half)
+    s2, _ = _window_sums(vals * vals, half)
+    mean = s1 / cnt
+    ex2 = s2 / cnt
     return np.sqrt(np.maximum(ex2 - mean * mean, 0.0))
-
-
-def _windowed_count(flags: NDArray[np.bool_], half: int) -> NDArray[np.int64]:
-    c = np.concatenate([[0], np.cumsum(flags.astype(np.int64))])
-    lo, hi = _window_bounds(flags.size, np.arange(flags.size), half)
-    return c[hi] - c[lo]
-
-
-def _magnitudes(accel, gyro):
-    accel = np.asarray(accel, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
-        raise ValueError("accel and gyro must be matching (n, 3) arrays")
-    return np.linalg.norm(accel, axis=1), np.linalg.norm(gyro, axis=1)
-
-
-def condition_series(accel, gyro, cfg: StanceConfig):
-    """All four condition signals over a calibrated record.
-
-    Parameters
-    ----------
-    accel, gyro : ndarray, shape (n, 3)
-        Calibrated specific force (m/s^2) and angular rate (rad/s).
-    cfg : StanceConfig
-
-    Returns
-    -------
-    tuple of four boolean ndarrays, shape (n,)
-    """
-    mag_a, mag_w = _magnitudes(accel, gyro)
-    c1 = (mag_a > cfg.accel_norm_min) & (mag_a < cfg.accel_norm_max)
-    c2 = _windowed_std(mag_a, cfg.std_half_width) < cfg.accel_std_max
-    c3 = mag_w < cfg.gyro_norm_max
-    c4 = _windowed_std(mag_w, cfg.std_half_width) < cfg.gyro_std_max
-    return c1, c2, c3, c4
 
 
 def _window_fraction(flags: NDArray[np.bool_],
                      cfg: StanceConfig) -> NDArray[np.float64]:
     """Share of each sample's window ``k +- detect_half_width`` where
     ``flags`` hold, over the full window length."""
-    width = 2 * cfg.detect_half_width + 1
-    return _windowed_count(flags, cfg.detect_half_width) / width
+    count, _ = _window_sums(flags, cfg.detect_half_width)
+    return count / (2 * cfg.detect_half_width + 1)
+
+
+def _conditions(accel, gyro, cfg: StanceConfig):
+    """The four condition signals C1..C4 over a calibrated record of
+    specific force (m/s^2) and angular rate (rad/s), each ``(n, 3)``:
+    four boolean arrays of shape ``(n,)``."""
+    accel = np.asarray(accel, dtype=float)
+    gyro = np.asarray(gyro, dtype=float)
+    if accel.ndim != 2 or accel.shape[1] != 3 or accel.shape != gyro.shape:
+        raise ValueError("accel and gyro must be matching (n, 3) arrays")
+    mag_a = np.linalg.norm(accel, axis=1)
+    mag_w = np.linalg.norm(gyro, axis=1)
+    c1 = (mag_a > cfg.accel_norm_min) & (mag_a < cfg.accel_norm_max)
+    c2 = _windowed_std(mag_a, cfg.std_half_width) < cfg.accel_std_max
+    c3 = mag_w < cfg.gyro_norm_max
+    c4 = _windowed_std(mag_w, cfg.std_half_width) < cfg.gyro_std_max
+    return c1, c2, c3, c4
 
 
 def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
@@ -258,38 +242,43 @@ def sfs_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.float64]:
     and end with still margins much longer than the window, where this
     is harmless.
     """
-    c1, c2, c3, c4 = condition_series(accel, gyro, cfg)
+    c1, c2, c3, c4 = _conditions(accel, gyro, cfg)
     return _window_fraction(c1 & c2 & c3 & c4, cfg)
-
-
-def hard_series(accel, gyro, cfg: StanceConfig) -> NDArray[np.bool_]:
-    """Binary baseline detector over a record.
-
-    Declares stance where C1*C2*C3 hold on at least ``sfs_threshold``
-    of the sample's window, counted as the score counts; C4 does not
-    participate.  A fraction of the window, not a count, so the rule
-    means the same at every rate: a count above ``detect_half_width /
-    2`` took two still samples of seven at 50 Hz (epsilon_TTD 0.165 on
-    80 m squares), where the fraction takes three.
-    """
-    c1, c2, c3, _ = condition_series(accel, gyro, cfg)
-    return _window_fraction(c1 & c2 & c3, cfg) >= cfg.sfs_threshold
 
 
 def stance_schedule(accel, gyro, cfg: StanceConfig):
     """Per sample of a calibrated record: the score, whether a stance
     update runs, and the factor on its base variances, as ``cfg.mode``
-    sets them.  ``"soft"`` updates at scores of at least
-    ``sfs_threshold`` with factor `_confidence_factor`; ``"hard"``
-    updates where `hard_series` fires and ``"none"`` nowhere, both with
-    factor 1.  The condition signals are worked out once.
+    sets them.  The score is `sfs_series` in every mode.
+
+    - ``"soft"`` updates at scores of at least ``sfs_threshold``, with
+      factor ``1 + covariance_gain * (1 - score)``.
+    - ``"hard"``, the binary baseline, updates where C1*C2*C3 hold on at
+      least ``sfs_threshold`` of the sample's window, counted as the
+      score counts (C4 does not take part), with factor 1.  A fraction
+      of the window, not a count, so the rule means the same at every
+      rate: a count above ``detect_half_width / 2`` took two still
+      samples of seven at 50 Hz (epsilon_TTD 0.165 on 80 m squares),
+      where the fraction takes three.
+    - ``"none"`` never updates.
+
+    Raises ValueError if a window, ``2 * detect_half_width + 1`` or
+    ``2 * std_half_width + 1`` samples, is longer than the record.
     """
-    c1, c2, c3, c4 = condition_series(accel, gyro, cfg)
-    scores = _window_fraction(c1 & c2 & c3 & c4, cfg)
+    n = len(accel)
+    # As Python ints, so that no width overflows before it is compared.
+    for name in ("detect_half_width", "std_half_width"):
+        width = 2 * int(getattr(cfg, name)) + 1
+        if width > n:
+            raise ValueError(
+                f"stance {name} ({getattr(cfg, name)}) makes a window "
+                f"of {width} samples, longer than the log's {n}")
+    scores = sfs_series(accel, gyro, cfg)
     if cfg.mode == "soft":
         return (scores, scores >= cfg.sfs_threshold,
-                _confidence_factor(cfg, scores))
+                1.0 + cfg.covariance_gain * (1.0 - scores))
     if cfg.mode == "hard":
+        c1, c2, c3, _ = _conditions(accel, gyro, cfg)
         active = _window_fraction(c1 & c2 & c3, cfg) >= cfg.sfs_threshold
     else:
         active = np.zeros(scores.size, dtype=bool)
@@ -400,11 +389,6 @@ class StanceStack:
         h_jac = _LINEAR_STANCE_ROWS.copy()
         h_jac.ravel()[_STANCE_INDEX] = values
         return self.z_full - h, h_jac
-
-
-def _confidence_factor(cfg: StanceConfig, scores):
-    """``1 + covariance_gain * (1 - score)``, for one score or an array."""
-    return 1.0 + cfg.covariance_gain * (1.0 - scores)
 
 
 def zupt_update(x, p_mat, stance: StanceStack, imu_sample, factor: float):

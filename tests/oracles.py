@@ -317,7 +317,7 @@ def condition_signals(accel, gyro, cfg, i: int):
     """The four condition signals at one sample index.
 
     Direct two-pass evaluation on the truncated window around ``i``, the
-    plainly readable reference for `pdrnav.zupt.condition_series`;
+    plainly readable reference for `pdrnav.zupt._conditions`;
     ``cfg`` is a `pdrnav.zupt.StanceConfig`.
     """
     mag_a, mag_w = _magnitudes(accel, gyro)
@@ -348,7 +348,8 @@ def sfs(accel, gyro, cfg, k: int) -> float:
 
 
 def hard_detector(accel, gyro, cfg, k: int) -> bool:
-    """Binary baseline detector at one index; see `pdrnav.zupt.hard_series`."""
+    """Binary baseline detector at one index; see the ``"hard"`` mode
+    of `pdrnav.zupt.stance_schedule`."""
     mag_a, _ = _magnitudes(accel, gyro)
     n = mag_a.size
     if not 0 <= k < n:
@@ -727,14 +728,14 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
     """`pdrnav.tracker.run_tracker` as a chain of per-call steps:
     ``predict`` (called like `pdrnav.ekf.predict`, with the effective
     process noise formed per call), ``imu_update`` (called like
-    `dense_imu_update`) and, on stance samples, a
-    `build_pseudo_measurements` stack latched at the event's first
-    sample with `soft_covariance` variances through ``stance_update``
-    (called like `dense_stance_update`).  Each stage's result is
-    `checked` before the next stage runs, so a divergence is reported
-    at the first stage that raises or fails the check, with the
-    condition of the covariance that stage was given, as the tracker
-    reports it.  The track starts at the origin with yaw 0, levelled on
+    `dense_imu_update`) and, on the stance samples of
+    `pdrnav.zupt.stance_schedule`, a `build_pseudo_measurements` stack
+    latched at the event's first sample with `soft_covariance` variances
+    through ``stance_update`` (called like `dense_stance_update`).  Each
+    stage's result is `checked` before the next stage runs, so a
+    divergence is reported at the first stage that raises or fails the
+    check, with the condition of the covariance that stage was given,
+    as the tracker reports it.  The track starts at the origin with yaw 0, levelled on
     the log's first second.
     """
     if filter_cfg is None:
@@ -744,16 +745,10 @@ def chain_tracker(log, accel_cal, gyro_cal, filter_cfg=None, stance_cfg=None,
     n = log.t.size
     f_b = calibration.apply_accel_calibration(accel_cal, np.asarray(log.accel, dtype=float))
     w_b = calibration.apply_gyro_calibration(gyro_cal, np.asarray(log.gyro, dtype=float))
-    scores = zupt.sfs_series(f_b, w_b, stance_cfg)
-    if stance_cfg.mode == "soft":
-        active = scores >= stance_cfg.sfs_threshold
-    elif stance_cfg.mode == "hard":
-        active = zupt.hard_series(f_b, w_b, stance_cfg)
-    else:
-        active = np.zeros(n, dtype=bool)
     k_init = min(n, max(int(round(log.fs)), 1))
     x, p_mat = ekf.init_state(np.zeros(3), 0.0, f_b[:k_init], w_b[:k_init],
                               filter_cfg, log.fs)
+    scores, active, _ = zupt.stance_schedule(f_b, w_b, stance_cfg)
 
     p_out = np.empty((n, 3))
     q_out = np.empty((n, 4))

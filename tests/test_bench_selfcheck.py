@@ -42,7 +42,9 @@ def _load_tracing():
 def test_traced_run_sees_the_filter_layer():
     # The tracer wraps the public functions of each layer module, so the
     # per-sample filter step is visible exactly when the tracker calls
-    # `ekf.predict`, `ekf.update` and `zupt.zupt_update` by those names.
+    # `ekf.predict`, `ekf.update` and `zupt.zupt_update` by those names,
+    # and the detector pass when `zupt.stance_schedule` calls
+    # `zupt.sfs_series` by its name.
     tracing = _load_tracing()
     fs = 100.0
     lsb_a, lsb_w = constants.DEFAULT_LSB_ACCEL, constants.DEFAULT_LSB_GYRO
@@ -69,3 +71,4 @@ def test_traced_run_sees_the_filter_layer():
     assert metrics["ekf.predict_us"] > 0
     assert metrics["ekf.update_us"] > 0
     assert metrics["zupt.update_us"] > 0
+    assert metrics["zupt.sfs_series_us_per_sample"] > 0

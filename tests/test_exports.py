@@ -23,7 +23,7 @@ def test_layers_are_every_module_but_the_front_end_and_constants():
 def test_package_exports_the_ordered_union_of_the_layers():
     union = [name for module in layer_modules() for name in module.__all__]
     assert pdrnav.__all__ == union + ["__version__"]
-    assert len(pdrnav.__all__) == 81
+    assert len(pdrnav.__all__) == 79
     # Each name is listed by one module only; `io` imports `ImuLog`
     # from `tracker`, which lists it.
     assert len(set(union)) == len(union)

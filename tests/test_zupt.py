@@ -109,7 +109,7 @@ class TestConditionSignals:
                 accel_std_max=sigma * (1 + eps), std_half_width=2
             )
             assert condition_signals(accel, gyro, cfg, 2)[1] is want
-            assert bool(zupt.condition_series(accel, gyro, cfg)[1][2]) is want
+            assert bool(zupt._conditions(accel, gyro, cfg)[1][2]) is want
 
     def test_edge_window_is_truncated_not_padded(self):
         # At index 0 only samples 0..S exist; the deviation must be the
@@ -123,12 +123,12 @@ class TestConditionSignals:
                 accel_std_max=sigma * (1 + eps), std_half_width=2
             )
             assert condition_signals(accel, gyro, cfg, 0)[1] is want
-            assert bool(zupt.condition_series(accel, gyro, cfg)[1][0]) is want
+            assert bool(zupt._conditions(accel, gyro, cfg)[1][0]) is want
 
     def test_series_agrees_with_per_index(self):
         accel, gyro = noisy_signals(300, seed=7)
         cfg = zupt.StanceConfig()
-        series = zupt.condition_series(accel, gyro, cfg)
+        series = zupt._conditions(accel, gyro, cfg)
         flips = sum(int(np.any(s) and not np.all(s)) for s in series)
         assert flips >= 2  # the data must actually exercise the logic
         for i in range(300):
@@ -240,17 +240,18 @@ class TestHardDetector:
                                          gyro_noise=2.0)
         accel = np.vstack([accel, rough_a])
         gyro = np.vstack([gyro, rough_w])
-        cfg = zupt.StanceConfig()
-        series = zupt.hard_series(accel, gyro, cfg)
+        cfg = zupt.StanceConfig(mode="hard")
+        _, series, _ = zupt.stance_schedule(accel, gyro, cfg)
         assert series.any() and not series.all()
-        for k in range(0, 300, 7):
-            assert hard_detector(accel, gyro, cfg, k) == bool(series[k])
+        for k in range(300):
+            assert hard_detector(accel, gyro, cfg, k) == bool(series[k]), k
 
 
 class TestStanceSchedule:
     """Each mode's policy: the score in every mode; soft updates at or
     above the threshold with the confidence factor, hard updates where
-    the binary detector fires with factor 1, none never."""
+    the binary detector fires with factor 1, none never.  The detectors
+    and the stance variances are the per-index oracles'."""
 
     @pytest.mark.parametrize("mode", ["soft", "hard", "none"])
     def test_matches_the_detectors(self, mode):
@@ -269,17 +270,20 @@ class TestStanceSchedule:
         assert ((want_scores > 0.0) & (want_scores < 1.0)).any()
         if mode == "soft":
             want_active = want_scores >= cfg.sfs_threshold
-            want_factors = zupt._confidence_factor(cfg, want_scores)
+            for k, score in enumerate(want_scores):
+                np.testing.assert_array_equal(
+                    factors[k] * cfg.pseudo_variances,
+                    soft_covariance(cfg, score))
         elif mode == "hard":
-            want_active = zupt.hard_series(accel, gyro, cfg)
-            want_factors = np.ones(450)
+            want_active = [hard_detector(accel, gyro, cfg, k)
+                           for k in range(450)]
         else:
             want_active = np.zeros(450, dtype=bool)
-            want_factors = np.ones(450)
+        if mode != "soft":
+            np.testing.assert_array_equal(factors, np.ones(450))
         np.testing.assert_array_equal(scores, want_scores)
         assert active.dtype == bool
         np.testing.assert_array_equal(active, want_active)
-        np.testing.assert_array_equal(factors, want_factors)
         assert mode == "none" or (active.any() and not active.all())
 
 
@@ -448,29 +452,28 @@ class TestStanceJacobian:
             np.testing.assert_array_equal(jac[:, ekf.ACC], 0.0)
 
 
-def stance_variances(cfg, score):
-    """The variances `zupt_update` gives the stack at one score:
-    the run's confidence factor times the stack's base variances."""
-    return (zupt._confidence_factor(cfg, score)
-            * zupt.StanceStack(cfg, GRAVITY).base_variances)
-
-
 class TestSoftCovariance:
+    """The stance variances at one score, as `soft_covariance` states
+    them; `TestStanceSchedule` holds the schedule's factors to it."""
+
     def test_full_confidence_returns_base(self):
         cfg = zupt.StanceConfig()
         np.testing.assert_array_equal(
-            stance_variances(cfg, 1.0), cfg.pseudo_variances
+            soft_covariance(cfg, 1.0), cfg.pseudo_variances
+        )
+        np.testing.assert_array_equal(
+            zupt.StanceStack(cfg, GRAVITY).base_variances, cfg.pseudo_variances
         )
 
     def test_plug_in_factor(self):
         cfg = zupt.StanceConfig(covariance_gain=9.0)
-        got = stance_variances(cfg, 0.5)
+        got = soft_covariance(cfg, 0.5)
         np.testing.assert_allclose(got, 5.5 * cfg.pseudo_variances)
 
     def test_monotone_in_score(self):
         cfg = zupt.StanceConfig()
         grid = np.linspace(0.0, 1.0, 21)
-        factors = [stance_variances(cfg, s)[0] for s in grid]
+        factors = [soft_covariance(cfg, s)[0] for s in grid]
         assert all(a >= b for a, b in zip(factors, factors[1:]))
 
 def estimate_at(x, p_scale=1e-2):
@@ -685,8 +688,8 @@ class TestStanceStack:
                 x[ekf.POS][:2], sample[:3], sample[3:], cfg)
             want_x, want_p = dense_stance_update(
                 x, p_mat, linearize, soft_covariance(cfg, score))
-            # The tracker takes each factor from the run's score array.
-            factor = zupt._confidence_factor(cfg, np.array([score]))[0]
+            # The factor `stance_schedule` gives this score.
+            factor = 1.0 + cfg.covariance_gain * (1.0 - score)
             got_x, got_p = zupt.zupt_update(x, p_mat, stack, sample, factor)
             np.testing.assert_array_equal(got_x, want_x)
             np.testing.assert_array_equal(got_p, want_p)
@@ -695,7 +698,7 @@ class TestStanceStack:
     def test_zupt_update_is_the_general_update(self, soft):
         cfg = zupt.StanceConfig()
         rng = np.random.default_rng(61)
-        factor = zupt._confidence_factor(cfg, 0.8) if soft else 1.0
+        factor = 1.0 + cfg.covariance_gain * (1.0 - 0.8) if soft else 1.0
         for x, p_mat in self.cases(rng):
             stack = latched_stack(cfg, rng.standard_normal(2))
             sample = rng.standard_normal(6)
