@@ -107,7 +107,7 @@ def _cmd_allan(args: argparse.Namespace) -> int:
         series = log.accel[:, args.axis] * log.lsb_accel
     else:
         series = log.gyro[:, args.axis - 3] * log.lsb_gyro
-    # The parsed rows are four times the series; free them for the sweep.
+    # The parsed rows are 2.5 times the series; free them for the sweep.
     del log
     curve = allan_deviation(series, fs)
     coeffs = extract_coefficients(curve)

@@ -18,7 +18,7 @@ whole-array passes: one over every sample, one over the swing samples.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -403,17 +403,16 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
 
     The noise streams are drawn from one generator in a fixed order
     (white accel, white gyro, accel walk, gyro walk), and each sum is
-    grouped as ``(signal + white) + walk``.  The accel is the one
-    full-length float array: it holds its signal and white noise while
-    the white gyro stream is drawn past, and it is counted as its walk
-    is added.  The gyro is then rendered block by block straight to
-    counts.  Its first block of white noise is kept from that pass, and
-    a second generator, set to the state saved after that block, draws
-    the rest again, so a record of one block redraws nothing.  Memory
-    peaks at the accel array, its int32 counts and a few blocks of rows:
-    1.5 times one (n, 3) float array for a long record.  The rotation,
-    the noise and the count mapping run in blocks of rows and give the
-    bits of one batch.
+    grouped as ``(signal + white) + walk``.  The generator first passes
+    both white streams, keeping each one's first block and its own state
+    after that block, from which the rest of that stream is drawn again
+    (`_kept_white`), so a record of one block redraws nothing.  Each
+    sensor, the accel and then the gyro, is then rendered block by block
+    straight to counts (`_render`) while the generator draws its walk.
+    Memory peaks at the int16 counts and a few blocks of rows: half of
+    one (n, 3) float array for a long record.  The rotation, the noise
+    and the count mapping run in blocks of rows and give the bits of one
+    batch.
 
     Parameters
     ----------
@@ -427,48 +426,63 @@ def inverse_imu(truth: GroundTruth, accel_cal: SensorCalibration,
 
     Returns
     -------
-    (accel_counts, gyro_counts) : int32 ndarray, shape (n, 3) each
-        Rounded to whole counts and clipped to the 16-bit ADC range.
+    (accel_counts, gyro_counts) : int16 ndarray, shape (n, 3) each
+        Rounded to whole counts and clipped to the 16-bit ADC range,
+        which is int16's; cast them before arithmetic that can leave it.
     """
     n = truth.t.size
     g_vec = np.array([0.0, 0.0, -constants.GRAVITY])
     rng = np.random.default_rng(seed)
-    physical_a = np.empty((n, 3))
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        physical_a[lo:hi] = quat_rotate(truth.q_nb[lo:hi].T,
-                                        (truth.a[lo:hi] - g_vec).T).T
-        physical_a[lo:hi] += _white(rng, min(_BLOCK_ROWS, n - lo),
-                                    noise.accel_sigma)
+    white_a = _kept_white(rng, n, noise.accel_sigma)
+    white_w = _kept_white(rng, n, noise.gyro_sigma)
 
-    # Pass the white gyro stream, keeping its first block and the state
-    # after it, then finish the accel with its walk.
-    first = _white(rng, min(_BLOCK_ROWS, n), noise.gyro_sigma)
+    def specific_force(lo: int, hi: int) -> np.ndarray:
+        return quat_rotate(truth.q_nb[lo:hi].T, (truth.a[lo:hi] - g_vec).T).T
+
+    # The generator is now at the accel walk, and once the accel is
+    # rendered, at the gyro walk.
+    counts_a = _render(n, specific_force, white_a,
+                       _walk(rng, n, noise.accel_walk_sigma), accel_cal)
+    counts_w = _render(n, lambda lo, hi: truth.omega[lo:hi], white_w,
+                       _walk(rng, n, noise.gyro_walk_sigma), gyro_cal)
+    return counts_a, counts_w
+
+
+def _kept_white(rng: np.random.Generator, n: int,
+                sigma: np.ndarray) -> Iterator[np.ndarray]:
+    """Draw the first block of a white stream of ``n`` rows at ``sigma``
+    and move ``rng`` past the rest of it.  The iterator returned yields
+    the stream in blocks: the first as drawn, then the rest drawn again
+    by a generator set to ``rng``'s state after the first, which is made
+    only when a second block is asked for."""
+    first = _white(rng, min(_BLOCK_ROWS, n), sigma)
     state = rng.bit_generator.state
     _pass(rng, n - first.shape[0])
 
-    counts_a = np.empty((n, 3), dtype=np.int32)
-    accel_walk = _walk(rng, n, noise.accel_walk_sigma)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        physical_a[lo:hi] += next(accel_walk)
-        counts_a[lo:hi] = _to_counts(physical_a[lo:hi], accel_cal)
-    del physical_a
+    def blocks(first: np.ndarray) -> Iterator[np.ndarray]:
+        yield first
+        del first       # the caller's reference is then the last
+        resumed = np.random.default_rng()
+        resumed.bit_generator.state = state
+        for lo in range(_BLOCK_ROWS, n, _BLOCK_ROWS):
+            yield _white(resumed, min(_BLOCK_ROWS, n - lo), sigma)
 
-    # The main generator is now at the gyro walk; the white gyro blocks
-    # after the first come from a second one at the saved state.
-    resumed = np.random.default_rng(seed)
-    resumed.bit_generator.state = state
-    counts_w = np.empty((n, 3), dtype=np.int32)
-    gyro_walk = _walk(rng, n, noise.gyro_walk_sigma)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        white = first if lo == 0 else _white(
-            resumed, min(_BLOCK_ROWS, n - lo), noise.gyro_sigma)
-        white += truth.omega[lo:hi]     # float addition commutes
-        white += next(gyro_walk)
-        counts_w[lo:hi] = _to_counts(white, gyro_cal)
-    return counts_a, counts_w
+    return blocks(first)
+
+
+def _render(n: int, signal: Callable[[int, int], np.ndarray],
+            white: Iterator[np.ndarray], walk: Iterator[np.ndarray],
+            cal: SensorCalibration) -> np.ndarray:
+    """One sensor's int16 counts, block by block: ``signal(lo, hi)``
+    plus the blocks of ``white`` and then of ``walk``, mapped through
+    ``cal``.  The white block is the accumulator; float addition
+    commutes, so each sum is ``(signal + white) + walk``."""
+    counts = np.empty((n, 3), dtype=np.int16)
+    for lo, block, step in zip(range(0, n, _BLOCK_ROWS), white, walk):
+        block += signal(lo, lo + _BLOCK_ROWS)
+        block += step
+        counts[lo:lo + _BLOCK_ROWS] = _to_counts(block, cal)
+    return counts
 
 
 def _white(rng: np.random.Generator, rows: int,

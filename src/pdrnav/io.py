@@ -24,10 +24,10 @@ empty body reads as no rows, then hand the path and the number of lines
 before that row to `np.loadtxt`, which reads the file in chunks, skips
 those lines, then blank lines and ``#`` comments, and parses each row
 into one record of the format's row dtype (a log row is a float64 time
-and six int32 counts, 32 bytes).  A parse error names the file and the
-file line of the refused row, and so does the refusal of a NaN or an
-infinity in a trajectory or truth file, which evaluation would
-otherwise score.
+and six int16 counts, 20 bytes, so a count outside the 16-bit ADC range
+is a parse error).  A parse error names the file and the file line of
+the refused row, and so does the refusal of a NaN or an infinity in a
+trajectory or truth file, which evaluation would otherwise score.
 Writers format `_BLOCK_ROWS` rows at a time into a sibling temporary
 file and move it onto the target only once the whole file is written,
 so a refused or failed write leaves no partial file under the target
@@ -114,8 +114,11 @@ def _replacing(path, mode: str = "w"):
 
 # One record per CSV row; each field is one column, or with a shape,
 # that many side by side.  `np.loadtxt` refuses a row with any other
-# column count, and a count text that is not an integer literal.
-_LOG_ROW = np.dtype([("t", np.float64), ("counts", np.int32, (6,))])
+# column count, and a count text that is not an integer literal or lies
+# outside int16, whose range is the ADC range [ADC_MIN, ADC_MAX].  The
+# log record is packed, 20 bytes: an aligned 24-byte one left more of
+# the parse's growth resident.
+_LOG_ROW = np.dtype([("t", np.float64), ("counts", np.int16, (6,))])
 _TRUTH_ROW = np.dtype([("t", np.float64), ("p", np.float64, (3,)),
                        ("v", np.float64, (3,)), ("q_nb", np.float64, (4,)),
                        ("stance", np.float64)])
@@ -636,7 +639,10 @@ def read_log(path) -> ImuLog:
 
     The header is the first line, read in the scan for the first data
     row, so the file is opened once here and once by numpy's parse.  It
-    must declare each of fs, lsb_a and lsb_w once.
+    must declare each of fs, lsb_a and lsb_w once.  The counts come back
+    as int16, whose range is the ADC range: the parse refuses a count
+    outside it, naming its line.  Cast them before arithmetic that can
+    leave that range, such as squaring.
     """
     first, head = _scan_head(path)
     header = first.strip()

@@ -70,14 +70,19 @@ _CHECK_ROWS = 4096
 
 def _check_counts(sensor: str, counts: np.ndarray) -> None:
     """ValueError unless every count is a whole number in the 16-bit ADC
-    range; integer arrays are whole by type, float arrays are compared
-    with their rounding block by block."""
+    range.  Integer arrays are whole by type, and in range by type when
+    the dtype's whole range lies in the ADC range (int16, as `read_log`
+    and `inverse_imu` give); others are scanned for their extremes.
+    Float arrays are compared with their rounding block by block."""
     if counts.size == 0:
         return
-    if counts.dtype.kind not in "iu" and not all(
-            (block == np.rint(block)).all()
-            for block in (counts[lo:lo + _CHECK_ROWS]
-                          for lo in range(0, counts.shape[0], _CHECK_ROWS))):
+    if counts.dtype.kind in "iu":
+        info = np.iinfo(counts.dtype)
+        if ADC_MIN <= info.min and info.max <= ADC_MAX:
+            return
+    elif not all((block == np.rint(block)).all()
+                 for block in (counts[lo:lo + _CHECK_ROWS]
+                               for lo in range(0, counts.shape[0], _CHECK_ROWS))):
         raise ValueError(f"{sensor} counts must be integers")
     if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
         raise ValueError(f"{sensor} counts outside the 16-bit ADC "
@@ -96,6 +101,8 @@ class ImuLog:
         Raw counts, of an integer or a float dtype: whole numbers in the
         16-bit ADC range, which `_check_counts` checks here, so code that
         takes a log, such as `calibration.batch_means`, need not.
+        `read_log` and `inverse_imu` give int16, in range by type; cast
+        before arithmetic that can leave it, such as squaring.
     fs : float
         Sample rate, Hz.
     lsb_accel, lsb_gyro : float

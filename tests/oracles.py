@@ -611,8 +611,8 @@ def one_batch_inverse_imu(truth, accel_cal, gyro_cal, noise, seed=0, *,
     counts_w = physical_w @ gyro_cal.gain.T + gyro_cal.bias
     if not quantize:
         return counts_a, counts_w
-    counts_a = np.clip(np.rint(counts_a), -32768, 32767).astype(np.int32)
-    counts_w = np.clip(np.rint(counts_w), -32768, 32767).astype(np.int32)
+    counts_a = np.clip(np.rint(counts_a), -32768, 32767).astype(np.int16)
+    counts_w = np.clip(np.rint(counts_w), -32768, 32767).astype(np.int16)
     return counts_a, counts_w
 
 

@@ -566,6 +566,21 @@ class TestLogFormat:
         assert (log.fs, log.lsb_accel, log.lsb_gyro) == (FS, LSB_A, LSB_W)
         assert log.gyro.tolist() == [[0, 0, 0], [0, -7, 0]]
 
+    @pytest.mark.parametrize("text", ["32768", "-32769"])
+    def test_count_outside_the_adc_range_names_its_line(self, tmp_path, text):
+        # The parse refuses it, so the refusal names the file line; a
+        # comment and a blank line sit between the first row and it.
+        rows = [f"{k / 100!r},0,0,8192,0,0,0" for k in range(5)]
+        rows[3] = f"0.03,0,0,8192,0,{text},0"
+        path = tmp_path / "rail.csv"
+        path.write_text(f"# fs=100 lsb_a={LSB_A!r} lsb_w={LSB_W!r}\n"
+                        + "\n".join(rows[:2] + ["# note", ""] + rows[2:])
+                        + "\n")
+        with pytest.raises(ValueError,
+                           match=rf"^log {re.escape(str(path))}, line 7: "
+                                 rf".*'{text}'"):
+            read_log(path)
+
 
 @st.composite
 def logs(draw):
@@ -592,7 +607,7 @@ def test_log_round_trip_is_bit_exact(tmp_path_factory, log):
     assert np.array_equal(back.t.view(np.uint64), log.t.view(np.uint64))
     assert np.array_equal(back.accel, log.accel)
     assert np.array_equal(back.gyro, log.gyro)
-    assert back.accel.dtype == back.gyro.dtype == np.int32
+    assert back.accel.dtype == back.gyro.dtype == np.int16
 
 
 # Both read back from rint(t * 10**d) / 10**d at some d <= 9, as the

@@ -32,6 +32,9 @@ from pdrnav.tracker import ImuLog, Trajectory
 FS = 100.0
 N = 50_001
 COLUMN3 = N * 3 * 8     # bytes of one (n, 3) float64 array
+# Bytes of the log rows as parsed when counts were int32 (a float64 time
+# and six int32 counts); int16 counts make 20-byte rows.
+ROWS32 = N * 32
 WALK = 2_883            # samples of the benchmark's walk
 
 
@@ -79,13 +82,14 @@ def test_inverse_imu_holds_a_few_columns():
             scale_calibration(constants.DEFAULT_LSB_GYRO), razor_noise(FS))
     (accel, _), peak = traced_peak(inverse_imu, *args)
     assert accel.shape == (N, 3)
-    # The accel's physical array and its int32 counts make 1.5x; with
-    # the kept first block of white gyro draws, a walk block and a block
-    # of counts the call peaks at 1.80x.  Rendering the gyro into a
-    # physical array of its own as well made 2.67x; a full-length draw
-    # buffer and float counts made 4.0x; holding all four draws and a
-    # batch rotation's temporaries is 11x.
-    assert peak <= 2 * COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
+    # Both sensors' int16 counts make 0.5x; with the kept first block of
+    # white gyro draws and a few blocks of rows the call peaks at 0.89x.
+    # A full-length accel physical array and int32 counts peaked at
+    # 1.80x; rendering the gyro into a physical array of its own as well
+    # made 2.67x; a full-length draw buffer and float counts made 4.0x;
+    # holding all four draws and a batch rotation's temporaries is 11x.
+    assert peak <= 1.25 * COLUMN3, \
+        f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
 
 
 def test_allan_deviation_holds_two_series():
@@ -129,11 +133,11 @@ def test_allan_command_frees_the_log_for_the_sweep(tmp_path):
                                         "--axis", "4",
                                         "--out", str(tmp_path / "a.csv")])
     assert code == 0
-    parsed = N * 32     # one float64 time and six int32 counts per row
-    # The call peaks at 1.33x, 1.28x of it while the log is parsed; the
-    # sweep's arrays are each a quarter of the rows.  Sweeping with the
+    # The call peaks at 0.96-1.09x, with the heap's state, while the log
+    # is parsed; the sweep's arrays are each a quarter of the 32-byte
+    # rows.  With int32 counts it peaked at 1.33x, and sweeping with the
     # parsed log still held made 2.04x.
-    assert peak <= 1.5 * parsed, f"peak {peak / parsed:.2f}x the 32-byte rows"
+    assert peak <= 1.25 * ROWS32, f"peak {peak / ROWS32:.2f}x the 32-byte rows"
 
 
 def test_read_log_holds_about_its_rows(tmp_path):
@@ -141,21 +145,21 @@ def test_read_log_holds_about_its_rows(tmp_path):
     write_log(path, still_log())
     log, peak = traced_peak(read_log, path)
     assert log.t.size == N
-    assert log.accel.dtype == log.gyro.dtype == np.int32
-    parsed = N * 32     # one float64 time and six int32 counts per row
-    # The parsed rows plus the time-step check, one float and one bool
-    # per sample, make 1.28x; rows of seven float64 columns made 2.1x,
-    # and reading the body into a string and a StringIO copy first
-    # makes 5.3x.
-    assert peak <= 1.5 * parsed, f"peak {peak / parsed:.2f}x the 32-byte rows"
+    assert log.accel.dtype == log.gyro.dtype == np.int16
+    # The 20-byte rows plus the time-step check, one float and one bool
+    # per sample, make 0.96-1.02x, with the heap's state; 32-byte rows
+    # made 1.28x, rows of seven float64 columns 2.1x, and reading the
+    # body into a string and a StringIO copy first makes 5.3x.
+    assert peak <= 1.25 * ROWS32, f"peak {peak / ROWS32:.2f}x the 32-byte rows"
 
 
 def test_log_checks_float_counts_by_block():
     # Float counts, as a caller may build a log from rounded floats, are
     # checked for whole values one block at a time (`read_log` and
-    # `inverse_imu` give int32 counts, whole by their type).  What is left is the time-step check,
-    # one float and one bool per sample (0.38x); a full-size `np.rint`
-    # copy and its comparison would add 1.1x.
+    # `inverse_imu` give int16 counts, whole and in range by their
+    # type).  What is left is the time-step check, one float and one
+    # bool per sample (0.38x); a full-size `np.rint` copy and its
+    # comparison would add 1.1x.
     log = still_log()
     t = log.t.copy()
     accel, gyro = log.accel.astype(float), log.gyro.astype(float)

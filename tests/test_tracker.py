@@ -179,17 +179,36 @@ class TestLogType:
         with pytest.raises(ValueError, match=f"^{sensor} counts "):
             self.counts_log(sensor, spoil)
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
+    @pytest.mark.parametrize("dtype, bad", [
+        pytest.param(np.int32, 40000, id="int32"),
+        pytest.param(np.int64, 40000, id="int64"),
+        pytest.param(np.float64, 40000, id="float64"),
+        pytest.param(np.int32, -32769, id="int32_below"),
+        pytest.param(np.int32, 32768, id="int32_above"),
+        pytest.param(np.uint16, 32768, id="uint16_above")])
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
-    def test_counts_outside_the_adc_range_refused(self, sensor, dtype):
-        # A count of 40000 is whole, but no 16-bit ADC gives it.
+    def test_counts_outside_the_adc_range_refused(self, sensor, dtype, bad):
+        # Each count is whole, but no 16-bit ADC gives it; a dtype wider
+        # than int16 is scanned, down to one step past either rail.
         def spoil(counts):
-            counts[17, 0] = 40000
+            counts[17, 0] = bad
 
         with pytest.raises(ValueError, match=re.escape(
                 f"{sensor} counts outside the 16-bit ADC range "
                 f"[-32768, 32767]")):
             self.counts_log(sensor, spoil, dtype)
+
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_int16_counts_at_both_rails_accepted(self, sensor):
+        # int16's range is the ADC range, so its counts are in range by
+        # type and no scan is needed to accept the rails.
+        def spoil(counts):
+            counts[17, 0], counts[18, 1] = -32768, 32767
+
+        log = self.counts_log(sensor, spoil, np.int16)
+        counts = getattr(log, sensor)
+        assert counts.dtype == np.int16
+        assert (counts.min(), counts.max()) == (-32768, 32767)
 
     @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200]],
                              ids=["max_float", "opposite"])
