@@ -58,7 +58,7 @@ sample.  Each kernel refuses only what it alone can see: a degenerate
 quaternion norm (in `_transition` and in the update's renormalisation)
 and an innovation covariance that is non-finite or indefinite.  The
 kernels do not check the covariance they return; the caller checks the
-step's result once (`_check_covariance` and a finite state) and, on a
+step's result once (`pdrnav.tracker._check_state`) and, on a
 failure, replays the step through the same kernels with that check
 after each, so a divergence is still reported at the stage that caused
 it.  The update uses the Joseph product form
@@ -368,30 +368,13 @@ def _finite(a: NDArray[np.float64]) -> bool:
     return math.isfinite(_ddot(a.ravel(), _ZEROS[:a.size]))
 
 
-def _check_covariance(p_mat: NDArray[np.float64]) -> None:
-    """Refuse a covariance that fails either of two cheap divergence
-    checks: every entry finite, and the smallest diagonal entry at least
-    -1e-9 times the trace.  It does not symmetrise; `predict` does that
-    once per sample.  The kernels do not call it: the tracker checks
-    each step's result once, and each stage's result only when it
-    replays a failed step."""
-    if not _finite(p_mat):
-        raise FilterDivergenceError("covariance is no longer finite")
-    diag = p_mat.diagonal().tolist()
-    low = min(diag)
-    if low < 0.0 and low < -1e-9 * max(sum(diag), 1e-30):
-        raise FilterDivergenceError(
-            f"covariance lost positive semidefiniteness (min diag {low:g})"
-        )
-
-
 def predict(x, p_mat, cfg: FilterConfig, q_diag):
     """Time update of a mean and covariance: propagate the mean, push
     the covariance through the closed-form process Jacobian and add the
     process noise ``q_diag``, which is ``cfg.effective_q_diag()`` (a
     caller stepping many samples computes it once).  The result is
     symmetrised, once per filter step, and not checked (see
-    `_check_covariance`)."""
+    `pdrnav.tracker._check_state`)."""
     x1, jac = _transition(x, cfg)
     # F is the identity below row 13, but the product stays dense: the
     # covariance is held bit for bit to ``F @ P @ F.T``, and a product
@@ -448,8 +431,8 @@ def _measurement_update(x, p_mat, nu, jac, r_diag):
     and (m, 25), and diagonal noise ``r_diag``; the quaternion is
     renormalised.  The covariance is neither symmetrised (the product
     form keeps it symmetric to rounding, and the next `predict`
-    symmetrises it) nor checked (see `_check_covariance`); S is checked
-    in `_innovation_gain`."""
+    symmetrises it) nor checked (see `pdrnav.tracker._check_state`); S
+    is checked in `_innovation_gain`."""
     hp = jac.dot(p_mat)
     s_mat = hp.dot(jac.T)
     s_mat.ravel()[:: len(nu) + 1] += r_diag

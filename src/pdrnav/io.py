@@ -65,7 +65,7 @@ from .calibration import SensorCalibration
 from .ekf import FilterConfig
 from .gait import GaitParams, GroundTruth, NoiseParams
 from .constants import ADC_MAX, ADC_MIN
-from .tracker import ImuLog, Trajectory
+from .tracker import ImuLog, Trajectory, _check_counts
 from .zupt import StanceConfig
 
 __all__ = [
@@ -597,26 +597,25 @@ def _decimal_times(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
 def write_log(path, log: ImuLog) -> None:
     """Write an IMU log: one header line, then `t,ax,ay,az,gx,gy,gz`.
 
-    Float counts are rounded to the nearest integer, as `ImuLog` holds
-    them whole; a count outside the ADC range (NaN and infinities
-    among them) is an error rather than a text.  Each time is its
-    `repr`, laid out from an exact decimal where `_decimal_times` finds
-    one and by one ``%r`` for the block otherwise.
+    Each block's counts go through `ImuLog`'s check, `_check_counts`,
+    which costs nothing for the int16 counts a log holds, so counts
+    replaced after the log was built are refused as `ImuLog` refuses
+    them, naming the file: float counts (round and cast them first, as
+    in ``np.rint(x).astype(np.int32)``) or one outside the ADC range.
+    Each time is its `repr`, laid out from an exact decimal where
+    `_decimal_times` finds one and by one ``%r`` for the block otherwise.
     """
     with _replacing(path, "wb") as fh:
         fh.write(f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
                  f"lsb_w={_fmt(log.lsb_gyro)}\n".encode())
         for lo in range(0, log.t.size, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            counts = np.concatenate((log.accel[lo:hi], log.gyro[lo:hi]),
-                                    axis=1)
-            if counts.dtype.kind == "f":
-                counts = np.rint(counts)
-            low, high = counts.min(), counts.max()
-            if not (ADC_MIN <= low and high <= ADC_MAX):
-                bad = high if ADC_MIN <= low else low
-                raise ValueError(f"log {path}: count {bad} is outside the "
-                                 f"16-bit ADC range [{ADC_MIN}, {ADC_MAX}]")
+            try:
+                counts = np.concatenate(
+                    (_check_counts("accel", log.accel[lo:hi]),
+                     _check_counts("gyro", log.gyro[lo:hi])), axis=1)
+            except ValueError as exc:
+                raise ValueError(f"log {path}: {exc}") from None
             t = log.t[lo:hi]
             decimal = _decimal_times(t)
             if decimal is None:
@@ -727,14 +726,13 @@ def read_trajectory(path) -> Trajectory:
     """Read a trajectory written by `write_trajectory`.  A time that does
     not strictly increase is refused with the file line of its row."""
     rows = _read_finite_rows(path, _TRAJ_ROW, "trajectory")
-    _check_increasing(path, "trajectory", rows["t"])
-    return Trajectory(
-        t=rows["t"],
-        p=rows["p"],
-        q_nb=rows["q_nb"],
-        sfs=rows["sfs"],
-        stance=rows["stance"] != 0.0,
-    )
+    try:
+        return Trajectory(t=rows["t"], p=rows["p"], q_nb=rows["q_nb"],
+                          sfs=rows["sfs"], stance=rows["stance"] != 0.0)
+    except ValueError:
+        # Only a refused trajectory pays for the search of its line.
+        _check_increasing(path, "trajectory", rows["t"])
+        raise
 
 
 def write_allan_curve(path, taus, adev) -> None:

@@ -25,7 +25,6 @@ from .ekf import (
     QUAT,
     FilterConfig,
     FilterDivergenceError,
-    _check_covariance,
     _finite,
     default_filter_config,
     init_state,
@@ -63,30 +62,23 @@ _STEP_TOLERANCE = 0.5
 # walker stands still before the first step.
 _LEVEL_SECONDS = 1.0
 
-# Rows per block when float counts are checked for whole values, so the
-# check's temporaries stay small next to a long log.
-_CHECK_ROWS = 4096
-
-
-def _check_counts(sensor: str, counts: np.ndarray) -> None:
-    """ValueError unless every count is a whole number in the 16-bit ADC
-    range.  Integer arrays are whole by type, and in range by type when
-    the dtype's whole range lies in the ADC range (int16, as `read_log`
-    and `inverse_imu` give); others are scanned for their extremes.
-    Float arrays are compared with their rounding block by block."""
-    if counts.size == 0:
-        return
-    if counts.dtype.kind in "iu":
-        info = np.iinfo(counts.dtype)
-        if ADC_MIN <= info.min and info.max <= ADC_MAX:
-            return
-    elif not all((block == np.rint(block)).all()
-                 for block in (counts[lo:lo + _CHECK_ROWS]
-                               for lo in range(0, counts.shape[0], _CHECK_ROWS))):
-        raise ValueError(f"{sensor} counts must be integers")
-    if counts.min() < ADC_MIN or counts.max() > ADC_MAX:
-        raise ValueError(f"{sensor} counts outside the 16-bit ADC "
-                         f"range [{ADC_MIN}, {ADC_MAX}]")
+def _check_counts(sensor: str, counts: np.ndarray) -> np.ndarray:
+    """The counts as int16, whose range is the 16-bit ADC range: an int16
+    array as it is, another integer array after one scan of its extremes
+    (0 stands in for those of an empty one) and a cast.  ValueError for
+    any other dtype, naming it (float counts are not rounded here), and
+    for a count outside the range, naming the count."""
+    if counts.dtype == np.int16:
+        return counts
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"{sensor} counts must be integers, not "
+                         f"{counts.dtype}; round and cast them first")
+    low, high = counts.min(initial=0), counts.max(initial=0)
+    if low < ADC_MIN or high > ADC_MAX:
+        bad = high if ADC_MIN <= low else low
+        raise ValueError(f"{sensor} count {bad} is outside the 16-bit "
+                         f"ADC range [{ADC_MIN}, {ADC_MAX}]")
+    return counts.astype(np.int16)
 
 
 @dataclass
@@ -98,11 +90,13 @@ class ImuLog:
     t : ndarray, shape (n,)
         Sample times, seconds, strictly increasing.
     accel, gyro : ndarray, shape (n, 3)
-        Raw counts, of an integer or a float dtype: whole numbers in the
-        16-bit ADC range, which `_check_counts` checks here, so code that
-        takes a log, such as `calibration.batch_means`, need not.
-        `read_log` and `inverse_imu` give int16, in range by type; cast
-        before arithmetic that can leave it, such as squaring.
+        Raw counts, held as int16, whose range is the 16-bit ADC range.
+        Given of any integer dtype, they are checked and cast here
+        (`_check_counts`), so code that takes a log, such as
+        `calibration.batch_means`, need not check them.  Float and bool
+        counts are refused: round and cast them first, as in
+        ``np.rint(x).astype(np.int32)``.  Cast the counts before
+        arithmetic that can leave int16, such as squaring.
     fs : float
         Sample rate, Hz.
     lsb_accel, lsb_gyro : float
@@ -130,8 +124,8 @@ class ImuLog:
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(
                     f"{name} must be positive and finite, got {value}")
-        _check_counts("accel", self.accel)
-        _check_counts("gyro", self.gyro)
+        self.accel = _check_counts("accel", self.accel)
+        self.gyro = _check_counts("gyro", self.gyro)
 
 
 @dataclass
@@ -206,9 +200,19 @@ def _condition_number(p_mat: np.ndarray) -> float:
 
 
 def _check_state(x: np.ndarray, p_mat: np.ndarray) -> None:
-    """The divergence check on a filter state: the covariance's
-    (`_check_covariance`), then a finite mean."""
-    _check_covariance(p_mat)
+    """The divergence check on a filter state: every covariance entry
+    finite, the smallest diagonal entry at least -1e-9 times the trace,
+    and a finite mean.  It does not symmetrise; `predict` does that once
+    per sample.  The kernels do not call it: `run_tracker` checks each
+    step's result once, and each stage's only on a replay."""
+    if not _finite(p_mat):
+        raise FilterDivergenceError("covariance is no longer finite")
+    diag = p_mat.diagonal().tolist()
+    low = min(diag)
+    if low < 0.0 and low < -1e-9 * max(sum(diag), 1e-30):
+        raise FilterDivergenceError(
+            f"covariance lost positive semidefiniteness (min diag {low:g})"
+        )
     if not _finite(x):
         raise FilterDivergenceError("state became non-finite")
 

@@ -401,7 +401,7 @@ def zupt_update(x, p_mat, stance: StanceStack, imu_sample, factor: float):
     update refuses a non-finite or indefinite innovation covariance and
     a degenerate quaternion; the covariance it returns is neither
     checked (the tracker checks each step once, see
-    `pdrnav.ekf._check_covariance`) nor symmetrised (the next `predict`
+    `pdrnav.tracker._check_state`) nor symmetrised (the next `predict`
     re-symmetrises it).
     """
     nu, jac = stance.linearize(x, imu_sample)

@@ -414,8 +414,7 @@ def per_value_log_text(log, time_text=repr):
     gives the 17-digit time column that logs were once written with."""
     lines = [f"# fs={_fmt(log.fs)} lsb_a={_fmt(log.lsb_accel)} "
              f"lsb_w={_fmt(log.lsb_gyro)}\n"]
-    a = np.rint(log.accel).astype(np.int64)
-    w = np.rint(log.gyro).astype(np.int64)
+    a, w = log.accel, log.gyro
     for k in range(log.t.size):
         lines.append(f"{time_text(float(log.t[k]))},{a[k, 0]},{a[k, 1]},"
                      f"{a[k, 2]},{w[k, 0]},{w[k, 1]},{w[k, 2]}\n")

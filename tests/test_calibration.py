@@ -369,8 +369,8 @@ class TestBatchMeans:
         logs = {}
         expect = []
         for k in range(3):
-            acc = np.rint(rng.normal(100.0, 2.0, (200, 3)))
-            gyr = np.rint(rng.normal(0.0, 1.0, (200, 3)))
+            acc = np.rint(rng.normal(100.0, 2.0, (200, 3))).astype(np.int16)
+            gyr = np.rint(rng.normal(0.0, 1.0, (200, 3))).astype(np.int16)
             logs[f"still_{k}.csv"] = still_log(acc, gyr, lsb_gyro=1e-3)
             expect.append(acc.mean(axis=0))
         batch = batch_means(logs)
@@ -383,10 +383,10 @@ class TestBatchMeans:
         rng = np.random.default_rng(2)
 
         def counts():
-            return np.rint(rng.normal(0, 1, (100, 3)))
+            return np.rint(rng.normal(0, 1, (100, 3))).astype(np.int16)
 
         quiet = still_log(counts(), counts(), lsb_gyro=1e-3)
-        spinning = still_log(counts(), counts() + 500.0, lsb_gyro=1e-3)
+        spinning = still_log(counts(), counts() + 500, lsb_gyro=1e-3)
         with pytest.raises(CalibrationError,
                            match=r"^b_spin\.csv: median angular rate"):
             batch_means({"a_quiet.csv": quiet, "b_spin.csv": spinning})
@@ -394,6 +394,7 @@ class TestBatchMeans:
     def test_fifty_samples_is_the_shortest_capture(self):
         def still(n):
             counts = np.rint(np.random.default_rng(n).normal(0.0, 1.0, (n, 3)))
+            counts = counts.astype(np.int16)
             return still_log(counts, counts, lsb_gyro=1e-3)
 
         batch = batch_means({"still.csv": still(50)})
@@ -403,7 +404,8 @@ class TestBatchMeans:
             batch_means({"still.csv": still(49)})
 
     def test_short_segment_rejected(self):
-        seg = still_log(np.zeros((10, 3)), np.zeros((10, 3)), lsb_gyro=1e-3)
+        still = np.zeros((10, 3), np.int16)
+        seg = still_log(still, still, lsb_gyro=1e-3)
         with pytest.raises(CalibrationError, match=r"^short\.csv: 10 samples"):
             batch_means({"short.csv": seg})
 
@@ -428,7 +430,7 @@ class TestBatchMeans:
             batch_means({})
 
 
-def still_captures(rng, lengths, dtype=float):
+def still_captures(rng, lengths, dtype=np.int16):
     """Still capture logs named ``still_00.csv`` on: whole accel counts
     about a spread gravity direction, whole gyro counts about a small
     bias, both with sensor-like noise, in ``dtype``."""
@@ -476,7 +478,7 @@ SPOIL = {
 class TestOnePass:
     """`batch_means` against the per-capture forms it replaced."""
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("lengths", [
         [50, 51, 500, 1001, 20_000],
         [20_000, 60, 3000],
@@ -486,16 +488,13 @@ class TestOnePass:
     def test_statistics_have_the_per_capture_bits(self, lengths, dtype):
         stills = still_captures(np.random.default_rng(len(lengths)),
                                 lengths, dtype)
-        if dtype is np.float64:
-            # numpy's sums start from +0.0, so all -0.0 reads +0.0.
-            stills["still_00.csv"].accel[:, 0] = -0.0
         batch = batch_means(stills)
         expect = oracle_statistics(stills)
         del expect["median_rates"]
         assert_same_bits(batch, expect)
         assert batch.samples_per_orientation == min(lengths)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.int32])
+    @pytest.mark.parametrize("dtype", [np.int32])
     @pytest.mark.parametrize("lengths", [
         [50, 51, 500, 1001, 20_000],
         [100_000] + [500] * 15,

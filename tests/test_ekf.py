@@ -460,14 +460,16 @@ class TestFiniteChecks:
     must pass."""
 
     def test_covariance_entry(self):
-        p_mat = random_covariance(np.random.default_rng(60))
+        rng = np.random.default_rng(60)
+        p_mat = random_covariance(rng)
+        x = random_nav_state(rng)
         for index in np.ndindex(p_mat.shape):
             for value in _NON_FINITE:
                 bad = p_mat.copy()
                 bad[index] = value
                 with pytest.raises(FilterDivergenceError,
                                    match="covariance is no longer finite"):
-                    ekf._check_covariance(bad)
+                    tracker_module._check_state(x, bad)
 
     @pytest.mark.parametrize("m", [MEAS_DIM, 22])
     def test_innovation_covariance_entry(self, m):
@@ -499,7 +501,7 @@ class TestFiniteChecks:
         huge = 1e308 * signs
         assert ekf._finite(huge)
         np.fill_diagonal(huge, 1e308)
-        ekf._check_covariance(huge)
+        tracker_module._check_state(huge[0], huge)
 
 
 def joseph_error(p_mat, p1, gain, jac, r_diag):

@@ -124,18 +124,6 @@ class TestRowWriters:
                       gyro=counts[:, 3:], fs=FS, lsb_accel=LSB_A,
                       lsb_gyro=LSB_W)
 
-    def test_log_whole_float_counts(self, tmp_path):
-        # Float counts as a caller may build them: -0.0 is written "0",
-        # and both rails of the ADC as themselves.
-        rng = np.random.default_rng(64)
-        counts = rng.integers(-32768, 32768, size=(self.N, 6)).astype(float)
-        counts[:3] = [[-0.0, -32768.0, 32767.0, 0.0, -1.0, 1.0]] * 3
-        counts[rng.random((self.N, 6)) < 0.05] = -0.0
-        log = self.counts_log(counts)
-        write_log(tmp_path / "log.csv", log)
-        self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
-        assert "\n0.0,0,-32768,32767,0,-1,1\n" in (tmp_path / "log.csv").read_text()
-
     def test_log_still_block_with_few_distinct_counts(self, tmp_path):
         # A still log's block holds a few hundred distinct counts, here
         # seven per axis, each texted once and gathered into many rows.
@@ -153,31 +141,47 @@ class TestRowWriters:
         write_log(tmp_path / "log.csv", log)
         self.assert_text(tmp_path / "log.csv", per_value_log_text(log))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e20, -1e20])
-    def test_log_refuses_a_count_that_is_not_one(self, tmp_path, value):
-        # A float count set after the log was built: refused, never cast
-        # to an integer that the file would then hold.
-        counts = np.zeros((2 * _BLOCK_ROWS, 6))
-        log = self.counts_log(counts)
-        log.gyro[_BLOCK_ROWS + 5, 1] = value
+    @staticmethod
+    def replace_gyro(log, bad):
+        """Replace the gyro counts of a built log, past its check, by a
+        copy that holds ``bad`` in the second block: a float copy for a
+        float ``bad``, an int32 one for an int.  Returns the refusal to
+        expect."""
+        dtype = np.float64 if isinstance(bad, float) else np.int32
+        log.gyro = log.gyro.astype(dtype)
+        log.gyro[_BLOCK_ROWS + 5, 1] = bad
+        if dtype is np.float64:
+            return "gyro counts must be integers, not float64"
+        return f"gyro count {bad} is outside the 16-bit ADC range"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20, -1e20,
+                                     40000, -40000])
+    def test_log_refuses_a_count_that_is_not_one(self, tmp_path, bad):
+        # Refused, never cast to a count that the file would then hold:
+        # a float copy by its dtype, whatever it holds, and an integer
+        # count outside the ADC range by its value.
+        log = self.counts_log(np.zeros((2 * _BLOCK_ROWS, 6), np.int16))
+        message = self.replace_gyro(log, bad)
         path = tmp_path / "log.csv"
-        with pytest.raises(ValueError, match=r"log\.csv: count .* outside "
-                                             r"the 16-bit ADC range"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"log {path}: {message}")):
             write_log(path, log)
-        # The block before the refused one was written, but only to a
-        # temporary file, which is gone: no shorter log is left behind.
+        # The block before the refused one may have been written, but
+        # only to a temporary file, which is gone: no shorter log is left.
         assert list(tmp_path.iterdir()) == []
 
     def test_refused_log_leaves_an_existing_target_as_it_was(self, tmp_path):
         path = tmp_path / "log.csv"
-        write_log(path, self.counts_log(np.ones((2 * _BLOCK_ROWS, 6))))
+        write_log(path, self.counts_log(np.ones((2 * _BLOCK_ROWS, 6),
+                                                np.int16)))
         before = path.read_bytes()
-        log = self.counts_log(np.zeros((2 * _BLOCK_ROWS, 6)))
-        log.accel[_BLOCK_ROWS + 5, 2] = np.nan
-        with pytest.raises(ValueError, match="outside the 16-bit ADC range"):
-            write_log(path, log)
-        assert path.read_bytes() == before
-        assert list(tmp_path.iterdir()) == [path]
+        for bad in (0.0, 40000, -40000):
+            log = self.counts_log(np.zeros((2 * _BLOCK_ROWS, 6), np.int16))
+            message = self.replace_gyro(log, bad)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write_log(path, log)
+            assert path.read_bytes() == before
+            assert list(tmp_path.iterdir()) == [path]
 
     def test_failed_json_leaves_an_existing_target_as_it_was(self, tmp_path):
         # json.dump has written the first key when the second fails.
@@ -454,8 +458,8 @@ class TestLogFormat:
         assert "lsb_a=" in header and "lsb_w=" in header
 
     def test_empty_log_round_trips(self, tmp_path):
-        log = ImuLog(t=np.empty(0), accel=np.empty((0, 3)),
-                     gyro=np.empty((0, 3)), fs=FS,
+        log = ImuLog(t=np.empty(0), accel=np.empty((0, 3), np.int16),
+                     gyro=np.empty((0, 3), np.int16), fs=FS,
                      lsb_accel=LSB_A, lsb_gyro=LSB_W)
         path = tmp_path / "empty.csv"
         write_log(path, log)
@@ -622,8 +626,8 @@ AWKWARD_TIMES = [0.0, -0.0, -2.5, -1e22, 5e-324, 1e-5, 1e-4, 9.99e14,
 def grid_logs(draw):
     """Logs on a recorder's time grid t0 + k / fs: as it is, moved by
     whole microseconds or jittered by up to 0.3 of a sample, with some
-    awkward times merged in, and int or float counts with rows at both
-    rails of the ADC."""
+    awkward times merged in, and int64 counts with rows at both rails
+    of the ADC."""
     fs = draw(st.sampled_from([3.0, 50.0, 100.0, 128.0, 200.0, 1000.0]))
     t0 = draw(st.sampled_from([0.0, 1234.5678, 1.6e9]))
     n = draw(st.one_of(st.integers(1, 64),
@@ -642,8 +646,6 @@ def grid_logs(draw):
                           (t.size, 6))
     counts[rng.random(t.size) < 0.05] = constants.ADC_MIN
     counts[rng.random(t.size) < 0.05] = constants.ADC_MAX
-    if draw(st.booleans()):
-        counts = np.where(counts == 0, -0.0, counts.astype(float))
     return ImuLog(t=t, accel=counts[:, :3], gyro=counts[:, 3:], fs=fs,
                   lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
@@ -669,9 +671,9 @@ class TestLogText:
         # One awkward time in a block of the 100 Hz grid k / 100, whose
         # other times all have exact short decimals.
         times = np.sort(np.append(np.arange(1, 100) / 100.0, t))
-        log = ImuLog(t=times, accel=np.zeros((100, 3)),
-                     gyro=np.zeros((100, 3)), fs=FS, lsb_accel=LSB_A,
-                     lsb_gyro=LSB_W)
+        no_motion = np.zeros((100, 3), np.int16)
+        log = ImuLog(t=times, accel=no_motion, gyro=no_motion, fs=FS,
+                     lsb_accel=LSB_A, lsb_gyro=LSB_W)
         write_log(tmp_path / "log.csv", log)
         assert (tmp_path / "log.csv").read_text() == per_value_log_text(log)
 
@@ -696,9 +698,9 @@ class TestLogText:
         # Blocks the shared float layout writes from their exact
         # decimals, not through float.__repr__.
         assert _decimal_times(t) is not None
-        log = ImuLog(t=t, accel=np.zeros((t.size, 3)),
-                     gyro=np.zeros((t.size, 3)), fs=FS, lsb_accel=LSB_A,
-                     lsb_gyro=LSB_W)
+        no_motion = np.zeros((t.size, 3), np.int16)
+        log = ImuLog(t=t, accel=no_motion, gyro=no_motion, fs=FS,
+                     lsb_accel=LSB_A, lsb_gyro=LSB_W)
         write_log(tmp_path / "log.csv", log)
         TestRowWriters.assert_text(tmp_path / "log.csv",
                                    per_value_log_text(log))

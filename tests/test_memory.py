@@ -104,26 +104,27 @@ def test_allan_deviation_holds_two_series():
 
 
 def test_batch_means_holds_a_few_blocks():
-    # One long capture among short ones, whole float counts as an
-    # `ImuLog` may hold them.  The call peaks at 0.31x the captures' own
-    # floats: the long capture's rates and one column of them (0.16x
-    # each) while it is checked; a block of its squared deviations is
-    # 786 KB.  A full-length array of every sample's rate made 0.52x,
+    # One long capture among short ones, in int16 counts as every
+    # `ImuLog` holds them; the bound is in bytes of the same counts as
+    # float64.  The call peaks at 0.32x those (0.31x from float counts):
+    # the long capture's rates and one column of them (0.16x each)
+    # while it is checked; a block of its squared deviations is 786 KB.
+    # A full-length array of every sample's rate made 0.52x,
     # the per-capture loops with the command's gyro statistics 1.24x,
     # and a block padding every capture to the long one's length would
     # be 15x.
     rng = np.random.default_rng(4)
     logs = {f"still_{k:02d}.csv": ImuLog(
                 t=np.arange(n) / FS,
-                accel=np.rint(rng.normal(3000.0, 3.0, (n, 3))),
-                gyro=np.rint(rng.normal(0.0, 7.0, (n, 3))), fs=FS,
-                lsb_accel=constants.DEFAULT_LSB_ACCEL,
+                accel=np.rint(rng.normal(3000.0, 3.0, (n, 3))).astype(np.int16),
+                gyro=np.rint(rng.normal(0.0, 7.0, (n, 3))).astype(np.int16),
+                fs=FS, lsb_accel=constants.DEFAULT_LSB_ACCEL,
                 lsb_gyro=constants.DEFAULT_LSB_GYRO)
             for k, n in enumerate([100_000] + [500] * 15)}
-    own = sum(log.accel.nbytes + log.gyro.nbytes for log in logs.values())
+    own = sum(6 * 8 * log.t.size for log in logs.values())
     batch, peak = traced_peak(batch_means, logs)
     assert batch.samples_per_orientation == 500
-    assert peak <= 0.4 * own, f"peak {peak / own:.2f}x the captures"
+    assert peak <= 0.4 * own, f"peak {peak / own:.2f}x the captures' floats"
 
 
 def test_allan_command_frees_the_log_for_the_sweep(tmp_path):
@@ -151,22 +152,6 @@ def test_read_log_holds_about_its_rows(tmp_path):
     # made 1.28x, rows of seven float64 columns 2.1x, and reading the
     # body into a string and a StringIO copy first makes 5.3x.
     assert peak <= 1.25 * ROWS32, f"peak {peak / ROWS32:.2f}x the 32-byte rows"
-
-
-def test_log_checks_float_counts_by_block():
-    # Float counts, as a caller may build a log from rounded floats, are
-    # checked for whole values one block at a time (`read_log` and
-    # `inverse_imu` give int16 counts, whole and in range by their
-    # type).  What is left is the time-step check, one float and one
-    # bool per sample (0.38x); a full-size `np.rint` copy and its
-    # comparison would add 1.1x.
-    log = still_log()
-    t = log.t.copy()
-    accel, gyro = log.accel.astype(float), log.gyro.astype(float)
-    _, peak = traced_peak(lambda: ImuLog(
-        t=t, accel=accel, gyro=gyro, fs=FS,
-        lsb_accel=log.lsb_accel, lsb_gyro=log.lsb_gyro))
-    assert peak <= 0.5 * COLUMN3, f"peak {peak / COLUMN3:.2f}x an (n, 3) array"
 
 
 def test_write_log_rounds_by_block(tmp_path):

@@ -113,40 +113,49 @@ class TestLogType:
                    gyro=np.zeros((2, 3)), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
-    @pytest.mark.parametrize("row", [0, tracker_module._CHECK_ROWS - 1,
-                                     tracker_module._CHECK_ROWS, -1])
-    @pytest.mark.parametrize("bad", [0.5, -3.25, np.nan])
-    def test_rejects_fractional_counts_in_any_block(self, row, bad):
-        # Float counts are checked block by block; a bad value in the
-        # ragged last block must be caught like one in the first.
-        n = 2 * tracker_module._CHECK_ROWS + 5
-        for sensor in ("accel", "gyro"):
-            arrays = {"accel": np.full((n, 3), 7.0), "gyro": np.zeros((n, 3))}
-            arrays[sensor][row, 2] = bad
-            with pytest.raises(ValueError, match=f"{sensor} counts must be integers"):
-                ImuLog(t=np.arange(n) / FS, fs=FS, lsb_accel=LSB_A,
-                       lsb_gyro=LSB_W, **arrays)
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16,
+                                       np.int32, np.int64, np.uint16])
+    def test_integer_counts_in_range_come_back_int16(self, dtype):
+        # Every integer dtype is admitted, down to each rail it shares
+        # with the ADC, and held as int16 with its values: int16 counts
+        # as they are, not copied.
+        info = np.iinfo(dtype)
+        low = max(int(info.min), constants.ADC_MIN)
+        high = min(int(info.max), constants.ADC_MAX)
+        counts = np.array([[low, high, 0], [high, low, 1]], dtype=dtype)
+        log = ImuLog(t=np.arange(2) / FS, accel=counts, gyro=counts[::-1],
+                     fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W)
+        assert log.accel.dtype == log.gyro.dtype == np.int16
+        np.testing.assert_array_equal(log.accel, counts)
+        np.testing.assert_array_equal(log.gyro, counts[::-1])
+        int16 = dtype is np.int16
+        assert np.shares_memory(log.accel, counts) == int16
+        assert np.shares_memory(log.gyro, counts) == int16
 
-    def test_accepts_whole_counts_of_any_dtype(self):
-        n = tracker_module._CHECK_ROWS + 3
-        for dtype in (np.int16, np.int32, np.int64, np.uint16, np.float64):
-            counts = np.full((n, 3), 1234, dtype=dtype)
-            log = ImuLog(t=np.arange(n) / FS, accel=counts, gyro=counts,
-                         fs=FS, lsb_accel=LSB_A, lsb_gyro=LSB_W)
-            assert log.accel.dtype == dtype
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    @pytest.mark.parametrize("sensor", ["accel", "gyro"])
+    def test_float_and_bool_counts_refused(self, sensor, dtype):
+        # Whole float counts too: a count is an integer by type, so a
+        # caller rounds and casts float counts; `ImuLog` does not.
+        with pytest.raises(ValueError, match=(
+                f"^{sensor} counts must be integers, "
+                f"not {np.dtype(dtype)}")):
+            self.counts_log(sensor, lambda counts: None, dtype)
 
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError, match="range"):
-            ImuLog(t=np.array([0.0, 0.01]), accel=np.full((2, 3), 40000.0),
-                   gyro=np.zeros((2, 3)), fs=FS,
+            ImuLog(t=np.array([0.0, 0.01]),
+                   accel=np.full((2, 3), 40000, np.int32),
+                   gyro=np.zeros((2, 3), np.int16), fs=FS,
                    lsb_accel=LSB_A, lsb_gyro=LSB_W)
 
     @staticmethod
-    def counts_log(sensor, spoil, dtype=float, n=200):
-        """A log of ``n`` whole counts in ``dtype`` whose ``sensor``
-        counts ``spoil`` has changed in place."""
-        arrays = {"accel": np.full((n, 3), 8192, dtype),
-                  "gyro": np.zeros((n, 3), dtype)}
+    def counts_log(sensor, spoil, dtype=np.int16, n=200):
+        """A log of ``n`` int16 counts, but for ``sensor``'s: whole
+        counts in ``dtype`` that ``spoil`` has changed in place."""
+        arrays = {"accel": np.full((n, 3), 8192, np.int16),
+                  "gyro": np.zeros((n, 3), np.int16)}
+        arrays[sensor] = arrays[sensor].astype(dtype)
         spoil(arrays[sensor])
         return ImuLog(t=np.arange(n) / FS, fs=FS, lsb_accel=LSB_A,
                       lsb_gyro=LSB_W, **arrays)
@@ -171,30 +180,31 @@ class TestLogType:
                              ids=["nan", "inf", "minus_inf", "both_infs"])
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
     def test_non_finite_sample_refused(self, sensor, values):
-        # A NaN is not a whole number and an infinity is outside the ADC
-        # range; either way the sensor's counts are refused.
+        # Only float counts hold a NaN or an infinity, and float counts
+        # are refused by their dtype.
         def spoil(counts):
             counts[17:17 + len(values), 2] = values
 
-        with pytest.raises(ValueError, match=f"^{sensor} counts "):
-            self.counts_log(sensor, spoil)
+        with pytest.raises(ValueError, match=(
+                f"^{sensor} counts must be integers, not float64")):
+            self.counts_log(sensor, spoil, float)
 
     @pytest.mark.parametrize("dtype, bad", [
         pytest.param(np.int32, 40000, id="int32"),
         pytest.param(np.int64, 40000, id="int64"),
-        pytest.param(np.float64, 40000, id="float64"),
         pytest.param(np.int32, -32769, id="int32_below"),
         pytest.param(np.int32, 32768, id="int32_above"),
         pytest.param(np.uint16, 32768, id="uint16_above")])
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
     def test_counts_outside_the_adc_range_refused(self, sensor, dtype, bad):
-        # Each count is whole, but no 16-bit ADC gives it; a dtype wider
-        # than int16 is scanned, down to one step past either rail.
+        # An integer, but no 16-bit ADC gives it; a dtype other than
+        # int16 is scanned, down to one step past either rail, and the
+        # refusal names the count.
         def spoil(counts):
             counts[17, 0] = bad
 
         with pytest.raises(ValueError, match=re.escape(
-                f"{sensor} counts outside the 16-bit ADC range "
+                f"{sensor} count {bad} is outside the 16-bit ADC range "
                 f"[-32768, 32767]")):
             self.counts_log(sensor, spoil, dtype)
 
@@ -215,15 +225,15 @@ class TestLogType:
     @pytest.mark.parametrize("sensor", ["accel", "gyro"])
     def test_huge_counts_refused_without_warnings(self, sensor, values):
         # Finite counts whose sum or squares would overflow float64 are
-        # far outside the ADC range, and the check itself stays quiet.
+        # refused by their dtype, and the check itself stays quiet.
         def spoil(counts):
             counts[17:19, 2] = values
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError,
-                               match=f"^{sensor} counts outside"):
-                self.counts_log(sensor, spoil)
+            with pytest.raises(ValueError, match=(
+                    f"^{sensor} counts must be integers, not float64")):
+                self.counts_log(sensor, spoil, float)
 
     def test_non_positive_gyro_scale_refused(self):
         for lsb in (0.0, -1e-3, np.nan, np.inf):
@@ -605,7 +615,7 @@ class TestSingleStep:
             assert name not in source, name
 
     def test_check_and_identity_counts(self, short_walk, monkeypatch):
-        # Per sample: exactly one covariance check, at the end of the
+        # Per sample: exactly one divergence check, at the end of the
         # step, and one LAPACK call (dposv) per update; no separate
         # factor and solve.  The identity is a module constant, so numpy
         # builds none during a run.
@@ -613,7 +623,7 @@ class TestSingleStep:
 
         _, log = short_walk
         counts = {"check": 0, "eye": 0, "dposv": 0, "dpotrf": 0, "dpotrs": 0}
-        real_check, real_eye = ekf_module._check_covariance, np.eye
+        real_check, real_eye = tracker_module._check_state, np.eye
 
         def counted(name, fn):
             def call(*args, **kwargs):
@@ -621,9 +631,8 @@ class TestSingleStep:
                 return fn(*args, **kwargs)
             return call
 
-        for module in (ekf_module, tracker_module):
-            monkeypatch.setattr(module, "_check_covariance",
-                                counted("check", real_check))
+        monkeypatch.setattr(tracker_module, "_check_state",
+                            counted("check", real_check))
         monkeypatch.setattr(np, "eye", counted("eye", real_eye))
         for name in ("dposv", "dpotrf", "dpotrs"):
             monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
