@@ -10,7 +10,7 @@ log, so it is computed up front and the filter loop consumes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -390,21 +390,26 @@ def run_tracker(
     return Trajectory(t=t_out, p=p_out, q_nb=q_out, sfs=scores, stance=active)
 
 
+def _closure(traj: Trajectory, ttd: float) -> float:
+    """The closure error |p_0 - p_end|, m; ValueError first for a ``ttd``
+    that is not positive and finite, then for an empty trajectory."""
+    if not (ttd > 0.0 and math.isfinite(ttd)):
+        raise ValueError(f"ttd must be positive and finite, got {ttd}")
+    if traj.t.size == 0:
+        raise ValueError("empty trajectory")
+    return float(np.linalg.norm(traj.p[0] - traj.p[-1]))
+
+
 def epsilon_ttd(traj: Trajectory, ttd: float) -> float:
     """Return-to-start error normalized by total travelled distance.
 
     Dimensionless: closure error in meters over ``ttd`` in meters.
     Zero for an ideal tracker on a closed path.
     """
-    if not (ttd > 0.0 and math.isfinite(ttd)):
-        raise ValueError(f"ttd must be positive and finite, got {ttd}")
-    if traj.t.size == 0:
-        raise ValueError("empty trajectory")
-    return float(np.linalg.norm(traj.p[0] - traj.p[-1])) / ttd
+    return _closure(traj, ttd) / ttd
 
 
-def checkpoint_errors(traj: Trajectory,
-                      checkpoints: list[tuple[float, np.ndarray]]) -> list[float]:
+def checkpoint_errors(traj: Trajectory, times, positions) -> list[float]:
     """Euclidean error at the trajectory sample nearest each checkpoint.
 
     The nearest sample is the closer of the two that bracket the
@@ -413,8 +418,9 @@ def checkpoint_errors(traj: Trajectory,
     Parameters
     ----------
     traj : Trajectory
-    checkpoints : list of (t, p_true)
-        Times must fall within the trajectory span.
+    times : array_like, shape (k,)
+        Each inside ``[traj.t[0], traj.t[-1]]``.
+    positions : array_like, shape (k, 3)
 
     Returns
     -------
@@ -423,8 +429,13 @@ def checkpoint_errors(traj: Trajectory,
     """
     if traj.t.size == 0:
         raise ValueError("empty trajectory")
-    times = np.array([tc for tc, _ in checkpoints], dtype=float)
-    outside = (times < traj.t[0]) | (times > traj.t[-1])
+    times = np.asarray(times, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    if times.ndim != 1 or positions.shape != (times.size, 3):
+        raise ValueError(f"checkpoint positions must be (k, 3) for k times, "
+                         f"got {positions.shape} for times {times.shape}")
+    # Written as "not inside", so that a NaN time is outside too.
+    outside = ~((times >= traj.t[0]) & (times <= traj.t[-1]))
     if np.any(outside):
         bad = times[outside].tolist()
         raise ValueError(f"checkpoints outside trajectory span: {bad}")
@@ -435,8 +446,7 @@ def checkpoint_errors(traj: Trajectory,
     right = np.minimum(right, traj.t.size - 1)
     nearest = np.where(np.abs(traj.t[right] - times)
                        < np.abs(traj.t[left] - times), right, left)
-    offsets = traj.p[nearest] - np.array([p for _, p in checkpoints],
-                                         dtype=float).reshape(-1, 3)
+    offsets = traj.p[nearest] - positions
     # One norm per row, as `np.linalg.norm` of the 3-vector computes it
     # (the square root of its dot with itself) without the wrapper's
     # checks; the norm over an axis of the block sums in another order
@@ -446,50 +456,35 @@ def checkpoint_errors(traj: Trajectory,
 
 @dataclass
 class EvalReport:
-    """Closed-walk performance summary."""
+    """Closed-walk performance summary as `evaluate_trajectory` fills it."""
 
     epsilon_ttd: float
     ttd: float
     closure_error: float
-    checkpoint_errors: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not (self.ttd > 0.0 and math.isfinite(self.ttd)):
-            raise ValueError(f"ttd must be positive and finite, got {self.ttd}")
-        if self.closure_error < 0.0 or self.epsilon_ttd < 0.0:
-            raise ValueError("errors must be non-negative")
-        if any(e < 0.0 for e in self.checkpoint_errors):
-            raise ValueError("checkpoint errors must be non-negative")
-        expected = self.closure_error / self.ttd
-        if abs(self.epsilon_ttd - expected) > 1e-12 * max(1.0, expected):
-            raise ValueError("epsilon_ttd must equal closure_error / ttd")
+    checkpoint_errors: list[float]
 
 
 def evaluate_trajectory(traj: Trajectory, truth, ttd: float) -> EvalReport:
     """Score a trajectory against ground truth.
 
     Checkpoints are the truth positions at the midpoint of every true
-    stance interval that falls inside the trajectory span; the foot is
-    planted there, so the reference is unambiguous.
+    stance interval whose time is inside the trajectory span, bounds
+    included; the foot is planted there, so the reference is unambiguous.
 
     Raises
     ------
     ValueError
-        If the trajectory has no samples.
+        If ``ttd`` is not positive and finite or the trajectory is empty.
     """
-    if traj.t.size == 0:
-        raise ValueError("empty trajectory")
-    closure = float(np.linalg.norm(traj.p[0] - traj.p[-1]))
-    checkpoints = []
-    for start, stop in stance_intervals(truth.stance):
-        mid = (start + stop) // 2
-        tc = truth.t[mid]
-        if traj.t[0] <= tc <= traj.t[-1]:
-            checkpoints.append((tc, truth.p[mid]))
-    errors = checkpoint_errors(traj, checkpoints) if checkpoints else []
+    closure = _closure(traj, ttd)
+    mids = np.array(stance_intervals(truth.stance),
+                    dtype=np.intp).reshape(-1, 2).sum(axis=1) // 2
+    t_mid = truth.t[mids]
+    mids = mids[(traj.t[0] <= t_mid) & (t_mid <= traj.t[-1])]
     return EvalReport(
         epsilon_ttd=closure / ttd,
         ttd=ttd,
         closure_error=closure,
-        checkpoint_errors=errors,
+        checkpoint_errors=checkpoint_errors(traj, truth.t[mids],
+                                            truth.p[mids]),
     )

@@ -84,6 +84,12 @@ def closed_square(side, seed, fs=FS):
     return generate_gait(params, fs)
 
 
+def stance_midpoints(truth):
+    """The sample at the middle of each true stance interval."""
+    return [(start + stop) // 2
+            for start, stop in stance_intervals(truth.stance)]
+
+
 @pytest.fixture(scope="module")
 def short_walk():
     truth = closed_square(10.0, seed=4)
@@ -827,19 +833,35 @@ class TestCheckpointErrors:
 
     def test_self_checkpoints_score_zero(self):
         traj = self.make_traj()
-        cps = [(traj.t[k], traj.p[k]) for k in (0, 4, 10)]
-        assert checkpoint_errors(traj, cps) == [0.0, 0.0, 0.0]
+        k = [0, 4, 10]
+        assert checkpoint_errors(traj, traj.t[k], traj.p[k]) == [0.0, 0.0, 0.0]
 
     def test_unit_offset_scores_one(self):
         traj = self.make_traj()
-        cps = [(5.0, traj.p[5] + np.array([0.0, 1.0, 0.0]))]
-        assert checkpoint_errors(traj, cps) == pytest.approx([1.0])
+        errors = checkpoint_errors(traj, [5.0], [traj.p[5] + [0.0, 1.0, 0.0]])
+        assert errors == pytest.approx([1.0])
 
     def test_out_of_span_lists_offenders(self):
         traj = self.make_traj()
-        cps = [(5.0, traj.p[5]), (99.0, traj.p[5]), (-1.0, traj.p[0])]
         with pytest.raises(ValueError, match=r"99\.0.*-1\.0"):
-            checkpoint_errors(traj, cps)
+            checkpoint_errors(traj, [5.0, 99.0, -1.0], traj.p[[5, 5, 0]])
+
+    def test_nan_time_is_outside_the_span(self):
+        # NaN compares False both ways, so a span test written as "below
+        # the first or above the last" let it through, to be scored
+        # against the last sample.
+        traj = self.make_traj()
+        with pytest.raises(ValueError, match=r"outside.*\[nan\]"):
+            checkpoint_errors(traj, [5.0, np.nan], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("times, shape", [
+        ([1.0, 2.0], (3, 3)), ([1.0, 2.0], (2, 2)), ([1.0, 2.0], (6,)),
+        ([[1.0], [2.0]], (2, 3)),
+    ], ids=["too_many_rows", "two_columns", "flat", "times_2d"])
+    def test_positions_must_be_k_by_3(self, times, shape):
+        traj = self.make_traj()
+        with pytest.raises(ValueError, match=r"\(k, 3\) for k times"):
+            checkpoint_errors(traj, times, np.zeros(shape))
 
     def test_nearest_sample_close_to_linear_interpolation(self, short_walk):
         # nearest-sample lookup differs from linear interpolation by at
@@ -851,7 +873,7 @@ class TestCheckpointErrors:
         rng = np.random.default_rng(0)
         times = rng.uniform(traj.t[0], traj.t[-1], size=20)
         for tc in times:
-            nearest = checkpoint_errors(traj, [(tc, np.zeros(3))])[0]
+            nearest = checkpoint_errors(traj, [tc], np.zeros((1, 3)))[0]
             linear = np.linalg.norm(
                 [np.interp(tc, traj.t, traj.p[:, i]) for i in range(3)])
             assert abs(nearest - linear) <= bound
@@ -871,9 +893,9 @@ class TestCheckpointErrors:
             "one_sample", "out_of_order"])
     def test_nearest_sample_matches_the_loop(self, t, times, samples):
         traj = self.make_traj(t)
-        checkpoints = [(tc, np.zeros(3)) for tc in times]
-        got = checkpoint_errors(traj, checkpoints)
-        assert got == loop_checkpoint_errors(traj, checkpoints)
+        got = checkpoint_errors(traj, times, np.zeros((len(times), 3)))
+        assert got == loop_checkpoint_errors(
+            traj, [(tc, np.zeros(3)) for tc in times])
         # Positions run along x with time, so each error is the time of
         # the sample taken.
         assert got == [float(traj.t[s]) for s in samples]
@@ -903,29 +925,47 @@ class TestCheckpointLookup:
         truth, traj = tracked
         traj = dataclasses.replace(traj, t=traj.t + shift / FS)
         report = evaluate_trajectory(traj, truth, truth.path_length)
-        checkpoints = [(truth.t[mid], truth.p[mid]) for mid in
-                       ((start + stop) // 2
-                        for start, stop in stance_intervals(truth.stance))
-                       if traj.t[0] <= truth.t[mid] <= traj.t[-1]]
-        assert len(checkpoints) >= 5
-        want = loop_checkpoint_errors(traj, checkpoints)
-        assert checkpoint_errors(traj, checkpoints) == want
+        mids = [mid for mid in stance_midpoints(truth)
+                if traj.t[0] <= truth.t[mid] <= traj.t[-1]]
+        assert len(mids) >= 5
+        want = loop_checkpoint_errors(
+            traj, [(truth.t[mid], truth.p[mid]) for mid in mids])
+        assert checkpoint_errors(traj, truth.t[mids], truth.p[mids]) == want
         assert report.checkpoint_errors == want
+
+    def test_span_bounds_keep_their_checkpoints(self, tracked):
+        # Cut so that the first and the last sample fall exactly on true
+        # stance midpoints: both are inside the span and scored.
+        truth, traj = tracked
+        mids = stance_midpoints(truth)
+        first, last = mids[1], mids[-2]
+        cut = slice(first, last + 1)
+        traj = Trajectory(t=traj.t[cut], p=traj.p[cut], q_nb=traj.q_nb[cut],
+                          sfs=traj.sfs[cut], stance=traj.stance[cut])
+        assert traj.t[0] == truth.t[first] and traj.t[-1] == truth.t[last]
+        report = evaluate_trajectory(traj, truth, truth.path_length)
+        kept = mids[1:-1]
+        assert report.checkpoint_errors == loop_checkpoint_errors(
+            traj, [(truth.t[mid], truth.p[mid]) for mid in kept])
 
 
 class TestEvalReport:
-    def test_ratio_must_be_consistent(self):
-        with pytest.raises(ValueError, match="epsilon_ttd"):
-            EvalReport(epsilon_ttd=0.5, ttd=300.0, closure_error=3.0)
-
-    def test_rejects_negative_errors(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            EvalReport(epsilon_ttd=-0.01, ttd=300.0, closure_error=-3.0)
-
-    @pytest.mark.parametrize("ttd", [np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("ttd", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_ttd_that_is_not_positive_and_finite(self, ttd):
-        with pytest.raises(ValueError, match="ttd must be positive and finite"):
-            EvalReport(epsilon_ttd=0.0, ttd=ttd, closure_error=3.0)
+        # Refused before the closure is divided by it, and before the
+        # trajectory is looked at.
+        truth = still_truth(1.0, 10.0)
+        n = truth.t.size
+        traj = Trajectory(t=truth.t, p=np.zeros((n, 3)),
+                          q_nb=np.tile([1.0, 0, 0, 0], (n, 1)),
+                          sfs=np.zeros(n), stance=np.zeros(n, dtype=bool))
+        empty = Trajectory(t=np.empty(0), p=np.empty((0, 3)),
+                           q_nb=np.empty((0, 4)), sfs=np.empty(0),
+                           stance=np.empty(0, dtype=bool))
+        for track in (traj, empty):
+            with pytest.raises(ValueError,
+                               match="ttd must be positive and finite"):
+                evaluate_trajectory(track, truth, ttd)
 
     def test_report_doc(self):
         report = EvalReport(epsilon_ttd=0.01, ttd=300.0, closure_error=3.0,
@@ -939,8 +979,7 @@ class TestEvalReport:
         traj = run_tracker(log, CAL_A, CAL_W)
         report = evaluate_trajectory(traj, truth, truth.path_length)
         assert report.ttd == truth.path_length
-        assert report.epsilon_ttd == pytest.approx(
-            report.closure_error / report.ttd)
+        assert report.epsilon_ttd == report.closure_error / report.ttd
         # one checkpoint per true stance interval, and the tracker stays
         # within a meter of each planted foot on a 40 m loop
         assert len(report.checkpoint_errors) >= 40
